@@ -21,9 +21,13 @@ from .suites import (
     relations_table,
     run_report,
 )
-from .theta import ThetaContext, TrackedArg, garg, pochhammer, qarg, theta
+from .theta import PoleError, ThetaContext, TrackedArg, garg, pochhammer, qarg, theta
 
 __all__ = ["main"]
+
+
+class UsageError(ValueError):
+    """An option outside its domain; reported in one line with exit code 2."""
 
 
 def parse_complex(text: str) -> complex:
@@ -44,12 +48,19 @@ def parse_tracked(text: str, ctx: ThetaContext, z: complex | None) -> TrackedArg
     """
     t = text.strip()
     if t.startswith("q^:"):
-        return qarg(int(t[3:]))
+        return qarg(_q_power(text, t[3:]))
     if t.startswith("z*q^:"):
         if z is None:
             raise argparse.ArgumentTypeError("form 'z*q^:<int>' requires --z")
-        return garg(z * ctx.qpow(2 * int(t[5:])))
+        return garg(z * ctx.qpow(2 * _q_power(text, t[5:])))
     return garg(parse_complex(t))
+
+
+def _q_power(text: str, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse q power in {text!r}") from None
 
 
 def fmt(value: complex) -> str:
@@ -171,6 +182,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _validate(args: argparse.Namespace) -> None:
+    """Check every option against its domain before any work starts.
+
+    Series parameters are parsed here too and stored back on ``args`` (as
+    ``args.a`` or ``args.spec``), so a command only sees values it can
+    evaluate.  Exit code 1 stays reserved for an identity that failed.
+    """
+    for flag in ("p", "q"):
+        value = getattr(args, flag)
+        _require(value is None or 0.0 < value < 1.0, f"--{flag} must lie in (0, 1), got {value}")
+    if args.command != "eval":
+        _require(args.samples is None or args.samples >= 1, "--samples must be >= 1")
+        _require(args.max_redraws >= 0, "--max-redraws must be >= 0")
+        _require(args.tol is None or args.tol > 0, "--tol must be > 0")
+    kind = getattr(args, "check_kind", None) or getattr(args, "eval_kind", None)
+    if kind == "corep":
+        _require(args.N >= 0, "--N must be >= 0")
+    elif kind == "biorth":
+        _require(args.N >= 1, "--N must be >= 1")
+        _require(args.M >= 0, "--M must be >= 0")
+    elif kind == "bailey":
+        _require(args.n is None or args.n >= 0, "--n must be >= 0")
+    elif kind == "theta":
+        _require(args.z != 0, "--z must be nonzero")
+    elif kind == "tau":
+        _require(0 <= args.k <= args.N and 0 <= args.j <= args.N, "need 0 <= --k, --j <= --N")
+        _require(args.m >= 0, "--m must be >= 0")
+    elif kind in ("pochhammer", "omega"):
+        ctx = _context(args)
+        try:
+            if kind == "pochhammer":
+                args.a = parse_tracked(args.a, ctx, args.z)
+            else:
+                a1 = parse_tracked(args.a1, ctx, args.z)
+                upper = tuple(parse_tracked(tk, ctx, args.z) for tk in args.upper.split(","))
+                args.spec = SeriesSpec(a1, upper, args.slot, ctx)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise UsageError(str(exc)) from None
+
+
 def _emit(report: dict, json_path: str | None) -> None:
     text = canonical_json(report)
     if json_path:
@@ -227,15 +283,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(fmt(theta(args.z, ctx)))
         return 0
     if args.eval_kind == "pochhammer":
-        arg = parse_tracked(args.a, ctx, args.z)
-        print(fmt(pochhammer(arg, args.n, ctx)))
+        print(fmt(pochhammer(args.a, args.n, ctx)))
         return 0
     if args.eval_kind == "omega":
-        a1 = parse_tracked(args.a1, ctx, args.z)
-        upper = tuple(parse_tracked(tk, ctx, args.z) for tk in args.upper.split(","))
-        spec = SeriesSpec(a1, upper, args.slot, ctx)
-        result = eval_omega(spec)
-        termwise = eval_omega_termwise(spec)
+        result = eval_omega(args.spec)
+        termwise = eval_omega_termwise(args.spec)
         print(f"omega = {fmt(result.value)}")
         print(f"terms = {result.terms}")
         print(f"|ratio - termwise| = {abs(result.value - termwise):.3e}")
@@ -262,11 +314,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    return _cmd_eval(args)
+    try:
+        _validate(args)
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "check":
+            return _cmd_check(args)
+        return _cmd_eval(args)
+    except (UsageError, PoleError) as exc:
+        # Suites and checks redraw at poles, so a PoleError reaching here
+        # comes from an eval point that sits on one.
+        print(f"ellu2: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

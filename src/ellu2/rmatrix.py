@@ -20,6 +20,7 @@ __all__ = [
     "r_matrix",
     "middle_det",
     "middle_det_closed",
+    "det_residual",
     "qdybe_residual",
 ]
 
@@ -67,6 +68,19 @@ def middle_det_closed(z: complex, ctx: ThetaContext) -> complex:
     """Closed form of the middle-block determinant, independent of lam."""
     q2 = ctx.qpow(2)
     return q2 * theta(z / q2, ctx) / _guarded(theta(z * q2, ctx), ctx, "theta(q^2 z)")
+
+
+def det_residual(lam: complex, z: complex, ctx: ThetaContext) -> float:
+    """Error of ``a d - b c`` against ``middle_det_closed``, relative to its inputs.
+
+    The scale is max(|a d|, |b c|, |closed|): when the two products cancel,
+    their rounding error stays a few ulps of |a d|, however small the
+    determinant.
+    """
+    a, b, c, d = r_entries(lam, z, ctx)
+    ad, bc = a * d, b * c
+    closed = middle_det_closed(z, ctx)
+    return abs(ad - bc - closed) / max(abs(ad), abs(bc), abs(closed), 1e-300)
 
 
 def _embed(

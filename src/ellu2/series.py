@@ -33,7 +33,7 @@ from .theta import (
     TrackedArg,
     garg,
     qarg,
-    theta_vec,
+    theta_vec_cached,
 )
 
 __all__ = [
@@ -139,7 +139,7 @@ def _poch_columns(
         args[r] = ta.value(ctx) * q2pow
         if ta.is_one and 0 <= -ta.s < length:
             zmask[r, -ta.s] = True
-    vals = theta_vec(args.ravel(), ctx).reshape(nrows, length)
+    vals = theta_vec_cached(args.ravel(), ctx).reshape(nrows, length)
     vals[zmask] = 1.0
     cum = np.ones((nrows, length + 1), dtype=complex)
     np.cumprod(vals, axis=1, out=cum[:, 1:])
@@ -183,9 +183,9 @@ def vwp_sum(
     ks = np.arange(n + 1)
     head_args = a1.value(ctx) * ctx.qpow(4) ** ks
     head_zero = np.array([a1.theta_is_zero(2 * int(k)) for k in ks])
-    head = theta_vec(head_args, ctx)
+    head = theta_vec_cached(head_args, ctx)
     head[head_zero] = 1.0
-    th_a1 = theta_vec([a1.value(ctx)], ctx)[0]
+    th_a1 = theta_vec_cached([a1.value(ctx)], ctx)[0]
     if abs(th_a1) < ctx.zero_guard:
         raise PoleError("theta(a1) below zero guard")
 

@@ -29,7 +29,7 @@ from .corep import (
     tau_tilde_closed,
 )
 from .rep import RepContext, apply_word, check_det_forms, check_relations, relation_inventory
-from .rmatrix import middle_det, middle_det_closed, qdybe_residual
+from .rmatrix import det_residual, qdybe_residual
 from .sampling import draw_context, draw_lambda, draw_z, run_with_redraws
 from .series import SeriesSpec, check_bailey, eval_omega, eval_omega_termwise
 from .theta import PoleError, garg, qarg, theta, theta_multi
@@ -216,7 +216,7 @@ def _suite_qdybe(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         lam = draw_lambda(rng)
         z1, z2, z3 = (draw_z(rng) for _ in range(3))
         res = qdybe_residual(lam, z1, z2, z3, ctx)
-        det = _rel(middle_det(lam, z1, ctx), middle_det_closed(z1, ctx))
+        det = det_residual(lam, z1, ctx)
         return {"hexagon": res, "det closed form": det}
 
     return _drive(
@@ -552,6 +552,11 @@ def canonical_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _table_pass(entries: list[dict], samples: int, rejected: int) -> bool:
+    """A table passes when it has entries, all pass, and some draw completed."""
+    return bool(entries) and all(e["pass"] for e in entries) and rejected < samples
+
+
 def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
     """Per-(k, j) worst tower residuals for one corepresentation level."""
     rng = np.random.default_rng([cfg.seed, 100 + n_level])
@@ -607,7 +612,7 @@ def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
         "rejected": rejected,
         "tol": tol,
         "entries": entries,
-        "pass": all(e["pass"] for e in entries) and rejected < samples,
+        "pass": _table_pass(entries, samples, rejected),
         "wall_time_ms": None,
     }
 
@@ -656,7 +661,7 @@ def bailey_table(cfg: RunConfig, order: int | None, samples: int) -> dict:
         "rejected": rejected,
         "tol": tol,
         "entries": entries,
-        "pass": all(e["pass"] for e in entries) and rejected < samples,
+        "pass": _table_pass(entries, samples, rejected),
         "wall_time_ms": None,
     }
 
@@ -675,7 +680,7 @@ def qdybe_table(cfg: RunConfig, samples: int) -> dict:
             lam = draw_lambda(rng)
             z1, z2, z3 = (draw_z(rng) for _ in range(3))
             res = qdybe_residual(lam, z1, z2, z3, ctx)
-            det = _rel(middle_det(lam, z1, ctx), middle_det_closed(z1, ctx))
+            det = det_residual(lam, z1, ctx)
             return {
                 "residual": res,
                 "det_residual": det,
@@ -696,7 +701,7 @@ def qdybe_table(cfg: RunConfig, samples: int) -> dict:
         "tol": tol,
         "det_tol": det_tol,
         "entries": entries,
-        "pass": all(e["pass"] for e in entries) and rejected < samples,
+        "pass": _table_pass(entries, samples, rejected),
         "wall_time_ms": None,
     }
 
@@ -746,7 +751,7 @@ def relations_table(
         "rejected": rejected,
         "tol": tol,
         "entries": entries,
-        "pass": all(e["pass"] for e in entries) and rejected < samples,
+        "pass": _table_pass(entries, samples, rejected),
         "wall_time_ms": None,
     }
 
@@ -799,6 +804,6 @@ def biorth_table(
         "rejected": rejected,
         "tol": tol,
         "entries": entries,
-        "pass": all(e["pass"] for e in entries) and rejected < samples,
+        "pass": _table_pass(entries, samples, rejected),
         "wall_time_ms": None,
     }

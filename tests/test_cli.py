@@ -6,6 +6,7 @@ import json
 import pytest
 
 from ellu2.cli import fmt, main, parse_complex
+from ellu2.suites import RunConfig, corep_table
 
 
 def run_cli(capsys, *argv):
@@ -156,3 +157,43 @@ def test_check_biorth_table(capsys):
     report = json.loads(out)
     assert report["check"] == "dual-biorth"
     assert len(report["entries"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "corep", "--N", "-1"],
+        ["check", "biorth", "--N", "0", "--samples", "1"],
+        ["check", "biorth", "--N", "2", "--M", "-1"],
+        ["check", "bailey", "--n", "-1"],
+        ["check", "qdybe", "--samples", "0"],
+        ["run", "--suite", "theta", "--p", "1.5"],
+        ["run", "--suite", "theta", "--max-redraws", "-1"],
+        ["run", "--suite", "theta", "--tol", "nan"],
+        ["eval", "theta", "--z", "0"],
+        ["eval", "theta", "--z", "1", "--p", "1.5"],
+        ["eval", "theta", "--z", "1", "--q", "0"],
+        ["eval", "pochhammer", "--a", "q^:x", "--n", "2"],
+        ["eval", "pochhammer", "--a", "z*q^:1", "--n", "2"],
+        ["eval", "omega", "--a1", "q^:1", "--upper", "0.9,q^:-2", "--slot", "5"],
+        ["eval", "omega", "--a1", "q^:1", "--upper", "0.9,q^:-2", "--slot", "0"],
+        [
+            "eval", "tau", "--N", "1", "--k", "3", "--j", "0", "--m", "0",
+            "--omega", "0.4", "--lambda", "0.7", "--z", "1.3",
+        ],
+        ["eval", "r-entries", "--z", "0.4", "--lambda", "-1"],
+    ],
+)
+def test_domain_errors_exit_2_with_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellu2: error: ")
+
+
+def test_table_without_entries_never_passes():
+    report = corep_table(RunConfig(seed=6), -1, 2)
+    assert report["entries"] == []
+    assert report["pass"] is False

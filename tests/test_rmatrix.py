@@ -1,15 +1,19 @@
 """Dynamical R-matrix entries, determinant closed form, and the hexagon identity."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from ellu2.rmatrix import (
+    det_residual,
     middle_det,
     middle_det_closed,
     qdybe_residual,
     r_entries,
     r_matrix,
 )
+from ellu2.suites import RunConfig, run_suite
 from ellu2.theta import PoleError, theta
 
 
@@ -78,3 +82,24 @@ def test_pole_guards(ctx):
     # 2 lam + 2 = 0 makes the diagonal entry denominators vanish exactly.
     with pytest.raises(PoleError):
         r_entries(-1.0 + 0.0j, 1.3 + 0.2j, ctx)
+
+
+@pytest.mark.parametrize("seed", [3, 27, 36, 50])
+def test_qdybe_det_gate_passes_under_cancellation(seed):
+    # At these seeds a d - b c cancels, and scaling by |det| alone failed.
+    report = run_suite("qdybe", RunConfig(seed=seed))
+    assert report["pass"], report["notes"]
+
+
+def test_det_gate_rejects_a_wrong_closed_form(monkeypatch, ctx, rng):
+    rmatrix = importlib.import_module("ellu2.rmatrix")
+    right = rmatrix.middle_det_closed
+    points = [draw_point(rng) for _ in range(10)]
+    assert max(det_residual(lam, z, ctx) for lam, z in points) <= 1e-12
+
+    def without_q2(z, c):
+        return right(z, c) / c.qpow(2)
+
+    monkeypatch.setattr(rmatrix, "middle_det_closed", without_q2)
+    assert min(det_residual(lam, z, ctx) for lam, z in points) > 1e-3
+    assert not run_suite("qdybe", RunConfig(seed=3, samples=5))["pass"]

@@ -1,11 +1,14 @@
 """Theta evaluation, Pochhammer products, and tracked-argument bookkeeping."""
 
+import importlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellu2.theta import (
+    VEC_CACHE_CUTOFF,
     PoleError,
     ThetaContext,
     ThetaProduct,
@@ -17,6 +20,7 @@ from ellu2.theta import (
     theta,
     theta_multi,
     theta_vec,
+    theta_vec_cached,
 )
 
 
@@ -26,6 +30,19 @@ def brute_theta(z, p, factors=500):
     for j in range(factors):
         acc *= (1.0 - z * p**j) * (1.0 - p ** (j + 1) / z)
     return acc
+
+
+def theta_condition(z, p, factors=500):
+    """Largest |x| / |1 - x| over the long-product factors 1 - x of theta(z).
+
+    Near a zero of theta, forming 1 - x loses that many ulps in any
+    evaluation; an exact zero factor reads as 1e300 times |x|.
+    """
+    cond = 1.0
+    for j in range(factors):
+        for x in (z * p**j, p ** (j + 1) / z):
+            cond = max(cond, abs(x) / max(abs(1.0 - x), 1e-300))
+    return cond
 
 
 nonzero_z = st.complex_numbers(
@@ -68,13 +85,29 @@ def test_theta_quasi_periodicity(z):
 
 @settings(max_examples=25, deadline=None)
 @given(nonzero_z, nonzero_z, nonzero_z, nonzero_z)
+# Reported from a failing run; y / w evaluates to exactly 1 here, so every
+# term is exactly 0.
+@example(1 + 0j, 1.1 + 1.9e-235j, 1.1 + 1.9e-235j, 1.1 + 1.9e-235j)
+# y / w rounds to 1 + delta, so every term carries theta near its zero.
+@example(1 + 0j, 1.609375 + 1j, 1.609375 + 1j, 1.609375 + 1j)
+# theta(z / w) is exactly 0; the other two terms sit 7e-6 from a zero.
+@example(1 + 0j, 0.99999 + 1j, 1 + 1j, 1 + 1j)
 def test_theta_three_term_relation(x, y, z, w):
-    ctx = ThetaContext(0.18, 0.7)
-    t1 = theta_multi((x * y, x / y, z * w, z / w), ctx)
-    t2 = theta_multi((x * w, x / w, z * y, z / y), ctx)
-    t3 = (z / y) * theta_multi((x * z, x / z, y * w, y / w), ctx)
-    scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-    assert abs(t1 - t2 - t3) <= 1e-11 * scale
+    # Each term is measured at its own conditioning: a theta factor near a
+    # zero turns the rounding of its argument into that much relative error.
+    p = 0.18
+    ctx = ThetaContext(p, 0.7)
+    terms = [
+        (1.0, (x * y, x / y, z * w, z / w)),
+        (1.0, (x * w, x / w, z * y, z / y)),
+        (z / y, (x * z, x / z, y * w, y / w)),
+    ]
+    t1, t2, t3 = (c * theta_multi(args, ctx) for c, args in terms)
+    scale = max(
+        abs(t) * max(theta_condition(a, p) for a in args)
+        for t, (_, args) in zip((t1, t2, t3), terms)
+    )
+    assert abs(t1 - t2 - t3) <= 1e-11 * max(scale, 1e-300)
 
 
 def test_theta_vec_matches_scalar(ctx, rng):
@@ -186,3 +219,84 @@ def test_scalar_and_counts(ctx):
     tp2.theta(garg(0.4), count=-2)
     ref2 = 1.0 / theta(0.4 + 0.0j, ctx) ** 2
     assert abs(tp2.value() - ref2) <= 1e-13 * abs(ref2)
+
+
+def far_arguments(rng, n):
+    """Arguments with log-uniform modulus in [1e-8, 1e8] and random phase."""
+    mag = 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+    return mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+
+
+def test_theta_vec_cached_is_bit_identical(rng):
+    ctx = ThetaContext(0.21, 0.6)
+    near = rng.uniform(0.5, 2.0, size=40) * np.exp(1j * rng.uniform(0, 6.3, size=40))
+    pool = np.concatenate([near, far_arguments(rng, 40)])
+    seen = pool[:30]
+    theta_vec_cached(seen, ctx)
+    # Mixed hits, misses, repeats inside one batch, and both input kinds.
+    batch = np.concatenate([seen[::3], pool[30:70], pool[40:50], seen[:4]])
+    want = theta_vec(batch, ctx)
+    for zs in (batch, batch.tolist()):
+        got = theta_vec_cached(zs, ctx)
+        assert got.dtype == complex and got.shape == want.shape
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    for z in pool[60:75]:
+        # A value cached from a mixed batch equals the kernel on its own.
+        alone = theta_vec([z], ctx)
+        assert np.array_equal(theta_vec_cached([z], ctx).view(np.float64), alone.view(np.float64))
+
+
+def test_theta_vec_cached_above_cutoff(rng):
+    ctx = ThetaContext(0.09, 0.8)
+    zs = far_arguments(rng, 3 * VEC_CACHE_CUTOFF)
+    theta_vec_cached(zs[:VEC_CACHE_CUTOFF], ctx)
+    want = theta_vec(zs, ctx)
+    got = theta_vec_cached(zs, ctx)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_theta_vec_cached_starts_over_at_cap(monkeypatch, rng):
+    theta_mod = importlib.import_module("ellu2.theta")
+    monkeypatch.setattr(theta_mod, "MEMO_CAP", 8)
+    ctx = ThetaContext(0.15, 0.7)
+    zs = far_arguments(rng, 30)
+    for lo in range(0, 24, 3):
+        batch = zs[lo : lo + 6]
+        got = theta_vec_cached(batch, ctx)
+        assert np.array_equal(got.view(np.float64), theta_vec(batch, ctx).view(np.float64))
+        assert len(ctx._vec_cache) <= 8
+
+
+def test_theta_vec_cached_rejects_zero(ctx):
+    theta_vec_cached([0.5 + 0.1j], ctx)
+    with pytest.raises(ValueError):
+        theta_vec_cached([0.5 + 0.1j, 0.0], ctx)
+    with pytest.raises(ValueError):
+        theta_multi((0.5 + 0.1j, 0j), ctx)
+
+
+def test_cached_denominator_still_hits_zero_guard():
+    ctx = ThetaContext(0.12, 0.67)
+    near_zero = garg(1.0 + 1e-14)
+    first = ThetaProduct(ctx).theta(garg(0.4))
+    first.theta(near_zero)
+    first.value()
+    assert complex(near_zero.generic) in ctx._vec_cache
+    tp = ThetaProduct(ctx).theta(garg(0.4))
+    tp.theta(near_zero, inv=True)
+    with pytest.raises(PoleError):
+        tp.value()
+
+
+def test_theta_product_poch_matches_factorwise(ctx):
+    a = garg(0.8 - 0.3j)
+    for n in (3, -3):
+        tp = ThetaProduct(ctx).poch(a, n)
+        ref = ThetaProduct(ctx)
+        shifts = range(n) if n >= 0 else range(-1, n - 1, -1)
+        for i in shifts:
+            ref.theta(a.shifted(i), inv=n < 0)
+        assert tp.value() == ref.value()
+    assert ThetaProduct(ctx).poch(qarg(-2), 3).zeros == 1
+    with pytest.raises(PoleError):
+        ThetaProduct(ctx).poch(qarg(2), -3)
