@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 import time
 
@@ -44,7 +45,8 @@ def parse_tracked(text: str, ctx: ThetaContext, z: complex | None) -> TrackedArg
     """Parse a series parameter, keeping exact q-power structure when given.
 
     Accepted forms: 'a+bi' (generic), 'q^:<int>' (exact q to twice the
-    integer), and 'z*q^:<int>' (the --z point times an exact q power).
+    integer), and 'z*q^:<int>' (the --z point times an exact q power).  A
+    literal must be finite and nonzero, as every theta argument is.
     """
     t = text.strip()
     if t.startswith("q^:"):
@@ -53,7 +55,10 @@ def parse_tracked(text: str, ctx: ThetaContext, z: complex | None) -> TrackedArg
         if z is None:
             raise argparse.ArgumentTypeError("form 'z*q^:<int>' requires --z")
         return garg(z * ctx.qpow(2 * _q_power(text, t[5:])))
-    return garg(parse_complex(t))
+    value = parse_complex(t)
+    if value == 0 or not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"parameter {text!r} must be finite and nonzero")
+    return garg(value)
 
 
 def _q_power(text: str, digits: str) -> int:
@@ -197,7 +202,13 @@ def _validate(args: argparse.Namespace) -> None:
     for flag in ("p", "q"):
         value = getattr(args, flag)
         _require(value is None or 0.0 < value < 1.0, f"--{flag} must lie in (0, 1), got {value}")
+    for dest, flag in (("z", "z"), ("omega", "omega"), ("lam", "lambda")):
+        value = getattr(args, dest, None)
+        _require(value is None or cmath.isfinite(value), f"--{flag} must be finite")
+    # Every --z enters a theta argument as a factor.
+    _require(getattr(args, "z", None) != 0, "--z must be nonzero")
     if args.command != "eval":
+        _require(args.seed >= 0, "--seed must be >= 0")
         _require(args.samples is None or args.samples >= 1, "--samples must be >= 1")
         _require(args.max_redraws >= 0, "--max-redraws must be >= 0")
         _require(args.tol is None or args.tol > 0, "--tol must be > 0")
@@ -209,8 +220,6 @@ def _validate(args: argparse.Namespace) -> None:
         _require(args.M >= 0, "--M must be >= 0")
     elif kind == "bailey":
         _require(args.n is None or args.n >= 0, "--n must be >= 0")
-    elif kind == "theta":
-        _require(args.z != 0, "--z must be nonzero")
     elif kind == "tau":
         _require(0 <= args.k <= args.N and 0 <= args.j <= args.N, "need 0 <= --k, --j <= --N")
         _require(args.m >= 0, "--m must be >= 0")

@@ -28,8 +28,7 @@ Both caches hold exactly what their kernel returned, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
 rest of its batch.  The two are kept apart because the scalar and vector
 kernels round differently in the last bit.  ``theta_vec`` itself stays
-uncached: on fresh arguments the lookup costs more than it saves, and
-batches above ``VEC_CACHE_CUTOFF`` bypass the cache for the same reason.
+uncached: on batches of fresh arguments the lookup costs more than it saves.
 The scalar memo stops growing at ``MEMO_CAP`` entries; the vector cache
 starts over when a lookup would take it past that.
 """
@@ -62,11 +61,6 @@ __all__ = [
 MAX_THETA_FACTORS = 2000
 # Entry cap of each per-context theta cache.
 MEMO_CAP = 1 << 20
-# Largest batch ``theta_vec_cached`` looks up.  In the verification suites
-# 99.9% of the looked-up arguments come in batches below 128 (at N = 6-8
-# tables, 98.5%), about 92% of them repeats; long series columns beyond it
-# are mostly fresh and go straight to the kernel.
-VEC_CACHE_CUTOFF = 128
 
 
 class PoleError(ArithmeticError):
@@ -168,22 +162,14 @@ def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> np.ndarray:
 
     Only the arguments not seen before on ``ctx`` are evaluated, in one
     ``theta_vec`` call; every value equals the element ``theta_vec`` gives for
-    the same argument, bit for bit.  Batches longer than ``VEC_CACHE_CUTOFF``
-    go straight to ``theta_vec``.
+    the same argument, bit for bit.
     """
-    if len(zs) > VEC_CACHE_CUTOFF:
-        return theta_vec(zs, ctx)
     keys = zs.tolist() if isinstance(zs, np.ndarray) else zs
     cache = ctx._vec_cache
     miss = [z for z in keys if z not in cache]
     if len(cache) + len(miss) > MEMO_CAP:
         cache.clear()
         miss = keys
-    if len(miss) == len(keys):
-        # Nothing to reuse (a fresh context): one kernel call on the batch.
-        vals = theta_vec(zs, ctx)
-        cache.update(zip(keys, vals.tolist()))
-        return vals
     if miss:
         miss = list(dict.fromkeys(miss))
         cache.update(zip(miss, theta_vec(miss, ctx).tolist()))
@@ -211,8 +197,9 @@ class TrackedArg:
         """Multiply by q^(2i)."""
         return TrackedArg(self.s + i, self.generic, self.is_one)
 
-    def value(self, ctx: ThetaContext) -> complex:
-        return ctx.qpow(2 * self.s) * self.generic
+    def value(self, ctx: ThetaContext, i: int = 0) -> complex:
+        """The argument times q^(2i), as a number."""
+        return ctx.qpow(2 * (self.s + i)) * self.generic
 
     def theta_is_zero(self, i: int = 0) -> bool:
         """Exact vanishing of theta(self * q^(2i))."""
@@ -264,12 +251,7 @@ class ThetaProduct:
             inv, count = not inv, -count
         ta = _as_arg(arg)
         for _ in range(count):
-            if ta.theta_is_zero():
-                if inv:
-                    raise PoleError("exact zero theta factor in denominator")
-                self.zeros += 1
-            else:
-                (self._den if inv else self._num).append(ta.value(self._ctx))
+            self._factor(ta, 0, inv)
         return self
 
     def poch(self, arg: ArgLike, n: int, inv: bool = False) -> "ThetaProduct":
@@ -283,17 +265,18 @@ class ThetaProduct:
             shifts = range(n)
         else:
             shifts, inv = range(-1, n - 1, -1), not inv
-        qpow, generic = self._ctx.qpow, ta.generic
-        factors = self._den if inv else self._num
         for i in shifts:
-            s = ta.s + i
-            if ta.is_one and s == 0:
-                if inv:
-                    raise PoleError("exact zero theta factor in denominator")
-                self.zeros += 1
-            else:
-                factors.append(qpow(2 * s) * generic)
+            self._factor(ta, i, inv)
         return self
+
+    def _factor(self, ta: TrackedArg, i: int, inv: bool) -> None:
+        """Take in theta(ta * q^(2i)): count an exact zero, else queue its argument."""
+        if ta.theta_is_zero(i):
+            if inv:
+                raise PoleError("exact zero theta factor in denominator")
+            self.zeros += 1
+        else:
+            (self._den if inv else self._num).append(ta.value(self._ctx, i))
 
     def value(self) -> complex:
         # One lookup covers the denominators and, unless a numerator zero

@@ -182,6 +182,19 @@ def test_check_biorth_table(capsys):
             "--omega", "0.4", "--lambda", "0.7", "--z", "1.3",
         ],
         ["eval", "r-entries", "--z", "0.4", "--lambda", "-1"],
+        ["eval", "r-entries", "--z", "0", "--lambda", "0.3"],
+        ["eval", "theta", "--z", "nan"],
+        ["eval", "pochhammer", "--a", "0", "--n", "2"],
+        ["eval", "pochhammer", "--a", "nan", "--n", "2"],
+        ["eval", "pochhammer", "--a", "0.5", "--n", "2", "--z", "0"],
+        ["eval", "omega", "--a1", "0", "--upper", "0.9,1.1,q^:-2", "--slot", "2"],
+        ["eval", "omega", "--a1", "q^:1", "--upper", "0,1.1,q^:-2", "--slot", "2"],
+        [
+            "eval", "tau", "--N", "1", "--k", "1", "--j", "1", "--m", "2",
+            "--omega", "0.4", "--lambda", "0.7", "--z", "0",
+        ],
+        ["check", "relations", "--omega", "nan", "--samples", "1"],
+        ["run", "--suite", "theta", "--seed", "-1"],
     ],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, argv):

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellu2.theta import (
-    VEC_CACHE_CUTOFF,
     PoleError,
     ThetaContext,
     ThetaProduct,
@@ -244,15 +243,6 @@ def test_theta_vec_cached_is_bit_identical(rng):
         # A value cached from a mixed batch equals the kernel on its own.
         alone = theta_vec([z], ctx)
         assert np.array_equal(theta_vec_cached([z], ctx).view(np.float64), alone.view(np.float64))
-
-
-def test_theta_vec_cached_above_cutoff(rng):
-    ctx = ThetaContext(0.09, 0.8)
-    zs = far_arguments(rng, 3 * VEC_CACHE_CUTOFF)
-    theta_vec_cached(zs[:VEC_CACHE_CUTOFF], ctx)
-    want = theta_vec(zs, ctx)
-    got = theta_vec_cached(zs, ctx)
-    assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def test_theta_vec_cached_starts_over_at_cap(monkeypatch, rng):
