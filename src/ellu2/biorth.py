@@ -17,6 +17,7 @@ series are evaluated with the ascending part folded into each term.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .corep import (
@@ -39,7 +40,6 @@ __all__ = [
     "biorth_term",
     "dual_term",
     "biorth_oracle_term",
-    "dual_oracle_term",
     "biorth_rep_oracle",
     "BiorthReport",
     "check_biorth",
@@ -63,6 +63,21 @@ class BiorthParams:
             raise ValueError("level N must be >= 1")
         if self.M < 0:
             raise ValueError("M must be a nonnegative integer")
+        object.__setattr__(self, "_norms", {})
+
+
+def _memo_per_params(fn):
+    """Keep fn(bp, k) on ``bp``: a (k, l) sweep asks for each k many times."""
+
+    @functools.wraps(fn)
+    def memo(bp: BiorthParams, k: int) -> complex:
+        key = (fn.__name__, k)
+        got = bp._norms.get(key)
+        if got is None:
+            got = bp._norms[key] = fn(bp, k)
+        return got
+
+    return memo
 
 
 def norm_h(bp: BiorthParams, k: int) -> complex:
@@ -95,6 +110,7 @@ def norm_h(bp: BiorthParams, k: int) -> complex:
     return tp.value()
 
 
+@_memo_per_params
 def _norm_first(bp: BiorthParams, k: int) -> complex:
     """Second-index normalization of the first weight.
 
@@ -115,6 +131,7 @@ def _norm_first(bp: BiorthParams, k: int) -> complex:
     return tp.value()
 
 
+@_memo_per_params
 def _norm_second(bp: BiorthParams, l: int) -> complex:
     """Second-index normalization of the second weight (1 at l = 0)."""
     qp = bp.ctx.qpow
@@ -130,6 +147,7 @@ def _norm_second(bp: BiorthParams, l: int) -> complex:
     return tp.value()
 
 
+@_memo_per_params
 def _norm_gauge(bp: BiorthParams, k: int) -> complex:
     """First-index gauge factor shared by the two weights (1 at k = 0).
 
@@ -206,7 +224,7 @@ def c_det_product(bp: BiorthParams) -> complex:
     return tp.value()
 
 
-def _series_parts(bp: BiorthParams, j: int, kl: int, shifted: bool, dual: bool):
+def _series_parts(bp: BiorthParams, j: int, kl: int, shifted: bool):
     """Series data for one of the two explicit family factors.
 
     shifted=False: the factor in the original spectral parameter (conjugate
@@ -217,7 +235,6 @@ def _series_parts(bp: BiorthParams, j: int, kl: int, shifted: bool, dual: bool):
     qp = bp.ctx.qpow
     zouter = complex(bp.z).conjugate()
     zshift = qp(-2 * (bp.N - 2)) / bp.z
-    del dual
     if shifted:
         return tau_series_parts(
             bp.N, j, kl, bp.M + kl, bp.Lam - bp.N, zshift, bp.omega, bp.ctx
@@ -227,19 +244,15 @@ def _series_parts(bp: BiorthParams, j: int, kl: int, shifted: bool, dual: bool):
     )
 
 
-def biorth_lhs_member(
-    bp: BiorthParams, j: int, kl: int, shifted: bool, dual: bool = False
-) -> complex:
+def biorth_lhs_member(bp: BiorthParams, j: int, kl: int, shifted: bool) -> complex:
     """One explicit series factor in its direct form (no merged rewrite)."""
-    a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted, dual)
+    a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
     value, _, _ = vwp_sum(bp.ctx, a1, numer, denom + [c], n)
     return value
 
 
-def _member_merged(
-    bp: BiorthParams, j: int, kl: int, shifted: bool, dual: bool, J: int
-) -> complex:
-    a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted, dual)
+def _member_merged(bp: BiorthParams, j: int, kl: int, shifted: bool, J: int) -> complex:
+    a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
     value, _, _ = vwp_sum(bp.ctx, a1, numer, denom, n, merged=(c, J))
     return value
 
@@ -249,8 +262,8 @@ def biorth_term(bp: BiorthParams, k: int, l: int, j: int) -> complex:
     return (
         weight_w1(bp, j, k, merged=True)
         * weight_w2(bp, j, l, merged=True)
-        * _member_merged(bp, j, l, False, False, j)
-        * _member_merged(bp, j, k, True, False, j)
+        * _member_merged(bp, j, l, False, j)
+        * _member_merged(bp, j, k, True, j)
     )
 
 
@@ -263,8 +276,8 @@ def dual_term(bp: BiorthParams, k: int, l: int, j: int) -> complex:
         weight_w1(bp, l, j, merged=True)
         * weight_w2(bp, k, j, merged=True)
         / hj
-        * _member_merged(bp, l, j, True, True, l)
-        * _member_merged(bp, k, j, False, True, k)
+        * _member_merged(bp, l, j, True, l)
+        * _member_merged(bp, k, j, False, k)
     )
 
 
@@ -282,22 +295,6 @@ def biorth_oracle_term(bp: BiorthParams, k: int, l: int, j: int, c_d: complex) -
     if g2 == 0.0:
         raise ZeroDivisionError("gamma factor vanished at a generic point")
     return t1 * g1 / g2 * c_d * t2
-
-
-def dual_oracle_term(bp: BiorthParams, k: int, l: int, j: int, c_d: complex) -> complex:
-    """Representation-side value of the j-th dual summand."""
-    qp = bp.ctx.qpow
-    zouter = complex(bp.z).conjugate()
-    zshift = qp(-2 * (bp.N - 2)) / bp.z
-    t1 = tau_closed(bp.N, l, j, bp.M + j, bp.Lam - bp.N, zshift, bp.omega, bp.ctx)
-    t2 = tau_tilde_closed(
-        bp.N, k, j, bp.M + k, bp.Lam - 2 * j, zouter, bp.omega, bp.ctx
-    )
-    g1 = gamma_factor(bp.N, l, bp.Lam - bp.omega + 2 * bp.M + 2 * l - bp.N, bp.ctx)
-    g2 = gamma_factor(bp.N, j, bp.Lam - bp.N, bp.ctx)
-    if g2 == 0.0:
-        raise ZeroDivisionError("gamma factor vanished at a generic point")
-    return g1 / g2 * t1 * t2 * c_d
 
 
 def biorth_rep_oracle(bp: BiorthParams, k: int, l: int) -> complex:
@@ -351,8 +348,8 @@ def check_biorth(
     terms = [
         mc.get(("w1", j, k), lambda j=j: weight_w1(bp, j, k, merged=True))
         * mc.get(("w2", j, l), lambda j=j: weight_w2(bp, j, l, merged=True))
-        * mc.get(("f1", j, l), lambda j=j: _member_merged(bp, j, l, False, False, j))
-        * mc.get(("f2", j, k), lambda j=j: _member_merged(bp, j, k, True, False, j))
+        * mc.get(("f1", j, l), lambda j=j: _member_merged(bp, j, l, False, j))
+        * mc.get(("f2", j, k), lambda j=j: _member_merged(bp, j, k, True, j))
         for j in range(bp.N + 1)
     ]
     oracle = [
@@ -404,8 +401,8 @@ def check_dual_biorth(
         mc.get(("w1", l, j), lambda j=j: weight_w1(bp, l, j, merged=True))
         * mc.get(("w2", k, j), lambda j=j: weight_w2(bp, k, j, merged=True))
         / mc.get(("h", j), lambda j=j: norm_h(bp, j))
-        * mc.get(("df1", l, j), lambda j=j: _member_merged(bp, l, j, True, True, l))
-        * mc.get(("df2", k, j), lambda j=j: _member_merged(bp, k, j, False, True, k))
+        * mc.get(("df1", l, j), lambda j=j: _member_merged(bp, l, j, True, l))
+        * mc.get(("df2", k, j), lambda j=j: _member_merged(bp, k, j, False, k))
         for j in range(bp.N + 1)
     ]
     oracle = [

@@ -14,13 +14,15 @@ from .series import SeriesSpec, eval_omega, eval_omega_termwise
 from .suites import (
     SUITE_NAMES,
     RunConfig,
+    assemble_report,
     bailey_table,
     biorth_table,
     canonical_json,
     corep_table,
     qdybe_table,
     relations_table,
-    run_report,
+    run_suite,
+    suite_names,
 )
 from .theta import PoleError, ThetaContext, TrackedArg, garg, pochhammer, qarg, theta
 
@@ -254,7 +256,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         max_redraws=args.max_redraws,
     )
     t0 = time.monotonic()
-    report = run_report(cfg, args.suite)
+    records = []
+    for name in suite_names(args.suite):
+        t = time.monotonic()
+        records.append(run_suite(name, cfg))
+        print(f"suite {name}: {1000.0 * (time.monotonic() - t):.0f} ms", file=sys.stderr)
+    report = assemble_report(cfg, records)
     elapsed = 1000.0 * (time.monotonic() - t0)
     _emit(report, args.json_path)
     print(f"wall time: {elapsed:.0f} ms", file=sys.stderr)

@@ -379,7 +379,7 @@ def check_coproduct(
                 ]
                 for key, val in eval_tensor(pairs, m, n, rc1, rc2).items():
                     rhs[key] = rhs.get(key, 0.0 + 0.0j) + val
-            worst = max(worst, _dict_residual(lhs, rhs))
+            worst = max(worst, residual_between(lhs, rhs))
     return worst
 
 
@@ -392,23 +392,10 @@ def check_tensor_relation(
     rc2: RepContext,
 ) -> float:
     """Residual of a defining relation evaluated in a tensor of two actions."""
-    return _dict_residual(
+    return residual_between(
         eval_tensor(coproduct(lhs), m, n, rc1, rc2),
         eval_tensor(coproduct(rhs), m, n, rc1, rc2),
     )
-
-
-def _dict_residual(lhs: dict, rhs: dict) -> float:
-    keys = set(lhs) | set(rhs)
-    if not keys:
-        return 0.0
-    diff = max(abs(lhs.get(key, 0.0) - rhs.get(key, 0.0)) for key in keys)
-    scale = max(
-        max((abs(v) for v in lhs.values()), default=0.0),
-        max((abs(v) for v in rhs.values()), default=0.0),
-        1e-300,
-    )
-    return diff / scale
 
 
 def counit_structure(el: AlgebraElement) -> list[tuple[complex, bool, int]]:

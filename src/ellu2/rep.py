@@ -45,7 +45,6 @@ __all__ = [
     "coef_b",
     "coef_c",
     "coef_d",
-    "rep_coefficients",
     "det_scalar",
     "apply_word_states",
     "apply_word",
@@ -114,13 +113,6 @@ def coef_d(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) 
         z * ctx.qpow(-omega + 2 * k + 1), ctx
     )
     return num / _den(lam, z, omega, ctx)
-
-
-def rep_coefficients(
-    k: int, lam: complex, z: complex, rc: RepContext
-) -> tuple[complex, complex, complex, complex]:
-    args = (k, lam, z, rc.omega, rc.ctx)
-    return coef_a(*args), coef_b(*args), coef_c(*args), coef_d(*args)
 
 
 def det_scalar(z: complex, omega: complex, ctx: ThetaContext) -> complex:

@@ -17,11 +17,22 @@ recomputing full Pochhammer symbols per term) and supports a merged slot: one
 denominator Pochhammer replaced by the partial-product ratio against a
 numerator Pochhammer of fixed length.  That is how prefactor zeros cancel
 series poles at integer specializations without ever forming 0/0.
+
+The theta values come from the context's vector cache in one lookup per
+Pochhammer block; running products, exact-zero bookkeeping and the term sum
+are plain Python loops over those few dozen numbers (see ``theta`` for why).
+A term that leaves the double range, whether numpy-style as inf or nan or by
+a Python ``OverflowError`` or ``ZeroDivisionError``, raises one ``PoleError``,
+from a frame that holds none of the rows: callers that keep the exception
+keep its traceback's frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,35 +128,95 @@ class SeriesValue:
 
 
 def _poch_columns(
-    ctx: ThetaContext, params: Sequence[TrackedArg], length: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ctx: ThetaContext, params: Sequence[TrackedArg], length: int, q2pow: list[complex]
+) -> tuple[list[list[complex]], list[int], list[complex]]:
     """Running Pochhammer products for each parameter over lengths 0..length.
 
-    Returns (cum, zcum, raw): cum[r, i] is the product of nonzero factors of
-    (params[r])_i, zcum[r, i] counts exact zero factors among them, raw[r, t]
-    is the factor value with exact zeros replaced by 1.
+    ``q2pow`` holds q^(2i) for at least i = 0..length-1.  Returns
+    (rows, zero_at, raw): rows[r][i] is the product of the nonzero factors of
+    (params[r])_i, zero_at[r] the index of the exact zero factor of row r
+    (``length`` when there is none below it), raw the factor values of all
+    rows in row order, with exact zeros replaced by 1.
     """
-    nrows = len(params)
-    if nrows == 0 or length == 0:
-        return (
-            np.ones((nrows, length + 1), dtype=complex),
-            np.zeros((nrows, length + 1), dtype=np.int64),
-            np.ones((nrows, length), dtype=complex),
-        )
-    q2pow = ctx.qpow(2) ** np.arange(length)
-    args = np.empty((nrows, length), dtype=complex)
-    zmask = np.zeros((nrows, length), dtype=bool)
-    for r, ta in enumerate(params):
-        args[r] = ta.value(ctx) * q2pow
-        if ta.is_one and 0 <= -ta.s < length:
-            zmask[r, -ta.s] = True
-    vals = theta_vec_cached(args.ravel(), ctx).reshape(nrows, length)
-    vals[zmask] = 1.0
-    cum = np.ones((nrows, length + 1), dtype=complex)
-    np.cumprod(vals, axis=1, out=cum[:, 1:])
-    zcum = np.zeros((nrows, length + 1), dtype=np.int64)
-    np.cumsum(zmask, axis=1, out=zcum[:, 1:])
-    return cum, zcum, vals
+    args: list[complex] = []
+    zero_at = []
+    for ta in params:
+        g = ta.value(ctx)
+        args += [g * w for w in q2pow[:length]]
+        zero_at.append(-ta.s if ta.is_one and 0 <= -ta.s < length else length)
+    raw = theta_vec_cached(args, ctx)
+    rows = []
+    for r, z in enumerate(zero_at):
+        if z < length:
+            raw[r * length + z] = 1.0 + 0.0j
+        rows.append([1.0 + 0.0j, *accumulate(raw[r * length : (r + 1) * length], mul)])
+    return rows, zero_at, raw
+
+
+def _vwp_reduce(
+    ctx: ThetaContext,
+    a1: TrackedArg,
+    numer: Sequence[TrackedArg],
+    denom: Sequence[TrackedArg],
+    n: int,
+    merged: Optional[tuple[TrackedArg, int]],
+) -> Optional[tuple[complex, float, int]]:
+    """The work of ``vwp_sum``; None when a live term is not finite.
+
+    Division by an underflowed running product raises ZeroDivisionError and
+    ``abs`` of a finite term beyond double range raises OverflowError, where
+    array arithmetic would give inf or nan; the caller maps all three cases
+    to the same ``PoleError``.
+    """
+    big_j = n if merged is None else merged[1]
+    if big_j < n:
+        raise ValueError("merged numerator length must cover the sum range")
+    q2 = ctx.qpow(2)
+    q2pow = [q2**i for i in range(max(2 * n + 1, big_j))]
+    ncum, nzero, _ = _poch_columns(ctx, [a1, *numer], n, q2pow)
+    dcum, dzero, draw = _poch_columns(ctx, [qarg(1), *denom], n, q2pow)
+    if min(dzero) < n:
+        raise PoleError("denominator Pochhammer factor hits an exact zero")
+    g = a1.value(ctx)
+    head = theta_vec_cached([g * q2pow[2 * k] for k in range(n + 1)] + [g], ctx)
+    th_a1 = head.pop()
+    if any(abs(v) < ctx.zero_guard for v in draw):
+        raise PoleError("denominator theta factor below zero guard")
+    if abs(th_a1) < ctx.zero_guard:
+        raise PoleError("theta(a1) below zero guard")
+
+    # Term k is live when no exact zero survives in it: none among the
+    # first k factors of a numerator row, none in the head theta(a1 q^(4k)),
+    # and, with a merged slot (c, J), none among the factors k..J-1 of (c)_J.
+    last = min(nzero)
+    mzero = -1
+    if merged is not None:
+        (mrow,), (mz,), _ = _poch_columns(ctx, [merged[0]], big_j, q2pow)
+        if mz < big_j:
+            mzero = mz
+    live = [k for k in range(mzero + 1, last + 1) if not a1.theta_is_zero(2 * k)]
+
+    # Interleave numerator and denominator rows so the running product stays
+    # near the scale of the final term; separate products can overflow even
+    # when every term is representable.
+    terms = [head[k] / th_a1 * q2pow[k] for k in live]
+    if merged is not None:
+        terms = [t * (mrow[big_j] / mrow[k]) for t, k in zip(terms, live)]
+    for i in range(max(len(ncum), len(dcum))):
+        if i < len(ncum):
+            row = ncum[i]
+            terms = [t * row[k] for t, k in zip(terms, live)]
+        if i < len(dcum):
+            row = dcum[i]
+            terms = [t / row[k] for t, k in zip(terms, live)]
+    value = 0.0 + 0.0j
+    max_term = 0.0
+    for t in terms:
+        if not cmath.isfinite(t):
+            return None
+        value += t
+        max_term = max(max_term, abs(t))
+    return value, max_term, live[-1] + 1 if live else 0
 
 
 def vwp_sum(
@@ -170,54 +241,16 @@ def vwp_sum(
         raise ValueError("termination index must be >= 0")
     if a1.theta_is_zero():
         raise PoleError("leading series parameter hits an exact zero")
-
-    num_params = [a1, *numer]
-    den_params = [qarg(1), *denom]
-    ncum, nzc, _ = _poch_columns(ctx, num_params, n)
-    dcum, dzc, draw = _poch_columns(ctx, den_params, n)
-    if np.any(dzc[:, -1] > 0):
-        raise PoleError("denominator Pochhammer factor hits an exact zero")
-    if n > 0 and np.any(np.abs(draw) < ctx.zero_guard):
-        raise PoleError("denominator theta factor below zero guard")
-
-    ks = np.arange(n + 1)
-    head_args = a1.value(ctx) * ctx.qpow(4) ** ks
-    head_zero = np.array([a1.theta_is_zero(2 * int(k)) for k in ks])
-    head = theta_vec_cached(head_args, ctx)
-    head[head_zero] = 1.0
-    th_a1 = theta_vec_cached([a1.value(ctx)], ctx)[0]
-    if abs(th_a1) < ctx.zero_guard:
-        raise PoleError("theta(a1) below zero guard")
-
-    zero_count = nzc.sum(axis=0) + head_zero.astype(np.int64)
-    if merged is not None:
-        c, big_j = merged
-        if big_j < n:
-            raise ValueError("merged numerator length must cover the sum range")
-        mcum, mzc, _ = _poch_columns(ctx, [c], big_j)
-        ratio = mcum[0, big_j] / mcum[0, : n + 1]
-        rzero = mzc[0, big_j] - mzc[0, : n + 1]
-        zero_count = zero_count + rzero
-    else:
-        ratio = np.ones(n + 1, dtype=complex)
-
-    # Interleave numerator and denominator rows so the running product stays
-    # near the scale of the final term; separate products can overflow even
-    # when every term is representable.
-    terms = head / th_a1 * ctx.qpow(2) ** ks * ratio
-    for i in range(max(ncum.shape[0], dcum.shape[0])):
-        if i < ncum.shape[0]:
-            terms = terms * ncum[i]
-        if i < dcum.shape[0]:
-            terms = terms / dcum[i]
-    live = zero_count == 0
-    terms = np.where(live, terms, 0.0)
-    if not np.all(np.isfinite(terms)):
+    try:
+        out = _vwp_reduce(ctx, a1, numer, denom, n, merged)
+    except (OverflowError, ZeroDivisionError):
+        out = None
+    if out is None:
+        # Raised here, outside the handler and away from the rows: a kept
+        # exception keeps every frame of its traceback (and of its context)
+        # alive, and callers may keep many.
         raise PoleError("series term magnitude exceeds double precision range")
-    value = complex(np.sum(terms))
-    max_term = float(np.max(np.abs(terms))) if n >= 0 else 0.0
-    nz = np.nonzero(live)[0]
-    return value, max_term, int(nz[-1]) + 1 if nz.size else 0
+    return out
 
 
 def _denominators(spec: SeriesSpec) -> list[TrackedArg]:

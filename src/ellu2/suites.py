@@ -32,12 +32,13 @@ from .rep import RepContext, apply_word, check_det_forms, check_relations, relat
 from .rmatrix import det_residual, qdybe_residual
 from .sampling import draw_context, draw_lambda, draw_z, run_with_redraws
 from .series import SeriesSpec, check_bailey, eval_omega, eval_omega_termwise
-from .theta import PoleError, garg, qarg, theta, theta_multi
+from .theta import PoleError, ThetaContext, garg, qarg, theta, theta_condition, theta_multi
 from .words import star
 
 __all__ = [
     "RunConfig",
     "SUITE_NAMES",
+    "assemble_report",
     "bailey_table",
     "biorth_table",
     "canonical_json",
@@ -46,6 +47,7 @@ __all__ = [
     "relations_table",
     "run_report",
     "run_suite",
+    "suite_names",
 ]
 
 REPORT_VERSION = 1
@@ -94,6 +96,24 @@ class SuiteResult:
 
 def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY)
+
+
+def _theta_identity_residual(
+    terms: list[tuple[complex, tuple[complex, ...]]], ctx: ThetaContext
+) -> float:
+    """Residual of sum_i c_i theta(args_i) = 0 for terms (c_i, args_i).
+
+    Each term enters the scale at its own condition, |term| times the largest
+    ``theta_condition`` of its arguments: a theta factor near a zero turns the
+    rounding of its argument into that much relative error.
+    """
+    total = 0.0 + 0.0j
+    scale = TINY
+    for c, args in terms:
+        t = c * theta_multi(args, ctx)
+        total += t
+        scale = max(scale, abs(t) * max(theta_condition(a, ctx.p) for a in args))
+    return abs(total) / scale
 
 
 def _drive(
@@ -150,11 +170,12 @@ def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
             lhs = theta(ctx.qpow(-2 * s), ctx)
             rhs = -ctx.qpow(-2 * s) * theta(ctx.qpow(2 * s), ctx)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY))
-        t1 = theta_multi((x * y, x / y, z * w, z / w), ctx)
-        t2 = theta_multi((x * w, x / w, z * y, z / y), ctx)
-        t3 = (z / y) * theta_multi((x * z, x / z, y * w, y / w), ctx)
-        scale = max(abs(t1), abs(t2), abs(t3), TINY)
-        worst = max(worst, abs(t1 - t2 - t3) / scale)
+        three_term = [
+            (1.0, (x * y, x / y, z * w, z / w)),
+            (-1.0, (x * w, x / w, z * y, z / y)),
+            (-z / y, (x * z, x / z, y * w, y / w)),
+        ]
+        worst = max(worst, _theta_identity_residual(three_term, ctx))
         return {"theta identities": worst}
 
     return _drive("theta", samples, cfg.max_redraws, {"theta identities": tol}, sample, notes)
@@ -525,15 +546,22 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
     return spec.fn(cfg, rng, samples, tol).record()
 
 
+def suite_names(names: list[str] | None) -> list[str]:
+    """The selected suites in order; none, or "all" among them, selects all."""
+    return list(SUITE_NAMES) if not names or "all" in names else list(names)
+
+
 def run_report(cfg: RunConfig, names: list[str] | None = None) -> dict:
-    """Run the selected suites (default all) and assemble the full report.
+    """Run the selected suites (default all) and assemble the full report."""
+    return assemble_report(cfg, [run_suite(name, cfg) for name in suite_names(names)])
+
+
+def assemble_report(cfg: RunConfig, records: list[dict]) -> dict:
+    """The report around the suite records ``run_suite`` returned.
 
     Wall time is intentionally reported as null so reports stay byte-stable
     across machines; callers wanting timing print it to stderr.
     """
-    if not names or names == ["all"]:
-        names = list(SUITE_NAMES)
-    records = [run_suite(name, cfg) for name in names]
     return {
         "version": REPORT_VERSION,
         "seed": cfg.seed,

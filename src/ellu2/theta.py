@@ -22,7 +22,8 @@ Each context keeps two caches of theta values, one per kernel:
 * the vector cache (``theta_vec_cached``) maps an argument to the element
   ``theta_vec`` computed for it.  ``ThetaProduct.value``, the series columns
   and ``theta_multi`` look their arguments up there and send only the misses
-  to ``theta_vec``, in one call per lookup.
+  to ``theta_vec``, in one call per lookup; the lookup returns a list of
+  Python complex numbers.
 
 Both caches hold exactly what their kernel returned, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
@@ -31,6 +32,15 @@ kernels round differently in the last bit.  ``theta_vec`` itself stays
 uncached: on batches of fresh arguments the lookup costs more than it saves.
 The scalar memo stops growing at ``MEMO_CAP`` entries; the vector cache
 starts over when a lookup would take it past that.
+
+The products and quotients of cached values (``ThetaProduct.value``,
+``theta_multi`` and the series in ``series.vwp_sum``) are reduced with plain
+Python complex arithmetic.  Each reduction works on a few dozen numbers, so
+building numpy arrays for it costs far more than the arithmetic.  Python
+rounds some products and quotients differently from numpy in the last bit,
+and it raises where numpy returns inf or nan: ``abs`` of a finite value
+beyond the double range raises ``OverflowError`` and division by zero raises
+``ZeroDivisionError``.  The reductions report both as ``PoleError``.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ __all__ = [
     "theta_vec",
     "theta_vec_cached",
     "theta_multi",
+    "theta_condition",
     "pochhammer",
     "pochhammer_ratio",
     "elliptic_binomial",
@@ -157,8 +168,8 @@ def theta_vec(zs: Sequence[complex], ctx: ThetaContext) -> np.ndarray:
     return out if pref is None else out * pref
 
 
-def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> np.ndarray:
-    """``theta_vec`` values through the context's vector cache.
+def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> list[complex]:
+    """``theta_vec`` values through the context's vector cache, as a list.
 
     Only the arguments not seen before on ``ctx`` are evaluated, in one
     ``theta_vec`` call; every value equals the element ``theta_vec`` gives for
@@ -173,12 +184,28 @@ def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> np.ndarray:
     if miss:
         miss = list(dict.fromkeys(miss))
         cache.update(zip(miss, theta_vec(miss, ctx).tolist()))
-    return np.array([cache[z] for z in keys], dtype=complex)
+    return [cache[z] for z in keys]
 
 
 def theta_multi(args: Sequence[complex], ctx: ThetaContext) -> complex:
     """Product of theta values, the usual shorthand theta(a_1, ..., a_n)."""
-    return complex(np.prod(theta_vec_cached(args, ctx))) if len(args) else 1.0 + 0.0j
+    return math.prod(theta_vec_cached(args, ctx), start=1.0 + 0.0j)
+
+
+def theta_condition(z: complex, p: float) -> float:
+    """Largest |x| / |1 - x| over the long-product factors 1 - x of theta(z).
+
+    Near a zero of theta, forming 1 - x loses that many ulps in any
+    evaluation, so a relative error of this times the unit roundoff is the
+    best any evaluation can promise.  Factors with |x| < 1/2 stay below 1 and
+    are skipped; an exact zero factor reads as 1e300 times |x|.
+    """
+    cond = 1.0
+    for x, step in ((z, p), (p / z, p)):
+        while abs(x) >= 0.5:
+            cond = max(cond, abs(x) / max(abs(1.0 - x), 1e-300))
+            x *= step
+    return cond
 
 
 @dataclass(frozen=True)
@@ -283,21 +310,28 @@ class ThetaProduct:
         # already decides the result, the numerators behind them.
         dlen = len(self._den)
         args = self._den if self.zeros > 0 else self._den + self._num
-        vals = theta_vec_cached(args, self._ctx) if args else None
-        if dlen and np.any(np.abs(vals[:dlen]) < self._ctx.zero_guard):
-            raise PoleError("denominator theta factor below zero guard")
-        if self.zeros > 0:
-            return 0.0 + 0.0j
-        # Pair numerator and denominator factors before reducing so the
-        # partial products stay near the scale of the quotient; separate
-        # products can overflow even when the result is representable.
-        nlen = len(self._num)
-        ratio = np.ones(max(nlen, dlen, 1), dtype=complex)
-        if nlen:
-            ratio[:nlen] *= vals[dlen:]
-        if dlen:
-            ratio[:dlen] /= vals[:dlen]
-        out = self.scalar * complex(np.prod(ratio))
+        vals = theta_vec_cached(args, self._ctx)
+        dens, nums = vals[:dlen], vals[dlen:]
+        guard = self._ctx.zero_guard
+        try:
+            for den in dens:
+                if abs(den) < guard:
+                    raise PoleError("denominator theta factor below zero guard")
+            if self.zeros > 0:
+                return 0.0 + 0.0j
+            # Pair numerator and denominator factors before reducing so the
+            # partial products stay near the scale of the quotient; separate
+            # products can overflow even when the result is representable.
+            prod = 1.0 + 0.0j
+            for num, den in zip(nums, dens):
+                prod *= num / den
+            for num in nums[dlen:]:
+                prod *= num
+            for den in dens[len(nums):]:
+                prod *= 1.0 / den
+        except (OverflowError, ZeroDivisionError):
+            raise PoleError("theta product exceeds double precision range") from None
+        out = self.scalar * prod
         if not cmath.isfinite(out):
             raise PoleError("theta product exceeds double precision range")
         return out

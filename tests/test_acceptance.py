@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
-from ellu2.suites import RunConfig, canonical_json, run_report
+from ellu2.suites import RunConfig, _theta_identity_residual, canonical_json, run_report
 from ellu2.theta import PoleError, ThetaContext
 
 CFG = RunConfig(seed=20240)
@@ -48,6 +49,24 @@ def test_theta_identities_two_hundred_draws(battery):
     assert rec["samples"] + rec["rejected"] == 200
     assert rec["max_rel_residual"] <= 1e-10
     assert rec["pass"]
+
+
+def test_theta_three_term_gate_rejects_a_wrong_identity():
+    # Each term is scaled by its own theta condition; that must not absorb a
+    # wrong identity.  Without the z / y factor of its third term, the
+    # three-term relation fails the suite's 1e-10 gate on every draw.
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        ctx = CFG.context(rng)
+        z, w, x, y = (draw_z(rng) for _ in range(4))
+        right = [
+            (1.0, (x * y, x / y, z * w, z / w)),
+            (-1.0, (x * w, x / w, z * y, z / y)),
+            (-z / y, (x * z, x / z, y * w, y / w)),
+        ]
+        wrong = right[:2] + [(-1.0, right[2][1])]
+        assert _theta_identity_residual(right, ctx) <= 1e-12
+        assert _theta_identity_residual(wrong, ctx) > 1e-6
 
 
 def test_hexagon_identity_and_middle_determinant(battery):

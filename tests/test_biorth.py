@@ -90,7 +90,7 @@ def test_merged_rewrite_matches_direct_member(bp):
                     direct = biorth_lhs_member(bp, j, kl, shifted)
                 except PoleError:
                     continue
-                a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted, False)
+                a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
                 merged, _, _ = vwp_sum(bp.ctx, a1, numer, denom, n, merged=(c, j))
                 prefactor = pochhammer(c, j, bp.ctx)
                 assert abs(merged - prefactor * direct) <= 1e-9 * max(abs(merged), 1e-300)

@@ -2,11 +2,12 @@
 
 import argparse
 import json
+import re
 
 import pytest
 
 from ellu2.cli import fmt, main, parse_complex
-from ellu2.suites import RunConfig, corep_table
+from ellu2.suites import RunConfig, canonical_json, corep_table, run_report
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +91,17 @@ def test_run_reports_are_byte_deterministic(capsys):
     assert first == second
     _, third = run_cli(capsys, "run", "--suite", "series", "--samples", "3", "--seed", "5")
     assert third != first
+
+
+def test_run_times_each_suite_on_stderr(capsys):
+    code = main(["run", "--suite", "series", "--suite", "theta", "--samples", "2", "--seed", "9"])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["suite series", "suite theta", "wall time"]
+    assert all(re.fullmatch(r"[a-z -]+: \d+ ms", line) for line in lines)
+    cfg = RunConfig(seed=9, samples=2)
+    assert captured.out == canonical_json(run_report(cfg, ["series", "theta"]))
+    assert code == 0
 
 
 def test_run_fails_on_impossible_tolerance(capsys):

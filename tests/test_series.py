@@ -1,5 +1,11 @@
 """Terminating very-well-poised series: evaluators, balance, transformation."""
 
+import cmath
+import gc
+import importlib
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +15,11 @@ from ellu2.series import (
     check_bailey,
     eval_omega,
     eval_omega_termwise,
+    vwp_sum,
 )
-from ellu2.theta import PoleError, garg, qarg
+from ellu2.theta import PoleError, ThetaContext, ThetaProduct, garg, qarg, theta_vec_cached
+
+series_mod = importlib.import_module("ellu2.series")
 
 
 def balanced_spec(ctx, rng, n):
@@ -116,3 +125,143 @@ def test_bailey_order_zero_trivial(ctx):
     report = check_bailey(1.1, 0.9, 1.2, 0.8, 1.3, 0.7, 0, ctx)
     assert abs(report.lhs - 1.0) <= 1e-14
     assert report.residual <= 1e-13
+
+
+CONTEXTS = [ThetaContext(0.05, 0.88), ThetaContext(0.17, 0.8), ThetaContext(0.29, 0.92)]
+
+
+def annulus(rng, k):
+    return [complex(r * np.cos(f), r * np.sin(f)) for r, f in zip(rng.uniform(0.5, 2.0, k), rng.uniform(0, 6.3, k))]
+
+
+def termwise(ctx, a1, numer, denom, n, merged):
+    """Each term of ``vwp_sum`` as its own ThetaProduct, merged slot included."""
+    total = 0.0 + 0.0j
+    for k in range(n + 1):
+        tp = ThetaProduct(ctx, ctx.qpow(2 * k))
+        tp.theta(a1.shifted(2 * k))
+        tp.theta(a1, inv=True)
+        for u in (a1, *numer):
+            tp.poch(u, k)
+        for d in (qarg(1), *denom):
+            tp.poch(d, k, inv=True)
+        if merged is not None:
+            c, big_j = merged
+            for i in range(k, big_j):
+                tp.theta(c.shifted(i))
+        total += tp.value()
+    return total
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=["p05", "p17", "p29"])
+def test_vwp_sum_matches_termwise_evaluation(ctx, rng):
+    checked = 0
+    for n in (0, 1, 3, 6, 9, 12):
+        b, c, d, a1 = annulus(rng, 4)
+        e = a1 * a1 * ctx.qpow(2 * (n + 1)) / (b * c * d)
+        plain = (garg(b), garg(c), garg(d), garg(e), qarg(-n))
+        # A numerator row with an exact zero from term 3 on.
+        for upper in (plain, (qarg(-2),) + plain[1:]):
+            spec = SeriesSpec(garg(a1), upper, 4, ctx)
+            got = eval_omega(spec)
+            brute = eval_omega_termwise(spec)
+            assert abs(got.value - brute) <= 1e-11 * (got.max_term_magnitude + abs(brute))
+            checked += 1
+        # Merged slots (c, J), generic and with an exact zero at factor 2,
+        # and a leading q^(-4), whose head theta vanishes at term 1 and whose
+        # own Pochhammer row vanishes from term 3 on.
+        numer = [garg(b), garg(c), garg(e)]
+        denom = [garg(a1 * ctx.qpow(2) / x) for x in (b, c)]
+        for lead in (garg(a1), qarg(-2)):
+            for merged in (None, (garg(d), n + 2), (qarg(-2), n + 3)):
+                value, peak, _ = vwp_sum(ctx, lead, numer, denom, n, merged=merged)
+                brute = termwise(ctx, lead, numer, denom, n, merged)
+                assert abs(value - brute) <= 1e-11 * (peak + abs(brute))
+                checked += 1
+    assert checked == 48
+
+
+def test_exact_zeros_end_the_series(ctx, rng):
+    b, c, d, e = annulus(rng, 4)
+    spec = SeriesSpec(garg(1.1 + 0.2j), (garg(b), qarg(-2), garg(d), garg(e), qarg(-6)), 4, ctx)
+    assert eval_omega(spec).terms == 3
+    _, _, last = vwp_sum(ctx, garg(0.9), [garg(b)], [garg(c)], 5, merged=(qarg(-2), 6))
+    assert last == 6
+    assert vwp_sum(ctx, garg(0.9), [garg(b)], [garg(c)], 5, merged=(qarg(-5), 6)) == (0, 0, 0)
+    # theta(a1 q^(4k)) vanishes exactly at k = 1 for a1 = q^(-4).
+    assert vwp_sum(ctx, qarg(-2), [garg(b)], [garg(c)], 1)[2] == 1
+    with pytest.raises(PoleError, match="exact zero"):
+        vwp_sum(ctx, garg(0.9), [garg(b)], [qarg(-1)], 3)
+
+
+def synthetic_rows(monkeypatch, num_row, den_row):
+    """Make vwp_sum see the given running products for its two rows."""
+
+    def fake(ctx, params, length, q2pow):
+        row = den_row if params[0].is_one else num_row
+        return [row], [length], [1.0 + 0.0j] * length
+
+    monkeypatch.setattr(series_mod, "_poch_columns", fake)
+
+
+def test_arithmetic_errors_come_out_as_pole_error(monkeypatch):
+    ctx = ThetaContext(0.2, 0.7)
+    a1 = garg(0.8 + 0.3j)
+    g, q2 = a1.value(ctx), ctx.qpow(2)
+    head, th_a1 = theta_vec_cached([g * q2**2, g], ctx)
+    base = head / th_a1 * q2**1
+    # A running denominator product that underflowed to 0: Python division
+    # raises ZeroDivisionError where arrays gave inf.
+    synthetic_rows(monkeypatch, [1.0 + 0.0j, 1.0 + 0.0j], [1.0 + 0.0j, 0.0j])
+    with pytest.raises(ZeroDivisionError):
+        base / 0j
+    with pytest.raises(PoleError, match="double precision range"):
+        vwp_sum(ctx, a1, [], [], 1)
+    # A finite term whose modulus passes the double range: abs() raises
+    # OverflowError where arrays gave inf.
+    tiny = (0.5 - 0.5j) / 1.5e308
+    synthetic_rows(monkeypatch, [1.0 + 0.0j, 1.0 / base], [1.0 + 0.0j, tiny])
+    term = base * (1.0 / base) / tiny
+    assert cmath.isfinite(term)
+    with pytest.raises(OverflowError):
+        abs(term)
+    with pytest.raises(PoleError, match="double precision range"):
+        vwp_sum(ctx, a1, [], [], 1)
+    # The same rows with a representable term still sum.
+    synthetic_rows(monkeypatch, [1.0 + 0.0j, 2.0 / base], [1.0 + 0.0j, 1.0 + 0.0j])
+    value, peak, last = vwp_sum(ctx, a1, [], [], 1)
+    assert abs(value - 3.0) <= 1e-15 and abs(peak - 2.0) <= 1e-15 and last == 2
+
+
+def test_kept_overflow_errors_hold_no_rows():
+    # An order-32 series whose running products leave double range.  Every
+    # caught PoleError keeps the frames of its traceback; the rows of the
+    # series (about 25 kB here) must not be among them.  Measured per kept
+    # exception: 2.5 kB with the rows dropped, 28 kB with them retained.
+    ctx = ThetaContext(0.206, 0.838)
+    a, b, c, d = 1.66 + 0.05j, 0.36 - 0.76j, 0.27 - 0.91j, -1.77 + 0.36j
+    e = a * a * ctx.qpow(66) / (b * c * d)
+    spec = SeriesSpec(garg(a), (garg(b), garg(c), garg(d), garg(e), qarg(-32)), 4, ctx)
+
+    def keep(count):
+        kept = []
+        for _ in range(count):
+            try:
+                eval_omega(spec)
+            except PoleError as err:
+                kept.append(err)
+        return kept
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert "double precision range" in str(keep(1)[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = keep(200)
+            gc.collect()
+            growth = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+    assert growth < 10_000
