@@ -201,10 +201,10 @@ def theta_condition(z: complex, p: float) -> float:
     are skipped; an exact zero factor reads as 1e300 times |x|.
     """
     cond = 1.0
-    for x, step in ((z, p), (p / z, p)):
+    for x in (z, p / z):
         while abs(x) >= 0.5:
             cond = max(cond, abs(x) / max(abs(1.0 - x), 1e-300))
-            x *= step
+            x *= p
     return cond
 
 
