@@ -13,6 +13,14 @@ factor (q^(-2(N-k)); q^2)_j as an explicit sign and power times an ascending
 Pochhammer that cancels against the series denominators; the ``merged``
 variants of the weights carry the sign-and-power part, and the matching
 series are evaluated with the ascending part folded into each term.
+
+A check names the items it needs by cache key: the weights (with their
+per-params norms), the merged series members, the norm h, the determinant
+product, and the representation-side tau, tau tilde and gamma factors.
+``BiorthCache.resolve`` builds each item the cache does not hold as a plan
+(see ``theta``), looks all of their theta arguments up in one call, and then
+finishes the items in the order the check lists them.  ``biorth_term``,
+``dual_term`` and ``biorth_oracle_term`` combine the same items.
 """
 
 from __future__ import annotations
@@ -20,15 +28,19 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .corep import (
-    gamma_factor,
-    tau_closed,
-    tau_series_parts,
-    tau_tilde_closed,
-    tau_tilde_series_parts,
+from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_tilde_series_parts
+from .series import vwp_plan, vwp_sum
+from .theta import (
+    Plan,
+    ThetaContext,
+    ThetaProduct,
+    binomial_plan,
+    combine,
+    garg,
+    known,
+    qarg,
+    theta_vec_cached,
 )
-from .series import vwp_sum
-from .theta import ThetaContext, ThetaProduct, elliptic_binomial, garg, qarg
 
 __all__ = [
     "BiorthParams",
@@ -66,22 +78,33 @@ class BiorthParams:
         object.__setattr__(self, "_norms", {})
 
 
-def _memo_per_params(fn):
-    """Keep fn(bp, k) on ``bp``: a (k, l) sweep asks for each k many times."""
+def _memo_per_params(build):
+    """Keep build(bp, k) on ``bp``: a (k, l) sweep asks for each k many times.
 
-    @functools.wraps(fn)
-    def memo(bp: BiorthParams, k: int) -> complex:
-        key = (fn.__name__, k)
+    The first call keeps the plan, and finishing it keeps the value; a plan
+    shared by several items of one check is finished once.
+    """
+
+    @functools.wraps(build)
+    def memo(bp: BiorthParams, k: int) -> Plan:
+        key = (build.__name__, k)
         got = bp._norms.get(key)
         if got is None:
-            got = bp._norms[key] = fn(bp, k)
-        return got
+            plan = build(bp, k)
+
+            def finish(vals: list[complex]) -> complex:
+                done = bp._norms[key]
+                if isinstance(done, Plan):
+                    done = bp._norms[key] = plan.finish(vals)
+                return done
+
+            got = bp._norms[key] = Plan(bp.ctx, plan.args, finish)
+        return got if isinstance(got, Plan) else known(bp.ctx, got)
 
     return memo
 
 
-def norm_h(bp: BiorthParams, k: int) -> complex:
-    """Quadratic norm of the k-th family member."""
+def _norm_h(bp: BiorthParams, k: int) -> ThetaProduct:
     qp = bp.ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
     tp = ThetaProduct(bp.ctx)
@@ -107,11 +130,16 @@ def norm_h(bp: BiorthParams, k: int) -> complex:
     tp.poch(garg(z * qp(-om - 3)), N)
     tp.poch(garg(z * qp(2 * M - om - 1)), N, inv=True)
     tp.poch(garg(z * qp(-2 * M + om - 3)), N, inv=True)
-    return tp.value()
+    return tp
+
+
+def norm_h(bp: BiorthParams, k: int) -> complex:
+    """Quadratic norm of the k-th family member."""
+    return _norm_h(bp, k).value()
 
 
 @_memo_per_params
-def _norm_first(bp: BiorthParams, k: int) -> complex:
+def _norm_first(bp: BiorthParams, k: int) -> Plan:
     """Second-index normalization of the first weight.
 
     Equal to 1 at k = 0.  Pinned, together with ``_norm_second`` and
@@ -120,35 +148,35 @@ def _norm_first(bp: BiorthParams, k: int) -> complex:
     """
     qp = bp.ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
-    sc = qp((M - 2 * N - 2) * k + 1.5 * k * (k - 1)) * elliptic_binomial(N, k, bp.ctx)
-    tp = ThetaProduct(bp.ctx, sc)
+    power = qp((M - 2 * N - 2) * k + 1.5 * k * (k - 1))
+    tp = ThetaProduct(bp.ctx, combine(bp.ctx, [binomial_plan(N, k, bp.ctx)], lambda b: power * b))
     tp.theta(qarg(1), count=k)
     tp.poch(garg(qp(2 * (Lam - k + 1))), k)
     tp.poch(garg(z * qp(2 * (Lam + M - k + 1) - om - 1)), k)
     tp.poch(garg(qp(2 * (Lam - N - k + 1))), k, inv=True)
     tp.poch(garg(z * qp(2 * M - om - 1)), k, inv=True)
     tp.poch(garg(qp(2 * (Lam + M + 2 - k))), k, inv=True)
-    return tp.value()
+    return tp
 
 
 @_memo_per_params
-def _norm_second(bp: BiorthParams, l: int) -> complex:
+def _norm_second(bp: BiorthParams, l: int) -> Plan:
     """Second-index normalization of the second weight (1 at l = 0)."""
     qp = bp.ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
-    sc = qp((2 * N - M) * l - 1.5 * l * (l - 1)) / elliptic_binomial(N, l, bp.ctx)
-    tp = ThetaProduct(bp.ctx, sc)
+    power = qp((2 * N - M) * l - 1.5 * l * (l - 1))
+    tp = ThetaProduct(bp.ctx, combine(bp.ctx, [binomial_plan(N, l, bp.ctx)], lambda b: power / b))
     tp.theta(qarg(1), count=-l)
     tp.poch(garg(qp(2 * (Lam - N - l + 1))), l)
     tp.poch(garg(z * qp(2 * M - om - 1)), l)
     tp.poch(garg(qp(2 * (Lam + M + 2 - l))), l)
     tp.poch(garg(qp(2 * (Lam + 2 - l))), l, inv=True)
     tp.poch(garg(z * qp(2 * (Lam + M - l + 1) - om - 1)), l, inv=True)
-    return tp.value()
+    return tp
 
 
 @_memo_per_params
-def _norm_gauge(bp: BiorthParams, k: int) -> complex:
+def _norm_gauge(bp: BiorthParams, k: int) -> Plan:
     """First-index gauge factor shared by the two weights (1 at k = 0).
 
     It cancels in every product weight_w1(j, k) * weight_w2(j, l), so the
@@ -162,11 +190,10 @@ def _norm_gauge(bp: BiorthParams, k: int) -> complex:
     tp.theta(qarg(1), count=k)
     tp.poch(garg(qp(2 * (Lam + M - N + 2))), k)
     tp.poch(qarg(N - k + 1), k)
-    return tp.value()
+    return tp
 
 
-def weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool = False) -> complex:
-    """First weight factor; ``merged`` replaces the finite block by its rewrite."""
+def _weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     ctx = bp.ctx
     qp = ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
@@ -192,11 +219,16 @@ def weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool = False) -> compl
     tp.poch(qarg(-N), i1, inv=True)
     tp.poch(garg(qp(-2 * (om - M))), i1, inv=True)
     tp.poch(garg(qp(2 * (Lam - N - om + M + 1))), i1, inv=True)
-    return tp.value() * _norm_gauge(bp, i1) / _norm_first(bp, i2)
+    parts = [tp, _norm_gauge(bp, i1), _norm_first(bp, i2)]
+    return combine(ctx, parts, lambda t, gauge, first: t * gauge / first)
 
 
-def weight_w2(bp: BiorthParams, i1: int, i2: int, merged: bool = False) -> complex:
-    """Second weight factor; ``merged`` as in weight_w1."""
+def weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool = False) -> complex:
+    """First weight factor; ``merged`` replaces the finite block by its rewrite."""
+    return _weight_w1(bp, i1, i2, merged).value()
+
+
+def _weight_w2(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     ctx = bp.ctx
     qp = ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
@@ -211,17 +243,32 @@ def weight_w2(bp: BiorthParams, i1: int, i2: int, merged: bool = False) -> compl
     tp.poch(garg(qp(-2 * (Lam - 2 * i2 + 1))), i1, inv=True)
     tp.poch(garg(qp(-2 * (N - 3 - Lam + i2 - M) - om - 1) / z), i1)
     tp.poch(garg(z * qp(2 * (M + i2) - om - 1)), i1, inv=True)
-    return tp.value() / (_norm_gauge(bp, i1) * _norm_second(bp, i2))
+    parts = [tp, _norm_gauge(bp, i1), _norm_second(bp, i2)]
+    return combine(ctx, parts, lambda t, gauge, second: t / (gauge * second))
 
 
-def c_det_product(bp: BiorthParams) -> complex:
-    """Product of inverse determinant scalars along the q^2 ladder."""
+def weight_w2(bp: BiorthParams, i1: int, i2: int, merged: bool = False) -> complex:
+    """Second weight factor; ``merged`` as in weight_w1."""
+    return _weight_w2(bp, i1, i2, merged).value()
+
+
+def _c_det(bp: BiorthParams) -> ThetaProduct:
     qp = bp.ctx.qpow
     tp = ThetaProduct(bp.ctx, qp(-bp.N * bp.omega))
     for i in range(bp.N):
         tp.theta(garg(qp(1 + bp.omega - 2 * i) / bp.z))
         tp.theta(garg(qp(1 - bp.omega - 2 * i) / bp.z), inv=True)
-    return tp.value()
+    return tp
+
+
+def c_det_product(bp: BiorthParams) -> complex:
+    """Product of inverse determinant scalars along the q^2 ladder."""
+    return _c_det(bp).value()
+
+
+def _spectral_points(bp: BiorthParams) -> tuple[complex, complex]:
+    """(zouter, zshift): the conjugate point and the reflected point."""
+    return complex(bp.z).conjugate(), bp.ctx.qpow(-2 * (bp.N - 2)) / bp.z
 
 
 def _series_parts(bp: BiorthParams, j: int, kl: int, shifted: bool):
@@ -232,9 +279,7 @@ def _series_parts(bp: BiorthParams, j: int, kl: int, shifted: bool):
     The dual relation reuses the same parameterization with the outer and
     summation indices supplied in swapped positions by the caller.
     """
-    qp = bp.ctx.qpow
-    zouter = complex(bp.z).conjugate()
-    zshift = qp(-2 * (bp.N - 2)) / bp.z
+    zouter, zshift = _spectral_points(bp)
     if shifted:
         return tau_series_parts(
             bp.N, j, kl, bp.M + kl, bp.Lam - bp.N, zshift, bp.omega, bp.ctx
@@ -251,50 +296,96 @@ def biorth_lhs_member(bp: BiorthParams, j: int, kl: int, shifted: bool) -> compl
     return value
 
 
-def _member_merged(bp: BiorthParams, j: int, kl: int, shifted: bool, J: int) -> complex:
+def _member(bp: BiorthParams, j: int, kl: int, shifted: bool) -> Plan:
+    """One explicit series factor with its merged rewrite over j factors."""
     a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
-    value, _, _ = vwp_sum(bp.ctx, a1, numer, denom, n, merged=(c, J))
-    return value
+    series = vwp_plan(bp.ctx, a1, numer, denom, n, merged=(c, j))
+    return Plan(bp.ctx, series.args, lambda vals: series.finish(vals)[0])
+
+
+def _tilde(bp: BiorthParams, j: int, l: int) -> Plan:
+    """Representation-side conjugate factor of summand j of the (., l) sums."""
+    zouter, _ = _spectral_points(bp)
+    return tau_tilde_plan(bp.N, j, l, bp.M + j, bp.Lam - 2 * l, zouter, bp.omega, bp.ctx)
+
+
+def _tau(bp: BiorthParams, j: int, k: int) -> Plan:
+    """Representation-side reflected factor of summand j of the (k, .) sums."""
+    _, zshift = _spectral_points(bp)
+    return tau_plan(bp.N, j, k, bp.M + k, bp.Lam - bp.N, zshift, bp.omega, bp.ctx)
+
+
+def _gamma_outer(bp: BiorthParams, j: int) -> Plan:
+    return gamma_plan(bp.N, j, bp.Lam - bp.omega + 2 * bp.M + 2 * j - bp.N, bp.ctx)
+
+
+def _gamma_inner(bp: BiorthParams, k: int) -> Plan:
+    return gamma_plan(bp.N, k, bp.Lam - bp.N, bp.ctx)
+
+
+# The items of a check, by the first entry of their cache key.
+_ITEMS = {
+    "cd": _c_det,
+    "h": _norm_h,
+    "w1": lambda bp, i1, i2: _weight_w1(bp, i1, i2, True),
+    "w2": lambda bp, i1, i2: _weight_w2(bp, i1, i2, True),
+    "f": _member,
+    "tilde": _tilde,
+    "tau": _tau,
+    "g1": _gamma_outer,
+    "g2": _gamma_inner,
+}
+
+
+def _summand_keys(k: int, l: int, j: int, dual: bool) -> tuple:
+    """Item keys of summand j of the explicit (dual) sum, in evaluation order."""
+    if dual:
+        return ("w1", l, j), ("w2", k, j), ("h", j), ("f", l, j, True), ("f", k, j, False)
+    return ("w1", j, k), ("w2", j, l), ("f", j, l, False), ("f", j, k, True)
+
+
+def _summand(vals: list[complex], dual: bool) -> complex:
+    if dual:
+        w1, w2, h, f1, f2 = vals
+        return w1 * w2 / h * f1 * f2
+    w1, w2, f1, f2 = vals
+    return w1 * w2 * f1 * f2
+
+
+def _oracle_keys(k: int, l: int, j: int, dual: bool) -> tuple:
+    """Item keys of the representation-side value of summand j."""
+    if dual:
+        return ("g1", l), ("g2", j), ("tau", l, j), ("tilde", k, j)
+    return ("tilde", j, l), ("g1", j), ("g2", k), ("tau", j, k)
+
+
+def _oracle_summand(vals: list[complex], c_d: complex, dual: bool) -> complex:
+    if dual:
+        g1, g2, t1, t2 = vals
+        return g1 / g2 * t1 * t2 * c_d
+    t1, g1, g2, t2 = vals
+    return t1 * g1 / g2 * c_d * t2
+
+
+def _alone(bp: BiorthParams, keys: tuple) -> list[complex]:
+    """The values of ``keys``, resolved together on a cache of their own."""
+    v = BiorthCache().resolve(bp, keys)
+    return [v[key] for key in keys]
 
 
 def biorth_term(bp: BiorthParams, k: int, l: int, j: int) -> complex:
     """The j-th summand of the biorthogonality sum, pole-safe rewrite."""
-    return (
-        weight_w1(bp, j, k, merged=True)
-        * weight_w2(bp, j, l, merged=True)
-        * _member_merged(bp, j, l, False, j)
-        * _member_merged(bp, j, k, True, j)
-    )
+    return _summand(_alone(bp, _summand_keys(k, l, j, False)), False)
 
 
 def dual_term(bp: BiorthParams, k: int, l: int, j: int) -> complex:
     """The j-th summand of the dual biorthogonality sum."""
-    hj = norm_h(bp, j)
-    if hj == 0.0:
-        raise ZeroDivisionError("norm h vanished at a generic point")
-    return (
-        weight_w1(bp, l, j, merged=True)
-        * weight_w2(bp, k, j, merged=True)
-        / hj
-        * _member_merged(bp, l, j, True, l)
-        * _member_merged(bp, k, j, False, k)
-    )
+    return _summand(_alone(bp, _summand_keys(k, l, j, True)), True)
 
 
 def biorth_oracle_term(bp: BiorthParams, k: int, l: int, j: int, c_d: complex) -> complex:
     """Representation-side value of the j-th biorthogonality summand over h_k."""
-    qp = bp.ctx.qpow
-    zouter = complex(bp.z).conjugate()
-    zshift = qp(-2 * (bp.N - 2)) / bp.z
-    t1 = tau_tilde_closed(
-        bp.N, j, l, bp.M + j, bp.Lam - 2 * l, zouter, bp.omega, bp.ctx
-    )
-    t2 = tau_closed(bp.N, j, k, bp.M + k, bp.Lam - bp.N, zshift, bp.omega, bp.ctx)
-    g1 = gamma_factor(bp.N, j, bp.Lam - bp.omega + 2 * bp.M + 2 * j - bp.N, bp.ctx)
-    g2 = gamma_factor(bp.N, k, bp.Lam - bp.N, bp.ctx)
-    if g2 == 0.0:
-        raise ZeroDivisionError("gamma factor vanished at a generic point")
-    return t1 * g1 / g2 * c_d * t2
+    return _oracle_summand(_alone(bp, _oracle_keys(k, l, j, False)), c_d, False)
 
 
 def biorth_rep_oracle(bp: BiorthParams, k: int, l: int) -> complex:
@@ -332,6 +423,55 @@ class BiorthCache:
             self._store[key] = fn()
         return self._store[key]
 
+    def resolve(self, bp: BiorthParams, keys: list) -> dict:
+        """The values of the items ``keys``, through ``get`` in key order.
+
+        Every item the cache does not hold is built first, as a plan; then
+        all of their arguments are looked up in one ``theta_vec_cached``
+        call, and only then is each finished.  When a build raises, the
+        items before it are finished first, so the first error is the one
+        evaluating them one by one would raise.
+        """
+        plans: dict = {}
+        failed = None
+        for i, key in enumerate(keys):
+            if key not in self._store and key not in plans:
+                try:
+                    plans[key] = _ITEMS[key[0]](bp, *key[1:])
+                except (ArithmeticError, ValueError) as exc:
+                    failed, keys = exc, keys[:i]
+                    break
+        args: list[complex] = []
+        cuts = {}
+        for key, plan in plans.items():
+            start = len(args)
+            args += plan.args
+            cuts[key] = (start, len(args))
+        vals = theta_vec_cached(args, bp.ctx)
+
+        def finish(key):
+            start, end = cuts[key]
+            return plans[key].finish(vals[start:end])
+
+        out = {key: self.get(key, lambda: finish(key)) for key in keys}
+        if failed is not None:
+            raise failed
+        return out
+
+
+def _sums(bp: BiorthParams, k: int, l: int, cache: BiorthCache | None, dual: bool):
+    """Item values, summands and oracle summands of one (k, l) check."""
+    js = range(bp.N + 1)
+    summands = [_summand_keys(k, l, j, dual) for j in js]
+    oracles = [_oracle_keys(k, l, j, dual) for j in js]
+    keys = [("cd",)] + ([] if dual else [("h", k)])
+    keys += [key for ks in summands for key in ks] + [key for ks in oracles for key in ks]
+    v = (cache if cache is not None else BiorthCache()).resolve(bp, keys)
+    c_d = v["cd",]
+    terms = [_summand([v[key] for key in ks], dual) for ks in summands]
+    oracle = [_oracle_summand([v[key] for key in ks], c_d, dual) for ks in oracles]
+    return v, terms, oracle
+
 
 def check_biorth(
     bp: BiorthParams, k: int, l: int, cache: BiorthCache | None = None
@@ -340,26 +480,11 @@ def check_biorth(
 
     The summand scale enters the residual denominator so that the vanishing
     off-diagonal case measures cancellation quality relative to the largest
-    term rather than against zero.
+    term rather than against zero.  All items the cache does not hold are
+    evaluated through one lookup (``BiorthCache.resolve``).
     """
-    mc = cache if cache is not None else BiorthCache()
-    c_d = mc.get("cd", lambda: c_det_product(bp))
-    hk = mc.get(("h", k), lambda: norm_h(bp, k))
-    terms = [
-        mc.get(("w1", j, k), lambda j=j: weight_w1(bp, j, k, merged=True))
-        * mc.get(("w2", j, l), lambda j=j: weight_w2(bp, j, l, merged=True))
-        * mc.get(("f1", j, l), lambda j=j: _member_merged(bp, j, l, False, j))
-        * mc.get(("f2", j, k), lambda j=j: _member_merged(bp, j, k, True, j))
-        for j in range(bp.N + 1)
-    ]
-    oracle = [
-        mc.get(("ot1", j, l), lambda j=j: _oracle_tilde(bp, j, l))
-        * mc.get(("og", j), lambda j=j: _oracle_gamma(bp, j))
-        / mc.get(("gk", k), lambda: gamma_factor(bp.N, k, bp.Lam - bp.N, bp.ctx))
-        * c_d
-        * mc.get(("ot2", j, k), lambda j=j: _oracle_tau(bp, j, k))
-        for j in range(bp.N + 1)
-    ]
+    v, terms, oracle = _sums(bp, k, l, cache, False)
+    hk = v["h", k]
     max_term = max(abs(t) for t in terms)
     target = hk if k == l else 0.0
     sum_res = _scaled_residual(sum(terms), target, max_term)
@@ -373,46 +498,11 @@ def check_biorth(
     return BiorthReport(sum_res, term_res, oracle_res, max_term)
 
 
-def _oracle_tilde(bp: BiorthParams, j: int, l: int) -> complex:
-    zouter = complex(bp.z).conjugate()
-    return tau_tilde_closed(
-        bp.N, j, l, bp.M + j, bp.Lam - 2 * l, zouter, bp.omega, bp.ctx
-    )
-
-
-def _oracle_tau(bp: BiorthParams, j: int, k: int) -> complex:
-    zshift = bp.ctx.qpow(-2 * (bp.N - 2)) / bp.z
-    return tau_closed(bp.N, j, k, bp.M + k, bp.Lam - bp.N, zshift, bp.omega, bp.ctx)
-
-
-def _oracle_gamma(bp: BiorthParams, j: int) -> complex:
-    return gamma_factor(
-        bp.N, j, bp.Lam - bp.omega + 2 * bp.M + 2 * j - bp.N, bp.ctx
-    )
-
-
 def check_dual_biorth(
     bp: BiorthParams, k: int, l: int, cache: BiorthCache | None = None
 ) -> BiorthReport:
     """Dual biorthogonality sum against delta(k, l), plus oracle comparisons."""
-    mc = cache if cache is not None else BiorthCache()
-    c_d = mc.get("cd", lambda: c_det_product(bp))
-    terms = [
-        mc.get(("w1", l, j), lambda j=j: weight_w1(bp, l, j, merged=True))
-        * mc.get(("w2", k, j), lambda j=j: weight_w2(bp, k, j, merged=True))
-        / mc.get(("h", j), lambda j=j: norm_h(bp, j))
-        * mc.get(("df1", l, j), lambda j=j: _member_merged(bp, l, j, True, l))
-        * mc.get(("df2", k, j), lambda j=j: _member_merged(bp, k, j, False, k))
-        for j in range(bp.N + 1)
-    ]
-    oracle = [
-        mc.get(("dg", l), lambda: _oracle_gamma_dual(bp, l))
-        / mc.get(("gk", j), lambda j=j: gamma_factor(bp.N, j, bp.Lam - bp.N, bp.ctx))
-        * mc.get(("dt1", l, j), lambda j=j: _dual_oracle_tau(bp, l, j))
-        * mc.get(("dt2", k, j), lambda j=j: _dual_oracle_tilde(bp, k, j))
-        * c_d
-        for j in range(bp.N + 1)
-    ]
+    _, terms, oracle = _sums(bp, k, l, cache, True)
     max_term = max(abs(t) for t in terms)
     target = 1.0 if k == l else 0.0
     sum_res = _scaled_residual(sum(terms), target, max_term)
@@ -421,21 +511,3 @@ def check_dual_biorth(
     )
     oracle_res = _scaled_residual(sum(oracle), target, max(abs(o) for o in oracle))
     return BiorthReport(sum_res, term_res, oracle_res, max_term)
-
-
-def _dual_oracle_tau(bp: BiorthParams, l: int, j: int) -> complex:
-    zshift = bp.ctx.qpow(-2 * (bp.N - 2)) / bp.z
-    return tau_closed(bp.N, l, j, bp.M + j, bp.Lam - bp.N, zshift, bp.omega, bp.ctx)
-
-
-def _dual_oracle_tilde(bp: BiorthParams, k: int, j: int) -> complex:
-    zouter = complex(bp.z).conjugate()
-    return tau_tilde_closed(
-        bp.N, k, j, bp.M + k, bp.Lam - 2 * j, zouter, bp.omega, bp.ctx
-    )
-
-
-def _oracle_gamma_dual(bp: BiorthParams, l: int) -> complex:
-    return gamma_factor(
-        bp.N, l, bp.Lam - bp.omega + 2 * bp.M + 2 * l - bp.N, bp.ctx
-    )

@@ -13,17 +13,24 @@ appearing in the inversion identity, checked word by word in
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 import numpy as np
 
 from .rep import RepContext, apply_word, coef_a, coef_b, coef_c, coef_d, residual_between
-from .series import vwp_sum
+from .series import vwp_plan
 from .theta import (
+    Plan,
     PoleError,
     ThetaContext,
     ThetaProduct,
     TrackedArg,
+    binomial_plan,
+    combine,
     elliptic_binomial,
     garg,
+    known,
     qarg,
     theta,
 )
@@ -50,9 +57,12 @@ __all__ = [
     "t_word",
     "tau_series_parts",
     "tau_tilde_series_parts",
+    "tau_plan",
     "tau_closed",
+    "tau_tilde_plan",
     "tau_tilde_closed",
     "tau_product",
+    "gamma_plan",
     "gamma_factor",
     "inv_gamma_factor",
     "eval_tensor",
@@ -146,14 +156,27 @@ def tau_series_parts(
     return a1, numer, denom, qarg(N - j - k + 1), min(k, j)
 
 
-def tau_closed(
+def _head_times_series(head: ThetaProduct, series: Plan) -> Plan:
+    """The plan of head * (series value); a head of 0 gives 0 without the series."""
+    cut = len(head.args)
+
+    def finish(vals: list[complex]) -> complex:
+        h = head.finish(vals[:cut])
+        if h == 0.0:
+            return 0.0 + 0.0j
+        return h * series.finish(vals[cut:])[0]
+
+    return Plan(head.ctx, head.args + series.args, finish)
+
+
+def tau_plan(
     N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
-) -> complex:
-    """Coefficient of e_(m+k-j) in the action of the (k, j) matrix element on e_m."""
+) -> Plan:
+    """Plan of ``tau_closed``.  A head with an exact zero builds no series."""
     if m < 0:
         raise ValueError("basis index must be >= 0")
     if m + k - j < 0:
-        return 0.0 + 0.0j
+        return known(ctx, 0.0 + 0.0j)
     qp = ctx.qpow
     expo = (
         1.5 * k * (k - 1)
@@ -178,12 +201,17 @@ def tau_closed(
     pref.poch(garg(z * qp(2 * (m + k) - omega + 1)), N - k - j)
     pref.poch(garg(qp(2 * (lam - j + 1))), N - k - j, inv=True)
     pref.poch(garg(z * qp(omega + 1)), N, inv=True)
-    head = pref.value()
-    if head == 0.0:
-        return 0.0 + 0.0j
+    if pref.zeros > 0:
+        return pref
     a1, numer, denom, c, n = tau_series_parts(N, k, j, m, lam, z, omega, ctx)
-    value, _, _ = vwp_sum(ctx, a1, numer, denom, n, merged=(c, j))
-    return head * value
+    return _head_times_series(pref, vwp_plan(ctx, a1, numer, denom, n, merged=(c, j)))
+
+
+def tau_closed(
+    N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
+) -> complex:
+    """Coefficient of e_(m+k-j) in the action of the (k, j) matrix element on e_m."""
+    return tau_plan(N, k, j, m, lam, z, omega, ctx).value()
 
 
 def tau_tilde_series_parts(
@@ -213,14 +241,14 @@ def tau_tilde_series_parts(
     return a1, numer, denom, qarg(N - k - j + 1), min(k, j)
 
 
-def tau_tilde_closed(
+def tau_tilde_plan(
     N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
-) -> complex:
-    """Coefficient of e_(m+j-k) in the action of the conjugated (k, j) element."""
+) -> Plan:
+    """Plan of ``tau_tilde_closed``.  A head with an exact zero builds no series."""
     if m < 0:
         raise ValueError("basis index must be >= 0")
     if m + j - k < 0:
-        return 0.0 + 0.0j
+        return known(ctx, 0.0 + 0.0j)
     qp = ctx.qpow
     zb = complex(z).conjugate()
     expo = (
@@ -251,12 +279,17 @@ def tau_tilde_closed(
     # The word-level oracle fixes the exponent in the last denominator slot
     # as -2(N-j-k-1); see the cross-check suite for the residual evidence.
     pref.poch(garg(qp(-2 * (N - j - k - 1) + omega + 1) / zb), N - j - k, inv=True)
-    head = pref.value()
-    if head == 0.0:
-        return 0.0 + 0.0j
+    if pref.zeros > 0:
+        return pref
     a1, numer, denom, c, n = tau_tilde_series_parts(N, k, j, m, lam, z, omega, ctx)
-    value, _, _ = vwp_sum(ctx, a1, numer, denom, n, merged=(c, j))
-    return head * value
+    return _head_times_series(pref, vwp_plan(ctx, a1, numer, denom, n, merged=(c, j)))
+
+
+def tau_tilde_closed(
+    N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
+) -> complex:
+    """Coefficient of e_(m+j-k) in the action of the conjugated (k, j) element."""
+    return tau_tilde_plan(N, k, j, m, lam, z, omega, ctx).value()
 
 
 def tau_product(
@@ -296,21 +329,29 @@ def tau_product(
     return total
 
 
-def gamma_factor(N: int, k: int, x: complex, ctx: ThetaContext) -> complex:
-    """Diagonal normalization in the inversion identity for level N."""
+def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:
+    """Plan of ``gamma_factor``."""
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
     qp = ctx.qpow
-    tp = ThetaProduct(ctx, elliptic_binomial(N, k, ctx))
+    tp = ThetaProduct(ctx)
     tp.poch(garg(qp(2 * (x - k + 2))), k)
     tp.poch(garg(qp(2 * (x + N - 2 * k + 2))), k, inv=True)
+    # The scalar is the elliptic binomial times these powers, in this order.
+    powers = []
     for i in range(N - k):
-        tp.mul_scalar(qp(-(x + N - 2 * k - i)))
+        powers.append(qp(-(x + N - 2 * k - i)))
         tp.theta(garg(qp(-2 * (x + N - 2 * k - i + 1))), inv=True)
     for i in range(k):
-        tp.mul_scalar(qp(-(x - k + i)))
+        powers.append(qp(-(x - k + i)))
         tp.theta(garg(qp(-2 * (x - k + i + 1))), inv=True)
-    return tp.value()
+    tp.scalar = combine(ctx, [binomial_plan(N, k, ctx)], lambda b: reduce(mul, powers, b))
+    return tp
+
+
+def gamma_factor(N: int, k: int, x: complex, ctx: ThetaContext) -> complex:
+    """Diagonal normalization in the inversion identity for level N."""
+    return gamma_plan(N, k, x, ctx).value()
 
 
 def inv_gamma_factor(N: int, k: int, ctx: ThetaContext) -> CoefficientFn:

@@ -18,9 +18,12 @@ denominator Pochhammer replaced by the partial-product ratio against a
 numerator Pochhammer of fixed length.  That is how prefactor zeros cancel
 series poles at integer specializations without ever forming 0/0.
 
-The theta values come from the context's vector cache in one lookup per
-Pochhammer block; running products, exact-zero bookkeeping and the term sum
-are plain Python loops over those few dozen numbers (see ``theta`` for why).
+A series is built, then evaluated (``vwp_plan``): the build lists the
+arguments of its numerator rows, denominator rows, head theta(a1 q^(4k)) and
+merged row, and the evaluation takes their values from the context's vector
+cache in one lookup per series, or in the caller's one lookup for many
+plans.  Running products, exact-zero bookkeeping and the term sum are plain
+Python loops over those few dozen numbers (see ``theta`` for why).
 A term that leaves the double range, whether numpy-style as inf or nan or by
 a Python ``OverflowError`` or ``ZeroDivisionError``, raises one ``PoleError``,
 from a frame that holds none of the rows: callers that keep the exception
@@ -38,19 +41,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .theta import (
+    Plan,
     PoleError,
     ThetaContext,
     ThetaProduct,
     TrackedArg,
     garg,
     qarg,
-    theta_vec_cached,
 )
 
 __all__ = [
     "SeriesSpec",
     "SeriesValue",
     "BaileyReport",
+    "vwp_plan",
     "vwp_sum",
     "eval_omega",
     "eval_omega_termwise",
@@ -127,24 +131,30 @@ class SeriesValue:
     warnings: tuple[str, ...] = ()
 
 
-def _poch_columns(
+def _poch_args(
     ctx: ThetaContext, params: Sequence[TrackedArg], length: int, q2pow: list[complex]
+) -> list[complex]:
+    """The factor arguments of (params[r])_length for each row r, in row order.
+
+    ``q2pow`` holds q^(2i) for at least i = 0..length-1.
+    """
+    ladder = q2pow[:length]
+    return [g * w for g in [ta.value(ctx) for ta in params] for w in ladder]
+
+
+def _poch_columns(
+    raw: list[complex], params: Sequence[TrackedArg], length: int
 ) -> tuple[list[list[complex]], list[int], list[complex]]:
     """Running Pochhammer products for each parameter over lengths 0..length.
 
-    ``q2pow`` holds q^(2i) for at least i = 0..length-1.  Returns
-    (rows, zero_at, raw): rows[r][i] is the product of the nonzero factors of
-    (params[r])_i, zero_at[r] the index of the exact zero factor of row r
-    (``length`` when there is none below it), raw the factor values of all
-    rows in row order, with exact zeros replaced by 1.
+    ``raw`` holds the theta values of the ``_poch_args`` arguments and is
+    changed in place.  Returns (rows, zero_at, raw): rows[r][i] is the
+    product of the nonzero factors of (params[r])_i, zero_at[r] the index of
+    the exact zero factor of row r (``length`` when there is none below it),
+    raw the factor values of all rows in row order, with exact zeros
+    replaced by 1.
     """
-    args: list[complex] = []
-    zero_at = []
-    for ta in params:
-        g = ta.value(ctx)
-        args += [g * w for w in q2pow[:length]]
-        zero_at.append(-ta.s if ta.is_one and 0 <= -ta.s < length else length)
-    raw = theta_vec_cached(args, ctx)
+    zero_at = [-ta.s if ta.is_one and 0 <= -ta.s < length else length for ta in params]
     rows = []
     for r, z in enumerate(zero_at):
         if z < length:
@@ -156,30 +166,28 @@ def _poch_columns(
 def _vwp_reduce(
     ctx: ThetaContext,
     a1: TrackedArg,
-    numer: Sequence[TrackedArg],
-    denom: Sequence[TrackedArg],
-    n: int,
+    nums: list[TrackedArg],
+    dens: list[TrackedArg],
     merged: Optional[tuple[TrackedArg, int]],
+    n: int,
+    q2pow: list[complex],
+    vals: list[complex],
 ) -> Optional[tuple[complex, float, int]]:
-    """The work of ``vwp_sum``; None when a live term is not finite.
+    """The reduction of ``vwp_sum`` from the values of its arguments; None
+    when a live term is not finite.
 
     Division by an underflowed running product raises ZeroDivisionError and
     ``abs`` of a finite term beyond double range raises OverflowError, where
     array arithmetic would give inf or nan; the caller maps all three cases
     to the same ``PoleError``.
     """
-    big_j = n if merged is None else merged[1]
-    if big_j < n:
-        raise ValueError("merged numerator length must cover the sum range")
-    q2 = ctx.qpow(2)
-    q2pow = [q2**i for i in range(max(2 * n + 1, big_j))]
-    ncum, nzero, _ = _poch_columns(ctx, [a1, *numer], n, q2pow)
-    dcum, dzero, draw = _poch_columns(ctx, [qarg(1), *denom], n, q2pow)
+    cut = len(nums) * n
+    ncum, nzero, _ = _poch_columns(vals[:cut], nums, n)
+    dcum, dzero, draw = _poch_columns(vals[cut : cut + len(dens) * n], dens, n)
     if min(dzero) < n:
         raise PoleError("denominator Pochhammer factor hits an exact zero")
-    g = a1.value(ctx)
-    head = theta_vec_cached([g * q2pow[2 * k] for k in range(n + 1)] + [g], ctx)
-    th_a1 = head.pop()
+    cut += len(dens) * n
+    head, th_a1 = vals[cut : cut + n + 1], vals[cut + n + 1]
     if any(abs(v) < ctx.zero_guard for v in draw):
         raise PoleError("denominator theta factor below zero guard")
     if abs(th_a1) < ctx.zero_guard:
@@ -191,7 +199,8 @@ def _vwp_reduce(
     last = min(nzero)
     mzero = -1
     if merged is not None:
-        (mrow,), (mz,), _ = _poch_columns(ctx, [merged[0]], big_j, q2pow)
+        big_j = merged[1]
+        (mrow,), (mz,), _ = _poch_columns(vals[cut + n + 2 :], [merged[0]], big_j)
         if mz < big_j:
             mzero = mz
     live = [k for k in range(mzero + 1, last + 1) if not a1.theta_is_zero(2 * k)]
@@ -219,6 +228,66 @@ def _vwp_reduce(
     return value, max_term, live[-1] + 1 if live else 0
 
 
+def _vwp_build(
+    ctx: ThetaContext,
+    a1: TrackedArg,
+    numer: Sequence[TrackedArg],
+    denom: Sequence[TrackedArg],
+    n: int,
+    merged: Optional[tuple[TrackedArg, int]],
+) -> Plan:
+    """The plan of ``vwp_sum``, whose finish gives None for a term out of range.
+
+    Its arguments are the numerator rows, the denominator rows, the head
+    theta(a1 q^(4k)) for k = 0..n followed by theta(a1), and the merged row.
+    """
+    if n < 0:
+        raise ValueError("termination index must be >= 0")
+    if a1.theta_is_zero():
+        raise PoleError("leading series parameter hits an exact zero")
+    big_j = n if merged is None else merged[1]
+    if big_j < n:
+        raise ValueError("merged numerator length must cover the sum range")
+    q2 = ctx.qpow(2)
+    q2pow = [q2**i for i in range(max(2 * n + 1, big_j))]
+    nums, dens = [a1, *numer], [qarg(1), *denom]
+    g = a1.value(ctx)
+    args = _poch_args(ctx, nums, n, q2pow) + _poch_args(ctx, dens, n, q2pow)
+    args += [g * q2pow[2 * k] for k in range(n + 1)] + [g]
+    if merged is not None:
+        args += _poch_args(ctx, [merged[0]], big_j, q2pow)
+
+    def finish(vals: list[complex]) -> Optional[tuple[complex, float, int]]:
+        try:
+            return _vwp_reduce(ctx, a1, nums, dens, merged, n, q2pow, vals)
+        except (OverflowError, ZeroDivisionError):
+            return None
+
+    return Plan(ctx, args, finish)
+
+
+def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:
+    # Raised from here, away from the rows: a kept exception keeps every
+    # frame of its traceback (and of its context) alive, and callers may
+    # keep many.
+    if out is None:
+        raise PoleError("series term magnitude exceeds double precision range")
+    return out
+
+
+def vwp_plan(
+    ctx: ThetaContext,
+    a1: TrackedArg,
+    numer: Sequence[TrackedArg],
+    denom: Sequence[TrackedArg],
+    n: int,
+    merged: Optional[tuple[TrackedArg, int]] = None,
+) -> Plan:
+    """The plan of ``vwp_sum(ctx, a1, numer, denom, n, merged)``."""
+    plan = _vwp_build(ctx, a1, numer, denom, n, merged)
+    return Plan(ctx, plan.args, lambda vals: _in_range(plan.finish(vals)))
+
+
 def vwp_sum(
     ctx: ThetaContext,
     a1: TrackedArg,
@@ -235,22 +304,10 @@ def vwp_sum(
     denominator Pochhammer (c)_k is evaluated as the ratio (c)_J / (c)_k,
     i.e. multiplied in numerator position as the partial product over
     i = k..J-1; J >= n is required.  Returns (value, max term magnitude,
-    index of last contributing term + 1).
+    index of last contributing term + 1).  All theta values of the series
+    come from one lookup.
     """
-    if n < 0:
-        raise ValueError("termination index must be >= 0")
-    if a1.theta_is_zero():
-        raise PoleError("leading series parameter hits an exact zero")
-    try:
-        out = _vwp_reduce(ctx, a1, numer, denom, n, merged)
-    except (OverflowError, ZeroDivisionError):
-        out = None
-    if out is None:
-        # Raised here, outside the handler and away from the rows: a kept
-        # exception keeps every frame of its traceback (and of its context)
-        # alive, and callers may keep many.
-        raise PoleError("series term magnitude exceeds double precision range")
-    return out
+    return _in_range(_vwp_build(ctx, a1, numer, denom, n, merged).value())
 
 
 def _denominators(spec: SeriesSpec) -> list[TrackedArg]:

@@ -20,10 +20,21 @@ Each context keeps two caches of theta values, one per kernel:
 
 * the scalar memo (``theta``) maps an argument to the scalar kernel's value;
 * the vector cache (``theta_vec_cached``) maps an argument to the element
-  ``theta_vec`` computed for it.  ``ThetaProduct.value``, the series columns
-  and ``theta_multi`` look their arguments up there and send only the misses
-  to ``theta_vec``, in one call per lookup; the lookup returns a list of
-  Python complex numbers.
+  ``theta_vec`` computed for it.  ``ThetaProduct.value``, the series of
+  ``series.vwp_sum`` and ``theta_multi`` look their arguments up there and
+  send only the misses to ``theta_vec``, in one call per lookup; the lookup
+  returns a list of Python complex numbers.
+
+Building a value and evaluating it are two steps.  A ``Plan`` (of which
+``ThetaProduct`` is one) lists the theta arguments its value needs, and its
+``finish`` reduces their values; ``combine`` joins plans into one.  A caller
+that needs many values builds all of their plans first and looks the joined
+arguments up once: a biorthogonality check (``biorth.BiorthCache.resolve``)
+makes one lookup, and so at most one ``theta_vec`` call, for everything it
+evaluates.  The public functions (``pochhammer``, ``elliptic_binomial`` and
+the formulas of the other modules) build their plan and take its value.
+Integer powers q^(2n) of the tracked arguments come from a per-context memo
+(``ThetaContext.q2n``), which holds the number ``qpow(2 * n)`` returns.
 
 Both caches hold exactly what their kernel returned, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
@@ -56,7 +67,11 @@ __all__ = [
     "PoleError",
     "ThetaContext",
     "TrackedArg",
+    "Plan",
     "ThetaProduct",
+    "binomial_plan",
+    "combine",
+    "known",
     "qarg",
     "garg",
     "theta",
@@ -72,6 +87,7 @@ __all__ = [
 MAX_THETA_FACTORS = 2000
 # Entry cap of each per-context theta cache.
 MEMO_CAP = 1 << 20
+THETA_RANGE = "theta value exceeds double precision range"
 
 
 class PoleError(ArithmeticError):
@@ -108,10 +124,18 @@ class ThetaContext:
         object.__setattr__(self, "_lnq", math.log(self.q))
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_vec_cache", {})
+        object.__setattr__(self, "_q2n", {})
 
     def qpow(self, x: complex) -> complex:
         """q**x for arbitrary complex exponent x (principal branch)."""
         return cmath.exp(self._lnq * x)
+
+    def q2n(self, n: int) -> complex:
+        """q**(2n) for an integer n, memoized; the same number as ``qpow(2 * n)``."""
+        got = self._q2n.get(n)
+        if got is None:
+            got = self._q2n[n] = cmath.exp(self._lnq * (2 * n))
+        return got
 
 
 def theta(z: complex, ctx: ThetaContext) -> complex:
@@ -121,7 +145,8 @@ def theta(z: complex, ctx: ThetaContext) -> complex:
     sqrt(p) <= |z| < 1/sqrt(p) by quasi-periodicity; truncating the product
     at raw arguments would cost relative accuracy proportional to |z|.
     Scalar calls are memoized per context; word evaluation re-requests the
-    same shifted arguments many times over.
+    same shifted arguments many times over.  A value beyond the double range
+    raises ``PoleError``.
     """
     memo = ctx._memo
     got = memo.get(z)
@@ -134,11 +159,16 @@ def theta(z: complex, ctx: ThetaContext) -> complex:
     pref = 1.0 + 0.0j
     if m != 0:
         w = z * ctx.p ** (-m)
-        pref = (-1 if m % 2 else 1) * w ** (-m) * ctx.p ** (-m * (m - 1) // 2)
+        try:
+            pref = (-1 if m % 2 else 1) * w ** (-m) * ctx.p ** (-m * (m - 1) // 2)
+        except OverflowError:
+            raise PoleError(THETA_RANGE) from None
     acc = 1.0 + 0.0j
     for pj, pj1 in ctx._pairs:
         acc *= (1.0 - w * pj) * (1.0 - pj1 / w)
     acc *= pref
+    if not cmath.isfinite(acc):
+        raise PoleError(THETA_RANGE)
     if len(memo) < MEMO_CAP:
         memo[z] = acc
     return acc
@@ -226,7 +256,7 @@ class TrackedArg:
 
     def value(self, ctx: ThetaContext, i: int = 0) -> complex:
         """The argument times q^(2i), as a number."""
-        return ctx.qpow(2 * (self.s + i)) * self.generic
+        return ctx.q2n(self.s + i) * self.generic
 
     def theta_is_zero(self, i: int = 0) -> bool:
         """Exact vanishing of theta(self * q^(2i))."""
@@ -250,20 +280,64 @@ def _as_arg(a: ArgLike) -> TrackedArg:
     return a if isinstance(a, TrackedArg) else garg(a)
 
 
-class ThetaProduct:
+class Plan:
+    """A value reduced from theta values that have not been looked up yet.
+
+    ``args`` lists the theta arguments the reduction reads, in order, and
+    ``finish(vals)`` reduces their ``theta_vec`` values, given in the same
+    order.  Building a plan looks nothing up, so the plans of a whole check
+    can be built first and their arguments looked up together (``combine``).
+    """
+
+    def __init__(self, ctx: ThetaContext, args: list[complex], finish):
+        self.ctx = ctx
+        self.args = args
+        self.finish = finish
+
+    def value(self):
+        """Look the arguments up in one ``theta_vec_cached`` call and reduce them."""
+        return self.finish(theta_vec_cached(self.args, self.ctx))
+
+
+def known(ctx: ThetaContext, value) -> Plan:
+    """A plan that needs no theta value."""
+    return Plan(ctx, [], lambda vals: value)
+
+
+def combine(ctx: ThetaContext, parts: Sequence[Plan], fn) -> Plan:
+    """The plan of fn(v_1, ..., v_n) over the values of ``parts``.
+
+    Its arguments are those of the parts, joined in order; the parts are
+    finished in order, so the first error is the one evaluating them one by
+    one would raise.
+    """
+    args: list[complex] = []
+    cuts = [0]
+    for part in parts:
+        args += part.args
+        cuts.append(len(args))
+
+    def finish(vals: list[complex]):
+        return fn(*[part.finish(vals[a:b]) for part, a, b in zip(parts, cuts, cuts[1:])])
+
+    return Plan(ctx, args, finish)
+
+
+class ThetaProduct(Plan):
     """Deferred product of theta factors and plain scalars.
 
-    Factors are collected and evaluated in one lookup of the context's
-    vector cache.
+    ``args`` lists the factors' arguments, and ``value()`` evaluates them in
+    one lookup of the context's vector cache.
     Numerator factors that vanish exactly are counted instead of multiplied,
     so ``value()`` returns exactly 0 when any survive; denominator factors
     that vanish exactly, or whose magnitude falls below the zero guard, raise
-    ``PoleError``.
+    ``PoleError``.  The scalar may itself be a plan (an elliptic binomial,
+    say): its arguments then come first, and it is finished first.
     """
 
-    def __init__(self, ctx: ThetaContext, scalar: complex = 1.0 + 0.0j):
-        self._ctx = ctx
-        self.scalar = complex(scalar)
+    def __init__(self, ctx: ThetaContext, scalar: complex | Plan = 1.0 + 0.0j):
+        self.ctx = ctx
+        self.scalar = scalar if isinstance(scalar, Plan) else complex(scalar)
         self.zeros = 0
         self._num: list[complex] = []
         self._den: list[complex] = []
@@ -276,10 +350,7 @@ class ThetaProduct:
         """Multiply by theta(arg)^count, or divide when ``inv``."""
         if count < 0:
             inv, count = not inv, -count
-        ta = _as_arg(arg)
-        for _ in range(count):
-            self._factor(ta, 0, inv)
-        return self
+        return self._block(_as_arg(arg), (0,) * count, inv)
 
     def poch(self, arg: ArgLike, n: int, inv: bool = False) -> "ThetaProduct":
         """Multiply by the length-n Pochhammer product of theta(arg * q^(2i)).
@@ -287,32 +358,39 @@ class ThetaProduct:
         Negative n uses the reflection convention, a length -n product of
         inverse factors at arguments arg * q^(-2i), i = 1..-n.
         """
-        ta = _as_arg(arg)
         if n >= 0:
-            shifts = range(n)
-        else:
-            shifts, inv = range(-1, n - 1, -1), not inv
-        for i in shifts:
-            self._factor(ta, i, inv)
-        return self
+            return self._block(_as_arg(arg), range(n), inv)
+        return self._block(_as_arg(arg), range(-1, n - 1, -1), not inv)
 
-    def _factor(self, ta: TrackedArg, i: int, inv: bool) -> None:
-        """Take in theta(ta * q^(2i)): count an exact zero, else queue its argument."""
-        if ta.theta_is_zero(i):
+    def _block(self, ta: TrackedArg, shifts: Sequence[int], inv: bool) -> "ThetaProduct":
+        """Take in theta(ta * q^(2i)) for i in shifts: count exact zeros, queue the rest."""
+        if ta.is_one and -ta.s in shifts:
             if inv:
                 raise PoleError("exact zero theta factor in denominator")
-            self.zeros += 1
-        else:
-            (self._den if inv else self._num).append(ta.value(self._ctx, i))
+            self.zeros += shifts.count(-ta.s)
+            shifts = [i for i in shifts if not ta.theta_is_zero(i)]
+        q2n, s, g = self.ctx.q2n, ta.s, ta.generic
+        queue = self._den if inv else self._num
+        for i in shifts:
+            queue.append(q2n(s + i) * g)
+        return self
 
-    def value(self) -> complex:
-        # One lookup covers the denominators and, unless a numerator zero
-        # already decides the result, the numerators behind them.
+    @property
+    def args(self) -> list[complex]:
+        """The arguments ``value()`` looks up: a plan scalar's, the
+        denominators, and the numerators unless a numerator zero already
+        decides the result."""
+        own = self._den if self.zeros > 0 else self._den + self._num
+        return self.scalar.args + own if isinstance(self.scalar, Plan) else own
+
+    def finish(self, vals: list[complex]) -> complex:
+        scalar = self.scalar
+        if isinstance(scalar, Plan):
+            cut = len(scalar.args)
+            scalar, vals = scalar.finish(vals[:cut]), vals[cut:]
         dlen = len(self._den)
-        args = self._den if self.zeros > 0 else self._den + self._num
-        vals = theta_vec_cached(args, self._ctx)
         dens, nums = vals[:dlen], vals[dlen:]
-        guard = self._ctx.zero_guard
+        guard = self.ctx.zero_guard
         try:
             for den in dens:
                 if abs(den) < guard:
@@ -331,7 +409,7 @@ class ThetaProduct:
                 prod *= 1.0 / den
         except (OverflowError, ZeroDivisionError):
             raise PoleError("theta product exceeds double precision range") from None
-        out = self.scalar * prod
+        out = scalar * prod
         if not cmath.isfinite(out):
             raise PoleError("theta product exceeds double precision range")
         return out
@@ -360,6 +438,17 @@ def pochhammer_ratio(a: TrackedArg, num_len: int, den_len: int, ctx: ThetaContex
     return tp.value()
 
 
+def binomial_plan(k: int, l: int, ctx: ThetaContext) -> Plan:
+    """Plan of ``elliptic_binomial(k, l, ctx)``."""
+    if l <= 0 or l >= k:
+        return known(ctx, elliptic_binomial(k, l, ctx))
+    tp = ThetaProduct(ctx)
+    for i in range(1, l + 1):
+        tp.theta(qarg(k - l + i))
+        tp.theta(qarg(i), inv=True)
+    return tp
+
+
 def elliptic_binomial(k: int, l: int, ctx: ThetaContext) -> complex:
     """Elliptic binomial coefficient, the theta analogue of k choose l.
 
@@ -369,8 +458,4 @@ def elliptic_binomial(k: int, l: int, ctx: ThetaContext) -> complex:
         return 0.0 + 0.0j
     if l == 0 or l == k:
         return 1.0 + 0.0j
-    tp = ThetaProduct(ctx)
-    for i in range(1, l + 1):
-        tp.theta(qarg(k - l + i))
-        tp.theta(qarg(i), inv=True)
-    return tp.value()
+    return binomial_plan(k, l, ctx).value()

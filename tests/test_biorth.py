@@ -1,5 +1,8 @@
 """Biorthogonality of the matrix-element family against its explicit weights."""
 
+import dataclasses
+import importlib
+
 import pytest
 
 from ellu2.biorth import (
@@ -15,9 +18,11 @@ from ellu2.biorth import (
     weight_w1,
     weight_w2,
 )
-from ellu2.biorth import _series_parts
+from ellu2.biorth import _ITEMS, _series_parts
 from ellu2.series import vwp_sum
-from ellu2.theta import PoleError, pochhammer
+from ellu2.theta import PoleError, ThetaContext, pochhammer
+
+theta_mod = importlib.import_module("ellu2.theta")
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +106,68 @@ def test_merged_rewrite_matches_direct_member(bp):
 def test_weights_normalized_at_origin(bp):
     assert abs(weight_w1(bp, 0, 0) - 1.0) <= 1e-12
     assert abs(weight_w2(bp, 0, 0) - 1.0) <= 1e-12
+
+
+def level_four(guard=1e-12):
+    return BiorthParams(
+        4, 0.8 + 0.4j, 1, 0.3 - 0.2j, 1.2 + 0.5j, ThetaContext(0.12, 0.67, zero_guard=guard)
+    )
+
+
+class ItemByItem(BiorthCache):
+    """Evaluates every item of a check alone, on a fresh context: no shared lookup."""
+
+    def resolve(self, bp, keys):
+        out = {}
+        for key in keys:
+            fresh = dataclasses.replace(bp, ctx=ThetaContext(bp.ctx.p, bp.ctx.q))
+            out[key] = _ITEMS[key[0]](fresh, *key[1:]).value()
+        return out
+
+
+def bits(report):
+    return [x.hex() for x in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("check", [check_biorth, check_dual_biorth])
+def test_batched_reports_equal_item_by_item(check):
+    bp = level_four()
+    cache = BiorthCache()
+    for k in range(bp.N + 1):
+        for l in range(bp.N + 1):
+            batched = check(bp, k, l, cache)
+            assert bits(batched) == bits(check(bp, k, l, ItemByItem()))
+
+
+@pytest.mark.parametrize("check", [check_biorth, check_dual_biorth])
+def test_full_sweep_makes_few_kernel_calls(monkeypatch, check):
+    calls = []
+    kernel = theta_mod.theta_vec
+
+    def counted(zs, ctx):
+        calls.append(len(zs))
+        return kernel(zs, ctx)
+
+    monkeypatch.setattr(theta_mod, "theta_vec", counted)
+    bp = level_four()
+    cache = BiorthCache()
+    for k in range(bp.N + 1):
+        for l in range(bp.N + 1):
+            before = len(calls)
+            check(bp, k, l, cache)
+            # One kernel call per check, and none when every argument is cached.
+            assert len(calls) - before <= 1
+    assert 0 < len(calls) <= 2 * (bp.N + 1) ** 2
+
+
+def test_exact_zero_denominator_error_is_unchanged():
+    # h_5 at level 4 holds the exact zero of (q^(-8); q^2)_5 in a denominator.
+    with pytest.raises(PoleError, match="^exact zero theta factor in denominator$"):
+        check_biorth(level_four(), 5, 0)
+    with pytest.raises(PoleError, match="^exact zero theta factor in denominator$"):
+        check_dual_biorth(level_four(), 0, 5)
+    # An item evaluated before the failing build raises first, as it would
+    # one item at a time: here c_det_product, whose denominators all fall
+    # below a zero guard of 1e3.
+    with pytest.raises(PoleError, match="below zero guard"):
+        check_biorth(level_four(guard=1e3), 5, 0)

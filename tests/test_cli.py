@@ -207,6 +207,8 @@ def test_check_biorth_table(capsys):
         ],
         ["check", "relations", "--omega", "nan", "--samples", "1"],
         ["run", "--suite", "theta", "--seed", "-1"],
+        # A theta value beyond the double range.
+        ["eval", "theta", "--z", "1e-40", "--p", "0.05", "--q", "0.3"],
     ],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, argv):

@@ -1,6 +1,9 @@
 """Corepresentation matrix elements: oracle tower, coproduct, unitarity."""
 
+import importlib
+
 import numpy as np
+import pytest
 
 from ellu2.corep import (
     check_coproduct,
@@ -18,7 +21,11 @@ from ellu2.corep import (
     tau_tilde_closed,
 )
 from ellu2.rep import RepContext, apply_word, relation_inventory
+from ellu2.theta import ThetaProduct, qarg
 from ellu2.words import star
+
+corep_mod = importlib.import_module("ellu2.corep")
+theta_mod = importlib.import_module("ellu2.theta")
 
 
 def draw_rc(ctx, rng):
@@ -146,3 +153,37 @@ def test_gamma_factor_inverse_pair(ctx, rng):
             assert abs(direct - via_cf) <= 1e-12 * max(abs(direct), 1e-300)
             product = direct * inv_gamma_factor(N, k, ctx)(x)
             assert abs(product - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("closed", [tau_closed, tau_tilde_closed])
+def test_zero_head_builds_no_series(monkeypatch, ctx, closed):
+    # The heads of the closed forms carry no exact zero at valid indices, so
+    # one is added: every head product gets a factor theta(1) = 0.
+    class ZeroHead(ThetaProduct):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.theta(qarg(0))
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("series built behind an exactly zero head")
+
+    looked_up = []
+    lookup = theta_mod.theta_vec_cached
+
+    def recorded(zs, ctx):
+        looked_up.append(len(zs))
+        return lookup(zs, ctx)
+
+    monkeypatch.setattr(corep_mod, "ThetaProduct", ZeroHead)
+    monkeypatch.setattr(corep_mod, "vwp_plan", no_series)
+    monkeypatch.setattr(theta_mod, "theta_vec_cached", recorded)
+    N, k, j, m = 3, 1, 2, 2
+    assert closed(N, k, j, m, 0.4 + 0.2j, 1.3 - 0.2j, 0.3 + 0.1j, ctx) == 0
+    # One lookup, of the head's denominator blocks only: for tau, three of
+    # length j and one each of lengths k, N - k - j and N; for tau tilde,
+    # four of length j, two of length k and two of length N - j - k.
+    dens = {
+        tau_closed: 3 * j + k + (N - k - j) + N,
+        tau_tilde_closed: 4 * j + 2 * k + 2 * (N - j - k),
+    }
+    assert looked_up == [dens[closed]]

@@ -20,6 +20,7 @@ from ellu2.series import (
 from ellu2.theta import PoleError, ThetaContext, ThetaProduct, garg, qarg, theta_vec_cached
 
 series_mod = importlib.import_module("ellu2.series")
+theta_mod = importlib.import_module("ellu2.theta")
 
 
 def balanced_spec(ctx, rng, n):
@@ -181,6 +182,27 @@ def test_vwp_sum_matches_termwise_evaluation(ctx, rng):
     assert checked == 48
 
 
+def test_vwp_sum_makes_one_kernel_call_per_series(monkeypatch, rng):
+    calls = []
+    kernel = theta_mod.theta_vec
+
+    def counted(zs, ctx):
+        calls.append(len(zs))
+        return kernel(zs, ctx)
+
+    monkeypatch.setattr(theta_mod, "theta_vec", counted)
+    for n in (0, 1, 3, 6, 9, 12):
+        b, c, d, a1 = annulus(rng, 4)
+        for merged in (None, (garg(d), n + 2), (qarg(-2), n + 3)):
+            fresh = ThetaContext(0.17, 0.8)
+            calls.clear()
+            vwp_sum(fresh, garg(a1), [garg(b), qarg(-2), garg(c)], [garg(d)], n, merged=merged)
+            assert len(calls) == 1
+            # Numerator rows, denominator rows, head and theta(a1), merged row.
+            rows = 4 * n + 2 * n + n + 2 + (0 if merged is None else merged[1])
+            assert calls[0] <= rows
+
+
 def test_exact_zeros_end_the_series(ctx, rng):
     b, c, d, e = annulus(rng, 4)
     spec = SeriesSpec(garg(1.1 + 0.2j), (garg(b), qarg(-2), garg(d), garg(e), qarg(-6)), 4, ctx)
@@ -197,7 +219,7 @@ def test_exact_zeros_end_the_series(ctx, rng):
 def synthetic_rows(monkeypatch, num_row, den_row):
     """Make vwp_sum see the given running products for its two rows."""
 
-    def fake(ctx, params, length, q2pow):
+    def fake(raw, params, length):
         row = den_row if params[0].is_one else num_row
         return [row], [length], [1.0 + 0.0j] * length
 

@@ -303,3 +303,24 @@ def test_theta_product_range_errors_are_pole_errors():
     ctx._vec_cache[0.5 + 0j] = complex(1.5e308, 1.5e308)
     with pytest.raises(PoleError, match="double precision range"):
         ThetaProduct(ctx).theta(garg(0.5), inv=True).value()
+
+
+def test_scalar_theta_out_of_range_is_pole_error():
+    ctx = ThetaContext(0.05, 0.3)
+    # 1e-29 has a non-finite annulus prefactor; at 1e-40 and 1e40 forming it
+    # raises OverflowError.  Neither value is memoized.
+    for z in (1e-29 + 0j, 1e-40 + 0j, 1e40 + 0j):
+        with pytest.raises(PoleError, match="^theta value exceeds double precision range$"):
+            theta(z, ctx)
+        assert z not in ctx._memo
+    big = theta(1e-20 + 0j, ctx)
+    assert np.isfinite(big) and abs(big) > 1e140
+
+
+def test_q2n_is_qpow_of_even_exponents():
+    ctx = ThetaContext(0.21, 0.77)
+    for n in range(-40, 41):
+        first = ctx.q2n(n)
+        assert first == ctx.qpow(2 * n) and ctx.q2n(n) is first
+    ta = garg(0.3 - 1.2j).shifted(-3)
+    assert ta.value(ctx, 5) == ctx.qpow(2 * (ta.s + 5)) * ta.generic
