@@ -31,6 +31,7 @@ from .theta import (
     elliptic_binomial,
     garg,
     known,
+    memo_per_context,
     qarg,
     theta,
 )
@@ -349,6 +350,7 @@ def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:
     return tp
 
 
+@memo_per_context
 def gamma_factor(N: int, k: int, x: complex, ctx: ThetaContext) -> complex:
     """Diagonal normalization in the inversion identity for level N."""
     return gamma_plan(N, k, x, ctx).value()

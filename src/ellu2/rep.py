@@ -6,7 +6,9 @@ multiplies by a theta-quotient coefficient depending on (k, lam, z), shifts
 lam by +-1 inside the accumulated function, and moves the index k by the
 letter weight (beta raises, gamma lowers and kills e_0, alpha and delta keep).
 Function letters fl / fr multiply by f(lam - omega + 2k) and f(lam); the
-inverse determinant letter is a lam-independent scalar.
+inverse determinant letter is a lam-independent scalar.  The coefficient
+functions are memoized per context (``theta.memo_per_context``): the paths
+of a word ask for the same (k, lam, z) again most of the time.
 
 ``relation_inventory`` builds the defining exchange relations as pairs of
 algebra elements; ``check_relations`` evaluates both sides on basis vectors
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .rmatrix import r_entries
-from .theta import PoleError, ThetaContext, theta
+from .theta import PoleError, ThetaContext, memo_per_context, theta
 from .words import (
     AlgebraElement,
     CoefficientFn,
@@ -76,6 +78,7 @@ def _den(lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex
     return d
 
 
+@memo_per_context
 def coef_a(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     num = theta(ctx.qpow(-2 * (lam + 1) - 2 * k), ctx) * theta(
         z * ctx.qpow(omega - 2 * k + 1), ctx
@@ -83,6 +86,7 @@ def coef_a(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) 
     return ctx.qpow(2 * k) * num / _den(lam, z, omega, ctx)
 
 
+@memo_per_context
 def coef_b(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     num = theta(ctx.qpow(2), ctx) * theta(
         z * ctx.qpow(-2 * (lam + 1) + omega - 2 * k - 1), ctx
@@ -90,6 +94,7 @@ def coef_b(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) 
     return ctx.qpow(k) * num / _den(lam, z, omega, ctx)
 
 
+@memo_per_context
 def coef_c(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     if k == 0:
         return 0.0 + 0.0j
@@ -108,6 +113,7 @@ def coef_c(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) 
     return ctx.qpow(-(k - 1)) * num / den
 
 
+@memo_per_context
 def coef_d(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     num = theta(ctx.qpow(-2 * (lam + 1 - omega + k)), ctx) * theta(
         z * ctx.qpow(-omega + 2 * k + 1), ctx
@@ -115,6 +121,7 @@ def coef_d(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) 
     return num / _den(lam, z, omega, ctx)
 
 
+@memo_per_context
 def det_scalar(z: complex, omega: complex, ctx: ThetaContext) -> complex:
     """Scalar by which the determinant element acts, independent of lam and k."""
     den = theta(z * ctx.qpow(1 + omega), ctx)

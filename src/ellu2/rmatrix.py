@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .theta import PoleError, ThetaContext, theta
+from .theta import PoleError, ThetaContext, memo_per_context, theta
 
 __all__ = [
     "r_entries",
@@ -31,6 +31,7 @@ def _guarded(value: complex, ctx: ThetaContext, label: str) -> complex:
     return value
 
 
+@memo_per_context
 def r_entries(lam: complex, z: complex, ctx: ThetaContext) -> tuple[complex, complex, complex, complex]:
     """Middle-block entries (a, b, c, d) at dynamical parameter lam and spectral z."""
     q2 = ctx.qpow(2)

@@ -16,14 +16,21 @@ part: a product with surviving numerator zeros is exactly 0, while an exact or
 near-exact zero in denominator position raises ``PoleError`` instead of
 propagating garbage.
 
-Each context keeps two caches of theta values, one per kernel:
+Each context keeps two caches of theta values, one per kernel, and one memo
+of the coefficient functions built on them:
 
 * the scalar memo (``theta``) maps an argument to the scalar kernel's value;
 * the vector cache (``theta_vec_cached``) maps an argument to the element
   ``theta_vec`` computed for it.  ``ThetaProduct.value``, the series of
   ``series.vwp_sum`` and ``theta_multi`` look their arguments up there and
   send only the misses to ``theta_vec``, in one call per lookup; the lookup
-  returns a list of Python complex numbers.
+  returns a list of Python complex numbers;
+* the value memo (``memo_per_context``) maps ``(fn, args)`` to what
+  ``fn(*args, ctx)`` returned, for the pure functions whose last argument is
+  the context: the representation coefficients ``rep.coef_a`` ... ``coef_d``
+  and ``det_scalar``, ``rmatrix.r_entries`` and ``corep.gamma_factor``.
+  Word evaluation asks for the same coefficient many times over.  A call
+  that raises stores nothing, so it raises again when repeated.
 
 Building a value and evaluating it are two steps.  A ``Plan`` (of which
 ``ThetaProduct`` is one) lists the theta arguments its value needs, and its
@@ -36,13 +43,15 @@ the formulas of the other modules) build their plan and take its value.
 Integer powers q^(2n) of the tracked arguments come from a per-context memo
 (``ThetaContext.q2n``), which holds the number ``qpow(2 * n)`` returns.
 
-Both caches hold exactly what their kernel returned, so a cached value is
+All three hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
-rest of its batch.  The two are kept apart because the scalar and vector
-kernels round differently in the last bit.  ``theta_vec`` itself stays
-uncached: on batches of fresh arguments the lookup costs more than it saves.
-The scalar memo stops growing at ``MEMO_CAP`` entries; the vector cache
-starts over when a lookup would take it past that.
+rest of its batch, and a memoized function's value depends only on its
+arguments and its context.  The two theta caches are kept apart because the
+scalar and vector kernels round differently in the last bit.  ``theta_vec``
+itself stays uncached: on batches of fresh arguments the lookup costs more
+than it saves.
+The scalar memo and the value memo stop growing at ``MEMO_CAP`` entries;
+the vector cache starts over when a lookup would take it past that.
 
 The products and quotients of cached values (``ThetaProduct.value``,
 ``theta_multi`` and the series in ``series.vwp_sum``) are reduced with plain
@@ -57,9 +66,10 @@ beyond the double range raises ``OverflowError`` and division by zero raises
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -74,6 +84,7 @@ __all__ = [
     "known",
     "qarg",
     "garg",
+    "memo_per_context",
     "theta",
     "theta_vec",
     "theta_vec_cached",
@@ -85,7 +96,7 @@ __all__ = [
 ]
 
 MAX_THETA_FACTORS = 2000
-# Entry cap of each per-context theta cache.
+# Entry cap of each per-context cache.
 MEMO_CAP = 1 << 20
 THETA_RANGE = "theta value exceeds double precision range"
 
@@ -125,6 +136,7 @@ class ThetaContext:
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_vec_cache", {})
         object.__setattr__(self, "_q2n", {})
+        object.__setattr__(self, "_values", {})
 
     def qpow(self, x: complex) -> complex:
         """q**x for arbitrary complex exponent x (principal branch)."""
@@ -238,12 +250,39 @@ def theta_condition(z: complex, p: float) -> float:
     return cond
 
 
-@dataclass(frozen=True)
-class TrackedArg:
+_MISSING = object()
+
+
+def memo_per_context(fn):
+    """Memoize ``fn(*args, ctx)`` on the context passed last, keyed by ``(fn, args)``.
+
+    ``fn`` must be pure on its context: the memo returns exactly the value the
+    first call returned.  Keys compare like the scalar memo's, by value.  A
+    call that raises stores nothing.  The memo of a context stops growing at
+    ``MEMO_CAP`` entries.  Arguments are passed positionally.
+    """
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        memo = args[-1]._values
+        key = (fn, args[:-1])
+        got = memo.get(key, _MISSING)
+        if got is _MISSING:
+            got = fn(*args)
+            if len(memo) < MEMO_CAP:
+                memo[key] = got
+        return got
+
+    return memoized
+
+
+class TrackedArg(NamedTuple):
     """Argument q^(2s) * generic with exact bookkeeping of the integer part.
 
     ``is_one`` asserts the generic part is the constant 1 by construction, so
     theta of the argument vanishes exactly iff ``is_one`` and ``s == 0``.
+    An immutable tuple, equal and hashed by value; plans build many of them,
+    and a tuple costs far less to make than a frozen dataclass.
     """
 
     s: int
@@ -252,7 +291,7 @@ class TrackedArg:
 
     def shifted(self, i: int) -> "TrackedArg":
         """Multiply by q^(2i)."""
-        return TrackedArg(self.s + i, self.generic, self.is_one)
+        return _new_arg(TrackedArg, (self.s + i, self.generic, self.is_one))
 
     def value(self, ctx: ThetaContext, i: int = 0) -> complex:
         """The argument times q^(2i), as a number."""
@@ -263,14 +302,19 @@ class TrackedArg:
         return self.is_one and self.s + i == 0
 
 
+# Builds a TrackedArg from a ready tuple, skipping the argument handling of
+# the generated constructor.
+_new_arg = tuple.__new__
+
+
 def qarg(s: int) -> TrackedArg:
     """Tracked pure power q^(2s)."""
-    return TrackedArg(s, 1.0 + 0.0j, True)
+    return _new_arg(TrackedArg, (s, 1.0 + 0.0j, True))
 
 
 def garg(value: complex) -> TrackedArg:
     """Generic (untracked) argument; assumed to never vanish exactly."""
-    return TrackedArg(0, complex(value), False)
+    return _new_arg(TrackedArg, (0, complex(value), False))
 
 
 ArgLike = Union[TrackedArg, complex, float, int]

@@ -1,0 +1,111 @@
+"""The program names and parameters the benchmark's tracer binds to.
+
+``perfbench/tracer.py`` wraps module-level functions of the package from
+outside and reads some of their arguments by position (the batch of
+``theta_vec``, the context of ``theta``, the order of ``vwp_sum``, the key of
+``BiorthCache.get``).  A renamed function, a moved parameter, or a wrapper
+that hides its function's signature would break ``--trace 1`` runs or make
+them count the wrong thing, so the signatures are pinned here.  The
+benchmark is only read, never changed.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from ellu2.theta import ThetaContext
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# (module, name, parameters) of every function the tracer binds.
+TRACED = [
+    ("theta", "theta_vec", ("zs", "ctx")),
+    ("theta", "theta", ("z", "ctx")),
+    ("series", "vwp_sum", ("ctx", "a1", "numer", "denom", "n", "merged")),
+    ("series", "eval_omega_termwise", ("spec",)),
+    ("rmatrix", "r_entries", ("lam", "z", "ctx")),
+    ("rmatrix", "qdybe_residual", ("lam", "z1", "z2", "z3", "ctx")),
+    ("words", "star", ("el", "ctx")),
+    ("words", "antipode", ("el", "ctx")),
+    ("words", "coproduct", ("el",)),
+    ("words", "counit", ("el",)),
+    ("corep", "t_word", ("N", "k", "j", "z", "ctx")),
+    ("corep", "tau_closed", ("N", "k", "j", "m", "lam", "z", "omega", "ctx")),
+    ("corep", "tau_product", ("N", "k", "j", "m", "lam", "z", "omega", "ctx")),
+    ("corep", "check_coproduct", ("N", "z", "m", "n", "rc1", "rc2")),
+    ("corep", "check_tensor_relation", ("lhs", "rhs", "m", "n", "rc1", "rc2")),
+    ("corep", "check_unitarity", ("N", "k", "j", "z", "m", "rc")),
+    ("corep", "check_inversion_words", ("N", "k", "l", "z", "m", "rc")),
+    ("corep", "check_counit_exact", ("N", "z", "ctx")),
+    ("corep", "linear_independence_ratio", ("N", "lam", "omega", "ctx", "points")),
+    ("rep", "apply_word", ("el", "m", "rc")),
+    ("rep", "apply_word_scaled", ("el", "m", "rc")),
+    ("rep", "apply_word_states", ("el", "m", "rc")),
+    ("rep", "coef_a", ("k", "lam", "z", "omega", "ctx")),
+    ("rep", "coef_b", ("k", "lam", "z", "omega", "ctx")),
+    ("rep", "coef_c", ("k", "lam", "z", "omega", "ctx")),
+    ("rep", "coef_d", ("k", "lam", "z", "omega", "ctx")),
+    ("biorth", "check_biorth", ("bp", "k", "l", "cache")),
+    ("biorth", "check_dual_biorth", ("bp", "k", "l", "cache")),
+    ("biorth", "weight_w1", ("bp", "i1", "i2", "merged")),
+    ("biorth", "weight_w2", ("bp", "i1", "i2", "merged")),
+    ("biorth", "norm_h", ("bp", "k")),
+    ("biorth", "c_det_product", ("bp",)),
+    ("sampling", "run_with_redraws", ("fn", "max_redraws")),
+]
+
+
+def _module(name):
+    return importlib.import_module(f"ellu2.{name}")
+
+
+def _params(fn):
+    return tuple(inspect.signature(fn).parameters)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("mod,name,params", TRACED, ids=[f"{m}.{n}" for m, n, _ in TRACED])
+def test_traced_function_keeps_its_parameters(mod, name, params):
+    fn = getattr(_module(mod), name)
+    assert callable(fn)
+    assert _params(fn) == params
+
+
+def test_traced_methods_keep_their_parameters():
+    assert _params(_module("theta").ThetaProduct.value) == ("self",)
+    cache_cls = _module("biorth").BiorthCache
+    assert _params(cache_cls.get) == ("self", "key", "fn")
+    # The tracer counts a hit by looking the key up in ``_store``.
+    cache = cache_cls()
+    assert cache.get(("k",), lambda: 1.5) == 1.5
+    assert ("k",) in cache._store
+
+
+def test_tracer_counts_memoized_calls_and_restores_every_binding():
+    rep, corep = _module("rep"), _module("corep")
+    original = rep.coef_b
+    assert corep.coef_b is original
+    ctx = ThetaContext(0.13, 0.62)
+    args = (2, 0.3 + 0.1j, 1.2 - 0.4j, 0.45 + 0.2j)
+    tracer = _load_tracer().Tracer().install()
+    try:
+        assert rep.coef_b is not original and corep.coef_b is rep.coef_b
+        first = rep.coef_b(*args, ctx)
+        again = rep.coef_b(*args, ctx)
+        metrics = tracer.metrics()
+    finally:
+        tracer.close()
+    assert rep.coef_b is original and corep.coef_b is original
+    assert first == again == original(*args, ThetaContext(0.13, 0.62))
+    # Calls into the memo are counted, hits included; only the miss reaches theta.
+    assert metrics["rep.coef_calls"] == 2
+    assert metrics["theta.scalar_calls"] == 4

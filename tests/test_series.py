@@ -33,13 +33,14 @@ def balanced_spec(ctx, rng, n):
 
 
 def test_spec_validation(ctx):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one upper parameter$"):
         SeriesSpec(garg(1.1), (), 0, ctx)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^termination_slot out of range$"):
         SeriesSpec(garg(1.1), (qarg(-2),), 1, ctx)
-    with pytest.raises(ValueError):
+    exact = r"^termination slot must be an exact q\^\(-2n\) power, n >= 0$"
+    with pytest.raises(ValueError, match=exact):
         SeriesSpec(garg(1.1), (garg(0.5), qarg(-2)), 0, ctx)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact):
         SeriesSpec(garg(1.1), (garg(0.5), qarg(2)), 1, ctx)
     spec = SeriesSpec(garg(1.1), (garg(0.5), qarg(-2)), 1, ctx)
     assert spec.termination_index == 2

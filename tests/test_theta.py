@@ -11,6 +11,7 @@ from ellu2.theta import (
     PoleError,
     ThetaContext,
     ThetaProduct,
+    TrackedArg,
     elliptic_binomial,
     garg,
     pochhammer,
@@ -324,3 +325,55 @@ def test_q2n_is_qpow_of_even_exponents():
         assert first == ctx.qpow(2 * n) and ctx.q2n(n) is first
     ta = garg(0.3 - 1.2j).shifted(-3)
     assert ta.value(ctx, 5) == ctx.qpow(2 * (ta.s + 5)) * ta.generic
+
+
+def test_tracked_arg_is_immutable():
+    ta = qarg(2)
+    for name, value in (("s", 3), ("generic", 2.0 + 0j), ("is_one", False), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(ta, name, value)
+    assert ta == qarg(2)
+
+
+def test_tracked_arg_equality_and_hash_by_value():
+    assert TrackedArg(2, 1.0 + 0.0j, True) == qarg(2)
+    assert hash(TrackedArg(2, 1.0 + 0.0j, True)) == hash(qarg(2))
+    assert garg(0.5 - 0.25j) == TrackedArg(0, 0.5 - 0.25j, False)
+    assert hash(garg(0.5 - 0.25j)) == hash(TrackedArg(0, 0.5 - 0.25j, False))
+    assert TrackedArg(3) == TrackedArg(3, 1.0 + 0.0j, False)
+    assert len({qarg(1), qarg(1), garg(1.0), qarg(-1)}) == 3
+    assert qarg(0) != garg(1.0)
+    assert qarg(1) != qarg(2)
+    assert garg(0.5) != garg(0.5 + 1e-16j)
+
+
+def test_qarg_and_garg_fields():
+    ta = qarg(-3)
+    assert (ta.s, ta.generic, ta.is_one) == (-3, 1.0 + 0.0j, True)
+    assert type(ta) is TrackedArg and type(ta.generic) is complex
+    ga = garg(2)
+    assert (ga.s, ga.generic, ga.is_one) == (0, 2.0 + 0.0j, False)
+    assert type(ga) is TrackedArg and type(ga.generic) is complex
+    assert garg(np.complex128(0.3 - 0.4j)).generic == 0.3 - 0.4j
+    assert type(garg(np.complex128(0.3 - 0.4j)).generic) is complex
+    default = TrackedArg(4)
+    assert (default.generic, default.is_one) == (1.0 + 0.0j, False)
+
+
+def test_tracked_arg_value_shifted_and_zeros(rng):
+    ctx = ThetaContext(0.19, 0.71)
+    for _ in range(50):
+        s, generic = int(rng.integers(-6, 7)), complex(*rng.normal(size=2))
+        ta = TrackedArg(s, generic, bool(rng.integers(2)))
+        for i in range(-3, 4):
+            want = ctx.q2n(ta.s + i) * ta.generic
+            got = ta.value(ctx, i)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            moved = ta.shifted(i)
+            assert type(moved) is TrackedArg
+            assert moved == TrackedArg(ta.s + i, ta.generic, ta.is_one)
+            assert moved.theta_is_zero() == ta.theta_is_zero(i) == (ta.is_one and ta.s + i == 0)
+    assert qarg(0).theta_is_zero() and qarg(-2).theta_is_zero(2)
+    assert not qarg(-2).theta_is_zero() and not garg(1.0).theta_is_zero()
+    assert qarg(-2).shifted(2) == qarg(0)
+    assert theta(qarg(-2).shifted(2).value(ctx), ctx) == 0
