@@ -4,7 +4,7 @@ A pair of terminating very well poised series families, differing by a shift
 of the spectral parameter, satisfies a weighted biorthogonality relation with
 explicit weights w1, w2 and quadratic norm h.  ``check_biorth`` and
 ``check_dual_biorth`` evaluate the explicit sums and compare them against
-delta(k, l) targets; ``biorth_oracle_term`` rebuilds every summand from the
+delta(k, l) targets, and compare every summand with its value rebuilt from the
 representation side (closed tau forms, gamma normalizations, determinant
 scalars), which is treated as ground truth for the weight formulas.
 
@@ -15,23 +15,39 @@ variants of the weights carry the sign-and-power part, and the matching
 series are evaluated with the ascending part folded into each term.
 
 A check names the items it needs by cache key: the weights (with their
-per-params norms), the merged series members, the norm h, the determinant
-product, and the representation-side tau, tau tilde and gamma factors.
-``BiorthCache.resolve`` builds each item the cache does not hold as a plan
-(see ``theta``), looks all of their theta arguments up in one call, and then
-finishes the items in the order the check lists them.  ``biorth_term``,
-``dual_term`` and ``biorth_oracle_term`` combine the same items.
+norms), the merged series members, the norm h, the determinant product, and
+the representation-side tau, tau tilde and gamma factors.  Each item is a
+plan (see ``theta``) whose theta arguments and scalars all have the form
+q^(a Λ + b ω + c) z^d zbar^e, where a, b, c, d and e depend only on the
+shape: the level N, the shift M and the item's indices.  So an item is built
+once per shape, as a template: the same builders run over exponent records,
+with a ``TemplateContext`` and the symbols ``LAM``, ``OMEGA`` and ``Z`` in
+place of the sample's numbers.  The templates of a shape are kept at module
+level, for at most ``SHAPE_CAP`` shapes (N, M, zero guard).
+
+A ``BiorthCache`` serves one sweep of checks at one sample.  Its first check
+binds the template of every item of the full (k, l) sweep to the sample
+(``theta.Template``: one matrix-vector product, one ``exp``, one
+``theta_vec`` call), and each item is finished from those values when a check
+first asks for it.  ``norm_h``, ``weight_w1``, ``weight_w2`` and
+``c_det_product`` bind their one item alone, to the same bits.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import mul
 
 from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_tilde_series_parts
 from .series import vwp_plan, vwp_sum
 from .theta import (
+    LAM,
+    OMEGA,
+    Z,
     Plan,
+    Template,
+    TemplateContext,
     ThetaContext,
     ThetaProduct,
     binomial_plan,
@@ -39,7 +55,6 @@ from .theta import (
     garg,
     known,
     qarg,
-    theta_vec_cached,
 )
 
 __all__ = [
@@ -49,14 +64,14 @@ __all__ = [
     "weight_w2",
     "c_det_product",
     "biorth_lhs_member",
-    "biorth_term",
-    "dual_term",
-    "biorth_oracle_term",
-    "biorth_rep_oracle",
+    "BiorthCache",
     "BiorthReport",
     "check_biorth",
     "check_dual_biorth",
 ]
+
+# Most shapes (N, M, zero guard) whose templates are kept.
+SHAPE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -79,29 +94,33 @@ class BiorthParams:
 
 
 def _memo_per_params(build):
-    """Keep build(bp, k) on ``bp``: a (k, l) sweep asks for each k many times.
-
-    The first call keeps the plan, and finishing it keeps the value; a plan
-    shared by several items of one check is finished once.
-    """
+    """Keep the plan build(bp, k) on ``bp``: the items of one sweep share it."""
 
     @functools.wraps(build)
     def memo(bp: BiorthParams, k: int) -> Plan:
         key = (build.__name__, k)
         got = bp._norms.get(key)
         if got is None:
-            plan = build(bp, k)
-
-            def finish(vals: list[complex]) -> complex:
-                done = bp._norms[key]
-                if isinstance(done, Plan):
-                    done = bp._norms[key] = plan.finish(vals)
-                return done
-
-            got = bp._norms[key] = Plan(bp.ctx, plan.args, finish)
-        return got if isinstance(got, Plan) else known(bp.ctx, got)
+            got = bp._norms[key] = build(bp, k)
+        return got
 
     return memo
+
+
+# The reductions of the joined items.  Module functions, not lambdas: a
+# template keeps every item's plan, and a lambda would be one more object each.
+
+
+def _over(b: complex, power: complex) -> complex:
+    return power / b
+
+
+def _w1_value(t: complex, gauge: complex, first: complex) -> complex:
+    return t * gauge / first
+
+
+def _w2_value(t: complex, gauge: complex, second: complex) -> complex:
+    return t / (gauge * second)
 
 
 def _norm_h(bp: BiorthParams, k: int) -> ThetaProduct:
@@ -135,7 +154,7 @@ def _norm_h(bp: BiorthParams, k: int) -> ThetaProduct:
 
 def norm_h(bp: BiorthParams, k: int) -> complex:
     """Quadratic norm of the k-th family member."""
-    return _norm_h(bp, k).value()
+    return _item(bp, ("h", k))
 
 
 @_memo_per_params
@@ -148,8 +167,8 @@ def _norm_first(bp: BiorthParams, k: int) -> Plan:
     """
     qp = bp.ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
-    power = qp((M - 2 * N - 2) * k + 1.5 * k * (k - 1))
-    tp = ThetaProduct(bp.ctx, combine(bp.ctx, [binomial_plan(N, k, bp.ctx)], lambda b: power * b))
+    power = known(bp.ctx, qp((M - 2 * N - 2) * k + 1.5 * k * (k - 1)))
+    tp = ThetaProduct(bp.ctx, combine(bp.ctx, [binomial_plan(N, k, bp.ctx), power], mul))
     tp.theta(qarg(1), count=k)
     tp.poch(garg(qp(2 * (Lam - k + 1))), k)
     tp.poch(garg(z * qp(2 * (Lam + M - k + 1) - om - 1)), k)
@@ -164,8 +183,10 @@ def _norm_second(bp: BiorthParams, l: int) -> Plan:
     """Second-index normalization of the second weight (1 at l = 0)."""
     qp = bp.ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
-    power = qp((2 * N - M) * l - 1.5 * l * (l - 1))
-    tp = ThetaProduct(bp.ctx, combine(bp.ctx, [binomial_plan(N, l, bp.ctx)], lambda b: power / b))
+    power = known(bp.ctx, qp((2 * N - M) * l - 1.5 * l * (l - 1)))
+    tp = ThetaProduct(
+        bp.ctx, combine(bp.ctx, [binomial_plan(N, l, bp.ctx), power], _over)
+    )
     tp.theta(qarg(1), count=-l)
     tp.poch(garg(qp(2 * (Lam - N - l + 1))), l)
     tp.poch(garg(z * qp(2 * M - om - 1)), l)
@@ -198,7 +219,10 @@ def _weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     qp = ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
     a = qp(2 * (Lam - om + 2 * M - N + 1))
-    tp = ThetaProduct(ctx, qp(2 * i1 - 2 * i2))
+    scalar = qp(2 * i1 - 2 * i2)
+    if merged:
+        scalar = scalar * _merged_sign_power(qp, N, i1, i2)
+    tp = ThetaProduct(ctx, scalar)
     tp.theta(garg(a * qp(4 * i1)))
     tp.theta(garg(a), inv=True)
     tp.poch(garg(a), i1)
@@ -206,9 +230,7 @@ def _weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     tp.poch(garg(z * qp(2 * (Lam - i2 + M) - om - 1)), i1)
     tp.poch(garg(qp(-2 * (N - 2 - M - i2) - om + 1) / z), i1, inv=True)
     tp.poch(qarg(M + i2 + 1), i1)
-    if merged:
-        tp.mul_scalar((-1.0) ** i1 * qp(-2 * i1 * (N - i2) + i1 * (i1 - 1)))
-    else:
+    if not merged:
         tp.poch(qarg(-(N - i2)), i1)
     tp.poch(garg(qp(-2 * (Lam - i2 + 1))), i1)
     tp.poch(garg(qp(-2 * (om - M - i2))), i1)
@@ -220,23 +242,26 @@ def _weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     tp.poch(garg(qp(-2 * (om - M))), i1, inv=True)
     tp.poch(garg(qp(2 * (Lam - N - om + M + 1))), i1, inv=True)
     parts = [tp, _norm_gauge(bp, i1), _norm_first(bp, i2)]
-    return combine(ctx, parts, lambda t, gauge, first: t * gauge / first)
+    return combine(ctx, parts, _w1_value)
+
+
+def _merged_sign_power(qp, N: int, i1: int, i2: int):
+    """The sign and power the merged rewrite takes out of (q^(-2(N-i2)); q^2)_i1."""
+    return (-1.0) ** i1 * qp(-2 * i1 * (N - i2) + i1 * (i1 - 1))
 
 
 def weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool = False) -> complex:
     """First weight factor; ``merged`` replaces the finite block by its rewrite."""
-    return _weight_w1(bp, i1, i2, merged).value()
+    return _item(bp, ("w1", i1, i2, merged))
 
 
 def _weight_w2(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     ctx = bp.ctx
     qp = ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
-    tp = ThetaProduct(ctx)
+    tp = ThetaProduct(ctx, _merged_sign_power(qp, N, i1, i2) if merged else 1.0)
     tp.poch(qarg(M + i2 + 1), i1)
-    if merged:
-        tp.mul_scalar((-1.0) ** i1 * qp(-2 * i1 * (N - i2) + i1 * (i1 - 1)))
-    else:
+    if not merged:
         tp.poch(qarg(-(N - i2)), i1)
     tp.poch(garg(qp(-2 * (Lam - i2 + 1))), i1)
     tp.poch(garg(qp(-2 * (om - M - i2))), i1)
@@ -244,12 +269,12 @@ def _weight_w2(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     tp.poch(garg(qp(-2 * (N - 3 - Lam + i2 - M) - om - 1) / z), i1)
     tp.poch(garg(z * qp(2 * (M + i2) - om - 1)), i1, inv=True)
     parts = [tp, _norm_gauge(bp, i1), _norm_second(bp, i2)]
-    return combine(ctx, parts, lambda t, gauge, second: t / (gauge * second))
+    return combine(ctx, parts, _w2_value)
 
 
 def weight_w2(bp: BiorthParams, i1: int, i2: int, merged: bool = False) -> complex:
     """Second weight factor; ``merged`` as in weight_w1."""
-    return _weight_w2(bp, i1, i2, merged).value()
+    return _item(bp, ("w2", i1, i2, merged))
 
 
 def _c_det(bp: BiorthParams) -> ThetaProduct:
@@ -263,12 +288,12 @@ def _c_det(bp: BiorthParams) -> ThetaProduct:
 
 def c_det_product(bp: BiorthParams) -> complex:
     """Product of inverse determinant scalars along the q^2 ladder."""
-    return _c_det(bp).value()
+    return _item(bp, ("cd",))
 
 
 def _spectral_points(bp: BiorthParams) -> tuple[complex, complex]:
     """(zouter, zshift): the conjugate point and the reflected point."""
-    return complex(bp.z).conjugate(), bp.ctx.qpow(-2 * (bp.N - 2)) / bp.z
+    return bp.ctx.conj(bp.z), bp.ctx.qpow(-2 * (bp.N - 2)) / bp.z
 
 
 def _series_parts(bp: BiorthParams, j: int, kl: int, shifted: bool):
@@ -299,8 +324,11 @@ def biorth_lhs_member(bp: BiorthParams, j: int, kl: int, shifted: bool) -> compl
 def _member(bp: BiorthParams, j: int, kl: int, shifted: bool) -> Plan:
     """One explicit series factor with its merged rewrite over j factors."""
     a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
-    series = vwp_plan(bp.ctx, a1, numer, denom, n, merged=(c, j))
-    return Plan(bp.ctx, series.args, lambda vals: series.finish(vals)[0])
+    return combine(bp.ctx, [vwp_plan(bp.ctx, a1, numer, denom, n, merged=(c, j))], _value_of)
+
+
+def _value_of(series: tuple[complex, float, int]) -> complex:
+    return series[0]
 
 
 def _tilde(bp: BiorthParams, j: int, l: int) -> Plan:
@@ -327,14 +355,79 @@ def _gamma_inner(bp: BiorthParams, k: int) -> Plan:
 _ITEMS = {
     "cd": _c_det,
     "h": _norm_h,
-    "w1": lambda bp, i1, i2: _weight_w1(bp, i1, i2, True),
-    "w2": lambda bp, i1, i2: _weight_w2(bp, i1, i2, True),
+    "w1": lambda bp, i1, i2, merged=True: _weight_w1(bp, i1, i2, merged),
+    "w2": lambda bp, i1, i2, merged=True: _weight_w2(bp, i1, i2, merged),
     "f": _member,
     "tilde": _tilde,
     "tau": _tau,
     "g1": _gamma_outer,
     "g2": _gamma_inner,
 }
+
+
+def _sweep_keys(N: int) -> list:
+    """The keys of every item of the (k, l) sweep at level N, direct or dual."""
+    ks = range(N + 1)
+    keys = [("cd",)] + [(name, k) for name in ("h", "g1", "g2") for k in ks]
+    for a in ks:
+        for b in ks:
+            keys += [("w1", a, b), ("w2", a, b), ("f", a, b, False), ("f", a, b, True)]
+            keys += [("tilde", a, b), ("tau", a, b)]
+    return keys
+
+
+class _Shape:
+    """The sweep template of one shape (N, M, zero guard), built when first asked for."""
+
+    def __init__(self, N: int, M: int, zero_guard: float) -> None:
+        self.key = (N, M, zero_guard)
+        self._sweep: Template | None = None
+
+    def params(self) -> BiorthParams:
+        """Params with the symbols in place of numbers: what templates are built on."""
+        N, M, zero_guard = self.key
+        return BiorthParams(N, LAM, M, OMEGA, Z, TemplateContext(zero_guard))
+
+    def sweep(self) -> Template:
+        """Every item of the sweep that builds.  An item whose build raises is
+        left out: it raises again when a check asks for it."""
+        if self._sweep is None:
+            bp = self.params()
+
+            def built():
+                for key in _sweep_keys(bp.N):
+                    try:
+                        plan = _ITEMS[key[0]](bp, *key[1:])
+                    except (ArithmeticError, ValueError):
+                        continue
+                    yield key, plan
+
+            self._sweep = Template(built())
+        return self._sweep
+
+
+_SHAPES: dict = {}
+
+
+def _shape(bp: BiorthParams) -> _Shape:
+    """The shape of ``bp``; up to ``SHAPE_CAP`` shapes are kept, with their templates."""
+    key = (bp.N, bp.M, bp.ctx.zero_guard)
+    got = _SHAPES.get(key)
+    if got is None:
+        got = _Shape(*key)
+        if len(_SHAPES) < SHAPE_CAP:
+            _SHAPES[key] = got
+    return got
+
+
+def _bind(template: Template, bp: BiorthParams) -> list:
+    return template.bind(bp.ctx, bp.Lam, bp.omega, bp.z)
+
+
+def _item(bp: BiorthParams, key: tuple) -> complex:
+    """The value of one item, its template built and bound to ``bp`` alone."""
+    alone = Template([(key, _ITEMS[key[0]](_shape(bp).params(), *key[1:]))])
+    return alone.finish(key, _bind(alone, bp))
 
 
 def _summand_keys(k: int, l: int, j: int, dual: bool) -> tuple:
@@ -367,33 +460,6 @@ def _oracle_summand(vals: list[complex], c_d: complex, dual: bool) -> complex:
     return t1 * g1 / g2 * c_d * t2
 
 
-def _alone(bp: BiorthParams, keys: tuple) -> list[complex]:
-    """The values of ``keys``, resolved together on a cache of their own."""
-    v = BiorthCache().resolve(bp, keys)
-    return [v[key] for key in keys]
-
-
-def biorth_term(bp: BiorthParams, k: int, l: int, j: int) -> complex:
-    """The j-th summand of the biorthogonality sum, pole-safe rewrite."""
-    return _summand(_alone(bp, _summand_keys(k, l, j, False)), False)
-
-
-def dual_term(bp: BiorthParams, k: int, l: int, j: int) -> complex:
-    """The j-th summand of the dual biorthogonality sum."""
-    return _summand(_alone(bp, _summand_keys(k, l, j, True)), True)
-
-
-def biorth_oracle_term(bp: BiorthParams, k: int, l: int, j: int, c_d: complex) -> complex:
-    """Representation-side value of the j-th biorthogonality summand over h_k."""
-    return _oracle_summand(_alone(bp, _oracle_keys(k, l, j, False)), c_d, False)
-
-
-def biorth_rep_oracle(bp: BiorthParams, k: int, l: int) -> complex:
-    """Oracle sum: expected 1 for k == l and 0 otherwise."""
-    c_d = c_det_product(bp)
-    return sum(biorth_oracle_term(bp, k, l, j, c_d) for j in range(bp.N + 1))
-
-
 @dataclass(frozen=True)
 class BiorthReport:
     """Residuals of one (k, l) biorthogonality check."""
@@ -413,10 +479,15 @@ def _scaled_residual(lhs: complex, rhs: complex, scale: float) -> float:
 
 
 class BiorthCache:
-    """Memo for factors shared across a full (k, l) sweep at fixed params."""
+    """Memo of the items of one (k, l) sweep at fixed params, and their values.
+
+    A cache serves one ``BiorthParams``: its first ``resolve`` binds the
+    sweep's templates to those params.
+    """
 
     def __init__(self) -> None:
         self._store: dict = {}
+        self._bound: tuple[Template, list] | None = None
 
     def get(self, key, fn):
         if key not in self._store:
@@ -426,32 +497,34 @@ class BiorthCache:
     def resolve(self, bp: BiorthParams, keys: list) -> dict:
         """The values of the items ``keys``, through ``get`` in key order.
 
-        Every item the cache does not hold is built first, as a plan; then
-        all of their arguments are looked up in one ``theta_vec_cached``
-        call, and only then is each finished.  When a build raises, the
-        items before it are finished first, so the first error is the one
-        evaluating them one by one would raise.
+        The first call binds the template of every item of the sweep to
+        ``bp``, in one ``theta_vec`` call; an item is finished from those
+        values when first asked for.  Items outside the sweep are built and
+        bound together, apart.  When a build raises, the items before it are
+        finished first, so the first error is the one evaluating them one by
+        one would raise.
         """
-        plans: dict = {}
+        if self._bound is None:
+            sweep = _shape(bp).sweep()
+            self._bound = (sweep, _bind(sweep, bp))
+        sweep, vals = self._bound
+        extra: dict = {}
         failed = None
         for i, key in enumerate(keys):
-            if key not in self._store and key not in plans:
+            if key not in self._store and key not in sweep.plans and key not in extra:
                 try:
-                    plans[key] = _ITEMS[key[0]](bp, *key[1:])
+                    extra[key] = _ITEMS[key[0]](_shape(bp).params(), *key[1:])
                 except (ArithmeticError, ValueError) as exc:
                     failed, keys = exc, keys[:i]
                     break
-        args: list[complex] = []
-        cuts = {}
-        for key, plan in plans.items():
-            start = len(args)
-            args += plan.args
-            cuts[key] = (start, len(args))
-        vals = theta_vec_cached(args, bp.ctx)
+        if extra:
+            apart = Template(extra.items())
+            apart_vals = _bind(apart, bp)
 
         def finish(key):
-            start, end = cuts[key]
-            return plans[key].finish(vals[start:end])
+            if key in sweep.plans:
+                return sweep.finish(key, vals)
+            return apart.finish(key, apart_vals)
 
         out = {key: self.get(key, lambda: finish(key)) for key in keys}
         if failed is not None:

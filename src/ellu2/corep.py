@@ -13,7 +13,6 @@ appearing in the inversion identity, checked word by word in
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import mul
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .rep import RepContext, apply_word, coef_a, coef_b, coef_c, coef_d, residual_between
 from .series import vwp_plan
 from .theta import (
+    Joined,
     Plan,
     PoleError,
     ThetaContext,
@@ -33,7 +33,6 @@ from .theta import (
     known,
     memo_per_context,
     qarg,
-    theta,
 )
 from .words import (
     AlgebraElement,
@@ -157,17 +156,21 @@ def tau_series_parts(
     return a1, numer, denom, qarg(N - j - k + 1), min(k, j)
 
 
-def _head_times_series(head: ThetaProduct, series: Plan) -> Plan:
+class _HeadTimesSeries(Joined):
     """The plan of head * (series value); a head of 0 gives 0 without the series."""
-    cut = len(head.args)
 
-    def finish(vals: list[complex]) -> complex:
+    __slots__ = ()
+
+    def __init__(self, head: ThetaProduct, series: Plan):
+        super().__init__(head.ctx, [head, series], None)
+
+    def finish(self, vals: list[complex]) -> complex:
+        head, series = self.parts
+        cut = self.cuts[1]
         h = head.finish(vals[:cut])
         if h == 0.0:
             return 0.0 + 0.0j
         return h * series.finish(vals[cut:])[0]
-
-    return Plan(head.ctx, head.args + series.args, finish)
 
 
 def tau_plan(
@@ -188,7 +191,8 @@ def tau_plan(
         + 3 * j * k
         - 2 * k * lam
     )
-    pref = ThetaProduct(ctx, (-1.0) ** (N - k) * qp(expo) * theta(qp(2), ctx) ** (k - j))
+    pref = ThetaProduct(ctx, (-1.0) ** (N - k) * qp(expo))
+    pref.theta(qarg(1), count=k - j)
     pref.poch(garg(qp(-2 * (lam + 1))), j)
     pref.poch(qarg(m + k - j + 1), j)
     pref.poch(garg(qp(2 * (omega - m - k + 1))), j)
@@ -205,7 +209,7 @@ def tau_plan(
     if pref.zeros > 0:
         return pref
     a1, numer, denom, c, n = tau_series_parts(N, k, j, m, lam, z, omega, ctx)
-    return _head_times_series(pref, vwp_plan(ctx, a1, numer, denom, n, merged=(c, j)))
+    return _HeadTimesSeries(pref, vwp_plan(ctx, a1, numer, denom, n, merged=(c, j)))
 
 
 def tau_closed(
@@ -220,7 +224,7 @@ def tau_tilde_series_parts(
 ) -> tuple[TrackedArg, list[TrackedArg], list[TrackedArg], TrackedArg, int]:
     """Series data for the conjugated matrix element action."""
     qp = ctx.qpow
-    zb = complex(z).conjugate()
+    zb = ctx.conj(z)
     a1 = garg(qp(2 * (lam - k + 1)))
     numer = [
         qarg(-k),
@@ -251,7 +255,7 @@ def tau_tilde_plan(
     if m + j - k < 0:
         return known(ctx, 0.0 + 0.0j)
     qp = ctx.qpow
-    zb = complex(z).conjugate()
+    zb = ctx.conj(z)
     expo = (
         2 * j * j
         + 0.5 * k * (k - 1)
@@ -262,7 +266,8 @@ def tau_tilde_plan(
         + 2 * (N - k) * (lam - k + 1)
         - (N - k - j) * (N - k - j - 1)
     )
-    pref = ThetaProduct(ctx, (-1.0) ** (N - j) * qp(expo) * theta(qp(2), ctx) ** (j - k))
+    pref = ThetaProduct(ctx, (-1.0) ** (N - j) * qp(expo))
+    pref.theta(qarg(1), count=j - k)
     pref.poch(garg(qp(-2 * (lam - N + 2 * j + 1))), j)
     pref.poch(garg(qp(-2 * (lam + 2 * j - k + m) + omega + 1) / zb), j)
     pref.poch(qarg(1), j, inv=True)
@@ -283,7 +288,7 @@ def tau_tilde_plan(
     if pref.zeros > 0:
         return pref
     a1, numer, denom, c, n = tau_tilde_series_parts(N, k, j, m, lam, z, omega, ctx)
-    return _head_times_series(pref, vwp_plan(ctx, a1, numer, denom, n, merged=(c, j)))
+    return _HeadTimesSeries(pref, vwp_plan(ctx, a1, numer, denom, n, merged=(c, j)))
 
 
 def tau_tilde_closed(
@@ -338,15 +343,15 @@ def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:
     tp = ThetaProduct(ctx)
     tp.poch(garg(qp(2 * (x - k + 2))), k)
     tp.poch(garg(qp(2 * (x + N - 2 * k + 2))), k, inv=True)
-    # The scalar is the elliptic binomial times these powers, in this order.
-    powers = []
+    # The scalar is the elliptic binomial times q to the sum of these exponents.
+    expo = 0
     for i in range(N - k):
-        powers.append(qp(-(x + N - 2 * k - i)))
+        expo -= x + N - 2 * k - i
         tp.theta(garg(qp(-2 * (x + N - 2 * k - i + 1))), inv=True)
     for i in range(k):
-        powers.append(qp(-(x - k + i)))
+        expo -= x - k + i
         tp.theta(garg(qp(-2 * (x - k + i + 1))), inv=True)
-    tp.scalar = combine(ctx, [binomial_plan(N, k, ctx)], lambda b: reduce(mul, powers, b))
+    tp.scalar = combine(ctx, [binomial_plan(N, k, ctx), known(ctx, qp(expo))], mul)
     return tp
 
 

@@ -46,8 +46,11 @@ from .theta import (
     ThetaContext,
     ThetaProduct,
     TrackedArg,
+    _shared,
     garg,
+    known,
     qarg,
+    theta_vec_cached,
 )
 
 __all__ = [
@@ -129,6 +132,12 @@ class SeriesValue:
     terms: int
     max_term_magnitude: float
     warnings: tuple[str, ...] = ()
+
+
+def _q2_ladder(ctx: ThetaContext, length: int) -> list[complex]:
+    """q^(2i) for i = 0..length-1, as powers of q^2."""
+    q2 = ctx.qpow(2)
+    return [q2**i for i in range(length)]
 
 
 def _poch_args(
@@ -228,42 +237,77 @@ def _vwp_reduce(
     return value, max_term, live[-1] + 1 if live else 0
 
 
-def _vwp_build(
-    ctx: ThetaContext,
-    a1: TrackedArg,
-    numer: Sequence[TrackedArg],
-    denom: Sequence[TrackedArg],
-    n: int,
-    merged: Optional[tuple[TrackedArg, int]],
-) -> Plan:
-    """The plan of ``vwp_sum``, whose finish gives None for a term out of range.
+class _Series(Plan):
+    """The plan of ``vwp_sum``.
 
-    Its arguments are the numerator rows, the denominator rows, the head
-    theta(a1 q^(4k)) for k = 0..n followed by theta(a1), and the merged row.
+    Its arguments are the term scalars q^(2k) when they are records, the
+    numerator rows, the denominator rows, the head theta(a1 q^(4k)) for
+    k = 0..n followed by theta(a1), and the merged row; they are listed when
+    asked for, from the parameters the plan keeps.  ``reduce`` gives None for
+    a term out of range, ``finish`` raises ``PoleError`` for it.
     """
-    if n < 0:
-        raise ValueError("termination index must be >= 0")
-    if a1.theta_is_zero():
-        raise PoleError("leading series parameter hits an exact zero")
-    big_j = n if merged is None else merged[1]
-    if big_j < n:
-        raise ValueError("merged numerator length must cover the sum range")
-    q2 = ctx.qpow(2)
-    q2pow = [q2**i for i in range(max(2 * n + 1, big_j))]
-    nums, dens = [a1, *numer], [qarg(1), *denom]
-    g = a1.value(ctx)
-    args = _poch_args(ctx, nums, n, q2pow) + _poch_args(ctx, dens, n, q2pow)
-    args += [g * q2pow[2 * k] for k in range(n + 1)] + [g]
-    if merged is not None:
-        args += _poch_args(ctx, [merged[0]], big_j, q2pow)
 
-    def finish(vals: list[complex]) -> Optional[tuple[complex, float, int]]:
+    __slots__ = ("a1", "nums", "dens", "merged", "n", "ladder")
+
+    def __init__(
+        self,
+        ctx: ThetaContext,
+        a1: TrackedArg,
+        numer: Sequence[TrackedArg],
+        denom: Sequence[TrackedArg],
+        n: int,
+        merged: Optional[tuple[TrackedArg, int]],
+    ):
+        if n < 0:
+            raise ValueError("termination index must be >= 0")
+        if a1.theta_is_zero():
+            raise PoleError("leading series parameter hits an exact zero")
+        big_j = n if merged is None else merged[1]
+        if big_j < n:
+            raise ValueError("merged numerator length must cover the sum range")
+        self.ctx, self.a1, self.merged, self.n = ctx, a1, merged, n
+        self.nums, self.dens = (a1, *numer), (qarg(1), *denom)
+        # The term scalars: numbers, or records bound per sample.
+        self.ladder = known(ctx, _q2_ladder(ctx, n + 1))
+
+    @property
+    def args(self) -> list:
+        ctx, n = self.ctx, self.n
+        big_j = n if self.merged is None else self.merged[1]
+        q2pow = _q2_ladder(ctx, max(2 * n + 1, big_j))
+        g = self.a1.value(ctx)
+        args = self.ladder.args + _poch_args(ctx, self.nums, n, q2pow)
+        args += _poch_args(ctx, self.dens, n, q2pow)
+        args += [g * q2pow[2 * k] for k in range(n + 1)] + [g]
+        if self.merged is not None:
+            args += _poch_args(ctx, [self.merged[0]], self.merged[1], q2pow)
+        return args
+
+    def reduce(self, vals: list[complex]) -> Optional[tuple[complex, float, int]]:
+        cut = len(self.ladder.args)
         try:
-            return _vwp_reduce(ctx, a1, nums, dens, merged, n, q2pow, vals)
+            return _vwp_reduce(
+                self.ctx, self.a1, self.nums, self.dens, self.merged, self.n,
+                self.ladder.finish(vals[:cut]), vals[cut:],
+            )
         except (OverflowError, ZeroDivisionError):
             return None
 
-    return Plan(ctx, args, finish)
+    def finish(self, vals: list[complex]) -> tuple[complex, float, int]:
+        return _in_range(self.reduce(vals))
+
+    def skeleton(self) -> Plan:
+        a1, nums, dens = self.a1.hollow(), tuple(t.hollow() for t in self.nums), tuple(t.hollow() for t in self.dens)
+        merged = None if self.merged is None else (self.merged[0].hollow(), self.merged[1])
+        ladder = self.ladder.skeleton()
+
+        def make() -> _Series:
+            out = object.__new__(_Series)
+            out.ctx, out.a1, out.nums, out.dens, out.merged, out.n = self.ctx, a1, nums, dens, merged, self.n
+            out.ladder = ladder
+            return out
+
+        return _shared((_Series, self.ctx, a1, nums, dens, merged, self.n, ladder), make)
 
 
 def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:
@@ -284,8 +328,7 @@ def vwp_plan(
     merged: Optional[tuple[TrackedArg, int]] = None,
 ) -> Plan:
     """The plan of ``vwp_sum(ctx, a1, numer, denom, n, merged)``."""
-    plan = _vwp_build(ctx, a1, numer, denom, n, merged)
-    return Plan(ctx, plan.args, lambda vals: _in_range(plan.finish(vals)))
+    return _Series(ctx, a1, numer, denom, n, merged)
 
 
 def vwp_sum(
@@ -307,7 +350,8 @@ def vwp_sum(
     index of last contributing term + 1).  All theta values of the series
     come from one lookup.
     """
-    return _in_range(_vwp_build(ctx, a1, numer, denom, n, merged).value())
+    plan = _Series(ctx, a1, numer, denom, n, merged)
+    return _in_range(plan.reduce(theta_vec_cached(plan.args, ctx)))
 
 
 def _denominators(spec: SeriesSpec) -> list[TrackedArg]:

@@ -68,8 +68,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -148,6 +151,11 @@ class ThetaContext:
         if got is None:
             got = self._q2n[n] = cmath.exp(self._lnq * (2 * n))
         return got
+
+    @staticmethod
+    def conj(z: complex) -> complex:
+        """The complex conjugate of a number."""
+        return complex(z).conjugate()
 
 
 def theta(z: complex, ctx: ThetaContext) -> complex:
@@ -301,20 +309,280 @@ class TrackedArg(NamedTuple):
         """Exact vanishing of theta(self * q^(2i))."""
         return self.is_one and self.s + i == 0
 
+    def hollow(self) -> "TrackedArg":
+        """This argument as a skeleton keeps it: the same exact zeros, and no
+        generic value."""
+        return self if self.is_one else _HOLLOW
+
 
 # Builds a TrackedArg from a ready tuple, skipping the argument handling of
 # the generated constructor.
 _new_arg = tuple.__new__
+_HOLLOW = _new_arg(TrackedArg, (0, None, False))
 
 
 def qarg(s: int) -> TrackedArg:
     """Tracked pure power q^(2s)."""
-    return _new_arg(TrackedArg, (s, 1.0 + 0.0j, True))
+    got = _QARGS.get(s)
+    if got is None:
+        got = _new_arg(TrackedArg, (s, 1.0 + 0.0j, True))
+        if -QARG_SPAN <= s <= QARG_SPAN:
+            _QARGS[s] = got
+    return got
 
 
-def garg(value: complex) -> TrackedArg:
-    """Generic (untracked) argument; assumed to never vanish exactly."""
+# Tracked powers q^(2s) with |s| <= QARG_SPAN are made once and shared.
+QARG_SPAN = 256
+_QARGS: dict = {}
+
+
+def garg(value: complex | Rec) -> TrackedArg:
+    """Generic (untracked) argument; assumed to never vanish exactly.
+
+    A record decides for itself whether it is an exact power of q^2
+    (``Rec.tracked``).
+    """
+    if isinstance(value, Rec):
+        return value.tracked()
     return _new_arg(TrackedArg, (0, complex(value), False))
+
+
+# -- templates: plans built over exponent records ---------------------------
+
+
+class Expo:
+    """A q-exponent lam * Λ + om * ω + c, linear in the symbols Λ and ω.
+
+    The exponent arithmetic of a builder run over records: sums and
+    differences of exponents and real numbers, and products with real numbers.
+    """
+
+    __slots__ = ("lam", "om", "c")
+
+    def __init__(self, lam: float = 0, om: float = 0, c: float = 0):
+        self.lam, self.om, self.c = lam, om, c
+
+    def __add__(self, other) -> "Expo":
+        o = _expo(other)
+        return Expo(self.lam + o.lam, self.om + o.om, self.c + o.c)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Expo":
+        return Expo(-self.lam, -self.om, -self.c)
+
+    def __sub__(self, other) -> "Expo":
+        return self + -_expo(other)
+
+    def __rsub__(self, other) -> "Expo":
+        return _expo(other) + -self
+
+    def __mul__(self, k) -> "Expo":
+        k = _real(k)
+        return Expo(self.lam * k, self.om * k, self.c * k)
+
+    __rmul__ = __mul__
+
+
+def _real(x) -> float:
+    if isinstance(x, numbers.Real):
+        return x
+    raise TypeError(f"a template exponent takes real numbers only, not {x!r}")
+
+
+def _expo(x) -> Expo:
+    return x if isinstance(x, Expo) else Expo(0, 0, _real(x))
+
+
+class Rec(NamedTuple):
+    """The exponent record of q^(lam Λ + om ω + c) * z^zp * zbar^zbp * (-1)^neg.
+
+    Λ, ω and z stand for a sample's dynamical variable, weight and spectral
+    point (``LAM``, ``OMEGA``, ``Z``), zbar for the conjugate of z.  Records
+    multiply and divide by adding and subtracting their fields, so a builder
+    run over records (``TemplateContext``) lists, instead of numbers, the
+    records of its theta arguments and of its scalars.  They are interned:
+    equal records built anywhere are one object.
+    """
+
+    lam: float = 0
+    om: float = 0
+    c: float = 0
+    zp: int = 0
+    zbp: int = 0
+    neg: int = 0
+
+    def __mul__(self, other) -> "Rec":
+        if type(other) is Rec:
+            return _rec(
+                self.lam + other.lam,
+                self.om + other.om,
+                self.c + other.c,
+                self.zp + other.zp,
+                self.zbp + other.zbp,
+                self.neg ^ other.neg,
+            )
+        if other == 1:
+            return self
+        if other == -1:
+            return _rec(*self[:5], self.neg ^ 1)
+        # Raising here, not returning NotImplemented, keeps Python from
+        # falling back to tuple repetition.
+        raise TypeError(f"a record scales by records and by +-1 only, not {other!r}")
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Rec":
+        return self * (other**-1 if type(other) is Rec else other)
+
+    def __rtruediv__(self, other) -> "Rec":
+        return self**-1 * other
+
+    def __pow__(self, n: int) -> "Rec":
+        if type(n) is not int:
+            raise TypeError(f"a record takes integer powers only, not {n!r}")
+        return _rec(
+            self.lam * n, self.om * n, self.c * n, self.zp * n, self.zbp * n, self.neg & n
+        )
+
+    def conjugate(self) -> "Rec":
+        """zbar for z and z for zbar; only records free of Λ and ω have one."""
+        if self.lam or self.om:
+            raise TypeError("the conjugate of a record with Λ or ω is not a record")
+        return _rec(0, 0, self.c, self.zbp, self.zp, self.neg)
+
+    def tracked(self) -> TrackedArg:
+        """The tracked argument of this record, with the exact-zero rule
+        derived from it: an exact power q^(2s) (every symbol coefficient 0,
+        no sign, even constant exponent) is tracked as q^(2s), so theta of
+        it times q^(2i) vanishes exactly when c + 2i is 0; anything else is
+        generic."""
+        if not (self.lam or self.om or self.zp or self.zbp or self.neg) and self.c % 2 == 0:
+            return qarg(int(self.c) // 2)
+        return _intern(_new_arg(TrackedArg, (0, self, False)))
+
+
+# Interned records, and the tracked arguments and ``Scalar`` entries made of
+# them; tuples of different lengths, so no two kinds compare equal.
+_INTERNED: dict = {}
+
+
+def _intern(obj):
+    """The interned object equal to ``obj`` (``obj`` itself past ``MEMO_CAP``)."""
+    got = _INTERNED.get(obj)
+    if got is None:
+        if len(_INTERNED) >= MEMO_CAP:
+            return obj
+        got = _INTERNED[obj] = obj
+    return got
+
+
+def _rec(*fields) -> Rec:
+    return _intern(_new_arg(Rec, fields))
+
+
+class Scalar(NamedTuple):
+    """A plan argument that stands for the value of a record, not theta of it."""
+
+    rec: Rec
+
+
+LAM = Expo(1, 0, 0)
+OMEGA = Expo(0, 1, 0)
+Z = Rec(zp=1)
+
+
+@dataclass(frozen=True)
+class TemplateContext:
+    """Stands in for a ``ThetaContext`` while a plan is built over records.
+
+    ``qpow``, ``q2n`` and ``conj`` are the record versions of the context's
+    number arithmetic.  The zero guard is that of the contexts the template
+    will be bound to; it is read when a bound plan is finished.
+    """
+
+    zero_guard: float = 1e-12
+
+    def qpow(self, x: Expo | float) -> Rec:
+        e = _expo(x)
+        return _rec(e.lam, e.om, e.c, 0, 0, 0)
+
+    def q2n(self, n: int) -> Rec:
+        return _rec(0, 0, 2 * n, 0, 0, 0)
+
+    @staticmethod
+    def conj(z: Rec) -> Rec:
+        return z.conjugate()
+
+
+class Template:
+    """Plans built over records, compiled to be bound to one sample at a time.
+
+    ``plans`` gives (key, plan) pairs, each plan built with a
+    ``TemplateContext``; the arguments of each are records (theta of the
+    record) and ``Scalar`` entries (the record's value).  Compiling collects
+    the distinct records of all the plans as the rows of a small matrix of
+    exponents, and lists, plan after plan, where each argument's value will
+    be; then it keeps only the plan's skeleton (``Plan.skeleton``), so a
+    template holds no plan's records.  ``plans[key]`` is the skeleton and the
+    slice of that list it owns.  ``bind`` evaluates every record
+    of a sample with one matrix-vector product and one ``exp``, makes one
+    ``theta_vec`` call on the distinct theta arguments, and gathers the
+    values of every plan's arguments; ``finish`` hands a plan its slice.
+
+    The product is written out column by column, so each record's value
+    depends on its own row only: a plan bound alone gets the same bits as
+    the same plan bound with many others.
+    """
+
+    def __init__(self, plans: Iterable[tuple]):
+        rows: dict = {}
+        thetas: dict = {}
+        refs = array("i")
+        self.plans = {}
+        for key, plan in plans:
+            start = len(refs)
+            for a in plan.args:
+                if type(a) is Scalar:
+                    refs.append(rows.setdefault(a.rec, len(rows)))
+                elif type(a) is Rec:
+                    refs.append(~thetas.setdefault(rows.setdefault(a, len(rows)), len(thetas)))
+                else:
+                    raise TypeError(f"a template argument must be a record, not {a!r}")
+            self.plans[key] = (plan.skeleton(), start, len(refs))
+        n = len(rows)
+        # Record values come first in the gathered-from vector, theta values after.
+        gather = np.frombuffer(refs, dtype=np.int32)
+        gather = np.where(gather >= 0, gather, n + ~gather)
+        self._gather = gather.astype(np.min_scalar_type(n + len(thetas)))
+        cols = np.array(list(rows), dtype=float).reshape(n, 6).T
+        self._lam, self._om, self._c = cols[0].copy(), cols[1].copy(), cols[2].copy()
+        self._re_z, self._im_z = cols[3] + cols[4], cols[3] - cols[4]
+        self._neg = np.flatnonzero(cols[5])
+        self._theta = np.array(list(thetas), dtype=np.intp)
+
+    def bind(self, ctx: ThetaContext, lam: complex, omega: complex, z: complex) -> list:
+        """The values of every plan's arguments at one sample, plan after plan."""
+        lnq = ctx._lnq
+        lam, omega, logz = complex(lam), complex(omega), cmath.log(z)
+        e = np.empty(len(self._c), dtype=complex)
+        e.real = (
+            self._lam * (lnq * lam.real)
+            + self._om * (lnq * omega.real)
+            + self._c * lnq
+            + self._re_z * logz.real
+        )
+        e.imag = self._lam * (lnq * lam.imag) + self._om * (lnq * omega.imag) + self._im_z * logz.imag
+        np.exp(e, out=e)
+        e[self._neg] = -e[self._neg]
+        if len(self._theta):
+            e = np.concatenate([e, theta_vec(e[self._theta], ctx)])
+        return e[self._gather].tolist()
+
+    def finish(self, key, vals: list):
+        """Finish the plan of ``key`` with its slice of ``bind``'s list."""
+        plan, start, end = self.plans[key]
+        return plan.finish(vals[start:end])
 
 
 ArgLike = Union[TrackedArg, complex, float, int]
@@ -333,6 +601,8 @@ class Plan:
     can be built first and their arguments looked up together (``combine``).
     """
 
+    __slots__ = ("ctx", "args", "finish")
+
     def __init__(self, ctx: ThetaContext, args: list[complex], finish):
         self.ctx = ctx
         self.args = args
@@ -342,10 +612,66 @@ class Plan:
         """Look the arguments up in one ``theta_vec_cached`` call and reduce them."""
         return self.finish(theta_vec_cached(self.args, self.ctx))
 
+    def skeleton(self) -> "Plan":
+        """A plan that finishes as this one does and holds no argument.
+
+        A template keeps skeletons once it has listed its plans' arguments;
+        equal skeletons are one object (``_shared``).  An argument list is
+        kept only as placeholders of the same length, which a plan that
+        holds this one as its scalar reads.
+        """
+        n = len(self.args)
+        return _shared((Plan, self.ctx, self.finish, n), lambda: Plan(self.ctx, [None] * n, self.finish))
+
+
+_SKELETONS: dict = {}
+
+
+def _shared(key: tuple, make) -> Plan:
+    """The skeleton kept under ``key``, made by ``make()`` the first time."""
+    got = _SKELETONS.get(key)
+    if got is None:
+        got = make()
+        if len(_SKELETONS) < MEMO_CAP:
+            _SKELETONS[key] = got
+    return got
+
 
 def known(ctx: ThetaContext, value) -> Plan:
-    """A plan that needs no theta value."""
-    return Plan(ctx, [], lambda vals: value)
+    """A plan that needs no theta value.
+
+    A record, or a list of records, is a value bound per sample: its plan
+    lists ``Scalar`` arguments, and finishing it returns their values.
+    """
+    if isinstance(value, Rec):
+        return Plan(ctx, [_intern(Scalar(value))], _first)
+    if isinstance(value, list) and value and isinstance(value[0], Rec):
+        return Plan(ctx, [_intern(Scalar(r)) for r in value], _same)
+    return Known(ctx, value)
+
+
+class Known(Plan):
+    """The plan of a number: no arguments, and ``finish`` returns the number."""
+
+    __slots__ = ("number",)
+
+    def __init__(self, ctx: ThetaContext, number):
+        self.ctx = ctx
+        self.args = []
+        self.number = number
+
+    def finish(self, vals: list):
+        return self.number
+
+    def skeleton(self) -> Plan:
+        return self
+
+
+_first = operator.itemgetter(0)
+
+
+def _same(vals: list) -> list:
+    return vals
 
 
 def combine(ctx: ThetaContext, parts: Sequence[Plan], fn) -> Plan:
@@ -355,16 +681,45 @@ def combine(ctx: ThetaContext, parts: Sequence[Plan], fn) -> Plan:
     finished in order, so the first error is the one evaluating them one by
     one would raise.
     """
-    args: list[complex] = []
-    cuts = [0]
-    for part in parts:
-        args += part.args
-        cuts.append(len(args))
+    return Joined(ctx, parts, fn)
 
-    def finish(vals: list[complex]):
-        return fn(*[part.finish(vals[a:b]) for part, a, b in zip(parts, cuts, cuts[1:])])
 
-    return Plan(ctx, args, finish)
+class Joined(Plan):
+    """``combine``'s plan.  It keeps its parts and the cuts between their
+    arguments, and joins the arguments only when asked for them: a template
+    holds many joined plans, and each would otherwise keep a copy."""
+
+    __slots__ = ("parts", "cuts", "fn")
+
+    def __init__(self, ctx: ThetaContext, parts: Sequence[Plan], fn):
+        self.ctx = ctx
+        self.parts = tuple(parts)
+        self.fn = fn
+        cuts = [0]
+        for part in self.parts:
+            cuts.append(cuts[-1] + len(part.args))
+        self.cuts = tuple(cuts)
+
+    @property
+    def args(self) -> list[complex]:
+        out: list[complex] = []
+        for part in self.parts:
+            out += part.args
+        return out
+
+    def finish(self, vals: list[complex]):
+        cuts = self.cuts
+        return self.fn(*[part.finish(vals[a:b]) for part, a, b in zip(self.parts, cuts, cuts[1:])])
+
+    def skeleton(self) -> Plan:
+        parts = tuple(part.skeleton() for part in self.parts)
+
+        def make() -> Joined:
+            out = object.__new__(type(self))
+            out.ctx, out.parts, out.cuts, out.fn = self.ctx, parts, self.cuts, self.fn
+            return out
+
+        return _shared((type(self), self.ctx, self.fn, self.cuts, parts), make)
 
 
 class ThetaProduct(Plan):
@@ -379,8 +734,12 @@ class ThetaProduct(Plan):
     say): its arguments then come first, and it is finished first.
     """
 
-    def __init__(self, ctx: ThetaContext, scalar: complex | Plan = 1.0 + 0.0j):
+    __slots__ = ("scalar", "zeros", "_num", "_den")
+
+    def __init__(self, ctx: ThetaContext, scalar: complex | Plan | Rec = 1.0 + 0.0j):
         self.ctx = ctx
+        if isinstance(scalar, Rec):
+            scalar = known(ctx, scalar)
         self.scalar = scalar if isinstance(scalar, Plan) else complex(scalar)
         self.zeros = 0
         self._num: list[complex] = []
@@ -457,6 +816,17 @@ class ThetaProduct(Plan):
         if not cmath.isfinite(out):
             raise PoleError("theta product exceeds double precision range")
         return out
+
+    def skeleton(self) -> Plan:
+        scalar = self.scalar.skeleton() if isinstance(self.scalar, Plan) else self.scalar
+        nums, dens, zero = len(self._num), len(self._den), self.zeros > 0
+
+        def make() -> ThetaProduct:
+            out = ThetaProduct(self.ctx, scalar)
+            out.zeros, out._num, out._den = self.zeros, [None] * nums, [None] * dens
+            return out
+
+        return _shared((ThetaProduct, self.ctx, scalar, zero, nums, dens), make)
 
 
 def pochhammer(a: ArgLike, n: int, ctx: ThetaContext) -> complex:

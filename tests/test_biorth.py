@@ -9,20 +9,47 @@ from ellu2.biorth import (
     BiorthCache,
     BiorthParams,
     biorth_lhs_member,
-    biorth_rep_oracle,
-    biorth_term,
+    c_det_product,
     check_biorth,
     check_dual_biorth,
-    dual_term,
     norm_h,
     weight_w1,
     weight_w2,
 )
-from ellu2.biorth import _ITEMS, _series_parts
+from ellu2.biorth import _item, _oracle_keys, _oracle_summand, _series_parts, _summand, _summand_keys
 from ellu2.series import vwp_sum
 from ellu2.theta import PoleError, ThetaContext, pochhammer
 
 theta_mod = importlib.import_module("ellu2.theta")
+
+
+# Oracles built from the items of a check, each on a cache of its own.
+
+
+def _values(bp, keys):
+    v = BiorthCache().resolve(bp, keys)
+    return [v[key] for key in keys]
+
+
+def biorth_term(bp, k, l, j):
+    """The j-th summand of the biorthogonality sum, pole-safe rewrite."""
+    return _summand(_values(bp, _summand_keys(k, l, j, False)), False)
+
+
+def dual_term(bp, k, l, j):
+    """The j-th summand of the dual biorthogonality sum."""
+    return _summand(_values(bp, _summand_keys(k, l, j, True)), True)
+
+
+def biorth_oracle_term(bp, k, l, j, c_d):
+    """Representation-side value of the j-th biorthogonality summand over h_k."""
+    return _oracle_summand(_values(bp, _oracle_keys(k, l, j, False)), c_d, False)
+
+
+def biorth_rep_oracle(bp, k, l):
+    """Oracle sum: expected 1 for k == l and 0 otherwise."""
+    c_d = c_det_product(bp)
+    return sum(biorth_oracle_term(bp, k, l, j, c_d) for j in range(bp.N + 1))
 
 
 @pytest.fixture(scope="module")
@@ -115,13 +142,14 @@ def level_four(guard=1e-12):
 
 
 class ItemByItem(BiorthCache):
-    """Evaluates every item of a check alone, on a fresh context: no shared lookup."""
+    """Evaluates every item of a check alone: its template bound by itself, to
+    params on a fresh context, with no values shared with any other item."""
 
     def resolve(self, bp, keys):
         out = {}
         for key in keys:
             fresh = dataclasses.replace(bp, ctx=ThetaContext(bp.ctx.p, bp.ctx.q))
-            out[key] = _ITEMS[key[0]](fresh, *key[1:]).value()
+            out[key] = _item(fresh, key)
         return out
 
 
@@ -149,15 +177,15 @@ def test_full_sweep_makes_few_kernel_calls(monkeypatch, check):
         return kernel(zs, ctx)
 
     monkeypatch.setattr(theta_mod, "theta_vec", counted)
-    bp = level_four()
-    cache = BiorthCache()
-    for k in range(bp.N + 1):
-        for l in range(bp.N + 1):
-            before = len(calls)
-            check(bp, k, l, cache)
-            # One kernel call per check, and none when every argument is cached.
-            assert len(calls) - before <= 1
-    assert 0 < len(calls) <= 2 * (bp.N + 1) ** 2
+    for sample, bp in enumerate([level_four(), dataclasses.replace(level_four(), z=0.7 - 0.9j)]):
+        cache = BiorthCache()
+        for k in range(bp.N + 1):
+            for l in range(bp.N + 1):
+                check(bp, k, l, cache)
+        # One kernel call for the whole sweep of a sample, at its first check.
+        assert len(calls) == sample + 1
+    # The call holds each distinct theta argument of the sweep once.
+    assert calls[0] == calls[1] and 0 < calls[0] < 4000
 
 
 def test_exact_zero_denominator_error_is_unchanged():

@@ -21,7 +21,7 @@ from ellu2.corep import (
     tau_tilde_closed,
 )
 from ellu2.rep import RepContext, apply_word, relation_inventory
-from ellu2.theta import ThetaProduct, qarg
+from ellu2.theta import Rec, ThetaContext, ThetaProduct, qarg
 from ellu2.words import star
 
 corep_mod = importlib.import_module("ellu2.corep")
@@ -155,18 +155,21 @@ def test_gamma_factor_inverse_pair(ctx, rng):
             assert abs(product - 1.0) <= 1e-11
 
 
+class ZeroHead(ThetaProduct):
+    """A theta product with an extra factor theta(1) = 0.  The heads of the
+    closed forms carry no exact zero at valid indices, so one is added."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.theta(qarg(0))
+
+
+def no_series(*args, **kwargs):
+    raise AssertionError("series built behind an exactly zero head")
+
+
 @pytest.mark.parametrize("closed", [tau_closed, tau_tilde_closed])
 def test_zero_head_builds_no_series(monkeypatch, ctx, closed):
-    # The heads of the closed forms carry no exact zero at valid indices, so
-    # one is added: every head product gets a factor theta(1) = 0.
-    class ZeroHead(ThetaProduct):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.theta(qarg(0))
-
-    def no_series(*args, **kwargs):
-        raise AssertionError("series built behind an exactly zero head")
-
     looked_up = []
     lookup = theta_mod.theta_vec_cached
 
@@ -179,11 +182,38 @@ def test_zero_head_builds_no_series(monkeypatch, ctx, closed):
     monkeypatch.setattr(theta_mod, "theta_vec_cached", recorded)
     N, k, j, m = 3, 1, 2, 2
     assert closed(N, k, j, m, 0.4 + 0.2j, 1.3 - 0.2j, 0.3 + 0.1j, ctx) == 0
-    # One lookup, of the head's denominator blocks only: for tau, three of
-    # length j and one each of lengths k, N - k - j and N; for tau tilde,
-    # four of length j, two of length k and two of length N - j - k.
+    # One lookup, of the head's denominator blocks only: for tau, the factor
+    # theta(q^2)^(k - j) = 1 / theta(q^2), three blocks of length j and one
+    # each of lengths k, N - k - j and N; for tau tilde, whose theta(q^2)^(j - k)
+    # is a numerator, four of length j, two of length k and two of length
+    # N - j - k.
     dens = {
-        tau_closed: 3 * j + k + (N - k - j) + N,
+        tau_closed: 1 + 3 * j + k + (N - k - j) + N,
         tau_tilde_closed: 4 * j + 2 * k + 2 * (N - j - k),
     }
     assert looked_up == [dens[closed]]
+
+
+@pytest.mark.parametrize("item", ["tau", "tilde"])
+def test_zero_head_template_builds_no_series(monkeypatch, item):
+    # The same heads built over records, as the biorthogonality items: the
+    # template lists no series argument, and binding it makes one kernel call
+    # on the head's distinct denominator arguments.
+    biorth_mod = importlib.import_module("ellu2.biorth")
+    calls = []
+    kernel = theta_mod.theta_vec
+
+    def counted(zs, ctx):
+        calls.append(len(zs))
+        return kernel(zs, ctx)
+
+    monkeypatch.setattr(corep_mod, "ThetaProduct", ZeroHead)
+    monkeypatch.setattr(corep_mod, "vwp_plan", no_series)
+    monkeypatch.setattr(theta_mod, "theta_vec", counted)
+    monkeypatch.setattr(biorth_mod, "_SHAPES", {})
+    bp = biorth_mod.BiorthParams(3, 0.4 + 0.2j, 1, 0.3 + 0.1j, 1.3 - 0.2j, ThetaContext(0.12, 0.67))
+    key = (item, 1, 2)
+    assert biorth_mod._item(bp, key) == 0
+    plan = biorth_mod._ITEMS[item](biorth_mod._shape(bp).params(), 1, 2)
+    assert calls == [len({a for a in plan.args if type(a) is Rec})]
+    assert calls[0] <= {"tau": 11, "tilde": 10}[item]
