@@ -43,6 +43,7 @@ from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_t
 from .series import vwp_plan, vwp_sum
 from .theta import (
     LAM,
+    MEMO_CAP,
     OMEGA,
     Z,
     Plan,
@@ -366,57 +367,56 @@ _ITEMS = {
 
 
 def _sweep_keys(N: int) -> list:
-    """The keys of every item of the (k, l) sweep at level N, direct or dual."""
+    """The keys of every item of the (k, l) sweep at level N, direct or dual.
+
+    Equal keys are one object across levels: the templates of every kept
+    shape hold them.
+    """
     ks = range(N + 1)
     keys = [("cd",)] + [(name, k) for name in ("h", "g1", "g2") for k in ks]
     for a in ks:
         for b in ks:
             keys += [("w1", a, b), ("w2", a, b), ("f", a, b, False), ("f", a, b, True)]
             keys += [("tilde", a, b), ("tau", a, b)]
-    return keys
+    if len(_KEYS) >= MEMO_CAP:
+        return keys
+    return [_KEYS.setdefault(key, key) for key in keys]
 
 
-class _Shape:
-    """The sweep template of one shape (N, M, zero guard), built when first asked for."""
-
-    def __init__(self, N: int, M: int, zero_guard: float) -> None:
-        self.key = (N, M, zero_guard)
-        self._sweep: Template | None = None
-
-    def params(self) -> BiorthParams:
-        """Params with the symbols in place of numbers: what templates are built on."""
-        N, M, zero_guard = self.key
-        return BiorthParams(N, LAM, M, OMEGA, Z, TemplateContext(zero_guard))
-
-    def sweep(self) -> Template:
-        """Every item of the sweep that builds.  An item whose build raises is
-        left out: it raises again when a check asks for it."""
-        if self._sweep is None:
-            bp = self.params()
-
-            def built():
-                for key in _sweep_keys(bp.N):
-                    try:
-                        plan = _ITEMS[key[0]](bp, *key[1:])
-                    except (ArithmeticError, ValueError):
-                        continue
-                    yield key, plan
-
-            self._sweep = Template(built())
-        return self._sweep
+_KEYS: dict = {}
 
 
-_SHAPES: dict = {}
+def _symbols(bp: BiorthParams) -> BiorthParams:
+    """``bp`` with the symbols in place of its numbers: what templates are built on."""
+    return BiorthParams(bp.N, LAM, bp.M, OMEGA, Z, TemplateContext(bp.ctx.zero_guard))
 
 
-def _shape(bp: BiorthParams) -> _Shape:
-    """The shape of ``bp``; up to ``SHAPE_CAP`` shapes are kept, with their templates."""
-    key = (bp.N, bp.M, bp.ctx.zero_guard)
-    got = _SHAPES.get(key)
+_SWEEPS: dict = {}
+
+
+def _sweep(bp: BiorthParams) -> Template:
+    """The template of the sweep of the shape (N, M, zero guard) of ``bp``.
+
+    It holds every item of the sweep that builds; an item whose build raises
+    is left out, and raises again when a check asks for it.  The templates
+    of up to ``SHAPE_CAP`` shapes are kept.
+    """
+    shape = (bp.N, bp.M, bp.ctx.zero_guard)
+    got = _SWEEPS.get(shape)
     if got is None:
-        got = _Shape(*key)
-        if len(_SHAPES) < SHAPE_CAP:
-            _SHAPES[key] = got
+        symbols = _symbols(bp)
+
+        def built():
+            for key in _sweep_keys(bp.N):
+                try:
+                    plan = _ITEMS[key[0]](symbols, *key[1:])
+                except (ArithmeticError, ValueError):
+                    continue
+                yield key, plan
+
+        got = Template(built())
+        if len(_SWEEPS) < SHAPE_CAP:
+            _SWEEPS[shape] = got
     return got
 
 
@@ -426,7 +426,7 @@ def _bind(template: Template, bp: BiorthParams) -> list:
 
 def _item(bp: BiorthParams, key: tuple) -> complex:
     """The value of one item, its template built and bound to ``bp`` alone."""
-    alone = Template([(key, _ITEMS[key[0]](_shape(bp).params(), *key[1:]))])
+    alone = Template([(key, _ITEMS[key[0]](_symbols(bp), *key[1:]))])
     return alone.finish(key, _bind(alone, bp))
 
 
@@ -505,7 +505,7 @@ class BiorthCache:
         one would raise.
         """
         if self._bound is None:
-            sweep = _shape(bp).sweep()
+            sweep = _sweep(bp)
             self._bound = (sweep, _bind(sweep, bp))
         sweep, vals = self._bound
         extra: dict = {}
@@ -513,7 +513,7 @@ class BiorthCache:
         for i, key in enumerate(keys):
             if key not in self._store and key not in sweep.plans and key not in extra:
                 try:
-                    extra[key] = _ITEMS[key[0]](_shape(bp).params(), *key[1:])
+                    extra[key] = _ITEMS[key[0]](_symbols(bp), *key[1:])
                 except (ArithmeticError, ValueError) as exc:
                     failed, keys = exc, keys[:i]
                     break

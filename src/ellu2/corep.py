@@ -539,8 +539,16 @@ def linear_independence_ratio(
 
     Rows are (spectral point, basis index) samples, columns are the N + 1
     highest-row matrix elements evaluated on that sample; a ratio bounded away
-    from zero certifies linear independence of the column functions.
+    from zero certifies linear independence of the column functions.  Columns
+    and then rows are scaled to unit 2-norm first (``_scaled_ratio``).
     """
+    return _scaled_ratio(_top_row_samples(N, lam, omega, ctx, points))
+
+
+def _top_row_samples(
+    N: int, lam: complex, omega: complex, ctx: ThetaContext, points: list[tuple[complex, int]]
+) -> np.ndarray:
+    """The matrix of ``linear_independence_ratio``: one row per point."""
     rc = RepContext(omega, lam, ctx)
     rows = []
     for z, m in points:
@@ -549,8 +557,26 @@ def linear_independence_ratio(
             got = apply_word(t_word(N, N, j, z, ctx), m, rc)
             row.append(got.get(m + N - j, 0.0 + 0.0j))
         rows.append(row)
-    mat = np.array(rows, dtype=complex)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[0] == 0.0:
+    return np.array(rows, dtype=complex)
+
+
+def _scaled_ratio(mat: np.ndarray) -> float:
+    """Smallest over largest singular value of ``mat`` with its columns, then
+    its rows, scaled to unit 2-norm.
+
+    Scaling changes no rank.  The column functions differ in size by many
+    orders, and the ratio of the raw matrix measures those sizes as much as
+    independence; scaling the columns first makes the ratio independent of
+    them.  The rows differ by orders too, with the basis index of their
+    point, and are scaled next.  A zero column gives 0; a zero row is dropped.
+    """
+    cols = np.linalg.norm(mat, axis=0)
+    if not np.all(cols > 0.0):
         return 0.0
+    mat = mat / cols
+    rows = np.linalg.norm(mat, axis=1)
+    mat = mat[rows > 0.0] / rows[rows > 0.0, None]
+    if mat.shape[0] < mat.shape[1]:
+        return 0.0
+    svals = np.linalg.svd(mat, compute_uv=False)
     return float(svals[-1] / svals[0])

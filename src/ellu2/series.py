@@ -21,8 +21,9 @@ series poles at integer specializations without ever forming 0/0.
 A series is built, then evaluated (``vwp_plan``): the build lists the
 arguments of its numerator rows, denominator rows, head theta(a1 q^(4k)) and
 merged row, and the evaluation takes their values from the context's vector
-cache in one lookup per series, or in the caller's one lookup for many
-plans.  Running products, exact-zero bookkeeping and the term sum are plain
+cache in one lookup per series.  Built over records, as part of a template
+(see ``theta``), it lists the term scalars q^(2k) as well, and takes all of
+those values from the template's binding.  Running products, exact-zero bookkeeping and the term sum are plain
 Python loops over those few dozen numbers (see ``theta`` for why).
 A term that leaves the double range, whether numpy-style as inf or nan or by
 a Python ``OverflowError`` or ``ZeroDivisionError``, raises one ``PoleError``,
@@ -46,10 +47,11 @@ from .theta import (
     ThetaContext,
     ThetaProduct,
     TrackedArg,
-    _shared,
     garg,
     known,
     qarg,
+    shared_skeleton,
+    theta_condition,
     theta_vec_cached,
 )
 
@@ -62,6 +64,7 @@ __all__ = [
     "eval_omega",
     "eval_omega_termwise",
     "bailey_g",
+    "bailey_theta_condition",
     "check_bailey",
 ]
 
@@ -297,17 +300,21 @@ class _Series(Plan):
         return _in_range(self.reduce(vals))
 
     def skeleton(self) -> Plan:
-        a1, nums, dens = self.a1.hollow(), tuple(t.hollow() for t in self.nums), tuple(t.hollow() for t in self.dens)
-        merged = None if self.merged is None else (self.merged[0].hollow(), self.merged[1])
-        ladder = self.ladder.skeleton()
+        # The reduction reads the parameters only for their exact zeros: in
+        # the rows, among their n factors; in the head, at q^(4k), k <= n.
+        n = self.n
+        a1 = self.a1.hollow(2 * n + 1)
+        nums = tuple(t.hollow(n) for t in self.nums)
+        dens = tuple(t.hollow(n) for t in self.dens)
+        merged = self.merged and (self.merged[0].hollow(self.merged[1]), self.merged[1])
+        key = (_Series, self.ctx, a1, nums, dens, merged, self.n, self.ladder.skeleton())
 
         def make() -> _Series:
             out = object.__new__(_Series)
-            out.ctx, out.a1, out.nums, out.dens, out.merged, out.n = self.ctx, a1, nums, dens, merged, self.n
-            out.ladder = ladder
+            out.ctx, out.a1, out.nums, out.dens, out.merged, out.n, out.ladder = key[1:]
             return out
 
-        return _shared((_Series, self.ctx, a1, nums, dens, merged, self.n, ladder), make)
+        return shared_skeleton(key, make)
 
 
 def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:
@@ -428,23 +435,12 @@ class BaileyReport:
     condition: float
 
 
-def check_bailey(
-    a: complex,
-    b: complex,
-    c: complex,
-    d: complex,
-    e: complex,
-    f: complex,
-    n: int,
+def _bailey_sides(
+    a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, n: int,
     ctx: ThetaContext,
-) -> BaileyReport:
-    """Two-term transformation between terminating series of level nine.
-
-    The left series has uppers (b, c, d, e, f, g, q^(-2n)) with g determined
-    by the product constraint; the right series replaces (b, c, d) by their
-    reflections through lam = a^2 q^2 / (b c d) and carries an explicit
-    four-by-four Pochhammer prefactor.
-    """
+) -> tuple[SeriesSpec, SeriesSpec, tuple[complex, ...], tuple[complex, ...]]:
+    """The two series of the transformation, and the numerator and denominator
+    parameters of the right side's Pochhammer prefactor."""
     g = bailey_g(a, b, c, d, e, f, n, ctx)
     lam = a * a * ctx.qpow(2) / (b * c * d)
     lhs_spec = SeriesSpec(
@@ -468,10 +464,33 @@ def check_bailey(
         ctx=ctx,
     )
     q2 = ctx.qpow(2)
+    nums = (a * q2, a * q2 / (e * f), lam * q2 / e, lam * q2 / f)
+    dens = (a * q2 / e, a * q2 / f, lam * q2 / (e * f), lam * q2)
+    return lhs_spec, rhs_spec, nums, dens
+
+
+def check_bailey(
+    a: complex,
+    b: complex,
+    c: complex,
+    d: complex,
+    e: complex,
+    f: complex,
+    n: int,
+    ctx: ThetaContext,
+) -> BaileyReport:
+    """Two-term transformation between terminating series of level nine.
+
+    The left series has uppers (b, c, d, e, f, g, q^(-2n)) with g determined
+    by the product constraint; the right series replaces (b, c, d) by their
+    reflections through lam = a^2 q^2 / (b c d) and carries an explicit
+    four-by-four Pochhammer prefactor.
+    """
+    lhs_spec, rhs_spec, nums, dens = _bailey_sides(a, b, c, d, e, f, n, ctx)
     pref = ThetaProduct(ctx)
-    for num in (a * q2, a * q2 / (e * f), lam * q2 / e, lam * q2 / f):
+    for num in nums:
         pref.poch(garg(num), n)
-    for den in (a * q2 / e, a * q2 / f, lam * q2 / (e * f), lam * q2):
+    for den in dens:
         pref.poch(garg(den), n, inv=True)
     lhs_eval = eval_omega(lhs_spec)
     rhs_eval = eval_omega(rhs_spec)
@@ -482,3 +501,28 @@ def check_bailey(
     residual = abs(lhs - rhs) / denom
     peak = max(lhs_eval.max_term_magnitude, abs(pref_value) * rhs_eval.max_term_magnitude)
     return BaileyReport(lhs, rhs, residual, (peak + denom) / denom)
+
+
+def _series_factor_args(spec: SeriesSpec) -> list[complex]:
+    """The arguments of the theta factors of the series' terms, exact zeros left out."""
+    ctx, n = spec.ctx, spec.termination_index
+    rows = [spec.a1, *spec.upper, qarg(1), *_denominators(spec)]
+    args = [ta.value(ctx, i) for ta in rows for i in range(n) if not ta.theta_is_zero(i)]
+    return args + [spec.a1.value(ctx, 2 * k) for k in range(n + 1)]
+
+
+def bailey_theta_condition(
+    a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, n: int,
+    ctx: ThetaContext,
+) -> float:
+    """The largest ``theta_condition`` over the theta factors of both sides' terms.
+
+    ``BaileyReport.condition`` counts the cancellation between terms; a
+    factor near a zero of theta (in the terminating row when p lies close to
+    a power of q^2) multiplies the rounding of every term it enters by this.
+    """
+    lhs_spec, rhs_spec, nums, dens = _bailey_sides(a, b, c, d, e, f, n, ctx)
+    q2 = ctx.qpow(2)
+    args = [x * q2**i for x in nums + dens for i in range(n)]
+    args += _series_factor_args(lhs_spec) + _series_factor_args(rhs_spec)
+    return max(theta_condition(z, ctx.p) for z in args)

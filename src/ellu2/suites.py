@@ -31,7 +31,13 @@ from .corep import (
 from .rep import RepContext, apply_word, check_det_forms, check_relations, relation_inventory
 from .rmatrix import det_residual, qdybe_residual
 from .sampling import draw_context, draw_lambda, draw_z, run_with_redraws
-from .series import SeriesSpec, check_bailey, eval_omega, eval_omega_termwise
+from .series import (
+    SeriesSpec,
+    bailey_theta_condition,
+    check_bailey,
+    eval_omega,
+    eval_omega_termwise,
+)
 from .theta import PoleError, ThetaContext, garg, qarg, theta, theta_condition, theta_multi
 from .words import star
 
@@ -208,22 +214,36 @@ def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: f
     return _drive("series", samples, cfg.max_redraws, {"evaluator agreement": tol}, sample, notes)
 
 
+BAILEY_MAX_CONDITION = 1e6
+
+
+def _bailey_draw(cfg: RunConfig, rng: np.random.Generator, order: int | None):
+    """(n, report, condition) of one drawn transformation check.
+
+    The condition is the report's, the cancellation between terms, times the
+    largest theta condition over the terms' factors.  A draw past
+    ``BAILEY_MAX_CONDITION`` raises ``PoleError``, to be redrawn: the forced
+    seventh parameter can land near a pole, and p near a power of q^2 puts a
+    factor of the terminating row near a zero of theta; either hides the
+    identity behind rounding double precision cannot resolve.
+    """
+    ctx = cfg.context(rng)
+    n = int(rng.integers(0, 7)) if order is None else order
+    args = tuple(draw_z(rng) for _ in range(6))
+    report = check_bailey(*args, n, ctx)
+    condition = report.condition * bailey_theta_condition(*args, n, ctx)
+    if condition > BAILEY_MAX_CONDITION:
+        raise PoleError(
+            f"bailey draw condition {condition:.2e} exceeds {BAILEY_MAX_CONDITION:g}"
+        )
+    return n, report, condition
+
+
 def _suite_bailey(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
     notes: list[str] = []
-    max_condition = 1e6
 
     def sample() -> dict[str, float]:
-        ctx = cfg.context(rng)
-        n = int(rng.integers(0, 7))
-        a, b, c, d, e, f = (draw_z(rng) for _ in range(6))
-        report = check_bailey(a, b, c, d, e, f, n, ctx)
-        if report.condition > max_condition:
-            # The forced seventh parameter can land near a pole, hiding the
-            # identity behind cancellation double precision cannot resolve.
-            raise PoleError(
-                f"bailey draw condition {report.condition:.2e} exceeds {max_condition:g}"
-            )
-        return {"transformation": report.residual}
+        return {"transformation": _bailey_draw(cfg, rng, None)[1].residual}
 
     return _drive("bailey", samples, cfg.max_redraws, {"transformation": tol}, sample, notes)
 
@@ -345,7 +365,8 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
                         rll_worst = max(
                             rll_worst, check_tensor_relation(lhs, rhs, m, n, rc, rc2)
                         )
-            points = [(draw_z(rng), int(rng.integers(0, 3))) for _ in range(6)]
+            # More points than columns, each at its own basis index.
+            points = [(draw_z(rng), m) for m in range(6)]
             for n_level in range(1, 4):
                 ratio = linear_independence_ratio(
                     n_level, lam0, omega, ctx, points[: n_level + 3]
@@ -650,28 +671,21 @@ def bailey_table(cfg: RunConfig, order: int | None, samples: int) -> dict:
 
     ``order`` pins the truncation index of both sides; None draws it from
     0..6 per sample.  Draws whose condition number exceeds the cancellation
-    budget of double precision are rejected and redrawn, mirroring the suite.
+    budget of double precision are rejected and redrawn, as in the suite
+    (``_bailey_draw``).
     """
     rng = np.random.default_rng([cfg.seed, 300 + (99 if order is None else order)])
     tol = cfg.tol if cfg.tol is not None else 1e-7
-    max_condition = 1e6
     entries: list[dict] = []
     rejected = 0
     for _ in range(samples):
 
         def sample() -> dict:
-            ctx = cfg.context(rng)
-            n = int(rng.integers(0, 7)) if order is None else order
-            a, b, c, d, e, f = (draw_z(rng) for _ in range(6))
-            report = check_bailey(a, b, c, d, e, f, n, ctx)
-            if report.condition > max_condition:
-                raise PoleError(
-                    f"bailey draw condition {report.condition:.2e} exceeds {max_condition:g}"
-                )
+            n, report, condition = _bailey_draw(cfg, rng, order)
             return {
                 "n": n,
                 "residual": report.residual,
-                "condition": report.condition,
+                "condition": condition,
                 "pass": report.residual <= tol,
             }
 

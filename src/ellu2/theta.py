@@ -34,24 +34,41 @@ of the coefficient functions built on them:
 
 Building a value and evaluating it are two steps.  A ``Plan`` (of which
 ``ThetaProduct`` is one) lists the theta arguments its value needs, and its
-``finish`` reduces their values; ``combine`` joins plans into one.  A caller
-that needs many values builds all of their plans first and looks the joined
-arguments up once: a biorthogonality check (``biorth.BiorthCache.resolve``)
-makes one lookup, and so at most one ``theta_vec`` call, for everything it
-evaluates.  The public functions (``pochhammer``, ``elliptic_binomial`` and
-the formulas of the other modules) build their plan and take its value.
-Integer powers q^(2n) of the tracked arguments come from a per-context memo
-(``ThetaContext.q2n``), which holds the number ``qpow(2 * n)`` returns.
+``finish`` reduces their values; ``combine`` joins plans into one.  The
+public functions (``pochhammer``, ``elliptic_binomial`` and the formulas of
+the other modules) build their plan over numbers and take its value, in one
+lookup of the vector cache.  Integer powers q^(2n) of the tracked arguments
+come from a per-context memo (``ThetaContext.q2n``), which holds the number
+``qpow(2 * n)`` returns.
 
-All three hold exactly what was computed, so a cached value is
+The same builders also run over exponent records, to build a plan once for
+many samples: a template.  A ``Rec`` stands for q^(a Λ + b ω + c) z^d zbar^e
+(-1)^s, with Λ, ω and z the symbols ``LAM``, ``OMEGA`` and ``Z`` of a
+sample's dynamical variable, weight and spectral point; a
+``TemplateContext`` stands in for the ``ThetaContext`` and gives records
+where the context gives numbers (``qpow``, ``q2n``, ``conj``).  A plan built
+so lists records, for theta arguments, and ``Scalar`` records, for the
+scalars it multiplies by; whether a tracked argument vanishes exactly is
+derived from its record (``Rec.tracked``).  A ``Template`` compiles such
+plans: it lays out the distinct records as the rows of a matrix of
+exponents, and keeps of each plan only its skeleton (``Plan.skeleton``), a
+plan that finishes the same way and holds no record, shared among equal
+ones.  Binding a template to a sample evaluates all its records with one
+matrix-vector product and one ``exp``, and all its theta arguments with one
+``theta_vec`` call, without the vector cache; each plan is then finished on
+its slice of the values.  ``biorth`` keeps the templates of its items.
+
+The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
 rest of its batch, and a memoized function's value depends only on its
-arguments and its context.  The two theta caches are kept apart because the
-scalar and vector kernels round differently in the last bit.  ``theta_vec``
-itself stays uncached: on batches of fresh arguments the lookup costs more
-than it saves.
+arguments and its context.  The same holds for a bound template: a record's
+value depends only on its own row.  The two theta caches are kept apart
+because the scalar and vector kernels round differently in the last bit.
+``theta_vec`` itself stays uncached: on batches of fresh arguments the
+lookup costs more than it saves.
 The scalar memo and the value memo stop growing at ``MEMO_CAP`` entries;
-the vector cache starts over when a lookup would take it past that.
+the vector cache starts over when a lookup would take it past that.  So do
+the shared skeletons.
 
 The products and quotients of cached values (``ThetaProduct.value``,
 ``theta_multi`` and the series in ``series.vwp_sum``) are reduced with plain
@@ -309,10 +326,10 @@ class TrackedArg(NamedTuple):
         """Exact vanishing of theta(self * q^(2i))."""
         return self.is_one and self.s + i == 0
 
-    def hollow(self) -> "TrackedArg":
-        """This argument as a skeleton keeps it: the same exact zeros, and no
-        generic value."""
-        return self if self.is_one else _HOLLOW
+    def hollow(self, length: int) -> "TrackedArg":
+        """This argument as a skeleton keeps it: the same exact zeros among
+        the factors theta(self * q^(2i)), i = 0..length-1, and no value."""
+        return self if self.is_one and 0 <= -self.s < length else _HOLLOW
 
 
 # Builds a TrackedArg from a ready tuple, skipping the argument handling of
@@ -401,8 +418,7 @@ class Rec(NamedTuple):
     point (``LAM``, ``OMEGA``, ``Z``), zbar for the conjugate of z.  Records
     multiply and divide by adding and subtracting their fields, so a builder
     run over records (``TemplateContext``) lists, instead of numbers, the
-    records of its theta arguments and of its scalars.  They are interned:
-    equal records built anywhere are one object.
+    records of its theta arguments and of its scalars.
     """
 
     lam: float = 0
@@ -459,26 +475,11 @@ class Rec(NamedTuple):
         generic."""
         if not (self.lam or self.om or self.zp or self.zbp or self.neg) and self.c % 2 == 0:
             return qarg(int(self.c) // 2)
-        return _intern(_new_arg(TrackedArg, (0, self, False)))
-
-
-# Interned records, and the tracked arguments and ``Scalar`` entries made of
-# them; tuples of different lengths, so no two kinds compare equal.
-_INTERNED: dict = {}
-
-
-def _intern(obj):
-    """The interned object equal to ``obj`` (``obj`` itself past ``MEMO_CAP``)."""
-    got = _INTERNED.get(obj)
-    if got is None:
-        if len(_INTERNED) >= MEMO_CAP:
-            return obj
-        got = _INTERNED[obj] = obj
-    return got
+        return _new_arg(TrackedArg, (0, self, False))
 
 
 def _rec(*fields) -> Rec:
-    return _intern(_new_arg(Rec, fields))
+    return _new_arg(Rec, fields)
 
 
 class Scalar(NamedTuple):
@@ -524,8 +525,8 @@ class Template:
     the distinct records of all the plans as the rows of a small matrix of
     exponents, and lists, plan after plan, where each argument's value will
     be; then it keeps only the plan's skeleton (``Plan.skeleton``), so a
-    template holds no plan's records.  ``plans[key]`` is the skeleton and the
-    slice of that list it owns.  ``bind`` evaluates every record
+    template holds no plan's records.  ``plans`` maps a key to the position
+    of its skeleton and of the slice of that list it owns.  ``bind`` evaluates every record
     of a sample with one matrix-vector product and one ``exp``, makes one
     ``theta_vec`` call on the distinct theta arguments, and gathers the
     values of every plan's arguments; ``finish`` hands a plan its slice.
@@ -539,9 +540,10 @@ class Template:
         rows: dict = {}
         thetas: dict = {}
         refs = array("i")
-        self.plans = {}
+        self.plans: dict = {}
+        self._skeletons: list[Plan] = []
+        self._cuts = array("i", [0])
         for key, plan in plans:
-            start = len(refs)
             for a in plan.args:
                 if type(a) is Scalar:
                     refs.append(rows.setdefault(a.rec, len(rows)))
@@ -549,12 +551,16 @@ class Template:
                     refs.append(~thetas.setdefault(rows.setdefault(a, len(rows)), len(thetas)))
                 else:
                     raise TypeError(f"a template argument must be a record, not {a!r}")
-            self.plans[key] = (plan.skeleton(), start, len(refs))
+            self.plans[key] = len(self._skeletons)
+            self._skeletons.append(plan.skeleton())
+            self._cuts.append(len(refs))
         n = len(rows)
-        # Record values come first in the gathered-from vector, theta values after.
+        # Record values come first in the gathered-from list, theta values after.
+        small = n + len(thetas) <= 0xFFFF
         gather = np.frombuffer(refs, dtype=np.int32)
         gather = np.where(gather >= 0, gather, n + ~gather)
-        self._gather = gather.astype(np.min_scalar_type(n + len(thetas)))
+        self._gather = array("H" if small else "i")
+        self._gather.frombytes(gather.astype(np.uint16 if small else np.int32).tobytes())
         cols = np.array(list(rows), dtype=float).reshape(n, 6).T
         self._lam, self._om, self._c = cols[0].copy(), cols[1].copy(), cols[2].copy()
         self._re_z, self._im_z = cols[3] + cols[4], cols[3] - cols[4]
@@ -572,17 +578,20 @@ class Template:
             + self._c * lnq
             + self._re_z * logz.real
         )
-        e.imag = self._lam * (lnq * lam.imag) + self._om * (lnq * omega.imag) + self._im_z * logz.imag
+        e.imag = (
+            self._lam * (lnq * lam.imag) + self._om * (lnq * omega.imag) + self._im_z * logz.imag
+        )
         np.exp(e, out=e)
         e[self._neg] = -e[self._neg]
+        vals = e.tolist()
         if len(self._theta):
-            e = np.concatenate([e, theta_vec(e[self._theta], ctx)])
-        return e[self._gather].tolist()
+            vals += theta_vec(e[self._theta], ctx).tolist()
+        return list(map(vals.__getitem__, self._gather))
 
     def finish(self, key, vals: list):
         """Finish the plan of ``key`` with its slice of ``bind``'s list."""
-        plan, start, end = self.plans[key]
-        return plan.finish(vals[start:end])
+        i = self.plans[key]
+        return self._skeletons[i].finish(vals[self._cuts[i] : self._cuts[i + 1]])
 
 
 ArgLike = Union[TrackedArg, complex, float, int]
@@ -616,18 +625,30 @@ class Plan:
         """A plan that finishes as this one does and holds no argument.
 
         A template keeps skeletons once it has listed its plans' arguments;
-        equal skeletons are one object (``_shared``).  An argument list is
+        equal skeletons are one object (``shared_skeleton``).  An argument list is
         kept only as placeholders of the same length, which a plan that
         holds this one as its scalar reads.
         """
         n = len(self.args)
-        return _shared((Plan, self.ctx, self.finish, n), lambda: Plan(self.ctx, [None] * n, self.finish))
+        key = (Plan, self.ctx, self.finish, n)
+        return shared_skeleton(key, lambda: Plan(self.ctx, _placeholders(n), self.finish))
 
 
 _SKELETONS: dict = {}
 
 
-def _shared(key: tuple, make) -> Plan:
+_PLACEHOLDERS: dict = {}
+
+
+def _placeholders(n: int) -> list:
+    """A list of n Nones, shared by every skeleton that needs one: never changed."""
+    got = _PLACEHOLDERS.get(n)
+    if got is None:
+        got = _PLACEHOLDERS[n] = [None] * n
+    return got
+
+
+def shared_skeleton(key: tuple, make) -> Plan:
     """The skeleton kept under ``key``, made by ``make()`` the first time."""
     got = _SKELETONS.get(key)
     if got is None:
@@ -644,9 +665,9 @@ def known(ctx: ThetaContext, value) -> Plan:
     lists ``Scalar`` arguments, and finishing it returns their values.
     """
     if isinstance(value, Rec):
-        return Plan(ctx, [_intern(Scalar(value))], _first)
+        return Plan(ctx, [Scalar(value)], _first)
     if isinstance(value, list) and value and isinstance(value[0], Rec):
-        return Plan(ctx, [_intern(Scalar(r)) for r in value], _same)
+        return Plan(ctx, [Scalar(r) for r in value], _same)
     return Known(ctx, value)
 
 
@@ -719,7 +740,7 @@ class Joined(Plan):
             out.ctx, out.parts, out.cuts, out.fn = self.ctx, parts, self.cuts, self.fn
             return out
 
-        return _shared((type(self), self.ctx, self.fn, self.cuts, parts), make)
+        return shared_skeleton((type(self), self.ctx, self.fn, self.cuts, parts), make)
 
 
 class ThetaProduct(Plan):
@@ -823,10 +844,10 @@ class ThetaProduct(Plan):
 
         def make() -> ThetaProduct:
             out = ThetaProduct(self.ctx, scalar)
-            out.zeros, out._num, out._den = self.zeros, [None] * nums, [None] * dens
+            out.zeros, out._num, out._den = self.zeros, _placeholders(nums), _placeholders(dens)
             return out
 
-        return _shared((ThetaProduct, self.ctx, scalar, zero, nums, dens), make)
+        return shared_skeleton((ThetaProduct, self.ctx, scalar, zero, nums, dens), make)
 
 
 def pochhammer(a: ArgLike, n: int, ctx: ThetaContext) -> complex:

@@ -5,6 +5,8 @@ headline and subsidiary residual class against its contracted tolerance,
 plus byte-determinism of the JSON report and the overall runtime budget.
 """
 
+import dataclasses
+import importlib
 import re
 import time
 
@@ -13,10 +15,11 @@ import pytest
 
 from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
-from ellu2.suites import RunConfig, _theta_identity_residual, canonical_json, run_report
+from ellu2.suites import RunConfig, _theta_identity_residual, canonical_json, run_report, run_suite
 from ellu2.theta import PoleError, ThetaContext
 
 CFG = RunConfig(seed=20240)
+suites_mod = importlib.import_module("ellu2.suites")
 
 NOTE = re.compile(r"^(?P<name>.+): max residual (?P<res>[0-9.e+-]+) \(tol (?P<tol>[0-9.e+-]+)\)$")
 
@@ -144,6 +147,31 @@ def test_series_transformation_fifty_draws(battery):
     assert rec["samples"] + rec["rejected"] == 50
     assert rec["max_rel_residual"] <= 1e-7
     assert rec["pass"]
+
+
+def test_bailey_gate_counts_the_theta_condition():
+    # At seed 89885882 one draw has p within 0.6% of q^12, which puts a
+    # factor of the terminating row near a zero of theta: rounding alone gave
+    # residual 2.4e-7 against the 1e-7 tolerance at a cancellation condition
+    # of 7.8e5, while the identity holds there to 3e-42 in 50 digits.  Counting
+    # the factors' theta condition redraws it.
+    rec = run_suite("bailey", RunConfig(seed=89885882))
+    assert rec["pass"] and rec["rejected"] == 0
+
+
+def test_bailey_gate_fails_a_wrong_transformation(monkeypatch):
+    # The same draws with the right side off by a relative 1e-5 must fail:
+    # the theta condition redraws ill-conditioned draws, it does not excuse
+    # residuals.
+    def scaled(*args):
+        report = check_bailey(*args)
+        rhs = report.rhs * (1 + 1e-5)
+        residual = abs(report.lhs - rhs) / (abs(report.lhs) + abs(rhs) + 1e-300)
+        return dataclasses.replace(report, rhs=rhs, residual=residual)
+
+    monkeypatch.setattr(suites_mod, "check_bailey", scaled)
+    rec = run_suite("bailey", RunConfig(seed=89885882))
+    assert not rec["pass"] and rec["max_rel_residual"] > 1e-6 and rec["rejected"] == 0
 
 
 def test_series_transformation_residual_formula():

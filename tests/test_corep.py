@@ -21,6 +21,7 @@ from ellu2.corep import (
     tau_tilde_closed,
 )
 from ellu2.rep import RepContext, apply_word, relation_inventory
+from ellu2.suites import RunConfig, run_suite
 from ellu2.theta import Rec, ThetaContext, ThetaProduct, qarg
 from ellu2.words import star
 
@@ -210,10 +211,54 @@ def test_zero_head_template_builds_no_series(monkeypatch, item):
     monkeypatch.setattr(corep_mod, "ThetaProduct", ZeroHead)
     monkeypatch.setattr(corep_mod, "vwp_plan", no_series)
     monkeypatch.setattr(theta_mod, "theta_vec", counted)
-    monkeypatch.setattr(biorth_mod, "_SHAPES", {})
+    monkeypatch.setattr(biorth_mod, "_SWEEPS", {})
     bp = biorth_mod.BiorthParams(3, 0.4 + 0.2j, 1, 0.3 + 0.1j, 1.3 - 0.2j, ThetaContext(0.12, 0.67))
     key = (item, 1, 2)
     assert biorth_mod._item(bp, key) == 0
-    plan = biorth_mod._ITEMS[item](biorth_mod._shape(bp).params(), 1, 2)
+    plan = biorth_mod._ITEMS[item](biorth_mod._symbols(bp), 1, 2)
     assert calls == [len({a for a in plan.args if type(a) is Rec})]
     assert calls[0] <= {"tau": 11, "tilde": 10}[item]
+
+
+def test_independence_ratio_is_scale_free_and_keeps_its_teeth(ctx, rng):
+    rc, _ = draw_rc(ctx, rng)
+    points = [(draw_rc(ctx, rng)[1], m) for m in range(5)]
+    mat = corep_mod._top_row_samples(2, rc.lam0, rc.omega, ctx, points)
+    ratio = corep_mod._scaled_ratio(mat)
+    assert mat.shape == (5, 3) and ratio > 1e-4
+    assert ratio == linear_independence_ratio(2, rc.lam0, rc.omega, ctx, points)
+    # Columns rescaled by many orders: the same ratio, where the raw matrix's
+    # ratio moves with them.
+    rescaled = mat * np.array([1e-12, 1.0, 1e9])
+    assert abs(corep_mod._scaled_ratio(rescaled) - ratio) <= 1e-12 * ratio
+    raw = [np.linalg.svd(m, compute_uv=False) for m in (mat, rescaled)]
+    assert raw[1][-1] / raw[1][0] < 1e-8 * raw[0][-1] / raw[0][0]
+    # A duplicated column, or one that combines the others, still fails.
+    for column in (1e7 * mat[:, 0], 2.0 * mat[:, 0] - 3e5 * mat[:, 1]):
+        dependent = mat.copy()
+        dependent[:, 2] = column
+        assert corep_mod._scaled_ratio(dependent) < 1e-12
+    assert corep_mod._scaled_ratio(mat[:2]) == 0.0
+
+
+@pytest.mark.parametrize("seed", [6, 14, 21])
+def test_corep_suite_independence_gate(monkeypatch, seed):
+    # These seeds failed the 1e-8 floor on the raw matrix's ratio.  The ratio
+    # comes from the first two draws, so two samples see the same matrices.
+    cfg = RunConfig(seed=seed, samples=2)
+    rec = run_suite("corep", cfg)
+    assert rec["pass"], rec["notes"]
+    if seed == 6:
+        # With one column a copy of another, the same draws fail.
+        samples = corep_mod._top_row_samples
+
+        def duplicated(*args):
+            mat = samples(*args)
+            mat[:, -1] = mat[:, 0]
+            return mat
+
+        monkeypatch.setattr(corep_mod, "_top_row_samples", duplicated)
+        rec = run_suite("corep", cfg)
+        assert not rec["pass"]
+        notes = [note for note in rec["notes"] if "independence ratio" in note]
+        assert len(notes) == 1 and "<= 1e-08" in notes[0]
