@@ -43,7 +43,6 @@ from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_t
 from .series import vwp_plan, vwp_sum
 from .theta import (
     LAM,
-    MEMO_CAP,
     OMEGA,
     Z,
     Plan,
@@ -367,23 +366,14 @@ _ITEMS = {
 
 
 def _sweep_keys(N: int) -> list:
-    """The keys of every item of the (k, l) sweep at level N, direct or dual.
-
-    Equal keys are one object across levels: the templates of every kept
-    shape hold them.
-    """
+    """The keys of every item of the (k, l) sweep at level N, direct or dual."""
     ks = range(N + 1)
     keys = [("cd",)] + [(name, k) for name in ("h", "g1", "g2") for k in ks]
     for a in ks:
         for b in ks:
             keys += [("w1", a, b), ("w2", a, b), ("f", a, b, False), ("f", a, b, True)]
             keys += [("tilde", a, b), ("tau", a, b)]
-    if len(_KEYS) >= MEMO_CAP:
-        return keys
-    return [_KEYS.setdefault(key, key) for key in keys]
-
-
-_KEYS: dict = {}
+    return keys
 
 
 def _symbols(bp: BiorthParams) -> BiorthParams:

@@ -23,8 +23,9 @@ arguments of its numerator rows, denominator rows, head theta(a1 q^(4k)) and
 merged row, and the evaluation takes their values from the context's vector
 cache in one lookup per series.  Built over records, as part of a template
 (see ``theta``), it lists the term scalars q^(2k) as well, and takes all of
-those values from the template's binding.  Running products, exact-zero bookkeeping and the term sum are plain
-Python loops over those few dozen numbers (see ``theta`` for why).
+those values from the template's binding.  Running products, exact-zero
+bookkeeping and the term sum are plain Python loops over those few dozen
+numbers (see ``theta`` for why).
 A term that leaves the double range, whether numpy-style as inf or nan or by
 a Python ``OverflowError`` or ``ZeroDivisionError``, raises one ``PoleError``,
 from a frame that holds none of the rows: callers that keep the exception

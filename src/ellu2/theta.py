@@ -66,9 +66,9 @@ value depends only on its own row.  The two theta caches are kept apart
 because the scalar and vector kernels round differently in the last bit.
 ``theta_vec`` itself stays uncached: on batches of fresh arguments the
 lookup costs more than it saves.
-The scalar memo and the value memo stop growing at ``MEMO_CAP`` entries;
-the vector cache starts over when a lookup would take it past that.  So do
-the shared skeletons.
+The scalar memo, the value memo and the pool of shared skeletons stop
+growing at ``MEMO_CAP`` entries; the vector cache starts over when a lookup
+would take it past that.
 
 The products and quotients of cached values (``ThetaProduct.value``,
 ``theta_multi`` and the series in ``series.vwp_sum``) are reduced with plain
@@ -98,7 +98,16 @@ __all__ = [
     "ThetaContext",
     "TrackedArg",
     "Plan",
+    "Joined",
     "ThetaProduct",
+    "LAM",
+    "OMEGA",
+    "Z",
+    "Rec",
+    "Scalar",
+    "Template",
+    "TemplateContext",
+    "shared_skeleton",
     "binomial_plan",
     "combine",
     "known",
@@ -340,17 +349,7 @@ _HOLLOW = _new_arg(TrackedArg, (0, None, False))
 
 def qarg(s: int) -> TrackedArg:
     """Tracked pure power q^(2s)."""
-    got = _QARGS.get(s)
-    if got is None:
-        got = _new_arg(TrackedArg, (s, 1.0 + 0.0j, True))
-        if -QARG_SPAN <= s <= QARG_SPAN:
-            _QARGS[s] = got
-    return got
-
-
-# Tracked powers q^(2s) with |s| <= QARG_SPAN are made once and shared.
-QARG_SPAN = 256
-_QARGS: dict = {}
+    return _new_arg(TrackedArg, (s, 1.0 + 0.0j, True))
 
 
 def garg(value: complex | Rec) -> TrackedArg:
@@ -402,13 +401,13 @@ class Expo:
 
 
 def _real(x) -> float:
-    if isinstance(x, numbers.Real):
+    if type(x) in (int, float) or isinstance(x, numbers.Real):
         return x
     raise TypeError(f"a template exponent takes real numbers only, not {x!r}")
 
 
 def _expo(x) -> Expo:
-    return x if isinstance(x, Expo) else Expo(0, 0, _real(x))
+    return x if type(x) is Expo else Expo(0, 0, _real(x))
 
 
 class Rec(NamedTuple):
@@ -430,18 +429,12 @@ class Rec(NamedTuple):
 
     def __mul__(self, other) -> "Rec":
         if type(other) is Rec:
-            return _rec(
-                self.lam + other.lam,
-                self.om + other.om,
-                self.c + other.c,
-                self.zp + other.zp,
-                self.zbp + other.zbp,
-                self.neg ^ other.neg,
-            )
+            *exponents, neg = map(operator.add, self, other)
+            return _new_arg(Rec, (*exponents, neg & 1))
         if other == 1:
             return self
         if other == -1:
-            return _rec(*self[:5], self.neg ^ 1)
+            return _new_arg(Rec, (*self[:5], self.neg ^ 1))
         # Raising here, not returning NotImplemented, keeps Python from
         # falling back to tuple repetition.
         raise TypeError(f"a record scales by records and by +-1 only, not {other!r}")
@@ -457,15 +450,14 @@ class Rec(NamedTuple):
     def __pow__(self, n: int) -> "Rec":
         if type(n) is not int:
             raise TypeError(f"a record takes integer powers only, not {n!r}")
-        return _rec(
-            self.lam * n, self.om * n, self.c * n, self.zp * n, self.zbp * n, self.neg & n
-        )
+        *exponents, neg = (x * n for x in self)
+        return _new_arg(Rec, (*exponents, neg & 1))
 
     def conjugate(self) -> "Rec":
         """zbar for z and z for zbar; only records free of Λ and ω have one."""
         if self.lam or self.om:
             raise TypeError("the conjugate of a record with Λ or ω is not a record")
-        return _rec(0, 0, self.c, self.zbp, self.zp, self.neg)
+        return _new_arg(Rec, (0, 0, self.c, self.zbp, self.zp, self.neg))
 
     def tracked(self) -> TrackedArg:
         """The tracked argument of this record, with the exact-zero rule
@@ -476,10 +468,6 @@ class Rec(NamedTuple):
         if not (self.lam or self.om or self.zp or self.zbp or self.neg) and self.c % 2 == 0:
             return qarg(int(self.c) // 2)
         return _new_arg(TrackedArg, (0, self, False))
-
-
-def _rec(*fields) -> Rec:
-    return _new_arg(Rec, fields)
 
 
 class Scalar(NamedTuple):
@@ -506,10 +494,10 @@ class TemplateContext:
 
     def qpow(self, x: Expo | float) -> Rec:
         e = _expo(x)
-        return _rec(e.lam, e.om, e.c, 0, 0, 0)
+        return _new_arg(Rec, (e.lam, e.om, e.c, 0, 0, 0))
 
     def q2n(self, n: int) -> Rec:
-        return _rec(0, 0, 2 * n, 0, 0, 0)
+        return _new_arg(Rec, (0, 0, 2 * n, 0, 0, 0))
 
     @staticmethod
     def conj(z: Rec) -> Rec:
@@ -631,21 +619,10 @@ class Plan:
         """
         n = len(self.args)
         key = (Plan, self.ctx, self.finish, n)
-        return shared_skeleton(key, lambda: Plan(self.ctx, _placeholders(n), self.finish))
+        return shared_skeleton(key, lambda: Plan(self.ctx, [None] * n, self.finish))
 
 
 _SKELETONS: dict = {}
-
-
-_PLACEHOLDERS: dict = {}
-
-
-def _placeholders(n: int) -> list:
-    """A list of n Nones, shared by every skeleton that needs one: never changed."""
-    got = _PLACEHOLDERS.get(n)
-    if got is None:
-        got = _PLACEHOLDERS[n] = [None] * n
-    return got
 
 
 def shared_skeleton(key: tuple, make) -> Plan:
@@ -766,10 +743,6 @@ class ThetaProduct(Plan):
         self._num: list[complex] = []
         self._den: list[complex] = []
 
-    def mul_scalar(self, c: complex) -> "ThetaProduct":
-        self.scalar *= c
-        return self
-
     def theta(self, arg: ArgLike, inv: bool = False, count: int = 1) -> "ThetaProduct":
         """Multiply by theta(arg)^count, or divide when ``inv``."""
         if count < 0:
@@ -844,7 +817,7 @@ class ThetaProduct(Plan):
 
         def make() -> ThetaProduct:
             out = ThetaProduct(self.ctx, scalar)
-            out.zeros, out._num, out._den = self.zeros, _placeholders(nums), _placeholders(dens)
+            out.zeros, out._num, out._den = self.zeros, [None] * nums, [None] * dens
             return out
 
         return shared_skeleton((ThetaProduct, self.ctx, scalar, zero, nums, dens), make)

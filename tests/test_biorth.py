@@ -16,7 +16,14 @@ from ellu2.biorth import (
     weight_w1,
     weight_w2,
 )
-from ellu2.biorth import _item, _oracle_keys, _oracle_summand, _series_parts, _summand, _summand_keys
+from ellu2.biorth import (
+    _item,
+    _oracle_keys,
+    _oracle_summand,
+    _series_parts,
+    _summand,
+    _summand_keys,
+)
 from ellu2.series import vwp_sum
 from ellu2.theta import PoleError, ThetaContext, pochhammer
 

