@@ -138,12 +138,6 @@ class SeriesValue:
     warnings: tuple[str, ...] = ()
 
 
-def _q2_ladder(ctx: ThetaContext, length: int) -> list[complex]:
-    """q^(2i) for i = 0..length-1, as powers of q^2."""
-    q2 = ctx.qpow(2)
-    return [q2**i for i in range(length)]
-
-
 def _poch_args(
     ctx: ThetaContext, params: Sequence[TrackedArg], length: int, q2pow: list[complex]
 ) -> list[complex]:
@@ -251,7 +245,7 @@ class _Series(Plan):
     a term out of range, ``finish`` raises ``PoleError`` for it.
     """
 
-    __slots__ = ("a1", "nums", "dens", "merged", "n", "ladder")
+    __slots__ = ("a1", "nums", "dens", "merged", "n", "q2pow", "ladder")
 
     def __init__(
         self,
@@ -271,14 +265,14 @@ class _Series(Plan):
             raise ValueError("merged numerator length must cover the sum range")
         self.ctx, self.a1, self.merged, self.n = ctx, a1, merged, n
         self.nums, self.dens = (a1, *numer), (qarg(1), *denom)
+        q2 = ctx.qpow(2)
+        self.q2pow = [q2**i for i in range(max(2 * n + 1, big_j))]
         # The term scalars: numbers, or records bound per sample.
-        self.ladder = known(ctx, _q2_ladder(ctx, n + 1))
+        self.ladder = known(ctx, self.q2pow[: n + 1])
 
     @property
     def args(self) -> list:
-        ctx, n = self.ctx, self.n
-        big_j = n if self.merged is None else self.merged[1]
-        q2pow = _q2_ladder(ctx, max(2 * n + 1, big_j))
+        ctx, n, q2pow = self.ctx, self.n, self.q2pow
         g = self.a1.value(ctx)
         args = self.ladder.args + _poch_args(ctx, self.nums, n, q2pow)
         args += _poch_args(ctx, self.dens, n, q2pow)
@@ -292,7 +286,7 @@ class _Series(Plan):
         try:
             return _vwp_reduce(
                 self.ctx, self.a1, self.nums, self.dens, self.merged, self.n,
-                self.ladder.finish(vals[:cut]), vals[cut:],
+                self.ladder.finish(vals[:cut]), vals[cut:] if cut else vals,
             )
         except (OverflowError, ZeroDivisionError):
             return None
@@ -311,6 +305,7 @@ class _Series(Plan):
         key = (_Series, self.ctx, a1, nums, dens, merged, self.n, self.ladder.skeleton())
 
         def make() -> _Series:
+            # No q2pow: a skeleton lists no arguments.
             out = object.__new__(_Series)
             out.ctx, out.a1, out.nums, out.dens, out.merged, out.n, out.ladder = key[1:]
             return out

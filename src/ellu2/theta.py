@@ -619,13 +619,18 @@ class Plan:
         """
         n = len(self.args)
         key = (Plan, self.ctx, self.finish, n)
-        return shared_skeleton(key, lambda: Plan(self.ctx, [None] * n, self.finish))
+        return shared_skeleton(key, lambda: Plan(self.ctx, _placeholders(n), self.finish))
 
 
 _SKELETONS: dict = {}
 
 
-def shared_skeleton(key: tuple, make) -> Plan:
+def _placeholders(n: int) -> list:
+    """A list of n Nones, one per length, shared by the skeletons: never changed."""
+    return shared_skeleton((list, n), lambda: [None] * n)
+
+
+def shared_skeleton(key: tuple, make):
     """The skeleton kept under ``key``, made by ``make()`` the first time."""
     got = _SKELETONS.get(key)
     if got is None:
@@ -817,7 +822,7 @@ class ThetaProduct(Plan):
 
         def make() -> ThetaProduct:
             out = ThetaProduct(self.ctx, scalar)
-            out.zeros, out._num, out._den = self.zeros, [None] * nums, [None] * dens
+            out.zeros, out._num, out._den = self.zeros, _placeholders(nums), _placeholders(dens)
             return out
 
         return shared_skeleton((ThetaProduct, self.ctx, scalar, zero, nums, dens), make)
