@@ -514,10 +514,11 @@ class Template:
     exponents, and lists, plan after plan, where each argument's value will
     be; then it keeps only the plan's skeleton (``Plan.skeleton``), so a
     template holds no plan's records.  ``plans`` maps a key to the position
-    of its skeleton and of the slice of that list it owns.  ``bind`` evaluates every record
-    of a sample with one matrix-vector product and one ``exp``, makes one
-    ``theta_vec`` call on the distinct theta arguments, and gathers the
-    values of every plan's arguments; ``finish`` hands a plan its slice.
+    of its skeleton and of the slice of that list it owns.  ``bind``
+    evaluates every record of a sample with one matrix-vector product and
+    one ``exp``, makes one ``theta_vec`` call on the distinct theta
+    arguments, and gathers the values of every plan's arguments; ``finish``
+    hands a plan its slice.
 
     The product is written out column by column, so each record's value
     depends on its own row only: a plan bound alone gets the same bits as
