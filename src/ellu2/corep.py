@@ -340,18 +340,20 @@ def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
     qp = ctx.qpow
-    tp = ThetaProduct(ctx)
-    tp.poch(garg(qp(2 * (x - k + 2))), k)
-    tp.poch(garg(qp(2 * (x + N - 2 * k + 2))), k, inv=True)
-    # The scalar is the elliptic binomial times q to the sum of these exponents.
+    # The scalar is the elliptic binomial times q to the sum of the
+    # exponents of the single factors below.
     expo = 0
     for i in range(N - k):
         expo -= x + N - 2 * k - i
-        tp.theta(garg(qp(-2 * (x + N - 2 * k - i + 1))), inv=True)
     for i in range(k):
         expo -= x - k + i
+    tp = ThetaProduct(ctx, combine(ctx, [binomial_plan(N, k, ctx), known(ctx, qp(expo))], mul))
+    tp.poch(garg(qp(2 * (x - k + 2))), k)
+    tp.poch(garg(qp(2 * (x + N - 2 * k + 2))), k, inv=True)
+    for i in range(N - k):
+        tp.theta(garg(qp(-2 * (x + N - 2 * k - i + 1))), inv=True)
+    for i in range(k):
         tp.theta(garg(qp(-2 * (x - k + i + 1))), inv=True)
-    tp.scalar = combine(ctx, [binomial_plan(N, k, ctx), known(ctx, qp(expo))], mul)
     return tp
 
 

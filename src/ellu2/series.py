@@ -294,7 +294,7 @@ class _Series(Plan):
     def finish(self, vals: list[complex]) -> tuple[complex, float, int]:
         return _in_range(self.reduce(vals))
 
-    def skeleton(self) -> Plan:
+    def skeleton(self, pool: dict) -> Plan:
         # The reduction reads the parameters only for their exact zeros: in
         # the rows, among their n factors; in the head, at q^(4k), k <= n.
         n = self.n
@@ -302,7 +302,7 @@ class _Series(Plan):
         nums = tuple(t.hollow(n) for t in self.nums)
         dens = tuple(t.hollow(n) for t in self.dens)
         merged = self.merged and (self.merged[0].hollow(self.merged[1]), self.merged[1])
-        key = (_Series, self.ctx, a1, nums, dens, merged, self.n, self.ladder.skeleton())
+        key = (_Series, self.ctx, a1, nums, dens, merged, self.n, self.ladder.skeleton(pool))
 
         def make() -> _Series:
             # No q2pow: a skeleton lists no arguments.
@@ -310,7 +310,7 @@ class _Series(Plan):
             out.ctx, out.a1, out.nums, out.dens, out.merged, out.n, out.ladder = key[1:]
             return out
 
-        return shared_skeleton(key, make)
+        return shared_skeleton(pool, key, make)
 
 
 def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:

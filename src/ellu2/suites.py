@@ -218,10 +218,11 @@ BAILEY_MAX_CONDITION = 1e6
 
 
 def _bailey_draw(cfg: RunConfig, rng: np.random.Generator, order: int | None):
-    """(n, report, condition) of one drawn transformation check.
+    """(n, report, theta condition) of one drawn transformation check.
 
-    The condition is the report's, the cancellation between terms, times the
-    largest theta condition over the terms' factors.  A draw past
+    The draw is gated on the report's condition, the cancellation between
+    terms, times the theta condition, the largest ``theta_condition`` over the
+    terms' factors (``bailey_theta_condition``).  A draw whose product passes
     ``BAILEY_MAX_CONDITION`` raises ``PoleError``, to be redrawn: the forced
     seventh parameter can land near a pole, and p near a power of q^2 puts a
     factor of the terminating row near a zero of theta; either hides the
@@ -231,12 +232,13 @@ def _bailey_draw(cfg: RunConfig, rng: np.random.Generator, order: int | None):
     n = int(rng.integers(0, 7)) if order is None else order
     args = tuple(draw_z(rng) for _ in range(6))
     report = check_bailey(*args, n, ctx)
-    condition = report.condition * bailey_theta_condition(*args, n, ctx)
+    theta_cond = bailey_theta_condition(*args, n, ctx)
+    condition = report.condition * theta_cond
     if condition > BAILEY_MAX_CONDITION:
         raise PoleError(
             f"bailey draw condition {condition:.2e} exceeds {BAILEY_MAX_CONDITION:g}"
         )
-    return n, report, condition
+    return n, report, theta_cond
 
 
 def _suite_bailey(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
@@ -672,7 +674,9 @@ def bailey_table(cfg: RunConfig, order: int | None, samples: int) -> dict:
     ``order`` pins the truncation index of both sides; None draws it from
     0..6 per sample.  Draws whose condition number exceeds the cancellation
     budget of double precision are rejected and redrawn, as in the suite
-    (``_bailey_draw``).
+    (``_bailey_draw``).  Each entry reports the two factors of that condition
+    apart: ``condition``, the report's cancellation between terms, and
+    ``theta_condition``, the largest theta condition over the terms' factors.
     """
     rng = np.random.default_rng([cfg.seed, 300 + (99 if order is None else order)])
     tol = cfg.tol if cfg.tol is not None else 1e-7
@@ -681,11 +685,12 @@ def bailey_table(cfg: RunConfig, order: int | None, samples: int) -> dict:
     for _ in range(samples):
 
         def sample() -> dict:
-            n, report, condition = _bailey_draw(cfg, rng, order)
+            n, report, theta_cond = _bailey_draw(cfg, rng, order)
             return {
                 "n": n,
                 "residual": report.residual,
-                "condition": condition,
+                "condition": report.condition,
+                "theta_condition": theta_cond,
                 "pass": report.residual <= tol,
             }
 

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from ellu2.cli import fmt, main, parse_complex
-from ellu2.suites import RunConfig, canonical_json, corep_table, run_report
+from ellu2.suites import BAILEY_MAX_CONDITION, RunConfig, canonical_json, corep_table, run_report
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +127,10 @@ def test_check_bailey_table(capsys):
     assert report["n"] == 2
     assert len(report["entries"]) + report["rejected"] == 3
     assert all(e["n"] == 2 for e in report["entries"])
+    # The two factors of the redraw gate are reported apart.
+    for e in report["entries"]:
+        assert e["condition"] >= 1.0 and e["theta_condition"] >= 1.0
+        assert e["condition"] * e["theta_condition"] <= BAILEY_MAX_CONDITION
 
 
 def test_check_qdybe_table(capsys):

@@ -233,10 +233,36 @@ def test_shapes_are_kept_up_to_the_cap(monkeypatch):
         assert check_biorth(params(2, M), 1, 1, BiorthCache()) == reports[M]
 
 
+def test_single_items_leave_no_module_state():
+    # A template built for one item is dropped with everything it made, its
+    # shared skeletons too: no dict, list or set at module level grows with
+    # repeated single-item calls.  Indices 0 and N reach the plans of numbers
+    # (the elliptic binomials at their endpoints).
+    mods = [importlib.import_module(f"ellu2.{m}") for m in ("theta", "series", "corep", "biorth")]
+
+    def sizes():
+        return {
+            (m.__name__, name): len(v)
+            for m in mods
+            for name, v in vars(m).items()
+            if isinstance(v, (dict, list, set))
+        }
+
+    N = 3
+    weight_w1(params(N, 1), 0, N, True)
+    before = sizes()
+    for i in range(N + 1):
+        bp = params(N, 1, ThetaContext(0.1 + 0.01 * i, 0.6))
+        weight_w1(bp, i, N - i, True)
+        weight_w2(bp, N - i, i, True)
+        norm_h(bp, i)
+        c_det_product(bp)
+    assert sizes() == before
+
+
 def test_no_template_is_built_at_import():
     code = (
         "import importlib, ellu2\n"
-        "b, t = (importlib.import_module(f'ellu2.{m}') for m in ('biorth', 'theta'))\n"
-        "assert not b._SWEEPS and not t._SKELETONS\n"
+        "assert not importlib.import_module('ellu2.biorth')._SWEEPS\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SRC)})
