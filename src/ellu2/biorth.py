@@ -28,8 +28,8 @@ level, for at most ``SHAPE_CAP`` shapes (N, M, zero guard).
 A ``BiorthCache`` serves one sweep of checks at one sample.  Its first check
 binds the template of every item of the full (k, l) sweep to the sample
 (``theta.Template``: one matrix-vector product, one ``exp``, one
-``theta_vec`` call), and each item is finished from those values when a check
-first asks for it.  ``norm_h``, ``weight_w1``, ``weight_w2`` and
+``theta_vec`` call, one pass over arrays for all its series), and each item
+is finished from those values when a check first asks for it.  ``norm_h``, ``weight_w1``, ``weight_w2`` and
 ``c_det_product`` bind their one item alone, to the same bits.
 """
 

@@ -21,24 +21,35 @@ series poles at integer specializations without ever forming 0/0.
 A series is built, then evaluated (``vwp_plan``): the build lists the
 arguments of its numerator rows, denominator rows, head theta(a1 q^(4k)) and
 merged row, and the evaluation takes their values from the context's vector
-cache in one lookup per series.  Built over records, as part of a template
-(see ``theta``), it lists the term scalars q^(2k) as well, and takes all of
-those values from the template's binding.  Running products, exact-zero
-bookkeeping and the term sum are plain Python loops over those few dozen
-numbers (see ``theta`` for why).
+cache in one lookup per series.  Running products, exact-zero bookkeeping
+and the term sum are plain Python loops over those few dozen numbers (see
+``theta`` for why).
 A term that leaves the double range, whether numpy-style as inf or nan or by
 a Python ``OverflowError`` or ``ZeroDivisionError``, raises one ``PoleError``,
 from a frame that holds none of the rows: callers that keep the exception
 keep its traceback's frames.
+
+Built over records, as part of a template (see ``theta``), a series lists
+the term scalars q^(2k) as well, and the template reduces all its series
+together when it is bound (``_Batch``): the running products of every row,
+every live term and every term sum, in numpy, on split real and imaginary
+float64 arrays.  Its bits are the loop's.  It does each operation of
+``_vwp_reduce`` in the same order, with CPython's formulas for complex
+``*``, ``/`` and ``abs`` (``_c_mul``, ``_c_div``, ``_c_abs``), and an
+elementwise float64 operation rounds as the C operation does.  Each bound
+series then only reads its result, or raises its loop's ``PoleError``.
+Plans over numbers (``vwp_sum``, corep's ``tau_closed``, the series and
+bailey checks) stay on the loop.
 """
 
 from __future__ import annotations
 
 import cmath
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -294,23 +305,33 @@ class _Series(Plan):
     def finish(self, vals: list[complex]) -> tuple[complex, float, int]:
         return _in_range(self.reduce(vals))
 
+    def template_args(self) -> list:
+        return [self]
+
     def skeleton(self, pool: dict) -> Plan:
-        # The reduction reads the parameters only for their exact zeros: in
-        # the rows, among their n factors; in the head, at q^(4k), k <= n.
-        n = self.n
-        a1 = self.a1.hollow(2 * n + 1)
-        nums = tuple(t.hollow(n) for t in self.nums)
-        dens = tuple(t.hollow(n) for t in self.dens)
-        merged = self.merged and (self.merged[0].hollow(self.merged[1]), self.merged[1])
-        key = (_Series, self.ctx, a1, nums, dens, merged, self.n, self.ladder.skeleton(pool))
+        return shared_skeleton(pool, (_Series,), _Result)
 
-        def make() -> _Series:
-            # No q2pow: a skeleton lists no arguments.
-            out = object.__new__(_Series)
-            out.ctx, out.a1, out.nums, out.dens, out.merged, out.n, out.ladder = key[1:]
-            return out
+    @staticmethod
+    def batch(record, theta) -> "_Batch":
+        """The program that reduces the series of a template together."""
+        return _Batch(record, theta)
 
-        return shared_skeleton(pool, key, make)
+
+class _Result(Plan):
+    """A bound template's series: its one argument is what ``_Batch.reduce``
+    gave the series, its (value, max term, count) or the message of the
+    ``PoleError`` its scalar reduction raises."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self.ctx, self.args = None, [None]
+
+    def finish(self, vals: list) -> tuple[complex, float, int]:
+        got = vals[0]
+        if type(got) is str:
+            raise PoleError(got)
+        return got
 
 
 def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:
@@ -318,8 +339,307 @@ def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float
     # frame of its traceback (and of its context) alive, and callers may
     # keep many.
     if out is None:
-        raise PoleError("series term magnitude exceeds double precision range")
+        raise PoleError(OUT_OF_RANGE)
     return out
+
+
+OUT_OF_RANGE = "series term magnitude exceeds double precision range"
+DEN_ZERO = "denominator Pochhammer factor hits an exact zero"
+DEN_GUARD = "denominator theta factor below zero guard"
+A1_GUARD = "theta(a1) below zero guard"
+
+
+def _c_mul(ar, ai, br, bi):
+    """(ar + ai i) (br + bi i) on split arrays, by CPython's formula for ``*``."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_div(ar, ai, br, bi):
+    """(ar + ai i) / (br + bi i) on split arrays, by CPython's formula for ``/``.
+
+    That is Smith's quotient: divide through by the larger of |br| and |bi|,
+    by br when they tie.  Both branches are written with the operands in
+    CPython's order where it matters; addition commutes bit for bit, and a
+    difference is written out in each branch, since a - b and -(b - a)
+    differ in the sign of a zero.  A divisor with a nan part gives nan, as
+    CPython does; an exact 0j divisor, where Python raises
+    ``ZeroDivisionError``, gives nan (0 / 0 in the ratio).
+    """
+    first = np.abs(br) >= np.abs(bi)
+    big, small = np.where(first, br, bi), np.where(first, bi, br)
+    x, y = np.where(first, ar, ai), np.where(first, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    u = x * ratio
+    return (x + y * ratio) / denom, np.where(first, y - u, u - y) / denom
+
+
+def _c_abs(re, im):
+    """|re + im i| on split arrays, as ``abs`` computes it, and where ``abs``
+    raises ``OverflowError``: finite parts whose modulus is beyond range."""
+    mag = np.hypot(re, im)
+    return mag, np.isinf(mag) & np.isfinite(re) & np.isfinite(im)
+
+
+class _Batch:
+    """The series plans of one template, reduced together on split arrays.
+
+    ``reduce`` takes the template's record values and theta values and gives
+    each series what ``_Series.reduce`` gives it on the same values, bit for
+    bit, or the message of the ``PoleError`` its ``finish`` raises.  It
+    follows ``_vwp_reduce`` step by step: each value is formed by the same
+    operations, in the same order, as in the scalar loop, with CPython's
+    complex formulas (``_c_mul``, ``_c_div``, ``_c_abs``), and float64 array
+    arithmetic rounds each operation as C does.  What differs is bookkeeping:
+    the live terms and exact zeros are decided at compile time, equal rows
+    share their running products, and a term that fails (a nan or inf part,
+    an exact 0j divisor, a modulus beyond range) fails its series, as a
+    raise or a non-finite term fails the scalar reduction.
+
+    A template compiles its series one by one (``add``), as it lists its
+    plans, and ``close`` lays out the program, all int32 indices: ``rank``
+    orders the series by decreasing live-term count; terms are laid out
+    count position by count position (``widths``), so each term sum is a
+    run of slice additions.  ``factors`` (length by row) indexes each
+    deduplicated row's theta factors, -1 the 1 an exact zero factor is
+    replaced by (and padding); the term steps index the running products
+    flat, k * rows + row.
+    """
+
+    __slots__ = (
+        "rank", "guard", "fixed", "counts", "widths", "factors", "head", "a1", "q2",
+        "merged", "steps", "den", "den_cuts", "series_a1", "_pending",
+    )
+
+    def __init__(self, record, theta):
+        # While compiling: the series compiled so far, their rows, and the
+        # template's indexing of records and theta arguments.
+        self.guard = None
+        self._pending = ([], {}, record, theta)
+
+    def add(self, node: _Series) -> None:
+        """Compile one more series; ``close`` ends compiling."""
+        if self.guard not in (None, node.ctx.zero_guard):
+            raise ValueError("the series of one template share one zero guard")
+        self.guard = node.ctx.zero_guard
+        compiled, rows, record, theta = self._pending
+        compiled.append(_compile(node, rows, record, theta))
+
+    def close(self) -> None:
+        """Lay out the program of the series added, in int32 arrays."""
+        compiled, rows, _, _ = self._pending
+        self._pending = None
+        live = [len(c.live) for c in compiled]
+        order = sorted(range(len(compiled)), key=live.__getitem__, reverse=True)
+        self.rank = array("i", [0] * len(compiled))
+        for i, s in enumerate(order):
+            self.rank[s] = i
+        self.fixed = {self.rank[s]: c.message for s, c in enumerate(compiled) if c.message}
+        self.counts = [compiled[s].count for s in order]
+        self.widths = array("i", [sum(n > j for n in live) for j in range(max(live, default=0))])
+        self.den = _i32([i for c in compiled for i in c.den])
+        self.den_cuts = _i32([0, *accumulate(len(c.den) for c in compiled)])
+        self.series_a1 = _i32([c.a1 for c in compiled])
+
+        # The terms, position by position: term j of each series that has one.
+        # A running product is indexed flat, k * nrows + row.
+        nrows = len(rows)
+        terms = [(compiled[s], j) for j, width in enumerate(self.widths) for s in order[:width]]
+        self.head = _i32([c.head[j] for c, j in terms])
+        self.a1 = _i32([c.a1 for c, _ in terms])
+        self.q2 = _i32([c.q2[j] for c, j in terms])
+        merged = _select(
+            c.merged and (c.merged[1] * nrows + c.merged[0], c.live[j] * nrows + c.merged[0])
+            for c, j in terms
+        )
+        self.merged = merged and (merged[0], *map(_i32, zip(*merged[1])))
+        self.steps = []
+        for p in range(max((len(c.ops) for c in compiled), default=0)):
+            for is_div in (False, True):
+                step = _select(
+                    c.live[j] * nrows + c.ops[p][1] if p < len(c.ops) and c.ops[p][0] == is_div else None
+                    for c, j in terms
+                )
+                if step is not None:
+                    self.steps.append((is_div, step[0], _i32(step[1])))
+        length = max(map(len, rows), default=0)
+        self.factors = np.full((length, nrows), -1, dtype=np.int32)
+        for row, r in rows.items():
+            self.factors[: len(row), r] = row
+
+    def reduce(self, e: np.ndarray, th: np.ndarray) -> list:
+        """Each series' result, in ``rank`` order, from the template's record
+        values ``e`` and theta values ``th``."""
+        ext = np.empty(len(th) + 1, dtype=complex)
+        ext[:-1] = th
+        ext[-1] = 1.0
+        tr, ti = ext.real.copy(), ext.imag.copy()
+        with np.errstate(all="ignore"):
+            mag, over = _c_abs(tr, ti)
+            events = over | (mag < self.guard)
+            # Running products of the rows: P[0] = 1, P[1] the first factor.
+            f = self.factors
+            nrows = f.shape[1]
+            pr = np.empty((len(f) + 1, nrows))
+            pi = np.empty_like(pr)
+            pr[0], pi[0] = 1.0, 0.0
+            if len(f):
+                pr[1], pi[1] = tr[f[0]], ti[f[0]]
+            for i in range(1, len(f)):
+                pr[i + 1], pi[i + 1] = _c_mul(pr[i], pi[i], tr[f[i]], ti[f[i]])
+            pr, pi = pr.ravel(), pi.ravel()
+            # The terms: head / theta(a1) * q^(2k), times the merged ratio,
+            # then the rows, numerators and denominators interleaved.
+            ar, ai = _c_div(tr[self.head], ti[self.head], tr[self.a1], ti[self.a1])
+            ar, ai = _c_mul(ar, ai, e.real[self.q2], e.imag[self.q2])
+            if self.merged is not None:
+                sel, num, den = self.merged
+                ar, ai = _apply(_c_mul, ar, ai, sel, *_c_div(pr[num], pi[num], pr[den], pi[den]))
+            for is_div, sel, idx in self.steps:
+                ar, ai = _apply(_c_div if is_div else _c_mul, ar, ai, sel, pr[idx], pi[idx])
+            tmag = np.hypot(ar, ai)
+            # The sums over each series' live terms, left to right.
+            nseries = len(self.counts)
+            vr, vi, top = np.zeros(nseries), np.zeros(nseries), np.zeros(nseries)
+            failed = np.zeros(nseries, dtype=bool)
+            a = 0
+            for w in self.widths:
+                b = a + w
+                vr[:w] += ar[a:b]
+                vi[:w] += ai[a:b]
+                np.maximum(top[:w], tmag[a:b], out=top[:w])
+                failed[:w] |= ~np.isfinite(tmag[a:b])
+                a = b
+        value = np.empty(nseries, dtype=complex)
+        value.real, value.imag = vr, vi
+        out = list(zip(value.tolist(), top.tolist(), self.counts))
+        for i in np.flatnonzero(failed).tolist():
+            out[i] = OUT_OF_RANGE
+        if events.any():
+            self._guards(out, events, mag)
+        for i, msg in self.fixed.items():
+            out[i] = msg
+        return out
+
+    def _guards(self, out: list, events: np.ndarray, mag: np.ndarray) -> None:
+        """Put the guard failures in ``out``: the first denominator factor, in
+        row order, then theta(a1), whose modulus is below the guard (or
+        overflows, as ``abs`` raises there)."""
+        hit = events[self.den]
+        cuts = self.den_cuts
+        for s, a1 in enumerate(self.series_a1):
+            first = np.flatnonzero(hit[cuts[s] : cuts[s + 1]])
+            if first.size:
+                idx, msg = self.den[cuts[s] + first[0]], DEN_GUARD
+            elif events[a1]:
+                idx, msg = a1, A1_GUARD
+            else:
+                continue
+            out[self.rank[s]] = msg if mag[idx] < self.guard else OUT_OF_RANGE
+
+
+class _Compiled(NamedTuple):
+    """One series as ``_Batch`` takes it in.
+
+    ``message``: that of the ``PoleError`` every reduction of the series
+    raises (an exact zero among its denominator factors), or None; ``a1``
+    indexes theta(a1), ``den`` the denominator factors in row order, for the
+    guards.  ``live`` lists the live terms k, ``head`` and ``q2`` index
+    theta(a1 q^(4k)) and q^(2k) for each; ``merged`` is the merged row and
+    its length, or None; ``ops`` the (divide?, row) operations of a term, in
+    order; ``count`` the scalar reduction's.
+    """
+
+    message: Optional[str]
+    a1: int
+    den: Sequence[int]
+    live: Sequence[int] = ()
+    head: Sequence[int] = ()
+    q2: Sequence[int] = ()
+    merged: Optional[tuple[int, int]] = None
+    ops: Sequence[tuple[bool, int]] = ()
+    count: int = 0
+
+
+def _compile(node: _Series, rows: dict, record, theta) -> _Compiled:
+    """Compile one series: ``record`` and ``theta`` index its records and
+    theta arguments in the template, ``rows`` its rows' factors, shared
+    among the series."""
+    n, args = node.n, node.args
+
+    # The layout of the arguments: term scalars, numerator rows, denominator
+    # rows, head, theta(a1), merged row.
+    def rows_at(cut: int, params: tuple) -> list:
+        return [args[cut + r * n : cut + (r + 1) * n] for r in range(len(params))]
+
+    cut = n + 1
+    nums = rows_at(cut, node.nums)
+    cut += len(node.nums) * n
+    dens = rows_at(cut, node.dens)
+    cut += len(node.dens) * n
+    head, a1 = args[cut : cut + n + 1], theta(args[cut + n + 1])
+
+    def zero_at(ta, length):
+        return -ta.s if ta.is_one and 0 <= -ta.s < length else length
+
+    if min(zero_at(ta, n) for ta in node.dens) < n:
+        return _Compiled(DEN_ZERO, a1, [])
+    den = [theta(rec) for row in dens for rec in row]
+    # Term k is live as in ``_vwp_reduce``: no exact zero among the first k
+    # factors of a numerator row, in the head, or among the merged factors
+    # k..J-1.
+    last = min(zero_at(ta, n) for ta in node.nums)
+    first = 0
+    if node.merged is not None:
+        mlen = node.merged[1]
+        mzero = zero_at(node.merged[0], mlen)
+        first = mzero + 1 if mzero < mlen else 0
+    live = [k for k in range(first, last + 1) if not node.a1.theta_is_zero(2 * k)]
+    if not live:
+        return _Compiled(None, a1, den)
+
+    def row_id(factors) -> int:
+        return rows.setdefault(tuple(factors), len(rows))
+
+    merged = None
+    if node.merged is not None:
+        merged_factors = (-1 if i == mzero else theta(rec) for i, rec in enumerate(args[cut + n + 2 :]))
+        merged = (row_id(merged_factors), mlen)
+    num_rows = [row_id(map(theta, row[:last])) for row in nums]
+    den_rows = [row_id(map(theta, row)) for row in dens]
+    ops = []
+    for i in range(max(len(num_rows), len(den_rows))):
+        if i < len(num_rows):
+            ops.append((False, num_rows[i]))
+        if i < len(den_rows):
+            ops.append((True, den_rows[i]))
+    heads = [theta(head[k]) for k in live]
+    q2 = [record(args[k].rec) for k in live]
+    return _Compiled(None, a1, den, live, heads, q2, merged, ops, live[-1] + 1)
+
+
+def _apply(op, ar, ai, sel, br, bi):
+    """``op`` on the terms ``sel`` selects (a full slice: every term)."""
+    if type(sel) is slice:
+        return op(ar, ai, br, bi)
+    ar[sel], ai[sel] = op(ar[sel], ai[sel], br, bi)
+    return ar, ai
+
+
+def _i32(values) -> np.ndarray:
+    return np.array(values, dtype=np.int32)
+
+
+def _select(entries) -> Optional[tuple]:
+    """(sel, present): the entries that are not None, and the indices that
+    select them, a full slice when they all are; None when none is."""
+    entries = list(entries)
+    present = [x for x in entries if x is not None]
+    if not present:
+        return None
+    if len(present) == len(entries):
+        return slice(None), present
+    return _i32([i for i, x in enumerate(entries) if x is not None]), present
 
 
 def vwp_plan(

@@ -55,8 +55,10 @@ exponents, and keeps of each plan only its skeleton (``Plan.skeleton``), a
 plan that finishes the same way and holds no record, shared among the equal
 ones of the template.  Binding a template to a sample evaluates all its
 records with one matrix-vector product and one ``exp``, and all its theta
-arguments with one ``theta_vec`` call, without the vector cache; each plan
-is then finished on its slice of the values.  ``biorth`` keeps the templates of its items.
+arguments with one ``theta_vec`` call, without the vector cache.  Then it
+reduces all its series plans together, in one pass over arrays
+(``series._Batch``), and each plan is finished on its slice of the values
+and series results.  ``biorth`` keeps the templates of its items.
 
 The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
@@ -76,7 +78,10 @@ building numpy arrays for it costs far more than the arithmetic.  Python
 rounds some products and quotients differently from numpy in the last bit,
 and it raises where numpy returns inf or nan: ``abs`` of a finite value
 beyond the double range raises ``OverflowError`` and division by zero raises
-``ZeroDivisionError``.  The reductions report both as ``PoleError``.
+``ZeroDivisionError``.  The reductions report both as ``PoleError``.  The
+series of a bound template, hundreds at once, are the exception: their
+pass over arrays keeps the real and imaginary parts apart and writes out
+CPython's formulas, so it rounds as the Python loop does (see ``series``).
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ import numbers
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -334,16 +340,10 @@ class TrackedArg(NamedTuple):
         """Exact vanishing of theta(self * q^(2i))."""
         return self.is_one and self.s + i == 0
 
-    def hollow(self, length: int) -> "TrackedArg":
-        """This argument as a skeleton keeps it: the same exact zeros among
-        the factors theta(self * q^(2i)), i = 0..length-1, and no value."""
-        return self if self.is_one and 0 <= -self.s < length else _HOLLOW
-
 
 # Builds a TrackedArg from a ready tuple, skipping the argument handling of
 # the generated constructor.
 _new_arg = tuple.__new__
-_HOLLOW = _new_arg(TrackedArg, (0, None, False))
 
 
 def qarg(s: int) -> TrackedArg:
@@ -511,45 +511,79 @@ class Template:
     record) and ``Scalar`` entries (the record's value).  Compiling collects
     the distinct records of all the plans as the rows of a small matrix of
     exponents, and lists, plan after plan, where each argument's value will
-    be; then it keeps only the plan's skeleton (``Plan.skeleton``), so a
+    be (``Plan.template_args``).  A series plan, wherever it sits in an item
+    (a part of a joined plan, the scalar of a theta product), takes one
+    entry there, for its result: the template collects its series and
+    compiles them into one program of int32 indices (``series._Batch``).
+    Then it keeps only the plan's skeleton (``Plan.skeleton``), so a
     template holds no plan's records.  Equal skeletons are one object,
     shared through a pool that lives while the template is compiled.  This
-    is what keeps templates small: the 6 sweeps of N = 6..8, M = 1, 2 take
-    1.8 MB (tracemalloc), and 16.5 MB when they keep the plans as built.
+    is what keeps templates small: the 15 sweeps of N = 1..5, M = 0..2 take
+    1.23 MB (tracemalloc), series programs included, and the 3 sweeps of
+    N = 6..8, M = 1 take 0.94 MB; keeping the plans as built took about
+    seven times that (8.5 and 8.3 MB, measured before the series programs).
     ``plans`` maps a key to the position of its skeleton and of the slice of
-    that list it owns.  ``bind``
-    evaluates every record of a sample with one matrix-vector product and
-    one ``exp``, makes one ``theta_vec`` call on the distinct theta
-    arguments, and gathers the values of every plan's arguments; ``finish``
-    hands a plan its slice.
+    that list it owns.  ``bind`` evaluates every record of a sample with one
+    matrix-vector product and one ``exp``, makes one ``theta_vec`` call on
+    the distinct theta arguments, reduces every series in one pass over
+    arrays, and gathers the values of every plan's arguments and the
+    results of its series; ``finish`` hands a plan its slice.
 
     The product is written out column by column, so each record's value
-    depends on its own row only: a plan bound alone gets the same bits as
-    the same plan bound with many others.
+    depends on its own row only, and each series result depends on its own
+    values only: a plan bound alone gets the same bits as the same plan
+    bound with many others.
     """
 
     def __init__(self, plans: Iterable[tuple]):
         rows: dict = {}
         thetas: dict = {}
+
+        def record(rec: Rec) -> int:
+            return rows.setdefault(rec, len(rows))
+
+        def theta_of(rec: Rec) -> int:
+            return thetas.setdefault(record(rec), len(thetas))
+
+        # The gathered-from list holds the values of the records and theta
+        # arguments the plans list (keyed by record row and theta index),
+        # then the series results; a series' own values stay out of it.
+        listed_rows: dict = {}
+        listed_thetas: dict = {}
         refs = array("i")
+        slots = array("i")
+        self._series = None
         self.plans: dict = {}
         self._skeletons: list[Plan] = []
         self._cuts = array("i", [0])
         pool: dict = {}
         for key, plan in plans:
-            for a in plan.args:
+            for a in plan.template_args():
                 if type(a) is Scalar:
-                    refs.append(rows.setdefault(a.rec, len(rows)))
+                    refs.append(listed_rows.setdefault(record(a.rec), len(listed_rows)))
                 elif type(a) is Rec:
-                    refs.append(~thetas.setdefault(rows.setdefault(a, len(rows)), len(thetas)))
+                    refs.append(~listed_thetas.setdefault(theta_of(a), len(listed_thetas)))
+                elif isinstance(a, Plan):
+                    if self._series is None:
+                        self._series = type(a).batch(record, theta_of)
+                    self._series.add(a)
+                    slots.append(len(refs))
+                    refs.append(0)  # set once the series are compiled
                 else:
                     raise TypeError(f"a template argument must be a record, not {a!r}")
             self.plans[key] = len(self._skeletons)
             self._skeletons.append(plan.skeleton(pool))
             self._cuts.append(len(refs))
+        n, m = len(listed_rows), len(listed_thetas)
+        gather = array("i", [r if r >= 0 else n + ~r for r in refs])
+        if self._series is not None:
+            self._series.close()
+            for s, pos in enumerate(slots):
+                gather[pos] = n + m + self._series.rank[s]
+        self._gather = gather
+        self._listed_rows = np.array(list(listed_rows), dtype=np.intp)
+        self._listed_thetas = np.array(list(listed_thetas), dtype=np.intp)
         n = len(rows)
-        # Record values come first in the gathered-from list, theta values after.
-        self._gather = array("i", [r if r >= 0 else n + ~r for r in refs])
         cols = np.array(list(rows), dtype=float).reshape(n, 6).T
         self._lam, self._om, self._c = cols[0].copy(), cols[1].copy(), cols[2].copy()
         self._re_z, self._im_z = cols[3] + cols[4], cols[3] - cols[4]
@@ -572,9 +606,12 @@ class Template:
         )
         np.exp(e, out=e)
         e[self._neg] = -e[self._neg]
-        vals = e.tolist()
+        vals = e[self._listed_rows].tolist()
         if len(self._theta):
-            vals += theta_vec(e[self._theta], ctx).tolist()
+            th = theta_vec(e[self._theta], ctx)
+            vals += th[self._listed_thetas].tolist()
+        if self._series is not None:
+            vals += self._series.reduce(e, th)
         return list(map(vals.__getitem__, self._gather))
 
     def finish(self, key, vals: list):
@@ -609,6 +646,12 @@ class Plan:
     def value(self):
         """Look the arguments up in one ``theta_vec_cached`` call and reduce them."""
         return self.finish(theta_vec_cached(self.args, self.ctx))
+
+    def template_args(self) -> list:
+        """The entries a template lists for this plan: its arguments, except
+        that a series plan stands in one entry for all of its own, and a
+        template reduces its series together (``series._Batch``)."""
+        return self.args
 
     def skeleton(self, pool: dict) -> "Plan":
         """A plan that finishes as this one does and holds no argument.
@@ -709,19 +752,27 @@ class Joined(Plan):
             out += part.args
         return out
 
+    def template_args(self) -> list:
+        out: list = []
+        for part in self.parts:
+            out += part.template_args()
+        return out
+
     def finish(self, vals: list[complex]):
         cuts = self.cuts
         return self.fn(*[part.finish(vals[a:b]) for part, a, b in zip(self.parts, cuts, cuts[1:])])
 
     def skeleton(self, pool: dict) -> Plan:
         parts = tuple(part.skeleton(pool) for part in self.parts)
+        # The cuts of the skeleton's arguments: a series takes one entry there.
+        cuts = (0, *accumulate(len(part.args) for part in parts))
 
         def make() -> Joined:
             out = object.__new__(type(self))
-            out.ctx, out.parts, out.cuts, out.fn = self.ctx, parts, self.cuts, self.fn
+            out.ctx, out.parts, out.cuts, out.fn = self.ctx, parts, cuts, self.fn
             return out
 
-        return shared_skeleton(pool, (type(self), self.ctx, self.fn, self.cuts, parts), make)
+        return shared_skeleton(pool, (type(self), self.ctx, self.fn, cuts, parts), make)
 
 
 class ThetaProduct(Plan):
@@ -783,8 +834,15 @@ class ThetaProduct(Plan):
         """The arguments ``value()`` looks up: a plan scalar's, the
         denominators, and the numerators unless a numerator zero already
         decides the result."""
-        own = self._den if self.zeros > 0 else self._den + self._num
-        return self.scalar.args + own if isinstance(self.scalar, Plan) else own
+        return self.scalar.args + self._own() if isinstance(self.scalar, Plan) else self._own()
+
+    def template_args(self) -> list:
+        if isinstance(self.scalar, Plan):
+            return self.scalar.template_args() + self._own()
+        return self._own()
+
+    def _own(self) -> list[complex]:
+        return self._den if self.zeros > 0 else self._den + self._num
 
     def finish(self, vals: list[complex]) -> complex:
         scalar = self.scalar

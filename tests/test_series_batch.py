@@ -1,0 +1,287 @@
+"""The series of a bound template, reduced together, against the scalar reduction.
+
+``Template.bind`` reduces every series of a template in one pass over split
+real and imaginary float64 arrays (``series._Batch``), with CPython's own
+formulas for complex ``*``, ``/`` and ``abs``.  Each series' (value, max
+term, count) must equal, bit for bit, what ``_Series.reduce`` gives on the
+same bound values, and each failure must carry the ``PoleError`` message the
+scalar path raises.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ellu2 import suites
+from ellu2.biorth import BiorthParams, _ITEMS, _sweep, _sweep_keys, _symbols
+from ellu2.sampling import draw_context, draw_lambda, draw_z
+from ellu2.series import (
+    A1_GUARD,
+    DEN_GUARD,
+    DEN_ZERO,
+    OUT_OF_RANGE,
+    _c_abs,
+    _c_div,
+    _c_mul,
+    _Result,
+    _Series,
+    vwp_plan,
+)
+from ellu2.theta import (
+    LAM,
+    OMEGA,
+    Joined,
+    Plan,
+    PoleError,
+    Template,
+    TemplateContext,
+    ThetaContext,
+    ThetaProduct,
+    garg,
+    qarg,
+)
+
+# -- the arithmetic twin --------------------------------------------------------
+
+
+def split(values):
+    arr = np.array(values, dtype=complex)
+    return arr.real.copy(), arr.imag.copy()
+
+
+def assert_bits(got, want):
+    """Equal bit for bit, signed zeros included; a nan matches any nan."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def python_results(a, b):
+    """Python's a * b, a / b, a + b and abs(a), element by element; a raise
+    is recorded as None."""
+    out = {"mul": [], "div": [], "add": [], "abs": []}
+    for x, y in zip(a, b):
+        out["mul"].append(x * y)
+        out["add"].append(x + y)
+        try:
+            out["div"].append(x / y)
+        except ZeroDivisionError:
+            out["div"].append(None)
+        try:
+            out["abs"].append(abs(x))
+        except OverflowError:
+            out["abs"].append(None)
+    return out
+
+
+def assert_twin_matches(a, b):
+    with np.errstate(all="ignore"):
+        return _assert_twin_matches(a, b)
+
+
+def _assert_twin_matches(a, b):
+    ar, ai = split(a)
+    br, bi = split(b)
+    want = python_results(a, b)
+    for name, twin in (("mul", _c_mul(ar, ai, br, bi)), ("add", (ar + br, ai + bi))):
+        wr, wi = split(want[name])
+        assert_bits(twin[0], wr)
+        assert_bits(twin[1], wi)
+    # An exact 0j divisor: Python raises, the twin gives nan in both parts.
+    qr, qi = _c_div(ar, ai, br, bi)
+    raised = np.array([w is None for w in want["div"]])
+    assert np.array_equal(raised, (br == 0) & (bi == 0))
+    assert np.isnan(qr[raised]).all() and np.isnan(qi[raised]).all()
+    wr, wi = split([w for w in want["div"] if w is not None])
+    assert_bits(qr[~raised], wr)
+    assert_bits(qi[~raised], wi)
+    # abs raises OverflowError exactly where the twin flags an overflow.
+    mag, over = _c_abs(ar, ai)
+    raised = np.array([w is None for w in want["abs"]])
+    assert np.array_equal(raised, over)
+    assert_bits(mag[~raised], [w for w in want["abs"] if w is not None])
+    return raised
+
+
+def test_twin_equals_python_on_random_pairs():
+    rng = np.random.default_rng(20240)
+    n = 40_000
+
+    def wide(size):
+        # Magnitudes over the whole double range, with random signs.
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-307, 307, size)
+
+    parts = [
+        rng.standard_normal((4, n)),
+        np.stack([wide(n) for _ in range(4)]),
+        np.stack([rng.standard_normal(n), wide(n), wide(n), rng.standard_normal(n)]),
+    ]
+    re_a, im_a, re_b, im_b = np.concatenate(parts, axis=1)
+    a = (re_a + 1j * im_a).tolist()
+    b = (re_b + 1j * im_b).tolist()
+    assert len(a) >= 100_000
+    assert_twin_matches(a, b)
+
+
+def test_twin_equals_python_on_edge_cases():
+    tiny = 5e-324
+    specials = [
+        0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 3.0,
+        tiny, -tiny, 1e-310, 2.2250738585072014e-308, 1e-300,
+        1e300, 1e308, -1.7976931348623157e308,
+        math.inf, -math.inf, math.nan,
+    ]
+    values = [complex(x, y) for x in specials for y in specials]
+    a = [x for x in values for _ in values]
+    b = [y for _ in values for y in values]
+    raised = assert_twin_matches(a, b)
+    # The cases the list is meant to hold.
+    br, bi = split(b)
+    assert np.any(np.abs(br) == np.abs(bi)) and np.any(np.abs(br) < np.abs(bi))
+    assert np.any((br == 0) & (bi == 0) & (np.signbit(br) | np.signbit(bi)))
+    assert raised.any()  # abs beyond range
+    with np.errstate(all="ignore"):
+        qr, qi = _c_div(*split(a), br, bi)
+    assert np.any(np.isinf(qr) & np.isfinite(split(a)[0]) & np.isfinite(br) & np.isfinite(bi))
+
+
+# -- every series of the sweep templates ------------------------------------------
+
+
+def series_nodes(plan, offset=0):
+    """(offset, series plan) of every series of ``plan``, in argument order."""
+    if isinstance(plan, (_Series, _Result)):
+        yield offset, plan
+    elif isinstance(plan, Joined):
+        for part, cut in zip(plan.parts, plan.cuts):
+            yield from series_nodes(part, offset + cut)
+    elif isinstance(plan, ThetaProduct) and isinstance(plan.scalar, Plan):
+        yield from series_nodes(plan.scalar, offset)
+
+
+def hexes(result):
+    if isinstance(result, str):
+        return result
+    value, top, count = result
+    return value.real.hex(), value.imag.hex(), top.hex(), count
+
+
+class BoundSeries:
+    """The series of a template's plans (built over records, in template
+    order), with a template that binds their arguments as plain values, for
+    the scalar reduction."""
+
+    def __init__(self, template, plans):
+        self.template = template
+        self.nodes = [node for _, plan in plans for _, node in series_nodes(plan)]
+        self.plain = Template(
+            (i, Plan(node.ctx, node.args, list)) for i, node in enumerate(self.nodes)
+        )
+
+    def batch(self, sample):
+        """What each series' slot holds in the template bound to ``sample``."""
+        vals = self.template.bind(*sample)
+        got = []
+        for i, skeleton in enumerate(self.template._skeletons):
+            got += [vals[self.template._cuts[i] + off] for off, _ in series_nodes(skeleton)]
+        assert len(got) == len(self.nodes)
+        return got
+
+    def scalar(self, sample):
+        """What ``_Series.reduce`` gives each series, or the message it raises."""
+        vals = self.plain.bind(*sample)
+        out = []
+        for i, node in enumerate(self.nodes):
+            try:
+                got = node.reduce(self.plain.finish(i, vals))
+            except PoleError as exc:
+                got = str(exc)
+            out.append(OUT_OF_RANGE if got is None else got)
+        return out
+
+    def compare(self, sample) -> list:
+        batch, scalar = self.batch(sample), self.scalar(sample)
+        assert list(map(hexes, batch)) == list(map(hexes, scalar))
+        return scalar
+
+
+def sweep_series(bp):
+    """The series of the sweep template of the shape of ``bp``."""
+    sweep, symbols = _sweep(bp), _symbols(bp)
+    keys = [key for key in _sweep_keys(bp.N) if key in sweep.plans]
+    return BoundSeries(sweep, [(key, _ITEMS[key[0]](symbols, *key[1:])) for key in keys])
+
+
+def sample(bp):
+    return bp.ctx, bp.Lam, bp.omega, bp.z
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_every_series_of_every_sweep_equals_the_scalar_reduction(N):
+    # One sweep holds the items of the direct and the dual checks.
+    rng = np.random.default_rng([31337, N])
+    for M in range(3):
+        series = None
+        for _ in range(3):
+            bp = BiorthParams(N, draw_lambda(rng), M, draw_lambda(rng), draw_z(rng), draw_context(rng))
+            series = series or sweep_series(bp)
+            results = series.compare(sample(bp))
+            assert any(not isinstance(r, str) and r[2] > 1 for r in results)
+
+
+def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch):
+    # The level-8 table at seed 20240 redraws twice on a series overflow.
+    failed = []
+
+    class Recording(suites.BiorthCache):
+        def resolve(self, bp, keys):
+            try:
+                return super().resolve(bp, keys)
+            except PoleError as exc:
+                failed.append((bp, str(exc)))
+                raise
+
+    monkeypatch.setattr(suites, "BiorthCache", Recording)
+    table = suites.biorth_table(suites.RunConfig(seed=20240), 8, 1, 2, False)
+    assert (table["samples"], table["rejected"]) == (2, 0)
+    assert [msg for _, msg in failed] == [OUT_OF_RANGE] * 2
+    series = sweep_series(failed[0][0])
+    for bp, _ in failed:
+        assert OUT_OF_RANGE in series.compare(sample(bp))
+
+
+def test_a_draw_on_theta_zeros_trips_the_guards_as_the_scalar_path():
+    # q^(2 Λ) = p: theta(a1) and denominator factors of some series vanish.
+    ctx = ThetaContext(0.2, 0.7)
+    lam = math.log(ctx.p) / (2 * math.log(ctx.q))
+    for N in (2, 4):
+        bp = BiorthParams(N, complex(lam, 0.0), 1, 0.3 - 0.2j, 1.2 + 0.5j, ctx)
+        results = sweep_series(bp).compare(sample(bp))
+        assert DEN_GUARD in results and A1_GUARD in results
+
+
+def test_a_denominator_factor_trips_its_guard_before_theta_a1():
+    # Series over records, bound where q^(2 Λ) = p, a zero of theta: the
+    # first trips both guards, a denominator factor first; the second only
+    # the theta(a1) guard; the third only a denominator guard.  The fourth
+    # has an exact zero among its denominator factors, which fails it before
+    # any guard.
+    ctx = TemplateContext()
+    zero = garg(ctx.qpow(2 * LAM))
+    other = garg(ctx.qpow(OMEGA + 1))
+    numer = [qarg(-2), garg(ctx.qpow(OMEGA))]
+    plans = [
+        ("both", vwp_plan(ctx, zero, numer, [other, zero], 2)),
+        ("a1", vwp_plan(ctx, zero, numer, [other], 2, merged=(other, 3))),
+        ("den", vwp_plan(ctx, other, numer, [zero], 2)),
+        ("exact", vwp_plan(ctx, zero, numer, [qarg(-1)], 2)),
+        ("none", vwp_plan(ctx, other, numer, [other], 2)),
+    ]
+    bound = ThetaContext(0.2, 0.7)
+    lam = math.log(bound.p) / (2 * math.log(bound.q))
+    series = BoundSeries(Template(plans), plans)
+    results = series.compare((bound, complex(lam, 0.0), 0.3 - 0.2j, 1.2 + 0.5j))
+    assert results[:4] == [DEN_GUARD, A1_GUARD, DEN_GUARD, DEN_ZERO]
+    assert not isinstance(results[4], str)

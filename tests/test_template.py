@@ -6,10 +6,12 @@ lists, drop exactly the factors the number build counts as exact zeros, and
 bind to the bits an item gets when bound alone.
 """
 
+import gc
 import importlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -258,6 +260,25 @@ def test_single_items_leave_no_module_state():
         norm_h(bp, i)
         c_det_product(bp)
     assert sizes() == before
+
+
+def test_battery_templates_stay_small(monkeypatch):
+    # The 15 shapes of the battery's biorthogonality suites (N = 1..5,
+    # M = 0..2), series programs included, held by the module's shape cache.
+    monkeypatch.setattr(biorth_mod, "_SWEEPS", {})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for N in range(1, 6):
+            for M in range(3):
+                biorth_mod._sweep(params(N, M))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(biorth_mod._SWEEPS) == 15
+    assert held <= 1.5e6
 
 
 def test_no_template_is_built_at_import():
