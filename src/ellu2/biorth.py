@@ -28,8 +28,10 @@ level, for at most ``SHAPE_CAP`` shapes (N, M, zero guard).
 A ``BiorthCache`` serves one sweep of checks at one sample.  Its first check
 binds the template of every item of the full (k, l) sweep to the sample
 (``theta.Template``: one matrix-vector product, one ``exp``, one
-``theta_vec`` call, one pass over arrays for all its series), and each item
-is finished from those values when a check first asks for it.  ``norm_h``, ``weight_w1``, ``weight_w2`` and
+``theta_vec`` call, one pass over arrays for all its series and one for all
+its theta products).  Each item is finished from those values the first
+time a check reads it, and only then, and a check reads the finished values
+by position.  ``norm_h``, ``weight_w1``, ``weight_w2`` and
 ``c_det_product`` bind their one item alone, to the same bits.
 """
 
@@ -469,70 +471,76 @@ def _scaled_residual(lhs: complex, rhs: complex, scale: float) -> float:
 
 
 class BiorthCache:
-    """Memo of the items of one (k, l) sweep at fixed params, and their values.
+    """The values of the items of one (k, l) sweep at fixed params.
 
     A cache serves one ``BiorthParams``: its first ``resolve`` binds the
-    sweep's templates to those params.
+    template of every item of the sweep to those params, and each item is
+    finished from those values the first time a check reads it, and only
+    then.  Items outside the sweep are kept by key (``get``).
     """
 
     def __init__(self) -> None:
         self._store: dict = {}
-        self._bound: tuple[Template, list] | None = None
+        self._bound: tuple[Template, list, list] | None = None
 
     def get(self, key, fn):
         if key not in self._store:
             self._store[key] = fn()
         return self._store[key]
 
-    def resolve(self, bp: BiorthParams, keys: list) -> dict:
-        """The values of the items ``keys``, through ``get`` in key order.
+    def resolve(self, bp: BiorthParams, keys) -> list:
+        """The values of the items ``keys``, in key order.
 
         The first call binds the template of every item of the sweep to
-        ``bp``, in one ``theta_vec`` call; an item is finished from those
-        values when first asked for.  Items outside the sweep are built and
-        bound together, apart.  When a build raises, the items before it are
-        finished first, so the first error is the one evaluating them one by
-        one would raise.
+        ``bp`` (``theta.Template.bind``: one ``theta_vec`` call, one pass
+        over arrays for all its series and one for all its theta products).
+        Items are finished in key order, each the first time it is read, so
+        the first error is the one evaluating them one by one would raise.
+        An item outside the sweep is built and bound alone.
         """
         if self._bound is None:
             sweep = _sweep(bp)
-            self._bound = (sweep, _bind(sweep, bp))
-        sweep, vals = self._bound
-        extra: dict = {}
-        failed = None
-        for i, key in enumerate(keys):
-            if key not in self._store and key not in sweep.plans and key not in extra:
-                try:
-                    extra[key] = _ITEMS[key[0]](_symbols(bp), *key[1:])
-                except (ArithmeticError, ValueError) as exc:
-                    failed, keys = exc, keys[:i]
-                    break
-        if extra:
-            apart = Template(extra.items())
-            apart_vals = _bind(apart, bp)
-
-        def finish(key):
-            if key in sweep.plans:
-                return sweep.finish(key, vals)
-            return apart.finish(key, apart_vals)
-
-        out = {key: self.get(key, lambda: finish(key)) for key in keys}
-        if failed is not None:
-            raise failed
+            self._bound = (sweep, _bind(sweep, bp), [_UNSET] * len(sweep.plans))
+        sweep, vals, done = self._bound
+        at = sweep.plans
+        out = []
+        for key in keys:
+            i = at.get(key)
+            if i is None:
+                out.append(self.get(key, lambda: _item(bp, key)))
+                continue
+            value = done[i]
+            if value is _UNSET:
+                value = done[i] = sweep.finish(key, vals)
+            out.append(value)
         return out
 
 
-def _sums(bp: BiorthParams, k: int, l: int, cache: BiorthCache | None, dual: bool):
-    """Item values, summands and oracle summands of one (k, l) check."""
-    js = range(bp.N + 1)
-    summands = [_summand_keys(k, l, j, dual) for j in js]
-    oracles = [_oracle_keys(k, l, j, dual) for j in js]
+_UNSET = object()
+
+
+@functools.lru_cache(maxsize=256)
+def _check_keys(N: int, k: int, l: int, dual: bool) -> tuple:
+    """Item keys of one (k, l) check, in evaluation order: the determinant
+    product, h_k for the direct sum, the summand keys of j = 0..N, then the
+    oracle keys of j = 0..N."""
+    js = range(N + 1)
     keys = [("cd",)] + ([] if dual else [("h", k)])
-    keys += [key for ks in summands for key in ks] + [key for ks in oracles for key in ks]
+    keys += [key for j in js for key in _summand_keys(k, l, j, dual)]
+    keys += [key for j in js for key in _oracle_keys(k, l, j, dual)]
+    return tuple(keys)
+
+
+def _sums(bp: BiorthParams, k: int, l: int, cache: BiorthCache | None, dual: bool):
+    """Item values (in ``_check_keys`` order), summands and oracle summands
+    of one (k, l) check."""
+    keys = _check_keys(bp.N, k, l, dual)
     v = (cache if cache is not None else BiorthCache()).resolve(bp, keys)
-    c_d = v["cd",]
-    terms = [_summand([v[key] for key in ks], dual) for ks in summands]
-    oracle = [_oracle_summand([v[key] for key in ks], c_d, dual) for ks in oracles]
+    c_d, n = v[0], bp.N + 1
+    start, size = (1, 5) if dual else (2, 4)
+    terms = [_summand(v[i : i + size], dual) for i in range(start, start + n * size, size)]
+    start += n * size
+    oracle = [_oracle_summand(v[i : i + 4], c_d, dual) for i in range(start, start + n * 4, 4)]
     return v, terms, oracle
 
 
@@ -543,11 +551,11 @@ def check_biorth(
 
     The summand scale enters the residual denominator so that the vanishing
     off-diagonal case measures cancellation quality relative to the largest
-    term rather than against zero.  All items the cache does not hold are
-    evaluated through one lookup (``BiorthCache.resolve``).
+    term rather than against zero.  The items come from the cache's bound
+    sweep (``BiorthCache.resolve``).
     """
     v, terms, oracle = _sums(bp, k, l, cache, False)
-    hk = v["h", k]
+    hk = v[1]
     max_term = max(abs(t) for t in terms)
     target = hk if k == l else 0.0
     sum_res = _scaled_residual(sum(terms), target, max_term)

@@ -497,15 +497,40 @@ def unitarity_words(
     return lhs, rhs
 
 
+@memo_per_context
+def _t_word_on(N: int, k: int, j: int, z: complex, rc: RepContext) -> AlgebraElement:
+    """``t_word`` on the base of ``rc``, memoized on ``rc``."""
+    return t_word(N, k, j, z, rc.ctx)
+
+
+@memo_per_context
+def _unitarity_words_on(
+    N: int, k: int, j: int, z: complex, rc: RepContext
+) -> tuple[AlgebraElement, AlgebraElement]:
+    """``unitarity_words`` on the base of ``rc``, memoized on ``rc``."""
+    return unitarity_words(N, k, j, z, rc.ctx)
+
+
 def check_unitarity(N: int, k: int, j: int, z: complex, m: int, rc: RepContext) -> float:
-    lhs, rhs = unitarity_words(N, k, j, z, rc.ctx)
+    """The inversion identity of one matrix element, applied to e_m.
+
+    The words are built once per representation context and element, and
+    applied to each basis vector asked for.  They are memoized on ``rc``, not
+    on its ``ThetaContext``: their coefficient functions hold the
+    ``ThetaContext``, so a memo there would make a reference cycle, which
+    keeps a finished sample's context alive until the next full collection.
+    """
+    lhs, rhs = _unitarity_words_on(N, k, j, z, rc)
     return residual_between(apply_word(lhs, m, rc), apply_word(rhs, m, rc))
 
 
 def check_inversion_words(
     N: int, k: int, l: int, z: complex, m: int, rc: RepContext
 ) -> float:
-    """Word-level biorthogonality: summed conjugate pairs give delta(k, l) on e_m."""
+    """Word-level biorthogonality: summed conjugate pairs give delta(k, l) on e_m.
+
+    The matrix elements are memoized on ``rc``, as in ``check_unitarity``.
+    """
     ctx = rc.ctx
     zb = complex(z).conjugate()
     zr = ctx.qpow(-2 * (N - 2)) / zb
@@ -514,9 +539,9 @@ def check_inversion_words(
     scale = 1e-300
     for j in range(N + 1):
         el = (
-            star(t_word(N, j, l, z, ctx), ctx)
+            star(_t_word_on(N, j, l, z, rc), ctx)
             * word(1.0, (L_fl(gamma_cf(N, j, ctx)), L_fr(inv_gamma_factor(N, k, ctx))))
-            * t_word(N, j, k, zr, ctx)
+            * _t_word_on(N, j, k, zr, rc)
             * word(1.0, dets)
         )
         for idx, val in apply_word(el, m, rc).items():

@@ -64,11 +64,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RepContext:
-    """Weight parameter, evaluation point for the dynamical variable, and base."""
+    """Weight parameter, evaluation point for the dynamical variable, and base.
+
+    Like a ``ThetaContext``, it keeps a value memo for ``memo_per_context``:
+    the checks that take one memoize there the words they apply to several
+    basis vectors (see ``corep.check_unitarity``).
+    """
 
     omega: complex
     lam0: complex
     ctx: ThetaContext
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_values", {})
 
 
 def _den(lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
@@ -184,7 +192,7 @@ def apply_word(el: AlgebraElement, m: int, rc: RepContext) -> dict[int, complex]
     out: dict[int, complex] = {}
     for k, fn in apply_word_states(el, m, rc):
         out[k] = out.get(k, 0.0 + 0.0j) + fn(rc.lam0)
-    return {k: v for k, v in out.items()}
+    return out
 
 
 def apply_word_scaled(

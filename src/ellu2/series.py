@@ -35,9 +35,10 @@ together when it is bound (``_Batch``): the running products of every row,
 every live term and every term sum, in numpy, on split real and imaginary
 float64 arrays.  Its bits are the loop's.  It does each operation of
 ``_vwp_reduce`` in the same order, with CPython's formulas for complex
-``*``, ``/`` and ``abs`` (``_c_mul``, ``_c_div``, ``_c_abs``), and an
-elementwise float64 operation rounds as the C operation does.  Each bound
-series then only reads its result, or raises its loop's ``PoleError``.
+``*``, ``/`` and ``abs`` (``theta._c_mul``, ``_c_div``, ``_c_abs``, which the
+template's theta products use too), and an elementwise float64 operation
+rounds as the C operation does.  Each bound series then only reads its
+result, or raises its loop's ``PoleError``.
 Plans over numbers (``vwp_sum``, corep's ``tau_closed``, the series and
 bailey checks) stay on the loop.
 """
@@ -54,11 +55,18 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .theta import (
+    DEN_GUARD,
+    Bound,
     Plan,
     PoleError,
     ThetaContext,
     ThetaProduct,
     TrackedArg,
+    _c_abs,
+    _c_div,
+    _c_mul,
+    _i32,
+    _Result,
     garg,
     known,
     qarg,
@@ -309,29 +317,12 @@ class _Series(Plan):
         return [self]
 
     def skeleton(self, pool: dict) -> Plan:
-        return shared_skeleton(pool, (_Series,), _Result)
+        return shared_skeleton(pool, (_Result,), _Result)
 
     @staticmethod
     def batch(record, theta) -> "_Batch":
         """The program that reduces the series of a template together."""
         return _Batch(record, theta)
-
-
-class _Result(Plan):
-    """A bound template's series: its one argument is what ``_Batch.reduce``
-    gave the series, its (value, max term, count) or the message of the
-    ``PoleError`` its scalar reduction raises."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        self.ctx, self.args = None, [None]
-
-    def finish(self, vals: list) -> tuple[complex, float, int]:
-        got = vals[0]
-        if type(got) is str:
-            raise PoleError(got)
-        return got
 
 
 def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:
@@ -345,40 +336,7 @@ def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float
 
 OUT_OF_RANGE = "series term magnitude exceeds double precision range"
 DEN_ZERO = "denominator Pochhammer factor hits an exact zero"
-DEN_GUARD = "denominator theta factor below zero guard"
 A1_GUARD = "theta(a1) below zero guard"
-
-
-def _c_mul(ar, ai, br, bi):
-    """(ar + ai i) (br + bi i) on split arrays, by CPython's formula for ``*``."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _c_div(ar, ai, br, bi):
-    """(ar + ai i) / (br + bi i) on split arrays, by CPython's formula for ``/``.
-
-    That is Smith's quotient: divide through by the larger of |br| and |bi|,
-    by br when they tie.  Both branches are written with the operands in
-    CPython's order where it matters; addition commutes bit for bit, and a
-    difference is written out in each branch, since a - b and -(b - a)
-    differ in the sign of a zero.  A divisor with a nan part gives nan, as
-    CPython does; an exact 0j divisor, where Python raises
-    ``ZeroDivisionError``, gives nan (0 / 0 in the ratio).
-    """
-    first = np.abs(br) >= np.abs(bi)
-    big, small = np.where(first, br, bi), np.where(first, bi, br)
-    x, y = np.where(first, ar, ai), np.where(first, ai, ar)
-    ratio = small / big
-    denom = big + small * ratio
-    u = x * ratio
-    return (x + y * ratio) / denom, np.where(first, y - u, u - y) / denom
-
-
-def _c_abs(re, im):
-    """|re + im i| on split arrays, as ``abs`` computes it, and where ``abs``
-    raises ``OverflowError``: finite parts whose modulus is beyond range."""
-    mag = np.hypot(re, im)
-    return mag, np.isinf(mag) & np.isfinite(re) & np.isfinite(im)
 
 
 class _Batch:
@@ -467,16 +425,12 @@ class _Batch:
         for row, r in rows.items():
             self.factors[: len(row), r] = row
 
-    def reduce(self, e: np.ndarray, th: np.ndarray) -> list:
-        """Each series' result, in ``rank`` order, from the template's record
-        values ``e`` and theta values ``th``."""
-        ext = np.empty(len(th) + 1, dtype=complex)
-        ext[:-1] = th
-        ext[-1] = 1.0
-        tr, ti = ext.real.copy(), ext.imag.copy()
+    def reduce(self, b: Bound) -> list:
+        """Each series' result, in ``rank`` order, from the template's bound
+        values."""
+        tr, ti, mag = b.re, b.im, b.mag
+        events = b.over | (mag < self.guard)
         with np.errstate(all="ignore"):
-            mag, over = _c_abs(tr, ti)
-            events = over | (mag < self.guard)
             # Running products of the rows: P[0] = 1, P[1] the first factor.
             f = self.factors
             nrows = f.shape[1]
@@ -491,7 +445,7 @@ class _Batch:
             # The terms: head / theta(a1) * q^(2k), times the merged ratio,
             # then the rows, numerators and denominators interleaved.
             ar, ai = _c_div(tr[self.head], ti[self.head], tr[self.a1], ti[self.a1])
-            ar, ai = _c_mul(ar, ai, e.real[self.q2], e.imag[self.q2])
+            ar, ai = _c_mul(ar, ai, b.e.real[self.q2], b.e.imag[self.q2])
             if self.merged is not None:
                 sel, num, den = self.merged
                 ar, ai = _apply(_c_mul, ar, ai, sel, *_c_div(pr[num], pi[num], pr[den], pi[den]))
@@ -504,12 +458,12 @@ class _Batch:
             failed = np.zeros(nseries, dtype=bool)
             a = 0
             for w in self.widths:
-                b = a + w
-                vr[:w] += ar[a:b]
-                vi[:w] += ai[a:b]
-                np.maximum(top[:w], tmag[a:b], out=top[:w])
-                failed[:w] |= ~np.isfinite(tmag[a:b])
-                a = b
+                c = a + w
+                vr[:w] += ar[a:c]
+                vi[:w] += ai[a:c]
+                np.maximum(top[:w], tmag[a:c], out=top[:w])
+                failed[:w] |= ~np.isfinite(tmag[a:c])
+                a = c
         value = np.empty(nseries, dtype=complex)
         value.real, value.imag = vr, vi
         out = list(zip(value.tolist(), top.tolist(), self.counts))
@@ -624,10 +578,6 @@ def _apply(op, ar, ai, sel, br, bi):
         return op(ar, ai, br, bi)
     ar[sel], ai[sel] = op(ar[sel], ai[sel], br, bi)
     return ar, ai
-
-
-def _i32(values) -> np.ndarray:
-    return np.array(values, dtype=np.int32)
 
 
 def _select(entries) -> Optional[tuple]:

@@ -30,7 +30,9 @@ of the coefficient functions built on them:
   the context: the representation coefficients ``rep.coef_a`` ... ``coef_d``
   and ``det_scalar``, ``rmatrix.r_entries`` and ``corep.gamma_factor``.
   Word evaluation asks for the same coefficient many times over.  A call
-  that raises stores nothing, so it raises again when repeated.
+  that raises stores nothing, so it raises again when repeated.  A
+  ``rep.RepContext`` keeps a value memo of its own, for the words the
+  corepresentation checks apply to several basis vectors.
 
 Building a value and evaluating it are two steps.  A ``Plan`` (of which
 ``ThetaProduct`` is one) lists the theta arguments its value needs, and its
@@ -57,8 +59,9 @@ ones of the template.  Binding a template to a sample evaluates all its
 records with one matrix-vector product and one ``exp``, and all its theta
 arguments with one ``theta_vec`` call, without the vector cache.  Then it
 reduces all its series plans together, in one pass over arrays
-(``series._Batch``), and each plan is finished on its slice of the values
-and series results.  ``biorth`` keeps the templates of its items.
+(``series._Batch``), and all its theta products in another (``_Products``),
+and each plan is finished on its slice of the values and batch results.
+``biorth`` keeps the templates of its items.
 
 The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
@@ -79,9 +82,14 @@ rounds some products and quotients differently from numpy in the last bit,
 and it raises where numpy returns inf or nan: ``abs`` of a finite value
 beyond the double range raises ``OverflowError`` and division by zero raises
 ``ZeroDivisionError``.  The reductions report both as ``PoleError``.  The
-series of a bound template, hundreds at once, are the exception: their
-pass over arrays keeps the real and imaginary parts apart and writes out
-CPython's formulas, so it rounds as the Python loop does (see ``series``).
+series and theta products of a bound template, hundreds at once, are the
+exception: their passes over arrays keep the real and imaginary parts apart
+and write out CPython's formulas (``_c_mul``, ``_c_div``, ``_c_abs``), and
+each elementwise float64 operation rounds as the C operation does, so they
+round as the Python loops do; a failure there becomes the message of the
+``PoleError`` the loop raises, raised when the plan is finished.  The loops
+(``ThetaProduct.finish``, ``series._vwp_reduce``) stay for plans over
+numbers, and are the oracles the passes are tested against.
 """
 
 from __future__ import annotations
@@ -133,6 +141,8 @@ MAX_THETA_FACTORS = 2000
 # Entry cap of each per-context cache.
 MEMO_CAP = 1 << 20
 THETA_RANGE = "theta value exceeds double precision range"
+PRODUCT_RANGE = "theta product exceeds double precision range"
+DEN_GUARD = "denominator theta factor below zero guard"
 
 
 class PoleError(ArithmeticError):
@@ -511,28 +521,30 @@ class Template:
     record) and ``Scalar`` entries (the record's value).  Compiling collects
     the distinct records of all the plans as the rows of a small matrix of
     exponents, and lists, plan after plan, where each argument's value will
-    be (``Plan.template_args``).  A series plan, wherever it sits in an item
-    (a part of a joined plan, the scalar of a theta product), takes one
-    entry there, for its result: the template collects its series and
-    compiles them into one program of int32 indices (``series._Batch``).
-    Then it keeps only the plan's skeleton (``Plan.skeleton``), so a
-    template holds no plan's records.  Equal skeletons are one object,
-    shared through a pool that lives while the template is compiled.  This
-    is what keeps templates small: the 15 sweeps of N = 1..5, M = 0..2 take
-    1.23 MB (tracemalloc), series programs included, and the 3 sweeps of
-    N = 6..8, M = 1 take 0.94 MB; keeping the plans as built took about
-    seven times that (8.5 and 8.3 MB, measured before the series programs).
-    ``plans`` maps a key to the position of its skeleton and of the slice of
-    that list it owns.  ``bind`` evaluates every record of a sample with one
+    be (``Plan.template_args``).  A series plan or a theta product, wherever
+    it sits in an item (a part of a joined plan, the scalar of a theta
+    product), takes one entry there, for its result: the template collects
+    the series and the products and compiles each kind into one program of
+    int32 indices (``series._Batch``, ``_Products``).  Then it keeps only
+    the plan's skeleton (``Plan.skeleton``), so a template holds no plan's
+    records.  Equal skeletons are one object, shared through a pool that
+    lives while the template is compiled.  This is what keeps templates
+    small: the 15 sweeps of N = 1..5, M = 0..2 take 1.08 MB (tracemalloc),
+    series and product programs included, and the 3 sweeps of N = 6..8,
+    M = 1 take 0.82 MB; keeping the plans as built took about seven times
+    that (8.5 and 8.3 MB, measured before the programs).  ``plans`` maps a
+    key to the position of its skeleton and of the slice of that list it
+    owns.  ``bind`` evaluates every record of a sample with one
     matrix-vector product and one ``exp``, makes one ``theta_vec`` call on
-    the distinct theta arguments, reduces every series in one pass over
-    arrays, and gathers the values of every plan's arguments and the
-    results of its series; ``finish`` hands a plan its slice.
+    the distinct theta arguments, reduces every series and every theta
+    product in one pass over arrays each, and gathers the values of every
+    plan's arguments and the results of its series and products;
+    ``finish`` hands a plan its slice.
 
     The product is written out column by column, so each record's value
-    depends on its own row only, and each series result depends on its own
-    values only: a plan bound alone gets the same bits as the same plan
-    bound with many others.
+    depends on its own row only, and each series or product result depends
+    on its own values only: a plan bound alone gets the same bits as the
+    same plan bound with many others.
     """
 
     def __init__(self, plans: Iterable[tuple]):
@@ -547,12 +559,14 @@ class Template:
 
         # The gathered-from list holds the values of the records and theta
         # arguments the plans list (keyed by record row and theta index),
-        # then the series results; a series' own values stay out of it.
+        # then the results of each batch; a batched plan's own values stay
+        # out of it.
         listed_rows: dict = {}
         listed_thetas: dict = {}
         refs = array("i")
-        slots = array("i")
-        self._series = None
+        # A batch, and the positions in ``refs`` of its plans' entries, by
+        # the batch's maker (``type(plan).batch``).
+        batches: dict = {}
         self.plans: dict = {}
         self._skeletons: list[Plan] = []
         self._cuts = array("i", [0])
@@ -564,22 +578,27 @@ class Template:
                 elif type(a) is Rec:
                     refs.append(~listed_thetas.setdefault(theta_of(a), len(listed_thetas)))
                 elif isinstance(a, Plan):
-                    if self._series is None:
-                        self._series = type(a).batch(record, theta_of)
-                    self._series.add(a)
+                    make = type(a).batch
+                    if make not in batches:
+                        batches[make] = (make(record, theta_of), array("i"))
+                    batch, slots = batches[make]
+                    batch.add(a)
                     slots.append(len(refs))
-                    refs.append(0)  # set once the series are compiled
+                    refs.append(0)  # set once the batch is compiled
                 else:
                     raise TypeError(f"a template argument must be a record, not {a!r}")
             self.plans[key] = len(self._skeletons)
             self._skeletons.append(plan.skeleton(pool))
             self._cuts.append(len(refs))
-        n, m = len(listed_rows), len(listed_thetas)
+        n = len(listed_rows)
         gather = array("i", [r if r >= 0 else n + ~r for r in refs])
-        if self._series is not None:
-            self._series.close()
+        start = n + len(listed_thetas)
+        for batch, slots in batches.values():
+            batch.close()
             for s, pos in enumerate(slots):
-                gather[pos] = n + m + self._series.rank[s]
+                gather[pos] = start + batch.rank[s]
+            start += len(slots)
+        self._batches = [batch for batch, _ in batches.values()]
         self._gather = gather
         self._listed_rows = np.array(list(listed_rows), dtype=np.intp)
         self._listed_thetas = np.array(list(listed_thetas), dtype=np.intp)
@@ -607,17 +626,83 @@ class Template:
         np.exp(e, out=e)
         e[self._neg] = -e[self._neg]
         vals = e[self._listed_rows].tolist()
-        if len(self._theta):
-            th = theta_vec(e[self._theta], ctx)
-            vals += th[self._listed_thetas].tolist()
-        if self._series is not None:
-            vals += self._series.reduce(e, th)
+        th = theta_vec(e[self._theta], ctx) if len(self._theta) else np.empty(0, dtype=complex)
+        vals += th[self._listed_thetas].tolist()
+        if self._batches:
+            bound = Bound.of(e, th)
+            for batch in self._batches:
+                vals += batch.reduce(bound)
         return list(map(vals.__getitem__, self._gather))
 
     def finish(self, key, vals: list):
         """Finish the plan of ``key`` with its slice of ``bind``'s list."""
         i = self.plans[key]
         return self._skeletons[i].finish(vals[self._cuts[i] : self._cuts[i + 1]])
+
+
+class Bound(NamedTuple):
+    """What the batches of a bound template read: the record values ``e``,
+    and the theta values on split arrays with 1.0 appended (index -1), with
+    their moduli as ``abs`` gives them and where ``abs`` raises."""
+
+    e: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    mag: np.ndarray
+    over: np.ndarray
+
+    @staticmethod
+    def of(e: np.ndarray, th: np.ndarray) -> "Bound":
+        ext = np.empty(len(th) + 1, dtype=complex)
+        ext[:-1] = th
+        ext[-1] = 1.0
+        re, im = ext.real.copy(), ext.imag.copy()
+        with np.errstate(all="ignore"):
+            return Bound(e, re, im, *_c_abs(re, im))
+
+
+# -- CPython's complex arithmetic on split arrays -------------------------------
+#
+# Float64 array arithmetic rounds each elementwise operation as C does, so
+# writing out CPython's formulas for complex ``*``, ``/`` and ``abs`` on the
+# real and imaginary parts gives Python's bits; numpy's own complex
+# arithmetic may round differently in the last bit.
+
+
+def _c_mul(ar, ai, br, bi):
+    """(ar + ai i) (br + bi i) on split arrays, by CPython's formula for ``*``."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_div(ar, ai, br, bi):
+    """(ar + ai i) / (br + bi i) on split arrays, by CPython's formula for ``/``.
+
+    That is Smith's quotient: divide through by the larger of |br| and |bi|,
+    by br when they tie.  Both branches are written with the operands in
+    CPython's order where it matters; addition commutes bit for bit, and a
+    difference is written out in each branch, since a - b and -(b - a)
+    differ in the sign of a zero.  A divisor with a nan part gives nan, as
+    CPython does; an exact 0j divisor, where Python raises
+    ``ZeroDivisionError``, gives nan (0 / 0 in the ratio).
+    """
+    first = np.abs(br) >= np.abs(bi)
+    big, small = np.where(first, br, bi), np.where(first, bi, br)
+    x, y = np.where(first, ar, ai), np.where(first, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    u = x * ratio
+    return (x + y * ratio) / denom, np.where(first, y - u, u - y) / denom
+
+
+def _c_abs(re, im):
+    """|re + im i| on split arrays, as ``abs`` computes it, and where ``abs``
+    raises ``OverflowError``: finite parts whose modulus is beyond range."""
+    mag = np.hypot(re, im)
+    return mag, np.isinf(mag) & np.isfinite(re) & np.isfinite(im)
+
+
+def _i32(values) -> np.ndarray:
+    return np.array(values, dtype=np.int32)
 
 
 ArgLike = Union[TrackedArg, complex, float, int]
@@ -855,7 +940,7 @@ class ThetaProduct(Plan):
         try:
             for den in dens:
                 if abs(den) < guard:
-                    raise PoleError("denominator theta factor below zero guard")
+                    raise PoleError(DEN_GUARD)
             if self.zeros > 0:
                 return 0.0 + 0.0j
             # Pair numerator and denominator factors before reducing so the
@@ -869,23 +954,215 @@ class ThetaProduct(Plan):
             for den in dens[len(nums):]:
                 prod *= 1.0 / den
         except (OverflowError, ZeroDivisionError):
-            raise PoleError("theta product exceeds double precision range") from None
+            raise PoleError(PRODUCT_RANGE) from None
         out = scalar * prod
         if not cmath.isfinite(out):
-            raise PoleError("theta product exceeds double precision range")
+            raise PoleError(PRODUCT_RANGE)
         return out
 
+    def _folds(self) -> bool:
+        """Whether a template's product batch takes in the scalar too: a
+        number, or the value of a record.  Any other plan scalar is finished
+        by the skeleton, before the product's own result is read."""
+        return not isinstance(self.scalar, Plan) or _record_of(self.scalar) is not None
+
+    def template_args(self) -> list:
+        """The product is one entry, for its batch result (``_Products``),
+        after the entries of a scalar plan the batch does not take in."""
+        if self._folds():
+            return [self]
+        return self.scalar.template_args() + [self]
+
     def skeleton(self, pool: dict) -> Plan:
-        scalar = self.scalar.skeleton(pool) if isinstance(self.scalar, Plan) else self.scalar
-        nums, dens, zero = len(self._num), len(self._den), self.zeros > 0
+        if self._folds():
+            return shared_skeleton(pool, (_Result,), _Result)
+        scalar, zero = self.scalar.skeleton(pool), self.zeros > 0
+        return shared_skeleton(pool, (_Scaled, scalar, zero), lambda: _Scaled(scalar, zero))
 
-        def make() -> ThetaProduct:
-            out = ThetaProduct(self.ctx, scalar)
-            out.zeros = self.zeros
-            out._num, out._den = _placeholders(pool, nums), _placeholders(pool, dens)
-            return out
+    @staticmethod
+    def batch(record, theta) -> "_Products":
+        """The program that reduces the theta products of a template together."""
+        return _Products(record, theta)
 
-        return shared_skeleton(pool, (ThetaProduct, self.ctx, scalar, zero, nums, dens), make)
+
+def _record_of(plan: Plan) -> Rec | None:
+    """The record a plan stands for (``known`` of a record), or None."""
+    if type(plan) is Plan and plan.finish is _first:
+        return plan.args[0].rec
+    return None
+
+
+class _Result(Plan):
+    """A bound template's batched plan (a series, or a theta product whose
+    batch took in its scalar): its one argument is what the batch gave it,
+    its value or the message of the ``PoleError`` its scalar finish raises."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self.ctx, self.args = None, [None]
+
+    def finish(self, vals: list):
+        got = vals[0]
+        if type(got) is str:
+            raise PoleError(got)
+        return got
+
+
+class _Scaled(Plan):
+    """A bound template's theta product whose scalar is a plan: its arguments
+    are the scalar skeleton's, then the batch result of the product's own
+    factors.  It finishes as ``ThetaProduct.finish`` does: the scalar first,
+    then the guard, the exact zeros, the product and its range check."""
+
+    __slots__ = ("scalar", "zero")
+
+    def __init__(self, scalar: Plan, zero: bool):
+        self.ctx, self.scalar, self.zero = None, scalar, zero
+        self.args = [None] * (len(scalar.args) + 1)
+
+    def finish(self, vals: list) -> complex:
+        scalar, got = self.scalar.finish(vals[:-1]), vals[-1]
+        if type(got) is str:
+            raise PoleError(got)
+        if self.zero:
+            return 0.0 + 0.0j
+        out = scalar * got
+        if not cmath.isfinite(out):
+            raise PoleError(PRODUCT_RANGE)
+        return out
+
+
+class _Products:
+    """The theta products of one template, reduced together on split arrays.
+
+    ``reduce`` gives each product, from the template's bound values, what
+    ``ThetaProduct.finish`` computes on the same values, bit for bit: its
+    value when the batch takes in its scalar (``ThetaProduct._folds``), else
+    its product before the scalar; or the message of the ``PoleError`` it
+    raises.  It follows the scalar loop step by step, with CPython's complex
+    formulas (``_c_mul``, ``_c_div``, ``_c_abs``): the guard on each
+    denominator, in order; no factor when exact zeros survive; then the
+    factors num/den of the pairs, the numerators left, and 1/den of the
+    denominators left, multiplied into 1 + 0j one by one.  The quotients
+    are independent of one another, so each distinct one is taken once, all
+    in one call; the running products take one step per factor position.
+
+    A template compiles its products one by one (``add``), and ``close``
+    lays out the program, all int32 indices: ``rank`` orders the products
+    by decreasing factor count, and the factors are laid out position by
+    position (``widths``), so each step multiplies a prefix of the running
+    products.  ``factor`` indexes, for each factor, the distinct quotients
+    (theta indices ``num`` over ``div``), then the theta values; an index -1
+    reads the 1.0 appended to the theta values.
+    """
+
+    __slots__ = (
+        "rank", "guard", "widths", "num", "div", "factor", "fold", "const", "rec_at",
+        "rec_rows", "zero", "den", "den_cuts", "_pending",
+    )
+
+    def __init__(self, record, theta):
+        self.guard = None
+        self._pending = ([], record, theta)
+
+    def add(self, node: ThetaProduct) -> None:
+        """Compile one more product: the theta indices of its denominators
+        and of its numerators (none when exact zeros survive), whether
+        they do, and its scalar when folded (a number, or a record row)."""
+        if self.guard not in (None, node.ctx.zero_guard):
+            raise ValueError("the products of one template share one zero guard")
+        self.guard = node.ctx.zero_guard
+        compiled, record, theta = self._pending
+        zero = node.zeros > 0
+        dens = array("i", map(theta, node._den))
+        nums = array("i", () if zero else map(theta, node._num))
+        scalar = None
+        if node._folds():
+            rec = _record_of(node.scalar) if isinstance(node.scalar, Plan) else None
+            scalar = node.scalar if rec is None else record(rec)
+        compiled.append((dens, nums, scalar, zero))
+
+    def close(self) -> None:
+        """Lay out the program of the products added.  Factor s of a product
+        is nums[s] / dens[s] while both run, then nums[s], or 1 / dens[s]."""
+        compiled, _, _ = self._pending
+        self._pending = None
+        counts = [max(len(dens), len(nums)) for dens, nums, _, _ in compiled]
+        order = sorted(range(len(compiled)), key=counts.__getitem__, reverse=True)
+        self.rank = array("i", [0] * len(compiled))
+        for i, p in enumerate(order):
+            self.rank[p] = i
+        ranked = [compiled[p] for p in order]
+        self.widths = array("i", [sum(n > s for n in counts) for s in range(max(counts, default=0))])
+        # The factors, position by position: each distinct quotient is taken
+        # once, and a factor indexes the quotients, then the theta values.
+        quotients: dict = {}
+        factor = array("i")
+        for s, w in enumerate(self.widths):
+            for dens, nums, _, _ in ranked[:w]:
+                a = nums[s] if s < len(nums) else -1
+                if s < len(dens):
+                    factor.append(quotients.setdefault((a, dens[s]), len(quotients)))
+                else:
+                    factor.append(~a)  # a theta value; set below
+        self.num = _i32([a for a, _ in quotients])
+        self.div = _i32([b for _, b in quotients])
+        self.factor = _i32(factor)
+        plain = self.factor < 0
+        self.factor[plain] = len(quotients) + ~self.factor[plain]
+        self.den = _i32([d for dens, _, _, _ in ranked for d in dens])
+        self.den_cuts = _i32([0, *accumulate(len(c[0]) for c in ranked)])
+        folded = [(r, c[2], c[3]) for r, c in enumerate(ranked) if c[2] is not None]
+        self.fold = _i32([r for r, _, _ in folded])
+        self.const = np.array([0j if type(s) is int else s for _, s, _ in folded], dtype=complex)
+        self.rec_at = _i32([i for i, (_, s, _) in enumerate(folded) if type(s) is int])
+        self.rec_rows = _i32([s for _, s, _ in folded if type(s) is int])
+        self.zero = [r for r, _, zero in folded if zero]
+
+    def reduce(self, b: "Bound") -> list:
+        """Each product's result, in ``rank`` order."""
+        with np.errstate(all="ignore"):
+            num, div = self.num, self.div
+            qr, qi = _c_div(b.re[num], b.im[num], b.re[div], b.im[div])
+            fr = np.concatenate((qr, b.re))[self.factor]
+            fi = np.concatenate((qi, b.im))[self.factor]
+            n = len(self.rank)
+            pr, pi = np.ones(n), np.zeros(n)
+            a = 0
+            for w in self.widths:
+                c = a + w
+                pr[:w], pi[:w] = _c_mul(pr[:w], pi[:w], fr[a:c], fi[a:c])
+                a = c
+            # The folded scalars times their products.
+            sr, si = self.const.real.copy(), self.const.imag.copy()
+            sr[self.rec_at], si[self.rec_at] = b.e.real[self.rec_rows], b.e.imag[self.rec_rows]
+            f = self.fold
+            pr[f], pi[f] = _c_mul(sr, si, pr[f], pi[f])
+            bad = f[~(np.isfinite(pr[f]) & np.isfinite(pi[f]))]
+        value = np.empty(n, dtype=complex)
+        value.real, value.imag = pr, pi
+        out = value.tolist()
+        for r in bad.tolist():
+            out[r] = PRODUCT_RANGE
+        for r in self.zero:
+            out[r] = 0.0 + 0.0j
+        events = b.over | (b.mag < self.guard)
+        if events.any():
+            self._guards(out, events, b.mag)
+        return out
+
+    def _guards(self, out: list, events: np.ndarray, mag: np.ndarray) -> None:
+        """Put the guard failures in ``out``: the first denominator of each
+        product, in order, whose modulus is below the guard (or overflows, as
+        ``abs`` raises there)."""
+        at = np.flatnonzero(events[self.den])
+        if not at.size:
+            return
+        owner = np.searchsorted(self.den_cuts, at, side="right") - 1
+        owner, first = np.unique(owner, return_index=True)
+        for r, i in zip(owner.tolist(), self.den[at[first]].tolist()):
+            out[r] = DEN_GUARD if mag[i] < self.guard else PRODUCT_RANGE
 
 
 def pochhammer(a: ArgLike, n: int, ctx: ThetaContext) -> complex:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from ellu2.biorth import (
 )
 from ellu2.biorth import (
     _item,
+    _sweep_keys,
     _oracle_keys,
     _oracle_summand,
     _series_parts,
@@ -34,8 +36,7 @@ theta_mod = importlib.import_module("ellu2.theta")
 
 
 def _values(bp, keys):
-    v = BiorthCache().resolve(bp, keys)
-    return [v[key] for key in keys]
+    return BiorthCache().resolve(bp, keys)
 
 
 def biorth_term(bp, k, l, j):
@@ -153,10 +154,10 @@ class ItemByItem(BiorthCache):
     params on a fresh context, with no values shared with any other item."""
 
     def resolve(self, bp, keys):
-        out = {}
+        out = []
         for key in keys:
             fresh = dataclasses.replace(bp, ctx=ThetaContext(bp.ctx.p, bp.ctx.q))
-            out[key] = _item(fresh, key)
+            out.append(_item(fresh, key))
         return out
 
 
@@ -193,6 +194,26 @@ def test_full_sweep_makes_few_kernel_calls(monkeypatch, check):
         assert len(calls) == sample + 1
     # The call holds each distinct theta argument of the sweep once.
     assert calls[0] == calls[1] and 0 < calls[0] < 4000
+
+
+def test_a_full_sweep_finishes_each_item_once_per_sample(monkeypatch):
+    finished = []
+    finish = theta_mod.Template.finish
+
+    def counted(self, key, vals):
+        finished.append(key)
+        return finish(self, key, vals)
+
+    monkeypatch.setattr(theta_mod.Template, "finish", counted)
+    for bp in (level_four(), dataclasses.replace(level_four(), z=0.7 - 0.9j)):
+        finished.clear()
+        cache = BiorthCache()
+        for check in (check_biorth, check_dual_biorth):
+            for k in range(bp.N + 1):
+                for l in range(bp.N + 1):
+                    check(bp, k, l, cache)
+        # The direct and the dual sweep read every item between them.
+        assert Counter(finished) == Counter(_sweep_keys(bp.N))
 
 
 def test_exact_zero_denominator_error_is_unchanged():

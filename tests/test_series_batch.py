@@ -24,20 +24,17 @@ from ellu2.series import (
     _c_abs,
     _c_div,
     _c_mul,
-    _Result,
     _Series,
     vwp_plan,
 )
 from ellu2.theta import (
     LAM,
     OMEGA,
-    Joined,
     Plan,
     PoleError,
     Template,
     TemplateContext,
     ThetaContext,
-    ThetaProduct,
     garg,
     qarg,
 )
@@ -150,15 +147,10 @@ def test_twin_equals_python_on_edge_cases():
 # -- every series of the sweep templates ------------------------------------------
 
 
-def series_nodes(plan, offset=0):
-    """(offset, series plan) of every series of ``plan``, in argument order."""
-    if isinstance(plan, (_Series, _Result)):
-        yield offset, plan
-    elif isinstance(plan, Joined):
-        for part, cut in zip(plan.parts, plan.cuts):
-            yield from series_nodes(part, offset + cut)
-    elif isinstance(plan, ThetaProduct) and isinstance(plan.scalar, Plan):
-        yield from series_nodes(plan.scalar, offset)
+def batched(plan, kind):
+    """(offset, plan) of every entry of ``plan``'s template entries that is
+    a plan of ``kind``: the entries a template batches."""
+    return [(i, a) for i, a in enumerate(plan.template_args()) if isinstance(a, kind)]
 
 
 def hexes(result):
@@ -175,7 +167,8 @@ class BoundSeries:
 
     def __init__(self, template, plans):
         self.template = template
-        self.nodes = [node for _, plan in plans for _, node in series_nodes(plan)]
+        self.offsets = [[off for off, _ in batched(plan, _Series)] for _, plan in plans]
+        self.nodes = [node for _, plan in plans for _, node in batched(plan, _Series)]
         self.plain = Template(
             (i, Plan(node.ctx, node.args, list)) for i, node in enumerate(self.nodes)
         )
@@ -184,8 +177,8 @@ class BoundSeries:
         """What each series' slot holds in the template bound to ``sample``."""
         vals = self.template.bind(*sample)
         got = []
-        for i, skeleton in enumerate(self.template._skeletons):
-            got += [vals[self.template._cuts[i] + off] for off, _ in series_nodes(skeleton)]
+        for i, offsets in enumerate(self.offsets):
+            got += [vals[self.template._cuts[i] + off] for off in offsets]
         assert len(got) == len(self.nodes)
         return got
 

@@ -177,15 +177,16 @@ def test_single_items_are_bit_identical_to_the_sweep(N, M):
         for k in range(N + 1):
             for l in range(N + 1):
                 check(bp, k, l, cache)
-    assert set(cache._store) == set(_sweep_keys(N))
-    for key, value in cache._store.items():
+    keys = _sweep_keys(N)
+    swept = dict(zip(keys, cache.resolve(bp, keys)))
+    for key, value in swept.items():
         assert hexes(_item(bp, key)) == hexes(value), key
     for i1 in range(N + 1):
-        assert hexes(norm_h(bp, i1)) == hexes(cache._store["h", i1])
+        assert hexes(norm_h(bp, i1)) == hexes(swept["h", i1])
         for i2 in range(N + 1):
-            assert hexes(weight_w1(bp, i1, i2, True)) == hexes(cache._store["w1", i1, i2])
-            assert hexes(weight_w2(bp, i1, i2, True)) == hexes(cache._store["w2", i1, i2])
-    assert hexes(c_det_product(bp)) == hexes(cache._store["cd",])
+            assert hexes(weight_w1(bp, i1, i2, True)) == hexes(swept["w1", i1, i2])
+            assert hexes(weight_w2(bp, i1, i2, True)) == hexes(swept["w2", i1, i2])
+    assert hexes(c_det_product(bp)) == hexes(swept["cd",])
 
 
 def mp_theta(x, p):
@@ -262,23 +263,34 @@ def test_single_items_leave_no_module_state():
     assert sizes() == before
 
 
-def test_battery_templates_stay_small(monkeypatch):
-    # The 15 shapes of the battery's biorthogonality suites (N = 1..5,
-    # M = 0..2), series programs included, held by the module's shape cache.
+def held_by_templates(monkeypatch, shapes) -> float:
+    """Bytes (tracemalloc) the sweep templates of ``shapes`` hold, series and
+    product programs included, in the module's shape cache."""
     monkeypatch.setattr(biorth_mod, "_SWEEPS", {})
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for N in range(1, 6):
-            for M in range(3):
-                biorth_mod._sweep(params(N, M))
+        for N, M in shapes:
+            biorth_mod._sweep(params(N, M))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(biorth_mod._SWEEPS) == 15
-    assert held <= 1.5e6
+    assert len(biorth_mod._SWEEPS) == len(shapes)
+    return held
+
+
+def test_battery_templates_stay_small(monkeypatch):
+    # The 15 shapes of the battery's biorthogonality suites (N = 1..5,
+    # M = 0..2).
+    assert held_by_templates(monkeypatch, [(N, M) for N in range(1, 6) for M in range(3)]) <= 1.5e6
+
+
+def test_levels_templates_stay_small(monkeypatch):
+    # The 3 shapes of the benchmark's level tables (N = 6..8, M = 1): 0.82 MB
+    # when this cap was set.
+    assert held_by_templates(monkeypatch, [(N, 1) for N in (6, 7, 8)]) <= 1.0e6
 
 
 def test_no_template_is_built_at_import():
