@@ -519,29 +519,22 @@ class BiorthCache:
 _UNSET = object()
 
 
-@functools.lru_cache(maxsize=256)
-def _check_keys(N: int, k: int, l: int, dual: bool) -> tuple:
-    """Item keys of one (k, l) check, in evaluation order: the determinant
-    product, h_k for the direct sum, the summand keys of j = 0..N, then the
-    oracle keys of j = 0..N."""
-    js = range(N + 1)
-    keys = [("cd",)] + ([] if dual else [("h", k)])
-    keys += [key for j in js for key in _summand_keys(k, l, j, dual)]
-    keys += [key for j in js for key in _oracle_keys(k, l, j, dual)]
-    return tuple(keys)
-
-
 def _sums(bp: BiorthParams, k: int, l: int, cache: BiorthCache | None, dual: bool):
-    """Item values (in ``_check_keys`` order), summands and oracle summands
-    of one (k, l) check."""
-    keys = _check_keys(bp.N, k, l, dual)
-    v = (cache if cache is not None else BiorthCache()).resolve(bp, keys)
-    c_d, n = v[0], bp.N + 1
-    start, size = (1, 5) if dual else (2, 4)
-    terms = [_summand(v[i : i + size], dual) for i in range(start, start + n * size, size)]
-    start += n * size
-    oracle = [_oracle_summand(v[i : i + 4], c_d, dual) for i in range(start, start + n * 4, 4)]
-    return v, terms, oracle
+    """h_k (None for the dual sum), summands and oracle summands of one
+    (k, l) check.  Its items are read in one ``resolve``, in evaluation
+    order: the determinant product, h_k, the summand keys of j = 0..N, then
+    the oracle keys of j = 0..N."""
+    js = range(bp.N + 1)
+    summands = [_summand_keys(k, l, j, dual) for j in js]
+    oracles = [_oracle_keys(k, l, j, dual) for j in js]
+    head = [("cd",)] + ([] if dual else [("h", k)])
+    keys = head + [key for ks in summands for key in ks] + [key for ks in oracles for key in ks]
+    v = iter((cache if cache is not None else BiorthCache()).resolve(bp, keys))
+    c_d = next(v)
+    hk = None if dual else next(v)
+    terms = [_summand([next(v) for _ in ks], dual) for ks in summands]
+    oracle = [_oracle_summand([next(v) for _ in ks], c_d, dual) for ks in oracles]
+    return hk, terms, oracle
 
 
 def check_biorth(
@@ -554,8 +547,7 @@ def check_biorth(
     term rather than against zero.  The items come from the cache's bound
     sweep (``BiorthCache.resolve``).
     """
-    v, terms, oracle = _sums(bp, k, l, cache, False)
-    hk = v[1]
+    hk, terms, oracle = _sums(bp, k, l, cache, False)
     max_term = max(abs(t) for t in terms)
     target = hk if k == l else 0.0
     sum_res = _scaled_residual(sum(terms), target, max_term)

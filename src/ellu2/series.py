@@ -66,7 +66,6 @@ from .theta import (
     _c_div,
     _c_mul,
     _i32,
-    _Result,
     garg,
     known,
     qarg,
@@ -317,12 +316,29 @@ class _Series(Plan):
         return [self]
 
     def skeleton(self, pool: dict) -> Plan:
-        return shared_skeleton(pool, (_Result,), _Result)
+        return shared_skeleton(pool, (_Series,), _Result)
 
     @staticmethod
     def batch(record, theta) -> "_Batch":
         """The program that reduces the series of a template together."""
         return _Batch(record, theta)
+
+
+class _Result(Plan):
+    """A bound template's series: its one argument is what ``_Batch.reduce``
+    gave the series, its (value, max term, count) or the message of the
+    ``PoleError`` its scalar reduction raises."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self.ctx, self.args = None, [None]
+
+    def finish(self, vals: list) -> tuple[complex, float, int]:
+        got = vals[0]
+        if type(got) is str:
+            raise PoleError(got)
+        return got
 
 
 def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:

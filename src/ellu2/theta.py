@@ -529,9 +529,9 @@ class Template:
     the plan's skeleton (``Plan.skeleton``), so a template holds no plan's
     records.  Equal skeletons are one object, shared through a pool that
     lives while the template is compiled.  This is what keeps templates
-    small: the 15 sweeps of N = 1..5, M = 0..2 take 1.08 MB (tracemalloc),
+    small: the 15 sweeps of N = 1..5, M = 0..2 take 1.04 MB (tracemalloc),
     series and product programs included, and the 3 sweeps of N = 6..8,
-    M = 1 take 0.82 MB; keeping the plans as built took about seven times
+    M = 1 take 0.79 MB; keeping the plans as built took eight to ten times
     that (8.5 and 8.3 MB, measured before the programs).  ``plans`` maps a
     key to the position of its skeleton and of the slice of that list it
     owns.  ``bind`` evaluates every record of a sample with one
@@ -734,8 +734,10 @@ class Plan:
 
     def template_args(self) -> list:
         """The entries a template lists for this plan: its arguments, except
-        that a series plan stands in one entry for all of its own, and a
-        template reduces its series together (``series._Batch``)."""
+        that a series plan or a theta product stands in one entry for all of
+        its own (after the entries of a product's plan scalar), and a
+        template reduces its series and its products together
+        (``series._Batch``, ``_Products``)."""
         return self.args
 
     def skeleton(self, pool: dict) -> "Plan":
@@ -921,11 +923,6 @@ class ThetaProduct(Plan):
         decides the result."""
         return self.scalar.args + self._own() if isinstance(self.scalar, Plan) else self._own()
 
-    def template_args(self) -> list:
-        if isinstance(self.scalar, Plan):
-            return self.scalar.template_args() + self._own()
-        return self._own()
-
     def _own(self) -> list[complex]:
         return self._den if self.zeros > 0 else self._den + self._num
 
@@ -960,69 +957,46 @@ class ThetaProduct(Plan):
             raise PoleError(PRODUCT_RANGE)
         return out
 
-    def _folds(self) -> bool:
-        """Whether a template's product batch takes in the scalar too: a
-        number, or the value of a record.  Any other plan scalar is finished
-        by the skeleton, before the product's own result is read."""
-        return not isinstance(self.scalar, Plan) or _record_of(self.scalar) is not None
-
     def template_args(self) -> list:
         """The product is one entry, for its batch result (``_Products``),
-        after the entries of a scalar plan the batch does not take in."""
-        if self._folds():
-            return [self]
-        return self.scalar.template_args() + [self]
+        after the entries of a plan scalar."""
+        if isinstance(self.scalar, Plan):
+            return self.scalar.template_args() + [self]
+        return [self]
 
     def skeleton(self, pool: dict) -> Plan:
-        if self._folds():
-            return shared_skeleton(pool, (_Result,), _Result)
-        scalar, zero = self.scalar.skeleton(pool), self.zeros > 0
-        return shared_skeleton(pool, (_Scaled, scalar, zero), lambda: _Scaled(scalar, zero))
+        scalar, zero = self.scalar, self.zeros > 0
+        if isinstance(scalar, Plan):
+            scalar = scalar.skeleton(pool)
+            key = (_Scaled, scalar, zero)
+        else:
+            # A number keys by its bits: 0j and -0j are equal, not the same.
+            key = (_Scaled, scalar.real.hex(), scalar.imag.hex(), zero)
+        return shared_skeleton(pool, key, lambda: _Scaled(scalar, zero))
 
     @staticmethod
     def batch(record, theta) -> "_Products":
         """The program that reduces the theta products of a template together."""
-        return _Products(record, theta)
-
-
-def _record_of(plan: Plan) -> Rec | None:
-    """The record a plan stands for (``known`` of a record), or None."""
-    if type(plan) is Plan and plan.finish is _first:
-        return plan.args[0].rec
-    return None
-
-
-class _Result(Plan):
-    """A bound template's batched plan (a series, or a theta product whose
-    batch took in its scalar): its one argument is what the batch gave it,
-    its value or the message of the ``PoleError`` its scalar finish raises."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        self.ctx, self.args = None, [None]
-
-    def finish(self, vals: list):
-        got = vals[0]
-        if type(got) is str:
-            raise PoleError(got)
-        return got
+        return _Products(theta)
 
 
 class _Scaled(Plan):
-    """A bound template's theta product whose scalar is a plan: its arguments
-    are the scalar skeleton's, then the batch result of the product's own
-    factors.  It finishes as ``ThetaProduct.finish`` does: the scalar first,
-    then the guard, the exact zeros, the product and its range check."""
+    """A bound template's theta product: its arguments are those of its
+    scalar's skeleton, when the scalar is a plan, then the batch result of
+    the product's own factors.  It finishes as ``ThetaProduct.finish``
+    does: the scalar first, then the guard, the exact zeros, the product
+    and its range check."""
 
     __slots__ = ("scalar", "zero")
 
-    def __init__(self, scalar: Plan, zero: bool):
+    def __init__(self, scalar: complex | Plan, zero: bool):
         self.ctx, self.scalar, self.zero = None, scalar, zero
-        self.args = [None] * (len(scalar.args) + 1)
+        self.args = [None] * (len(scalar.args) + 1 if isinstance(scalar, Plan) else 1)
 
     def finish(self, vals: list) -> complex:
-        scalar, got = self.scalar.finish(vals[:-1]), vals[-1]
+        scalar, got = self.scalar, vals[-1]
+        if isinstance(scalar, Plan):
+            scalar = scalar.finish(vals[:-1])
         if type(got) is str:
             raise PoleError(got)
         if self.zero:
@@ -1037,16 +1011,16 @@ class _Products:
     """The theta products of one template, reduced together on split arrays.
 
     ``reduce`` gives each product, from the template's bound values, what
-    ``ThetaProduct.finish`` computes on the same values, bit for bit: its
-    value when the batch takes in its scalar (``ThetaProduct._folds``), else
-    its product before the scalar; or the message of the ``PoleError`` it
-    raises.  It follows the scalar loop step by step, with CPython's complex
-    formulas (``_c_mul``, ``_c_div``, ``_c_abs``): the guard on each
-    denominator, in order; no factor when exact zeros survive; then the
-    factors num/den of the pairs, the numerators left, and 1/den of the
-    denominators left, multiplied into 1 + 0j one by one.  The quotients
-    are independent of one another, so each distinct one is taken once, all
-    in one call; the running products take one step per factor position.
+    ``ThetaProduct.finish`` computes on the same values before it multiplies
+    by the scalar, bit for bit; or the message of the ``PoleError`` it
+    raises there.  It follows the scalar loop step by step, with CPython's
+    complex formulas (``_c_mul``, ``_c_div``, ``_c_abs``): the guard on each
+    denominator, in order; no numerator when exact zeros survive (the
+    skeleton, ``_Scaled``, returns 0 then); then the factors num/den of the
+    pairs, the numerators left, and 1/den of the denominators left,
+    multiplied into 1 + 0j one by one.  The quotients are independent of
+    one another, so each distinct one is taken once, all in one call; the
+    running products take one step per factor position.
 
     A template compiles its products one by one (``add``), and ``close``
     lays out the program, all int32 indices: ``rank`` orders the products
@@ -1057,38 +1031,29 @@ class _Products:
     reads the 1.0 appended to the theta values.
     """
 
-    __slots__ = (
-        "rank", "guard", "widths", "num", "div", "factor", "fold", "const", "rec_at",
-        "rec_rows", "zero", "den", "den_cuts", "_pending",
-    )
+    __slots__ = ("rank", "guard", "widths", "num", "div", "factor", "den", "den_cuts", "_pending")
 
-    def __init__(self, record, theta):
+    def __init__(self, theta):
         self.guard = None
-        self._pending = ([], record, theta)
+        self._pending = ([], theta)
 
     def add(self, node: ThetaProduct) -> None:
         """Compile one more product: the theta indices of its denominators
-        and of its numerators (none when exact zeros survive), whether
-        they do, and its scalar when folded (a number, or a record row)."""
+        and of its numerators (none when exact zeros survive)."""
         if self.guard not in (None, node.ctx.zero_guard):
             raise ValueError("the products of one template share one zero guard")
         self.guard = node.ctx.zero_guard
-        compiled, record, theta = self._pending
-        zero = node.zeros > 0
+        compiled, theta = self._pending
         dens = array("i", map(theta, node._den))
-        nums = array("i", () if zero else map(theta, node._num))
-        scalar = None
-        if node._folds():
-            rec = _record_of(node.scalar) if isinstance(node.scalar, Plan) else None
-            scalar = node.scalar if rec is None else record(rec)
-        compiled.append((dens, nums, scalar, zero))
+        nums = array("i", () if node.zeros > 0 else map(theta, node._num))
+        compiled.append((dens, nums))
 
     def close(self) -> None:
         """Lay out the program of the products added.  Factor s of a product
         is nums[s] / dens[s] while both run, then nums[s], or 1 / dens[s]."""
-        compiled, _, _ = self._pending
+        compiled, _ = self._pending
         self._pending = None
-        counts = [max(len(dens), len(nums)) for dens, nums, _, _ in compiled]
+        counts = [max(len(dens), len(nums)) for dens, nums in compiled]
         order = sorted(range(len(compiled)), key=counts.__getitem__, reverse=True)
         self.rank = array("i", [0] * len(compiled))
         for i, p in enumerate(order):
@@ -1100,7 +1065,7 @@ class _Products:
         quotients: dict = {}
         factor = array("i")
         for s, w in enumerate(self.widths):
-            for dens, nums, _, _ in ranked[:w]:
+            for dens, nums in ranked[:w]:
                 a = nums[s] if s < len(nums) else -1
                 if s < len(dens):
                     factor.append(quotients.setdefault((a, dens[s]), len(quotients)))
@@ -1111,14 +1076,8 @@ class _Products:
         self.factor = _i32(factor)
         plain = self.factor < 0
         self.factor[plain] = len(quotients) + ~self.factor[plain]
-        self.den = _i32([d for dens, _, _, _ in ranked for d in dens])
-        self.den_cuts = _i32([0, *accumulate(len(c[0]) for c in ranked)])
-        folded = [(r, c[2], c[3]) for r, c in enumerate(ranked) if c[2] is not None]
-        self.fold = _i32([r for r, _, _ in folded])
-        self.const = np.array([0j if type(s) is int else s for _, s, _ in folded], dtype=complex)
-        self.rec_at = _i32([i for i, (_, s, _) in enumerate(folded) if type(s) is int])
-        self.rec_rows = _i32([s for _, s, _ in folded if type(s) is int])
-        self.zero = [r for r, _, zero in folded if zero]
+        self.den = _i32([d for dens, _ in ranked for d in dens])
+        self.den_cuts = _i32([0, *accumulate(len(dens) for dens, _ in ranked)])
 
     def reduce(self, b: "Bound") -> list:
         """Each product's result, in ``rank`` order."""
@@ -1134,19 +1093,9 @@ class _Products:
                 c = a + w
                 pr[:w], pi[:w] = _c_mul(pr[:w], pi[:w], fr[a:c], fi[a:c])
                 a = c
-            # The folded scalars times their products.
-            sr, si = self.const.real.copy(), self.const.imag.copy()
-            sr[self.rec_at], si[self.rec_at] = b.e.real[self.rec_rows], b.e.imag[self.rec_rows]
-            f = self.fold
-            pr[f], pi[f] = _c_mul(sr, si, pr[f], pi[f])
-            bad = f[~(np.isfinite(pr[f]) & np.isfinite(pi[f]))]
         value = np.empty(n, dtype=complex)
         value.real, value.imag = pr, pi
         out = value.tolist()
-        for r in bad.tolist():
-            out[r] = PRODUCT_RANGE
-        for r in self.zero:
-            out[r] = 0.0 + 0.0j
         events = b.over | (b.mag < self.guard)
         if events.any():
             self._guards(out, events, b.mag)

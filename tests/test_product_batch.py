@@ -39,7 +39,8 @@ def products(plan, skeleton, offset=0):
     """(offset, product, skeleton) of every theta product of ``plan``, those
     in a plan scalar before the product that holds them."""
     if isinstance(plan, ThetaProduct):
-        if isinstance(skeleton, _Scaled):
+        assert isinstance(skeleton, _Scaled)
+        if isinstance(plan.scalar, Plan):
             yield from products(plan.scalar, skeleton.scalar, offset)
         yield offset, plan, skeleton
     elif isinstance(plan, Joined):
@@ -106,10 +107,9 @@ def test_every_product_of_every_sweep_equals_the_scalar_finish(N):
             results = found.compare(sample(bp))
             # Some draws at N = 8 leave the double range; most values do not.
             assert sum(isinstance(r, str) for r in results) < len(results) // 10
-        # Both kinds of skeleton are among them.
-        skeletons = [sk for _, _, _, sk in found.found]
-        assert any(isinstance(sk, _Scaled) for sk in skeletons)
-        assert any(not isinstance(sk, _Scaled) for sk in skeletons)
+        # Products over a number, a record and a joined plan are among them.
+        scalars = {type(node.scalar) for _, _, node, _ in found.found}
+        assert {complex, Plan, Joined} <= scalars
 
 
 def test_a_zero_guard_hit_fails_as_the_scalar_path():
@@ -126,8 +126,8 @@ def test_a_zero_guard_hit_fails_as_the_scalar_path():
 
 def test_products_beyond_the_double_range_or_exactly_zero_as_the_scalar_path():
     # q^-1772 is about 1.6e308 at q = 0.67, and theta(-1) about 2.5: their
-    # product leaves the double range, folded into the batch or multiplied
-    # by the skeleton after a plan scalar.  A surviving exact zero (theta(1)
+    # product leaves the double range, times a record or after a plan
+    # scalar.  A surviving exact zero (theta(1)
     # in (q^-2; q^2)_2) makes a product exactly 0 whatever its scalar.
     ctx = TemplateContext()
     big, minus_one = Rec(c=-1772), Rec(neg=1)
@@ -136,20 +136,21 @@ def test_products_beyond_the_double_range_or_exactly_zero_as_the_scalar_path():
         return ThetaProduct(ctx, combine(ctx, [binomial_plan(3, 1, ctx), known(ctx, big)], mul))
 
     plans = [
-        ("folded", ThetaProduct(ctx, big).theta(minus_one)),
+        ("record", ThetaProduct(ctx, big).theta(minus_one)),
         ("scaled", scaled().theta(minus_one)),
         ("fine", ThetaProduct(ctx, Rec(c=-10)).theta(minus_one, inv=True).theta(minus_one)),
         ("zero", ThetaProduct(ctx, big).theta(minus_one).poch(qarg(-1), 2)),
         ("scaled zero", scaled().theta(minus_one, inv=True).poch(qarg(-1), 2)),
+        # Equal numbers, apart in their bits: each keeps its own scalar.
+        ("0j", ThetaProduct(ctx, 0j).theta(minus_one)),
+        ("-0j", ThetaProduct(ctx, complex(-0.0, -0.0)).theta(minus_one)),
     ]
     found = BoundProducts(Template(plans), plans)
     results = found.compare((ThetaContext(0.12, 0.67), 0.8 + 0.4j, 0.3 - 0.2j, 1.2 + 0.5j))
     # A plan scalar's product (the binomial) comes before the product it is in.
-    names = ["folded", "binomial", "scaled", "fine", "zero", "binomial", "scaled zero"]
+    names = ["record", "binomial", "scaled", "fine", "zero", "binomial", "scaled zero", "0j", "-0j"]
     got = dict(zip(names, results))
-    assert got["folded"] == got["scaled"] == PRODUCT_RANGE
+    assert got["0j"] != got["-0j"]
+    assert got["record"] == got["scaled"] == PRODUCT_RANGE
     assert got["zero"] == got["scaled zero"] == ("0x0.0p+0", "0x0.0p+0")
     assert not isinstance(got["fine"], str) and not isinstance(got["binomial"], str)
-    assert [isinstance(sk, _Scaled) for _, _, _, sk in found.found] == [
-        False, False, True, False, False, False, True
-    ]

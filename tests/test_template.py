@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -41,6 +42,7 @@ from ellu2.theta import (
     Joined,
     Rec,
     Scalar,
+    Template,
     TemplateContext,
     ThetaContext,
     ThetaProduct,
@@ -170,14 +172,24 @@ def test_derived_zero_rule_agrees_with_is_one(N):
 
 
 @pytest.mark.parametrize("N,M", [(3, 0), (4, 2)])
-def test_single_items_are_bit_identical_to_the_sweep(N, M):
+def test_single_items_are_bit_identical_to_the_sweep(N, M, monkeypatch):
+    finished = []
+    finish = Template.finish
+
+    def counted(self, key, vals):
+        finished.append(key)
+        return finish(self, key, vals)
+
+    monkeypatch.setattr(Template, "finish", counted)
     bp = params(N, M)
     cache = BiorthCache()
     for check in (check_biorth, check_dual_biorth):
         for k in range(N + 1):
             for l in range(N + 1):
                 check(bp, k, l, cache)
+    # The direct and dual sweeps read exactly the sweep keys, each finished once.
     keys = _sweep_keys(N)
+    assert Counter(finished) == Counter(keys)
     swept = dict(zip(keys, cache.resolve(bp, keys)))
     for key, value in swept.items():
         assert hexes(_item(bp, key)) == hexes(value), key
