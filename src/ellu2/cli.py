@@ -238,12 +238,16 @@ def _validate(args: argparse.Namespace) -> None:
             raise UsageError(str(exc)) from None
 
 
-def _emit(report: dict, json_path: str | None) -> None:
+def _emit(report: dict, json_path: str | None, t0: float) -> int:
+    """Write the report and, on stderr, the wall time since ``t0``; exit 1 when it fails."""
+    elapsed = 1000.0 * (time.monotonic() - t0)
     text = canonical_json(report)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
+    print(f"wall time: {elapsed:.0f} ms", file=sys.stderr)
+    return 0 if report["pass"] else 1
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -261,11 +265,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         t = time.monotonic()
         records.append(run_suite(name, cfg))
         print(f"suite {name}: {1000.0 * (time.monotonic() - t):.0f} ms", file=sys.stderr)
-    report = assemble_report(cfg, records)
-    elapsed = 1000.0 * (time.monotonic() - t0)
-    _emit(report, args.json_path)
-    print(f"wall time: {elapsed:.0f} ms", file=sys.stderr)
-    return 0 if report["pass"] else 1
+    return _emit(assemble_report(cfg, records), args.json_path, t0)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -283,10 +283,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report = qdybe_table(cfg, args.samples)
     else:
         report = relations_table(cfg, args.omega, args.lam, args.samples)
-    elapsed = 1000.0 * (time.monotonic() - t0)
-    _emit(report, args.json_path)
-    print(f"wall time: {elapsed:.0f} ms", file=sys.stderr)
-    return 0 if report["pass"] else 1
+    return _emit(report, args.json_path, t0)
 
 
 def _context(args: argparse.Namespace) -> ThetaContext:

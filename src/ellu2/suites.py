@@ -5,17 +5,36 @@ family of identity checks, and reports the worst relative residual seen.  The
 RNG stream is seeded per suite from (seed, registry index), so a fixed seed
 reproduces every sample and the report bytes exactly, whether a suite runs
 alone or as part of the full battery.
+
+Suites and the focused tables of ``ellu2 check`` share one engine:
+
+- one loop, ``_sample``, draws each sample through ``run_with_redraws``,
+  redrawing at poles, and returns the completed values and the rejected
+  count;
+- one fold, ``_worst``, keeps the worst residual per key, counting a NaN as
+  +inf so that a check which breaks fails its gate;
+- ``_suite_result`` and ``_table`` build the two report shapes and own the
+  pass rules;
+- each per-sample body a suite shares with its table is written once
+  (``_corep_tower``, ``_qdybe_draw``, ``_relations_draw``, ``_biorth_draw``,
+  ``_bailey_draw``) and consumes the RNG in the same order for both.
+
+A sample returns plain floats (or, for the per-sample tables, one entry), so
+nothing of a draw outlives it.  ``_sample`` looks ``run_with_redraws`` up in
+this module's namespace at each call, never through a default argument or a
+closure: tools that count draws rebind that name.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .biorth import BiorthCache, BiorthParams, check_biorth, check_dual_biorth
+from .biorth import BiorthCache, BiorthParams, BiorthReport, check_biorth, check_dual_biorth
 from .corep import (
     check_coproduct,
     check_counit_exact,
@@ -58,6 +77,8 @@ __all__ = [
 
 REPORT_VERSION = 1
 TINY = 1e-300
+# The gate on the middle determinant's closed form, in the suite and the table.
+QDYBE_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,6 +125,12 @@ def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY)
 
 
+def _spread(vals: list[complex]) -> float:
+    """Largest pairwise difference among values that should agree, relative to the largest."""
+    scale = max(max(abs(v) for v in vals), TINY)
+    return max(abs(a - b) for a in vals for b in vals) / scale
+
+
 def _theta_identity_residual(
     terms: list[tuple[complex, tuple[complex, ...]]], ctx: ThetaContext
 ) -> float:
@@ -122,32 +149,57 @@ def _theta_identity_residual(
     return abs(total) / scale
 
 
-def _drive(
+def _sample(samples: int, max_redraws: int, sample_fn: Callable[[], object]) -> tuple[list, int]:
+    """(values, rejected): ``samples`` draws of ``sample_fn``, each redrawn at poles.
+
+    ``values`` holds the completed draws in order; a draw still at a pole
+    after ``max_redraws`` attempts counts as rejected.
+    """
+    values = []
+    for _ in range(samples):
+        value, rejected = run_with_redraws(sample_fn, max_redraws)
+        if not rejected:
+            values.append(value)
+    return values, samples - len(values)
+
+
+def _worst(values: Iterable[Iterable[tuple]], keys: Iterable = ()) -> dict:
+    """The worst residual per key over samples of (key, residual) pairs.
+
+    Each of ``keys`` starts at 0.0, as does any other key at its first pair.
+    A NaN residual counts as +inf, so a check that breaks fails closed rather
+    than vanishing from the maximum.
+    """
+    worst = dict.fromkeys(keys, 0.0)
+    for pairs in values:
+        for key, v in pairs:
+            worst[key] = max(worst.get(key, 0.0), math.inf if math.isnan(v) else v)
+    return worst
+
+
+def _suite_result(
     name: str,
     samples: int,
-    max_redraws: int,
+    rejected: int,
     classes: dict[str, float],
-    sample_fn: Callable[[], dict[str, float]],
+    values: list[dict[str, float]],
     notes: list[str],
+    gates: Iterable[tuple[bool, str]] = (),
 ) -> SuiteResult:
-    """Run a per-sample closure with pole redraws; aggregate named residuals.
+    """Fold the completed samples' residuals into a suite's result.
 
     The first entry of ``classes`` is the headline residual class; the others
-    get their own tolerance and surface through notes.
+    get their own tolerance and surface through notes.  Each of ``gates`` is
+    one more (passed, note) condition of the suite.
     """
-    worst = {key: 0.0 for key in classes}
-    rejected = 0
-    for _ in range(samples):
-        value, was_rejected = run_with_redraws(sample_fn, max_redraws)
-        if was_rejected:
-            rejected += 1
-            continue
-        for key, v in value.items():
-            worst[key] = max(worst[key], v)
+    worst = _worst((value.items() for value in values), classes)
     keys = list(classes)
     passed = all(worst[k] <= classes[k] for k in keys) and rejected < samples
     for k in keys[1:]:
         notes.append(f"{k}: max residual {worst[k]:.3e} (tol {classes[k]:g})")
+    for ok, note in gates:
+        passed = passed and ok
+        notes.append(note)
     if rejected >= samples:
         notes.append("all samples rejected by pole guard")
     return SuiteResult(
@@ -161,8 +213,34 @@ def _drive(
     )
 
 
+def _drive(
+    name: str,
+    samples: int,
+    max_redraws: int,
+    classes: dict[str, float],
+    sample_fn: Callable[[], dict[str, float]],
+    notes: list[str],
+) -> SuiteResult:
+    """Run a per-sample closure with pole redraws; aggregate named residuals."""
+    values, rejected = _sample(samples, max_redraws, sample_fn)
+    return _suite_result(name, samples, rejected, classes, values, notes)
+
+
+def _rep_draw(
+    cfg: RunConfig,
+    rng: np.random.Generator,
+    omega: complex | None = None,
+    lam: complex | None = None,
+    zero_guard: float | None = None,
+) -> RepContext:
+    """The base, then the weight omega and evaluation point lambda, each drawn unless pinned."""
+    ctx = cfg.context(rng, zero_guard)
+    omega = draw_lambda(rng) if omega is None else omega
+    lam = draw_lambda(rng) if lam is None else lam
+    return RepContext(omega, lam, ctx)
+
+
 def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
-    notes: list[str] = []
 
     def sample() -> dict[str, float]:
         ctx = cfg.context(rng)
@@ -184,7 +262,7 @@ def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         worst = max(worst, _theta_identity_residual(three_term, ctx))
         return {"theta identities": worst}
 
-    return _drive("theta", samples, cfg.max_redraws, {"theta identities": tol}, sample, notes)
+    return _drive("theta", samples, cfg.max_redraws, {"theta identities": tol}, sample, [])
 
 
 def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
@@ -242,34 +320,43 @@ def _bailey_draw(cfg: RunConfig, rng: np.random.Generator, order: int | None):
 
 
 def _suite_bailey(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
-    notes: list[str] = []
 
     def sample() -> dict[str, float]:
         return {"transformation": _bailey_draw(cfg, rng, None)[1].residual}
 
-    return _drive("bailey", samples, cfg.max_redraws, {"transformation": tol}, sample, notes)
+    return _drive("bailey", samples, cfg.max_redraws, {"transformation": tol}, sample, [])
+
+
+def _qdybe_draw(cfg: RunConfig, rng: np.random.Generator) -> tuple[float, float]:
+    """(hexagon residual, middle determinant residual) of one drawn R-matrix."""
+    ctx = cfg.context(rng)
+    lam = draw_lambda(rng)
+    z1, z2, z3 = (draw_z(rng) for _ in range(3))
+    return qdybe_residual(lam, z1, z2, z3, ctx), det_residual(lam, z1, ctx)
 
 
 def _suite_qdybe(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
-    notes: list[str] = []
-    det_tol = 1e-12
-
     def sample() -> dict[str, float]:
-        ctx = cfg.context(rng)
-        lam = draw_lambda(rng)
-        z1, z2, z3 = (draw_z(rng) for _ in range(3))
-        res = qdybe_residual(lam, z1, z2, z3, ctx)
-        det = det_residual(lam, z1, ctx)
+        res, det = _qdybe_draw(cfg, rng)
         return {"hexagon": res, "det closed form": det}
 
-    return _drive(
-        "qdybe",
-        samples,
-        cfg.max_redraws,
-        {"hexagon": tol, "det closed form": det_tol},
-        sample,
-        notes,
-    )
+    classes = {"hexagon": tol, "det closed form": QDYBE_DET_TOL}
+    return _drive("qdybe", samples, cfg.max_redraws, classes, sample, [])
+
+
+def _relations_draw(
+    cfg: RunConfig,
+    rng: np.random.Generator,
+    omega: complex | None = None,
+    lam: complex | None = None,
+) -> tuple[RepContext, complex, list[tuple[str, float]]]:
+    """(rep context, z, (relation, residual) rows) of one drawn relation check."""
+    # Relation sides multiply up to eight theta-quotient coefficients, so a
+    # denominator theta of magnitude 1e-7 already costs 1e-9 relative
+    # accuracy; insist on a wider pole margin than the evaluation default.
+    rc = _rep_draw(cfg, rng, omega, lam, zero_guard=1e-4)
+    z1, z2, z = (draw_z(rng) for _ in range(3))
+    return rc, z, check_relations(rc, z1, z2, z, mmax=6, kmax_reverse=4)
 
 
 def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
@@ -278,21 +365,15 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
     flagged: set[str] = set()
 
     def sample() -> dict[str, float]:
-        # Relation sides multiply up to eight theta-quotient coefficients, so
-        # a denominator theta of magnitude 1e-7 already costs 1e-9 relative
-        # accuracy; insist on a wider pole margin than the evaluation default.
-        ctx = cfg.context(rng, zero_guard=1e-4)
-        rc = RepContext(draw_lambda(rng), draw_lambda(rng), ctx)
-        z1, z2, z = (draw_z(rng) for _ in range(3))
-        rows = check_relations(rc, z1, z2, z, mmax=6, kmax_reverse=4)
-        worst = 0.0
+        rc, z, rows = _relations_draw(cfg, rng)
         for rel_name, res in rows:
-            worst = max(worst, res)
             if res > tol and rel_name not in flagged:
                 flagged.add(rel_name)
                 notes.append(f"relation over tolerance: {rel_name} ({res:.3e})")
-        det_worst = max(res for _, res in check_det_forms(rc, z, mmax=4))
-        return {"defining relations": worst, "det forms": det_worst}
+        return _worst([
+            (("defining relations", res) for _, res in rows),
+            (("det forms", res) for _, res in check_det_forms(rc, z, mmax=4)),
+        ])
 
     return _drive(
         "relations",
@@ -304,38 +385,40 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
     )
 
 
+def _corep_tower(rc: RepContext, z: complex, n_level: int) -> dict[tuple[int, int], float]:
+    """Worst spread per (k, j) at one level between the word action, tau_product and tau_closed."""
+    ctx = rc.ctx
+    out: dict[tuple[int, int], float] = {}
+    for k in range(n_level + 1):
+        for j in range(n_level + 1):
+            tw = t_word(n_level, k, j, z, ctx)
+            res = 0.0
+            for m in range(4):
+                got = apply_word(tw, m, rc)
+                vals = [
+                    got.get(m + k - j, 0.0 + 0.0j),
+                    tau_product(n_level, k, j, m, rc.lam0, z, rc.omega, ctx),
+                    tau_closed(n_level, k, j, m, rc.lam0, z, rc.omega, ctx),
+                ]
+                res = max(res, _spread(vals))
+            out[(k, j)] = res
+    return out
+
+
 def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
-    notes: list[str] = []
     tensor_tol = 1e-9
     indep_floor = 1e-8
     heavy_draws = 2
-    state = {"completed": 0, "min_indep": float("inf")}
+    completed = 0
+    min_indep = float("inf")
     counit_failures: list[str] = []
 
-    def tower_residual(vals: list[complex]) -> float:
-        scale = max(max(abs(v) for v in vals), TINY)
-        spread = max(abs(a - b) for a in vals for b in vals)
-        return spread / scale
-
     def sample() -> dict[str, float]:
-        ctx = cfg.context(rng)
-        omega = draw_lambda(rng)
-        lam0 = draw_lambda(rng)
+        nonlocal completed, min_indep
+        rc = _rep_draw(cfg, rng)
         z = draw_z(rng)
-        rc = RepContext(omega, lam0, ctx)
-        worst = 0.0
-        for n_level in range(1, 5):
-            for k in range(n_level + 1):
-                for j in range(n_level + 1):
-                    tw = t_word(n_level, k, j, z, ctx)
-                    for m in range(4):
-                        got = apply_word(tw, m, rc)
-                        vals = [
-                            got.get(m + k - j, 0.0 + 0.0j),
-                            tau_product(n_level, k, j, m, lam0, z, omega, ctx),
-                            tau_closed(n_level, k, j, m, lam0, z, omega, ctx),
-                        ]
-                        worst = max(worst, tower_residual(vals))
+        ctx, omega, lam0 = rc.ctx, rc.omega, rc.lam0
+        worst = max(max(_corep_tower(rc, z, n_level).values()) for n_level in range(1, 5))
         star_worst = 0.0
         for n_level in range(1, 4):
             for k in range(n_level + 1):
@@ -347,11 +430,11 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
                             got.get(m + j - k, 0.0 + 0.0j),
                             tau_tilde_closed(n_level, k, j, m, lam0, z, omega, ctx),
                         ]
-                        star_worst = max(star_worst, tower_residual(vals))
+                        star_worst = max(star_worst, _spread(vals))
         for n_level in range(1, 6):
             counit_failures.extend(check_counit_exact(n_level, z, ctx))
         out = {"matrix element tower": worst, "conjugate tower": star_worst}
-        if state["completed"] < heavy_draws:
+        if completed < heavy_draws:
             rc2 = RepContext(draw_lambda(rng), lam0, ctx)
             cop_worst = 0.0
             rll_worst = 0.0
@@ -373,9 +456,10 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
                 ratio = linear_independence_ratio(
                     n_level, lam0, omega, ctx, points[: n_level + 3]
                 )
-                state["min_indep"] = min(state["min_indep"], ratio)
+                min_indep = min(min_indep, ratio)
             out["tensor coproduct"] = cop_worst
             out["tensor relations"] = rll_worst
+        completed += 1
         return out
 
     classes = {
@@ -384,53 +468,24 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         "tensor coproduct": tol,
         "tensor relations": tensor_tol,
     }
-    worst = {key: 0.0 for key in classes}
-    rejected = 0
-    for _ in range(samples):
-        value, was_rejected = run_with_redraws(sample, cfg.max_redraws)
-        if was_rejected:
-            rejected += 1
-            continue
-        state["completed"] += 1
-        for key, v in value.items():
-            worst[key] = max(worst[key], v)
-    passed = all(worst[k] <= classes[k] for k in classes) and rejected < samples
-    for k in list(classes)[1:]:
-        notes.append(f"{k}: max residual {worst[k]:.3e} (tol {classes[k]:g})")
+    values, rejected = _sample(samples, cfg.max_redraws, sample)
     if counit_failures:
-        passed = False
-        notes.append(f"counit structure failures: {sorted(set(counit_failures))[:4]}")
+        counit = f"counit structure failures: {sorted(set(counit_failures))[:4]}"
     else:
-        notes.append("counit structure exact for N <= 5")
-    if state["min_indep"] <= indep_floor:
-        passed = False
-        notes.append(
-            f"matrix element independence ratio {state['min_indep']:.3e} <= {indep_floor:g}"
-        )
+        counit = "counit structure exact for N <= 5"
+    if min_indep <= indep_floor:
+        indep = f"matrix element independence ratio {min_indep:.3e} <= {indep_floor:g}"
     else:
-        notes.append(
-            f"matrix element independence ratio min {state['min_indep']:.3e}"
-        )
-    if rejected >= samples:
-        notes.append("all samples rejected by pole guard")
-    return SuiteResult(
-        suite="corep",
-        samples=samples - rejected,
-        rejected=rejected,
-        max_rel_residual=worst["matrix element tower"],
-        tol=tol,
-        passed=passed,
-        notes=notes,
-    )
+        indep = f"matrix element independence ratio min {min_indep:.3e}"
+    gates = [(not counit_failures, counit), (min_indep > indep_floor, indep)]
+    return _suite_result("corep", samples, rejected, classes, values, [], gates)
 
 
 def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
-    notes: list[str] = []
     inversion_tol = 1e-7
 
     def sample() -> dict[str, float]:
-        ctx = cfg.context(rng)
-        rc = RepContext(draw_lambda(rng), draw_lambda(rng), ctx)
+        rc = _rep_draw(cfg, rng)
         z = draw_z(rng)
         worst = 0.0
         for n_level in range(1, 4):
@@ -454,8 +509,22 @@ def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
         cfg.max_redraws,
         {"unitarity": tol, "inversion sums": inversion_tol},
         sample,
-        notes,
+        [],
     )
+
+
+def _biorth_draw(
+    cfg: RunConfig, rng: np.random.Generator, n_level: int, m_shift: int, checker
+) -> dict[tuple[int, int], BiorthReport]:
+    """The report of every (k, l) check of one drawn (N, M) sweep."""
+    ctx = cfg.context(rng)
+    bp = BiorthParams(n_level, draw_lambda(rng), m_shift, draw_lambda(rng), draw_z(rng), ctx)
+    cache = BiorthCache()
+    return {
+        (k, l): checker(bp, k, l, cache)
+        for k in range(n_level + 1)
+        for l in range(n_level + 1)
+    }
 
 
 def _biorth_driver(
@@ -466,64 +535,28 @@ def _biorth_driver(
     samples: int,
     tol: float,
 ) -> SuiteResult:
-    notes: list[str] = []
-    termwise_tol = 1e-7
-    oracle_tol = 1e-7
     classes = {
         "biorthogonality sum": tol,
-        "termwise vs oracle": termwise_tol,
-        "representation oracle": oracle_tol,
+        "termwise vs oracle": 1e-7,
+        "representation oracle": 1e-7,
     }
-    worst = {key: 0.0 for key in classes}
-    attempted = 0
+    values: list[dict[str, float]] = []
     rejected = 0
     for n_level in range(1, 6):
         for m_shift in (0, 1, 2):
 
             def sample() -> dict[str, float]:
-                ctx = cfg.context(rng)
-                bp = BiorthParams(
-                    n_level, draw_lambda(rng), m_shift, draw_lambda(rng), draw_z(rng), ctx
-                )
-                cache = BiorthCache()
-                out = {key: 0.0 for key in classes}
-                for k in range(n_level + 1):
-                    for l in range(n_level + 1):
-                        report = checker(bp, k, l, cache)
-                        out["biorthogonality sum"] = max(
-                            out["biorthogonality sum"], report.sum_residual
-                        )
-                        out["termwise vs oracle"] = max(
-                            out["termwise vs oracle"], report.termwise_residual
-                        )
-                        out["representation oracle"] = max(
-                            out["representation oracle"], report.oracle_residual
-                        )
-                return out
+                reports = _biorth_draw(cfg, rng, n_level, m_shift, checker).values()
+                return {
+                    "biorthogonality sum": max(r.sum_residual for r in reports),
+                    "termwise vs oracle": max(r.termwise_residual for r in reports),
+                    "representation oracle": max(r.oracle_residual for r in reports),
+                }
 
-            for _ in range(samples):
-                attempted += 1
-                value, was_rejected = run_with_redraws(sample, cfg.max_redraws)
-                if was_rejected:
-                    rejected += 1
-                    continue
-                for key, v in value.items():
-                    worst[key] = max(worst[key], v)
-    keys = list(classes)
-    passed = all(worst[k] <= classes[k] for k in keys) and rejected < attempted
-    for k in keys[1:]:
-        notes.append(f"{k}: max residual {worst[k]:.3e} (tol {classes[k]:g})")
-    if rejected >= attempted:
-        notes.append("all samples rejected by pole guard")
-    return SuiteResult(
-        suite=name,
-        samples=attempted - rejected,
-        rejected=rejected,
-        max_rel_residual=worst[keys[0]],
-        tol=classes[keys[0]],
-        passed=passed,
-        notes=notes,
-    )
+            got, lost = _sample(samples, cfg.max_redraws, sample)
+            values += got
+            rejected += lost
+    return _suite_result(name, 15 * samples, rejected, classes, values, [])
 
 
 def _suite_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
@@ -558,6 +591,11 @@ SUITE_NAMES = tuple(spec.name for spec in _REGISTRY)
 _INDEX = {spec.name: i for i, spec in enumerate(_REGISTRY)}
 
 
+def _tol(cfg: RunConfig, name: str) -> float:
+    """The headline tolerance of a suite, or of its table: the override, else the registry's."""
+    return cfg.tol if cfg.tol is not None else _REGISTRY[_INDEX[name]].tol
+
+
 def run_suite(name: str, cfg: RunConfig) -> dict:
     """Run one registered suite with its dedicated RNG stream."""
     if name not in _INDEX:
@@ -565,8 +603,7 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
     spec = _REGISTRY[_INDEX[name]]
     rng = np.random.default_rng([cfg.seed, _INDEX[name]])
     samples = cfg.samples if cfg.samples is not None else spec.samples
-    tol = cfg.tol if cfg.tol is not None else spec.tol
-    return spec.fn(cfg, rng, samples, tol).record()
+    return spec.fn(cfg, rng, samples, _tol(cfg, name)).record()
 
 
 def suite_names(names: list[str] | None) -> list[str]:
@@ -603,69 +640,44 @@ def canonical_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _table_pass(entries: list[dict], samples: int, rejected: int) -> bool:
-    """A table passes when it has entries, all pass, and some draw completed."""
-    return bool(entries) and all(e["pass"] for e in entries) and rejected < samples
+def _table(
+    cfg: RunConfig, check: str, samples: int, rejected: int, tol: float, entries: list[dict], **head
+) -> dict:
+    """A table report: the shared header, the check's own ``head`` fields, and ``entries``.
 
-
-def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
-    """Per-(k, j) worst tower residuals for one corepresentation level."""
-    rng = np.random.default_rng([cfg.seed, 100 + n_level])
-    tol = cfg.tol if cfg.tol is not None else 1e-8
-    worst: dict[tuple[int, int], float] = {
-        (k, j): 0.0 for k in range(n_level + 1) for j in range(n_level + 1)
-    }
-    rejected = 0
-    for _ in range(samples):
-
-        def sample() -> dict[tuple[int, int], float]:
-            ctx = cfg.context(rng)
-            omega = draw_lambda(rng)
-            lam0 = draw_lambda(rng)
-            z = draw_z(rng)
-            rc = RepContext(omega, lam0, ctx)
-            out: dict[tuple[int, int], float] = {}
-            for k in range(n_level + 1):
-                for j in range(n_level + 1):
-                    tw = t_word(n_level, k, j, z, ctx)
-                    res = 0.0
-                    for m in range(4):
-                        got = apply_word(tw, m, rc)
-                        vals = [
-                            got.get(m + k - j, 0.0 + 0.0j),
-                            tau_product(n_level, k, j, m, lam0, z, omega, ctx),
-                            tau_closed(n_level, k, j, m, lam0, z, omega, ctx),
-                        ]
-                        scale = max(max(abs(v) for v in vals), TINY)
-                        res = max(
-                            res, max(abs(a - b) for a in vals for b in vals) / scale
-                        )
-                    out[(k, j)] = res
-            return out
-
-        value, was_rejected = run_with_redraws(sample, cfg.max_redraws)
-        if was_rejected:
-            rejected += 1
-            continue
-        for key, v in value.items():
-            worst[key] = max(worst[key], v)
-    entries = [
-        {"k": k, "j": j, "max_rel_residual": worst[(k, j)], "pass": worst[(k, j)] <= tol}
-        for k in range(n_level + 1)
-        for j in range(n_level + 1)
-    ]
+    A table passes when it has entries, all pass, and some draw completed.
+    """
     return {
         "version": REPORT_VERSION,
-        "check": "corep",
-        "N": n_level,
+        "check": check,
+        **head,
         "seed": cfg.seed,
         "samples": samples - rejected,
         "rejected": rejected,
         "tol": tol,
         "entries": entries,
-        "pass": _table_pass(entries, samples, rejected),
+        "pass": bool(entries) and all(e["pass"] for e in entries) and rejected < samples,
         "wall_time_ms": None,
     }
+
+
+def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
+    """Per-(k, j) worst tower residuals for one corepresentation level."""
+    rng = np.random.default_rng([cfg.seed, 100 + n_level])
+    tol = _tol(cfg, "corep")
+
+    def sample():
+        rc = _rep_draw(cfg, rng)
+        return _corep_tower(rc, draw_z(rng), n_level).items()
+
+    values, rejected = _sample(samples, cfg.max_redraws, sample)
+    keys = [(k, j) for k in range(n_level + 1) for j in range(n_level + 1)]
+    worst = _worst(values, keys)
+    entries = [
+        {"k": k, "j": j, "max_rel_residual": worst[(k, j)], "pass": worst[(k, j)] <= tol}
+        for k, j in keys
+    ]
+    return _table(cfg, "corep", samples, rejected, tol, entries, N=n_level)
 
 
 def bailey_table(cfg: RunConfig, order: int | None, samples: int) -> dict:
@@ -679,78 +691,37 @@ def bailey_table(cfg: RunConfig, order: int | None, samples: int) -> dict:
     ``theta_condition``, the largest theta condition over the terms' factors.
     """
     rng = np.random.default_rng([cfg.seed, 300 + (99 if order is None else order)])
-    tol = cfg.tol if cfg.tol is not None else 1e-7
-    entries: list[dict] = []
-    rejected = 0
-    for _ in range(samples):
+    tol = _tol(cfg, "bailey")
 
-        def sample() -> dict:
-            n, report, theta_cond = _bailey_draw(cfg, rng, order)
-            return {
-                "n": n,
-                "residual": report.residual,
-                "condition": report.condition,
-                "theta_condition": theta_cond,
-                "pass": report.residual <= tol,
-            }
+    def sample() -> dict:
+        n, report, theta_cond = _bailey_draw(cfg, rng, order)
+        return {
+            "n": n,
+            "residual": report.residual,
+            "condition": report.condition,
+            "theta_condition": theta_cond,
+            "pass": report.residual <= tol,
+        }
 
-        value, was_rejected = run_with_redraws(sample, cfg.max_redraws)
-        if was_rejected:
-            rejected += 1
-            continue
-        entries.append(value)
-    return {
-        "version": REPORT_VERSION,
-        "check": "bailey",
-        "n": order,
-        "seed": cfg.seed,
-        "samples": samples - rejected,
-        "rejected": rejected,
-        "tol": tol,
-        "entries": entries,
-        "pass": _table_pass(entries, samples, rejected),
-        "wall_time_ms": None,
-    }
+    entries, rejected = _sample(samples, cfg.max_redraws, sample)
+    return _table(cfg, "bailey", samples, rejected, tol, entries, n=order)
 
 
 def qdybe_table(cfg: RunConfig, samples: int) -> dict:
     """Per-sample residuals of the shifted hexagon identity on three legs."""
     rng = np.random.default_rng([cfg.seed, 600])
-    tol = cfg.tol if cfg.tol is not None else 1e-10
-    det_tol = 1e-12
-    entries: list[dict] = []
-    rejected = 0
-    for _ in range(samples):
+    tol = _tol(cfg, "qdybe")
 
-        def sample() -> dict:
-            ctx = cfg.context(rng)
-            lam = draw_lambda(rng)
-            z1, z2, z3 = (draw_z(rng) for _ in range(3))
-            res = qdybe_residual(lam, z1, z2, z3, ctx)
-            det = det_residual(lam, z1, ctx)
-            return {
-                "residual": res,
-                "det_residual": det,
-                "pass": res <= tol and det <= det_tol,
-            }
+    def sample() -> dict:
+        res, det = _qdybe_draw(cfg, rng)
+        return {
+            "residual": res,
+            "det_residual": det,
+            "pass": res <= tol and det <= QDYBE_DET_TOL,
+        }
 
-        value, was_rejected = run_with_redraws(sample, cfg.max_redraws)
-        if was_rejected:
-            rejected += 1
-            continue
-        entries.append(value)
-    return {
-        "version": REPORT_VERSION,
-        "check": "qdybe",
-        "seed": cfg.seed,
-        "samples": samples - rejected,
-        "rejected": rejected,
-        "tol": tol,
-        "det_tol": det_tol,
-        "entries": entries,
-        "pass": _table_pass(entries, samples, rejected),
-        "wall_time_ms": None,
-    }
+    entries, rejected = _sample(samples, cfg.max_redraws, sample)
+    return _table(cfg, "qdybe", samples, rejected, tol, entries, det_tol=QDYBE_DET_TOL)
 
 
 def relations_table(
@@ -762,45 +733,19 @@ def relations_table(
     None draws fresh values each sample.
     """
     rng = np.random.default_rng([cfg.seed, 700])
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-    worst: dict[str, float] = {}
-    rejected = 0
-    for _ in range(samples):
-
-        def sample() -> dict[str, float]:
-            ctx = cfg.context(rng, zero_guard=1e-4)
-            om = draw_lambda(rng) if omega is None else omega
-            l0 = draw_lambda(rng) if lam is None else lam
-            rc = RepContext(om, l0, ctx)
-            z1, z2, z = (draw_z(rng) for _ in range(3))
-            out: dict[str, float] = {}
-            for name, res in check_relations(rc, z1, z2, z, mmax=6, kmax_reverse=4):
-                out[name] = max(out.get(name, 0.0), res)
-            return out
-
-        value, was_rejected = run_with_redraws(sample, cfg.max_redraws)
-        if was_rejected:
-            rejected += 1
-            continue
-        for key, v in value.items():
-            worst[key] = max(worst.get(key, 0.0), v)
+    tol = _tol(cfg, "relations")
+    values, rejected = _sample(
+        samples, cfg.max_redraws, lambda: _relations_draw(cfg, rng, omega, lam)[2]
+    )
     entries = [
         {"relation": name, "max_rel_residual": v, "pass": v <= tol}
-        for name, v in sorted(worst.items())
+        for name, v in sorted(_worst(values).items())
     ]
-    return {
-        "version": REPORT_VERSION,
-        "check": "relations",
+    pinned = {
         "omega": None if omega is None else [omega.real, omega.imag],
         "lambda": None if lam is None else [lam.real, lam.imag],
-        "seed": cfg.seed,
-        "samples": samples - rejected,
-        "rejected": rejected,
-        "tol": tol,
-        "entries": entries,
-        "pass": _table_pass(entries, samples, rejected),
-        "wall_time_ms": None,
     }
+    return _table(cfg, "relations", samples, rejected, tol, entries, **pinned)
 
 
 def biorth_table(
@@ -810,47 +755,19 @@ def biorth_table(
     rng = np.random.default_rng(
         [cfg.seed, (500 if dual else 200) + 10 * n_level + m_shift]
     )
-    tol = cfg.tol if cfg.tol is not None else 1e-6
+    check = "dual-biorth" if dual else "biorth"
+    tol = _tol(cfg, check)
     checker = check_dual_biorth if dual else check_biorth
-    worst: dict[tuple[int, int], float] = {
-        (k, l): 0.0 for k in range(n_level + 1) for l in range(n_level + 1)
-    }
-    rejected = 0
-    for _ in range(samples):
 
-        def sample() -> dict[tuple[int, int], float]:
-            ctx = cfg.context(rng)
-            bp = BiorthParams(
-                n_level, draw_lambda(rng), m_shift, draw_lambda(rng), draw_z(rng), ctx
-            )
-            cache = BiorthCache()
-            return {
-                (k, l): checker(bp, k, l, cache).residual
-                for k in range(n_level + 1)
-                for l in range(n_level + 1)
-            }
+    def sample() -> list[tuple[tuple[int, int], float]]:
+        rows = _biorth_draw(cfg, rng, n_level, m_shift, checker).items()
+        return [(kl, report.residual) for kl, report in rows]
 
-        value, was_rejected = run_with_redraws(sample, cfg.max_redraws)
-        if was_rejected:
-            rejected += 1
-            continue
-        for key, v in value.items():
-            worst[key] = max(worst[key], v)
+    values, rejected = _sample(samples, cfg.max_redraws, sample)
+    keys = [(k, l) for k in range(n_level + 1) for l in range(n_level + 1)]
+    worst = _worst(values, keys)
     entries = [
         {"k": k, "l": l, "max_rel_residual": worst[(k, l)], "pass": worst[(k, l)] <= tol}
-        for k in range(n_level + 1)
-        for l in range(n_level + 1)
+        for k, l in keys
     ]
-    return {
-        "version": REPORT_VERSION,
-        "check": "dual-biorth" if dual else "biorth",
-        "N": n_level,
-        "M": m_shift,
-        "seed": cfg.seed,
-        "samples": samples - rejected,
-        "rejected": rejected,
-        "tol": tol,
-        "entries": entries,
-        "pass": _table_pass(entries, samples, rejected),
-        "wall_time_ms": None,
-    }
+    return _table(cfg, check, samples, rejected, tol, entries, N=n_level, M=m_shift)

@@ -15,7 +15,15 @@ import pytest
 
 from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
-from ellu2.suites import RunConfig, _theta_identity_residual, canonical_json, run_report, run_suite
+from ellu2.suites import (
+    RunConfig,
+    _theta_identity_residual,
+    canonical_json,
+    qdybe_table,
+    relations_table,
+    run_report,
+    run_suite,
+)
 from ellu2.theta import PoleError, ThetaContext
 
 CFG = RunConfig(seed=20240)
@@ -172,6 +180,37 @@ def test_bailey_gate_fails_a_wrong_transformation(monkeypatch):
     monkeypatch.setattr(suites_mod, "check_bailey", scaled)
     rec = run_suite("bailey", RunConfig(seed=89885882))
     assert not rec["pass"] and rec["max_rel_residual"] > 1e-6 and rec["rejected"] == 0
+
+
+def test_a_nan_residual_fails_closed(monkeypatch):
+    # A check that breaks into NaN must fail its gate: max(0.0, nan) is 0.0,
+    # so a plain maximum would report it as exact.
+    cfg = RunConfig(seed=1, samples=3)
+    nan, inf = float("nan"), float("inf")
+    monkeypatch.setattr(suites_mod, "qdybe_residual", lambda *args: nan)
+    rec = run_suite("qdybe", cfg)
+    assert not rec["pass"] and rec["max_rel_residual"] == inf
+    assert not qdybe_table(cfg, 3)["pass"]
+
+    relations = suites_mod.check_relations
+    monkeypatch.setattr(
+        suites_mod,
+        "check_relations",
+        lambda *args, **kw: [(name, nan) for name, _ in relations(*args, **kw)],
+    )
+    rec = run_suite("relations", cfg)
+    assert not rec["pass"] and rec["max_rel_residual"] == inf
+    table = relations_table(cfg, None, None, 3)
+    assert not table["pass"] and table["entries"]
+    assert all(e["max_rel_residual"] == inf for e in table["entries"])
+
+
+def test_relations_table_keeps_an_exact_relation(monkeypatch):
+    rows = [("exact", 0.0), ("rounded", 1e-12)]
+    monkeypatch.setattr(suites_mod, "check_relations", lambda *args, **kw: rows)
+    table = relations_table(RunConfig(seed=1), None, None, 2)
+    assert [(e["relation"], e["max_rel_residual"]) for e in table["entries"]] == rows
+    assert table["pass"]
 
 
 def test_series_transformation_residual_formula():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from ellu2 import suites
 from ellu2.theta import ThetaContext
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -109,3 +110,36 @@ def test_tracer_counts_memoized_calls_and_restores_every_binding():
     # Calls into the memo are counted, hits included; only the miss reaches theta.
     assert metrics["rep.coef_calls"] == 2
     assert metrics["theta.scalar_calls"] == 4
+
+
+def test_every_suite_and_table_draws_once_per_sample():
+    # The battery checks drawn == registered: each requested sample is one
+    # call of the ``run_with_redraws`` the suites module sees, which the
+    # tracer's ``DrawCounter`` rebinds.  The biorth suites draw their count
+    # at each of 15 (N, M) shapes.
+    cfg = suites.RunConfig(seed=1, samples=2)
+    runs = [
+        (name, lambda name=name: suites.run_suite(name, cfg), 30 if "biorth" in name else 2)
+        for name in suites.SUITE_NAMES
+    ]
+    runs += [
+        ("corep table", lambda: suites.corep_table(cfg, 2, 3), 3),
+        ("biorth table", lambda: suites.biorth_table(cfg, 2, 1, 3, False), 3),
+        ("dual-biorth table", lambda: suites.biorth_table(cfg, 2, 0, 3, True), 3),
+        ("bailey table", lambda: suites.bailey_table(cfg, None, 3), 3),
+        ("qdybe table", lambda: suites.qdybe_table(cfg, 3), 3),
+        ("relations table", lambda: suites.relations_table(cfg, None, None, 3), 3),
+    ]
+    original = suites.run_with_redraws
+    draws = _load_tracer().DrawCounter().install()
+    try:
+        assert suites.run_with_redraws is not original
+        drawn = {}
+        for name, run, _ in runs:
+            before = draws.samples
+            run()
+            drawn[name] = draws.samples - before
+    finally:
+        draws.close()
+    assert suites.run_with_redraws is original
+    assert drawn == {name: want for name, _, want in runs}
