@@ -37,11 +37,11 @@ by position.  ``norm_h``, ``weight_w1``, ``weight_w2`` and
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from operator import mul
 
 from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_tilde_series_parts
+from .residuals import scaled, worst
 from .series import vwp_plan, vwp_sum
 from .theta import (
     LAM,
@@ -92,21 +92,6 @@ class BiorthParams:
             raise ValueError("level N must be >= 1")
         if self.M < 0:
             raise ValueError("M must be a nonnegative integer")
-        object.__setattr__(self, "_norms", {})
-
-
-def _memo_per_params(build):
-    """Keep the plan build(bp, k) on ``bp``: the items of one sweep share it."""
-
-    @functools.wraps(build)
-    def memo(bp: BiorthParams, k: int) -> Plan:
-        key = (build.__name__, k)
-        got = bp._norms.get(key)
-        if got is None:
-            got = bp._norms[key] = build(bp, k)
-        return got
-
-    return memo
 
 
 # The reductions of the joined items.  Module functions, not lambdas: a
@@ -159,7 +144,6 @@ def norm_h(bp: BiorthParams, k: int) -> complex:
     return _item(bp, ("h", k))
 
 
-@_memo_per_params
 def _norm_first(bp: BiorthParams, k: int) -> Plan:
     """Second-index normalization of the first weight.
 
@@ -180,7 +164,6 @@ def _norm_first(bp: BiorthParams, k: int) -> Plan:
     return tp
 
 
-@_memo_per_params
 def _norm_second(bp: BiorthParams, l: int) -> Plan:
     """Second-index normalization of the second weight (1 at l = 0)."""
     qp = bp.ctx.qpow
@@ -198,7 +181,6 @@ def _norm_second(bp: BiorthParams, l: int) -> Plan:
     return tp
 
 
-@_memo_per_params
 def _norm_gauge(bp: BiorthParams, k: int) -> Plan:
     """First-index gauge factor shared by the two weights (1 at k = 0).
 
@@ -463,11 +445,7 @@ class BiorthReport:
 
     @property
     def residual(self) -> float:
-        return max(self.sum_residual, self.oracle_residual)
-
-
-def _scaled_residual(lhs: complex, rhs: complex, scale: float) -> float:
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + scale)
+        return worst((self.sum_residual, self.oracle_residual))
 
 
 class BiorthCache:
@@ -550,14 +528,9 @@ def check_biorth(
     hk, terms, oracle = _sums(bp, k, l, cache, False)
     max_term = max(abs(t) for t in terms)
     target = hk if k == l else 0.0
-    sum_res = _scaled_residual(sum(terms), target, max_term)
-    term_res = max(
-        _scaled_residual(t, hk * o, max_term * 1e-16)
-        for t, o in zip(terms, oracle)
-    )
-    oracle_res = _scaled_residual(
-        sum(oracle), 1.0 if k == l else 0.0, max(abs(o) for o in oracle)
-    )
+    sum_res = scaled(sum(terms), target, max_term)
+    term_res = worst([scaled(t, hk * o, max_term * 1e-16) for t, o in zip(terms, oracle)])
+    oracle_res = scaled(sum(oracle), 1.0 if k == l else 0.0, max(abs(o) for o in oracle))
     return BiorthReport(sum_res, term_res, oracle_res, max_term)
 
 
@@ -568,9 +541,7 @@ def check_dual_biorth(
     _, terms, oracle = _sums(bp, k, l, cache, True)
     max_term = max(abs(t) for t in terms)
     target = 1.0 if k == l else 0.0
-    sum_res = _scaled_residual(sum(terms), target, max_term)
-    term_res = max(
-        _scaled_residual(t, o, max_term * 1e-16) for t, o in zip(terms, oracle)
-    )
-    oracle_res = _scaled_residual(sum(oracle), target, max(abs(o) for o in oracle))
+    sum_res = scaled(sum(terms), target, max_term)
+    term_res = worst([scaled(t, o, max_term * 1e-16) for t, o in zip(terms, oracle)])
+    oracle_res = scaled(sum(oracle), target, max(abs(o) for o in oracle))
     return BiorthReport(sum_res, term_res, oracle_res, max_term)

@@ -17,7 +17,8 @@ from operator import mul
 
 import numpy as np
 
-from .rep import RepContext, apply_word, coef_a, coef_b, coef_c, coef_d, residual_between
+from .rep import RepContext, apply_word, coef_a, coef_b, coef_c, coef_d
+from .residuals import TINY, residual_between, worst
 from .series import vwp_plan
 from .theta import (
     Joined,
@@ -415,7 +416,7 @@ def check_coproduct(
 ) -> float:
     """Worst residual of the matrix-element coproduct rule over all (k, j)."""
     ctx = rc1.ctx
-    worst = 0.0
+    res = []
     tws = {(a, b): t_word(N, a, b, z, ctx) for a in range(N + 1) for b in range(N + 1)}
     for k in range(N + 1):
         for j in range(N + 1):
@@ -429,8 +430,8 @@ def check_coproduct(
                 ]
                 for key, val in eval_tensor(pairs, m, n, rc1, rc2).items():
                     rhs[key] = rhs.get(key, 0.0 + 0.0j) + val
-            worst = max(worst, residual_between(lhs, rhs))
-    return worst
+            res.append(residual_between(lhs, rhs))
+    return worst(res)
 
 
 def check_tensor_relation(
@@ -536,7 +537,7 @@ def check_inversion_words(
     zr = ctx.qpow(-2 * (N - 2)) / zb
     dets = tuple(L_detinv(ctx.qpow(-2 * i) / zb) for i in range(N))
     acc: dict[int, complex] = {}
-    scale = 1e-300
+    scale = TINY
     for j in range(N + 1):
         el = (
             star(_t_word_on(N, j, l, z, rc), ctx)
@@ -548,8 +549,7 @@ def check_inversion_words(
             acc[idx] = acc.get(idx, 0.0 + 0.0j) + val
             scale = max(scale, abs(val))
     target = {m: 1.0 + 0.0j} if k == l else {}
-    keys = set(acc) | set(target)
-    diff = max((abs(acc.get(i, 0.0) - target.get(i, 0.0)) for i in keys), default=0.0)
+    diff = worst([abs(acc.get(i, 0.0) - target.get(i, 0.0)) for i in set(acc) | set(target)])
     if k == l:
         scale = max(scale, 1.0)
     return diff / scale

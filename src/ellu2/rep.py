@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .residuals import residual_between, worst
 from .rmatrix import r_entries
 from .theta import PoleError, ThetaContext, memo_per_context, theta
 from .words import (
@@ -210,27 +211,6 @@ def apply_word_scaled(
         peak = max(peak, abs(v))
         out[k] = out.get(k, 0.0 + 0.0j) + v
     return out, peak
-
-
-def residual_between(
-    lhs: dict[int, complex], rhs: dict[int, complex], floor: float = 0.0
-) -> float:
-    """Relative max-norm difference of two index-to-coefficient maps.
-
-    ``floor`` enters the scale only; passing the peak path contribution keeps
-    the residual meaningful when the aggregated coefficients nearly cancel.
-    """
-    keys = set(lhs) | set(rhs)
-    if not keys:
-        return 0.0
-    diff = max(abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) for k in keys)
-    scale = max(
-        max((abs(v) for v in lhs.values()), default=0.0),
-        max((abs(v) for v in rhs.values()), default=0.0),
-        floor,
-        1e-300,
-    )
-    return diff / scale
 
 
 def _cf_entry(which: int, z12: complex, ctx: ThetaContext, tag: str) -> CoefficientFn:
@@ -470,11 +450,8 @@ def check_det_forms(rc: RepContext, z: complex, mmax: int = 4) -> list[tuple[str
     target = det_scalar(z, rc.omega, rc.ctx)
     rows: list[tuple[str, float]] = []
     for name, el in det_form_elements(z, rc.ctx):
-        worst = 0.0
-        for m in range(mmax + 1):
-            got = apply_word(el, m, rc)
-            worst = max(worst, residual_between(got, {m: target}))
-        rows.append((name, worst))
+        res = (residual_between(apply_word(el, m, rc), {m: target}) for m in range(mmax + 1))
+        rows.append((name, worst(res)))
     return rows
 
 
@@ -522,10 +499,10 @@ def check_relations(
             pairs.append(reverse_relation(k, l, z, rc.ctx))
     pairs += antipode_inverse_identities(z, rc.ctx)
     for name, lhs, rhs in pairs:
-        worst = 0.0
+        res = []
         for m in range(mmax + 1):
             lmap, lpeak = apply_word_scaled(lhs, m, rc)
             rmap, rpeak = apply_word_scaled(rhs, m, rc)
-            worst = max(worst, residual_between(lmap, rmap, max(lpeak, rpeak)))
-        rows.append((name, worst))
+            res.append(residual_between(lmap, rmap, max(lpeak, rpeak)))
+        rows.append((name, worst(res)))
     return rows

@@ -53,11 +53,10 @@ def draw_context(
     rng: np.random.Generator,
     p: float | None = None,
     q: float | None = None,
-    truncation_floor: float = 1e-17,
     zero_guard: float = 1e-12,
 ) -> ThetaContext:
     pv, qv = draw_base(rng, p, q)
-    return ThetaContext(pv, qv, truncation_floor=truncation_floor, zero_guard=zero_guard)
+    return ThetaContext(pv, qv, zero_guard=zero_guard)
 
 
 def draw_lambda(rng: np.random.Generator) -> complex:

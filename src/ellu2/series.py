@@ -54,6 +54,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .residuals import TINY, scaled
 from .theta import (
     DEN_GUARD,
     Bound,
@@ -779,10 +780,9 @@ def check_bailey(
     pref_value = pref.value()
     lhs = lhs_eval.value
     rhs = pref_value * rhs_eval.value
-    denom = abs(lhs) + abs(rhs) + 1e-300
-    residual = abs(lhs - rhs) / denom
+    denom = abs(lhs) + abs(rhs) + TINY
     peak = max(lhs_eval.max_term_magnitude, abs(pref_value) * rhs_eval.max_term_magnitude)
-    return BaileyReport(lhs, rhs, residual, (peak + denom) / denom)
+    return BaileyReport(lhs, rhs, scaled(lhs, rhs, TINY), (peak + denom) / denom)
 
 
 def _series_factor_args(spec: SeriesSpec) -> list[complex]:

@@ -12,7 +12,7 @@ Suites and the focused tables of ``ellu2 check`` share one engine:
   redrawing at poles, and returns the completed values and the rejected
   count;
 - one fold, ``_worst``, keeps the worst residual per key, counting a NaN as
-  +inf so that a check which breaks fails its gate;
+  +inf (``residuals.worst``) so that a check which breaks fails its gate;
 - ``_suite_result`` and ``_table`` build the two report shapes and own the
   pass rules;
 - each per-sample body a suite shares with its table is written once
@@ -48,6 +48,7 @@ from .corep import (
     tau_tilde_closed,
 )
 from .rep import RepContext, apply_word, check_det_forms, check_relations, relation_inventory
+from .residuals import TINY, rel, rel_to_terms, spread, worst
 from .rmatrix import det_residual, qdybe_residual
 from .sampling import draw_context, draw_lambda, draw_z, run_with_redraws
 from .series import (
@@ -76,7 +77,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = 1
-TINY = 1e-300
 # The gate on the middle determinant's closed form, in the suite and the table.
 QDYBE_DET_TOL = 1e-12
 
@@ -91,12 +91,9 @@ class RunConfig:
     q: float | None = None
     tol: float | None = None
     max_redraws: int = 50
-    truncation_floor: float = 1e-17
-    zero_guard: float = 1e-12
 
-    def context(self, rng: np.random.Generator, zero_guard: float | None = None):
-        guard = self.zero_guard if zero_guard is None else max(self.zero_guard, zero_guard)
-        return draw_context(rng, self.p, self.q, self.truncation_floor, guard)
+    def context(self, rng: np.random.Generator, zero_guard: float = 1e-12):
+        return draw_context(rng, self.p, self.q, zero_guard)
 
 
 @dataclass
@@ -119,16 +116,6 @@ class SuiteResult:
             "pass": self.passed,
             "notes": list(self.notes),
         }
-
-
-def _rel(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY)
-
-
-def _spread(vals: list[complex]) -> float:
-    """Largest pairwise difference among values that should agree, relative to the largest."""
-    scale = max(max(abs(v) for v in vals), TINY)
-    return max(abs(a - b) for a in vals for b in vals) / scale
 
 
 def _theta_identity_residual(
@@ -167,14 +154,14 @@ def _worst(values: Iterable[Iterable[tuple]], keys: Iterable = ()) -> dict:
     """The worst residual per key over samples of (key, residual) pairs.
 
     Each of ``keys`` starts at 0.0, as does any other key at its first pair.
-    A NaN residual counts as +inf, so a check that breaks fails closed rather
-    than vanishing from the maximum.
+    A NaN residual counts as +inf (``residuals.worst``), so a check that
+    breaks fails closed rather than vanishing from the maximum.
     """
-    worst = dict.fromkeys(keys, 0.0)
+    out = dict.fromkeys(keys, 0.0)
     for pairs in values:
         for key, v in pairs:
-            worst[key] = max(worst.get(key, 0.0), math.inf if math.isnan(v) else v)
-    return worst
+            out[key] = worst((out.get(key, 0.0), v))
+    return out
 
 
 def _suite_result(
@@ -192,11 +179,11 @@ def _suite_result(
     get their own tolerance and surface through notes.  Each of ``gates`` is
     one more (passed, note) condition of the suite.
     """
-    worst = _worst((value.items() for value in values), classes)
+    top = _worst((value.items() for value in values), classes)
     keys = list(classes)
-    passed = all(worst[k] <= classes[k] for k in keys) and rejected < samples
+    passed = all(top[k] <= classes[k] for k in keys) and rejected < samples
     for k in keys[1:]:
-        notes.append(f"{k}: max residual {worst[k]:.3e} (tol {classes[k]:g})")
+        notes.append(f"{k}: max residual {top[k]:.3e} (tol {classes[k]:g})")
     for ok, note in gates:
         passed = passed and ok
         notes.append(note)
@@ -206,7 +193,7 @@ def _suite_result(
         suite=name,
         samples=samples - rejected,
         rejected=rejected,
-        max_rel_residual=worst[keys[0]],
+        max_rel_residual=top[keys[0]],
         tol=classes[keys[0]],
         passed=passed,
         notes=notes,
@@ -231,7 +218,7 @@ def _rep_draw(
     rng: np.random.Generator,
     omega: complex | None = None,
     lam: complex | None = None,
-    zero_guard: float | None = None,
+    zero_guard: float = 1e-12,
 ) -> RepContext:
     """The base, then the weight omega and evaluation point lambda, each drawn unless pinned."""
     ctx = cfg.context(rng, zero_guard)
@@ -245,22 +232,18 @@ def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
     def sample() -> dict[str, float]:
         ctx = cfg.context(rng)
         z, w, x, y = (draw_z(rng) for _ in range(4))
-        worst = 0.0
-        tz = theta(z, ctx)
-        shifted = -tz / z
-        worst = max(worst, _rel(theta(ctx.p * z, ctx), shifted))
-        worst = max(worst, _rel(theta(1.0 / z, ctx), shifted))
+        shifted = -theta(z, ctx) / z
+        res = [rel(theta(ctx.p * z, ctx), shifted), rel(theta(1.0 / z, ctx), shifted)]
         for s in range(1, 6):
             lhs = theta(ctx.qpow(-2 * s), ctx)
-            rhs = -ctx.qpow(-2 * s) * theta(ctx.qpow(2 * s), ctx)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY))
+            res.append(rel(lhs, -ctx.qpow(-2 * s) * theta(ctx.qpow(2 * s), ctx)))
         three_term = [
             (1.0, (x * y, x / y, z * w, z / w)),
             (-1.0, (x * w, x / w, z * y, z / y)),
             (-z / y, (x * z, x / z, y * w, y / w)),
         ]
-        worst = max(worst, _theta_identity_residual(three_term, ctx))
-        return {"theta identities": worst}
+        res.append(_theta_identity_residual(three_term, ctx))
+        return {"theta identities": worst(res)}
 
     return _drive("theta", samples, cfg.max_redraws, {"theta identities": tol}, sample, [])
 
@@ -280,14 +263,12 @@ def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: f
         if ratio_eval.warnings:
             notes.append(f"unexpected balance warning: {ratio_eval.warnings[0]}")
             return {"evaluator agreement": float("inf")}
-        termwise = eval_omega_termwise(spec)
-        scale = ratio_eval.max_term_magnitude + abs(ratio_eval.value) + abs(termwise)
-        worst = abs(ratio_eval.value - termwise) / max(scale, TINY)
+        value, max_term = ratio_eval.value, ratio_eval.max_term_magnitude
+        res = [rel_to_terms(value, eval_omega_termwise(spec), max_term)]
         perm = tuple(free[i] for i in rng.permutation(6))
         permuted = eval_omega(SeriesSpec(spec.a1, perm + (qarg(-n),), 6, ctx))
-        pscale = ratio_eval.max_term_magnitude + abs(ratio_eval.value) + abs(permuted.value)
-        worst = max(worst, abs(ratio_eval.value - permuted.value) / max(pscale, TINY))
-        return {"evaluator agreement": worst}
+        res.append(rel_to_terms(value, permuted.value, max_term))
+        return {"evaluator agreement": worst(res)}
 
     return _drive("series", samples, cfg.max_redraws, {"evaluator agreement": tol}, sample, notes)
 
@@ -392,16 +373,14 @@ def _corep_tower(rc: RepContext, z: complex, n_level: int) -> dict[tuple[int, in
     for k in range(n_level + 1):
         for j in range(n_level + 1):
             tw = t_word(n_level, k, j, z, ctx)
-            res = 0.0
-            for m in range(4):
-                got = apply_word(tw, m, rc)
-                vals = [
-                    got.get(m + k - j, 0.0 + 0.0j),
+            out[(k, j)] = worst([
+                spread([
+                    apply_word(tw, m, rc).get(m + k - j, 0.0 + 0.0j),
                     tau_product(n_level, k, j, m, rc.lam0, z, rc.omega, ctx),
                     tau_closed(n_level, k, j, m, rc.lam0, z, rc.omega, ctx),
-                ]
-                res = max(res, _spread(vals))
-            out[(k, j)] = res
+                ])
+                for m in range(4)
+            ])
     return out
 
 
@@ -418,8 +397,10 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         rc = _rep_draw(cfg, rng)
         z = draw_z(rng)
         ctx, omega, lam0 = rc.ctx, rc.omega, rc.lam0
-        worst = max(max(_corep_tower(rc, z, n_level).values()) for n_level in range(1, 5))
-        star_worst = 0.0
+        tower = worst(
+            res for n_level in range(1, 5) for res in _corep_tower(rc, z, n_level).values()
+        )
+        star_res = []
         for n_level in range(1, 4):
             for k in range(n_level + 1):
                 for j in range(n_level + 1):
@@ -430,35 +411,32 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
                             got.get(m + j - k, 0.0 + 0.0j),
                             tau_tilde_closed(n_level, k, j, m, lam0, z, omega, ctx),
                         ]
-                        star_worst = max(star_worst, _spread(vals))
+                        star_res.append(spread(vals))
         for n_level in range(1, 6):
             counit_failures.extend(check_counit_exact(n_level, z, ctx))
-        out = {"matrix element tower": worst, "conjugate tower": star_worst}
+        out = {"matrix element tower": tower, "conjugate tower": worst(star_res)}
         if completed < heavy_draws:
             rc2 = RepContext(draw_lambda(rng), lam0, ctx)
-            cop_worst = 0.0
-            rll_worst = 0.0
-            for n_level in range(1, 4):
-                for m in range(3):
-                    for n in range(3):
-                        cop_worst = max(
-                            cop_worst, check_coproduct(n_level, z, m, n, rc, rc2)
-                        )
-            for rel_name, lhs, rhs in relation_inventory(draw_z(rng), draw_z(rng), ctx):
-                for m in range(2):
-                    for n in range(2):
-                        rll_worst = max(
-                            rll_worst, check_tensor_relation(lhs, rhs, m, n, rc, rc2)
-                        )
+            out["tensor coproduct"] = worst(
+                check_coproduct(n_level, z, m, n, rc, rc2)
+                for n_level in range(1, 4)
+                for m in range(3)
+                for n in range(3)
+            )
+            out["tensor relations"] = worst(
+                check_tensor_relation(lhs, rhs, m, n, rc, rc2)
+                for _, lhs, rhs in relation_inventory(draw_z(rng), draw_z(rng), ctx)
+                for m in range(2)
+                for n in range(2)
+            )
             # More points than columns, each at its own basis index.
             points = [(draw_z(rng), m) for m in range(6)]
             for n_level in range(1, 4):
                 ratio = linear_independence_ratio(
                     n_level, lam0, omega, ctx, points[: n_level + 3]
                 )
-                min_indep = min(min_indep, ratio)
-            out["tensor coproduct"] = cop_worst
-            out["tensor relations"] = rll_worst
+                # A NaN ratio certifies nothing: count it as 0.0, below the floor.
+                min_indep = min(min_indep, 0.0 if math.isnan(ratio) else ratio)
         completed += 1
         return out
 
@@ -487,21 +465,21 @@ def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
     def sample() -> dict[str, float]:
         rc = _rep_draw(cfg, rng)
         z = draw_z(rng)
-        worst = 0.0
-        for n_level in range(1, 4):
-            for k in range(n_level + 1):
-                for j in range(n_level + 1):
-                    for m in range(3):
-                        worst = max(worst, check_unitarity(n_level, k, j, z, m, rc))
-        inv_worst = 0.0
-        for n_level in range(1, 3):
-            for k in range(n_level + 1):
-                for l in range(n_level + 1):
-                    for m in range(3):
-                        inv_worst = max(
-                            inv_worst, check_inversion_words(n_level, k, l, z, m, rc)
-                        )
-        return {"unitarity": worst, "inversion sums": inv_worst}
+        unitarity = worst(
+            check_unitarity(n_level, k, j, z, m, rc)
+            for n_level in range(1, 4)
+            for k in range(n_level + 1)
+            for j in range(n_level + 1)
+            for m in range(3)
+        )
+        inversion = worst(
+            check_inversion_words(n_level, k, l, z, m, rc)
+            for n_level in range(1, 3)
+            for k in range(n_level + 1)
+            for l in range(n_level + 1)
+            for m in range(3)
+        )
+        return {"unitarity": unitarity, "inversion sums": inversion}
 
     return _drive(
         "unitarity",
@@ -548,9 +526,9 @@ def _biorth_driver(
             def sample() -> dict[str, float]:
                 reports = _biorth_draw(cfg, rng, n_level, m_shift, checker).values()
                 return {
-                    "biorthogonality sum": max(r.sum_residual for r in reports),
-                    "termwise vs oracle": max(r.termwise_residual for r in reports),
-                    "representation oracle": max(r.oracle_residual for r in reports),
+                    "biorthogonality sum": worst(r.sum_residual for r in reports),
+                    "termwise vs oracle": worst(r.termwise_residual for r in reports),
+                    "representation oracle": worst(r.oracle_residual for r in reports),
                 }
 
             got, lost = _sample(samples, cfg.max_redraws, sample)
@@ -672,9 +650,9 @@ def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
 
     values, rejected = _sample(samples, cfg.max_redraws, sample)
     keys = [(k, j) for k in range(n_level + 1) for j in range(n_level + 1)]
-    worst = _worst(values, keys)
+    top = _worst(values, keys)
     entries = [
-        {"k": k, "j": j, "max_rel_residual": worst[(k, j)], "pass": worst[(k, j)] <= tol}
+        {"k": k, "j": j, "max_rel_residual": top[(k, j)], "pass": top[(k, j)] <= tol}
         for k, j in keys
     ]
     return _table(cfg, "corep", samples, rejected, tol, entries, N=n_level)
@@ -765,9 +743,9 @@ def biorth_table(
 
     values, rejected = _sample(samples, cfg.max_redraws, sample)
     keys = [(k, l) for k in range(n_level + 1) for l in range(n_level + 1)]
-    worst = _worst(values, keys)
+    top = _worst(values, keys)
     entries = [
-        {"k": k, "l": l, "max_rel_residual": worst[(k, l)], "pass": worst[(k, l)] <= tol}
+        {"k": k, "l": l, "max_rel_residual": top[(k, l)], "pass": top[(k, l)] <= tol}
         for k, l in keys
     ]
     return _table(cfg, check, samples, rejected, tol, entries, N=n_level, M=m_shift)

@@ -18,7 +18,9 @@ from ellu2.series import check_bailey
 from ellu2.suites import (
     RunConfig,
     _theta_identity_residual,
+    biorth_table,
     canonical_json,
+    corep_table,
     qdybe_table,
     relations_table,
     run_report,
@@ -182,27 +184,75 @@ def test_bailey_gate_fails_a_wrong_transformation(monkeypatch):
     assert not rec["pass"] and rec["max_rel_residual"] > 1e-6 and rec["rejected"] == 0
 
 
-def test_a_nan_residual_fails_closed(monkeypatch):
-    # A check that breaks into NaN must fail its gate: max(0.0, nan) is 0.0,
-    # so a plain maximum would report it as exact.
-    cfg = RunConfig(seed=1, samples=3)
-    nan, inf = float("nan"), float("inf")
-    monkeypatch.setattr(suites_mod, "qdybe_residual", lambda *args: nan)
-    rec = run_suite("qdybe", cfg)
-    assert not rec["pass"] and rec["max_rel_residual"] == inf
-    assert not qdybe_table(cfg, 3)["pass"]
+NAN, INF = float("nan"), float("inf")
 
-    relations = suites_mod.check_relations
-    monkeypatch.setattr(
-        suites_mod,
-        "check_relations",
-        lambda *args, **kw: [(name, nan) for name, _ in relations(*args, **kw)],
-    )
-    rec = run_suite("relations", cfg)
-    assert not rec["pass"] and rec["max_rel_residual"] == inf
-    table = relations_table(cfg, None, None, 3)
-    assert not table["pass"] and table["entries"]
-    assert all(e["max_rel_residual"] == inf for e in table["entries"])
+
+def _nan(original):
+    return lambda *args, **kw: NAN
+
+
+def _nan_rows(original):
+    return lambda *args, **kw: [(name, NAN) for name, _ in original(*args, **kw)]
+
+
+def _nan_at_index_3(original):
+    def patched(el, m, rc):
+        got, peak = original(el, m, rc)
+        return ({k: complex(NAN) for k in got} if m == 3 else got), peak
+
+    return patched
+
+
+def _suite(name):
+    return lambda cfg: run_suite(name, cfg)
+
+
+def _relations_table(cfg):
+    return relations_table(cfg, None, None, cfg.samples)
+
+
+# (module, name, patch, runs): each run must fail once ``patch`` has made
+# the named function return NaN.  The first two cases break a residual the
+# suites fold across samples; the others break one folded inside a check, or
+# the ratio of the corep suite's independence gate.
+NAN_CASES = {
+    "qdybe-residual": (
+        "suites", "qdybe_residual", _nan,
+        [_suite("qdybe"), lambda cfg: qdybe_table(cfg, cfg.samples)],
+    ),
+    "relation-rows": ("suites", "check_relations", _nan_rows, [_suite("relations"), _relations_table]),
+    "theta-product": ("suites", "theta_multi", _nan, [_suite("theta")]),
+    "unitarity": ("suites", "check_unitarity", _nan, [_suite("unitarity")]),
+    "closed-tau": ("suites", "tau_closed", _nan, [lambda cfg: corep_table(cfg, 2, cfg.samples)]),
+    "basis-index-3": (
+        "rep", "apply_word_scaled", _nan_at_index_3, [_suite("relations"), _relations_table]
+    ),
+    "representation-oracle": (
+        "biorth", "_oracle_summand", _nan, [lambda cfg: biorth_table(cfg, 2, 0, cfg.samples, False)]
+    ),
+    "independence-ratio": ("suites", "linear_independence_ratio", _nan, [_suite("corep")]),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_a_nan_residual_fails_closed(monkeypatch, case):
+    # A check that breaks into NaN must fail its gate: max(0.0, nan) is 0.0,
+    # so a plain maximum would report it as exact.  The NaN shows as an
+    # infinite residual, or, for the independence ratio, as a ratio of 0.
+    mod_name, name, patch, runs = NAN_CASES[case]
+    mod = importlib.import_module(f"ellu2.{mod_name}")
+    monkeypatch.setattr(mod, name, patch(getattr(mod, name)))
+    cfg = RunConfig(seed=1, samples=1)
+    for run in runs:
+        record = run(cfg)
+        assert not record["pass"]
+        if case == "independence-ratio":
+            assert "matrix element independence ratio 0.000e+00 <= 1e-08" in record["notes"]
+        elif "entries" not in record:
+            assert record["max_rel_residual"] == INF
+        elif record["check"] != "qdybe":  # the qdybe table reports each sample unfolded
+            assert record["entries"]
+            assert all(e["max_rel_residual"] == INF for e in record["entries"])
 
 
 def test_relations_table_keeps_an_exact_relation(monkeypatch):
