@@ -8,22 +8,37 @@ form: a theta-product prefactor times a terminating very well poised balanced
 series.  ``tau_product`` is an independent oracle built by composing the raw
 single-letter actions.  ``gamma_factor`` supplies the diagonal normalization
 appearing in the inversion identity, checked word by word in
-``check_unitarity`` and ``check_inversion_words``.
+``check_unitarity`` and ``check_inversion_words``: their words are compiled
+once per level over records (``rep.Compiled``) and bound once per sample.
 """
 
 from __future__ import annotations
 
 from operator import mul
+from typing import Iterable
 
 import numpy as np
 
-from .rep import RepContext, apply_word, coef_a, coef_b, coef_c, coef_d
-from .residuals import TINY, residual_between, worst
+from .rep import (
+    RepContext,
+    _bound_rows,
+    _side,
+    _symbols,
+    apply_word,
+    coef_a,
+    coef_b,
+    coef_c,
+    coef_d,
+)
+from .residuals import residual_between, worst
 from .series import vwp_plan
 from .theta import (
+    _ONE,
+    Z,
+    Factor,
     Joined,
     Plan,
-    PoleError,
+    TemplateContext,
     ThetaContext,
     ThetaProduct,
     TrackedArg,
@@ -34,6 +49,7 @@ from .theta import (
     known,
     memo_per_context,
     qarg,
+    reciprocal,
 )
 from .words import (
     AlgebraElement,
@@ -72,6 +88,7 @@ __all__ = [
     "counit_structure",
     "check_counit_exact",
     "unitarity_words",
+    "inversion_elements",
     "check_unitarity",
     "check_inversion_words",
     "linear_independence_ratio",
@@ -100,7 +117,7 @@ def _t_coefficient(N: int, k: int, j: int, l: int, ctx: ThetaContext) -> Coeffic
         tp.poch(garg(ctx.qpow(2 * (x + N - 2 * j + 2))), l, inv=True)
         tp.poch(garg(ctx.qpow(2 * (x + l - j + 2))), j - l)
         tp.poch(garg(ctx.qpow(2 * (x + N - 2 * j - k + 2 * l + 2))), j - l, inv=True)
-        return tp.value()
+        return ctx.evaluate(tp)
 
     return cf_from(fn, f"tcoef[{N};{k},{j};{l}]")
 
@@ -361,19 +378,15 @@ def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:
 @memo_per_context
 def gamma_factor(N: int, k: int, x: complex, ctx: ThetaContext) -> complex:
     """Diagonal normalization in the inversion identity for level N."""
-    return gamma_plan(N, k, x, ctx).value()
+    return ctx.evaluate(gamma_plan(N, k, x, ctx))
 
 
 def inv_gamma_factor(N: int, k: int, ctx: ThetaContext) -> CoefficientFn:
     """Reciprocal of gamma_factor as a coefficient function with pole guard."""
-
-    def fn(x: complex) -> complex:
-        v = gamma_factor(N, k, x, ctx)
-        if abs(v) < ctx.zero_guard:
-            raise PoleError("gamma factor below zero guard")
-        return 1.0 / v
-
-    return cf_from(fn, f"1/Gamma[{N};{k}]")
+    return cf_from(
+        lambda x: reciprocal(gamma_factor(N, k, x, ctx), ctx, "gamma factor below zero guard"),
+        f"1/Gamma[{N};{k}]",
+    )
 
 
 def gamma_cf(N: int, k: int, ctx: ThetaContext) -> CoefficientFn:
@@ -484,7 +497,7 @@ def unitarity_words(
     N: int, k: int, j: int, z: complex, ctx: ThetaContext
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Both sides of the inversion identity for a single matrix element."""
-    zb = complex(z).conjugate()
+    zb = ctx.conj(z)
     zr = ctx.qpow(-2 * (N - 2)) / zb
     lhs = word(1.0, (L_fr(gamma_cf(N, k, ctx)),)) * star(
         antipode(t_word(N, k, j, z, ctx), ctx), ctx
@@ -498,31 +511,64 @@ def unitarity_words(
     return lhs, rhs
 
 
-@memo_per_context
-def _t_word_on(N: int, k: int, j: int, z: complex, rc: RepContext) -> AlgebraElement:
-    """``t_word`` on the base of ``rc``, memoized on ``rc``."""
-    return t_word(N, k, j, z, rc.ctx)
+def inversion_elements(N: int, k: int, l: int, z: complex, ctx: ThetaContext) -> list[AlgebraElement]:
+    """The conjugate pairs summed over j = 0..N in ``check_inversion_words``."""
+    zb = ctx.conj(z)
+    zr = ctx.qpow(-2 * (N - 2)) / zb
+    dets = tuple(L_detinv(ctx.qpow(-2 * i) / zb) for i in range(N))
+    return [
+        star(t_word(N, j, l, z, ctx), ctx)
+        * word(1.0, (L_fl(gamma_cf(N, j, ctx)), L_fr(inv_gamma_factor(N, k, ctx))))
+        * t_word(N, j, k, zr, ctx)
+        * word(1.0, dets)
+        for j in range(N + 1)
+    ]
 
 
-@memo_per_context
-def _unitarity_words_on(
-    N: int, k: int, j: int, z: complex, rc: RepContext
-) -> tuple[AlgebraElement, AlgebraElement]:
-    """``unitarity_words`` on the base of ``rc``, memoized on ``rc``."""
-    return unitarity_words(N, k, j, z, rc.ctx)
+# The basis indices a unitarity or inversion check compiles at once; asking
+# for a larger m compiles up to it.
+UNITARITY_MMAX = 2
+
+
+def _unitarity_rows(ctx: TemplateContext, N: int, mmax: int) -> Iterable:
+    rc = _symbols(ctx)
+    for k in range(N + 1):
+        for j in range(N + 1):
+            lhs, rhs = unitarity_words(N, k, j, Z, ctx)
+            for m in range(mmax + 1):
+                yield (k, j, m), [([(1, _side(lhs, m, rc)), (-1, _side(rhs, m, rc))], False)]
+
+
+def _inversion_rows(ctx: TemplateContext, N: int, mmax: int) -> Iterable:
+    rc = _symbols(ctx)
+    for k in range(N + 1):
+        for l in range(N + 1):
+            elements = inversion_elements(N, k, l, Z, ctx)
+            for m in range(mmax + 1):
+                sides = [(1, _side(el, m, rc)) for el in elements]
+                if k == l:
+                    sides.append((-1, [(m, Factor(_ONE))]))
+                yield (k, l, m), [(sides, False)]
+
+
+def _element_residual(build, N: int, a: int, b: int, z: complex, m: int, rc: RepContext) -> float:
+    """The residual of (a, b) on e_m from the compiled check ``build`` at level N."""
+    if not (0 <= a <= N and 0 <= b <= N):
+        raise ValueError("need 0 <= k, j <= N")
+    if m < 0:
+        raise ValueError("basis index must be >= 0")
+    return _bound_rows(rc, build, (N, max(m, UNITARITY_MMAX)), z=z)[(a, b, m)]
 
 
 def check_unitarity(N: int, k: int, j: int, z: complex, m: int, rc: RepContext) -> float:
     """The inversion identity of one matrix element, applied to e_m.
 
-    The words are built once per representation context and element, and
-    applied to each basis vector asked for.  They are memoized on ``rc``, not
-    on its ``ThetaContext``: their coefficient functions hold the
-    ``ThetaContext``, so a memo there would make a reference cycle, which
-    keeps a finished sample's context alive until the next full collection.
+    ``residual_between`` of the two sides of ``unitarity_words``.  The first
+    call for a level N at a sample binds every (k, j) and every m up to
+    ``UNITARITY_MMAX`` at once (``rep.Compiled``); the others read the
+    residuals kept on ``rc``.
     """
-    lhs, rhs = _unitarity_words_on(N, k, j, z, rc)
-    return residual_between(apply_word(lhs, m, rc), apply_word(rhs, m, rc))
+    return _element_residual(_unitarity_rows, N, k, j, z, m, rc)
 
 
 def check_inversion_words(
@@ -530,29 +576,11 @@ def check_inversion_words(
 ) -> float:
     """Word-level biorthogonality: summed conjugate pairs give delta(k, l) on e_m.
 
-    The matrix elements are memoized on ``rc``, as in ``check_unitarity``.
+    The largest difference from the target over the indices, relative to the
+    largest coefficient of any one pair (and to 1 when k == l).  Bound as in
+    ``check_unitarity``.
     """
-    ctx = rc.ctx
-    zb = complex(z).conjugate()
-    zr = ctx.qpow(-2 * (N - 2)) / zb
-    dets = tuple(L_detinv(ctx.qpow(-2 * i) / zb) for i in range(N))
-    acc: dict[int, complex] = {}
-    scale = TINY
-    for j in range(N + 1):
-        el = (
-            star(_t_word_on(N, j, l, z, rc), ctx)
-            * word(1.0, (L_fl(gamma_cf(N, j, ctx)), L_fr(inv_gamma_factor(N, k, ctx))))
-            * _t_word_on(N, j, k, zr, rc)
-            * word(1.0, dets)
-        )
-        for idx, val in apply_word(el, m, rc).items():
-            acc[idx] = acc.get(idx, 0.0 + 0.0j) + val
-            scale = max(scale, abs(val))
-    target = {m: 1.0 + 0.0j} if k == l else {}
-    diff = worst([abs(acc.get(i, 0.0) - target.get(i, 0.0)) for i in set(acc) | set(target)])
-    if k == l:
-        scale = max(scale, 1.0)
-    return diff / scale
+    return _element_residual(_inversion_rows, N, k, l, z, m, rc)
 
 
 def linear_independence_ratio(

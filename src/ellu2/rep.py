@@ -6,23 +6,54 @@ multiplies by a theta-quotient coefficient depending on (k, lam, z), shifts
 lam by +-1 inside the accumulated function, and moves the index k by the
 letter weight (beta raises, gamma lowers and kills e_0, alpha and delta keep).
 Function letters fl / fr multiply by f(lam - omega + 2k) and f(lam); the
-inverse determinant letter is a lam-independent scalar.  The coefficient
-functions are memoized per context (``theta.memo_per_context``): the paths
-of a word ask for the same (k, lam, z) again most of the time.
+inverse determinant letter is a lam-independent scalar.
+
+Each coefficient formula (``coef_a`` ... ``coef_d``, ``det_scalar``, and
+the function letters) is written once, on ``ctx.quotient``, and has two
+instances.  Over numbers, ``apply_word_states`` and
+``apply_word`` evaluate a word at a sample; the coefficients are memoized
+per context (``theta.memo_per_context``), because the paths of a word ask for
+the same (k, lam, z) again most of the time.  That instance serves the
+tensor checks, the corepresentation tower and the tests' references.  Over
+records, the same ``apply_word_states`` runs once per shape with the symbols
+``LAM``, ``OMEGA``, ``Z``, ``Z1`` and ``Z2``, and gives each path as one
+factor; ``Compiled`` compiles the paths of a whole family of checks into one
+``theta.Template``.
 
 ``relation_inventory`` builds the defining exchange relations as pairs of
 algebra elements; ``check_relations`` evaluates both sides on basis vectors
-at a random dynamical point and reports relative residuals.
+at a random dynamical point and reports relative residuals, from the
+compiled check bound to the sample: one ``theta_vec`` call, one pass over
+arrays for every path product, and one fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .residuals import residual_between, worst
+import numpy as np
+
+from .residuals import TINY, residual_between
 from .rmatrix import r_entries
-from .theta import PoleError, ThetaContext, memo_per_context, theta
+from .theta import (
+    _ONE,
+    LAM,
+    OMEGA,
+    Z,
+    Z1,
+    Z2,
+    Factor,
+    PoleError,
+    Rec,
+    Template,
+    TemplateContext,
+    ThetaContext,
+    ThetaProduct,
+    garg,
+    memo_per_context,
+    reciprocal,
+)
 from .words import (
     AlgebraElement,
     CoefficientFn,
@@ -39,6 +70,7 @@ from .words import (
     cf_shift,
     det_element,
     unit,
+    weight_factor,
     word,
 )
 
@@ -58,7 +90,10 @@ __all__ = [
     "det_form_elements",
     "check_det_forms",
     "antipode_inverse_identities",
+    "relation_pairs",
     "check_relations",
+    "Compiled",
+    "compiled",
     "residual_between",
 ]
 
@@ -67,9 +102,9 @@ __all__ = [
 class RepContext:
     """Weight parameter, evaluation point for the dynamical variable, and base.
 
-    Like a ``ThetaContext``, it keeps a value memo for ``memo_per_context``:
-    the checks that take one memoize there the words they apply to several
-    basis vectors (see ``corep.check_unitarity``).
+    The checks keep here, per compiled check and spectral points, the
+    residuals of the sample (``_bound_rows``): ``corep.check_unitarity`` asks
+    for one matrix element at a time, and the first ask binds them all.
     """
 
     omega: complex
@@ -77,66 +112,57 @@ class RepContext:
     ctx: ThetaContext
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_values", {})
+        object.__setattr__(self, "_bound", {})
 
 
-def _den(lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
-    d = theta(ctx.qpow(-2 * (lam + 1)), ctx) * theta(z * ctx.qpow(omega + 1), ctx)
-    if abs(d) < ctx.zero_guard:
-        raise PoleError("representation coefficient denominator below zero guard")
-    return d
+REP_GUARD = "representation coefficient denominator below zero guard"
+
+
+def _den(lam, z, omega, ctx) -> tuple:
+    """The denominator arguments shared by the four generator coefficients."""
+    return ctx.qpow(-2 * (lam + 1)), z * ctx.qpow(omega + 1)
 
 
 @memo_per_context
 def coef_a(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
-    num = theta(ctx.qpow(-2 * (lam + 1) - 2 * k), ctx) * theta(
-        z * ctx.qpow(omega - 2 * k + 1), ctx
-    )
-    return ctx.qpow(2 * k) * num / _den(lam, z, omega, ctx)
+    nums = (ctx.qpow(-2 * (lam + 1) - 2 * k), z * ctx.qpow(omega - 2 * k + 1))
+    return ctx.quotient(ctx.qpow(2 * k), nums, _den(lam, z, omega, ctx), REP_GUARD)
 
 
 @memo_per_context
 def coef_b(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
-    num = theta(ctx.qpow(2), ctx) * theta(
-        z * ctx.qpow(-2 * (lam + 1) + omega - 2 * k - 1), ctx
-    )
-    return ctx.qpow(k) * num / _den(lam, z, omega, ctx)
+    nums = (ctx.qpow(2), z * ctx.qpow(-2 * (lam + 1) + omega - 2 * k - 1))
+    return ctx.quotient(ctx.qpow(k), nums, _den(lam, z, omega, ctx), REP_GUARD)
 
 
 @memo_per_context
 def coef_c(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     if k == 0:
         return 0.0 + 0.0j
-    den = (
-        theta(ctx.qpow(2), ctx)
-        * theta(ctx.qpow(2 * (lam + 1)), ctx)
-        * theta(z * ctx.qpow(omega + 1), ctx)
+    dens = (ctx.qpow(2), ctx.qpow(2 * (lam + 1)), z * ctx.qpow(omega + 1))
+    nums = (
+        ctx.qpow(2 * k),
+        ctx.qpow(2 * (omega - k + 1)),
+        z * ctx.qpow(2 * (lam + 1) - omega + 2 * k - 1),
     )
-    if abs(den) < ctx.zero_guard:
-        raise PoleError("representation coefficient denominator below zero guard")
-    num = (
-        theta(ctx.qpow(2 * k), ctx)
-        * theta(ctx.qpow(2 * (omega - k + 1)), ctx)
-        * theta(z * ctx.qpow(2 * (lam + 1) - omega + 2 * k - 1), ctx)
-    )
-    return ctx.qpow(-(k - 1)) * num / den
+    return ctx.quotient(ctx.qpow(-(k - 1)), nums, dens, REP_GUARD)
 
 
 @memo_per_context
 def coef_d(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
-    num = theta(ctx.qpow(-2 * (lam + 1 - omega + k)), ctx) * theta(
-        z * ctx.qpow(-omega + 2 * k + 1), ctx
-    )
-    return num / _den(lam, z, omega, ctx)
+    nums = (ctx.qpow(-2 * (lam + 1 - omega + k)), z * ctx.qpow(-omega + 2 * k + 1))
+    return ctx.quotient(None, nums, _den(lam, z, omega, ctx), REP_GUARD)
 
 
 @memo_per_context
 def det_scalar(z: complex, omega: complex, ctx: ThetaContext) -> complex:
     """Scalar by which the determinant element acts, independent of lam and k."""
-    den = theta(z * ctx.qpow(1 + omega), ctx)
-    if abs(den) < ctx.zero_guard:
-        raise PoleError("determinant scalar denominator below zero guard")
-    return ctx.qpow(omega) * theta(z * ctx.qpow(1 - omega), ctx) / den
+    return ctx.quotient(
+        ctx.qpow(omega),
+        (z * ctx.qpow(1 - omega),),
+        (z * ctx.qpow(1 + omega),),
+        "determinant scalar denominator below zero guard",
+    )
 
 
 State = tuple[int, Callable[[complex], complex]]
@@ -149,7 +175,8 @@ def apply_word_states(el: AlgebraElement, m: int, rc: RepContext) -> list[State]
     variable and evaluate all letter coefficients at their shifted positions.
     Words killed by gamma on e_0 are dropped.  The index displacement of each
     word, (number of beta) - (number of gamma), is asserted as a consistency
-    check.
+    check.  On a context of symbols (``_symbols``) each function, called at
+    ``LAM``, gives its path as one ``Factor`` over records.
     """
     if m < 0:
         raise ValueError("basis index must be >= 0")
@@ -218,7 +245,14 @@ def _cf_entry(which: int, z12: complex, ctx: ThetaContext, tag: str) -> Coeffici
 
 
 def _short(z: complex) -> str:
+    if type(z) is Rec:
+        return repr(z)
     return f"{z.real:.3g}{z.imag:+.3g}i"
+
+
+def _theta_fn(arg, ctx):
+    """theta(arg) as a coefficient: the number, or over records its factor."""
+    return ctx.quotient(None, (arg,), ())
 
 
 def relation_inventory(
@@ -287,7 +321,7 @@ def relation_inventory(
     )
 
     f = cf_from(
-        lambda x: theta(ctx.qpow(2 * (x + shift)), ctx), f"th(2x{shift.real:+.3g})"
+        lambda x: _theta_fn(ctx.qpow(2 * (x + shift)), ctx), f"th(2x{shift.real:+.3g})"
     )
     fl = lambda g: word(1.0, (L_fl(g),))
     fr = lambda g: word(1.0, (L_fr(g),))
@@ -313,10 +347,10 @@ def residual_inventory(
     B = lambda w: word(1.0, (L_beta(w),))
     G = lambda w: word(1.0, (L_gamma(w),))
     D = lambda w: word(1.0, (L_delta(w),))
-    thm = word(1.0, (L_fr(cf_from(lambda x: theta(ctx.qpow(-2 * x), ctx), "th(-2mu)")),))
+    thm = word(1.0, (L_fr(cf_from(lambda x: _theta_fn(ctx.qpow(-2 * x), ctx), "th(-2mu)")),))
     thm2 = word(
         1.0,
-        (L_fr(cf_from(lambda x: theta(ctx.qpow(-2 * (x + 2)), ctx), "th(-2mu-4)")),),
+        (L_fr(cf_from(lambda x: _theta_fn(ctx.qpow(-2 * (x + 2)), ctx), "th(-2mu-4)")),),
     )
     aLq = word(1.0, (L_fl(_cf_entry(0, q2, ctx, "ra")),))
     bLq = word(1.0, (L_fl(_cf_entry(1, q2, ctx, "rb")),))
@@ -368,19 +402,16 @@ def reverse_relation(
     lhs_letters = [L_alpha(q2(k) * z)] + [L_beta(q2(i) * z) for i in range(l - 1, -1, -1)]
     lhs = word(1.0, lhs_letters)
 
-    def coef_main(x: complex) -> complex:
-        num = theta(ctx.qpow(2 * (k - l + 1)), ctx) * theta(ctx.qpow(2 * (x + l + 1)), ctx)
-        den = theta(ctx.qpow(2 * (k + 1)), ctx) * theta(ctx.qpow(2 * (x + 1)), ctx)
-        if abs(den) < ctx.zero_guard:
-            raise PoleError("reverse relation coefficient below zero guard")
-        return num / den
+    def coef(first: int, shift: int):
+        def fn(x: complex) -> complex:
+            nums = (ctx.qpow(2 * first), ctx.qpow(2 * (x + shift + 1)))
+            dens = (ctx.qpow(2 * (k + 1)), ctx.qpow(2 * (x + 1)))
+            guard = "reverse relation coefficient below zero guard"
+            return ctx.quotient(None, nums, dens, guard)
 
-    def coef_sub(x: complex) -> complex:
-        num = theta(ctx.qpow(2), ctx) * theta(ctx.qpow(2 * (x + k + 1)), ctx)
-        den = theta(ctx.qpow(2 * (k + 1)), ctx) * theta(ctx.qpow(2 * (x + 1)), ctx)
-        if abs(den) < ctx.zero_guard:
-            raise PoleError("reverse relation coefficient below zero guard")
-        return num / den
+        return fn
+
+    coef_main, coef_sub = coef(k - l + 1, l), coef(1, k)
 
     main_word = [L_beta(q2(i) * z) for i in range(l)] + [L_alpha(q2(k) * z)]
     rhs = word(1.0, (L_fr(cf_from(coef_main, "revmain")),) + tuple(main_word))
@@ -409,18 +440,13 @@ def det_form_elements(z: complex, ctx: ThetaContext) -> list[tuple[str, AlgebraE
     )
 
     def mu_num(c: int) -> CoefficientFn:
-        return cf_from(
-            lambda x: ctx.qpow(x) * theta(ctx.qpow(-2 * (x + c)), ctx), f"qx*th(-2x-{2*c})"
-        )
+        return cf_from(lambda x: weight_factor(x, c, ctx), f"qx*th(-2x-{2*c})")
 
     def lam_den(c: int) -> CoefficientFn:
-        def fn(x: complex) -> complex:
-            v = ctx.qpow(x) * theta(ctx.qpow(-2 * (x + c)), ctx)
-            if abs(v) < ctx.zero_guard:
-                raise PoleError("determinant form coefficient below zero guard")
-            return 1.0 / v
-
-        return cf_from(fn, f"1/(qx*th(-2x-{2*c}))")
+        guard = "determinant form coefficient below zero guard"
+        return cf_from(
+            lambda x: reciprocal(weight_factor(x, c, ctx), ctx, guard), f"1/(qx*th(-2x-{2*c}))"
+        )
 
     forms.append(
         (
@@ -443,16 +469,6 @@ def det_form_elements(z: complex, ctx: ThetaContext) -> list[tuple[str, AlgebraE
         )
     )
     return forms
-
-
-def check_det_forms(rc: RepContext, z: complex, mmax: int = 4) -> list[tuple[str, float]]:
-    """Compare each determinant word expansion against its scalar action."""
-    target = det_scalar(z, rc.omega, rc.ctx)
-    rows: list[tuple[str, float]] = []
-    for name, el in det_form_elements(z, rc.ctx):
-        res = (residual_between(apply_word(el, m, rc), {m: target}) for m in range(mmax + 1))
-        rows.append((name, worst(res)))
-    return rows
 
 
 def antipode_inverse_identities(
@@ -482,6 +498,19 @@ def antipode_inverse_identities(
     ]
 
 
+def relation_pairs(
+    z1: complex, z2: complex, z: complex, kmax_reverse: int, ctx: ThetaContext
+) -> list[tuple[str, AlgebraElement, AlgebraElement]]:
+    """Every relation pair ``check_relations`` evaluates, in its row order."""
+    pairs = relation_inventory(z1, z2, ctx)
+    pairs += residual_inventory(z, ctx)
+    for k in range(1, kmax_reverse + 1):
+        for l in range(1, k + 1):
+            pairs.append(reverse_relation(k, l, z, ctx))
+    pairs += antipode_inverse_identities(z, ctx)
+    return pairs
+
+
 def check_relations(
     rc: RepContext,
     z1: complex,
@@ -490,19 +519,222 @@ def check_relations(
     mmax: int = 6,
     kmax_reverse: int = 4,
 ) -> list[tuple[str, float]]:
-    """Evaluate every relation pair on e_0..e_mmax; returns (name, residual)."""
-    rows: list[tuple[str, float]] = []
-    pairs = relation_inventory(z1, z2, rc.ctx)
-    pairs += residual_inventory(z, rc.ctx)
-    for k in range(1, kmax_reverse + 1):
-        for l in range(1, k + 1):
-            pairs.append(reverse_relation(k, l, z, rc.ctx))
-    pairs += antipode_inverse_identities(z, rc.ctx)
-    for name, lhs, rhs in pairs:
-        res = []
-        for m in range(mmax + 1):
-            lmap, lpeak = apply_word_scaled(lhs, m, rc)
-            rmap, rpeak = apply_word_scaled(rhs, m, rc)
-            res.append(residual_between(lmap, rmap, max(lpeak, rpeak)))
-        rows.append((name, worst(res)))
-    return rows
+    """Evaluate every relation pair on e_0..e_mmax; returns (name, residual).
+
+    Each residual is ``residual_between`` of the two sides' actions, with the
+    largest single path of either side as its floor, worst over m.
+    """
+    rows = _bound_rows(rc, _relation_rows, (mmax, kmax_reverse), z=z, z1=z1, z2=z2)
+    return list(rows.items())
+
+
+def check_det_forms(rc: RepContext, z: complex, mmax: int = 4) -> list[tuple[str, float]]:
+    """Compare each determinant word expansion against its scalar action."""
+    return list(_bound_rows(rc, _det_form_rows, (mmax,), z=z).items())
+
+
+# -- the checks compiled once per shape ----------------------------------------
+#
+# A check's rows are built once per shape, over records: the elements with
+# the symbols ``Z``, ``Z1``, ``Z2`` for their spectral points, acted on by
+# ``apply_word_states`` with ``LAM`` and ``OMEGA`` for the sample's point
+# and weight.  Every path of every side is then one ``Factor`` (``_side``).
+
+# Most shapes whose compiled checks are kept.
+SHAPE_CAP = 64
+_SHAPES: dict = {}
+
+
+def _symbols(ctx: TemplateContext) -> RepContext:
+    return RepContext(OMEGA, LAM, ctx)
+
+
+def _side(el: AlgebraElement, m: int, rc: RepContext) -> list[tuple[int, Factor]]:
+    """(index, factor) of every path of ``el`` on e_m, over records."""
+    return [(k, _factor(fn(rc.lam0))) for k, fn in apply_word_states(el, m, rc)]
+
+
+def _factor(value) -> Factor:
+    return value if type(value) is Factor else Factor(_ONE * value)
+
+
+def _relation_rows(ctx: TemplateContext, mmax: int, kmax_reverse: int) -> Iterable:
+    rc = _symbols(ctx)
+    for name, lhs, rhs in relation_pairs(Z1, Z2, Z, kmax_reverse, ctx):
+        yield name, [([(1, _side(lhs, m, rc)), (-1, _side(rhs, m, rc))], True) for m in range(mmax + 1)]
+
+
+def _det_form_rows(ctx: TemplateContext, mmax: int) -> Iterable:
+    rc = _symbols(ctx)
+    target = det_scalar(Z, OMEGA, ctx)
+    for name, el in det_form_elements(Z, ctx):
+        yield name, [([(1, _side(el, m, rc)), (-1, [(m, target)])], False) for m in range(mmax + 1)]
+
+
+class Compiled:
+    """The residuals of a family of checks, compiled once per shape.
+
+    ``rows`` gives (key, groups): a row's residual is the worst of its
+    groups', one group per basis index m = 0, 1, ...  A group is (sides,
+    peak): each side a list of (index, factor) paths entering with a sign of
+    +1 or -1.  A group's residual is
+
+        max_i |sum_s sign_s S_s,i| / max(max_s,i |S_s,i|, peak, TINY),
+
+    with S_s,i the sum of the paths of side s at index i, and peak the
+    largest single path of the group where ``peak`` is set, else 0: the
+    formula of ``residual_between`` for two sides.  A constant side, a
+    target, is one path.
+
+    Every path is one theta product over records in one ``Template``, and so
+    is every distinct guard of the factors, after them.  Binding it to a
+    sample (``_path_values``) is one ``theta_vec`` call and one products
+    pass; the guards are checked on their values, and the fold of the groups
+    is a few array operations over index arrays laid out here.
+    """
+
+    def __init__(self, rows: Iterable):
+        self.keys: list = []
+        path_cell, cell_entry, cell_sign, cell_group = [], [], [], []
+        entry_group, group_row, group_m, peak_paths = [], [], [], []
+        self.cells: list[tuple] = []  # (group, side, index) of each cell
+        self.group_sides: list[int] = []
+        guards: dict = {}
+        plain = TemplateContext(0.0)  # the guards are checked apart
+
+        def plans():
+            # One pass: each row is laid out and its paths handed to the
+            # template as they come, so that no more than a row's factors
+            # are alive at once.
+            for r, (key, groups) in enumerate(rows):
+                self.keys.append(key)
+                for m, (sides, peak) in enumerate(groups):
+                    g = len(group_row)
+                    group_row.append(r)
+                    group_m.append(m)
+                    self.group_sides.append(len(sides))
+                    entries: dict = {}
+                    for side, (sign, paths) in enumerate(sides):
+                        cells: dict = {}
+                        for index, factor in paths:
+                            if index not in cells:
+                                cells[index] = len(cell_sign)
+                                if index not in entries:
+                                    entries[index] = len(entry_group)
+                                    entry_group.append(g)
+                                cell_entry.append(entries[index])
+                                cell_sign.append(float(sign))
+                                cell_group.append(g)
+                                self.cells.append((g, side, index))
+                            if peak:
+                                peak_paths.append(len(path_cell))
+                            for guard in factor.all_guards():
+                                guards.setdefault(guard, len(guards))
+                            yield len(path_cell), _product(plain, factor.scalar, factor.nums, factor.dens)
+                            path_cell.append(cells[index])
+            for guard, i in guards.items():
+                yield ("guard", i), _product(plain, *guard[:3])
+
+        self.template = Template(plans())
+        self.messages = [guard[3] for guard in guards]
+        self.paths = len(path_cell)
+        self.path_cell, self.cell_entry = _indices(path_cell), _indices(cell_entry)
+        self.cell_group, self.entry_group = _indices(cell_group), _indices(entry_group)
+        self.group_row, self.peak_paths = _indices(group_row), _indices(peak_paths)
+        self.peak_group = self.cell_group[self.path_cell[self.peak_paths]]
+        self.cell_sign = np.array(cell_sign)
+        self.group_m = _indices(group_m)
+        self.path_m = self.group_m[self.cell_group[self.path_cell]]
+
+    def rows(self, rc: RepContext, symbols: dict) -> dict:
+        """Each row's residual at the sample of ``rc``, by key."""
+        return dict(zip(self.keys, self.fold(_path_values(self, rc, symbols)).tolist()))
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """Each row's residual from the paths' values; a NaN anywhere in a
+        row makes it +inf, as ``residuals.worst`` folds it."""
+        groups, cells, entries = len(self.group_row), len(self.cell_sign), len(self.entry_group)
+        sr = np.bincount(self.path_cell, values.real, cells)
+        si = np.bincount(self.path_cell, values.imag, cells)
+        dr = np.bincount(self.cell_entry, sr * self.cell_sign, entries)
+        di = np.bincount(self.cell_entry, si * self.cell_sign, entries)
+        diff = np.zeros(groups)
+        scale = np.full(groups, TINY)
+        out = np.zeros(len(self.keys))
+        with np.errstate(invalid="ignore"):
+            np.maximum.at(diff, self.entry_group, np.hypot(dr, di))
+            np.maximum.at(scale, self.cell_group, np.hypot(sr, si))
+            np.maximum.at(scale, self.peak_group, np.abs(values[self.peak_paths]))
+            np.maximum.at(out, self.group_row, diff / scale)
+        out[np.isnan(out)] = np.inf
+        return out
+
+    def actions(self, values: np.ndarray) -> dict:
+        """(key, m) -> [({index: S_s,i}, largest path of s) for each side s]:
+        each side's action, as ``apply_word_scaled`` gives it over numbers."""
+        cells = len(self.cell_sign)
+        sums = np.bincount(self.path_cell, values.real, cells) + 1j * np.bincount(
+            self.path_cell, values.imag, cells
+        )
+        peaks = np.zeros(cells)
+        np.maximum.at(peaks, self.path_cell, np.abs(values))
+        groups = [[({}, 0.0) for _ in range(n)] for n in self.group_sides]
+        for (g, side, index), total, peak in zip(self.cells, sums.tolist(), peaks.tolist()):
+            got, top = groups[g][side]
+            got[index] = total
+            groups[g][side] = (got, max(top, peak))
+        return {
+            (self.keys[r], m): sides
+            for r, m, sides in zip(self.group_row.tolist(), self.group_m.tolist(), groups)
+        }
+
+
+def _indices(values: list) -> np.ndarray:
+    return np.array(values, dtype=np.intp)
+
+
+def _product(ctx: TemplateContext, scalar, nums: tuple, dens: tuple) -> ThetaProduct:
+    tp = ThetaProduct(ctx, _ONE if scalar is None else scalar)
+    for a in nums:
+        tp.theta(garg(a))
+    for a in dens:
+        tp.theta(garg(a), inv=True)
+    return tp
+
+
+def _path_values(check: Compiled, rc: RepContext, symbols: dict) -> np.ndarray:
+    """The value of every path of ``check`` at the sample of ``rc``.
+
+    One ``Template.bind_products``, paths and guards together; the first
+    guard, in compile order, whose value is below the zero guard of
+    ``rc.ctx`` raises its ``PoleError``.
+    """
+    ctx = rc.ctx
+    values = check.template.bind_products(ctx, rc.lam0, rc.omega, **symbols)
+    low = np.abs(values[check.paths :]) < ctx.zero_guard
+    if low.any():
+        raise PoleError(check.messages[int(np.argmax(low))])
+    return values[: check.paths]
+
+
+def compiled(build, params: tuple, zero_guard: float) -> Compiled:
+    """The check ``build(ctx, *params)`` builds over records, compiled once
+    per shape (``build``, ``params``, zero guard); up to ``SHAPE_CAP`` shapes
+    are kept.  Nothing is compiled before a check asks for it."""
+    shape = (build, *params, zero_guard)
+    got = _SHAPES.get(shape)
+    if got is None:
+        got = Compiled(build(TemplateContext(zero_guard), *params))
+        if len(_SHAPES) < SHAPE_CAP:
+            _SHAPES[shape] = got
+    return got
+
+
+def _bound_rows(rc: RepContext, build, params: tuple, **symbols) -> dict:
+    """The rows of a compiled check at the sample of ``rc`` and the spectral
+    points ``symbols`` (``z``, ``z1``, ``z2``), bound once per ``rc``."""
+    key = (build, params, *symbols.items())
+    got = rc._bound.get(key)
+    if got is None:
+        got = rc._bound[key] = compiled(build, params, rc.ctx.zero_guard).rows(rc, symbols)
+    return got

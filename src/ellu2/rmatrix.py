@@ -31,20 +31,33 @@ def _guarded(value: complex, ctx: ThetaContext, label: str) -> complex:
     return value
 
 
+_R_GUARDS = tuple(
+    f"{label} below zero guard"
+    for label in ("theta(q^2 z)", "theta(q^(2 lam + 2))", "theta(q^(-2 lam - 2))")
+)
+
+
 @memo_per_context
 def r_entries(lam: complex, z: complex, ctx: ThetaContext) -> tuple[complex, complex, complex, complex]:
-    """Middle-block entries (a, b, c, d) at dynamical parameter lam and spectral z."""
+    """Middle-block entries (a, b, c, d) at dynamical parameter lam and spectral z.
+
+    The entries are guarded by theta(q^2 z), theta(q^(2 lam + 2)) and
+    theta(q^(-2 lam - 2)), in that order.  Over records (the relation
+    checks' templates) the entries are ``Factor``s, each carrying the three
+    guards, since a path may read one entry only.
+    """
     q2 = ctx.qpow(2)
-    th_q2z = _guarded(theta(q2 * z, ctx), ctx, "theta(q^2 z)")
-    th_lp = _guarded(theta(ctx.qpow(2 * (lam + 1)), ctx), ctx, "theta(q^(2 lam + 2))")
-    th_lm = _guarded(theta(ctx.qpow(-2 * (lam + 1)), ctx), ctx, "theta(q^(-2 lam - 2))")
-    th_z = theta(z, ctx)
-    th_q2 = theta(q2, ctx)
-    a = th_z * theta(ctx.qpow(2 * (lam + 2)), ctx) / (th_q2z * th_lp)
-    b = th_q2 * theta(ctx.qpow(-2 * (lam + 1)) * z, ctx) / (th_q2z * th_lm)
-    c = th_q2 * theta(ctx.qpow(2 * (lam + 1)) * z, ctx) / (th_q2z * th_lp)
-    d = th_z * theta(ctx.qpow(-2 * lam), ctx) / (th_q2z * th_lm)
-    return a, b, c, d
+    q2z, lp, lm = q2 * z, ctx.qpow(2 * (lam + 1)), ctx.qpow(-2 * (lam + 1))
+    checked = ctx.check([(None, (arg,), (), m) for arg, m in zip((q2z, lp, lm), _R_GUARDS)])
+    entries = (
+        ctx.quotient(None, (z, ctx.qpow(2 * (lam + 2))), (q2z, lp)),
+        ctx.quotient(None, (q2, lm * z), (q2z, lm)),
+        ctx.quotient(None, (q2, lp * z), (q2z, lp)),
+        ctx.quotient(None, (z, ctx.qpow(-2 * lam)), (q2z, lm)),
+    )
+    if checked is None:
+        return entries
+    return tuple(entry * checked for entry in entries)
 
 
 def r_matrix(lam: complex, z: complex, ctx: ThetaContext) -> np.ndarray:

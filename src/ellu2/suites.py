@@ -615,7 +615,23 @@ def assemble_report(cfg: RunConfig, records: list[dict]) -> dict:
 
 
 def canonical_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as JSON, keys sorted, indented by two.
+
+    JSON (RFC 8259) has no token for a non-finite number, so one is written
+    as the string "inf", "-inf" or "nan"; every other value keeps its bytes.
+    """
+    return json.dumps(_finite(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _finite(value):
+    """``value`` with each non-finite float, at any depth, spelled as a string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 def _table(

@@ -29,10 +29,15 @@ of the coefficient functions built on them:
   ``fn(*args, ctx)`` returned, for the pure functions whose last argument is
   the context: the representation coefficients ``rep.coef_a`` ... ``coef_d``
   and ``det_scalar``, ``rmatrix.r_entries`` and ``corep.gamma_factor``.
-  Word evaluation asks for the same coefficient many times over.  A call
-  that raises stores nothing, so it raises again when repeated.  A
-  ``rep.RepContext`` keeps a value memo of its own, for the words the
-  corepresentation checks apply to several basis vectors.
+  Word evaluation over numbers asks for the same coefficient many times
+  over.  A call that raises stores nothing, so it raises again when
+  repeated.  On a ``TemplateContext`` the memo is passed by.
+
+The coefficient formulas of the representation are each written once, on
+``ctx.quotient`` (a scalar times a quotient of theta values, with its pole
+guard): a ``ThetaContext`` gives the value with the scalar kernel, in the
+order the formula is written, and a ``TemplateContext`` gives a ``Factor``,
+the same quotient over records.  ``ctx.evaluate`` does the same for a plan.
 
 Building a value and evaluating it are two steps.  A ``Plan`` (of which
 ``ThetaProduct`` is one) lists the theta arguments its value needs, and its
@@ -61,7 +66,11 @@ arguments with one ``theta_vec`` call, without the vector cache.  Then it
 reduces all its series plans together, in one pass over arrays
 (``series._Batch``), and all its theta products in another (``_Products``),
 and each plan is finished on its slice of the values and batch results.
-``biorth`` keeps the templates of its items.
+``biorth`` keeps the templates of its items.  A template whose plans are all
+theta products with record scalars, as the compiled checks of ``rep`` are,
+is finished on arrays instead, in one call (``Template.bind_products``).
+A record may also hold the spectral points z1 and z2 (``Z1``, ``Z2``) of a
+relation check, and their conjugates.
 
 The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
@@ -81,7 +90,10 @@ building numpy arrays for it costs far more than the arithmetic.  Python
 rounds some products and quotients differently from numpy in the last bit,
 and it raises where numpy returns inf or nan: ``abs`` of a finite value
 beyond the double range raises ``OverflowError`` and division by zero raises
-``ZeroDivisionError``.  The reductions report both as ``PoleError``.  The
+``ZeroDivisionError``.  The reductions report both as ``PoleError``.  A
+theta product with no surviving exact zero (and a scalar other than 0) that
+comes out as 0 has underflowed partway; it raises the same ``PoleError`` as
+one that leaves the range, rather than pass for an exact zero.  The
 series and theta products of a bound template, hundreds at once, are the
 exception: their passes over arrays keep the real and imaginary parts apart
 and write out CPython's formulas (``_c_mul``, ``_c_div``, ``_c_abs``), and
@@ -116,7 +128,11 @@ __all__ = [
     "LAM",
     "OMEGA",
     "Z",
+    "Z1",
+    "Z2",
     "Rec",
+    "Factor",
+    "reciprocal",
     "Scalar",
     "Template",
     "TemplateContext",
@@ -197,6 +213,41 @@ class ThetaContext:
     def conj(z: complex) -> complex:
         """The complex conjugate of a number."""
         return complex(z).conjugate()
+
+    def quotient(self, scalar, nums: tuple, dens: tuple, guard: str | None = None) -> complex:
+        """scalar * theta(nums[0]) * ... / (theta(dens[0]) * ...), with the
+        scalar kernel: num and den are multiplied out from the left, then
+        ``scalar * num / den``; a scalar of None is 1.  ``guard`` is the
+        message of the ``PoleError`` raised where |den| is below the zero
+        guard.  A coefficient formula is written once on this method; over
+        records (``TemplateContext.quotient``) it gives the ``Factor``."""
+        den = None
+        for a in dens:
+            t = theta(a, self)
+            den = t if den is None else den * t
+        if guard is not None and abs(den) < self.zero_guard:
+            raise PoleError(guard)
+        num = None
+        for a in nums:
+            t = theta(a, self)
+            num = t if num is None else num * t
+        if num is None:
+            out = 1.0 + 0.0j if scalar is None else scalar
+        else:
+            out = num if scalar is None else scalar * num
+        return out if den is None else out / den
+
+    def check(self, guards) -> None:
+        """Raise ``PoleError(message)`` at the first guard (scalar, nums,
+        dens, message) whose ``quotient`` is below the zero guard."""
+        for scalar, nums, dens, message in guards:
+            if abs(self.quotient(scalar, nums, dens)) < self.zero_guard:
+                raise PoleError(message)
+
+    def evaluate(self, plan: "Plan") -> complex:
+        """The number of a plan built over this context, by its ``value``;
+        over records (``TemplateContext.evaluate``) the plan as a ``Factor``."""
+        return plan.value()
 
 
 def theta(z: complex, ctx: ThetaContext) -> complex:
@@ -313,7 +364,10 @@ def memo_per_context(fn):
 
     @functools.wraps(fn)
     def memoized(*args):
-        memo = args[-1]._values
+        try:
+            memo = args[-1]._values
+        except AttributeError:  # a TemplateContext: the formula over records
+            return fn(*args)
         key = (fn, args[:-1])
         got = memo.get(key, _MISSING)
         if got is _MISSING:
@@ -420,13 +474,15 @@ def _expo(x) -> Expo:
 
 
 class Rec(NamedTuple):
-    """The exponent record of q^(lam Λ + om ω + c) * z^zp * zbar^zbp * (-1)^neg.
+    """The exponent record of q^(lam Λ + om ω + c) * z^zp * zbar^zbp * (-1)^neg,
+    times z1^z1p * z1bar^z1bp * z2^z2p * z2bar^z2bp.
 
-    Λ, ω and z stand for a sample's dynamical variable, weight and spectral
-    point (``LAM``, ``OMEGA``, ``Z``), zbar for the conjugate of z.  Records
-    multiply and divide by adding and subtracting their fields, so a builder
-    run over records (``TemplateContext``) lists, instead of numbers, the
-    records of its theta arguments and of its scalars.
+    Λ and ω stand for a sample's dynamical variable and weight (``LAM``,
+    ``OMEGA``); z, z1 and z2 for its spectral points (``Z``, ``Z1``, ``Z2``),
+    and zbar, z1bar and z2bar for their conjugates.  Records multiply and
+    divide by adding and subtracting their fields, so a builder run over
+    records (``TemplateContext``) lists, instead of numbers, the records of
+    its theta arguments and of its scalars.
     """
 
     lam: float = 0
@@ -435,20 +491,28 @@ class Rec(NamedTuple):
     zp: int = 0
     zbp: int = 0
     neg: int = 0
+    z1p: int = 0
+    z1bp: int = 0
+    z2p: int = 0
+    z2bp: int = 0
 
     def __mul__(self, other) -> "Rec":
         if type(other) is Rec:
-            *exponents, neg = map(operator.add, self, other)
-            return _new_arg(Rec, (*exponents, neg & 1))
+            return _signed(map(operator.add, self, other))
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
         if other == 1:
             return self
         if other == -1:
-            return _new_arg(Rec, (*self[:5], self.neg ^ 1))
+            return _signed((*self[:5], self.neg + 1, *self[6:]))
         # Raising here, not returning NotImplemented, keeps Python from
         # falling back to tuple repetition.
         raise TypeError(f"a record scales by records and by +-1 only, not {other!r}")
 
     __rmul__ = __mul__
+
+    def __neg__(self) -> "Rec":
+        return self * -1
 
     def __truediv__(self, other) -> "Rec":
         return self * (other**-1 if type(other) is Rec else other)
@@ -459,14 +523,21 @@ class Rec(NamedTuple):
     def __pow__(self, n: int) -> "Rec":
         if type(n) is not int:
             raise TypeError(f"a record takes integer powers only, not {n!r}")
-        *exponents, neg = (x * n for x in self)
-        return _new_arg(Rec, (*exponents, neg & 1))
+        return _signed(x * n for x in self)
 
     def conjugate(self) -> "Rec":
-        """zbar for z and z for zbar; only records free of Λ and ω have one."""
+        """Each spectral symbol swapped with its conjugate; only records free
+        of Λ and ω have one."""
         if self.lam or self.om:
             raise TypeError("the conjugate of a record with Λ or ω is not a record")
-        return _new_arg(Rec, (0, 0, self.c, self.zbp, self.zp, self.neg))
+        return self.starred()
+
+    def starred(self) -> "Rec":
+        """Each spectral symbol swapped with its conjugate, Λ and ω kept: the
+        record of conj f(conj x) for f(x) this record, when x stands for
+        whatever Λ and ω are part of (p and q are real)."""
+        lam, om, c, zp, zbp, neg, z1p, z1bp, z2p, z2bp = self
+        return _new_arg(Rec, (lam, om, c, zbp, zp, neg, z1bp, z1p, z2bp, z2p))
 
     def tracked(self) -> TrackedArg:
         """The tracked argument of this record, with the exact-zero rule
@@ -474,9 +545,15 @@ class Rec(NamedTuple):
         no sign, even constant exponent) is tracked as q^(2s), so theta of
         it times q^(2i) vanishes exactly when c + 2i is 0; anything else is
         generic."""
-        if not (self.lam or self.om or self.zp or self.zbp or self.neg) and self.c % 2 == 0:
+        if self.c % 2 == 0 and not any(self[:2]) and not any(self[3:]):
             return qarg(int(self.c) // 2)
         return _new_arg(TrackedArg, (0, self, False))
+
+
+def _signed(fields) -> Rec:
+    """The record of ``fields``, its sign exponent taken mod 2."""
+    fields = tuple(fields)
+    return _new_arg(Rec, (*fields[:5], fields[5] & 1, *fields[6:]))
 
 
 class Scalar(NamedTuple):
@@ -485,9 +562,14 @@ class Scalar(NamedTuple):
     rec: Rec
 
 
+# The fields of a record after c, all 0: no spectral symbol and no sign.
+_NO_SPECTRAL = (0,) * 7
 LAM = Expo(1, 0, 0)
 OMEGA = Expo(0, 1, 0)
 Z = Rec(zp=1)
+Z1 = Rec(z1p=1)
+Z2 = Rec(z2p=1)
+_ONE = Rec()
 
 
 @dataclass(frozen=True)
@@ -503,14 +585,152 @@ class TemplateContext:
 
     def qpow(self, x: Expo | float) -> Rec:
         e = _expo(x)
-        return _new_arg(Rec, (e.lam, e.om, e.c, 0, 0, 0))
+        return _new_arg(Rec, (e.lam, e.om, e.c, *_NO_SPECTRAL))
 
     def q2n(self, n: int) -> Rec:
-        return _new_arg(Rec, (0, 0, 2 * n, 0, 0, 0))
+        return _new_arg(Rec, (0, 0, 2 * n, *_NO_SPECTRAL))
 
     @staticmethod
-    def conj(z: Rec) -> Rec:
+    def conj(z: "Rec | Factor") -> "Rec | Factor":
         return z.conjugate()
+
+    @staticmethod
+    def quotient(scalar, nums: tuple, dens: tuple, guard: str | None = None) -> "Factor":
+        return Factor(scalar, nums, dens, guard)
+
+    @staticmethod
+    def check(guards) -> "Factor":
+        """The guards as a factor of value 1, for the factors that need them."""
+        return Factor(guards=guards)
+
+    @staticmethod
+    def evaluate(plan: "Plan") -> "Factor":
+        """A plan built over records, as one ``Factor``."""
+        return _factor_of(plan)
+
+
+class Factor:
+    """The coefficient scalar * theta(nums[0]) * ... / (theta(dens[0]) * ...),
+    over records, with the guards its value needs.
+
+    A coefficient formula of the representation (``rep.coef_a`` ...,
+    ``rmatrix.r_entries``, the function letters of ``words``) is written
+    once, on ``ctx.quotient``: over numbers that is the value
+    (``ThetaContext.quotient``), over records this factor.  Factors multiply
+    by joining their arguments and guards, so every path of a word is one
+    factor, compiled into one ``ThetaProduct`` (``rep.Compiled``).
+    ``guard`` is the message raised where the product of the denominators is
+    below the zero guard; each of ``guards`` is (scalar, nums, dens,
+    message), raising where that quotient is below it (``ThetaContext.check``).
+    """
+
+    __slots__ = ("scalar", "nums", "dens", "guard", "guards")
+
+    def __init__(self, scalar=None, nums=(), dens=(), guard: str | None = None, guards=()):
+        self.scalar = scalar
+        self.nums = tuple(nums)
+        self.dens = tuple(dens)
+        self.guard = guard
+        self.guards = tuple(guards)
+
+    def all_guards(self) -> tuple:
+        """Every guard of the factor, ``guard`` written as one of ``guards``."""
+        if self.guard is None:
+            return self.guards
+        return (*self.guards, (None, self.dens, (), self.guard))
+
+    def __mul__(self, other) -> "Factor":
+        if type(other) is Factor:
+            return Factor(
+                _times(self.scalar, other.scalar),
+                self.nums + other.nums,
+                self.dens + other.dens,
+                guards=self.all_guards() + other.all_guards(),
+            )
+        if type(other) is Rec or isinstance(other, numbers.Number):
+            return Factor(_times(self.scalar, other), self.nums, self.dens, self.guard, self.guards)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Factor":
+        return self * -1
+
+    def inverse(self, message: str | None = None) -> "Factor":
+        """1 / self, keeping the guards; ``message`` adds the guard on |self|."""
+        guards = self.all_guards()
+        if message is not None:
+            guards = (*guards, (self.scalar, self.nums, self.dens, message))
+        scalar = None if self.scalar is None else self.scalar**-1
+        return Factor(scalar, self.dens, self.nums, guards=guards)
+
+    def __truediv__(self, other) -> "Factor":
+        return self * (other.inverse() if type(other) is Factor else other**-1)
+
+    def __rtruediv__(self, other) -> "Factor":
+        return self.inverse() * other
+
+    def starred(self) -> "Factor":
+        """conj f(conj x) for f(x) this factor: every record starred (``Rec.starred``)."""
+        return self._map(Rec.starred)
+
+    def conjugate(self) -> "Factor":
+        """The conjugate of a factor whose records are free of Λ and ω."""
+        return self._map(Rec.conjugate)
+
+    def _map(self, fn) -> "Factor":
+        def each(recs):
+            return tuple(map(fn, recs))
+
+        def one(rec):
+            return None if rec is None else fn(rec)
+
+        guards = tuple((one(s), each(n), each(d), m) for s, n, d, m in self.guards)
+        return Factor(one(self.scalar), each(self.nums), each(self.dens), self.guard, guards)
+
+
+def _times(a, b) -> Rec:
+    """The product of two record scalars, None standing for 1."""
+    return (_ONE if a is None else a) * (_ONE if b is None else b)
+
+
+def reciprocal(value, ctx, message: str):
+    """1 / value, raising ``PoleError(message)`` where |value| is below the zero
+    guard; over records, the inverse factor with that guard."""
+    if type(value) is Factor:
+        return value.inverse(message)
+    if abs(value) < ctx.zero_guard:
+        raise PoleError(message)
+    return 1.0 / value
+
+
+def _factor_of(coefficient) -> Factor:
+    """A coefficient built over records as one factor.
+
+    A theta product gives its factors, an exact zero as theta(1), and a guard
+    on each denominator (``DEN_GUARD``, as ``ThetaProduct.finish`` checks it),
+    after those of its scalar; a joined plan of products (``operator.mul``)
+    the product of its parts; a record or +-1 a scalar.
+    """
+    if type(coefficient) is Factor:
+        return coefficient
+    if isinstance(coefficient, ThetaProduct):
+        scalar = coefficient.scalar
+        head = _factor_of(scalar) if isinstance(scalar, Plan) else Factor(_times(None, scalar))
+        own = Factor(
+            None,
+            coefficient._num + [_ONE] * coefficient.zeros,
+            coefficient._den,
+            guards=[(None, (d,), (), DEN_GUARD) for d in coefficient._den],
+        )
+        return head * own
+    if isinstance(coefficient, Joined) and coefficient.fn is operator.mul:
+        return functools.reduce(operator.mul, map(_factor_of, coefficient.parts))
+    if type(coefficient) is Known:
+        return Factor(_times(None, coefficient.number))
+    if isinstance(coefficient, Plan) and coefficient.finish is _first:
+        return Factor(coefficient.args[0].rec)
+    raise TypeError(f"not a product over records: {coefficient!r}")
 
 
 class Template:
@@ -603,30 +823,55 @@ class Template:
         self._listed_rows = np.array(list(listed_rows), dtype=np.intp)
         self._listed_thetas = np.array(list(listed_thetas), dtype=np.intp)
         n = len(rows)
-        cols = np.array(list(rows), dtype=float).reshape(n, 6).T
+        cols = np.array(list(rows), dtype=float).reshape(n, len(Rec._fields)).T
         self._lam, self._om, self._c = cols[0].copy(), cols[1].copy(), cols[2].copy()
         self._re_z, self._im_z = cols[3] + cols[4], cols[3] - cols[4]
         self._neg = np.flatnonzero(cols[5])
+        # The exponents of z1 and z2 (real and imaginary part of the log),
+        # kept only for a symbol some record has: a template without them
+        # adds no term, so it keeps the bits it had before they existed.
+        self._spectral = [
+            (name, cols[i] + cols[i + 1], cols[i] - cols[i + 1])
+            for name, i in (("z1", 6), ("z2", 8))
+            if cols[i].any() or cols[i + 1].any()
+        ]
         self._theta = np.array(list(thetas), dtype=np.intp)
+        self._layout = None  # set by the first ``bind_products``
 
-    def bind(self, ctx: ThetaContext, lam: complex, omega: complex, z: complex) -> list:
-        """The values of every plan's arguments at one sample, plan after plan."""
+    def _records(self, ctx: ThetaContext, lam, omega, z, spectral: dict) -> np.ndarray:
+        """The value of every record at one sample, with one ``exp``."""
         lnq = ctx._lnq
         lam, omega, logz = complex(lam), complex(omega), cmath.log(z)
         e = np.empty(len(self._c), dtype=complex)
-        e.real = (
+        re = (
             self._lam * (lnq * lam.real)
             + self._om * (lnq * omega.real)
             + self._c * lnq
             + self._re_z * logz.real
         )
-        e.imag = (
-            self._lam * (lnq * lam.imag) + self._om * (lnq * omega.imag) + self._im_z * logz.imag
-        )
+        im = self._lam * (lnq * lam.imag) + self._om * (lnq * omega.imag) + self._im_z * logz.imag
+        for name, re_w, im_w in self._spectral:
+            logw = cmath.log(spectral[name])
+            re = re + re_w * logw.real
+            im = im + im_w * logw.imag
+        e.real, e.imag = re, im
         np.exp(e, out=e)
         e[self._neg] = -e[self._neg]
+        return e
+
+    def _thetas(self, ctx: ThetaContext, e: np.ndarray) -> np.ndarray:
+        return theta_vec(e[self._theta], ctx) if len(self._theta) else np.empty(0, dtype=complex)
+
+    def bind(
+        self, ctx: ThetaContext, lam: complex, omega: complex, z: complex, z1=None, z2=None
+    ) -> list:
+        """The values of every plan's arguments at one sample, plan after plan.
+
+        ``z1`` and ``z2`` are needed only by a template whose records have them.
+        """
+        e = self._records(ctx, lam, omega, z, {"z1": z1, "z2": z2})
         vals = e[self._listed_rows].tolist()
-        th = theta_vec(e[self._theta], ctx) if len(self._theta) else np.empty(0, dtype=complex)
+        th = self._thetas(ctx, e)
         vals += th[self._listed_thetas].tolist()
         if self._batches:
             bound = Bound.of(e, th)
@@ -638,6 +883,60 @@ class Template:
         """Finish the plan of ``key`` with its slice of ``bind``'s list."""
         i = self.plans[key]
         return self._skeletons[i].finish(vals[self._cuts[i] : self._cuts[i + 1]])
+
+    def bind_products(
+        self, ctx: ThetaContext, lam: complex, omega: complex, z: complex, z1=None, z2=None
+    ) -> np.ndarray:
+        """The value of every plan at one sample, in plan order, as one array.
+
+        For a template whose plans are all theta products with a record for
+        scalar: each value is what ``finish`` gives the plan after ``bind``,
+        bit for bit, with the products' scalars multiplied in on split arrays
+        (``_c_mul``) instead of one by one.  Where some plan's finish would
+        raise, this raises the ``PoleError`` of the first such plan.
+        """
+        e = self._records(ctx, lam, omega, z, {"z1": z1, "z2": z2})
+        bound = Bound.of(e, self._thetas(ctx, e))
+        rows, ranks, zero = self._product_layout()
+        products = self._batches[0]
+        pr, pi = products.running(bound)
+        failed = products.failures(bound)
+        if failed:
+            first = np.flatnonzero(np.isin(ranks, list(failed)))[0]
+            raise PoleError(failed[int(ranks[first])])
+        sr, si = e.real[rows], e.imag[rows]
+        with np.errstate(all="ignore"):
+            vr, vi = _c_mul(sr, si, pr[ranks], pi[ranks])
+        vr[zero] = vi[zero] = 0.0
+        lost = (vr == 0) & (vi == 0) & ~zero & ((sr != 0) | (si != 0))
+        if lost.any() or not (np.isfinite(vr).all() and np.isfinite(vi).all()):
+            raise PoleError(PRODUCT_RANGE)
+        out = np.empty(len(vr), dtype=complex)
+        out.real, out.imag = vr, vi
+        return out
+
+    def _product_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(scalar record row, product rank, exact zero) of each plan, for
+        ``bind_products``: every plan lists its scalar's record, then its
+        product."""
+        got = self._layout
+        if got is None:
+            cuts = np.array(self._cuts)
+            gather = np.array(self._gather)
+            n, start = len(self._listed_rows), len(self._listed_rows) + len(self._listed_thetas)
+            scalars, products = gather[cuts[:-1]], gather[cuts[:-1] + 1]
+            simple = (
+                len(self._batches) == 1
+                and isinstance(self._batches[0], _Products)
+                and (np.diff(cuts) == 2).all()
+                and (scalars < n).all()
+                and (products >= start).all()
+            )
+            if not simple:
+                raise TypeError("bind_products needs theta products with record scalars only")
+            zero = np.array([sk.zero for sk in self._skeletons], dtype=bool)
+            got = self._layout = (self._listed_rows[scalars], products - start, zero)
+        return got
 
 
 class Bound(NamedTuple):
@@ -952,10 +1251,7 @@ class ThetaProduct(Plan):
                 prod *= 1.0 / den
         except (OverflowError, ZeroDivisionError):
             raise PoleError(PRODUCT_RANGE) from None
-        out = scalar * prod
-        if not cmath.isfinite(out):
-            raise PoleError(PRODUCT_RANGE)
-        return out
+        return _in_range(scalar * prod, scalar)
 
     def template_args(self) -> list:
         """The product is one entry, for its batch result (``_Products``),
@@ -1001,10 +1297,16 @@ class _Scaled(Plan):
             raise PoleError(got)
         if self.zero:
             return 0.0 + 0.0j
-        out = scalar * got
-        if not cmath.isfinite(out):
-            raise PoleError(PRODUCT_RANGE)
-        return out
+        return _in_range(scalar * got, scalar)
+
+
+def _in_range(out: complex, scalar: complex) -> complex:
+    """The value of a theta product with no surviving exact zero, which is
+    finite and, unless its scalar is 0, not 0: a 0 there is a partial
+    product that underflowed, and raises as leaving the range does."""
+    if not cmath.isfinite(out) or (out == 0 and scalar != 0):
+        raise PoleError(PRODUCT_RANGE)
+    return out
 
 
 class _Products:
@@ -1081,6 +1383,17 @@ class _Products:
 
     def reduce(self, b: "Bound") -> list:
         """Each product's result, in ``rank`` order."""
+        pr, pi = self.running(b)
+        value = np.empty(len(pr), dtype=complex)
+        value.real, value.imag = pr, pi
+        out = value.tolist()
+        for r, message in self.failures(b).items():
+            out[r] = message
+        return out
+
+    def running(self, b: "Bound") -> tuple[np.ndarray, np.ndarray]:
+        """Each product's value, real and imaginary parts, in ``rank`` order;
+        a product whose guard fails (``failures``) gets a meaningless one."""
         with np.errstate(all="ignore"):
             num, div = self.num, self.div
             qr, qi = _c_div(b.re[num], b.im[num], b.re[div], b.im[div])
@@ -1093,25 +1406,25 @@ class _Products:
                 c = a + w
                 pr[:w], pi[:w] = _c_mul(pr[:w], pi[:w], fr[a:c], fi[a:c])
                 a = c
-        value = np.empty(n, dtype=complex)
-        value.real, value.imag = pr, pi
-        out = value.tolist()
-        events = b.over | (b.mag < self.guard)
-        if events.any():
-            self._guards(out, events, b.mag)
-        return out
+        return pr, pi
 
-    def _guards(self, out: list, events: np.ndarray, mag: np.ndarray) -> None:
-        """Put the guard failures in ``out``: the first denominator of each
-        product, in order, whose modulus is below the guard (or overflows, as
-        ``abs`` raises there)."""
+    def failures(self, b: "Bound") -> dict:
+        """The guard failures, by rank: the first denominator of each product,
+        in order, whose modulus is below the guard (or overflows, as ``abs``
+        raises there), and the message ``ThetaProduct.finish`` raises at it."""
+        events = b.over | (b.mag < self.guard)
+        if not events.any():
+            return {}
         at = np.flatnonzero(events[self.den])
         if not at.size:
-            return
+            return {}
         owner = np.searchsorted(self.den_cuts, at, side="right") - 1
         owner, first = np.unique(owner, return_index=True)
-        for r, i in zip(owner.tolist(), self.den[at[first]].tolist()):
-            out[r] = DEN_GUARD if mag[i] < self.guard else PRODUCT_RANGE
+        mag = b.mag
+        return {
+            r: DEN_GUARD if mag[i] < self.guard else PRODUCT_RANGE
+            for r, i in zip(owner.tolist(), self.den[at[first]].tolist())
+        }
 
 
 def pochhammer(a: ArgLike, n: int, ctx: ThetaContext) -> complex:
@@ -1157,4 +1470,4 @@ def elliptic_binomial(k: int, l: int, ctx: ThetaContext) -> complex:
         return 0.0 + 0.0j
     if l == 0 or l == k:
         return 1.0 + 0.0j
-    return binomial_plan(k, l, ctx).value()
+    return ctx.evaluate(binomial_plan(k, l, ctx))

@@ -16,6 +16,11 @@ dynamical variable.  Structural operations implemented here:
 Functions of the dynamical variable are carried as ``CoefficientFn`` objects,
 plain callables with a printable name and an ``is_one`` flag that lets exact
 identities (such as the counit of corepresentation words) come out exactly.
+
+The builders run over numbers (a ``ThetaContext``) and over exponent records
+(a ``theta.TemplateContext``).  Over records a spectral argument or a scalar
+is a ``theta.Rec`` or a ``theta.Factor``, and a function letter, called at an
+exponent (``theta.Expo``), gives the ``Factor`` of its value.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .theta import PoleError, ThetaContext, theta
+from .theta import Expo, Factor, Rec, ThetaContext, reciprocal
 
 __all__ = [
     "CoefficientFn",
@@ -75,14 +80,22 @@ class CoefficientFn:
         return f"CoefficientFn({self.name})"
 
     def conjugated(self) -> "CoefficientFn":
-        """The bar involution: conjugate values at the conjugate point."""
+        """The bar involution: conjugate values at the conjugate point.
+
+        Over records that is the starred factor (``Factor.starred``): exact
+        for a function whose own formula has no ω, as every letter built
+        here has, since p and q are real.
+        """
         if self.is_one:
             return self
         base = self.fn
-        return CoefficientFn(
-            lambda x: complex(base(complex(x).conjugate())).conjugate(),
-            f"bar({self.name})",
-        )
+
+        def bar(x):
+            if type(x) is Expo:
+                return base(x).starred()
+            return complex(base(complex(x).conjugate())).conjugate()
+
+        return CoefficientFn(bar, f"bar({self.name})")
 
 
 ONE_FN = CoefficientFn(lambda x: 1.0 + 0.0j, "1", is_one=True)
@@ -107,21 +120,22 @@ def cf_mul(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     return CoefficientFn(lambda x, a=f, b=g: a(x) * b(x), f"{f.name}*{g.name}")
 
 
+def weight_factor(x, c: int, ctx: ThetaContext):
+    """q^x theta(q^(-2(x+c))): the antipode's weight factor at c = 1, and the
+    determinant forms' coefficients at c = 0 and 2."""
+    return ctx.quotient(ctx.qpow(x), (ctx.qpow(-2 * (x + c)),), ())
+
+
 def cf_f_factor(ctx: ThetaContext) -> CoefficientFn:
     """The weight factor q^x theta(q^(-2(x+1))) used by the antipode."""
-    return CoefficientFn(
-        lambda x: ctx.qpow(x) * theta(ctx.qpow(-2 * (x + 1)), ctx), "F"
-    )
+    return CoefficientFn(lambda x: weight_factor(x, 1, ctx), "F")
 
 
 def cf_inv_f_factor(ctx: ThetaContext) -> CoefficientFn:
-    def inv(x: complex) -> complex:
-        v = ctx.qpow(x) * theta(ctx.qpow(-2 * (x + 1)), ctx)
-        if abs(v) < ctx.zero_guard:
-            raise PoleError("weight factor below zero guard")
-        return 1.0 / v
-
-    return CoefficientFn(inv, "1/F")
+    return CoefficientFn(
+        lambda x: reciprocal(weight_factor(x, 1, ctx), ctx, "weight factor below zero guard"),
+        "1/F",
+    )
 
 
 GENERATOR_KINDS = ("alpha", "beta", "gamma", "delta")
@@ -129,6 +143,8 @@ ALL_KINDS = GENERATOR_KINDS + ("detinv", "fl", "fr")
 
 
 def _fmt_c(z: complex) -> str:
+    if type(z) is Rec:
+        return repr(z)
     z = complex(z)
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
 
@@ -151,24 +167,30 @@ class Letter:
         return f"{self.kind}({_fmt_c(self.arg)})"
 
 
+def _value(x):
+    """A spectral argument or a scalar: a number as a complex, a record or a
+    factor as it is."""
+    return x if type(x) in (Rec, Factor) else complex(x)
+
+
 def L_alpha(z: complex) -> Letter:
-    return Letter("alpha", complex(z))
+    return Letter("alpha", _value(z))
 
 
 def L_beta(z: complex) -> Letter:
-    return Letter("beta", complex(z))
+    return Letter("beta", _value(z))
 
 
 def L_gamma(z: complex) -> Letter:
-    return Letter("gamma", complex(z))
+    return Letter("gamma", _value(z))
 
 
 def L_delta(z: complex) -> Letter:
-    return Letter("delta", complex(z))
+    return Letter("delta", _value(z))
 
 
 def L_detinv(z: complex) -> Letter:
-    return Letter("detinv", complex(z))
+    return Letter("detinv", _value(z))
 
 
 def L_fl(fn: CoefficientFn) -> Letter:
@@ -218,7 +240,7 @@ def zero() -> AlgebraElement:
 
 
 def word(scalar: complex, letters: Iterable[Letter]) -> AlgebraElement:
-    return AlgebraElement(((complex(scalar), tuple(letters)),))
+    return AlgebraElement(((_value(scalar), tuple(letters)),))
 
 
 GRADES = {
@@ -246,15 +268,15 @@ def bigrade(el: AlgebraElement) -> tuple[int, int]:
 
 def _star_letter(l: Letter, ctx: ThetaContext) -> tuple[complex, Letter]:
     if l.kind == "alpha":
-        return 1.0, L_delta(1.0 / complex(l.arg).conjugate())
+        return 1.0, L_delta(1.0 / ctx.conj(l.arg))
     if l.kind == "beta":
-        return -1.0, L_gamma(1.0 / complex(l.arg).conjugate())
+        return -1.0, L_gamma(1.0 / ctx.conj(l.arg))
     if l.kind == "gamma":
-        return -1.0, L_beta(1.0 / complex(l.arg).conjugate())
+        return -1.0, L_beta(1.0 / ctx.conj(l.arg))
     if l.kind == "delta":
-        return 1.0, L_alpha(1.0 / complex(l.arg).conjugate())
+        return 1.0, L_alpha(1.0 / ctx.conj(l.arg))
     if l.kind == "detinv":
-        return 1.0, L_detinv(ctx.qpow(-2) / complex(l.arg).conjugate())
+        return 1.0, L_detinv(ctx.qpow(-2) / ctx.conj(l.arg))
     return 1.0, Letter(l.kind, l.arg, l.fn.conjugated())
 
 
@@ -268,7 +290,7 @@ def star(el: AlgebraElement, ctx: ThetaContext) -> AlgebraElement:
             sg, nl = _star_letter(l, ctx)
             sign *= sg
             letters.append(nl)
-        out.append((complex(s).conjugate() * sign, tuple(letters)))
+        out.append((ctx.conj(s) * sign, tuple(letters)))
     return AlgebraElement(tuple(out))
 
 

@@ -7,6 +7,7 @@ plus byte-determinism of the JSON report and the overall runtime budget.
 
 import dataclasses
 import importlib
+import json
 import re
 import time
 
@@ -18,6 +19,7 @@ from ellu2.series import check_bailey
 from ellu2.suites import (
     RunConfig,
     _theta_identity_residual,
+    assemble_report,
     biorth_table,
     canonical_json,
     corep_table,
@@ -196,9 +198,10 @@ def _nan_rows(original):
 
 
 def _nan_at_index_3(original):
-    def patched(el, m, rc):
-        got, peak = original(el, m, rc)
-        return ({k: complex(NAN) for k in got} if m == 3 else got), peak
+    def patched(check, rc, symbols):
+        values = original(check, rc, symbols)
+        values[check.path_m == 3] = NAN
+        return values
 
     return patched
 
@@ -225,7 +228,7 @@ NAN_CASES = {
     "unitarity": ("suites", "check_unitarity", _nan, [_suite("unitarity")]),
     "closed-tau": ("suites", "tau_closed", _nan, [lambda cfg: corep_table(cfg, 2, cfg.samples)]),
     "basis-index-3": (
-        "rep", "apply_word_scaled", _nan_at_index_3, [_suite("relations"), _relations_table]
+        "rep", "_path_values", _nan_at_index_3, [_suite("relations"), _relations_table]
     ),
     "representation-oracle": (
         "biorth", "_oracle_summand", _nan, [lambda cfg: biorth_table(cfg, 2, 0, cfg.samples, False)]
@@ -253,6 +256,30 @@ def test_a_nan_residual_fails_closed(monkeypatch, case):
         elif record["check"] != "qdybe":  # the qdybe table reports each sample unfolded
             assert record["entries"]
             assert all(e["max_rel_residual"] == INF for e in record["entries"])
+
+
+def test_a_failing_report_is_strict_json(monkeypatch):
+    # A NaN residual folds to +inf in the suite and stays NaN in the table's
+    # entries; neither may reach the report as a bare NaN or Infinity token.
+    monkeypatch.setattr(suites_mod, "qdybe_residual", _nan(None))
+    cfg = RunConfig(seed=1, samples=1)
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    suite = json.loads(canonical_json(assemble_report(cfg, [run_suite("qdybe", cfg)])), parse_constant=refuse)
+    assert suite["suites"][0]["max_rel_residual"] == "inf" and not suite["pass"]
+    table = json.loads(canonical_json(qdybe_table(cfg, 1)), parse_constant=refuse)
+    assert table["entries"][0]["residual"] == "nan" and not table["pass"]
+
+
+def test_the_k_equals_n_row_passes():
+    # At this seed a draw of the biorth row k = N holds a tau head whose
+    # running product underflows to exactly 0 with no exact zero factor;
+    # seven entries failed while that 0 passed for a value.  It now raises
+    # as leaving the double range, and the draw is redrawn.
+    table = biorth_table(RunConfig(seed=3164770343), 6, 1, 2, False)
+    assert table["pass"] and table["rejected"] == 0 and table["samples"] == 2
 
 
 def test_relations_table_keeps_an_exact_relation(monkeypatch):

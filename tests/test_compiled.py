@@ -1,0 +1,264 @@
+"""The relation, determinant, unitarity and inversion checks compiled per shape.
+
+Each family is built once per shape over records and bound to a sample in
+one batch (``rep.Compiled``).  Its action must be the numeric
+``apply_word_scaled``'s: the same indices on every side, the same values to
+1e-13 of the side's largest path, and a ``PoleError`` at the same draws.
+A wrong coefficient formula must fail the gate of the suite that reads it;
+each fault is patched into the one formula both instances read, with the
+shape cache emptied, so that no template compiled before the fault hides it.
+"""
+
+import gc
+import importlib
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ellu2.corep import inversion_elements, unitarity_words
+from ellu2.rep import (
+    RepContext,
+    apply_word_scaled,
+    check_det_forms,
+    check_relations,
+    compiled,
+    det_form_elements,
+    det_scalar,
+    relation_pairs,
+)
+from ellu2.suites import RunConfig, run_suite
+from ellu2.theta import PoleError, ThetaContext
+
+rep_mod = importlib.import_module("ellu2.rep")
+corep_mod = importlib.import_module("ellu2.corep")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+Z1, Z2, Z = 1.1 + 0.3j, 0.7 - 0.5j, 0.9 + 0.6j
+
+
+def relation_sides(rc):
+    """The numeric sides of every (row, m) of a family: (action, largest path)."""
+    return {
+        (name, m): [apply_word_scaled(lhs, m, rc), apply_word_scaled(rhs, m, rc)]
+        for name, lhs, rhs in relation_pairs(Z1, Z2, Z, 4, rc.ctx)
+        for m in range(7)
+    }
+
+
+def det_form_sides(rc):
+    target = det_scalar(Z, rc.omega, rc.ctx)
+    return {
+        (name, m): [apply_word_scaled(el, m, rc), ({m: target}, abs(target))]
+        for name, el in det_form_elements(Z, rc.ctx)
+        for m in range(5)
+    }
+
+
+def unitarity_sides(N):
+    def sides(rc):
+        out = {}
+        for k in range(N + 1):
+            for j in range(N + 1):
+                lhs, rhs = unitarity_words(N, k, j, Z, rc.ctx)
+                for m in range(3):
+                    out[(k, j, m), 0] = [apply_word_scaled(lhs, m, rc), apply_word_scaled(rhs, m, rc)]
+        return out
+
+    return sides
+
+
+def inversion_sides(N):
+    def sides(rc):
+        out = {}
+        for k in range(N + 1):
+            for l in range(N + 1):
+                elements = inversion_elements(N, k, l, Z, rc.ctx)
+                for m in range(3):
+                    got = [apply_word_scaled(el, m, rc) for el in elements]
+                    out[(k, l, m), 0] = got + ([({m: 1.0}, 1.0)] if k == l else [])
+        return out
+
+    return sides
+
+
+# name: (build, params, zero guard, spectral points, numeric sides)
+FAMILIES = {
+    "relations": (
+        rep_mod._relation_rows, (6, 4), 1e-4, {"z": Z, "z1": Z1, "z2": Z2}, relation_sides
+    ),
+    "det forms": (rep_mod._det_form_rows, (4,), 1e-4, {"z": Z}, det_form_sides),
+    **{
+        f"unitarity N={N}": (corep_mod._unitarity_rows, (N, 2), 1e-12, {"z": Z}, unitarity_sides(N))
+        for N in (1, 2, 3)
+    },
+    **{
+        f"inversion N={N}": (corep_mod._inversion_rows, (N, 2), 1e-12, {"z": Z}, inversion_sides(N))
+        for N in (1, 2)
+    },
+}
+
+
+def draw(rng, zero_guard, lam0=None):
+    ctx = ThetaContext(rng.uniform(0.05, 0.3), rng.uniform(0.55, 0.9), zero_guard=zero_guard)
+    omega = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+    lam0 = complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) if lam0 is None else lam0
+    return RepContext(omega, lam0, ctx)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_the_compiled_action_is_the_numeric_one(name):
+    build, params, zero_guard, symbols, numeric_sides = FAMILIES[name]
+    check = compiled(build, params, zero_guard)
+    rng = np.random.default_rng(20240)
+    for _ in range(2):
+        rc = draw(rng, zero_guard)
+        numeric = numeric_sides(rc)
+        got = check.actions(rep_mod._path_values(check, rc, symbols))
+        assert set(got) == set(numeric)
+        for key, sides in numeric.items():
+            assert len(got[key]) == len(sides), key
+            for (cmap, _), (nmap, npeak) in zip(got[key], sides):
+                assert set(cmap) == set(nmap), key
+                scale = max([npeak, *map(abs, nmap.values())])
+                for index, value in nmap.items():
+                    assert abs(cmap[index] - value) <= 1e-13 * scale, (key, index)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_a_draw_next_to_a_pole_raises_on_both_paths(name):
+    # theta(q^(-2 (lam + 1))) vanishes at lam = -1, and the coefficients of
+    # the leftmost letters divide by it at the sample point.
+    build, params, zero_guard, symbols, numeric_sides = FAMILIES[name]
+    rc = draw(np.random.default_rng(7), zero_guard, lam0=-1 + 1e-15 + 0j)
+    with pytest.raises(PoleError):
+        numeric_sides(rc)
+    with pytest.raises(PoleError):
+        compiled(build, params, zero_guard).rows(rc, symbols)
+
+
+@pytest.mark.parametrize("name", ["relations", "unitarity N=3"])
+def test_products_bound_on_arrays_are_the_finished_plans(name):
+    # ``bind_products`` finishes every path and guard product on arrays:
+    # the same bits as each plan's own finish after ``bind``.
+    build, params, zero_guard, symbols, _ = FAMILIES[name]
+    template = compiled(build, params, zero_guard).template
+    rc = draw(np.random.default_rng(1), zero_guard)
+    sample = (rc.ctx, rc.lam0, rc.omega)
+    got = template.bind_products(*sample, **symbols)
+    vals = template.bind(*sample, **symbols)
+    want = [template.finish(key, vals) for key in template.plans]
+    assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == [
+        (v.real.hex(), v.imag.hex()) for v in want
+    ]
+
+
+def test_checks_read_each_sample_once_per_context(monkeypatch):
+    calls = []
+    original = rep_mod._path_values
+
+    def counted(check, rc, symbols):
+        calls.append(check)
+        return original(check, rc, symbols)
+
+    monkeypatch.setattr(rep_mod, "_path_values", counted)
+    rc = draw(np.random.default_rng(3), 1e-12)
+    first = [corep_mod.check_unitarity(2, k, j, Z, m, rc) for k in range(3) for j in range(3) for m in range(3)]
+    again = [corep_mod.check_unitarity(2, k, j, Z, m, rc) for k in range(3) for j in range(3) for m in range(3)]
+    assert first == again and len(calls) == 1
+    corep_mod.check_unitarity(2, 0, 0, 1.3 * Z, 0, rc)
+    assert len(calls) == 2
+
+
+# -- gates with teeth: each fault patched into the shared formula ----------------
+
+
+def suite_fails(name, tol):
+    rec = run_suite(name, RunConfig(seed=1, samples=2))
+    assert not rec["pass"] and rec["rejected"] == 0
+    assert rec["max_rel_residual"] > 1e3 * tol
+    return rec["max_rel_residual"]
+
+
+def test_a_flipped_r_matrix_sign_fails_relations(monkeypatch):
+    monkeypatch.setattr(rep_mod, "_SHAPES", {})
+    original = rep_mod.r_entries
+
+    def flipped(lam, z, ctx):
+        a, b, c, d = original(lam, z, ctx)
+        return a, -b, c, d
+
+    monkeypatch.setattr(rep_mod, "r_entries", flipped)
+    assert suite_fails("relations", 1e-9) > 0.1
+
+
+def test_a_coef_c_exponent_off_by_1e_4_fails_relations(monkeypatch):
+    monkeypatch.setattr(rep_mod, "_SHAPES", {})
+    original = rep_mod.coef_c
+
+    def off(k, lam, z, omega, ctx):
+        # The scalar q^(-(k - 1)) as q^(-(k - 1) + 1e-4).
+        return original(k, lam, z, omega, ctx) * ctx.qpow(1e-4)
+
+    monkeypatch.setattr(rep_mod, "coef_c", off)
+    suite_fails("relations", 1e-9)
+
+
+def test_a_gamma_factor_fault_fails_unitarity(monkeypatch):
+    monkeypatch.setattr(rep_mod, "_SHAPES", {})
+    original = corep_mod.gamma_factor
+
+    def off(N, k, x, ctx):
+        return original(N, k, x + 1e-4, ctx)
+
+    monkeypatch.setattr(corep_mod, "gamma_factor", off)
+    suite_fails("unitarity", 1e-8)
+
+
+def test_the_shape_cache_keeps_its_cap(monkeypatch):
+    monkeypatch.setattr(rep_mod, "_SHAPES", {})
+    monkeypatch.setattr(rep_mod, "SHAPE_CAP", 1)
+    rc = draw(np.random.default_rng(11), 1e-4)
+    rows = [check_det_forms(rc, Z, mmax) for mmax in (1, 2)]
+    assert len(rep_mod._SHAPES) == 1
+    # A shape past the cap is compiled for each call, to the same rows.
+    assert check_det_forms(draw(np.random.default_rng(11), 1e-4), Z, 2) == rows[1]
+
+
+def test_compiled_checks_stay_small(monkeypatch):
+    # The shapes the battery compiles: relations and det forms at the
+    # suite's sizes, unitarity at N = 1..3 and inversion at N = 1, 2.  They
+    # held 0.52 MB when this cap was set.
+    monkeypatch.setattr(rep_mod, "_SHAPES", {})
+    shapes = [(rep_mod._relation_rows, (6, 4), 1e-4), (rep_mod._det_form_rows, (4,), 1e-4)]
+    shapes += [(corep_mod._unitarity_rows, (N, 2), 1e-12) for N in (1, 2, 3)]
+    shapes += [(corep_mod._inversion_rows, (N, 2), 1e-12) for N in (1, 2)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for build, params, zero_guard in shapes:
+            compiled(build, params, zero_guard)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rep_mod._SHAPES) == len(shapes)
+    assert held <= 1.0e6
+
+
+def test_no_check_is_compiled_at_import():
+    code = "import importlib, ellu2\nassert not importlib.import_module('ellu2.rep')._SHAPES\n"
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SRC)})
+
+
+def test_relations_and_det_forms_keep_their_rows():
+    rc = draw(np.random.default_rng(5), 1e-4)
+    rows = check_relations(rc, Z1, Z2, Z, mmax=2, kmax_reverse=2)
+    assert [name for name, _ in rows] == [name for name, _, _ in relation_pairs(Z1, Z2, Z, 2, rc.ctx)]
+    assert max(res for _, res in rows) <= 1e-9
+    forms = check_det_forms(rc, Z, mmax=2)
+    assert [name for name, _ in forms] == [name for name, _ in det_form_elements(Z, rc.ctx)]

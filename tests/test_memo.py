@@ -1,12 +1,11 @@
-"""The per-context memo of the representation's coefficient functions and words.
+"""The per-context memo of the representation's coefficient functions.
 
 Every memoized value must be the value the function returns on a fresh
 context, bit for bit, whether it comes from a first call or from the memo; a
 call that raises must raise again and store nothing; contexts never share
-entries; and the memo stops growing at ``MEMO_CAP``.  The words the
-corepresentation checks memoize on their ``RepContext`` (``t_word``,
-``unitarity_words``) must have the letters of a fresh build and act on basis
-vectors to the same bits, and must not keep the ``ThetaContext`` alive.
+entries; and the memo stops growing at ``MEMO_CAP``.  The residuals the
+corepresentation checks keep on their ``RepContext`` must not keep the
+``ThetaContext`` alive.
 """
 
 import gc
@@ -18,24 +17,14 @@ import weakref
 import numpy as np
 import pytest
 
-from ellu2.corep import (
-    _t_word_on,
-    _unitarity_words_on,
-    check_inversion_words,
-    check_unitarity,
-    gamma_factor,
-    t_word,
-    unitarity_words,
-)
-from ellu2.rep import RepContext, apply_word, coef_a, coef_b, coef_c, coef_d, det_scalar
+from ellu2.corep import check_inversion_words, check_unitarity, gamma_factor, t_word, unitarity_words
+from ellu2.rep import RepContext, coef_a, coef_b, coef_c, coef_d, det_scalar
 from ellu2.rmatrix import r_entries
 from ellu2.theta import PoleError, ThetaContext, memo_per_context
 
 theta_module = importlib.import_module("ellu2.theta")
 
 COEFS = (coef_a, coef_b, coef_c, coef_d)
-# The word builders, and their memos on a representation context.
-WORDS = ((t_word, _t_word_on), (unitarity_words, _unitarity_words_on))
 
 
 def bits(value):
@@ -77,9 +66,8 @@ def test_memoized_functions_keep_their_signatures():
     assert list(inspect.signature(det_scalar).parameters) == ["z", "omega", "ctx"]
     assert list(inspect.signature(gamma_factor).parameters) == ["N", "k", "x", "ctx"]
     # t_word is pinned with the benchmark's names too.
-    for fn, on_rc in WORDS:
+    for fn in (t_word, unitarity_words):
         assert list(inspect.signature(fn).parameters) == ["N", "k", "j", "z", "ctx"]
-        assert list(inspect.signature(on_rc).parameters) == ["N", "k", "j", "z", "rc"]
     assert r_entries.__name__ == "r_entries" and r_entries.__doc__.startswith("Middle-block")
 
 
@@ -178,50 +166,15 @@ def test_memo_per_context_on_a_new_function():
     assert scaled.__wrapped__(2.0, ctx) == 0.5
 
 
-def word_bits(el):
-    """Exact bits of an element (or a tuple of them): each term's scalar,
-    and each letter's kind, argument and coefficient name."""
-    if isinstance(el, tuple):
-        return tuple(word_bits(e) for e in el)
-    return tuple(
-        (bits(s), tuple((x.kind, bits(x.arg), x.fn and x.fn.name) for x in w)) for s, w in el.terms
-    )
-
-
-def action_bits(el, rc):
-    """Exact bits of the element's action on e_0, e_1 and e_2."""
-    if isinstance(el, tuple):
-        return tuple(action_bits(e, rc) for e in el)
-    return tuple(
-        tuple((k, bits(v)) for k, v in sorted(apply_word(el, m, rc).items())) for m in range(3)
-    )
-
-
-def test_memoized_words_are_bit_identical_to_a_fresh_context(rng):
-    for _ in range(8):
-        p, q = rng.uniform(0.05, 0.3), rng.uniform(0.3, 0.9)
-        omega, lam0, z = cplx(rng, 0.1, 1.0), cplx(rng, 0.1, 1.0), cplx(rng)
-        N = int(rng.integers(1, 4))
-        k, j = (int(x) for x in rng.integers(0, N + 1, 2))
-        rc = RepContext(omega, lam0, ThetaContext(p, q))
-        for fn, on_rc in WORDS:
-            first = on_rc(N, k, j, z, rc)
-            assert on_rc(N, k, j, z, rc) is first
-            fresh = RepContext(omega, lam0, ThetaContext(p, q))
-            built = fn(N, k, j, z, fresh.ctx)
-            assert word_bits(first) == word_bits(built)
-            assert action_bits(first, rc) == action_bits(built, fresh)
-        assert rc.ctx._values and len(rc._values) == 2
-
-
-def test_word_memo_does_not_keep_the_context_alive():
-    # The words hold the ThetaContext; a memo on it would be a cycle.
+def test_bound_rows_do_not_keep_the_context_alive():
+    # The residuals kept on the representation context are plain floats:
+    # dropping the context frees its ThetaContext without a collection.
     gc.disable()
     try:
         rc = RepContext(0.3 + 0.1j, 0.4 - 0.2j, ThetaContext(0.15, 0.6))
         for fn in (check_unitarity, check_inversion_words):
             fn(2, 1, 1, 1.1 + 0.3j, 0, rc)
-        assert rc._values
+        assert rc._bound
         gone = weakref.ref(rc.ctx)
         del rc
         assert gone() is None

@@ -154,3 +154,21 @@ def test_products_beyond_the_double_range_or_exactly_zero_as_the_scalar_path():
     assert got["record"] == got["scaled"] == PRODUCT_RANGE
     assert got["zero"] == got["scaled zero"] == ("0x0.0p+0", "0x0.0p+0")
     assert not isinstance(got["fine"], str) and not isinstance(got["binomial"], str)
+
+
+def test_a_product_that_underflows_to_zero_raises_as_out_of_range():
+    # theta(q^(1e-13)) is about 1e-14 and vanishes exactly for no draw: thirty
+    # of them take the running product below the least double, to 0.  Without
+    # an exact zero factor, that 0 is a range failure, not a value, in the
+    # scalar loop and in the batched pass alike.
+    ctx = TemplateContext()
+    near_one = Rec(c=1e-13)
+    plans = [
+        ("underflow", ThetaProduct(ctx, Rec(c=2)).theta(near_one, count=30)),
+        ("fine", ThetaProduct(ctx, Rec(c=2)).theta(near_one, count=3)),
+        ("0j scalar", ThetaProduct(ctx, 0j).theta(near_one, count=3)),
+    ]
+    found = BoundProducts(Template(plans), plans)
+    got = dict(zip(["underflow", "fine", "0j scalar"], found.compare((ThetaContext(0.12, 0.67), 0, 0, 1))))
+    assert got["underflow"] == PRODUCT_RANGE
+    assert not isinstance(got["fine"], str) and got["0j scalar"] == ("0x0.0p+0", "0x0.0p+0")

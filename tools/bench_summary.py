@@ -1,0 +1,93 @@
+"""Medians and quartiles of benchmark runs, parent against change, as one BENCH file.
+
+    python3 tools/bench_summary.py --workload battery --label 11 \
+        --parent runs/battery_parent_*.json --change runs/battery_change_*.json \
+        --out BENCH_11.json
+
+Each input file holds the output of one ``perfbench/run.py`` run; its last
+non-empty line is the run's JSON object
+``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``.
+List the parent and change files in the order they ran, so that the i-th
+files of both lists are one pair.  For every metric the output gives the
+parent's and the change's values, median and quartiles, the relative change
+of the medians, and on how many pairs the change was better (the direction
+comes from BENCHMARK.json).  An existing ``--out`` file keeps its other
+workloads, so that one file can collect all of them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def last_json(path: Path) -> dict:
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    if not lines:
+        raise SystemExit(f"{path}: no output, so no run to read")
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def summarize(parent: list[dict], change: list[dict]) -> dict:
+    better = {}
+    for section in ("end_to_end", "per_layer"):
+        for spec in json.loads((ROOT / "BENCHMARK.json").read_text())[section]:
+            better[spec["name"]] = spec["better"]
+    out = {}
+    for name, entry in parent[0]["metrics"].items():
+        before = [run["metrics"][name]["value"] for run in parent]
+        after = [run["metrics"][name]["value"] for run in change]
+        sign = -1 if better.get(name, "lower") == "lower" else 1
+        out[name] = {
+            "unit": entry["unit"],
+            "better": better.get(name, "lower"),
+            "parent": spread(before),
+            "change": spread(after),
+            "median_change": statistics.median(after) / statistics.median(before) - 1
+            if statistics.median(before)
+            else None,
+            "pairs_better": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+        }
+    return out
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--label", required=True, help="the change the numbers belong to")
+    ap.add_argument("--parent", nargs="+", type=Path, required=True)
+    ap.add_argument("--change", nargs="+", type=Path, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--note", default="", help="the machine and how the runs were made")
+    args = ap.parse_args(argv)
+    if len(args.parent) != len(args.change) or len(args.parent) < 2:
+        ap.error("give the same number (at least 2) of parent and change runs")
+    parent = [last_json(p) for p in args.parent]
+    change = [last_json(p) for p in args.change]
+    report = json.loads(args.out.read_text()) if args.out.exists() else {}
+    report["label"] = args.label
+    if args.note:
+        report["note"] = args.note
+    report.setdefault("workloads", {})[args.workload] = {
+        "pairs": len(parent),
+        "correct": [run["correct"] for run in parent + change],
+        "failed": {
+            "parent": [run["failed"] for run in parent],
+            "change": [run["failed"] for run in change],
+        },
+        "metrics": summarize(parent, change),
+    }
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
