@@ -29,19 +29,35 @@ A ``BiorthCache`` serves one sweep of checks at one sample.  Its first check
 binds the template of every item of the full (k, l) sweep to the sample
 (``theta.Template``: one matrix-vector product, one ``exp``, one
 ``theta_vec`` call, one pass over arrays for all its series and one for all
-its theta products).  Each item is finished from those values the first
-time a check reads it, and only then, and a check reads the finished values
-by position.  ``norm_h``, ``weight_w1``, ``weight_w2`` and
+its theta products) and finishes every item once, in one loop
+(``Template.finish_all``); an item that fails is recorded, not raised.  The
+check layer of each sweep shape, direct or dual, is compiled once, at its
+first use, into int32 gathers over the sweep's items (``_Program``): for
+every (k, l) row, every summand j and every factor of the summand and of
+its representation-side value.  The first check of each kind then computes
+the reports of all (N + 1)^2 rows in one pass over split real and imaginary
+arrays, with CPython's complex formulas (``theta._c_mul``, ``_c_div``, and
+``hypot`` for ``abs``), sums over j added left to right; each report has
+the bits the same arithmetic in Python complex numbers gives.  A check with
+k or l outside 0..N is refused with ``ValueError``.
+Each check returns its row, or raises what that arithmetic raises: the first
+failing item in its read order (the determinant product, h_k, the summand
+items of j = 0..N, then their oracle items), else the first
+``ZeroDivisionError`` or ``OverflowError`` of its own arithmetic
+(``_Faults``).  ``norm_h``, ``weight_w1``, ``weight_w2`` and
 ``c_det_product`` bind their one item alone, to the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
+
 from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_tilde_series_parts
-from .residuals import scaled, worst
+from .residuals import worst
 from .series import vwp_plan, vwp_sum
 from .theta import (
     LAM,
@@ -55,6 +71,9 @@ from .theta import (
     binomial_plan,
     combine,
     garg,
+    _c_div,
+    _c_mul,
+    _i32,
     known,
     qarg,
 )
@@ -368,27 +387,32 @@ def _symbols(bp: BiorthParams) -> BiorthParams:
 _SWEEPS: dict = {}
 
 
-def _sweep(bp: BiorthParams) -> Template:
-    """The template of the sweep of the shape (N, M, zero guard) of ``bp``.
+class _Sweep:
+    """The template of every item of the sweep of one shape, and the check
+    programs of its direct and its dual sums (``_Program``), each compiled
+    at its first use."""
 
-    It holds every item of the sweep that builds; an item whose build raises
-    is left out, and raises again when a check asks for it.  The templates
-    of up to ``SHAPE_CAP`` shapes are kept.
-    """
+    def __init__(self, template: Template, N: int):
+        self.template = template
+        self.N = N
+        self._programs: dict = {}
+
+    def program(self, dual: bool) -> "_Program":
+        got = self._programs.get(dual)
+        if got is None:
+            got = self._programs[dual] = _Program(self.template.plans, self.N, dual)
+        return got
+
+
+def _sweep(bp: BiorthParams) -> _Sweep:
+    """The sweep of the shape (N, M, zero guard) of ``bp``.  The sweeps of
+    up to ``SHAPE_CAP`` shapes are kept."""
     shape = (bp.N, bp.M, bp.ctx.zero_guard)
     got = _SWEEPS.get(shape)
     if got is None:
         symbols = _symbols(bp)
-
-        def built():
-            for key in _sweep_keys(bp.N):
-                try:
-                    plan = _ITEMS[key[0]](symbols, *key[1:])
-                except (ArithmeticError, ValueError):
-                    continue
-                yield key, plan
-
-        got = Template(built())
+        items = ((key, _ITEMS[key[0]](symbols, *key[1:])) for key in _sweep_keys(bp.N))
+        got = _Sweep(Template(items), bp.N)
         if len(_SWEEPS) < SHAPE_CAP:
             _SWEEPS[shape] = got
     return got
@@ -411,27 +435,11 @@ def _summand_keys(k: int, l: int, j: int, dual: bool) -> tuple:
     return ("w1", j, k), ("w2", j, l), ("f", j, l, False), ("f", j, k, True)
 
 
-def _summand(vals: list[complex], dual: bool) -> complex:
-    if dual:
-        w1, w2, h, f1, f2 = vals
-        return w1 * w2 / h * f1 * f2
-    w1, w2, f1, f2 = vals
-    return w1 * w2 * f1 * f2
-
-
 def _oracle_keys(k: int, l: int, j: int, dual: bool) -> tuple:
     """Item keys of the representation-side value of summand j."""
     if dual:
         return ("g1", l), ("g2", j), ("tau", l, j), ("tilde", k, j)
     return ("tilde", j, l), ("g1", j), ("g2", k), ("tau", j, k)
-
-
-def _oracle_summand(vals: list[complex], c_d: complex, dual: bool) -> complex:
-    if dual:
-        g1, g2, t1, t2 = vals
-        return g1 / g2 * t1 * t2 * c_d
-    t1, g1, g2, t2 = vals
-    return t1 * g1 / g2 * c_d * t2
 
 
 @dataclass(frozen=True)
@@ -448,71 +456,278 @@ class BiorthReport:
         return worst((self.sum_residual, self.oracle_residual))
 
 
-class BiorthCache:
-    """The values of the items of one (k, l) sweep at fixed params.
+class _Program:
+    """The checks of one sweep shape, direct or dual, as int32 gathers.
 
-    A cache serves one ``BiorthParams``: its first ``resolve`` binds the
-    template of every item of the sweep to those params, and each item is
-    finished from those values the first time a check reads it, and only
-    then.  Items outside the sweep are kept by key (``get``).
+    Row r = k (N + 1) + l is the (k, l) check.  ``summand[f, j, r]`` is the
+    position, among the sweep's items, of factor f of summand j of row r
+    (``_summand_keys``), ``oracle[f, j, r]`` that of its representation-side
+    value (``_oracle_keys``), and ``head[:, r]`` those of the determinant
+    product and, for the direct sum, h_k.  A check reads its items in that
+    order: the head, the summands of j = 0..N, their oracles.
+    """
+
+    def __init__(self, at: dict, N: int, dual: bool):
+        rows = [(k, l) for k in range(N + 1) for l in range(N + 1)]
+
+        def gather(keys) -> np.ndarray:
+            got = [[[at[key] for key in keys(k, l, j, dual)] for j in range(N + 1)] for k, l in rows]
+            return _i32(got).transpose(2, 1, 0).copy()
+
+        self.dual = dual
+        self.summand = gather(_summand_keys)
+        self.oracle = gather(_oracle_keys)
+        self.head = _i32([[at["cd",]] * len(rows)] + ([] if dual else [[at["h", k] for k, _ in rows]]))
+        self.diag = np.array([k == l for k, l in rows], dtype=bool)
+
+    def read_order(self) -> np.ndarray:
+        """The positions of the items each row reads, in the order it reads them."""
+        rows = len(self.diag)
+        return np.concatenate(
+            [self.head.T]
+            + [g.transpose(2, 1, 0).reshape(rows, -1) for g in (self.summand, self.oracle)],
+            axis=1,
+        )
+
+    def reports(self, re: np.ndarray, im: np.ndarray, failed: dict) -> tuple[list, dict]:
+        """The residuals of every row, and the error of each row whose check
+        raises: the first failing item it reads (``failed`` holds them by
+        position), else the first operation of its arithmetic that raises."""
+        faults = _Faults(len(self.diag))
+        with np.errstate(all="ignore"):
+            residuals = _residuals(self, re, im, faults)
+        errors = {}
+        if failed:
+            read = self.read_order()
+            bad = np.isin(read, list(failed))
+            for r in np.flatnonzero(bad.any(axis=1)):
+                errors[int(r)] = failed[int(read[r, bad[r].argmax()])]
+        errors.update(faults.first(skip=errors))
+        return list(zip(*(a.tolist() for a in residuals))), errors
+
+
+def _residuals(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults") -> tuple:
+    """The four residual arrays of ``BiorthReport``, over rows, by the
+    formulas of ``check_biorth`` and ``check_dual_biorth`` on split arrays,
+    rounded as Python's complex arithmetic rounds them.  The operations at
+    which Python would raise are listed in ``faults``, in the order the
+    check evaluates them."""
+    terms = _terms(p, re, im, faults)
+    oracle = _oracle_terms(p, re, im, faults)
+    if p.dual:
+        target = _delta(p)
+        reference = oracle
+    else:
+        hk = re[p.head[1]], im[p.head[1]]
+        target = np.where(p.diag, hk[0], 0.0), np.where(p.diag, hk[1], 0.0)
+        reference = _mul(hk, oracle)
+    max_term = _peak(terms, faults)
+    sum_res = _scaled(_total(terms), target, max_term, faults)
+    term_res = _worst(_scaled(terms, reference, max_term * 1e-16, faults))
+    total = _total(oracle)
+    oracle_res = _scaled(total, _delta(p), _peak(oracle, faults), faults)
+    return sum_res, term_res, oracle_res, max_term
+
+
+def _terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults") -> tuple:
+    """Every summand of every row, over j and rows: w1 w2 f f~ (direct sum),
+    w1 w2 / h f~ f (dual sum), multiplied left to right."""
+    factors = list(zip(re[p.summand], im[p.summand]))
+    if p.dual:
+        w1, w2, h, f1, f2 = factors
+        faults.add(h[0] != 0, (_complex_quotient, *h))
+        return _mul(_mul(_div(_mul(w1, w2), h), f1), f2)
+    w1, w2, f1, f2 = factors
+    return _mul(_mul(_mul(w1, w2), f1), f2)
+
+
+def _oracle_terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults") -> tuple:
+    """The representation-side value of every summand, over j and rows,
+    multiplied left to right: tilde g1 / g2 c_d tau (direct sum, over h_k),
+    g1 / g2 tau tilde c_d (dual sum)."""
+    factors = list(zip(re[p.oracle], im[p.oracle]))
+    cd = re[p.head[0]], im[p.head[0]]
+    if p.dual:
+        g1, g2, tau, tilde = factors
+        faults.add(g2[0] != 0, (_complex_quotient, *g2))
+        return _mul(_mul(_mul(_div(g1, g2), tau), tilde), cd)
+    tilde, g1, g2, tau = factors
+    faults.add(g2[0] != 0, (_complex_quotient, *g2))
+    return _mul(_mul(_div(_mul(tilde, g1), g2), cd), tau)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    return _c_mul(a[0], a[1], b[0], b[1])
+
+
+def _div(a: tuple, b: tuple) -> tuple:
+    return _c_div(a[0], a[1], b[0], b[1])
+
+
+def _delta(p: _Program) -> tuple:
+    """delta(k, l) over rows, as (real, imaginary) parts."""
+    return np.where(p.diag, 1.0, 0.0), np.zeros(len(p.diag))
+
+
+def _total(v: tuple) -> tuple:
+    """The sum over j, added left to right from 0.0, as ``sum`` adds."""
+    re = im = 0.0
+    for a, b in zip(*v):
+        re, im = re + a, im + b
+    return re, im
+
+
+def _peak(v: tuple, faults: "_Faults") -> np.ndarray:
+    """The largest modulus over j, as ``max`` of ``abs`` gives it: a later
+    value replaces the largest so far only if it is larger."""
+    mag = np.hypot(*v)
+    top = mag[0]
+    for m in mag[1:]:
+        top = np.where(m > top, m, top)
+    # A modulus beyond range leaves the peak inf or NaN.
+    faults.add(np.isfinite(top), (_abs_of, *v))
+    return top
+
+
+def _worst(res: np.ndarray) -> np.ndarray:
+    """``residuals.worst`` over j: the largest and 0.0, or +inf where any is
+    NaN (a maximum picks one of its values, so any order gives its bits)."""
+    top = np.maximum(res.max(axis=0), 0.0)
+    top[np.isnan(top)] = math.inf
+    return top
+
+
+def _scaled(lhs: tuple, rhs: tuple, scale, faults: "_Faults") -> np.ndarray:
+    """``residuals.scaled`` on split arrays."""
+    diff = lhs[0] - rhs[0], lhs[1] - rhs[1]
+    num, a, b = np.hypot(*diff), np.hypot(*lhs), np.hypot(*rhs)
+    den = a + b + scale
+    res = num / den
+    # A modulus beyond range leaves den or res inf, and den = 0 leaves res
+    # inf or NaN: den * res is finite wherever neither happened.
+    faults.add(
+        np.isfinite(den * res),
+        (_abs_of, *diff),
+        (_abs_of, *lhs),
+        (_abs_of, *rhs),
+        (_float_quotient, den),
+    )
+    return res
+
+
+# The Python operations a check's arithmetic may raise at.
+
+
+def _abs_of(re: float, im: float):
+    return abs(complex(re, im))
+
+
+def _complex_quotient(re: float, im: float):
+    return 1.0 / complex(re, im)
+
+
+def _float_quotient(den: float):
+    return 1.0 / den
+
+
+class _Faults:
+    """Where a pass may have gone on past an operation at which Python raises.
+
+    Python raises ``ZeroDivisionError`` at a division by zero and
+    ``OverflowError`` at ``abs`` of finite parts whose modulus is beyond
+    range; the arrays give inf or NaN there instead.  Each entry holds a
+    mask, over j and rows, of where a cheap test clears the operations it
+    covers, and those operations, each with its operands: the check
+    evaluates them for j = 0..N in turn (or once), in the listed order
+    within each j.  Only the rows a test does not clear are looked at
+    operation by operation, in Python.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.entries: list = []
+
+    def add(self, clear: np.ndarray, *ops) -> None:
+        self.entries.append((clear, ops))
+
+    def first(self, skip) -> dict:
+        """{row: the error of the first operation that raises on it}, for
+        the rows not in ``skip``."""
+        if all(clear.all() for clear, _ in self.entries):
+            return {}
+        rows = set()
+        for clear, _ in self.entries:
+            rows.update(np.flatnonzero(~clear.reshape(-1, self.rows).all(axis=0)).tolist())
+        errors = {}
+        for r in sorted(rows.difference(skip)):
+            exc = self._first_at(r)
+            if exc is not None:
+                errors[r] = exc
+        return errors
+
+    def _first_at(self, r: int) -> ArithmeticError | None:
+        for clear, ops in self.entries:
+            operands = [[x.reshape(-1, self.rows)[:, r] for x in args] for _, *args in ops]
+            for j in range(clear.reshape(-1, self.rows).shape[0]):
+                for (op, *_), args in zip(ops, operands):
+                    try:
+                        op(*(float(x[j]) for x in args))
+                    except ArithmeticError as exc:
+                        return exc
+        return None
+
+
+class BiorthCache:
+    """The reports of one (k, l) sweep at fixed params.
+
+    A cache serves one ``BiorthParams``.  Its first check binds the template
+    of every item of the sweep to those params (``theta.Template.bind``: one
+    ``theta_vec`` call, one pass over arrays for all its series and one for
+    all its theta products) and finishes every item once
+    (``Template.finish_all``); an item that fails is recorded, not raised.
+    The first check of each kind, direct or dual, computes the reports of
+    all (N + 1)^2 checks of that kind in one pass over arrays
+    (``_Program.reports``), and each check returns its row, or raises the
+    error recorded for it.
+
+    ``get`` keeps values by key in ``_store``.  The checks do not use it; the
+    benchmark's tracer counts cache hits through it, so it stays.
     """
 
     def __init__(self) -> None:
         self._store: dict = {}
-        self._bound: tuple[Template, list, list] | None = None
+        self._items: tuple | None = None
+        self._rows: dict = {}
 
     def get(self, key, fn):
         if key not in self._store:
             self._store[key] = fn()
         return self._store[key]
 
-    def resolve(self, bp: BiorthParams, keys) -> list:
-        """The values of the items ``keys``, in key order.
-
-        The first call binds the template of every item of the sweep to
-        ``bp`` (``theta.Template.bind``: one ``theta_vec`` call, one pass
-        over arrays for all its series and one for all its theta products).
-        Items are finished in key order, each the first time it is read, so
-        the first error is the one evaluating them one by one would raise.
-        An item outside the sweep is built and bound alone.
-        """
-        if self._bound is None:
+    def items(self, bp: BiorthParams) -> tuple:
+        """(sweep, finished values by position, failures by position) of the
+        sweep's items at ``bp``: bound and finished once, at the first call."""
+        if self._items is None:
             sweep = _sweep(bp)
-            self._bound = (sweep, _bind(sweep, bp), [_UNSET] * len(sweep.plans))
-        sweep, vals, done = self._bound
-        at = sweep.plans
-        out = []
-        for key in keys:
-            i = at.get(key)
-            if i is None:
-                out.append(self.get(key, lambda: _item(bp, key)))
-                continue
-            value = done[i]
-            if value is _UNSET:
-                value = done[i] = sweep.finish(key, vals)
-            out.append(value)
-        return out
+            values, failed = sweep.template.finish_all(_bind(sweep.template, bp))
+            self._items = (sweep, values, failed)
+        return self._items
 
-
-_UNSET = object()
-
-
-def _sums(bp: BiorthParams, k: int, l: int, cache: BiorthCache | None, dual: bool):
-    """h_k (None for the dual sum), summands and oracle summands of one
-    (k, l) check.  Its items are read in one ``resolve``, in evaluation
-    order: the determinant product, h_k, the summand keys of j = 0..N, then
-    the oracle keys of j = 0..N."""
-    js = range(bp.N + 1)
-    summands = [_summand_keys(k, l, j, dual) for j in js]
-    oracles = [_oracle_keys(k, l, j, dual) for j in js]
-    head = [("cd",)] + ([] if dual else [("h", k)])
-    keys = head + [key for ks in summands for key in ks] + [key for ks in oracles for key in ks]
-    v = iter((cache if cache is not None else BiorthCache()).resolve(bp, keys))
-    c_d = next(v)
-    hk = None if dual else next(v)
-    terms = [_summand([next(v) for _ in ks], dual) for ks in summands]
-    oracle = [_oracle_summand([next(v) for _ in ks], c_d, dual) for ks in oracles]
-    return hk, terms, oracle
+    def report(self, bp: BiorthParams, k: int, l: int, dual: bool) -> BiorthReport:
+        """The report of the (dual) (k, l) check at ``bp``, from its row."""
+        N = bp.N
+        if not (0 <= k <= N and 0 <= l <= N):
+            raise ValueError(f"(k, l) = ({k}, {l}) lies outside the sweep 0..{N}")
+        got = self._rows.get(dual)
+        if got is None:
+            sweep, values, failed = self.items(bp)
+            v = np.array(values, dtype=complex)
+            got = self._rows[dual] = sweep.program(dual).reports(v.real, v.imag, failed)
+        rows, errors = got
+        r = k * (N + 1) + l
+        if r in errors:
+            raise errors[r].with_traceback(None)
+        return BiorthReport(*rows[r])
 
 
 def check_biorth(
@@ -520,28 +735,26 @@ def check_biorth(
 ) -> BiorthReport:
     """Explicit biorthogonality sum against delta(k, l) * h_k, plus oracles.
 
-    The summand scale enters the residual denominator so that the vanishing
-    off-diagonal case measures cancellation quality relative to the largest
-    term rather than against zero.  The items come from the cache's bound
-    sweep (``BiorthCache.resolve``).
+    Summand j is w1(j, k) w2(j, l) f(j, l) f~(j, k); its representation-side
+    value, over h_k, is tilde(j, l) g1(j) / g2(k) c_d tau(j, k).  The
+    residuals: the sum against delta(k, l) h_k, scaled by the largest
+    summand; each summand against h_k times its oracle, scaled by 1e-16 of
+    the largest summand (worst over j); the oracle sum against delta(k, l),
+    scaled by the largest oracle value.  The summand scale keeps the
+    vanishing off-diagonal case measuring cancellation quality relative to
+    the largest term rather than against zero.  k and l lie in 0..N.
     """
-    hk, terms, oracle = _sums(bp, k, l, cache, False)
-    max_term = max(abs(t) for t in terms)
-    target = hk if k == l else 0.0
-    sum_res = scaled(sum(terms), target, max_term)
-    term_res = worst([scaled(t, hk * o, max_term * 1e-16) for t, o in zip(terms, oracle)])
-    oracle_res = scaled(sum(oracle), 1.0 if k == l else 0.0, max(abs(o) for o in oracle))
-    return BiorthReport(sum_res, term_res, oracle_res, max_term)
+    return (cache if cache is not None else BiorthCache()).report(bp, k, l, False)
 
 
 def check_dual_biorth(
     bp: BiorthParams, k: int, l: int, cache: BiorthCache | None = None
 ) -> BiorthReport:
-    """Dual biorthogonality sum against delta(k, l), plus oracle comparisons."""
-    _, terms, oracle = _sums(bp, k, l, cache, True)
-    max_term = max(abs(t) for t in terms)
-    target = 1.0 if k == l else 0.0
-    sum_res = scaled(sum(terms), target, max_term)
-    term_res = worst([scaled(t, o, max_term * 1e-16) for t, o in zip(terms, oracle)])
-    oracle_res = scaled(sum(oracle), target, max(abs(o) for o in oracle))
-    return BiorthReport(sum_res, term_res, oracle_res, max_term)
+    """Dual biorthogonality sum against delta(k, l), plus oracle comparisons.
+
+    Summand j is w1(l, j) w2(k, j) / h_j f~(l, j) f(k, j); its oracle is
+    g1(l) / g2(j) tau(l, j) tilde(k, j) c_d.  The residuals are those of
+    ``check_biorth`` with delta(k, l) for target and the oracle itself for
+    each summand's reference.
+    """
+    return (cache if cache is not None else BiorthCache()).report(bp, k, l, True)

@@ -159,6 +159,8 @@ MEMO_CAP = 1 << 20
 THETA_RANGE = "theta value exceeds double precision range"
 PRODUCT_RANGE = "theta product exceeds double precision range"
 DEN_GUARD = "denominator theta factor below zero guard"
+# What ``Template.finish_all`` puts in place of a plan whose finish raised.
+_FAILED = complex(math.nan, math.nan)
 
 
 class PoleError(ArithmeticError):
@@ -759,7 +761,8 @@ class Template:
     the distinct theta arguments, reduces every series and every theta
     product in one pass over arrays each, and gathers the values of every
     plan's arguments and the results of its series and products;
-    ``finish`` hands a plan its slice.
+    ``finish`` hands a plan its slice, and ``finish_all`` finishes every
+    plan in one loop.
 
     The product is written out column by column, so each record's value
     depends on its own row only, and each series or product result depends
@@ -883,6 +886,24 @@ class Template:
         """Finish the plan of ``key`` with its slice of ``bind``'s list."""
         i = self.plans[key]
         return self._skeletons[i].finish(vals[self._cuts[i] : self._cuts[i + 1]])
+
+    def finish_all(self, vals: list) -> tuple[list, dict]:
+        """Every plan finished with its slice of ``bind``'s list, in plan order.
+
+        A plan whose finish raises an ``ArithmeticError`` gets a complex NaN
+        in its place, and the error, the one ``finish`` raises for it, is
+        returned under its position: ``(values, {position: error})``.
+        """
+        out: list = []
+        failed: dict = {}
+        cuts = self._cuts
+        for i, (skeleton, a, b) in enumerate(zip(self._skeletons, cuts, cuts[1:])):
+            try:
+                out.append(skeleton.finish(vals[a:b]))
+            except ArithmeticError as exc:
+                out.append(_FAILED)
+                failed[i] = exc
+        return out, failed
 
     def bind_products(
         self, ctx: ThetaContext, lam: complex, omega: complex, z: complex, z1=None, z2=None

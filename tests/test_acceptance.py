@@ -193,6 +193,13 @@ def _nan(original):
     return lambda *args, **kw: NAN
 
 
+def _nan_arrays(original):
+    def patched(*args, **kw):
+        return tuple(np.full_like(part, NAN) for part in original(*args, **kw))
+
+    return patched
+
+
 def _nan_rows(original):
     return lambda *args, **kw: [(name, NAN) for name, _ in original(*args, **kw)]
 
@@ -231,7 +238,7 @@ NAN_CASES = {
         "rep", "_path_values", _nan_at_index_3, [_suite("relations"), _relations_table]
     ),
     "representation-oracle": (
-        "biorth", "_oracle_summand", _nan, [lambda cfg: biorth_table(cfg, 2, 0, cfg.samples, False)]
+        "biorth", "_oracle_terms", _nan_arrays, [lambda cfg: biorth_table(cfg, 2, 0, cfg.samples, False)]
     ),
     "independence-ratio": ("suites", "linear_independence_ratio", _nan, [_suite("corep")]),
 }

@@ -86,8 +86,8 @@ class BoundProducts:
 
 def sweep_products(bp):
     """The theta products of the sweep template of the shape of ``bp``."""
-    sweep, symbols = _sweep(bp), _symbols(bp)
-    keys = [key for key in _sweep_keys(bp.N) if key in sweep.plans]
+    sweep, symbols = _sweep(bp).template, _symbols(bp)
+    keys = _sweep_keys(bp.N)
     return BoundProducts(sweep, [(key, _ITEMS[key[0]](symbols, *key[1:])) for key in keys])
 
 

@@ -202,8 +202,8 @@ class BoundSeries:
 
 def sweep_series(bp):
     """The series of the sweep template of the shape of ``bp``."""
-    sweep, symbols = _sweep(bp), _symbols(bp)
-    keys = [key for key in _sweep_keys(bp.N) if key in sweep.plans]
+    sweep, symbols = _sweep(bp).template, _symbols(bp)
+    keys = _sweep_keys(bp.N)
     return BoundSeries(sweep, [(key, _ITEMS[key[0]](symbols, *key[1:])) for key in keys])
 
 
@@ -228,15 +228,16 @@ def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch):
     # The level-8 table at seed 20240 redraws twice on a series overflow.
     failed = []
 
-    class Recording(suites.BiorthCache):
-        def resolve(self, bp, keys):
-            try:
-                return super().resolve(bp, keys)
-            except PoleError as exc:
-                failed.append((bp, str(exc)))
-                raise
+    check = suites.check_biorth
 
-    monkeypatch.setattr(suites, "BiorthCache", Recording)
+    def recording(bp, k, l, cache=None):
+        try:
+            return check(bp, k, l, cache)
+        except PoleError as exc:
+            failed.append((bp, str(exc)))
+            raise
+
+    monkeypatch.setattr(suites, "check_biorth", recording)
     table = suites.biorth_table(suites.RunConfig(seed=20240), 8, 1, 2, False)
     assert (table["samples"], table["rejected"]) == (2, 0)
     assert [msg for _, msg in failed] == [OUT_OF_RANGE] * 2

@@ -12,7 +12,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -42,7 +41,6 @@ from ellu2.theta import (
     Joined,
     Rec,
     Scalar,
-    Template,
     TemplateContext,
     ThetaContext,
     ThetaProduct,
@@ -172,25 +170,17 @@ def test_derived_zero_rule_agrees_with_is_one(N):
 
 
 @pytest.mark.parametrize("N,M", [(3, 0), (4, 2)])
-def test_single_items_are_bit_identical_to_the_sweep(N, M, monkeypatch):
-    finished = []
-    finish = Template.finish
-
-    def counted(self, key, vals):
-        finished.append(key)
-        return finish(self, key, vals)
-
-    monkeypatch.setattr(Template, "finish", counted)
+def test_single_items_are_bit_identical_to_the_sweep(N, M):
     bp = params(N, M)
     cache = BiorthCache()
     for check in (check_biorth, check_dual_biorth):
         for k in range(N + 1):
             for l in range(N + 1):
                 check(bp, k, l, cache)
-    # The direct and dual sweeps read exactly the sweep keys, each finished once.
-    keys = _sweep_keys(N)
-    assert Counter(finished) == Counter(keys)
-    swept = dict(zip(keys, cache.resolve(bp, keys)))
+    # The sweep holds exactly the sweep keys, finished once for both sums.
+    sweep, values, failed = cache.items(bp)
+    assert list(sweep.template.plans) == _sweep_keys(N) and not failed
+    swept = dict(zip(sweep.template.plans, values))
     for key, value in swept.items():
         assert hexes(_item(bp, key)) == hexes(value), key
     for i1 in range(N + 1):
@@ -276,15 +266,17 @@ def test_single_items_leave_no_module_state():
 
 
 def held_by_templates(monkeypatch, shapes) -> float:
-    """Bytes (tracemalloc) the sweep templates of ``shapes`` hold, series and
-    product programs included, in the module's shape cache."""
+    """Bytes (tracemalloc) the sweeps of ``shapes`` hold in the module's
+    shape cache: the templates with their series and product programs, and
+    the compiled checks of the direct and the dual sums."""
     monkeypatch.setattr(biorth_mod, "_SWEEPS", {})
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for N, M in shapes:
-            biorth_mod._sweep(params(N, M))
+            sweep = biorth_mod._sweep(params(N, M))
+            sweep.program(False), sweep.program(True)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -306,8 +298,16 @@ def test_levels_templates_stay_small(monkeypatch):
 
 
 def test_no_template_is_built_at_import():
+    # Nor is a check compiled: a sweep compiles the checks of each sum at
+    # the first check of that sum.
     code = (
         "import importlib, ellu2\n"
-        "assert not importlib.import_module('ellu2.biorth')._SWEEPS\n"
+        "biorth = importlib.import_module('ellu2.biorth')\n"
+        "assert not biorth._SWEEPS\n"
+        "from ellu2.theta import ThetaContext\n"
+        "bp = biorth.BiorthParams(2, 0.8 + 0.4j, 1, 0.3 - 0.2j, 1.2 + 0.5j, ThetaContext(0.12, 0.67))\n"
+        "assert not biorth._sweep(bp)._programs\n"
+        "biorth.check_dual_biorth(bp, 1, 0)\n"
+        "assert list(biorth._sweep(bp)._programs) == [True]\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SRC)})
