@@ -47,7 +47,6 @@ from .theta import (
     elliptic_binomial,
     garg,
     known,
-    memo_per_context,
     qarg,
     reciprocal,
 )
@@ -375,7 +374,6 @@ def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:
     return tp
 
 
-@memo_per_context
 def gamma_factor(N: int, k: int, x: complex, ctx: ThetaContext) -> complex:
     """Diagonal normalization in the inversion identity for level N."""
     return ctx.evaluate(gamma_plan(N, k, x, ctx))

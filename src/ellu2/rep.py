@@ -10,15 +10,14 @@ inverse determinant letter is a lam-independent scalar.
 
 Each coefficient formula (``coef_a`` ... ``coef_d``, ``det_scalar``, and
 the function letters) is written once, on ``ctx.quotient``, and has two
-instances.  Over numbers, ``apply_word_states`` and
-``apply_word`` evaluate a word at a sample; the coefficients are memoized
-per context (``theta.memo_per_context``), because the paths of a word ask for
-the same (k, lam, z) again most of the time.  That instance serves the
-tensor checks, the corepresentation tower and the tests' references.  Over
-records, the same ``apply_word_states`` runs once per shape with the symbols
-``LAM``, ``OMEGA``, ``Z``, ``Z1`` and ``Z2``, and gives each path as one
-factor; ``Compiled`` compiles the paths of a whole family of checks into one
-``theta.Template``.
+instances.  Over numbers, ``apply_word_states`` and ``apply_word`` evaluate
+a word at a sample, each coefficient afresh on every path; the theta values
+repeat from path to path and come from the context's scalar memo.  That
+instance serves the tensor checks, the corepresentation tower and the
+tests' references.  Over records, the same ``apply_word_states`` runs once
+per shape with the symbols ``LAM``, ``OMEGA``, ``Z``, ``Z1`` and ``Z2``,
+and gives each path as one factor; ``Compiled`` compiles the paths of a
+whole family of checks into one ``theta.Template``.
 
 ``relation_inventory`` builds the defining exchange relations as pairs of
 algebra elements; ``check_relations`` evaluates both sides on basis vectors
@@ -51,7 +50,6 @@ from .theta import (
     ThetaContext,
     ThetaProduct,
     garg,
-    memo_per_context,
     reciprocal,
 )
 from .words import (
@@ -123,19 +121,16 @@ def _den(lam, z, omega, ctx) -> tuple:
     return ctx.qpow(-2 * (lam + 1)), z * ctx.qpow(omega + 1)
 
 
-@memo_per_context
 def coef_a(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     nums = (ctx.qpow(-2 * (lam + 1) - 2 * k), z * ctx.qpow(omega - 2 * k + 1))
     return ctx.quotient(ctx.qpow(2 * k), nums, _den(lam, z, omega, ctx), REP_GUARD)
 
 
-@memo_per_context
 def coef_b(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     nums = (ctx.qpow(2), z * ctx.qpow(-2 * (lam + 1) + omega - 2 * k - 1))
     return ctx.quotient(ctx.qpow(k), nums, _den(lam, z, omega, ctx), REP_GUARD)
 
 
-@memo_per_context
 def coef_c(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     if k == 0:
         return 0.0 + 0.0j
@@ -148,13 +143,11 @@ def coef_c(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) 
     return ctx.quotient(ctx.qpow(-(k - 1)), nums, dens, REP_GUARD)
 
 
-@memo_per_context
 def coef_d(k: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext) -> complex:
     nums = (ctx.qpow(-2 * (lam + 1 - omega + k)), z * ctx.qpow(-omega + 2 * k + 1))
     return ctx.quotient(None, nums, _den(lam, z, omega, ctx), REP_GUARD)
 
 
-@memo_per_context
 def det_scalar(z: complex, omega: complex, ctx: ThetaContext) -> complex:
     """Scalar by which the determinant element acts, independent of lam and k."""
     return ctx.quotient(
@@ -664,7 +657,7 @@ class Compiled:
         with np.errstate(invalid="ignore"):
             np.maximum.at(diff, self.entry_group, np.hypot(dr, di))
             np.maximum.at(scale, self.cell_group, np.hypot(sr, si))
-            np.maximum.at(scale, self.peak_group, np.abs(values[self.peak_paths]))
+            np.maximum.at(scale, self.peak_group, _modulus(values[self.peak_paths]))
             np.maximum.at(out, self.group_row, diff / scale)
         out[np.isnan(out)] = np.inf
         return out
@@ -677,7 +670,7 @@ class Compiled:
             self.path_cell, values.imag, cells
         )
         peaks = np.zeros(cells)
-        np.maximum.at(peaks, self.path_cell, np.abs(values))
+        np.maximum.at(peaks, self.path_cell, _modulus(values))
         groups = [[({}, 0.0) for _ in range(n)] for n in self.group_sides]
         for (g, side, index), total, peak in zip(self.cells, sums.tolist(), peaks.tolist()):
             got, top = groups[g][side]
@@ -687,6 +680,13 @@ class Compiled:
             (self.keys[r], m): sides
             for r, m, sides in zip(self.group_row.tolist(), self.group_m.tolist(), groups)
         }
+
+
+def _modulus(values: np.ndarray) -> np.ndarray:
+    """|v| of each element, rounded as Python's ``abs`` rounds it: the hypot
+    of the parts, as ``theta._c_abs`` takes it (``np.abs`` of a complex
+    array may take a SIMD path that differs in the last bit)."""
+    return np.hypot(values.real, values.imag)
 
 
 def _indices(values: list) -> np.ndarray:
@@ -711,7 +711,7 @@ def _path_values(check: Compiled, rc: RepContext, symbols: dict) -> np.ndarray:
     """
     ctx = rc.ctx
     values = check.template.bind_products(ctx, rc.lam0, rc.omega, **symbols)
-    low = np.abs(values[check.paths :]) < ctx.zero_guard
+    low = _modulus(values[check.paths :]) < ctx.zero_guard
     if low.any():
         raise PoleError(check.messages[int(np.argmax(low))])
     return values[: check.paths]

@@ -13,12 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .theta import PoleError, ThetaContext, memo_per_context, theta
+from .theta import PoleError, ThetaContext, theta
 
 __all__ = [
     "r_entries",
     "r_matrix",
-    "middle_det",
     "middle_det_closed",
     "det_residual",
     "qdybe_residual",
@@ -37,7 +36,6 @@ _R_GUARDS = tuple(
 )
 
 
-@memo_per_context
 def r_entries(lam: complex, z: complex, ctx: ThetaContext) -> tuple[complex, complex, complex, complex]:
     """Middle-block entries (a, b, c, d) at dynamical parameter lam and spectral z.
 
@@ -71,11 +69,6 @@ def r_matrix(lam: complex, z: complex, ctx: ThetaContext) -> np.ndarray:
     m[2, 1] = c
     m[2, 2] = d
     return m
-
-
-def middle_det(lam: complex, z: complex, ctx: ThetaContext) -> complex:
-    a, b, c, d = r_entries(lam, z, ctx)
-    return a * d - b * c
 
 
 def middle_det_closed(z: complex, ctx: ThetaContext) -> complex:

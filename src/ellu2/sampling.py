@@ -77,12 +77,15 @@ def run_with_redraws(
     """Call a sampling closure until it returns without signaling a pole.
 
     The closure draws its own parameters from an enclosed RNG, so every retry
-    sees fresh values. After max_redraws pole signals the sample is recorded
+    sees fresh values.  A pole is a ``PoleError``, a ``ZeroDivisionError``,
+    or an ``OverflowError`` where Python's ``abs`` of a finite value leaves
+    the double range (the event the series and product paths report as
+    ``PoleError``).  After max_redraws pole signals the sample is recorded
     as rejected (None, True) instead of failing the suite.
     """
     for _ in range(max(1, max_redraws)):
         try:
             return fn(), False
-        except (PoleError, ZeroDivisionError):
+        except (PoleError, ZeroDivisionError, OverflowError):
             continue
     return None, True

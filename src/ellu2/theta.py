@@ -16,8 +16,8 @@ part: a product with surviving numerator zeros is exactly 0, while an exact or
 near-exact zero in denominator position raises ``PoleError`` instead of
 propagating garbage.
 
-Each context keeps two caches of theta values, one per kernel, and one memo
-of the coefficient functions built on them:
+A context holds its parameters (p, q and the zero guard), the powers of p
+its products run over, one cache per theta kernel and a memo of powers of q:
 
 * the scalar memo (``theta``) maps an argument to the scalar kernel's value;
 * the vector cache (``theta_vec_cached``) maps an argument to the element
@@ -25,13 +25,11 @@ of the coefficient functions built on them:
   ``series.vwp_sum`` and ``theta_multi`` look their arguments up there and
   send only the misses to ``theta_vec``, in one call per lookup; the lookup
   returns a list of Python complex numbers;
-* the value memo (``memo_per_context``) maps ``(fn, args)`` to what
-  ``fn(*args, ctx)`` returned, for the pure functions whose last argument is
-  the context: the representation coefficients ``rep.coef_a`` ... ``coef_d``
-  and ``det_scalar``, ``rmatrix.r_entries`` and ``corep.gamma_factor``.
-  Word evaluation over numbers asks for the same coefficient many times
-  over.  A call that raises stores nothing, so it raises again when
-  repeated.  On a ``TemplateContext`` the memo is passed by.
+* the power memo (``ThetaContext.q2n``) maps an integer n to q^(2n).
+
+Nothing built on the kernels is memoized: the coefficient functions of
+``rep``, ``rmatrix`` and ``corep`` evaluate their formula afresh on every
+call, and read the theta values it needs from these caches.
 
 The coefficient formulas of the representation are each written once, on
 ``ctx.quotient`` (a scalar times a quotient of theta values, with its pole
@@ -45,8 +43,7 @@ Building a value and evaluating it are two steps.  A ``Plan`` (of which
 public functions (``pochhammer``, ``elliptic_binomial`` and the formulas of
 the other modules) build their plan over numbers and take its value, in one
 lookup of the vector cache.  Integer powers q^(2n) of the tracked arguments
-come from a per-context memo (``ThetaContext.q2n``), which holds the number
-``qpow(2 * n)`` returns.
+come from the power memo, which holds the number ``qpow(2 * n)`` returns.
 
 The same builders also run over exponent records, to build a plan once for
 many samples: a template.  A ``Rec`` stands for q^(a Λ + b ω + c) z^d zbar^e
@@ -74,14 +71,13 @@ relation check, and their conjugates.
 
 The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
-rest of its batch, and a memoized function's value depends only on its
-arguments and its context.  The same holds for a bound template: a record's
+rest of its batch.  The same holds for a bound template: a record's
 value depends only on its own row.  The two theta caches are kept apart
 because the scalar and vector kernels round differently in the last bit.
 ``theta_vec`` itself stays uncached: on batches of fresh arguments the
 lookup costs more than it saves.
-The scalar memo and the value memo stop growing at ``MEMO_CAP`` entries;
-the vector cache starts over when a lookup would take it past that.
+The scalar memo stops growing at ``MEMO_CAP`` entries; the vector cache
+starts over when a lookup would take it past that.
 
 The products and quotients of cached values (``ThetaProduct.value``,
 ``theta_multi`` and the series in ``series.vwp_sum``) are reduced with plain
@@ -142,18 +138,18 @@ __all__ = [
     "known",
     "qarg",
     "garg",
-    "memo_per_context",
     "theta",
     "theta_vec",
     "theta_vec_cached",
     "theta_multi",
     "theta_condition",
     "pochhammer",
-    "pochhammer_ratio",
     "elliptic_binomial",
 ]
 
 MAX_THETA_FACTORS = 2000
+# A theta product stops once p^j drops below this.
+TRUNCATION_FLOOR = 1e-17
 # Entry cap of each per-context cache.
 MEMO_CAP = 1 << 20
 THETA_RANGE = "theta value exceeds double precision range"
@@ -169,16 +165,16 @@ class PoleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Fixed nome/base pair with truncation and genericity-guard policy.
+    """Fixed nome/base pair with its genericity guard and theta caches.
 
-    ``truncation_floor`` stops the theta product once p^j drops below it
-    (capped at ``MAX_THETA_FACTORS`` factors); ``zero_guard`` is the magnitude
-    below which an untracked denominator theta value is treated as a pole.
+    The theta product runs over the powers p^j down to ``TRUNCATION_FLOOR``
+    (at most ``MAX_THETA_FACTORS`` factors), fixed when the context is made;
+    ``zero_guard`` is the magnitude below which an untracked denominator
+    theta value is treated as a pole.
     """
 
     p: float
     q: float
-    truncation_floor: float = 1e-17
     zero_guard: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -186,7 +182,7 @@ class ThetaContext:
             raise ValueError(f"p must lie in (0, 1), got {self.p!r}")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q!r}")
-        nfac = int(math.ceil(math.log(self.truncation_floor) / math.log(self.p)))
+        nfac = int(math.ceil(math.log(TRUNCATION_FLOOR) / math.log(self.p)))
         nfac = min(max(nfac, 1), MAX_THETA_FACTORS)
         ppow = self.p ** np.arange(nfac)
         object.__setattr__(self, "_ppow", ppow)
@@ -198,7 +194,6 @@ class ThetaContext:
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_vec_cache", {})
         object.__setattr__(self, "_q2n", {})
-        object.__setattr__(self, "_values", {})
 
     def qpow(self, x: complex) -> complex:
         """q**x for arbitrary complex exponent x (principal branch)."""
@@ -350,35 +345,6 @@ def theta_condition(z: complex, p: float) -> float:
             cond = max(cond, abs(x) / max(abs(1.0 - x), 1e-300))
             x *= p
     return cond
-
-
-_MISSING = object()
-
-
-def memo_per_context(fn):
-    """Memoize ``fn(*args, ctx)`` on the context passed last, keyed by ``(fn, args)``.
-
-    ``fn`` must be pure on its context: the memo returns exactly the value the
-    first call returned.  Keys compare like the scalar memo's, by value.  A
-    call that raises stores nothing.  The memo of a context stops growing at
-    ``MEMO_CAP`` entries.  Arguments are passed positionally.
-    """
-
-    @functools.wraps(fn)
-    def memoized(*args):
-        try:
-            memo = args[-1]._values
-        except AttributeError:  # a TemplateContext: the formula over records
-            return fn(*args)
-        key = (fn, args[:-1])
-        got = memo.get(key, _MISSING)
-        if got is _MISSING:
-            got = fn(*args)
-            if len(memo) < MEMO_CAP:
-                memo[key] = got
-        return got
-
-    return memoized
 
 
 class TrackedArg(NamedTuple):
@@ -1452,22 +1418,6 @@ def pochhammer(a: ArgLike, n: int, ctx: ThetaContext) -> complex:
     """Elliptic Pochhammer symbol of length n in base q^2 (n may be negative)."""
     tp = ThetaProduct(ctx)
     tp.poch(a, n)
-    return tp.value()
-
-
-def pochhammer_ratio(a: TrackedArg, num_len: int, den_len: int, ctx: ThetaContext) -> complex:
-    """Ratio of Pochhammer symbols (a)_num_len / (a)_den_len, den_len <= num_len.
-
-    Evaluated as the partial product over i = den_len..num_len-1, so the
-    shared leading factors, including any exact zero among them, cancel
-    structurally and are never formed as 0/0.  The result may be exactly 0
-    when the remaining window still contains an exact zero.
-    """
-    if den_len > num_len:
-        raise ValueError("pochhammer_ratio requires den_len <= num_len")
-    tp = ThetaProduct(ctx)
-    for i in range(den_len, num_len):
-        tp.theta(a.shifted(i))
     return tp.value()
 
 

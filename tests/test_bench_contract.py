@@ -91,7 +91,7 @@ def test_traced_methods_keep_their_parameters():
     assert ("k",) in cache._store
 
 
-def test_tracer_counts_memoized_calls_and_restores_every_binding():
+def test_tracer_counts_coefficient_calls_and_restores_every_binding():
     rep, corep = _module("rep"), _module("corep")
     original = rep.coef_b
     assert corep.coef_b is original
@@ -107,9 +107,9 @@ def test_tracer_counts_memoized_calls_and_restores_every_binding():
         tracer.close()
     assert rep.coef_b is original and corep.coef_b is original
     assert first == again == original(*args, ThetaContext(0.13, 0.62))
-    # Calls into the memo are counted, hits included; only the miss reaches theta.
+    # Each call is counted, and each evaluates its four theta values afresh.
     assert metrics["rep.coef_calls"] == 2
-    assert metrics["theta.scalar_calls"] == 4
+    assert metrics["theta.scalar_calls"] == 8
 
 
 def test_every_suite_and_table_draws_once_per_sample():

@@ -156,6 +156,26 @@ def test_products_bound_on_arrays_are_the_finished_plans(name):
     ]
 
 
+def test_action_peaks_are_python_abs_bit_for_bit():
+    # Log-uniform moduli, those at which numpy's abs of a complex array
+    # rounds differently from Python's first: each side's largest path must
+    # be Python's abs of one of its paths, bit for bit.
+    check = compiled(*FAMILIES["unitarity N=2"][:3])
+    rng = np.random.default_rng(0)
+    n = 20 * check.paths
+    pool = np.exp(rng.uniform(-30, 30, n) + 2j * np.pi * rng.uniform(size=n))
+    differs = np.abs(pool) != np.array([abs(v) for v in pool.tolist()])
+    values = np.concatenate((pool[differs], pool[~differs]))[: check.paths]
+    want = [[0.0] * n for n in check.group_sides]
+    for v, cell in zip(values.tolist(), check.path_cell.tolist()):
+        g, side, _ = check.cells[cell]
+        want[g][side] = max(want[g][side], abs(v))
+    got = check.actions(values)
+    for g, (r, m) in enumerate(zip(check.group_row.tolist(), check.group_m.tolist())):
+        peaks = [peak for _, peak in got[check.keys[r], m]]
+        assert [p.hex() for p in peaks] == [p.hex() for p in want[g]]
+
+
 def test_checks_read_each_sample_once_per_context(monkeypatch):
     calls = []
     original = rep_mod._path_values

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ellu2 import suites
 from ellu2.sampling import (
     P_RANGE,
     Q_RANGE,
@@ -60,3 +61,21 @@ def test_run_with_redraws_rejects_after_budget():
 
     value, rejected = run_with_redraws(hopeless, max_redraws=4)
     assert value is None and rejected is True
+
+
+def test_a_suite_redraws_a_check_that_overflows(monkeypatch):
+    # Python's abs of a finite complex number beyond the double range raises
+    # OverflowError inside a biorth check: the same out-of-range draw the
+    # kernels report as a pole, so the suite redraws it.
+    original = suites.check_biorth
+    raised = []
+
+    def overflows_once(*args):
+        if not raised:
+            raised.append(1)
+            raise OverflowError("absolute value too large")
+        return original(*args)
+
+    monkeypatch.setattr(suites, "check_biorth", overflows_once)
+    rec = suites.run_suite("biorth", suites.RunConfig(seed=1, samples=1))
+    assert raised and rec["pass"] and rec["rejected"] == 0

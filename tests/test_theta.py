@@ -15,7 +15,6 @@ from ellu2.theta import (
     elliptic_binomial,
     garg,
     pochhammer,
-    pochhammer_ratio,
     qarg,
     theta,
     theta_multi,
@@ -147,22 +146,6 @@ def test_pochhammer_exact_zero_detection(ctx):
     assert pochhammer(qarg(0), 4, ctx) == 0
     assert pochhammer(qarg(-3), 4, ctx) == 0
     assert pochhammer(qarg(-3), 3, ctx) != 0
-
-
-def test_pochhammer_ratio_cancels_shared_zero(ctx):
-    a = qarg(-2)
-    got = pochhammer_ratio(a, 4, 3, ctx)
-    ref = theta(ctx.qpow(2), ctx)
-    assert abs(got - ref) <= 1e-14 * abs(ref)
-    with pytest.raises(ValueError):
-        pochhammer_ratio(a, 2, 3, ctx)
-
-
-def test_pochhammer_ratio_matches_quotient(ctx):
-    a = garg(0.9 + 0.2j)
-    got = pochhammer_ratio(a, 5, 2, ctx)
-    ref = pochhammer(a, 5, ctx) / pochhammer(a, 2, ctx)
-    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_elliptic_binomial_endpoints_and_ratio(ctx):
