@@ -25,21 +25,26 @@ with a ``TemplateContext`` and the symbols ``LAM``, ``OMEGA`` and ``Z`` in
 place of the sample's numbers.  The templates of a shape are kept at module
 level, for at most ``SHAPE_CAP`` shapes (N, M, zero guard).
 
-A ``BiorthCache`` serves one sweep of checks at one sample.  Its first check
-binds the template of every item of the full (k, l) sweep to the sample
-(``theta.Template``: one matrix-vector product, one ``exp``, one
-``theta_vec`` call, one pass over arrays for all its series and one for all
-its theta products) and finishes every item once, in one loop
-(``Template.finish_all``); an item that fails is recorded, not raised.  The
-check layer of each sweep shape, direct or dual, is compiled once, at its
-first use, into int32 gathers over the sweep's items (``_Program``): for
-every (k, l) row, every summand j and every factor of the summand and of
-its representation-side value.  The first check of each kind then computes
-the reports of all (N + 1)^2 rows in one pass over split real and imaginary
-arrays, with CPython's complex formulas (``theta._c_mul``, ``_c_div``, and
-``hypot`` for ``abs``), sums over j added left to right; each report has
-the bits the same arithmetic in Python complex numbers gives.  A check with
-k or l outside 0..N is refused with ``ValueError``.
+A ``BiorthCache`` serves one sweep of checks at one sample.  The check
+layer of each sweep shape, direct or dual, is compiled once, at its first
+use, into int32 gathers over the sweep's items (``_Program``): for every
+(k, l) row, every summand j and every factor of the summand and of its
+representation-side value.  A cache's items and the reports of one kind
+are computed once: for its sample alone, at its first check, or for the
+samples of one shape together, each with its own cache
+(``BiorthCache.batch``, as the suites draw them).  The template of every
+item of the full (k, l) sweep is bound to the samples (``theta.Template.bind_all``:
+one matrix-vector product, one ``exp``, one pass over arrays for all the
+series and one for all the theta products, every array with a column per
+sample, and one ``theta_vec`` call per sample); each sample's items are
+finished once, in one loop (``Template.finish_all``), an item that fails
+recorded, not raised; and the reports of all (N + 1)^2 rows of every
+sample are computed in one pass, the samples' rows end to end, over split
+real and imaginary arrays, with CPython's complex formulas
+(``theta._c_mul``, ``_c_div``, and ``hypot`` for ``abs``), sums over j
+added left to right.  Each report has the bits the same arithmetic in
+Python complex numbers gives at its sample alone.  A check with k or l
+outside 0..N is refused with ``ValueError``.
 Each check returns its row, or raises what that arithmetic raises: the first
 failing item in its read order (the determinant product, h_k, the summand
 items of j = 0..N, then their oracle items), else the first
@@ -53,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
+from typing import Sequence
 
 import numpy as np
 
@@ -404,10 +410,14 @@ class _Sweep:
         return got
 
 
+def _shape(bp: BiorthParams) -> tuple:
+    return bp.N, bp.M, bp.ctx.zero_guard
+
+
 def _sweep(bp: BiorthParams) -> _Sweep:
     """The sweep of the shape (N, M, zero guard) of ``bp``.  The sweeps of
     up to ``SHAPE_CAP`` shapes are kept."""
-    shape = (bp.N, bp.M, bp.ctx.zero_guard)
+    shape = _shape(bp)
     got = _SWEEPS.get(shape)
     if got is None:
         symbols = _symbols(bp)
@@ -489,21 +499,50 @@ class _Program:
             axis=1,
         )
 
-    def reports(self, re: np.ndarray, im: np.ndarray, failed: dict) -> tuple[list, dict]:
-        """The residuals of every row, and the error of each row whose check
-        raises: the first failing item it reads (``failed`` holds them by
-        position), else the first operation of its arithmetic that raises."""
-        faults = _Faults(len(self.diag))
+    def stacked(self, draws: int, items: int) -> "_Program":
+        """This program over ``draws`` draws whose item values lie end to
+        end, ``items`` each: row d R + r is row r of draw d, R rows a draw."""
+        out = object.__new__(_Program)
+        shift = items * np.arange(draws, dtype=np.int32)[:, None]
+
+        def each(g: np.ndarray) -> np.ndarray:
+            return (g[..., None, :] + shift).reshape(*g.shape[:-1], -1)
+
+        out.dual = self.dual
+        out.summand, out.oracle, out.head = each(self.summand), each(self.oracle), each(self.head)
+        out.diag = np.tile(self.diag, draws)
+        return out
+
+    def reports(self, values: list[list], failed: list[dict]) -> list[tuple[list, dict]]:
+        """(rows, errors) at each draw, from ``values[d]``, the finished item
+        values of draw d, and ``failed[d]``, its failing items by position:
+        the residuals of every row, and the error of each row whose check
+        raises, the first failing item it reads, else the first operation
+        of its arithmetic that raises.
+
+        All draws are one pass, their rows end to end (``stacked``); each
+        row's residuals and error are those of its draw alone, bit for bit.
+        """
+        v = np.array(values, dtype=complex)
+        (draws, items), rows = v.shape, len(self.diag)
+        p = self.stacked(draws, items)
+        v = v.ravel()
+        faults = _Faults(len(p.diag))
         with np.errstate(all="ignore"):
-            residuals = _residuals(self, re, im, faults)
+            residuals = _residuals(p, v.real, v.imag, faults)
+        failed = {d * items + i: exc for d, got in enumerate(failed) for i, exc in got.items()}
         errors = {}
         if failed:
-            read = self.read_order()
+            read = p.read_order()
             bad = np.isin(read, list(failed))
             for r in np.flatnonzero(bad.any(axis=1)):
                 errors[int(r)] = failed[int(read[r, bad[r].argmax()])]
         errors.update(faults.first(skip=errors))
-        return list(zip(*(a.tolist() for a in residuals))), errors
+        reports = list(zip(*(a.tolist() for a in residuals)))
+        out = [(reports[d * rows : (d + 1) * rows], {}) for d in range(draws)]
+        for r, exc in errors.items():
+            out[r // rows][1][r % rows] = exc
+        return out
 
 
 def _residuals(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults") -> tuple:
@@ -680,15 +719,17 @@ class _Faults:
 class BiorthCache:
     """The reports of one (k, l) sweep at fixed params.
 
-    A cache serves one ``BiorthParams``.  Its first check binds the template
-    of every item of the sweep to those params (``theta.Template.bind``: one
-    ``theta_vec`` call, one pass over arrays for all its series and one for
-    all its theta products) and finishes every item once
-    (``Template.finish_all``); an item that fails is recorded, not raised.
-    The first check of each kind, direct or dual, computes the reports of
-    all (N + 1)^2 checks of that kind in one pass over arrays
-    (``_Program.reports``), and each check returns its row, or raises the
-    error recorded for it.
+    A cache serves one ``BiorthParams``.  Made alone, its first check binds
+    the template of every item of the sweep to those params
+    (``theta.Template.bind``: one ``theta_vec`` call, one pass over arrays
+    for all its series and one for all its theta products) and finishes
+    every item once (``Template.finish_all``); an item that fails is
+    recorded, not raised.  The first check of each kind, direct or dual,
+    computes the reports of all (N + 1)^2 checks of that kind in one pass
+    over arrays (``_Program.reports``).  ``batch`` makes the caches of many
+    params of one shape at once, their items and the reports of one kind
+    already computed, all the params together in each pass.  Each check
+    returns its row, or raises the error recorded for it.
 
     ``get`` keeps values by key in ``_store``.  The checks do not use it; the
     benchmark's tracer counts cache hits through it, so it stays.
@@ -703,6 +744,28 @@ class BiorthCache:
         if key not in self._store:
             self._store[key] = fn()
         return self._store[key]
+
+    @staticmethod
+    def batch(bps: Sequence[BiorthParams], dual: bool) -> list["BiorthCache"]:
+        """A cache for each of ``bps``, params of one shape, with its items
+        and the reports of its (dual) checks: the sweep's template bound to
+        all of them together (``Template.bind_all``), the items of each
+        finished (``Template.finish_all``), and the reports of all in one
+        pass (``_Program.reports``)."""
+        sweep = _sweep(bps[0])
+        if any(_shape(bp) != _shape(bps[0]) for bp in bps):
+            raise ValueError("the params of one batch share one shape (N, M, zero guard)")
+        template = sweep.template
+        bound = template.bind_all([(bp.ctx, bp.Lam, bp.omega, bp.z) for bp in bps])
+        finished = [template.finish_all(vals) for vals in bound]
+        reports = sweep.program(dual).reports([v for v, _ in finished], [f for _, f in finished])
+        caches = []
+        for (values, failed), rows in zip(finished, reports):
+            cache = BiorthCache()
+            cache._items = (sweep, values, failed)
+            cache._rows[dual] = rows
+            caches.append(cache)
+        return caches
 
     def items(self, bp: BiorthParams) -> tuple:
         """(sweep, finished values by position, failures by position) of the
@@ -721,8 +784,7 @@ class BiorthCache:
         got = self._rows.get(dual)
         if got is None:
             sweep, values, failed = self.items(bp)
-            v = np.array(values, dtype=complex)
-            got = self._rows[dual] = sweep.program(dual).reports(v.real, v.imag, failed)
+            got = self._rows[dual] = sweep.program(dual).reports([values], [failed])[0]
         rows, errors = got
         r = k * (N + 1) + l
         if r in errors:

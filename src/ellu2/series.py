@@ -442,23 +442,24 @@ class _Batch:
         for row, r in rows.items():
             self.factors[: len(row), r] = row
 
-    def reduce(self, b: Bound) -> list:
-        """Each series' result, in ``rank`` order, from the template's bound
-        values."""
+    def reduce(self, b: Bound) -> list[list]:
+        """Each series' result at each draw, from the template's bound
+        values: a list per draw, in ``rank`` order."""
         tr, ti, mag = b.re, b.im, b.mag
+        draws = tr.shape[1]
         events = b.over | (mag < self.guard)
         with np.errstate(all="ignore"):
             # Running products of the rows: P[0] = 1, P[1] the first factor.
             f = self.factors
             nrows = f.shape[1]
-            pr = np.empty((len(f) + 1, nrows))
+            pr = np.empty((len(f) + 1, nrows, draws))
             pi = np.empty_like(pr)
             pr[0], pi[0] = 1.0, 0.0
             if len(f):
                 pr[1], pi[1] = tr[f[0]], ti[f[0]]
             for i in range(1, len(f)):
                 pr[i + 1], pi[i + 1] = _c_mul(pr[i], pi[i], tr[f[i]], ti[f[i]])
-            pr, pi = pr.ravel(), pi.ravel()
+            pr, pi = pr.reshape(-1, draws), pi.reshape(-1, draws)
             # The terms: head / theta(a1) * q^(2k), times the merged ratio,
             # then the rows, numerators and denominators interleaved.
             ar, ai = _c_div(tr[self.head], ti[self.head], tr[self.a1], ti[self.a1])
@@ -470,9 +471,9 @@ class _Batch:
                 ar, ai = _apply(_c_div if is_div else _c_mul, ar, ai, sel, pr[idx], pi[idx])
             tmag = np.hypot(ar, ai)
             # The sums over each series' live terms, left to right.
-            nseries = len(self.counts)
-            vr, vi, top = np.zeros(nseries), np.zeros(nseries), np.zeros(nseries)
-            failed = np.zeros(nseries, dtype=bool)
+            shape = (len(self.counts), draws)
+            vr, vi, top = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+            failed = np.zeros(shape, dtype=bool)
             a = 0
             for w in self.widths:
                 c = a + w
@@ -481,21 +482,22 @@ class _Batch:
                 np.maximum(top[:w], tmag[a:c], out=top[:w])
                 failed[:w] |= ~np.isfinite(tmag[a:c])
                 a = c
-        value = np.empty(nseries, dtype=complex)
+        value = np.empty(shape, dtype=complex)
         value.real, value.imag = vr, vi
-        out = list(zip(value.tolist(), top.tolist(), self.counts))
-        for i in np.flatnonzero(failed).tolist():
-            out[i] = OUT_OF_RANGE
-        if events.any():
-            self._guards(out, events, mag)
-        for i, msg in self.fixed.items():
-            out[i] = msg
+        out = [list(zip(v, t, self.counts)) for v, t in zip(value.T.tolist(), top.T.tolist())]
+        for i, k in zip(*np.nonzero(failed)):
+            out[k][i] = OUT_OF_RANGE
+        for k in np.flatnonzero(events.any(axis=0)).tolist():
+            self._guards(out[k], events[:, k], mag[:, k])
+        for got in out:
+            for i, msg in self.fixed.items():
+                got[i] = msg
         return out
 
     def _guards(self, out: list, events: np.ndarray, mag: np.ndarray) -> None:
-        """Put the guard failures in ``out``: the first denominator factor, in
-        row order, then theta(a1), whose modulus is below the guard (or
-        overflows, as ``abs`` raises there)."""
+        """Put the guard failures of one draw in ``out``: the first
+        denominator factor, in row order, then theta(a1), whose modulus is
+        below the guard (or overflows, as ``abs`` raises there)."""
         hit = events[self.den]
         cuts = self.den_cuts
         for s, a1 in enumerate(self.series_a1):

@@ -16,19 +16,28 @@ Suites and the focused tables of ``ellu2 check`` share one engine:
 - ``_suite_result`` and ``_table`` build the two report shapes and own the
   pass rules;
 - each per-sample body a suite shares with its table is written once
-  (``_corep_tower``, ``_qdybe_draw``, ``_relations_draw``, ``_biorth_draw``,
+  (``_corep_tower``, ``_qdybe_draw``, ``_relations_draw``, ``_BiorthDraws``,
   ``_bailey_draw``) and consumes the RNG in the same order for both.
 
+The biorthogonality suites and tables draw ahead: at each sweep shape, their
+sampler draws the attempts of all the samples still unfinished at once, in
+the order drawing them one by one takes, and evaluates them in one batch
+(``_BiorthDraws``).  Each attempt is still one call of the sample closure,
+and the stream, the redraws and the reports are those of drawing one at a
+time.
+
 A sample returns plain floats (or, for the per-sample tables, one entry), so
-nothing of a draw outlives it.  ``_sample`` looks ``run_with_redraws`` up in
-this module's namespace at each call, never through a default argument or a
-closure: tools that count draws rebind that name.
+nothing of a draw outlives it (or, drawn ahead, its own attempt).  ``_sample``
+looks ``run_with_redraws`` up in this module's namespace at each call, never
+through a default argument or a closure: tools that count draws rebind that
+name.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -136,14 +145,23 @@ def _theta_identity_residual(
     return abs(total) / scale
 
 
-def _sample(samples: int, max_redraws: int, sample_fn: Callable[[], object]) -> tuple[list, int]:
+def _sample(
+    samples: int,
+    max_redraws: int,
+    sample_fn: Callable[[], object],
+    pending: Callable[[int], None] | None = None,
+) -> tuple[list, int]:
     """(values, rejected): ``samples`` draws of ``sample_fn``, each redrawn at poles.
 
     ``values`` holds the completed draws in order; a draw still at a pole
-    after ``max_redraws`` attempts counts as rejected.
+    after ``max_redraws`` attempts counts as rejected.  ``pending``, when
+    given, is told before each sample how many samples, that one included,
+    are still unfinished (``_BiorthDraws``).
     """
     values = []
-    for _ in range(samples):
+    for i in range(samples):
+        if pending is not None:
+            pending(samples - i)
         value, rejected = run_with_redraws(sample_fn, max_redraws)
         if not rejected:
             values.append(value)
@@ -491,23 +509,78 @@ def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
     )
 
 
-def _biorth_draw(
-    cfg: RunConfig, rng: np.random.Generator, n_level: int, m_shift: int, checker
-) -> dict[tuple[int, int], BiorthReport]:
-    """The report of every (k, l) check of one drawn (N, M) sweep."""
-    ctx = cfg.context(rng)
-    bp = BiorthParams(n_level, draw_lambda(rng), m_shift, draw_lambda(rng), draw_z(rng), ctx)
-    cache = BiorthCache()
-    return {
-        (k, l): checker(bp, k, l, cache)
-        for k in range(n_level + 1)
-        for l in range(n_level + 1)
-    }
+class _BiorthDraws:
+    """The attempts at one sweep shape (N, M), direct or dual, drawn ahead
+    and evaluated together.
+
+    ``attempt`` is a sampling closure: each call is one attempt.  When no
+    drawn attempt is left, it draws as many as there are samples still
+    unfinished (``pending``), with the ``rng`` calls, in the order, of
+    drawing them one at a time, and evaluates them in one batch
+    (``_evaluate``).  Every unfinished sample takes at least one attempt,
+    so no drawn attempt goes unused, and the stream ends where drawing one
+    per attempt leaves it.  An attempt takes the next draw: it raises the
+    error evaluating that draw raised, or returns the report of every
+    (k, l) check, ``checker(bp, k, l, cache)`` on the draw's cache.
+    """
+
+    def __init__(
+        self,
+        cfg: RunConfig,
+        rng: np.random.Generator,
+        n_level: int,
+        m_shift: int,
+        checker,
+        dual: bool,
+    ):
+        self.cfg, self.rng, self.n_level, self.m_shift = cfg, rng, n_level, m_shift
+        self.checker, self.dual = checker, dual
+        self.unfinished = 1
+        self.queue: deque = deque()
+
+    def pending(self, unfinished: int) -> None:
+        self.unfinished = unfinished
+
+    def _draw(self) -> BiorthParams:
+        rng = self.rng
+        ctx = self.cfg.context(rng)
+        lam, omega, z = draw_lambda(rng), draw_lambda(rng), draw_z(rng)
+        return BiorthParams(self.n_level, lam, self.m_shift, omega, z, ctx)
+
+    def attempt(self) -> dict[tuple[int, int], BiorthReport]:
+        if not self.queue:
+            drawn = [self._draw() for _ in range(self.unfinished)]
+            self.queue.extend(zip(drawn, _evaluate(drawn, self.dual)))
+        bp, cache = self.queue.popleft()
+        if isinstance(cache, ArithmeticError):
+            raise cache.with_traceback(None)
+        ks = range(self.n_level + 1)
+        return {(k, l): self.checker(bp, k, l, cache) for k in ks for l in ks}
+
+
+def _evaluate(drawn: list[BiorthParams], dual: bool) -> list:
+    """For each draw, its cache with the reports of its (dual) checks, or
+    the ``ArithmeticError`` evaluating it raised.  The draws are evaluated
+    in one batch (``BiorthCache.batch``), which records what fails per item
+    and per check; should the batch raise all the same, each draw is
+    evaluated alone, to tell whose error it is."""
+    try:
+        return BiorthCache.batch(drawn, dual)
+    except ArithmeticError:
+        pass
+    out: list = []
+    for bp in drawn:
+        try:
+            out += BiorthCache.batch([bp], dual)
+        except ArithmeticError as exc:
+            out.append(exc)
+    return out
 
 
 def _biorth_driver(
     name: str,
     checker,
+    dual: bool,
     cfg: RunConfig,
     rng: np.random.Generator,
     samples: int,
@@ -522,27 +595,28 @@ def _biorth_driver(
     rejected = 0
     for n_level in range(1, 6):
         for m_shift in (0, 1, 2):
+            draws = _BiorthDraws(cfg, rng, n_level, m_shift, checker, dual)
 
             def sample() -> dict[str, float]:
-                reports = _biorth_draw(cfg, rng, n_level, m_shift, checker).values()
+                reports = draws.attempt().values()
                 return {
                     "biorthogonality sum": worst(r.sum_residual for r in reports),
                     "termwise vs oracle": worst(r.termwise_residual for r in reports),
                     "representation oracle": worst(r.oracle_residual for r in reports),
                 }
 
-            got, lost = _sample(samples, cfg.max_redraws, sample)
+            got, lost = _sample(samples, cfg.max_redraws, sample, draws.pending)
             values += got
             rejected += lost
     return _suite_result(name, 15 * samples, rejected, classes, values, [])
 
 
 def _suite_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
-    return _biorth_driver("biorth", check_biorth, cfg, rng, samples, tol)
+    return _biorth_driver("biorth", check_biorth, False, cfg, rng, samples, tol)
 
 
 def _suite_dual_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
-    return _biorth_driver("dual-biorth", check_dual_biorth, cfg, rng, samples, tol)
+    return _biorth_driver("dual-biorth", check_dual_biorth, True, cfg, rng, samples, tol)
 
 
 @dataclass(frozen=True)
@@ -752,12 +826,12 @@ def biorth_table(
     check = "dual-biorth" if dual else "biorth"
     tol = _tol(cfg, check)
     checker = check_dual_biorth if dual else check_biorth
+    draws = _BiorthDraws(cfg, rng, n_level, m_shift, checker, dual)
 
     def sample() -> list[tuple[tuple[int, int], float]]:
-        rows = _biorth_draw(cfg, rng, n_level, m_shift, checker).items()
-        return [(kl, report.residual) for kl, report in rows]
+        return [(kl, report.residual) for kl, report in draws.attempt().items()]
 
-    values, rejected = _sample(samples, cfg.max_redraws, sample)
+    values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)
     keys = [(k, l) for k in range(n_level + 1) for l in range(n_level + 1)]
     top = _worst(values, keys)
     entries = [

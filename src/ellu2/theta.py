@@ -63,6 +63,10 @@ arguments with one ``theta_vec`` call, without the vector cache.  Then it
 reduces all its series plans together, in one pass over arrays
 (``series._Batch``), and all its theta products in another (``_Products``),
 and each plan is finished on its slice of the values and batch results.
+Draws of one template can be bound together (``Template.bind_all``): every
+array of those steps gets a trailing axis over the draws, so each step is
+one numpy call for all of them, except ``theta_vec``, called once per draw
+on that draw's arguments.  Each draw gets the bits it gets bound alone.
 ``biorth`` keeps the templates of its items.  A template whose plans are all
 theta products with record scalars, as the compiled checks of ``rep`` are,
 is finished on arrays instead, in one call (``Template.bind_products``).
@@ -89,7 +93,9 @@ beyond the double range raises ``OverflowError`` and division by zero raises
 ``ZeroDivisionError``.  The reductions report both as ``PoleError``.  A
 theta product with no surviving exact zero (and a scalar other than 0) that
 comes out as 0 has underflowed partway; it raises the same ``PoleError`` as
-one that leaves the range, rather than pass for an exact zero.  The
+one that leaves the range, rather than pass for an exact zero.  The one
+exception is a numerator theta value that is itself exactly 0j, as theta(1)
+is at an argument 1 not tracked as q^0: the product is then that zero.  The
 series and theta products of a bound template, hundreds at once, are the
 exception: their passes over arrays keep the real and imaginary parts apart
 and write out CPython's formulas (``_c_mul``, ``_c_div``, ``_c_abs``), and
@@ -728,12 +734,16 @@ class Template:
     product in one pass over arrays each, and gathers the values of every
     plan's arguments and the results of its series and products;
     ``finish`` hands a plan its slice, and ``finish_all`` finishes every
-    plan in one loop.
+    plan in one loop.  ``bind_all`` binds many samples of the template
+    together, and ``bind`` and ``bind_products`` are its case of one: the
+    arrays of every pass have one column per sample, and only the
+    ``theta_vec`` call and the finishing are made once per sample.  The
+    columns live for the one call.
 
     The product is written out column by column, so each record's value
-    depends on its own row only, and each series or product result depends
-    on its own values only: a plan bound alone gets the same bits as the
-    same plan bound with many others.
+    depends on its own row and sample only, and each series or product
+    result depends on its own values only: a plan bound alone gets the same
+    bits as the same plan bound with many others, at one sample or at many.
     """
 
     def __init__(self, plans: Iterable[tuple]):
@@ -793,43 +803,55 @@ class Template:
         self._listed_thetas = np.array(list(listed_thetas), dtype=np.intp)
         n = len(rows)
         cols = np.array(list(rows), dtype=float).reshape(n, len(Rec._fields)).T
+        self._neg = np.flatnonzero(cols[5])
+        # The exponents, as columns against the draws of ``bind_all``.
+        cols = cols[:, :, None]
         self._lam, self._om, self._c = cols[0].copy(), cols[1].copy(), cols[2].copy()
         self._re_z, self._im_z = cols[3] + cols[4], cols[3] - cols[4]
-        self._neg = np.flatnonzero(cols[5])
         # The exponents of z1 and z2 (real and imaginary part of the log),
         # kept only for a symbol some record has: a template without them
         # adds no term, so it keeps the bits it had before they existed.
+        # Each is kept with the position of its point in a draw (``bind``).
         self._spectral = [
-            (name, cols[i] + cols[i + 1], cols[i] - cols[i + 1])
-            for name, i in (("z1", 6), ("z2", 8))
+            (at, cols[i] + cols[i + 1], cols[i] - cols[i + 1])
+            for at, i in ((4, 6), (5, 8))
             if cols[i].any() or cols[i + 1].any()
         ]
         self._theta = np.array(list(thetas), dtype=np.intp)
         self._layout = None  # set by the first ``bind_products``
 
-    def _records(self, ctx: ThetaContext, lam, omega, z, spectral: dict) -> np.ndarray:
-        """The value of every record at one sample, with one ``exp``."""
-        lnq = ctx._lnq
-        lam, omega, logz = complex(lam), complex(omega), cmath.log(z)
-        e = np.empty(len(self._c), dtype=complex)
-        re = (
-            self._lam * (lnq * lam.real)
-            + self._om * (lnq * omega.real)
-            + self._c * lnq
-            + self._re_z * logz.real
-        )
-        im = self._lam * (lnq * lam.imag) + self._om * (lnq * omega.imag) + self._im_z * logz.imag
-        for name, re_w, im_w in self._spectral:
-            logw = cmath.log(spectral[name])
-            re = re + re_w * logw.real
-            im = im + im_w * logw.imag
+    def _records(self, draws: Sequence[tuple]) -> np.ndarray:
+        """The value of every record at each draw, one column per draw, with
+        one ``exp``.  Each element is the sum of the same products, in the
+        same order, whatever the number of draws."""
+        coefficients = []
+        for ctx, lam, omega, z, *_ in draws:
+            lnq, lam, omega, logz = ctx._lnq, complex(lam), complex(omega), cmath.log(z)
+            coefficients.append((
+                lnq * lam.real, lnq * omega.real, lnq, logz.real,
+                lnq * lam.imag, lnq * omega.imag, logz.imag,
+            ))
+        lam_re, om_re, lnq, z_re, lam_im, om_im, z_im = np.array(coefficients).T
+        re = self._lam * lam_re + self._om * om_re + self._c * lnq + self._re_z * z_re
+        im = self._lam * lam_im + self._om * om_im + self._im_z * z_im
+        for at, re_w, im_w in self._spectral:
+            logw = [cmath.log(draw[at]) for draw in draws]
+            re = re + re_w * np.array([w.real for w in logw])
+            im = im + im_w * np.array([w.imag for w in logw])
+        e = np.empty(re.shape, dtype=complex)
         e.real, e.imag = re, im
         np.exp(e, out=e)
         e[self._neg] = -e[self._neg]
         return e
 
-    def _thetas(self, ctx: ThetaContext, e: np.ndarray) -> np.ndarray:
-        return theta_vec(e[self._theta], ctx) if len(self._theta) else np.empty(0, dtype=complex)
+    def _thetas(self, draws: Sequence[tuple], e: np.ndarray) -> np.ndarray:
+        """The theta arguments at each draw, one ``theta_vec`` call per draw
+        on that draw's arguments, one column per draw."""
+        th = np.empty((len(self._theta), len(draws)), dtype=complex)
+        if len(self._theta):
+            for k, draw in enumerate(draws):
+                th[:, k] = theta_vec(e[self._theta, k], draw[0])
+        return th
 
     def bind(
         self, ctx: ThetaContext, lam: complex, omega: complex, z: complex, z1=None, z2=None
@@ -838,15 +860,28 @@ class Template:
 
         ``z1`` and ``z2`` are needed only by a template whose records have them.
         """
-        e = self._records(ctx, lam, omega, z, {"z1": z1, "z2": z2})
-        vals = e[self._listed_rows].tolist()
-        th = self._thetas(ctx, e)
-        vals += th[self._listed_thetas].tolist()
+        return self.bind_all([(ctx, lam, omega, z, z1, z2)])[0]
+
+    def bind_all(self, draws: Sequence[tuple]) -> list[list]:
+        """``bind`` at each of ``draws``, all together: a draw is the
+        arguments of ``bind``, (ctx, lam, omega, z) and, for a template
+        whose records have them, z1 and z2.  The draws' contexts share the
+        template's zero guard.
+
+        Every array of the pass has a trailing axis over the draws, and each
+        operation is elementwise or gathers along the first axis, so each
+        draw's list is what ``bind`` gives it alone, bit for bit.
+        """
+        e = self._records(draws)
+        th = self._thetas(draws, e)
+        vals = np.concatenate((e[self._listed_rows], th[self._listed_thetas])).T.tolist()
         if self._batches:
             bound = Bound.of(e, th)
             for batch in self._batches:
-                vals += batch.reduce(bound)
-        return list(map(vals.__getitem__, self._gather))
+                for v, got in zip(vals, batch.reduce(bound)):
+                    v += got
+        gather = self._gather
+        return [list(map(v.__getitem__, gather)) for v in vals]
 
     def finish(self, key, vals: list):
         """Finish the plan of ``key`` with its slice of ``bind``'s list."""
@@ -882,20 +917,25 @@ class Template:
         (``_c_mul``) instead of one by one.  Where some plan's finish would
         raise, this raises the ``PoleError`` of the first such plan.
         """
-        e = self._records(ctx, lam, omega, z, {"z1": z1, "z2": z2})
-        bound = Bound.of(e, self._thetas(ctx, e))
+        draws = [(ctx, lam, omega, z, z1, z2)]
+        e = self._records(draws)
+        bound = Bound.of(e, self._thetas(draws, e))
         rows, ranks, zero = self._product_layout()
         products = self._batches[0]
         pr, pi = products.running(bound)
-        failed = products.failures(bound)
+        failed = products.failures(bound)[0]
         if failed:
             first = np.flatnonzero(np.isin(ranks, list(failed)))[0]
             raise PoleError(failed[int(ranks[first])])
-        sr, si = e.real[rows], e.imag[rows]
+        sr, si = e.real[rows, 0], e.imag[rows, 0]
         with np.errstate(all="ignore"):
-            vr, vi = _c_mul(sr, si, pr[ranks], pi[ranks])
+            vr, vi = _c_mul(sr, si, pr[ranks, 0], pi[ranks, 0])
         vr[zero] = vi[zero] = 0.0
         lost = (vr == 0) & (vi == 0) & ~zero & ((sr != 0) | (si != 0))
+        if lost.any():
+            exact = products.exact_zeros(bound)
+            if exact is not None:
+                lost &= ~exact[ranks, 0]
         if lost.any() or not (np.isfinite(vr).all() and np.isfinite(vi).all()):
             raise PoleError(PRODUCT_RANGE)
         out = np.empty(len(vr), dtype=complex)
@@ -929,7 +969,8 @@ class Template:
 class Bound(NamedTuple):
     """What the batches of a bound template read: the record values ``e``,
     and the theta values on split arrays with 1.0 appended (index -1), with
-    their moduli as ``abs`` gives them and where ``abs`` raises."""
+    their moduli as ``abs`` gives them and where ``abs`` raises.  Each array
+    has one column per draw (``Template.bind_all``)."""
 
     e: np.ndarray
     re: np.ndarray
@@ -939,7 +980,7 @@ class Bound(NamedTuple):
 
     @staticmethod
     def of(e: np.ndarray, th: np.ndarray) -> "Bound":
-        ext = np.empty(len(th) + 1, dtype=complex)
+        ext = np.empty((len(th) + 1, th.shape[1]), dtype=complex)
         ext[:-1] = th
         ext[-1] = 1.0
         re, im = ext.real.copy(), ext.imag.copy()
@@ -1238,7 +1279,10 @@ class ThetaProduct(Plan):
                 prod *= 1.0 / den
         except (OverflowError, ZeroDivisionError):
             raise PoleError(PRODUCT_RANGE) from None
-        return _in_range(scalar * prod, scalar)
+        out = scalar * prod
+        if out == 0 and 0 in nums:
+            return out  # a numerator theta value is exactly 0j
+        return _in_range(out, scalar)
 
     def template_args(self) -> list:
         """The product is one entry, for its batch result (``_Products``),
@@ -1268,7 +1312,8 @@ class _Scaled(Plan):
     scalar's skeleton, when the scalar is a plan, then the batch result of
     the product's own factors.  It finishes as ``ThetaProduct.finish``
     does: the scalar first, then the guard, the exact zeros, the product
-    and its range check."""
+    and its range check, which a 0 passes when a numerator theta value of
+    the product is exactly 0j (``_ExactZero``)."""
 
     __slots__ = ("scalar", "zero")
 
@@ -1284,16 +1329,29 @@ class _Scaled(Plan):
             raise PoleError(got)
         if self.zero:
             return 0.0 + 0.0j
-        return _in_range(scalar * got, scalar)
+        out = scalar * got
+        if out == 0 and type(got) is _ExactZero:
+            return out
+        return _in_range(out, scalar)
 
 
 def _in_range(out: complex, scalar: complex) -> complex:
-    """The value of a theta product with no surviving exact zero, which is
-    finite and, unless its scalar is 0, not 0: a 0 there is a partial
-    product that underflowed, and raises as leaving the range does."""
+    """The value of a theta product with no surviving exact zero and no
+    numerator theta value exactly 0j, which is finite and, unless its
+    scalar is 0, not 0: a 0 there is a partial product that underflowed,
+    and raises as leaving the range does."""
     if not cmath.isfinite(out) or (out == 0 and scalar != 0):
         raise PoleError(PRODUCT_RANGE)
     return out
+
+
+class _ExactZero(complex):
+    """The batch result of a theta product one of whose numerator theta
+    values is exactly 0j (``_Products.exact_zeros``): a 0 it leads to is
+    that zero, not an underflow.  The value and its arithmetic are the
+    complex number's."""
+
+    __slots__ = ()
 
 
 class _Products:
@@ -1368,26 +1426,33 @@ class _Products:
         self.den = _i32([d for dens, _ in ranked for d in dens])
         self.den_cuts = _i32([0, *accumulate(len(dens) for dens, _ in ranked)])
 
-    def reduce(self, b: "Bound") -> list:
-        """Each product's result, in ``rank`` order."""
+    def reduce(self, b: "Bound") -> list[list]:
+        """Each product's result at each draw: a list per draw, in ``rank``
+        order."""
         pr, pi = self.running(b)
-        value = np.empty(len(pr), dtype=complex)
+        value = np.empty(pr.shape, dtype=complex)
         value.real, value.imag = pr, pi
-        out = value.tolist()
-        for r, message in self.failures(b).items():
-            out[r] = message
+        out = value.T.tolist()
+        exact = self.exact_zeros(b)
+        if exact is not None:
+            for r, k in zip(*np.nonzero(exact)):
+                out[k][r] = _ExactZero(out[k][r])
+        for got, failed in zip(out, self.failures(b)):
+            for r, message in failed.items():
+                got[r] = message
         return out
 
     def running(self, b: "Bound") -> tuple[np.ndarray, np.ndarray]:
-        """Each product's value, real and imaginary parts, in ``rank`` order;
-        a product whose guard fails (``failures``) gets a meaningless one."""
+        """Each product's value, real and imaginary parts, by ``rank`` and
+        draw; a product whose guard fails (``failures``) gets a meaningless
+        one."""
         with np.errstate(all="ignore"):
             num, div = self.num, self.div
             qr, qi = _c_div(b.re[num], b.im[num], b.re[div], b.im[div])
             fr = np.concatenate((qr, b.re))[self.factor]
             fi = np.concatenate((qi, b.im))[self.factor]
-            n = len(self.rank)
-            pr, pi = np.ones(n), np.zeros(n)
+            shape = (len(self.rank), b.re.shape[1])
+            pr, pi = np.ones(shape), np.zeros(shape)
             a = 0
             for w in self.widths:
                 c = a + w
@@ -1395,23 +1460,42 @@ class _Products:
                 a = c
         return pr, pi
 
-    def failures(self, b: "Bound") -> dict:
-        """The guard failures, by rank: the first denominator of each product,
-        in order, whose modulus is below the guard (or overflows, as ``abs``
-        raises there), and the message ``ThetaProduct.finish`` raises at it."""
+    def exact_zeros(self, b: "Bound") -> np.ndarray | None:
+        """Where a numerator theta value of a product is exactly 0j, by
+        ``rank`` and draw; None when no theta value is, at any draw."""
+        zero = (b.re == 0) & (b.im == 0)
+        if not zero.any():
+            return None
+        # A factor's numerator: that of its quotient (-1, the appended 1.0,
+        # for 1 / den), or the theta value itself.
+        factor = np.concatenate((zero[self.num], zero))[self.factor]
+        out = np.zeros((len(self.rank), zero.shape[1]), dtype=bool)
+        a = 0
+        for w in self.widths:
+            out[:w] |= factor[a : a + w]
+            a += w
+        return out
+
+    def failures(self, b: "Bound") -> list[dict]:
+        """The guard failures at each draw, by rank: the first denominator
+        of each product, in order, whose modulus is below the guard (or
+        overflows, as ``abs`` raises there), and the message
+        ``ThetaProduct.finish`` raises at it."""
         events = b.over | (b.mag < self.guard)
+        out: list[dict] = [{} for _ in range(events.shape[1])]
         if not events.any():
-            return {}
-        at = np.flatnonzero(events[self.den])
-        if not at.size:
-            return {}
-        owner = np.searchsorted(self.den_cuts, at, side="right") - 1
-        owner, first = np.unique(owner, return_index=True)
-        mag = b.mag
-        return {
-            r: DEN_GUARD if mag[i] < self.guard else PRODUCT_RANGE
-            for r, i in zip(owner.tolist(), self.den[at[first]].tolist())
-        }
+            return out
+        hit = events[self.den]
+        for k in np.flatnonzero(hit.any(axis=0)).tolist():
+            at = np.flatnonzero(hit[:, k])
+            owner = np.searchsorted(self.den_cuts, at, side="right") - 1
+            owner, first = np.unique(owner, return_index=True)
+            mag = b.mag[:, k]
+            out[k] = {
+                r: DEN_GUARD if mag[i] < self.guard else PRODUCT_RANGE
+                for r, i in zip(owner.tolist(), self.den[at[first]].tolist())
+            }
+        return out
 
 
 def pochhammer(a: ArgLike, n: int, ctx: ThetaContext) -> complex:

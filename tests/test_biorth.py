@@ -462,3 +462,49 @@ def test_faults_of_one_summand_come_before_those_of_the_next(monkeypatch):
     assert want == ("ZeroDivisionError", "float division by zero")
     assert outcome(lambda: check_biorth(bp, k, k)) == want
     assert_reports_equal_the_reference(bp)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_stacked_reports_equal_the_scalar_reference(monkeypatch, N):
+    # Ten draws of one shape in one batch, every other one with six items
+    # set to special values or failures, each draw its own: every report of
+    # every draw equals the reference over that draw's items, and each
+    # check raises what the reference raises.
+    rng = np.random.default_rng([8675309, N])
+    keys = _sweep_keys(N)
+    changes = iter(range(10))
+    finish_all = theta_mod.Template.finish_all
+
+    def patched(self, vals):
+        values, failed = finish_all(self, vals)
+        if next(changes) % 2:
+            for i in rng.choice(len(keys), size=6, replace=False).tolist():
+                pick = rng.integers(len(SPECIAL) + 1)
+                if pick == len(SPECIAL):
+                    failed[self.plans[keys[i]]] = PoleError("patched item")
+                else:
+                    values[self.plans[keys[i]]] = SPECIAL[pick]
+        return values, failed
+
+    monkeypatch.setattr(theta_mod.Template, "finish_all", patched)
+    bps = []
+    for _ in range(10):
+        ctx = draw_context(rng)
+        bps.append(BiorthParams(N, draw_lambda(rng), 1, draw_lambda(rng), draw_z(rng), ctx))
+    seen = set()
+    for dual, check in CHECKS.items():
+        changes = iter(range(10))
+        for bp, cache in zip(bps, BiorthCache.batch(bps, dual)):
+            read = swept(bp, cache)
+            for k in range(N + 1):
+                for l in range(N + 1):
+                    want = outcome(lambda: reference_report(read, N, k, l, dual))
+                    assert outcome(lambda: check(bp, k, l, cache)) == want, (dual, k, l)
+                    seen.add(want[0] if isinstance(want, tuple) else "report")
+    assert {"report", "PoleError", "ZeroDivisionError"} <= seen
+
+
+def test_a_batch_takes_params_of_one_shape():
+    bp = level_four()
+    with pytest.raises(ValueError, match="one shape"):
+        BiorthCache.batch([bp, dataclasses.replace(bp, M=2)], False)

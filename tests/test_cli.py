@@ -38,6 +38,14 @@ def test_eval_theta_at_one(capsys):
     assert out.strip() == "0"
 
 
+def test_eval_pochhammer_at_an_untracked_one(capsys):
+    # theta(1) is exactly 0 whether its argument is written 1 or q^:0.
+    for a in ("1", "q^:0"):
+        argv = ["eval", "pochhammer", "--a", a, "--n", "1", "--p", "0.2", "--q", "0.7"]
+        code, out = run_cli(capsys, *argv)
+        assert (code, out.strip()) == (0, "0"), a
+
+
 def test_eval_r_entries_at_unit_argument(capsys):
     code, out = run_cli(
         capsys, "eval", "r-entries", "--z", "1", "--lambda", "0.3+0.1i"

@@ -172,3 +172,29 @@ def test_a_product_that_underflows_to_zero_raises_as_out_of_range():
     got = dict(zip(["underflow", "fine", "0j scalar"], found.compare((ThetaContext(0.12, 0.67), 0, 0, 1))))
     assert got["underflow"] == PRODUCT_RANGE
     assert not isinstance(got["fine"], str) and got["0j scalar"] == ("0x0.0p+0", "0x0.0p+0")
+
+
+def test_an_exact_zero_theta_value_makes_a_product_zero_on_every_path():
+    # The record q^Λ is not tracked as a zero, but at Λ = 0 it is 1, and
+    # theta(1) comes out exactly 0j: a product with it among its numerators
+    # is that 0, after a record or a plan scalar, in the scalar loop, the
+    # batched pass and ``bind_products``.  A product that underflows to 0
+    # beside it still raises.
+    ctx = TemplateContext()
+    at_one, near_one = Rec(lam=1), Rec(c=1e-13)
+    scaled = combine(ctx, [binomial_plan(3, 1, ctx), known(ctx, Rec(c=3))], mul)
+    plans = [
+        ("zero", ThetaProduct(ctx, Rec(c=2)).theta(at_one).theta(Rec(neg=1), inv=True)),
+        ("zero after a plan", ThetaProduct(ctx, scaled).theta(Rec(neg=1)).theta(at_one)),
+        ("underflow", ThetaProduct(ctx, Rec(c=2)).theta(near_one, count=30)),
+    ]
+    sample = (ThetaContext(0.12, 0.67), 0, 0.3 - 0.2j, 1.2 + 0.5j)
+    found = BoundProducts(Template(plans), plans)
+    got = dict(zip(["zero", "binomial", "zero after a plan", "underflow"], found.compare(sample)))
+    assert got["underflow"] == PRODUCT_RANGE
+    for name in ("zero", "zero after a plan"):
+        assert not isinstance(got[name], str) and all(float.fromhex(x) == 0 for x in got[name])
+    alone = Template(plans[:1])
+    assert alone.bind_products(*sample).tolist() == [0j]
+    with pytest.raises(PoleError, match="double precision range"):
+        Template(plans[2:]).bind_products(*sample)

@@ -148,6 +148,21 @@ def test_pochhammer_exact_zero_detection(ctx):
     assert pochhammer(qarg(-3), 3, ctx) != 0
 
 
+def test_an_untracked_zero_value_is_a_zero_not_an_underflow():
+    # garg(1) is not tracked as a zero, but theta(1) comes out exactly 0j
+    # (its long product has the factor 1 - 1): a product with it among its
+    # numerators is that 0, as theta(1) itself is.  Thirty factors of
+    # about 1e-14 still take a product below the least double: that 0 is
+    # an underflow, and raises.
+    ctx = ThetaContext(0.2, 0.7)
+    assert theta_vec_cached([1.0], ctx) == [0j]
+    assert pochhammer(1, 1, ctx) == 0
+    assert pochhammer(1, 3, ctx) == 0
+    assert ThetaProduct(ctx, 2.5).theta(garg(1.0)).theta(garg(0.4), inv=True).value() == 0
+    with pytest.raises(PoleError, match="double precision range"):
+        ThetaProduct(ctx).theta(garg(ctx.qpow(1e-13)), count=30).value()
+
+
 def test_elliptic_binomial_endpoints_and_ratio(ctx):
     assert elliptic_binomial(4, 0, ctx) == 1
     assert elliptic_binomial(4, 4, ctx) == 1
