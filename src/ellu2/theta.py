@@ -845,8 +845,8 @@ class Template:
         return e
 
     def _thetas(self, draws: Sequence[tuple], e: np.ndarray) -> np.ndarray:
-        """The theta arguments at each draw, one ``theta_vec`` call per draw
-        on that draw's arguments, one column per draw."""
+        """theta of every theta argument at each draw, one column per draw:
+        one ``theta_vec`` call per draw, on that draw's arguments."""
         th = np.empty((len(self._theta), len(draws)), dtype=complex)
         if len(self._theta):
             for k, draw in enumerate(draws):
@@ -865,8 +865,7 @@ class Template:
     def bind_all(self, draws: Sequence[tuple]) -> list[list]:
         """``bind`` at each of ``draws``, all together: a draw is the
         arguments of ``bind``, (ctx, lam, omega, z) and, for a template
-        whose records have them, z1 and z2.  The draws' contexts share the
-        template's zero guard.
+        whose records have them, z1 and z2.
 
         Every array of the pass has a trailing axis over the draws, and each
         operation is elementwise or gathers along the first axis, so each
