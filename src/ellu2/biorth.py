@@ -22,35 +22,33 @@ q^(a Λ + b ω + c) z^d zbar^e, where a, b, c, d and e depend only on the
 shape: the level N, the shift M and the item's indices.  So an item is built
 once per shape, as a template: the same builders run over exponent records,
 with a ``TemplateContext`` and the symbols ``LAM``, ``OMEGA`` and ``Z`` in
-place of the sample's numbers.  The templates of a shape are kept at module
-level, for at most ``SHAPE_CAP`` shapes (N, M, zero guard).
+place of the sample's numbers.  The sweep templates of up to
+``theta.SHAPE_CAP`` shapes (N, M, zero guard) are kept, in ``_SWEEPS``.
 
-A ``BiorthCache`` serves one sweep of checks at one sample.  The check
-layer of each sweep shape, direct or dual, is compiled once, at its first
-use, into int32 gathers over the sweep's items (``_Program``): for every
-(k, l) row, every summand j and every factor of the summand and of its
-representation-side value.  A cache's items and the reports of one kind
-are computed once: for its sample alone, at its first check, or for the
-samples of one shape together, each with its own cache
-(``BiorthCache.batch``, as the suites draw them).  The template of every
-item of the full (k, l) sweep is bound to the samples (``theta.Template.bind_all``:
-one matrix-vector product, one ``exp``, one pass over arrays for all the
-series and one for all the theta products, every array with a column per
-sample, and one ``theta_vec`` call per sample); each sample's items are
-finished once, in one loop (``Template.finish_all``), an item that fails
-recorded, not raised; and the reports of all (N + 1)^2 rows of every
-sample are computed in one pass, the samples' rows end to end, over split
-real and imaginary arrays, with CPython's complex formulas
-(``theta._c_mul``, ``_c_div``, and ``hypot`` for ``abs``), sums over j
-added left to right.  Each report has the bits the same arithmetic in
-Python complex numbers gives at its sample alone.  A check with k or l
+A ``BiorthCache`` holds the items and reports of one sample, and is filled
+in one way, ``BiorthCache.batch``: for the samples of one shape together,
+each with its own cache, as the suites draw them, or for a cache's sample
+alone, at its first check.  The template of every item of the full (k, l)
+sweep is bound to all the samples at once (``theta.Template.bind_all``),
+and each sample's items are finished once, in one loop
+(``Template.finish_all``), an item that fails recorded, not raised.  The
+check layer of each sweep shape, direct or dual, is
+compiled once, at its first use, into int32 gathers over the sweep's items
+(``_Program``): for every (k, l) row, every summand j and every factor of
+the summand and of its representation-side value.  The reports of all
+(N + 1)^2 rows of every sample are computed in one pass, the samples' rows
+end to end, over split real and imaginary arrays, with CPython's complex
+formulas (``theta._c_mul``, ``_c_div``, and ``hypot`` for ``abs``), sums
+over j added left to right.  Each report has the bits the same arithmetic
+in Python complex numbers gives at its sample alone.  A check with k or l
 outside 0..N is refused with ``ValueError``.
 Each check returns its row, or raises what that arithmetic raises: the first
 failing item in its read order (the determinant product, h_k, the summand
 items of j = 0..N, then their oracle items), else the first
 ``ZeroDivisionError`` or ``OverflowError`` of its own arithmetic
 (``_Faults``).  ``norm_h``, ``weight_w1``, ``weight_w2`` and
-``c_det_product`` bind their one item alone, to the same bits.
+``c_det_product`` bind a template of their one item the same way, alone,
+to the same bits, and raise the error recorded for a failing item.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ import numpy as np
 
 from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_tilde_series_parts
 from .residuals import worst
-from .series import vwp_plan, vwp_sum
+from .series import vwp_plan
 from .theta import (
     LAM,
     OMEGA,
@@ -80,6 +78,7 @@ from .theta import (
     _c_div,
     _c_mul,
     _i32,
+    kept_shape,
     known,
     qarg,
 )
@@ -90,16 +89,11 @@ __all__ = [
     "weight_w1",
     "weight_w2",
     "c_det_product",
-    "biorth_lhs_member",
     "BiorthCache",
     "BiorthReport",
     "check_biorth",
     "check_dual_biorth",
 ]
-
-# Most shapes (N, M, zero guard) whose templates are kept.
-SHAPE_CAP = 64
-
 
 @dataclass(frozen=True)
 class BiorthParams:
@@ -323,13 +317,6 @@ def _series_parts(bp: BiorthParams, j: int, kl: int, shifted: bool):
     )
 
 
-def biorth_lhs_member(bp: BiorthParams, j: int, kl: int, shifted: bool) -> complex:
-    """One explicit series factor in its direct form (no merged rewrite)."""
-    a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
-    value, _, _ = vwp_sum(bp.ctx, a1, numer, denom + [c], n)
-    return value
-
-
 def _member(bp: BiorthParams, j: int, kl: int, shifted: bool) -> Plan:
     """One explicit series factor with its merged rewrite over j factors."""
     a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
@@ -415,27 +402,30 @@ def _shape(bp: BiorthParams) -> tuple:
 
 
 def _sweep(bp: BiorthParams) -> _Sweep:
-    """The sweep of the shape (N, M, zero guard) of ``bp``.  The sweeps of
-    up to ``SHAPE_CAP`` shapes are kept."""
-    shape = _shape(bp)
-    got = _SWEEPS.get(shape)
-    if got is None:
+    """The sweep of the shape (N, M, zero guard) of ``bp``, kept in
+    ``_SWEEPS`` (``theta.kept_shape``)."""
+
+    def build() -> _Sweep:
         symbols = _symbols(bp)
         items = ((key, _ITEMS[key[0]](symbols, *key[1:])) for key in _sweep_keys(bp.N))
-        got = _Sweep(Template(items), bp.N)
-        if len(_SWEEPS) < SHAPE_CAP:
-            _SWEEPS[shape] = got
-    return got
+        return _Sweep(Template(items), bp.N)
+
+    return kept_shape(_SWEEPS, _shape(bp), build)
 
 
-def _bind(template: Template, bp: BiorthParams) -> list:
-    return template.bind(bp.ctx, bp.Lam, bp.omega, bp.z)
+def _draw(bp: BiorthParams) -> tuple:
+    """``bp`` as a draw of ``Template.bind_all``."""
+    return bp.ctx, bp.Lam, bp.omega, bp.z
 
 
 def _item(bp: BiorthParams, key: tuple) -> complex:
-    """The value of one item, its template built and bound to ``bp`` alone."""
+    """The value of one item, its template built and bound to ``bp`` alone;
+    an item that fails raises its error."""
     alone = Template([(key, _ITEMS[key[0]](_symbols(bp), *key[1:]))])
-    return alone.finish(key, _bind(alone, bp))
+    (value,), failed = alone.finish_all(alone.bind_all([_draw(bp)])[0])
+    if failed:
+        raise failed[0].with_traceback(None)
+    return value
 
 
 def _summand_keys(k: int, l: int, j: int, dual: bool) -> tuple:
@@ -717,19 +707,14 @@ class _Faults:
 
 
 class BiorthCache:
-    """The reports of one (k, l) sweep at fixed params.
+    """The items and reports of one (k, l) sweep at fixed params.
 
-    A cache serves one ``BiorthParams``.  Made alone, its first check binds
-    the template of every item of the sweep to those params
-    (``theta.Template.bind``: one ``theta_vec`` call, one pass over arrays
-    for all its series and one for all its theta products) and finishes
-    every item once (``Template.finish_all``); an item that fails is
-    recorded, not raised.  The first check of each kind, direct or dual,
-    computes the reports of all (N + 1)^2 checks of that kind in one pass
-    over arrays (``_Program.reports``).  ``batch`` makes the caches of many
-    params of one shape at once, their items and the reports of one kind
-    already computed, all the params together in each pass.  Each check
-    returns its row, or raises the error recorded for it.
+    A cache is filled once, by the code of ``batch`` (see the module
+    docstring): with the caches of other params of its shape, or alone, as
+    a batch of one, at its first check.  The reports of the kind it was
+    filled for come with it; those of the other kind, direct or dual, are
+    computed from its stored items at the first check of that kind.  Each
+    check returns its row, or raises the error recorded for it.
 
     ``get`` keeps values by key in ``_store``.  The checks do not use it; the
     benchmark's tracer counts cache hits through it, so it stays.
@@ -748,32 +733,31 @@ class BiorthCache:
     @staticmethod
     def batch(bps: Sequence[BiorthParams], dual: bool) -> list["BiorthCache"]:
         """A cache for each of ``bps``, params of one shape, with its items
-        and the reports of its (dual) checks: the sweep's template bound to
-        all of them together (``Template.bind_all``), the items of each
-        finished (``Template.finish_all``), and the reports of all in one
-        pass (``_Program.reports``)."""
+        and the reports of its (dual) checks."""
+        caches = [BiorthCache() for _ in bps]
+        BiorthCache._fill(caches, bps, dual)
+        return caches
+
+    @staticmethod
+    def _fill(caches: Sequence["BiorthCache"], bps: Sequence[BiorthParams], dual: bool) -> None:
+        """Fill each of ``caches`` with the items and (dual) reports of the
+        params in the same place of ``bps``, all of them together."""
         sweep = _sweep(bps[0])
         if any(_shape(bp) != _shape(bps[0]) for bp in bps):
             raise ValueError("the params of one batch share one shape (N, M, zero guard)")
         template = sweep.template
-        bound = template.bind_all([(bp.ctx, bp.Lam, bp.omega, bp.z) for bp in bps])
-        finished = [template.finish_all(vals) for vals in bound]
+        finished = [template.finish_all(vals) for vals in template.bind_all(list(map(_draw, bps)))]
         reports = sweep.program(dual).reports([v for v, _ in finished], [f for _, f in finished])
-        caches = []
-        for (values, failed), rows in zip(finished, reports):
-            cache = BiorthCache()
+        for cache, (values, failed), rows in zip(caches, finished, reports):
             cache._items = (sweep, values, failed)
             cache._rows[dual] = rows
-            caches.append(cache)
-        return caches
 
     def items(self, bp: BiorthParams) -> tuple:
         """(sweep, finished values by position, failures by position) of the
-        sweep's items at ``bp``: bound and finished once, at the first call."""
+        sweep's items at ``bp``; a cache not yet filled fills itself, with
+        the direct reports."""
         if self._items is None:
-            sweep = _sweep(bp)
-            values, failed = sweep.template.finish_all(_bind(sweep.template, bp))
-            self._items = (sweep, values, failed)
+            self._fill([self], [bp], False)
         return self._items
 
     def report(self, bp: BiorthParams, k: int, l: int, dual: bool) -> BiorthReport:
@@ -781,9 +765,11 @@ class BiorthCache:
         N = bp.N
         if not (0 <= k <= N and 0 <= l <= N):
             raise ValueError(f"(k, l) = ({k}, {l}) lies outside the sweep 0..{N}")
+        if self._items is None:
+            self._fill([self], [bp], dual)
         got = self._rows.get(dual)
         if got is None:
-            sweep, values, failed = self.items(bp)
+            sweep, values, failed = self._items
             got = self._rows[dual] = sweep.program(dual).reports([values], [failed])[0]
         rows, errors = got
         r = k * (N + 1) + l

@@ -24,7 +24,7 @@ from .suites import (
     run_suite,
     suite_names,
 )
-from .theta import PoleError, ThetaContext, TrackedArg, garg, pochhammer, qarg, theta
+from .theta import PoleError, ThetaContext, TrackedArg, garg, pochhammer, qarg, theta, theta_factors
 
 __all__ = ["main"]
 
@@ -204,6 +204,12 @@ def _validate(args: argparse.Namespace) -> None:
     for flag in ("p", "q"):
         value = getattr(args, flag)
         _require(value is None or 0.0 < value < 1.0, f"--{flag} must lie in (0, 1), got {value}")
+    if args.p is not None:
+        # A nome whose theta product would be cut short of its floor.
+        try:
+            theta_factors(args.p)
+        except ValueError as exc:
+            raise UsageError(f"--p: {exc}") from None
     for dest, flag in (("z", "z"), ("omega", "omega"), ("lam", "lambda")):
         value = getattr(args, dest, None)
         _require(value is None or cmath.isfinite(value), f"--{flag} must be finite")

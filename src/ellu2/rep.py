@@ -50,6 +50,7 @@ from .theta import (
     ThetaContext,
     ThetaProduct,
     garg,
+    kept_shape,
     reciprocal,
 )
 from .words import (
@@ -533,8 +534,7 @@ def check_det_forms(rc: RepContext, z: complex, mmax: int = 4) -> list[tuple[str
 # ``apply_word_states`` with ``LAM`` and ``OMEGA`` for the sample's point
 # and weight.  Every path of every side is then one ``Factor`` (``_side``).
 
-# Most shapes whose compiled checks are kept.
-SHAPE_CAP = 64
+# The compiled checks of up to ``theta.SHAPE_CAP`` shapes.
 _SHAPES: dict = {}
 
 
@@ -719,15 +719,13 @@ def _path_values(check: Compiled, rc: RepContext, symbols: dict) -> np.ndarray:
 
 def compiled(build, params: tuple, zero_guard: float) -> Compiled:
     """The check ``build(ctx, *params)`` builds over records, compiled once
-    per shape (``build``, ``params``, zero guard); up to ``SHAPE_CAP`` shapes
-    are kept.  Nothing is compiled before a check asks for it."""
-    shape = (build, *params, zero_guard)
-    got = _SHAPES.get(shape)
-    if got is None:
-        got = Compiled(build(TemplateContext(zero_guard), *params))
-        if len(_SHAPES) < SHAPE_CAP:
-            _SHAPES[shape] = got
-    return got
+    per shape (``build``, ``params``, zero guard) and kept in ``_SHAPES``
+    (``theta.kept_shape``).  Nothing is compiled before a check asks for it."""
+    return kept_shape(
+        _SHAPES,
+        (build, *params, zero_guard),
+        lambda: Compiled(build(TemplateContext(zero_guard), *params)),
+    )
 
 
 def _bound_rows(rc: RepContext, build, params: tuple, **symbols) -> dict:

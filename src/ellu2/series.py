@@ -46,7 +46,6 @@ bailey checks) stay on the loop.
 from __future__ import annotations
 
 import cmath
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
@@ -66,7 +65,10 @@ from .theta import (
     _c_abs,
     _c_div,
     _c_mul,
+    _first_events,
     _i32,
+    _ranked,
+    _steps,
     garg,
     known,
     qarg,
@@ -320,9 +322,9 @@ class _Series(Plan):
         return shared_skeleton(pool, (_Series,), _Result)
 
     @staticmethod
-    def batch(record, theta) -> "_Batch":
+    def batch(record, theta, guard: float) -> "_Batch":
         """The program that reduces the series of a template together."""
-        return _Batch(record, theta)
+        return _Batch(record, theta, guard)
 
 
 class _Result(Plan):
@@ -386,17 +388,14 @@ class _Batch:
         "merged", "steps", "den", "den_cuts", "series_a1", "_pending",
     )
 
-    def __init__(self, record, theta):
+    def __init__(self, record, theta, guard: float):
         # While compiling: the series compiled so far, their rows, and the
         # template's indexing of records and theta arguments.
-        self.guard = None
+        self.guard = guard
         self._pending = ([], {}, record, theta)
 
     def add(self, node: _Series) -> None:
         """Compile one more series; ``close`` ends compiling."""
-        if self.guard not in (None, node.ctx.zero_guard):
-            raise ValueError("the series of one template share one zero guard")
-        self.guard = node.ctx.zero_guard
         compiled, rows, record, theta = self._pending
         compiled.append(_compile(node, rows, record, theta))
 
@@ -404,14 +403,9 @@ class _Batch:
         """Lay out the program of the series added, in int32 arrays."""
         compiled, rows, _, _ = self._pending
         self._pending = None
-        live = [len(c.live) for c in compiled]
-        order = sorted(range(len(compiled)), key=live.__getitem__, reverse=True)
-        self.rank = array("i", [0] * len(compiled))
-        for i, s in enumerate(order):
-            self.rank[s] = i
+        order, self.rank, self.widths = _ranked([len(c.live) for c in compiled])
         self.fixed = {self.rank[s]: c.message for s, c in enumerate(compiled) if c.message}
         self.counts = [compiled[s].count for s in order]
-        self.widths = array("i", [sum(n > j for n in live) for j in range(max(live, default=0))])
         self.den = _i32([i for c in compiled for i in c.den])
         self.den_cuts = _i32([0, *accumulate(len(c.den) for c in compiled)])
         self.series_a1 = _i32([c.a1 for c in compiled])
@@ -474,41 +468,30 @@ class _Batch:
             shape = (len(self.counts), draws)
             vr, vi, top = np.zeros(shape), np.zeros(shape), np.zeros(shape)
             failed = np.zeros(shape, dtype=bool)
-            a = 0
-            for w in self.widths:
-                c = a + w
-                vr[:w] += ar[a:c]
-                vi[:w] += ai[a:c]
-                np.maximum(top[:w], tmag[a:c], out=top[:w])
-                failed[:w] |= ~np.isfinite(tmag[a:c])
-                a = c
+            for w, at in _steps(self.widths):
+                vr[:w] += ar[at]
+                vi[:w] += ai[at]
+                np.maximum(top[:w], tmag[at], out=top[:w])
+                failed[:w] |= ~np.isfinite(tmag[at])
         value = np.empty(shape, dtype=complex)
         value.real, value.imag = vr, vi
         out = [list(zip(v, t, self.counts)) for v, t in zip(value.T.tolist(), top.T.tolist())]
         for i, k in zip(*np.nonzero(failed)):
             out[k][i] = OUT_OF_RANGE
-        for k in np.flatnonzero(events.any(axis=0)).tolist():
-            self._guards(out[k], events[:, k], mag[:, k])
+        # The guard failures: each series' first denominator factor, in row
+        # order, else its theta(a1), whose modulus is below the guard (or
+        # overflows, as ``abs`` raises there).
+        a1 = events[self.series_a1]
+        for s, k, i in zip(*_first_events(events, self.den, self.den_cuts)):
+            a1[s, k] = False
+            out[k][self.rank[s]] = DEN_GUARD if mag[i, k] < self.guard else OUT_OF_RANGE
+        for s, k in zip(*np.nonzero(a1)):
+            i = self.series_a1[s]
+            out[k][self.rank[s]] = A1_GUARD if mag[i, k] < self.guard else OUT_OF_RANGE
         for got in out:
             for i, msg in self.fixed.items():
                 got[i] = msg
         return out
-
-    def _guards(self, out: list, events: np.ndarray, mag: np.ndarray) -> None:
-        """Put the guard failures of one draw in ``out``: the first
-        denominator factor, in row order, then theta(a1), whose modulus is
-        below the guard (or overflows, as ``abs`` raises there)."""
-        hit = events[self.den]
-        cuts = self.den_cuts
-        for s, a1 in enumerate(self.series_a1):
-            first = np.flatnonzero(hit[cuts[s] : cuts[s + 1]])
-            if first.size:
-                idx, msg = self.den[cuts[s] + first[0]], DEN_GUARD
-            elif events[a1]:
-                idx, msg = a1, A1_GUARD
-            else:
-                continue
-            out[self.rank[s]] = msg if mag[idx] < self.guard else OUT_OF_RANGE
 
 
 class _Compiled(NamedTuple):

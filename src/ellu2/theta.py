@@ -53,25 +53,12 @@ sample's dynamical variable, weight and spectral point; a
 where the context gives numbers (``qpow``, ``q2n``, ``conj``).  A plan built
 so lists records, for theta arguments, and ``Scalar`` records, for the
 scalars it multiplies by; whether a tracked argument vanishes exactly is
-derived from its record (``Rec.tracked``).  A ``Template`` compiles such
-plans: it lays out the distinct records as the rows of a matrix of
-exponents, and keeps of each plan only its skeleton (``Plan.skeleton``), a
-plan that finishes the same way and holds no record, shared among the equal
-ones of the template.  Binding a template to a sample evaluates all its
-records with one matrix-vector product and one ``exp``, and all its theta
-arguments with one ``theta_vec`` call, without the vector cache.  Then it
-reduces all its series plans together, in one pass over arrays
-(``series._Batch``), and all its theta products in another (``_Products``),
-and each plan is finished on its slice of the values and batch results.
-Draws of one template can be bound together (``Template.bind_all``): every
-array of those steps gets a trailing axis over the draws, so each step is
-one numpy call for all of them, except ``theta_vec``, called once per draw
-on that draw's arguments.  Each draw gets the bits it gets bound alone.
-``biorth`` keeps the templates of its items.  A template whose plans are all
-theta products with record scalars, as the compiled checks of ``rep`` are,
-is finished on arrays instead, in one call (``Template.bind_products``).
-A record may also hold the spectral points z1 and z2 (``Z1``, ``Z2``) of a
-relation check, and their conjugates.
+derived from its record (``Rec.tracked``).  A record may also hold the
+spectral points z1 and z2 (``Z1``, ``Z2``) of a relation check, and their
+conjugates.  A ``Template`` compiles such plans once and binds them to many
+draws at once, with one ``theta_vec`` call per draw and without the vector
+cache (its docstring has the steps).  ``biorth`` and ``rep`` keep the
+templates of up to ``SHAPE_CAP`` shapes each (``kept_shape``).
 
 The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
@@ -139,6 +126,7 @@ __all__ = [
     "Template",
     "TemplateContext",
     "shared_skeleton",
+    "kept_shape",
     "binomial_plan",
     "combine",
     "known",
@@ -149,15 +137,19 @@ __all__ = [
     "theta_vec_cached",
     "theta_multi",
     "theta_condition",
+    "theta_factors",
     "pochhammer",
     "elliptic_binomial",
 ]
 
+# Most factor pairs a theta product takes (``theta_factors``).
 MAX_THETA_FACTORS = 2000
 # A theta product stops once p^j drops below this.
 TRUNCATION_FLOOR = 1e-17
 # Entry cap of each per-context cache.
 MEMO_CAP = 1 << 20
+# Most shapes whose compiled templates a module keeps (``kept_shape``).
+SHAPE_CAP = 64
 THETA_RANGE = "theta value exceeds double precision range"
 PRODUCT_RANGE = "theta product exceeds double precision range"
 DEN_GUARD = "denominator theta factor below zero guard"
@@ -169,14 +161,32 @@ class PoleError(ArithmeticError):
     """A theta factor in denominator position vanished, exactly or numerically."""
 
 
+def theta_factors(p: float) -> int:
+    """How many factor pairs a theta product at nome p takes: the powers p^j
+    down to ``TRUNCATION_FLOOR``, at least one.  A nome that needs more than
+    ``MAX_THETA_FACTORS``, p above about 0.98062, raises ``ValueError``
+    rather than cut the product short of the floor."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    nfac = max(math.ceil(math.log(TRUNCATION_FLOOR) / math.log(p)), 1)
+    if nfac > MAX_THETA_FACTORS:
+        raise ValueError(
+            f"p = {p!r} needs {nfac} theta factors to reach the truncation floor "
+            f"{TRUNCATION_FLOOR:g}, more than the {MAX_THETA_FACTORS} taken; "
+            f"p must be at most {TRUNCATION_FLOOR ** (1 / MAX_THETA_FACTORS):.6f}"
+        )
+    return nfac
+
+
 @dataclass(frozen=True)
 class ThetaContext:
     """Fixed nome/base pair with its genericity guard and theta caches.
 
     The theta product runs over the powers p^j down to ``TRUNCATION_FLOOR``
-    (at most ``MAX_THETA_FACTORS`` factors), fixed when the context is made;
-    ``zero_guard`` is the magnitude below which an untracked denominator
-    theta value is treated as a pole.
+    (``theta_factors``, which refuses a nome that would need more than
+    ``MAX_THETA_FACTORS``), fixed when the context is made; ``zero_guard``
+    is the magnitude below which an untracked denominator theta value is
+    treated as a pole.
     """
 
     p: float
@@ -184,12 +194,9 @@ class ThetaContext:
     zero_guard: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p!r}")
+        nfac = theta_factors(self.p)
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q!r}")
-        nfac = int(math.ceil(math.log(TRUNCATION_FLOOR) / math.log(self.p)))
-        nfac = min(max(nfac, 1), MAX_THETA_FACTORS)
         ppow = self.p ** np.arange(nfac)
         object.__setattr__(self, "_ppow", ppow)
         object.__setattr__(self, "_ppow1", self.p * ppow)
@@ -708,7 +715,7 @@ def _factor_of(coefficient) -> Factor:
 
 
 class Template:
-    """Plans built over records, compiled to be bound to one sample at a time.
+    """Plans built over records, compiled once and bound to many draws.
 
     ``plans`` gives (key, plan) pairs, each plan built with a
     ``TemplateContext``; the arguments of each are records (theta of the
@@ -719,31 +726,26 @@ class Template:
     it sits in an item (a part of a joined plan, the scalar of a theta
     product), takes one entry there, for its result: the template collects
     the series and the products and compiles each kind into one program of
-    int32 indices (``series._Batch``, ``_Products``).  Then it keeps only
-    the plan's skeleton (``Plan.skeleton``), so a template holds no plan's
-    records.  Equal skeletons are one object, shared through a pool that
-    lives while the template is compiled.  This is what keeps templates
-    small: the 15 sweeps of N = 1..5, M = 0..2 take 1.04 MB (tracemalloc),
-    series and product programs included, and the 3 sweeps of N = 6..8,
-    M = 1 take 0.79 MB; keeping the plans as built took eight to ten times
-    that (8.5 and 8.3 MB, measured before the programs).  ``plans`` maps a
-    key to the position of its skeleton and of the slice of that list it
-    owns.  ``bind`` evaluates every record of a sample with one
-    matrix-vector product and one ``exp``, makes one ``theta_vec`` call on
-    the distinct theta arguments, reduces every series and every theta
-    product in one pass over arrays each, and gathers the values of every
-    plan's arguments and the results of its series and products;
-    ``finish`` hands a plan its slice, and ``finish_all`` finishes every
-    plan in one loop.  ``bind_all`` binds many samples of the template
-    together, and ``bind`` and ``bind_products`` are its case of one: the
-    arrays of every pass have one column per sample, and only the
-    ``theta_vec`` call and the finishing are made once per sample.  The
-    columns live for the one call.
+    int32 indices (``series._Batch``, ``_Products``).  Of each plan it then
+    keeps only the skeleton (``Plan.skeleton``), which holds no record;
+    equal skeletons are one object, shared through a pool that lives while
+    the template is compiled.  ``plans`` maps a key to the position of its
+    skeleton, and of the slice of a bound list its plan owns.
 
-    The product is written out column by column, so each record's value
-    depends on its own row and sample only, and each series or product
-    result depends on its own values only: a plan bound alone gets the same
-    bits as the same plan bound with many others, at one sample or at many.
+    ``bind_all`` binds draws, all together: one matrix-vector product and
+    one ``exp`` evaluate every record, one ``theta_vec`` call per draw the
+    distinct theta arguments of that draw, and one pass over arrays each
+    reduces every series and every theta product; every array has one
+    column per draw, and lives for the one call.  It gives each draw the
+    list of every plan's argument values and series and product results.
+    ``finish_all`` finishes every plan of one draw from that list, in one
+    loop.  ``bind_products`` binds and finishes one draw on arrays, for a
+    template whose plans are all theta products with record scalars.
+
+    Each record's value depends on its own row and draw only, and each
+    series or product result on its own values only: a plan bound alone
+    gets the same bits as the same plan bound with many others, at one draw
+    or at many.
     """
 
     def __init__(self, plans: Iterable[tuple]):
@@ -779,8 +781,10 @@ class Template:
                 elif isinstance(a, Plan):
                     make = type(a).batch
                     if make not in batches:
-                        batches[make] = (make(record, theta_of), array("i"))
+                        batches[make] = (make(record, theta_of, a.ctx.zero_guard), array("i"))
                     batch, slots = batches[make]
+                    if a.ctx.zero_guard != batch.guard:
+                        raise ValueError("the plans a template batches share one zero guard")
                     batch.add(a)
                     slots.append(len(refs))
                     refs.append(0)  # set once the batch is compiled
@@ -811,7 +815,7 @@ class Template:
         # The exponents of z1 and z2 (real and imaginary part of the log),
         # kept only for a symbol some record has: a template without them
         # adds no term, so it keeps the bits it had before they existed.
-        # Each is kept with the position of its point in a draw (``bind``).
+        # Each is kept with the position of its point in a draw (``bind_all``).
         self._spectral = [
             (at, cols[i] + cols[i + 1], cols[i] - cols[i + 1])
             for at, i in ((4, 6), (5, 8))
@@ -853,23 +857,15 @@ class Template:
                 th[:, k] = theta_vec(e[self._theta, k], draw[0])
         return th
 
-    def bind(
-        self, ctx: ThetaContext, lam: complex, omega: complex, z: complex, z1=None, z2=None
-    ) -> list:
-        """The values of every plan's arguments at one sample, plan after plan.
-
-        ``z1`` and ``z2`` are needed only by a template whose records have them.
-        """
-        return self.bind_all([(ctx, lam, omega, z, z1, z2)])[0]
-
     def bind_all(self, draws: Sequence[tuple]) -> list[list]:
-        """``bind`` at each of ``draws``, all together: a draw is the
-        arguments of ``bind``, (ctx, lam, omega, z) and, for a template
-        whose records have them, z1 and z2.
+        """The values of every plan's arguments at each of ``draws``, plan
+        after plan, one list per draw.  A draw is (ctx, lam, omega, z) and,
+        for a template whose records have them, the spectral points z1 and
+        z2.
 
         Every array of the pass has a trailing axis over the draws, and each
         operation is elementwise or gathers along the first axis, so each
-        draw's list is what ``bind`` gives it alone, bit for bit.
+        draw's list is what it gets bound alone, bit for bit.
         """
         e = self._records(draws)
         th = self._thetas(draws, e)
@@ -882,16 +878,12 @@ class Template:
         gather = self._gather
         return [list(map(v.__getitem__, gather)) for v in vals]
 
-    def finish(self, key, vals: list):
-        """Finish the plan of ``key`` with its slice of ``bind``'s list."""
-        i = self.plans[key]
-        return self._skeletons[i].finish(vals[self._cuts[i] : self._cuts[i + 1]])
-
     def finish_all(self, vals: list) -> tuple[list, dict]:
-        """Every plan finished with its slice of ``bind``'s list, in plan order.
+        """Every plan finished with its slice of one draw's list from
+        ``bind_all``, in plan order.
 
         A plan whose finish raises an ``ArithmeticError`` gets a complex NaN
-        in its place, and the error, the one ``finish`` raises for it, is
+        in its place, and the error its skeleton's ``finish`` raises is
         returned under its position: ``(values, {position: error})``.
         """
         out: list = []
@@ -911,10 +903,11 @@ class Template:
         """The value of every plan at one sample, in plan order, as one array.
 
         For a template whose plans are all theta products with a record for
-        scalar: each value is what ``finish`` gives the plan after ``bind``,
-        bit for bit, with the products' scalars multiplied in on split arrays
-        (``_c_mul``) instead of one by one.  Where some plan's finish would
-        raise, this raises the ``PoleError`` of the first such plan.
+        scalar: each value is what ``finish_all`` gives the plan after
+        ``bind_all``, bit for bit, with the products' scalars multiplied in
+        on split arrays (``_c_mul``) instead of one by one.  Where some
+        plan's finish would raise, this raises the ``PoleError`` of the
+        first such plan.
         """
         draws = [(ctx, lam, omega, z, z1, z2)]
         e = self._records(draws)
@@ -922,7 +915,7 @@ class Template:
         rows, ranks, zero = self._product_layout()
         products = self._batches[0]
         pr, pi = products.running(bound)
-        failed = products.failures(bound)[0]
+        failed = {r: message for r, _, message in products.failures(bound)}
         if failed:
             first = np.flatnonzero(np.isin(ranks, list(failed)))[0]
             raise PoleError(failed[int(ranks[first])])
@@ -1092,6 +1085,18 @@ def shared_skeleton(pool: dict, key: tuple, make):
     got = pool.get(key)
     if got is None:
         got = pool[key] = make()
+    return got
+
+
+def kept_shape(shapes: dict, shape: tuple, build):
+    """What ``shapes`` keeps for ``shape``, else ``build()``, kept while
+    ``shapes`` holds fewer than ``SHAPE_CAP`` shapes (past that, a shape's
+    compiled templates are built for each use)."""
+    got = shapes.get(shape)
+    if got is None:
+        got = build()
+        if len(shapes) < SHAPE_CAP:
+            shapes[shape] = got
     return got
 
 
@@ -1301,9 +1306,9 @@ class ThetaProduct(Plan):
         return shared_skeleton(pool, key, lambda: _Scaled(scalar, zero))
 
     @staticmethod
-    def batch(record, theta) -> "_Products":
+    def batch(record, theta, guard: float) -> "_Products":
         """The program that reduces the theta products of a template together."""
-        return _Products(theta)
+        return _Products(theta, guard)
 
 
 class _Scaled(Plan):
@@ -1379,16 +1384,13 @@ class _Products:
 
     __slots__ = ("rank", "guard", "widths", "num", "div", "factor", "den", "den_cuts", "_pending")
 
-    def __init__(self, theta):
-        self.guard = None
+    def __init__(self, theta, guard: float):
+        self.guard = guard
         self._pending = ([], theta)
 
     def add(self, node: ThetaProduct) -> None:
         """Compile one more product: the theta indices of its denominators
         and of its numerators (none when exact zeros survive)."""
-        if self.guard not in (None, node.ctx.zero_guard):
-            raise ValueError("the products of one template share one zero guard")
-        self.guard = node.ctx.zero_guard
         compiled, theta = self._pending
         dens = array("i", map(theta, node._den))
         nums = array("i", () if node.zeros > 0 else map(theta, node._num))
@@ -1399,13 +1401,8 @@ class _Products:
         is nums[s] / dens[s] while both run, then nums[s], or 1 / dens[s]."""
         compiled, _ = self._pending
         self._pending = None
-        counts = [max(len(dens), len(nums)) for dens, nums in compiled]
-        order = sorted(range(len(compiled)), key=counts.__getitem__, reverse=True)
-        self.rank = array("i", [0] * len(compiled))
-        for i, p in enumerate(order):
-            self.rank[p] = i
+        order, self.rank, self.widths = _ranked([max(map(len, c)) for c in compiled])
         ranked = [compiled[p] for p in order]
-        self.widths = array("i", [sum(n > s for n in counts) for s in range(max(counts, default=0))])
         # The factors, position by position: each distinct quotient is taken
         # once, and a factor indexes the quotients, then the theta values.
         quotients: dict = {}
@@ -1436,9 +1433,8 @@ class _Products:
         if exact is not None:
             for r, k in zip(*np.nonzero(exact)):
                 out[k][r] = _ExactZero(out[k][r])
-        for got, failed in zip(out, self.failures(b)):
-            for r, message in failed.items():
-                got[r] = message
+        for r, k, message in self.failures(b):
+            out[k][r] = message
         return out
 
     def running(self, b: "Bound") -> tuple[np.ndarray, np.ndarray]:
@@ -1452,11 +1448,8 @@ class _Products:
             fi = np.concatenate((qi, b.im))[self.factor]
             shape = (len(self.rank), b.re.shape[1])
             pr, pi = np.ones(shape), np.zeros(shape)
-            a = 0
-            for w in self.widths:
-                c = a + w
-                pr[:w], pi[:w] = _c_mul(pr[:w], pi[:w], fr[a:c], fi[a:c])
-                a = c
+            for w, at in _steps(self.widths):
+                pr[:w], pi[:w] = _c_mul(pr[:w], pi[:w], fr[at], fi[at])
         return pr, pi
 
     def exact_zeros(self, b: "Bound") -> np.ndarray | None:
@@ -1469,32 +1462,55 @@ class _Products:
         # for 1 / den), or the theta value itself.
         factor = np.concatenate((zero[self.num], zero))[self.factor]
         out = np.zeros((len(self.rank), zero.shape[1]), dtype=bool)
-        a = 0
-        for w in self.widths:
-            out[:w] |= factor[a : a + w]
-            a += w
+        for w, at in _steps(self.widths):
+            out[:w] |= factor[at]
         return out
 
-    def failures(self, b: "Bound") -> list[dict]:
-        """The guard failures at each draw, by rank: the first denominator
-        of each product, in order, whose modulus is below the guard (or
-        overflows, as ``abs`` raises there), and the message
+    def failures(self, b: "Bound") -> list[tuple]:
+        """The guard failures, (rank, draw, message): at each draw, the
+        first denominator of each product, in order, whose modulus is below
+        the guard (or overflows, as ``abs`` raises there), and the message
         ``ThetaProduct.finish`` raises at it."""
         events = b.over | (b.mag < self.guard)
-        out: list[dict] = [{} for _ in range(events.shape[1])]
-        if not events.any():
-            return out
-        hit = events[self.den]
-        for k in np.flatnonzero(hit.any(axis=0)).tolist():
-            at = np.flatnonzero(hit[:, k])
-            owner = np.searchsorted(self.den_cuts, at, side="right") - 1
-            owner, first = np.unique(owner, return_index=True)
-            mag = b.mag[:, k]
-            out[k] = {
-                r: DEN_GUARD if mag[i] < self.guard else PRODUCT_RANGE
-                for r, i in zip(owner.tolist(), self.den[at[first]].tolist())
-            }
-        return out
+        return [
+            (r, k, DEN_GUARD if b.mag[i, k] < self.guard else PRODUCT_RANGE)
+            for r, k, i in zip(*_first_events(events, self.den, self.den_cuts))
+        ]
+
+
+def _ranked(counts: Sequence[int]) -> tuple[list, array, array]:
+    """(order, rank, widths) of a program over items of ``counts`` steps:
+    the items by decreasing count, item i's place in that order, and for
+    each step s the number of items with more than s steps."""
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    rank = array("i", [0] * len(counts))
+    for i, p in enumerate(order):
+        rank[p] = i
+    widths = array("i", [sum(n > s for n in counts) for s in range(max(counts, default=0))])
+    return order, rank, widths
+
+
+def _steps(widths: Sequence[int]):
+    """(w, slice) of each step: its entries, one for each of the first w
+    ranked items, lie after those of the steps before it."""
+    a = 0
+    for w in widths:
+        yield w, slice(a, a + w)
+        a += w
+
+
+def _first_events(events: np.ndarray, den: np.ndarray, cuts: np.ndarray) -> tuple:
+    """(groups, draws, theta indices) of the first guard event of each group
+    of denominators, ``den[cuts[g]:cuts[g + 1]]`` in that order, at each
+    draw that has one; ``events`` marks, by theta index and draw, a modulus
+    below the zero guard or beyond range."""
+    if not events.any():
+        return [], [], []
+    at, draw = np.nonzero(events[den])
+    group = np.searchsorted(cuts, at, side="right") - 1
+    # ``at`` ascends, so the first entry of each (group, draw) is its first event.
+    _, first = np.unique(group * events.shape[1] + draw, return_index=True)
+    return group[first].tolist(), draw[first].tolist(), den[at[first]].tolist()
 
 
 def pochhammer(a: ArgLike, n: int, ctx: ThetaContext) -> complex:

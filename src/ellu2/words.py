@@ -56,8 +56,6 @@ __all__ = [
     "antipode",
     "coproduct",
     "counit",
-    "serialize",
-    "elements_close",
 ]
 
 
@@ -142,13 +140,6 @@ GENERATOR_KINDS = ("alpha", "beta", "gamma", "delta")
 ALL_KINDS = GENERATOR_KINDS + ("detinv", "fl", "fr")
 
 
-def _fmt_c(z: complex) -> str:
-    if type(z) is Rec:
-        return repr(z)
-    z = complex(z)
-    return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
-
-
 @dataclass(frozen=True)
 class Letter:
     kind: str
@@ -160,11 +151,6 @@ class Letter:
             raise ValueError(f"unknown letter kind {self.kind!r}")
         if self.kind in ("fl", "fr") and self.fn is None:
             raise ValueError("function letters need a CoefficientFn")
-
-    def key(self) -> str:
-        if self.kind in ("fl", "fr"):
-            return f"{self.kind}[{self.fn.name}]"
-        return f"{self.kind}({_fmt_c(self.arg)})"
 
 
 def _value(x):
@@ -397,42 +383,3 @@ def counit(el: AlgebraElement) -> list[DifferenceOp]:
         if not dead:
             out.append((s, fn, shift))
     return out
-
-
-def serialize(el: AlgebraElement) -> str:
-    """Deterministic text form: scalar-tagged words sorted by letter keys."""
-    rows = []
-    for s, w in el.terms:
-        rows.append(f"({_fmt_c(s)}) " + ".".join(l.key() for l in w))
-    return "\n".join(sorted(rows))
-
-
-def elements_close(
-    x: AlgebraElement, y: AlgebraElement, tol: float = 1e-12
-) -> bool:
-    """Structural equality up to tolerance in scalars and letter arguments.
-
-    Terms must match pairwise after canonical sorting; function letters are
-    compared by exactness flag and name.
-    """
-
-    def rows(el: AlgebraElement):
-        return sorted(
-            el.terms, key=lambda t: ".".join(l.key() for l in t[1])
-        )
-
-    rx, ry = rows(x), rows(y)
-    if len(rx) != len(ry):
-        return False
-    for (s1, w1), (s2, w2) in zip(rx, ry):
-        if abs(s1 - s2) > tol or len(w1) != len(w2):
-            return False
-        for l1, l2 in zip(w1, w2):
-            if l1.kind != l2.kind:
-                return False
-            if l1.kind in ("fl", "fr"):
-                if l1.fn.is_one != l2.fn.is_one or l1.fn.name != l2.fn.name:
-                    return False
-            elif abs(l1.arg - l2.arg) > tol * max(1.0, abs(l1.arg)):
-                return False
-    return True

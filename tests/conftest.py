@@ -1,4 +1,5 @@
-"""Shared fixtures: a generic evaluation context and a seeded RNG.
+"""Shared fixtures: a generic evaluation context, a seeded RNG, and the
+biorthogonality sweep plans built over records.
 
 Hypothesis runs derandomized and without an example database, so every run
 of the suite draws the same cases.
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ellu2.theta import ThetaContext
+from ellu2.biorth import _ITEMS, BiorthParams, _sweep_keys
+from ellu2.theta import LAM, OMEGA, Z, TemplateContext, ThetaContext
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -22,3 +24,27 @@ def ctx():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(90125)
+
+
+@pytest.fixture(scope="session")
+def sweep_plans():
+    """plans(N, M, zero_guard=1e-12): the (key, plan) pairs of every item of
+    the sweep of that shape, in sweep order, built over records (the plans
+    a sweep's template is compiled from), once per session.
+
+    The plans are shared by every test that asks for them: read them, never
+    change them.  A test that measures a build builds its own.
+    """
+    built: dict = {}
+
+    def plans(N: int, M: int, zero_guard: float = 1e-12) -> tuple:
+        shape = (N, M, zero_guard)
+        if shape not in built:
+            # The params ``biorth._symbols`` makes: the symbols for numbers.
+            symbols = BiorthParams(N, LAM, M, OMEGA, Z, TemplateContext(zero_guard))
+            built[shape] = tuple(
+                (key, _ITEMS[key[0]](symbols, *key[1:])) for key in _sweep_keys(N)
+            )
+        return built[shape]
+
+    return plans

@@ -11,7 +11,6 @@ from ellu2.biorth import (
     BiorthCache,
     BiorthParams,
     BiorthReport,
-    biorth_lhs_member,
     check_biorth,
     check_dual_biorth,
     norm_h,
@@ -211,6 +210,13 @@ def test_cache_does_not_change_results(bp):
     fresh = check_biorth(bp, 1, 2, None)
     cached = check_biorth(bp, 1, 2, BiorthCache())
     assert fresh == cached
+
+
+def biorth_lhs_member(bp, j, kl, shifted):
+    """One explicit series factor in its direct form (no merged rewrite)."""
+    a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
+    value, _, _ = vwp_sum(bp.ctx, a1, numer, denom + [c], n)
+    return value
 
 
 def test_merged_rewrite_matches_direct_member(bp):

@@ -221,6 +221,10 @@ def test_check_biorth_table(capsys):
         ["run", "--suite", "theta", "--seed", "-1"],
         # A theta value beyond the double range.
         ["eval", "theta", "--z", "1e-40", "--p", "0.05", "--q", "0.3"],
+        # A nome whose theta product would be cut short of its floor.
+        ["eval", "theta", "--z", "0.9+0.3i", "--p", "0.99"],
+        ["run", "--suite", "theta", "--p", "0.99"],
+        ["check", "qdybe", "--samples", "1", "--p", "0.995"],
     ],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, argv):

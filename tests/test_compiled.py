@@ -34,6 +34,7 @@ from ellu2.suites import RunConfig, run_suite
 from ellu2.theta import PoleError, ThetaContext
 
 rep_mod = importlib.import_module("ellu2.rep")
+theta_mod = importlib.import_module("ellu2.theta")
 corep_mod = importlib.import_module("ellu2.corep")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,14 +144,15 @@ def test_a_draw_next_to_a_pole_raises_on_both_paths(name):
 @pytest.mark.parametrize("name", ["relations", "unitarity N=3"])
 def test_products_bound_on_arrays_are_the_finished_plans(name):
     # ``bind_products`` finishes every path and guard product on arrays:
-    # the same bits as each plan's own finish after ``bind``.
+    # the same bits as each plan's own finish after ``bind_all``.
     build, params, zero_guard, symbols, _ = FAMILIES[name]
     template = compiled(build, params, zero_guard).template
     rc = draw(np.random.default_rng(1), zero_guard)
     sample = (rc.ctx, rc.lam0, rc.omega)
     got = template.bind_products(*sample, **symbols)
-    vals = template.bind(*sample, **symbols)
-    want = [template.finish(key, vals) for key in template.plans]
+    points = (symbols["z"], symbols.get("z1"), symbols.get("z2"))
+    want, failed = template.finish_all(template.bind_all([(*sample, *points)])[0])
+    assert not failed
     assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == [
         (v.real.hex(), v.imag.hex()) for v in want
     ]
@@ -240,7 +242,7 @@ def test_a_gamma_factor_fault_fails_unitarity(monkeypatch):
 
 def test_the_shape_cache_keeps_its_cap(monkeypatch):
     monkeypatch.setattr(rep_mod, "_SHAPES", {})
-    monkeypatch.setattr(rep_mod, "SHAPE_CAP", 1)
+    monkeypatch.setattr(theta_mod, "SHAPE_CAP", 1)
     rc = draw(np.random.default_rng(11), 1e-4)
     rows = [check_det_forms(rc, Z, mmax) for mmax in (1, 2)]
     assert len(rep_mod._SHAPES) == 1

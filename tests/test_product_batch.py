@@ -1,6 +1,6 @@
 """The theta products of a bound template, reduced together, against ``ThetaProduct.finish``.
 
-``Template.bind`` reduces every theta product of a template in one pass over
+``Template.bind_all`` reduces every theta product of a template in one pass over
 split real and imaginary float64 arrays (``theta._Products``), with CPython's
 own formulas for complex ``*``, ``/`` and ``abs``.  Each product, finished
 from its slice of the bound template (its skeleton reads the batch result,
@@ -14,7 +14,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from ellu2.biorth import BiorthParams, _ITEMS, _sweep, _sweep_keys, _symbols
+from ellu2.biorth import BiorthParams, _sweep
 from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.theta import (
     DEN_GUARD,
@@ -74,21 +74,21 @@ class BoundProducts:
         )
 
     def compare(self, sample) -> list:
-        vals, plain = self.template.bind(*sample), self.plain.bind(*sample)
+        vals = self.template.bind_all([sample])[0]
+        plain, _ = self.plain.finish_all(self.plain.bind_all([sample])[0])
         batch, scalar = [], []
         for n, (i, off, node, sk) in enumerate(self.found):
             at = self.template._cuts[i] + off
             batch.append(outcome(sk.finish, vals[at : at + len(sk.args)]))
-            scalar.append(outcome(node.finish, self.plain.finish(n, plain)))
+            scalar.append(outcome(node.finish, plain[n]))
         assert batch == scalar
         return scalar
 
 
-def sweep_products(bp):
-    """The theta products of the sweep template of the shape of ``bp``."""
-    sweep, symbols = _sweep(bp).template, _symbols(bp)
-    keys = _sweep_keys(bp.N)
-    return BoundProducts(sweep, [(key, _ITEMS[key[0]](symbols, *key[1:])) for key in keys])
+def sweep_products(bp, plans):
+    """The theta products of the sweep template of the shape of ``bp``, from
+    the shared sweep plans ``plans`` (the ``sweep_plans`` fixture)."""
+    return BoundProducts(_sweep(bp).template, plans(bp.N, bp.M, bp.ctx.zero_guard))
 
 
 def sample(bp):
@@ -96,14 +96,14 @@ def sample(bp):
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_every_product_of_every_sweep_equals_the_scalar_finish(N):
+def test_every_product_of_every_sweep_equals_the_scalar_finish(N, sweep_plans):
     # One sweep holds the items of the direct and the dual checks.
     rng = np.random.default_rng([8675309, N])
     for M in range(3):
         found = None
         for _ in range(3):
             bp = BiorthParams(N, draw_lambda(rng), M, draw_lambda(rng), draw_z(rng), draw_context(rng))
-            found = found or sweep_products(bp)
+            found = found or sweep_products(bp, sweep_plans)
             results = found.compare(sample(bp))
             # Some draws at N = 8 leave the double range; most values do not.
             assert sum(isinstance(r, str) for r in results) < len(results) // 10
@@ -112,14 +112,14 @@ def test_every_product_of_every_sweep_equals_the_scalar_finish(N):
         assert {complex, Plan, Joined} <= scalars
 
 
-def test_a_zero_guard_hit_fails_as_the_scalar_path():
+def test_a_zero_guard_hit_fails_as_the_scalar_path(sweep_plans):
     # Under a zero guard of 1e3 every denominator fails it; a product with
     # none still gets its value.
     for N in (2, 4):
         bp = BiorthParams(
             N, 0.8 + 0.4j, 1, 0.3 - 0.2j, 1.2 + 0.5j, ThetaContext(0.12, 0.67, zero_guard=1e3)
         )
-        results = sweep_products(bp).compare(sample(bp))
+        results = sweep_products(bp, sweep_plans).compare(sample(bp))
         assert DEN_GUARD in results
         assert any(not isinstance(r, str) for r in results)
 

@@ -1,6 +1,6 @@
 """The series of a bound template, reduced together, against the scalar reduction.
 
-``Template.bind`` reduces every series of a template in one pass over split
+``Template.bind_all`` reduces every series of a template in one pass over split
 real and imaginary float64 arrays (``series._Batch``), with CPython's own
 formulas for complex ``*``, ``/`` and ``abs``.  Each series' (value, max
 term, count) must equal, bit for bit, what ``_Series.reduce`` gives on the
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ellu2 import suites
-from ellu2.biorth import BiorthParams, _ITEMS, _sweep, _sweep_keys, _symbols
+from ellu2.biorth import BiorthParams, _sweep
 from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.series import (
     A1_GUARD,
@@ -175,7 +175,7 @@ class BoundSeries:
 
     def batch(self, sample):
         """What each series' slot holds in the template bound to ``sample``."""
-        vals = self.template.bind(*sample)
+        vals = self.template.bind_all([sample])[0]
         got = []
         for i, offsets in enumerate(self.offsets):
             got += [vals[self.template._cuts[i] + off] for off in offsets]
@@ -184,11 +184,11 @@ class BoundSeries:
 
     def scalar(self, sample):
         """What ``_Series.reduce`` gives each series, or the message it raises."""
-        vals = self.plain.bind(*sample)
+        plain, _ = self.plain.finish_all(self.plain.bind_all([sample])[0])
         out = []
         for i, node in enumerate(self.nodes):
             try:
-                got = node.reduce(self.plain.finish(i, vals))
+                got = node.reduce(plain[i])
             except PoleError as exc:
                 got = str(exc)
             out.append(OUT_OF_RANGE if got is None else got)
@@ -200,11 +200,10 @@ class BoundSeries:
         return scalar
 
 
-def sweep_series(bp):
-    """The series of the sweep template of the shape of ``bp``."""
-    sweep, symbols = _sweep(bp).template, _symbols(bp)
-    keys = _sweep_keys(bp.N)
-    return BoundSeries(sweep, [(key, _ITEMS[key[0]](symbols, *key[1:])) for key in keys])
+def sweep_series(bp, plans):
+    """The series of the sweep template of the shape of ``bp``, from
+    the shared sweep plans ``plans`` (the ``sweep_plans`` fixture)."""
+    return BoundSeries(_sweep(bp).template, plans(bp.N, bp.M, bp.ctx.zero_guard))
 
 
 def sample(bp):
@@ -212,19 +211,19 @@ def sample(bp):
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_every_series_of_every_sweep_equals_the_scalar_reduction(N):
+def test_every_series_of_every_sweep_equals_the_scalar_reduction(N, sweep_plans):
     # One sweep holds the items of the direct and the dual checks.
     rng = np.random.default_rng([31337, N])
     for M in range(3):
         series = None
         for _ in range(3):
             bp = BiorthParams(N, draw_lambda(rng), M, draw_lambda(rng), draw_z(rng), draw_context(rng))
-            series = series or sweep_series(bp)
+            series = series or sweep_series(bp, sweep_plans)
             results = series.compare(sample(bp))
             assert any(not isinstance(r, str) and r[2] > 1 for r in results)
 
 
-def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch):
+def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch, sweep_plans):
     # The level-8 table at seed 20240 redraws twice on a series overflow.
     failed = []
 
@@ -241,18 +240,18 @@ def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch):
     table = suites.biorth_table(suites.RunConfig(seed=20240), 8, 1, 2, False)
     assert (table["samples"], table["rejected"]) == (2, 0)
     assert [msg for _, msg in failed] == [OUT_OF_RANGE] * 2
-    series = sweep_series(failed[0][0])
+    series = sweep_series(failed[0][0], sweep_plans)
     for bp, _ in failed:
         assert OUT_OF_RANGE in series.compare(sample(bp))
 
 
-def test_a_draw_on_theta_zeros_trips_the_guards_as_the_scalar_path():
+def test_a_draw_on_theta_zeros_trips_the_guards_as_the_scalar_path(sweep_plans):
     # q^(2 Λ) = p: theta(a1) and denominator factors of some series vanish.
     ctx = ThetaContext(0.2, 0.7)
     lam = math.log(ctx.p) / (2 * math.log(ctx.q))
     for N in (2, 4):
         bp = BiorthParams(N, complex(lam, 0.0), 1, 0.3 - 0.2j, 1.2 + 0.5j, ctx)
-        results = sweep_series(bp).compare(sample(bp))
+        results = sweep_series(bp, sweep_plans).compare(sample(bp))
         assert DEN_GUARD in results and A1_GUARD in results
 
 

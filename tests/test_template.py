@@ -8,6 +8,7 @@ bind to the bits an item gets when bound alone.
 
 import gc
 import importlib
+import math
 import re
 import subprocess
 import sys
@@ -35,8 +36,9 @@ from ellu2.biorth import (
     weight_w2,
 )
 from ellu2.sampling import draw_context, draw_lambda, draw_z
-from ellu2.series import _Series
+from ellu2.series import A1_GUARD, _Series
 from ellu2.theta import (
+    DEN_GUARD,
     LAM,
     OMEGA,
     Z,
@@ -50,6 +52,7 @@ from ellu2.theta import (
 )
 
 biorth_mod = importlib.import_module("ellu2.biorth")
+theta_mod = importlib.import_module("ellu2.theta")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -145,7 +148,7 @@ def test_every_sweep_key_is_a_check_key():
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_derived_zero_rule_agrees_with_is_one(N):
+def test_derived_zero_rule_agrees_with_is_one(N, sweep_plans):
     # Every argument of every item, direct and dual (one sweep serves both),
     # at M <= 2: the template drops the factors the number build counts as
     # exact zeros by ``is_one``, its series see the same tracked powers, and
@@ -153,6 +156,7 @@ def test_derived_zero_rule_agrees_with_is_one(N):
     for M in range(3):
         numbers = params(N, M, ThetaContext(0.21, 0.63))
         symbols = _symbols(numbers)
+        templates = dict(sweep_plans(N, M))
         for key in _sweep_keys(N):
             try:
                 plan = _ITEMS[key[0]](numbers, *key[1:])
@@ -160,7 +164,7 @@ def test_derived_zero_rule_agrees_with_is_one(N):
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     _ITEMS[key[0]](symbols, *key[1:])
                 continue
-            template = _ITEMS[key[0]](symbols, *key[1:])
+            template = templates[key]
             assert zero_structure(template) == zero_structure(plan), key
             records = [a for a in template.args if type(a) is Rec]
             assert len(records) == len(plan.args), key
@@ -220,7 +224,7 @@ def drawn(rng, N, M, count):
 def assert_bound_together_as_alone(template, draws):
     """Each of ``draws`` bound with the others, in batches of 1, 2 and 10,
     gets the bits of its list bound alone, and finishes every item alone."""
-    alone = [template.bind(*draw) for draw in draws]
+    alone = [template.bind_all([draw])[0] for draw in draws]
     want = [(list(map(bound_bits, vals)), finished_bits(template, vals)) for vals in alone]
     for K in (1, 2, 10):
         for start in range(0, len(draws), K):
@@ -255,6 +259,23 @@ def test_the_pinned_failing_draws_bound_together_are_bit_identical(seed, N, coun
     assert sum(map(bool, failing)) == count - 2
 
 
+def test_guard_failures_bound_together_are_those_bound_alone():
+    # q^(2 Λ) = p puts zeros of theta at some series' theta(a1) and at
+    # denominators of series and products: draws there, bound with generic
+    # ones, fail where and as they fail bound alone.
+    ctx = ThetaContext(0.2, 0.7)
+    lam = complex(math.log(ctx.p) / (2 * math.log(ctx.q)), 0.0)
+    rng = np.random.default_rng(161803)
+    for N in (2, 4):
+        bps = drawn(rng, N, 1, 3)
+        bps[1:1] = [BiorthParams(N, lam, 1, om, 1.2 + 0.5j, ctx) for om in (0.3 - 0.2j, 0.7j)]
+        template = biorth_mod._sweep(bps[0]).template
+        assert_bound_together_as_alone(template, bound_draws(bps))
+        failed = [template.finish_all(vals)[1] for vals in template.bind_all(bound_draws(bps))]
+        messages = {str(exc) for exc in failed[1].values()}
+        assert {DEN_GUARD, A1_GUARD} <= messages and failed[2]
+
+
 def mp_theta(x, p):
     out, pj = mpmath.mpc(1), mpmath.mpf(1)
     while pj > mpmath.mpf(10) ** -40:
@@ -270,11 +291,11 @@ KEYS = [
 
 
 @pytest.mark.parametrize("key", KEYS, ids=["-".join(map(str, k)) for k in KEYS])
-def test_bound_items_match_a_long_product_evaluation(key):
+def test_bound_items_match_a_long_product_evaluation(key, sweep_plans):
     # The template's records and theta values taken to 30 digits, by long
     # products; the plan then reduces them in that precision.
     bp = params(3, 1, ThetaContext(0.17, 0.71))
-    plan = _ITEMS[key[0]](_symbols(bp), *key[1:])
+    plan = dict(sweep_plans(bp.N, bp.M))[key]
     with mpmath.workdps(30):
         q, p = mpmath.mpf(bp.ctx.q), mpmath.mpf(bp.ctx.p)
         lam, om, z = mpmath.mpc(bp.Lam), mpmath.mpc(bp.omega), mpmath.mpc(bp.z)
@@ -291,7 +312,7 @@ def test_bound_items_match_a_long_product_evaluation(key):
 
 def test_shapes_are_kept_up_to_the_cap(monkeypatch):
     monkeypatch.setattr(biorth_mod, "_SWEEPS", {})
-    monkeypatch.setattr(biorth_mod, "SHAPE_CAP", 2)
+    monkeypatch.setattr(theta_mod, "SHAPE_CAP", 2)
     reports = {}
     for M in range(4):
         bp = params(2, M)

@@ -2,12 +2,14 @@
 
 import importlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellu2.theta import (
+    MAX_THETA_FACTORS,
     PoleError,
     ThetaContext,
     ThetaProduct,
@@ -17,6 +19,7 @@ from ellu2.theta import (
     pochhammer,
     qarg,
     theta,
+    theta_factors,
     theta_multi,
     theta_vec,
     theta_vec_cached,
@@ -53,6 +56,37 @@ def test_theta_matches_long_product():
     ctx = ThetaContext(0.1, 0.7)
     ref = brute_theta(2.0 + 0.0j, 0.1)
     assert abs(theta(2.0 + 0.0j, ctx) - ref) <= 1e-14 * abs(ref)
+
+
+def mp_theta(z, p):
+    """theta(z) to 30 digits, by the long product down to p^j < 1e-40."""
+    with mpmath.workdps(30):
+        z, p = mpmath.mpc(z), mpmath.mpf(p)
+        out, pj = mpmath.mpc(1), mpmath.mpf(1)
+        while pj > mpmath.mpf(10) ** -40:
+            out *= (1 - z * pj) * (1 - pj * p / z)
+            pj *= p
+        return complex(out)
+
+
+@pytest.mark.parametrize("p", [0.9, 0.98, 0.9806])
+def test_theta_reaches_its_floor_up_to_the_factor_cap(p):
+    # 0.9806^2000 is just below the floor 1e-17, so every factor the floor
+    # asks for is taken.
+    assert theta_factors(p) <= MAX_THETA_FACTORS
+    z = 0.9 + 0.3j
+    ref = mp_theta(z, p)
+    assert abs(theta(z, ThetaContext(p, 0.5)) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("p", [0.9807, 0.99, 0.995])
+def test_a_nome_past_the_factor_cap_is_refused(p):
+    # Cut at 2000 factors, theta(0.9 + 0.3j) would be off by 3.5e-7
+    # (relative) at p = 0.99 and by 1.7e-2 at p = 0.995.
+    with pytest.raises(ValueError, match="theta factors to reach the truncation floor"):
+        theta_factors(p)
+    with pytest.raises(ValueError, match="theta factors to reach the truncation floor"):
+        ThetaContext(p, 0.5)
 
 
 @pytest.mark.parametrize("mag", [1e-8, 1e-4, 1.0, 1e4, 1e8])

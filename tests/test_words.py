@@ -2,6 +2,7 @@
 
 import pytest
 
+from ellu2.theta import Rec
 from ellu2.words import (
     L_alpha,
     L_beta,
@@ -15,13 +16,62 @@ from ellu2.words import (
     coproduct,
     counit,
     det_element,
-    elements_close,
-    serialize,
     star,
     unit,
     word,
     zero,
 )
+
+# -- element comparison: structural equality and a canonical text form ------
+
+
+def _fmt_c(z) -> str:
+    if type(z) is Rec:
+        return repr(z)
+    z = complex(z)
+    return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
+
+
+def letter_key(l) -> str:
+    """A letter as text: its kind and argument, or its function's name."""
+    if l.kind in ("fl", "fr"):
+        return f"{l.kind}[{l.fn.name}]"
+    return f"{l.kind}({_fmt_c(l.arg)})"
+
+
+def serialize(el) -> str:
+    """Deterministic text form: scalar-tagged words sorted by letter keys."""
+    rows = []
+    for s, w in el.terms:
+        rows.append(f"({_fmt_c(s)}) " + ".".join(map(letter_key, w)))
+    return "\n".join(sorted(rows))
+
+
+def elements_close(x, y, tol: float = 1e-12) -> bool:
+    """Structural equality up to tolerance in scalars and letter arguments.
+
+    Terms must match pairwise after canonical sorting; function letters are
+    compared by exactness flag and name.
+    """
+
+    def rows(el):
+        return sorted(el.terms, key=lambda t: ".".join(map(letter_key, t[1])))
+
+    rx, ry = rows(x), rows(y)
+    if len(rx) != len(ry):
+        return False
+    for (s1, w1), (s2, w2) in zip(rx, ry):
+        if abs(s1 - s2) > tol or len(w1) != len(w2):
+            return False
+        for l1, l2 in zip(w1, w2):
+            if l1.kind != l2.kind:
+                return False
+            if l1.kind in ("fl", "fr"):
+                if l1.fn.is_one != l2.fn.is_one or l1.fn.name != l2.fn.name:
+                    return False
+            elif abs(l1.arg - l2.arg) > tol * max(1.0, abs(l1.arg)):
+                return False
+    return True
 
 
 def test_algebra_arithmetic():
