@@ -32,15 +32,15 @@ alone, at its first check.  The template of every item of the full (k, l)
 sweep is bound to all the samples at once (``theta.Template.bind_all``),
 and each sample's items are finished once, in one loop
 (``Template.finish_all``), an item that fails recorded, not raised.  The
-check layer of each sweep shape, direct or dual, is
-compiled once, at its first use, into int32 gathers over the sweep's items
-(``_Program``): for every (k, l) row, every summand j and every factor of
-the summand and of its representation-side value.  The reports of all
-(N + 1)^2 rows of every sample are computed in one pass, the samples' rows
-end to end, over split real and imaginary arrays, with CPython's complex
-formulas (``theta._c_mul``, ``_c_div``, and ``hypot`` for ``abs``), sums
-over j added left to right.  Each report has the bits the same arithmetic
-in Python complex numbers gives at its sample alone.  A check with k or l
+check layer of each sweep shape, direct or dual, is compiled once, at its
+first use, into int32 gathers over the sweep's items (``_Program``): for
+every (k, l) row, every summand j and every factor of the summand and of
+its representation-side value.  The reports of all (N + 1)^2 rows of every
+sample are computed in one pass, the samples' rows end to end, over split
+real and imaginary arrays, with CPython's complex formulas
+(``theta._c_mul``, ``_c_div``, and ``hypot`` for ``abs``), sums over j
+added left to right.  Each report has the bits the same arithmetic in
+Python complex numbers gives at its sample alone.  A check with k or l
 outside 0..N is refused with ``ValueError``.
 Each check returns its row, or raises what that arithmetic raises: the first
 failing item in its read order (the determinant product, h_k, the summand
