@@ -29,7 +29,6 @@ from .corep import (
     tau_closed,
     tau_product,
     tau_tilde_closed,
-    v_word,
 )
 from .rep import (
     RepContext,
@@ -125,7 +124,6 @@ __all__ = [
     "tau_tilde_closed",
     "theta",
     "unit",
-    "v_word",
     "weight_w1",
     "weight_w2",
     "word",

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import sys
 import time
+
+import numpy as np
 
 from .corep import t_word, tau_closed, tau_product
 from .rep import RepContext, apply_word
@@ -86,13 +89,19 @@ def _add_base_args(p: argparse.ArgumentParser, p_default=None, q_default=None) -
     p.add_argument("--q", type=float, default=q_default, help="deformation base in (0, 1)")
 
 
-def _add_check_args(p: argparse.ArgumentParser, samples_default: int) -> None:
-    p.add_argument("--samples", type=int, default=samples_default)
+def _add_run_args(p: argparse.ArgumentParser, samples_default: int | None) -> None:
+    """The options ``run`` and every ``check`` share; ``_config`` reads them."""
+    samples = "draws (default %(default)s)" if samples_default else "override per-suite draw count"
     p.add_argument("--seed", type=int, default=20240)
+    p.add_argument("--samples", type=int, default=samples_default, help=samples)
     _add_base_args(p)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", dest="json_path", default=None)
+    p.add_argument("--tol", type=float, default=None, help="override headline tolerance")
+    p.add_argument("--json", dest="json_path", default=None, help="write report to this path")
     p.add_argument("--max-redraws", type=int, default=50)
+
+
+def _config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,34 +120,33 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(SUITE_NAMES) + ["all"],
         help="suite to run (repeatable; default all)",
     )
-    runp.add_argument("--seed", type=int, default=20240)
-    runp.add_argument("--samples", type=int, default=None, help="override per-suite draw count")
-    _add_base_args(runp)
-    runp.add_argument("--tol", type=float, default=None, help="override headline tolerance")
-    runp.add_argument("--json", dest="json_path", default=None, help="write report to this path")
-    runp.add_argument("--max-redraws", type=int, default=50)
+    _add_run_args(runp, None)
 
     checkp = sub.add_parser("check", help="focused checks with per-entry residual tables")
     checksub = checkp.add_subparsers(dest="check_kind", required=True)
 
     ccorep = checksub.add_parser("corep", help="matrix-element oracle tower at one level")
     ccorep.add_argument("--N", type=int, required=True)
-    _add_check_args(ccorep, 5)
+    _add_run_args(ccorep, 5)
+    ccorep.set_defaults(table=lambda cfg, a: corep_table(cfg, a.N, a.samples))
 
     cbiorth = checksub.add_parser("biorth", help="(dual) biorthogonality residual table")
     cbiorth.add_argument("--N", type=int, required=True)
     cbiorth.add_argument("--M", type=int, default=0)
     cbiorth.add_argument("--dual", action="store_true")
-    _add_check_args(cbiorth, 5)
+    _add_run_args(cbiorth, 5)
+    cbiorth.set_defaults(table=lambda cfg, a: biorth_table(cfg, a.N, a.M, a.samples, a.dual))
 
     cbailey = checksub.add_parser("bailey", help="series transformation residuals per sample")
     cbailey.add_argument(
         "--n", type=int, default=None, help="pin the truncation order (default: random 0..6)"
     )
-    _add_check_args(cbailey, 50)
+    _add_run_args(cbailey, 50)
+    cbailey.set_defaults(table=lambda cfg, a: bailey_table(cfg, a.n, a.samples))
 
     cqdybe = checksub.add_parser("qdybe", help="shifted hexagon identity residuals per sample")
-    _add_check_args(cqdybe, 100)
+    _add_run_args(cqdybe, 100)
+    cqdybe.set_defaults(table=lambda cfg, a: qdybe_table(cfg, a.samples))
 
     crel = checksub.add_parser("relations", help="defining-relation residual table")
     crel.add_argument(
@@ -147,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     crel.add_argument(
         "--lambda", dest="lam", type=parse_complex, default=None, help="pin the evaluation point"
     )
-    _add_check_args(crel, 50)
+    _add_run_args(crel, 50)
+    crel.set_defaults(table=lambda cfg, a: relations_table(cfg, a.omega, a.lam, a.samples))
 
     evalp = sub.add_parser("eval", help="evaluate one quantity at explicit parameters")
     evalsub = evalp.add_subparsers(dest="eval_kind", required=True)
@@ -257,14 +266,7 @@ def _emit(report: dict, json_path: str | None, t0: float) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        p=args.p,
-        q=args.q,
-        tol=args.tol,
-        max_redraws=args.max_redraws,
-    )
+    cfg = _config(args)
     t0 = time.monotonic()
     records = []
     for name in suite_names(args.suite):
@@ -275,27 +277,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        seed=args.seed, p=args.p, q=args.q, tol=args.tol, max_redraws=args.max_redraws
-    )
     t0 = time.monotonic()
-    if args.check_kind == "corep":
-        report = corep_table(cfg, args.N, args.samples)
-    elif args.check_kind == "biorth":
-        report = biorth_table(cfg, args.N, args.M, args.samples, args.dual)
-    elif args.check_kind == "bailey":
-        report = bailey_table(cfg, args.n, args.samples)
-    elif args.check_kind == "qdybe":
-        report = qdybe_table(cfg, args.samples)
-    else:
-        report = relations_table(cfg, args.omega, args.lam, args.samples)
-    return _emit(report, args.json_path, t0)
+    return _emit(args.table(_config(args), args), args.json_path, t0)
 
 
 def _context(args: argparse.Namespace) -> ThetaContext:
     return ThetaContext(args.p, args.q)
 
 
+# Without this, an eval point near the edge of the double range would print
+# numpy's floating-point warnings before its one-line PoleError.
+@np.errstate(all="ignore")
 def _cmd_eval(args: argparse.Namespace) -> int:
     ctx = _context(args)
     if args.eval_kind == "theta":

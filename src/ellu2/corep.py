@@ -1,15 +1,17 @@
 """Matrix elements of the symmetric-power corepresentations.
 
 ``t_word`` builds the (k, j) matrix element of the N-th symmetric power as an
-explicit sum of generator words with dynamical coefficients; ``v_word`` is the
-highest-column special case.  ``tau_closed`` and ``tau_tilde_closed`` give the
-action of these elements (and their conjugates) on basis vectors in closed
-form: a theta-product prefactor times a terminating very well poised balanced
-series.  ``tau_product`` is an independent oracle built by composing the raw
-single-letter actions.  ``gamma_factor`` supplies the diagonal normalization
-appearing in the inversion identity, checked word by word in
-``check_unitarity`` and ``check_inversion_words``: their words are compiled
-once per level over records (``rep.Compiled``) and bound once per sample.
+explicit sum of generator words with dynamical coefficients.  ``tau_closed``
+and ``tau_tilde_closed`` give the action of these elements (and their
+conjugates) on basis vectors in closed form: a theta-product prefactor times
+a terminating very well poised balanced series.  ``tau_product`` is an
+independent oracle built by composing the raw single-letter actions.
+``gamma_factor`` supplies the diagonal normalization appearing in the
+inversion identity, checked word by word in ``check_unitarity`` and
+``check_inversion_words``: their words are compiled once per level over
+records (``rep.Compiled``) and bound once per sample.  Both sides of that
+identity take their reflected point and inverse-determinant word from
+``_reflection``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .words import (
 )
 
 __all__ = [
-    "v_word",
     "t_word",
     "tau_series_parts",
     "tau_tilde_series_parts",
@@ -92,15 +93,6 @@ __all__ = [
     "check_inversion_words",
     "linear_independence_ratio",
 ]
-
-
-def v_word(N: int, k: int, z: complex, ctx: ThetaContext) -> AlgebraElement:
-    """Product of N - k lowering then k diagonal-raising letters on a q^2 ladder."""
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
-    letters = [L_gamma(z * ctx.qpow(2 * i)) for i in range(N - k)]
-    letters += [L_alpha(z * ctx.qpow(2 * i)) for i in range(N - k, N)]
-    return word(1.0, letters)
 
 
 def _t_coefficient(N: int, k: int, j: int, l: int, ctx: ThetaContext) -> CoefficientFn | None:
@@ -491,34 +483,34 @@ def check_counit_exact(N: int, z: complex, ctx: ThetaContext) -> list[str]:
     return bad
 
 
+def _reflection(N: int, z: complex, ctx: ThetaContext) -> tuple[complex, AlgebraElement]:
+    """The reflected point q^(-2(N-2))/conj(z) of the inversion identity, and
+    its inverse-determinant word, the letters at q^(-2i)/conj(z) for i < N."""
+    zb = ctx.conj(z)
+    dets = word(1.0, tuple(L_detinv(ctx.qpow(-2 * i) / zb) for i in range(N)))
+    return ctx.qpow(-2 * (N - 2)) / zb, dets
+
+
 def unitarity_words(
     N: int, k: int, j: int, z: complex, ctx: ThetaContext
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Both sides of the inversion identity for a single matrix element."""
-    zb = ctx.conj(z)
-    zr = ctx.qpow(-2 * (N - 2)) / zb
+    zr, dets = _reflection(N, z, ctx)
     lhs = word(1.0, (L_fr(gamma_cf(N, k, ctx)),)) * star(
         antipode(t_word(N, k, j, z, ctx), ctx), ctx
     )
-    dets = [L_detinv(ctx.qpow(-2 * i) / zb) for i in range(N)]
-    rhs = (
-        word(1.0, (L_fl(gamma_cf(N, j, ctx)),))
-        * t_word(N, j, k, zr, ctx)
-        * word(1.0, tuple(dets))
-    )
+    rhs = word(1.0, (L_fl(gamma_cf(N, j, ctx)),)) * t_word(N, j, k, zr, ctx) * dets
     return lhs, rhs
 
 
 def inversion_elements(N: int, k: int, l: int, z: complex, ctx: ThetaContext) -> list[AlgebraElement]:
     """The conjugate pairs summed over j = 0..N in ``check_inversion_words``."""
-    zb = ctx.conj(z)
-    zr = ctx.qpow(-2 * (N - 2)) / zb
-    dets = tuple(L_detinv(ctx.qpow(-2 * i) / zb) for i in range(N))
+    zr, dets = _reflection(N, z, ctx)
     return [
         star(t_word(N, j, l, z, ctx), ctx)
         * word(1.0, (L_fl(gamma_cf(N, j, ctx)), L_fr(inv_gamma_factor(N, k, ctx))))
         * t_word(N, j, k, zr, ctx)
-        * word(1.0, dets)
+        * dets
         for j in range(N + 1)
     ]
 

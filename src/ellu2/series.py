@@ -142,6 +142,8 @@ class SeriesSpec:
             return "unbalanced: degenerate target"
         ratio = prod * prod / target
         mag = abs(ratio)
+        if not np.isfinite(mag):
+            return "balance not checked: parameter product beyond double precision range"
         if mag == 0:
             return "unbalanced: vanishing parameter product"
         tshift = round(-np.log(mag) / np.log(ctx.p))

@@ -13,8 +13,9 @@ Suites and the focused tables of ``ellu2 check`` share one engine:
   count;
 - one fold, ``_worst``, keeps the worst residual per key, counting a NaN as
   +inf (``residuals.worst``) so that a check which breaks fails its gate;
-- ``_suite_result`` and ``_table`` build the two report shapes and own the
-  pass rules;
+- ``_suite_result`` returns a suite's record and ``_table`` a table's
+  report; the two own the pass rules, and ``_grid`` folds the per-(k, j)
+  and per-(k, l) entries of the corep and biorth tables;
 - each per-sample body a suite shares with its table is written once
   (``_corep_tower``, ``_qdybe_draw``, ``_relations_draw``, ``_BiorthDraws``,
   ``_bailey_draw``) and consumes the RNG in the same order for both.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -105,28 +106,6 @@ class RunConfig:
         return draw_context(rng, self.p, self.q, zero_guard)
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    samples: int
-    rejected: int
-    max_rel_residual: float
-    tol: float
-    passed: bool
-    notes: list[str] = field(default_factory=list)
-
-    def record(self) -> dict:
-        return {
-            "suite": self.suite,
-            "samples": self.samples,
-            "rejected": self.rejected,
-            "max_rel_residual": self.max_rel_residual,
-            "tol": self.tol,
-            "pass": self.passed,
-            "notes": list(self.notes),
-        }
-
-
 def _theta_identity_residual(
     terms: list[tuple[complex, tuple[complex, ...]]], ctx: ThetaContext
 ) -> float:
@@ -190,8 +169,8 @@ def _suite_result(
     values: list[dict[str, float]],
     notes: list[str],
     gates: Iterable[tuple[bool, str]] = (),
-) -> SuiteResult:
-    """Fold the completed samples' residuals into a suite's result.
+) -> dict:
+    """Fold the completed samples' residuals into a suite's report record.
 
     The first entry of ``classes`` is the headline residual class; the others
     get their own tolerance and surface through notes.  Each of ``gates`` is
@@ -207,15 +186,15 @@ def _suite_result(
         notes.append(note)
     if rejected >= samples:
         notes.append("all samples rejected by pole guard")
-    return SuiteResult(
-        suite=name,
-        samples=samples - rejected,
-        rejected=rejected,
-        max_rel_residual=top[keys[0]],
-        tol=classes[keys[0]],
-        passed=passed,
-        notes=notes,
-    )
+    return {
+        "suite": name,
+        "samples": samples - rejected,
+        "rejected": rejected,
+        "max_rel_residual": top[keys[0]],
+        "tol": classes[keys[0]],
+        "pass": passed,
+        "notes": notes,
+    }
 
 
 def _drive(
@@ -225,7 +204,7 @@ def _drive(
     classes: dict[str, float],
     sample_fn: Callable[[], dict[str, float]],
     notes: list[str],
-) -> SuiteResult:
+) -> dict:
     """Run a per-sample closure with pole redraws; aggregate named residuals."""
     values, rejected = _sample(samples, max_redraws, sample_fn)
     return _suite_result(name, samples, rejected, classes, values, notes)
@@ -245,7 +224,7 @@ def _rep_draw(
     return RepContext(omega, lam, ctx)
 
 
-def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
 
     def sample() -> dict[str, float]:
         ctx = cfg.context(rng)
@@ -266,7 +245,7 @@ def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
     return _drive("theta", samples, cfg.max_redraws, {"theta identities": tol}, sample, [])
 
 
-def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     notes: list[str] = []
 
     def sample() -> dict[str, float]:
@@ -318,7 +297,7 @@ def _bailey_draw(cfg: RunConfig, rng: np.random.Generator, order: int | None):
     return n, report, theta_cond
 
 
-def _suite_bailey(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_bailey(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
 
     def sample() -> dict[str, float]:
         return {"transformation": _bailey_draw(cfg, rng, None)[1].residual}
@@ -334,7 +313,7 @@ def _qdybe_draw(cfg: RunConfig, rng: np.random.Generator) -> tuple[float, float]
     return qdybe_residual(lam, z1, z2, z3, ctx), det_residual(lam, z1, ctx)
 
 
-def _suite_qdybe(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_qdybe(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     def sample() -> dict[str, float]:
         res, det = _qdybe_draw(cfg, rng)
         return {"hexagon": res, "det closed form": det}
@@ -358,7 +337,7 @@ def _relations_draw(
     return rc, z, check_relations(rc, z1, z2, z, mmax=6, kmax_reverse=4)
 
 
-def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     notes: list[str] = []
     det_tol = 1e-10
     flagged: set[str] = set()
@@ -402,7 +381,7 @@ def _corep_tower(rc: RepContext, z: complex, n_level: int) -> dict[tuple[int, in
     return out
 
 
-def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     tensor_tol = 1e-9
     indep_floor = 1e-8
     heavy_draws = 2
@@ -477,7 +456,7 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
     return _suite_result("corep", samples, rejected, classes, values, [], gates)
 
 
-def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     inversion_tol = 1e-7
 
     def sample() -> dict[str, float]:
@@ -585,7 +564,7 @@ def _biorth_driver(
     rng: np.random.Generator,
     samples: int,
     tol: float,
-) -> SuiteResult:
+) -> dict:
     classes = {
         "biorthogonality sum": tol,
         "termwise vs oracle": 1e-7,
@@ -611,11 +590,11 @@ def _biorth_driver(
     return _suite_result(name, 15 * samples, rejected, classes, values, [])
 
 
-def _suite_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     return _biorth_driver("biorth", check_biorth, False, cfg, rng, samples, tol)
 
 
-def _suite_dual_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> SuiteResult:
+def _suite_dual_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     return _biorth_driver("dual-biorth", check_dual_biorth, True, cfg, rng, samples, tol)
 
 
@@ -624,7 +603,7 @@ class SuiteSpec:
     name: str
     samples: int
     tol: float
-    fn: Callable[[RunConfig, np.random.Generator, int, float], SuiteResult]
+    fn: Callable[[RunConfig, np.random.Generator, int, float], dict]
 
 
 _REGISTRY: tuple[SuiteSpec, ...] = (
@@ -655,7 +634,7 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
     spec = _REGISTRY[_INDEX[name]]
     rng = np.random.default_rng([cfg.seed, _INDEX[name]])
     samples = cfg.samples if cfg.samples is not None else spec.samples
-    return spec.fn(cfg, rng, samples, _tol(cfg, name)).record()
+    return spec.fn(cfg, rng, samples, _tol(cfg, name))
 
 
 def suite_names(names: list[str] | None) -> list[str]:
@@ -729,6 +708,17 @@ def _table(
     }
 
 
+def _grid(values: list, n_level: int, second: str, tol: float) -> list[dict]:
+    """Table entries of the worst residual per (k, ``second``) on the level's
+    (N + 1) x (N + 1) grid, over samples of ((k, ``second``), residual) pairs."""
+    keys = [(k, i) for k in range(n_level + 1) for i in range(n_level + 1)]
+    top = _worst(values, keys)
+    return [
+        {"k": k, second: i, "max_rel_residual": top[(k, i)], "pass": top[(k, i)] <= tol}
+        for k, i in keys
+    ]
+
+
 def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
     """Per-(k, j) worst tower residuals for one corepresentation level."""
     rng = np.random.default_rng([cfg.seed, 100 + n_level])
@@ -739,12 +729,7 @@ def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
         return _corep_tower(rc, draw_z(rng), n_level).items()
 
     values, rejected = _sample(samples, cfg.max_redraws, sample)
-    keys = [(k, j) for k in range(n_level + 1) for j in range(n_level + 1)]
-    top = _worst(values, keys)
-    entries = [
-        {"k": k, "j": j, "max_rel_residual": top[(k, j)], "pass": top[(k, j)] <= tol}
-        for k, j in keys
-    ]
+    entries = _grid(values, n_level, "j", tol)
     return _table(cfg, "corep", samples, rejected, tol, entries, N=n_level)
 
 
@@ -832,10 +817,5 @@ def biorth_table(
         return [(kl, report.residual) for kl, report in draws.attempt().items()]
 
     values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)
-    keys = [(k, l) for k in range(n_level + 1) for l in range(n_level + 1)]
-    top = _worst(values, keys)
-    entries = [
-        {"k": k, "l": l, "max_rel_residual": top[(k, l)], "pass": top[(k, l)] <= tol}
-        for k, l in keys
-    ]
+    entries = _grid(values, n_level, "l", tol)
     return _table(cfg, check, samples, rejected, tol, entries, N=n_level, M=m_shift)

@@ -280,8 +280,8 @@ def theta(z: complex, ctx: ThetaContext) -> complex:
     w = z
     pref = 1.0 + 0.0j
     if m != 0:
-        w = z * ctx.p ** (-m)
         try:
+            w = z * ctx.p ** (-m)
             pref = (-1 if m % 2 else 1) * w ** (-m) * ctx.p ** (-m * (m - 1) // 2)
         except OverflowError:
             raise PoleError(THETA_RANGE) from None

@@ -3,11 +3,16 @@
 import argparse
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ellu2.cli import fmt, main, parse_complex
 from ellu2.suites import BAILEY_MAX_CONDITION, RunConfig, canonical_json, corep_table, run_report
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +230,11 @@ def test_check_biorth_table(capsys):
         ["eval", "theta", "--z", "0.9+0.3i", "--p", "0.99"],
         ["run", "--suite", "theta", "--p", "0.99"],
         ["check", "qdybe", "--samples", "1", "--p", "0.995"],
+        # Subnormal points, and a parameter product, beyond the double range.
+        ["eval", "theta", "--z", "1e-320", "--p", "0.1"],
+        ["eval", "theta", "--z", "1e-310", "--p", "0.5"],
+        ["eval", "r-entries", "--z", "1e-320", "--lambda", "0.3"],
+        ["eval", "omega", "--a1", "0.3", "--upper", "1e200,1e200,q^:-2", "--slot", "2"],
     ],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, argv):
@@ -233,6 +243,20 @@ def test_domain_errors_exit_2_with_one_line(capsys, argv):
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellu2: error: ")
+
+
+def test_range_error_writes_no_numpy_warning():
+    # In a fresh interpreter, as a user sees it: pytest would collect numpy's
+    # RuntimeWarnings apart from the captured stderr.
+    done = subprocess.run(
+        [sys.executable, "-m", "ellu2", "eval", "pochhammer", "--a", "1e-320", "--n", "2"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ellu2: error: ")
 
 

@@ -90,6 +90,17 @@ def test_balance_check_exact_for_tracked_powers(ctx):
     assert warning is not None and "exact exponent defect" in warning
 
 
+def test_balance_check_beyond_the_double_range():
+    # The parameter product overflows, so the balance ratio is not finite.
+    ctx = ThetaContext(0.1, 0.7)
+    spec = SeriesSpec(garg(0.3), (garg(1e200), garg(1e200), qarg(-2)), 2, ctx)
+    with np.errstate(all="ignore"):
+        warning = spec.balancing_warning()
+        assert warning is not None and "beyond double precision range" in warning
+        with pytest.raises(PoleError, match="double precision range"):
+            eval_omega(spec)
+
+
 def test_pole_in_denominator_raises(ctx, rng):
     spec = balanced_spec(ctx, rng, 3)
     a1 = spec.a1.generic

@@ -348,6 +348,9 @@ def test_scalar_theta_out_of_range_is_pole_error():
         assert z not in ctx._memo
     big = theta(1e-20 + 0j, ctx)
     assert np.isfinite(big) and abs(big) > 1e140
+    # At a subnormal argument already the reduction factor p**(-m) overflows.
+    with pytest.raises(PoleError, match="^theta value exceeds double precision range$"):
+        theta(1e-320 + 0j, ThetaContext(0.1, 0.7))
 
 
 def test_q2n_is_qpow_of_even_exponents():
