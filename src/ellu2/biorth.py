@@ -29,13 +29,13 @@ A ``BiorthCache`` holds the items and reports of one sample, and is filled
 in one way, ``BiorthCache.batch``: for the samples of one shape together,
 each with its own cache, as the suites draw them, or for a cache's sample
 alone, at its first check.  The template of every item of the full (k, l)
-sweep is bound to all the samples at once (``theta.Template.bind_all``),
-and each sample's items are finished once, in one loop
-(``Template.finish_all``), an item that fails recorded, not raised.  The
-check layer of each sweep shape, direct or dual, is compiled once, at its
-first use, into int32 gathers over the sweep's items (``_Program``): for
-every (k, l) row, every summand j and every factor of the summand and of
-its representation-side value.  The reports of all (N + 1)^2 rows of every
+sweep is bound to all the samples at once, and every item of every sample
+is finished in the same pass over arrays (``theta.Template.bind_all``), an
+item that fails recorded, not raised: one array of item values by sample
+and position, read as it is by the checks.  The check layer of each sweep
+shape, direct or dual, is compiled once, at its first use, into gathers of
+item positions (``_Program``): for every (k, l) row, every summand j and
+every factor of the summand and of its representation-side value.  The reports of all (N + 1)^2 rows of every
 sample are computed in one pass, the samples' rows end to end, over split
 real and imaginary arrays, with CPython's complex formulas
 (``theta._c_mul``, ``_c_div``, and ``hypot`` for ``abs``), sums over j
@@ -47,8 +47,9 @@ failing item in its read order (the determinant product, h_k, the summand
 items of j = 0..N, then their oracle items), else the first
 ``ZeroDivisionError`` or ``OverflowError`` of its own arithmetic
 (``_Faults``).  ``norm_h``, ``weight_w1``, ``weight_w2`` and
-``c_det_product`` bind a template of their one item the same way, alone,
-to the same bits, and raise the error recorded for a failing item.
+``c_det_product`` bind a template of their one item the same way, as a
+batch of one, to the same bits, and raise the error recorded for a failing
+item.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ from .theta import (
     garg,
     _c_div,
     _c_mul,
-    _i32,
+    _indices,
+    array_form,
     kept_shape,
     known,
     qarg,
@@ -114,17 +116,21 @@ class BiorthParams:
 
 
 # The reductions of the joined items.  Module functions, not lambdas: a
-# template keeps every item's plan, and a lambda would be one more object each.
+# template keeps every item's plan, and a lambda would be one more object
+# each.  Each is its own array form (``theta.array_form``).
 
 
+@array_form
 def _over(b: complex, power: complex) -> complex:
     return power / b
 
 
+@array_form
 def _w1_value(t: complex, gauge: complex, first: complex) -> complex:
     return t * gauge / first
 
 
+@array_form
 def _w2_value(t: complex, gauge: complex, second: complex) -> complex:
     return t / (gauge * second)
 
@@ -323,6 +329,7 @@ def _member(bp: BiorthParams, j: int, kl: int, shifted: bool) -> Plan:
     return combine(bp.ctx, [vwp_plan(bp.ctx, a1, numer, denom, n, merged=(c, j))], _value_of)
 
 
+@array_form
 def _value_of(series: tuple[complex, float, int]) -> complex:
     return series[0]
 
@@ -422,10 +429,10 @@ def _item(bp: BiorthParams, key: tuple) -> complex:
     """The value of one item, its template built and bound to ``bp`` alone;
     an item that fails raises its error."""
     alone = Template([(key, _ITEMS[key[0]](_symbols(bp), *key[1:]))])
-    (value,), failed = alone.finish_all(alone.bind_all([_draw(bp)])[0])
+    values, (failed,) = alone.bind_all([_draw(bp)])
     if failed:
         raise failed[0].with_traceback(None)
-    return value
+    return complex(values[0, 0])
 
 
 def _summand_keys(k: int, l: int, j: int, dual: bool) -> tuple:
@@ -457,7 +464,8 @@ class BiorthReport:
 
 
 class _Program:
-    """The checks of one sweep shape, direct or dual, as int32 gathers.
+    """The checks of one sweep shape, direct or dual, as gathers of item
+    positions (int16 where they fit, ``theta._indices``).
 
     Row r = k (N + 1) + l is the (k, l) check.  ``summand[f, j, r]`` is the
     position, among the sweep's items, of factor f of summand j of row r
@@ -472,12 +480,13 @@ class _Program:
 
         def gather(keys) -> np.ndarray:
             got = [[[at[key] for key in keys(k, l, j, dual)] for j in range(N + 1)] for k, l in rows]
-            return _i32(got).transpose(2, 1, 0).copy()
+            return _indices(got, len(at)).transpose(2, 1, 0).copy()
 
         self.dual = dual
         self.summand = gather(_summand_keys)
         self.oracle = gather(_oracle_keys)
-        self.head = _i32([[at["cd",]] * len(rows)] + ([] if dual else [[at["h", k] for k, _ in rows]]))
+        head = [[at["cd",]] * len(rows)] + ([] if dual else [[at["h", k] for k, _ in rows]])
+        self.head = _indices(head, len(at))
         self.diag = np.array([k == l for k, l in rows], dtype=bool)
 
     def read_order(self) -> np.ndarray:
@@ -503,20 +512,20 @@ class _Program:
         out.diag = np.tile(self.diag, draws)
         return out
 
-    def reports(self, values: list[list], failed: list[dict]) -> list[tuple[list, dict]]:
-        """(rows, errors) at each draw, from ``values[d]``, the finished item
-        values of draw d, and ``failed[d]``, its failing items by position:
-        the residuals of every row, and the error of each row whose check
+    def reports(self, values: np.ndarray, failed: list[dict]) -> list[tuple[list, dict]]:
+        """(rows, errors) at each draw, from ``values``, the finished item
+        values by draw and position (``Template.bind_all``), and
+        ``failed[d]``, the failing items of draw d by position: the
+        residuals of every row, and the error of each row whose check
         raises, the first failing item it reads, else the first operation
         of its arithmetic that raises.
 
         All draws are one pass, their rows end to end (``stacked``); each
         row's residuals and error are those of its draw alone, bit for bit.
         """
-        v = np.array(values, dtype=complex)
-        (draws, items), rows = v.shape, len(self.diag)
+        (draws, items), rows = values.shape, len(self.diag)
         p = self.stacked(draws, items)
-        v = v.ravel()
+        v = values.ravel()
         faults = _Faults(len(p.diag))
         with np.errstate(all="ignore"):
             residuals = _residuals(p, v.real, v.imag, faults)
@@ -745,11 +754,10 @@ class BiorthCache:
         sweep = _sweep(bps[0])
         if any(_shape(bp) != _shape(bps[0]) for bp in bps):
             raise ValueError("the params of one batch share one shape (N, M, zero guard)")
-        template = sweep.template
-        finished = [template.finish_all(vals) for vals in template.bind_all(list(map(_draw, bps)))]
-        reports = sweep.program(dual).reports([v for v, _ in finished], [f for _, f in finished])
-        for cache, (values, failed), rows in zip(caches, finished, reports):
-            cache._items = (sweep, values, failed)
+        values, failed = sweep.template.bind_all(list(map(_draw, bps)))
+        reports = sweep.program(dual).reports(values, failed)
+        for cache, v, f, rows in zip(caches, values, failed, reports):
+            cache._items = (sweep, v, f)
             cache._rows[dual] = rows
 
     def items(self, bp: BiorthParams) -> tuple:
@@ -770,7 +778,7 @@ class BiorthCache:
         got = self._rows.get(dual)
         if got is None:
             sweep, values, failed = self._items
-            got = self._rows[dual] = sweep.program(dual).reports([values], [failed])[0]
+            got = self._rows[dual] = sweep.program(dual).reports(values[None], [failed])[0]
         rows, errors = got
         r = k * (N + 1) + l
         if r in errors:

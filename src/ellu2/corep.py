@@ -44,6 +44,8 @@ from .theta import (
     ThetaContext,
     ThetaProduct,
     TrackedArg,
+    _Split,
+    array_form,
     binomial_plan,
     combine,
     elliptic_binomial,
@@ -180,6 +182,19 @@ class _HeadTimesSeries(Joined):
         if h == 0.0:
             return 0.0 + 0.0j
         return h * series.finish(vals[cut:])[0]
+
+
+def _head_times_series(head: _Split, series: tuple) -> _Split:
+    """``_HeadTimesSeries.finish`` on split values (``theta.array_form``):
+    0 where the head is 0, and the series not read there."""
+    (value,) = series
+    out = head * value
+    zero = (head.re == 0) & (head.im == 0)
+    bad = head.bad | (value.bad & ~zero)
+    return _Split(np.where(zero, 0.0, out.re), np.where(zero, 0.0, out.im), bad)
+
+
+array_form(_HeadTimesSeries, _head_times_series)
 
 
 def tau_plan(

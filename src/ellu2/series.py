@@ -59,9 +59,11 @@ from .theta import (
     Bound,
     Plan,
     PoleError,
+    Reduced,
     ThetaContext,
     ThetaProduct,
     TrackedArg,
+    _Result,
     _c_abs,
     _c_div,
     _c_mul,
@@ -329,23 +331,6 @@ class _Series(Plan):
         return _Batch(record, theta, guard)
 
 
-class _Result(Plan):
-    """A bound template's series: its one argument is what ``_Batch.reduce``
-    gave the series, its (value, max term, count) or the message of the
-    ``PoleError`` its scalar reduction raises."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        self.ctx, self.args = None, [None]
-
-    def finish(self, vals: list) -> tuple[complex, float, int]:
-        got = vals[0]
-        if type(got) is str:
-            raise PoleError(got)
-        return got
-
-
 def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:
     # Raised from here, away from the rows: a kept exception keeps every
     # frame of its traceback (and of its context) alive, and callers may
@@ -438,9 +423,10 @@ class _Batch:
         for row, r in rows.items():
             self.factors[: len(row), r] = row
 
-    def reduce(self, b: Bound) -> list[list]:
-        """Each series' result at each draw, from the template's bound
-        values: a list per draw, in ``rank`` order."""
+    def reduce(self, b: Bound) -> Reduced:
+        """Each series' result at each draw, by ``rank`` and draw, from the
+        template's bound values; an entry is (value, max term, count) or
+        the message of a failure."""
         tr, ti, mag = b.re, b.im, b.mag
         draws = tr.shape[1]
         events = b.over | (mag < self.guard)
@@ -475,25 +461,29 @@ class _Batch:
                 vi[:w] += ai[at]
                 np.maximum(top[:w], tmag[at], out=top[:w])
                 failed[:w] |= ~np.isfinite(tmag[at])
-        value = np.empty(shape, dtype=complex)
-        value.real, value.imag = vr, vi
-        out = [list(zip(v, t, self.counts)) for v, t in zip(value.T.tolist(), top.T.tolist())]
-        for i, k in zip(*np.nonzero(failed)):
-            out[k][i] = OUT_OF_RANGE
+        messages = dict.fromkeys(zip(*np.nonzero(failed)), OUT_OF_RANGE)
         # The guard failures: each series' first denominator factor, in row
         # order, else its theta(a1), whose modulus is below the guard (or
         # overflows, as ``abs`` raises there).
         a1 = events[self.series_a1]
         for s, k, i in zip(*_first_events(events, self.den, self.den_cuts)):
             a1[s, k] = False
-            out[k][self.rank[s]] = DEN_GUARD if mag[i, k] < self.guard else OUT_OF_RANGE
+            messages[self.rank[s], k] = DEN_GUARD if mag[i, k] < self.guard else OUT_OF_RANGE
         for s, k in zip(*np.nonzero(a1)):
             i = self.series_a1[s]
-            out[k][self.rank[s]] = A1_GUARD if mag[i, k] < self.guard else OUT_OF_RANGE
-        for got in out:
-            for i, msg in self.fixed.items():
-                got[i] = msg
-        return out
+            messages[self.rank[s], k] = A1_GUARD if mag[i, k] < self.guard else OUT_OF_RANGE
+        for r, k in messages:
+            failed[r, k] = True
+        fixed, counts = self.fixed, self.counts
+        failed[list(fixed)] = True
+
+        def entry(r: int, k: int):
+            got = fixed.get(r) or messages.get((r, k))
+            if got is not None:
+                return got
+            return complex(vr[r, k], vi[r, k]), float(top[r, k]), counts[r]
+
+        return Reduced(vr, vi, failed, entry)
 
 
 class _Compiled(NamedTuple):

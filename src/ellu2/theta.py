@@ -57,8 +57,9 @@ derived from its record (``Rec.tracked``).  A record may also hold the
 spectral points z1 and z2 (``Z1``, ``Z2``) of a relation check, and their
 conjugates.  A ``Template`` compiles such plans once and binds them to many
 draws at once, with one ``theta_vec`` call per draw and without the vector
-cache (its docstring has the steps).  ``biorth`` and ``rep`` keep the
-templates of up to ``SHAPE_CAP`` shapes each (``kept_shape``).
+cache, and finishes every plan at every draw in one pass over arrays (its
+docstring has the steps).  ``biorth`` and ``rep`` keep the templates of up
+to ``SHAPE_CAP`` shapes each (``kept_shape``).
 
 The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
@@ -84,11 +85,13 @@ one that leaves the range, rather than pass for an exact zero.  The one
 exception is a numerator theta value that is itself exactly 0j, as theta(1)
 is at an argument 1 not tracked as q^0: the product is then that zero.  The
 series and theta products of a bound template, hundreds at once, are the
-exception: their passes over arrays keep the real and imaginary parts apart
-and write out CPython's formulas (``_c_mul``, ``_c_div``, ``_c_abs``), and
-each elementwise float64 operation rounds as the C operation does, so they
-round as the Python loops do; a failure there becomes the message of the
-``PoleError`` the loop raises, raised when the plan is finished.  The loops
+exception, and so are the plans that a bound template finishes from them
+(``_Finish``): their passes over arrays keep the real and imaginary parts
+apart and write out CPython's formulas (``_c_mul``, ``_c_div``, ``_c_abs``),
+and each elementwise float64 operation rounds as the C operation does, so
+they round as the Python loops do.  A failure there, or a value at which
+Python would raise, flags the plan, and only a flagged plan is finished
+again in Python, by its skeleton, which raises the loop's error.  The loops
 (``ThetaProduct.finish``, ``series._vwp_reduce``) stay for plans over
 numbers, and are the oracles the passes are tested against.
 """
@@ -103,7 +106,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -151,9 +154,10 @@ MEMO_CAP = 1 << 20
 # Most shapes whose compiled templates a module keeps (``kept_shape``).
 SHAPE_CAP = 64
 THETA_RANGE = "theta value exceeds double precision range"
+POWER_RANGE = "power of q exceeds double precision range"
 PRODUCT_RANGE = "theta product exceeds double precision range"
 DEN_GUARD = "denominator theta factor below zero guard"
-# What ``Template.finish_all`` puts in place of a plan whose finish raised.
+# What ``Template.bind_all`` puts in place of a plan whose finish raised.
 _FAILED = complex(math.nan, math.nan)
 
 
@@ -209,14 +213,21 @@ class ThetaContext:
         object.__setattr__(self, "_q2n", {})
 
     def qpow(self, x: complex) -> complex:
-        """q**x for arbitrary complex exponent x (principal branch)."""
-        return cmath.exp(self._lnq * x)
+        """q**x for arbitrary complex exponent x (principal branch); a power
+        beyond the double range raises ``PoleError``."""
+        try:
+            return cmath.exp(self._lnq * x)
+        except OverflowError:
+            raise PoleError(POWER_RANGE) from None
 
     def q2n(self, n: int) -> complex:
         """q**(2n) for an integer n, memoized; the same number as ``qpow(2 * n)``."""
         got = self._q2n.get(n)
         if got is None:
-            got = self._q2n[n] = cmath.exp(self._lnq * (2 * n))
+            try:
+                got = self._q2n[n] = cmath.exp(self._lnq * (2 * n))
+            except OverflowError:
+                raise PoleError(POWER_RANGE) from None
         return got
 
     @staticmethod
@@ -268,14 +279,15 @@ def theta(z: complex, ctx: ThetaContext) -> complex:
     at raw arguments would cost relative accuracy proportional to |z|.
     Scalar calls are memoized per context; word evaluation re-requests the
     same shifted arguments many times over.  A value beyond the double range
-    raises ``PoleError``.
+    raises ``PoleError``, and so does an argument 0, an argument that
+    underflowed.
     """
     memo = ctx._memo
     got = memo.get(z)
     if got is not None:
         return got
     if z == 0:
-        raise ValueError("theta argument must be nonzero")
+        raise PoleError(THETA_RANGE)
     m = round(math.log(abs(z)) / math.log(ctx.p))
     w = z
     pref = 1.0 + 0.0j
@@ -300,11 +312,12 @@ def theta_vec(zs: Sequence[complex], ctx: ThetaContext) -> np.ndarray:
     """Vectorized theta over a batch of nonzero arguments.
 
     Same annulus reduction as the scalar path, applied only when some entry
-    needs it so moderate batches stay on the fast path.
+    needs it so moderate batches stay on the fast path.  An argument 0 raises
+    ``PoleError``, as in the scalar path.
     """
     arr = np.asarray(zs, dtype=complex)
     if arr.size and np.any(arr == 0):
-        raise ValueError("theta argument must be nonzero")
+        raise PoleError(THETA_RANGE)
     m = np.rint(np.log(np.abs(arr)) / math.log(ctx.p)).astype(np.int64)
     if np.any(m != 0):
         arr = arr * ctx.p ** (-m.astype(float))
@@ -730,22 +743,23 @@ class Template:
     keeps only the skeleton (``Plan.skeleton``), which holds no record;
     equal skeletons are one object, shared through a pool that lives while
     the template is compiled.  ``plans`` maps a key to the position of its
-    skeleton, and of the slice of a bound list its plan owns.
+    skeleton, and of the slice of the entries its plan owns.
 
     ``bind_all`` binds draws, all together: one matrix-vector product and
     one ``exp`` evaluate every record, one ``theta_vec`` call per draw the
     distinct theta arguments of that draw, and one pass over arrays each
-    reduces every series and every theta product; every array has one
-    column per draw, and lives for the one call.  It gives each draw the
-    list of every plan's argument values and series and product results.
-    ``finish_all`` finishes every plan of one draw from that list, in one
-    loop.  ``bind_products`` binds and finishes one draw on arrays, for a
-    template whose plans are all theta products with record scalars.
+    reduces every series and every theta product.  The finish program
+    (``_Finish``), compiled from the skeletons at the first ``bind_all``,
+    then finishes every plan at every draw in one pass; only the plans it
+    flags are finished again, one by one, by their skeletons.  Every array
+    has one column per draw, and lives for the one call.  ``bind_products``
+    binds and finishes one draw on arrays, for a template whose plans are
+    all theta products with record scalars.
 
     Each record's value depends on its own row and draw only, and each
-    series or product result on its own values only: a plan bound alone
-    gets the same bits as the same plan bound with many others, at one draw
-    or at many.
+    series or product result, and each plan's value, on its own values
+    only: a plan bound alone gets the same bits as the same plan bound with
+    many others, at one draw or at many.
     """
 
     def __init__(self, plans: Iterable[tuple]):
@@ -758,10 +772,10 @@ class Template:
         def theta_of(rec: Rec) -> int:
             return thetas.setdefault(record(rec), len(thetas))
 
-        # The gathered-from list holds the values of the records and theta
+        # The entries' sources: the values of the records and theta
         # arguments the plans list (keyed by record row and theta index),
         # then the results of each batch; a batched plan's own values stay
-        # out of it.
+        # out of them.  ``gather`` maps each entry to its source.
         listed_rows: dict = {}
         listed_thetas: dict = {}
         refs = array("i")
@@ -796,13 +810,17 @@ class Template:
         n = len(listed_rows)
         gather = array("i", [r if r >= 0 else n + ~r for r in refs])
         start = n + len(listed_thetas)
+        self._starts = []
         for batch, slots in batches.values():
             batch.close()
             for s, pos in enumerate(slots):
                 gather[pos] = start + batch.rank[s]
+            self._starts.append(start)
             start += len(slots)
         self._batches = [batch for batch, _ in batches.values()]
+        self._sources = start
         self._gather = gather
+        self._program = None  # the finish program, compiled at the first ``bind_all``
         self._listed_rows = np.array(list(listed_rows), dtype=np.intp)
         self._listed_thetas = np.array(list(listed_thetas), dtype=np.intp)
         n = len(rows)
@@ -857,45 +875,70 @@ class Template:
                 th[:, k] = theta_vec(e[self._theta, k], draw[0])
         return th
 
-    def bind_all(self, draws: Sequence[tuple]) -> list[list]:
-        """The values of every plan's arguments at each of ``draws``, plan
-        after plan, one list per draw.  A draw is (ctx, lam, omega, z) and,
-        for a template whose records have them, the spectral points z1 and
-        z2.
+    def _bind(self, draws: Sequence[tuple], size: int) -> "_Sources":
+        """The entries' sources at each draw, one column per draw, in the
+        first rows of arrays of ``size`` rows: the records and theta values
+        the plans list, then the results of each batch (``Reduced``)."""
+        e = self._records(draws)
+        bound = Bound.of(e, self._thetas(draws, e))
+        shape = (size, len(draws))
+        re, im, bad = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
+        rows, thetas = self._listed_rows, self._listed_thetas
+        n, t = len(rows), len(rows) + len(thetas)
+        re[:n], im[:n] = e.real[rows], e.imag[rows]
+        re[n:t], im[n:t] = bound.re[thetas], bound.im[thetas]
+        results = []
+        for batch, start in zip(self._batches, self._starts):
+            got = batch.reduce(bound)
+            stop = start + len(got.re)
+            re[start:stop], im[start:stop], bad[start:stop] = got.re, got.im, got.failed
+            results.append(got)
+        return _Sources(re, im, bad, results)
+
+    def _entries(self, sources: "_Sources", i: int, d: int) -> list:
+        """The entries of plan ``i`` at draw ``d``, as its skeleton's
+        ``finish`` reads them: numbers, and each batch result as
+        ``Reduced.entry`` gives it."""
+        out = []
+        for at in self._gather[self._cuts[i] : self._cuts[i + 1]]:
+            for start, got in zip(reversed(self._starts), reversed(sources.results)):
+                if at >= start:
+                    out.append(got.entry(at - start, d))
+                    break
+            else:
+                out.append(complex(sources.re[at, d], sources.im[at, d]))
+        return out
+
+    def _finish(self) -> "_Finish":
+        """The finish program, compiled at its first use."""
+        if self._program is None:
+            self._program = _Finish(self)
+        return self._program
+
+    def bind_all(self, draws: Sequence[tuple]) -> tuple[np.ndarray, list[dict]]:
+        """Every plan finished at each of ``draws``: (values, failed), the
+        values by draw and plan position, and for each draw the error each
+        failing plan's finish raises, by position, with a complex NaN in
+        its place among the values.  A draw is (ctx, lam, omega, z) and, for
+        a template whose records have them, the spectral points z1 and z2.
 
         Every array of the pass has a trailing axis over the draws, and each
         operation is elementwise or gathers along the first axis, so each
-        draw's list is what it gets bound alone, bit for bit.
+        draw's values are what it gets bound alone, bit for bit.  A plan the
+        finish program flags at a draw is finished by its skeleton there.
         """
-        e = self._records(draws)
-        th = self._thetas(draws, e)
-        vals = np.concatenate((e[self._listed_rows], th[self._listed_thetas])).T.tolist()
-        if self._batches:
-            bound = Bound.of(e, th)
-            for batch in self._batches:
-                for v, got in zip(vals, batch.reduce(bound)):
-                    v += got
-        gather = self._gather
-        return [list(map(v.__getitem__, gather)) for v in vals]
-
-    def finish_all(self, vals: list) -> tuple[list, dict]:
-        """Every plan finished with its slice of one draw's list from
-        ``bind_all``, in plan order.
-
-        A plan whose finish raises an ``ArithmeticError`` gets a complex NaN
-        in its place, and the error its skeleton's ``finish`` raises is
-        returned under its position: ``(values, {position: error})``.
-        """
-        out: list = []
-        failed: dict = {}
-        cuts = self._cuts
-        for i, (skeleton, a, b) in enumerate(zip(self._skeletons, cuts, cuts[1:])):
+        program = self._finish()
+        sources = self._bind(draws, program.size)
+        values, flagged = program.run(sources)
+        failed: list[dict] = [{} for _ in draws]
+        for i, d in zip(*np.nonzero(flagged)):
             try:
-                out.append(skeleton.finish(vals[a:b]))
+                values[d, i] = self._skeletons[i].finish(self._entries(sources, i, d))
             except ArithmeticError as exc:
-                out.append(_FAILED)
-                failed[i] = exc
-        return out, failed
+                values[d, i] = _FAILED
+                # Kept without its traceback, whose frames hold this pass's arrays.
+                failed[d][int(i)] = exc.with_traceback(None)
+        return values, failed
 
     def bind_products(
         self, ctx: ThetaContext, lam: complex, omega: complex, z: complex, z1=None, z2=None
@@ -903,11 +946,10 @@ class Template:
         """The value of every plan at one sample, in plan order, as one array.
 
         For a template whose plans are all theta products with a record for
-        scalar: each value is what ``finish_all`` gives the plan after
-        ``bind_all``, bit for bit, with the products' scalars multiplied in
-        on split arrays (``_c_mul``) instead of one by one.  Where some
-        plan's finish would raise, this raises the ``PoleError`` of the
-        first such plan.
+        scalar: each value is what ``bind_all`` gives the plan, bit for
+        bit, without the finish program and its replays.  Where some plan's
+        finish would raise, this raises the ``PoleError`` of the first such
+        plan.
         """
         draws = [(ctx, lam, omega, z, z1, z2)]
         e = self._records(draws)
@@ -980,6 +1022,30 @@ class Bound(NamedTuple):
             return Bound(e, re, im, *_c_abs(re, im))
 
 
+class Reduced(NamedTuple):
+    """What a batch (``series._Batch``, ``_Products``) gives a bound
+    template: its results by ``rank`` and draw, real and imaginary parts,
+    where they failed, and ``entry(rank, draw)``, one result as the skeleton
+    that reads it takes it (a number, a series result, or the message of
+    the failure), for the plans finished again one by one."""
+
+    re: np.ndarray
+    im: np.ndarray
+    failed: np.ndarray
+    entry: Callable
+
+
+class _Sources(NamedTuple):
+    """The values a bound template's plans are finished from, by row and
+    draw (``Template._bind``), with where they failed, and the batch results
+    they hold."""
+
+    re: np.ndarray
+    im: np.ndarray
+    bad: np.ndarray
+    results: list
+
+
 # -- CPython's complex arithmetic on split arrays -------------------------------
 #
 # Float64 array arithmetic rounds each elementwise operation as C does, so
@@ -1020,8 +1086,34 @@ def _c_abs(re, im):
     return mag, np.isinf(mag) & np.isfinite(re) & np.isfinite(im)
 
 
+class _Split:
+    """A complex value by row and draw, on split real and imaginary arrays,
+    with ``bad`` marking where it is not to be trusted.  ``*`` and ``/`` are
+    CPython's (``_c_mul``, ``_c_div``), so a reduction written with them
+    runs unchanged on split values (``array_form``); ``/`` also marks a
+    divisor that is exactly 0j, where Python raises ``ZeroDivisionError``."""
+
+    __slots__ = ("re", "im", "bad")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray, bad: np.ndarray):
+        self.re, self.im, self.bad = re, im, bad
+
+    def __mul__(self, other: "_Split") -> "_Split":
+        return _Split(*_c_mul(self.re, self.im, other.re, other.im), self.bad | other.bad)
+
+    def __truediv__(self, other: "_Split") -> "_Split":
+        zero = (other.re == 0) & (other.im == 0)
+        return _Split(*_c_div(self.re, self.im, other.re, other.im), self.bad | other.bad | zero)
+
+
 def _i32(values) -> np.ndarray:
     return np.array(values, dtype=np.int32)
+
+
+def _indices(values, count: int) -> np.ndarray:
+    """``values``, indices into ``count`` rows, as int16 where that holds
+    them, else int32: the programs a template keeps are mostly indices."""
+    return np.array(values, dtype=np.int16 if count <= 1 << 15 else np.int32)
 
 
 ArgLike = Union[TrackedArg, complex, float, int]
@@ -1135,6 +1227,28 @@ _first = operator.itemgetter(0)
 
 def _same(vals: list) -> list:
     return vals
+
+
+# The array forms of the reductions a joined plan may hold (``array_form``).
+_ARRAY_FORMS: dict = {}
+
+
+def array_form(reduction, form=None):
+    """Declare the array form of a joined plan's reduction, or of a
+    ``Joined`` subclass, for the finish program of a template (``_Finish``).
+
+    ``form`` takes the values of the parts as ``_Split`` values, a series
+    part as the 1-tuple of its value (a reduction reads a series result's
+    value only), and gives the plan's.  Without ``form`` the reduction is
+    its own array form: products and quotients of its arguments, which run
+    on split values as written.  Returns ``reduction``, so that it serves as
+    a decorator.
+    """
+    _ARRAY_FORMS[reduction] = reduction if form is None else form
+    return reduction
+
+
+array_form(operator.mul)
 
 
 def combine(ctx: ThetaContext, parts: Sequence[Plan], fn) -> Plan:
@@ -1339,6 +1453,23 @@ class _Scaled(Plan):
         return _in_range(out, scalar)
 
 
+class _Result(Plan):
+    """A bound template's series: its one argument is what ``series._Batch``
+    gave the series, its (value, max term, count) or the message of the
+    ``PoleError`` its scalar reduction raises."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self.ctx, self.args = None, [None]
+
+    def finish(self, vals: list) -> tuple[complex, float, int]:
+        got = vals[0]
+        if type(got) is str:
+            raise PoleError(got)
+        return got
+
+
 def _in_range(out: complex, scalar: complex) -> complex:
     """The value of a theta product with no surviving exact zero and no
     numerator theta value exactly 0j, which is finite and, unless its
@@ -1356,6 +1487,134 @@ class _ExactZero(complex):
     complex number's."""
 
     __slots__ = ()
+
+
+class _Finish:
+    """The finish program of a template: every plan of it finished at every
+    draw at once, on split arrays, from the entries' sources.
+
+    It is compiled from the skeletons, node by node: a record scalar
+    (``_first``) reads its entry, a ``Known`` number is a constant, a series
+    (``_Result``) reads its batch result, and a theta product (``_Scaled``)
+    and a joined plan are each an operation on the values of their parts, a
+    joined plan through the array form of its reduction (``array_form``).
+    Compiling a plan of any other kind, or a joined plan whose reduction has
+    no array form, raises ``TypeError``.
+
+    The values are the rows of one pair of arrays, by row and draw: the
+    entries' sources (``Template._bind``), the constants, then the results
+    of the operations.  The operations of one kind at one depth (the
+    longest path down to a source) are one group; it gathers its operands
+    with one row of indices per part (``operands``), and writes one run of
+    rows.  ``items`` holds the row of each plan's value.
+
+    Each value carries where it is not to be trusted (``_Split.bad``): a
+    failed batch result, a division by exactly 0j, and a theta product that
+    is not finite or is 0 where its scalar is not (``_in_range``, or a
+    numerator theta value exactly 0j, ``_ExactZero``).  ``run`` returns the
+    plans' values and those flags; a flagged plan is finished again by its
+    skeleton (``Template.bind_all``), which raises where Python raises.
+    """
+
+    __slots__ = ("size", "sources", "constants", "groups", "operands", "items")
+
+    def __init__(self, template: Template):
+        gather, sources = template._gather, template._sources
+        constants: dict = {}
+        groups: dict = {}
+
+        def constant(number) -> int:
+            c = complex(number)
+            key = (c.real.hex(), c.imag.hex())
+            return sources + constants.setdefault(key, (len(constants), c))[0]
+
+        def operation(form, series: tuple, depth: int, operands: list) -> tuple:
+            """An operation's (group, position) and depth; its row is laid out below."""
+            group = groups.setdefault((depth, form, series), [])
+            group.append(operands)
+            return ((depth, form, series), len(group) - 1), depth
+
+        def node(sk: Plan, at: int) -> tuple:
+            """(row or operation, depth) of skeleton ``sk``, whose entries start at ``at``."""
+            kind = type(sk)
+            if kind is Known:
+                return constant(sk.number), 0
+            if kind is _Result or (kind is Plan and sk.finish is _first):
+                return gather[at], 0
+            if kind is _Scaled:
+                if isinstance(sk.scalar, Plan):
+                    scalar, depth = node(sk.scalar, at)
+                else:
+                    scalar, depth = constant(sk.scalar), 0
+                product = gather[at + len(sk.args) - 1]
+                form = _zeroed if sk.zero else _scaled
+                return operation(form, (False, False), depth + 1, [scalar, product])
+            if isinstance(sk, Joined):
+                form = _ARRAY_FORMS.get(sk.fn if kind is Joined else kind)
+                if form is None:
+                    raise TypeError(f"no array form for the reduction of {sk!r}")
+                parts = [node(part, at + cut) for part, cut in zip(sk.parts, sk.cuts)]
+                series = tuple(type(part) is _Result for part in sk.parts)
+                depth = max((d for _, d in parts), default=0) + 1
+                return operation(form, series, depth, [r for r, _ in parts])
+            raise TypeError(f"a finish program takes no plan {sk!r}")
+
+        items = [node(sk, at)[0] for sk, at in zip(template._skeletons, template._cuts)]
+        first: dict = {}
+
+        def row(ref) -> int:
+            return ref if type(ref) is int else first[ref[0]] + ref[1]
+
+        # The groups by depth, in order of first use within a depth; each
+        # reads rows of lower depths only.  A group: its first row, its
+        # count, its number of parts, its form and series parts, and where
+        # its operands start, part after part.
+        start, operands, self.groups = sources + len(constants), [], []
+        for key in sorted(groups, key=lambda key: key[0]):
+            refs = groups[key]
+            first[key] = start
+            self.groups.append((start, len(refs), len(refs[0]), *key[1:], len(operands)))
+            operands += [row(r) for part in zip(*refs) for r in part]
+            start += len(refs)
+        self.size = start
+        self.sources = sources
+        self.constants = np.array([c for _, c in constants.values()], dtype=complex)
+        self.operands = _indices(operands, start)
+        self.items = _indices([row(r) for r in items], start)
+
+    def run(self, sources: _Sources) -> tuple[np.ndarray, np.ndarray]:
+        """(values by draw and plan, flags by plan and draw) at the draws of
+        ``sources``, whose arrays have ``size`` rows."""
+        re, im, bad = sources.re, sources.im, sources.bad
+        at = slice(self.sources, self.sources + len(self.constants))
+        re[at], im[at] = self.constants.real[:, None], self.constants.imag[:, None]
+        with np.errstate(all="ignore"):
+            for start, count, width, form, series, at in self.groups:
+                rows = self.operands[at : at + width * count].reshape(width, count)
+                parts = [_Split(re[i], im[i], bad[i]) for i in rows]
+                out = form(*[(p,) if s else p for p, s in zip(parts, series)])
+                stop = start + count
+                re[start:stop], im[start:stop], bad[start:stop] = out.re, out.im, out.bad
+        values = np.empty((re.shape[1], len(self.items)), dtype=complex)
+        values.real, values.imag = re[self.items].T, im[self.items].T
+        return values, bad[self.items]
+
+
+def _scaled(scalar: _Split, product: _Split) -> _Split:
+    """``_Scaled.finish`` of products with no surviving exact zero: the
+    scalar times the product, flagged where ``_in_range`` raises, or may
+    not, as a 0 where the scalar is not 0 (an underflow, or a numerator
+    theta value exactly 0j, ``_ExactZero``)."""
+    out = scalar * product
+    lost = (out.re == 0) & (out.im == 0) & ((scalar.re != 0) | (scalar.im != 0))
+    out.bad |= lost | ~(np.isfinite(out.re) & np.isfinite(out.im))
+    return out
+
+
+def _zeroed(scalar: _Split, product: _Split) -> _Split:
+    """``_Scaled.finish`` of products with surviving exact zeros: 0, once
+    the scalar and the product's guards have passed."""
+    return _Split(0.0, 0.0, scalar.bad | product.bad)
 
 
 class _Products:
@@ -1422,20 +1681,24 @@ class _Products:
         self.den = _i32([d for dens, _ in ranked for d in dens])
         self.den_cuts = _i32([0, *accumulate(len(dens) for dens, _ in ranked)])
 
-    def reduce(self, b: "Bound") -> list[list]:
-        """Each product's result at each draw: a list per draw, in ``rank``
-        order."""
+    def reduce(self, b: "Bound") -> Reduced:
+        """Each product's result at each draw, by ``rank`` and draw; an
+        entry is a number, an ``_ExactZero`` or the message of a failure."""
         pr, pi = self.running(b)
-        value = np.empty(pr.shape, dtype=complex)
-        value.real, value.imag = pr, pi
-        out = value.T.tolist()
-        exact = self.exact_zeros(b)
-        if exact is not None:
-            for r, k in zip(*np.nonzero(exact)):
-                out[k][r] = _ExactZero(out[k][r])
+        failed = np.zeros(pr.shape, dtype=bool)
+        messages = {}
         for r, k, message in self.failures(b):
-            out[k][r] = message
-        return out
+            failed[r, k] = True
+            messages[r, k] = message
+        exact = self.exact_zeros(b)
+
+        def entry(r: int, k: int):
+            if (r, k) in messages:
+                return messages[r, k]
+            value = complex(pr[r, k], pi[r, k])
+            return _ExactZero(value) if exact is not None and exact[r, k] else value
+
+        return Reduced(pr, pi, failed, entry)
 
     def running(self, b: "Bound") -> tuple[np.ndarray, np.ndarray]:
         """Each product's value, real and imaginary parts, by ``rank`` and

@@ -1,5 +1,6 @@
-"""Shared fixtures: a generic evaluation context, a seeded RNG, and the
-biorthogonality sweep plans built over records.
+"""Shared fixtures: a generic evaluation context, a seeded RNG, the
+biorthogonality sweep plans built over records, and the skeleton finish,
+the reference a bound template's finish on arrays is held to.
 
 Hypothesis runs derandomized and without an example database, so every run
 of the suite draws the same cases.
@@ -48,3 +49,28 @@ def sweep_plans():
         return built[shape]
 
     return plans
+
+
+def finish_by_skeletons(template, draws) -> list:
+    """Every plan of ``template`` at each of ``draws`` finished one by one,
+    in Python, by its skeleton's ``finish`` from its entries: for each draw,
+    (values, failed), the values in plan order (``None`` for a failing
+    plan) and the error of each failing plan by position."""
+    sources = template._bind(draws, template._sources)
+    out = []
+    for d in range(len(draws)):
+        values, failed = [], {}
+        for i, skeleton in enumerate(template._skeletons):
+            try:
+                values.append(skeleton.finish(template._entries(sources, i, d)))
+            except ArithmeticError as exc:
+                values.append(None)
+                failed[i] = exc
+        out.append((values, failed))
+    return out
+
+
+@pytest.fixture(scope="session")
+def skeleton_finish():
+    """finish(template, draws): the reference finish (``finish_by_skeletons``)."""
+    return finish_by_skeletons

@@ -94,7 +94,7 @@ def swept(bp, cache=None):
         i = at[key]
         if i in failed:
             raise failed[i]
-        return values[i]
+        return complex(values[i])
 
     return read
 
@@ -312,20 +312,21 @@ def test_the_pinned_overflow_draws_equal_the_scalar_reference(monkeypatch, seed,
 def patch_items(monkeypatch, changes):
     """Make every sweep finish the items of ``changes`` as given there: a
     value, or an error recorded as the item's failure."""
-    finish_all = theta_mod.Template.finish_all
+    bind_all = theta_mod.Template.bind_all
 
-    def patched(self, vals):
-        values, failed = finish_all(self, vals)
-        for key, change in changes.items():
-            i = self.plans[key]
-            if isinstance(change, Exception):
-                failed[i] = change
-            else:
-                values[i] = change
-                failed.pop(i, None)
+    def patched(self, draws):
+        values, failed = bind_all(self, draws)
+        for d in range(len(draws)):
+            for key, change in changes.items():
+                i = self.plans[key]
+                if isinstance(change, Exception):
+                    failed[d][i] = change
+                else:
+                    values[d, i] = change
+                    failed[d].pop(i, None)
         return values, failed
 
-    monkeypatch.setattr(theta_mod.Template, "finish_all", patched)
+    monkeypatch.setattr(theta_mod.Template, "bind_all", patched)
 
 
 def _one(keys, value):
@@ -417,13 +418,13 @@ def test_full_sweep_makes_few_kernel_calls(monkeypatch, check):
 
 def test_a_full_sweep_finishes_each_item_once_per_sample(monkeypatch):
     finished = []
-    finish_all = theta_mod.Template.finish_all
+    bind_all = theta_mod.Template.bind_all
 
-    def counted(self, vals):
+    def counted(self, draws):
         finished.append(list(self.plans))
-        return finish_all(self, vals)
+        return bind_all(self, draws)
 
-    monkeypatch.setattr(theta_mod.Template, "finish_all", counted)
+    monkeypatch.setattr(theta_mod.Template, "bind_all", counted)
     for bp in (level_four(), dataclasses.replace(level_four(), z=0.7 - 0.9j)):
         finished.clear()
         cache = BiorthCache()
@@ -431,7 +432,7 @@ def test_a_full_sweep_finishes_each_item_once_per_sample(monkeypatch):
             for k in range(bp.N + 1):
                 for l in range(bp.N + 1):
                     check(bp, k, l, cache)
-        # The direct and the dual sweep finish every item in one loop, once.
+        # The direct and the dual sweep finish every item in one pass, once.
         assert finished == [_sweep_keys(bp.N)]
 
 
@@ -479,20 +480,21 @@ def test_stacked_reports_equal_the_scalar_reference(monkeypatch, N):
     rng = np.random.default_rng([8675309, N])
     keys = _sweep_keys(N)
     changes = iter(range(10))
-    finish_all = theta_mod.Template.finish_all
+    bind_all = theta_mod.Template.bind_all
 
-    def patched(self, vals):
-        values, failed = finish_all(self, vals)
-        if next(changes) % 2:
-            for i in rng.choice(len(keys), size=6, replace=False).tolist():
-                pick = rng.integers(len(SPECIAL) + 1)
-                if pick == len(SPECIAL):
-                    failed[self.plans[keys[i]]] = PoleError("patched item")
-                else:
-                    values[self.plans[keys[i]]] = SPECIAL[pick]
+    def patched(self, draws):
+        values, failed = bind_all(self, draws)
+        for d in range(len(draws)):
+            if next(changes) % 2:
+                for i in rng.choice(len(keys), size=6, replace=False).tolist():
+                    pick = rng.integers(len(SPECIAL) + 1)
+                    if pick == len(SPECIAL):
+                        failed[d][self.plans[keys[i]]] = PoleError("patched item")
+                    else:
+                        values[d, self.plans[keys[i]]] = SPECIAL[pick]
         return values, failed
 
-    monkeypatch.setattr(theta_mod.Template, "finish_all", patched)
+    monkeypatch.setattr(theta_mod.Template, "bind_all", patched)
     bps = []
     for _ in range(10):
         ctx = draw_context(rng)

@@ -260,6 +260,44 @@ def test_range_error_writes_no_numpy_warning():
     assert len(lines) == 1 and lines[0].startswith("ellu2: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv,code,last",
+    [
+        # A power of q beyond the double range.
+        (
+            ["eval", "tau", "--N", "2", "--k", "1", "--j", "1", "--m", "2",
+             "--omega", "1e300", "--lambda", "0.7", "--z", "1.3"],
+            2,
+            "ellu2: error: power of q exceeds double precision range",
+        ),
+        (
+            ["eval", "r-entries", "--z", "1.3", "--lambda", "1e300"],
+            2,
+            "ellu2: error: power of q exceeds double precision range",
+        ),
+        # Theta arguments that underflow to 0: a pole at the command line,
+        # redrawn in a check, whose every draw here sits on one.
+        (
+            ["eval", "pochhammer", "--a", "0.5", "--n", "100000"],
+            2,
+            "ellu2: error: theta value exceeds double precision range",
+        ),
+        (["check", "corep", "--N", "1", "--samples", "1", "--q", "1e-300"], 1, r"wall time: \d+ ms"),
+        (["check", "relations", "--omega", "1e300", "--samples", "1"], 1, r"wall time: \d+ ms"),
+    ],
+    ids=["eval-tau", "eval-r-entries", "eval-pochhammer", "check-corep", "check-relations"],
+)
+def test_values_beyond_the_double_range_are_poles(capsys, argv, code, last):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert re.fullmatch(last, captured.err.splitlines()[-1])
+    if code == 2:
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+    else:
+        report = json.loads(captured.out)
+        assert (report["samples"], report["rejected"], report["pass"]) == (0, 1, False)
+
+
 def test_table_without_entries_never_passes():
     report = corep_table(RunConfig(seed=6), -1, 2)
     assert report["entries"] == []

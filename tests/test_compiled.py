@@ -144,17 +144,17 @@ def test_a_draw_next_to_a_pole_raises_on_both_paths(name):
 @pytest.mark.parametrize("name", ["relations", "unitarity N=3"])
 def test_products_bound_on_arrays_are_the_finished_plans(name):
     # ``bind_products`` finishes every path and guard product on arrays:
-    # the same bits as each plan's own finish after ``bind_all``.
+    # the same bits as ``bind_all`` finishes each plan with.
     build, params, zero_guard, symbols, _ = FAMILIES[name]
     template = compiled(build, params, zero_guard).template
     rc = draw(np.random.default_rng(1), zero_guard)
     sample = (rc.ctx, rc.lam0, rc.omega)
     got = template.bind_products(*sample, **symbols)
     points = (symbols["z"], symbols.get("z1"), symbols.get("z2"))
-    want, failed = template.finish_all(template.bind_all([(*sample, *points)])[0])
+    want, (failed,) = template.bind_all([(*sample, *points)])
     assert not failed
     assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == [
-        (v.real.hex(), v.imag.hex()) for v in want
+        (v.real.hex(), v.imag.hex()) for v in want[0].tolist()
     ]
 
 

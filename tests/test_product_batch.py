@@ -1,12 +1,13 @@
 """The theta products of a bound template, reduced together, against ``ThetaProduct.finish``.
 
-``Template.bind_all`` reduces every theta product of a template in one pass over
+Binding a template reduces every theta product of it in one pass over
 split real and imaginary float64 arrays (``theta._Products``), with CPython's
 own formulas for complex ``*``, ``/`` and ``abs``.  Each product, finished
 from its slice of the bound template (its skeleton reads the batch result,
 after finishing a plan scalar), must equal bit for bit what
 ``ThetaProduct.finish`` gives on the same bound values, and must raise the
-same ``PoleError`` message.
+same ``PoleError`` message.  Each plan finished on arrays
+(``Template.bind_all``) must equal its skeleton's finish.
 """
 
 from operator import mul
@@ -74,14 +75,23 @@ class BoundProducts:
         )
 
     def compare(self, sample) -> list:
-        vals = self.template.bind_all([sample])[0]
-        plain, _ = self.plain.finish_all(self.plain.bind_all([sample])[0])
+        """The outcome of every product at ``sample``, the same from its
+        skeleton and from ``ThetaProduct.finish``; and every plan finished
+        on arrays as its skeleton finishes it."""
+        template = self.template
+        sources = template._bind([sample], template._sources)
+        plain = self.plain._bind([sample], self.plain._sources)
         batch, scalar = [], []
         for n, (i, off, node, sk) in enumerate(self.found):
-            at = self.template._cuts[i] + off
-            batch.append(outcome(sk.finish, vals[at : at + len(sk.args)]))
-            scalar.append(outcome(node.finish, plain[n]))
+            vals = template._entries(sources, i, 0)
+            batch.append(outcome(sk.finish, vals[off : off + len(sk.args)]))
+            scalar.append(outcome(node.finish, self.plain._entries(plain, n, 0)))
         assert batch == scalar
+        values, (failed,) = template.bind_all([sample])
+        for i, sk in enumerate(template._skeletons):
+            value = complex(values[0, i])
+            got = str(failed[i]) if i in failed else (value.real.hex(), value.imag.hex())
+            assert got == outcome(sk.finish, template._entries(sources, i, 0))
         return scalar
 
 

@@ -1,6 +1,6 @@
 """The series of a bound template, reduced together, against the scalar reduction.
 
-``Template.bind_all`` reduces every series of a template in one pass over split
+Binding a template reduces every series of it in one pass over split
 real and imaginary float64 arrays (``series._Batch``), with CPython's own
 formulas for complex ``*``, ``/`` and ``abs``.  Each series' (value, max
 term, count) must equal, bit for bit, what ``_Series.reduce`` gives on the
@@ -174,21 +174,22 @@ class BoundSeries:
         )
 
     def batch(self, sample):
-        """What each series' slot holds in the template bound to ``sample``."""
-        vals = self.template.bind_all([sample])[0]
+        """What each series' entry holds in the template bound to ``sample``."""
+        sources = self.template._bind([sample], self.template._sources)
         got = []
         for i, offsets in enumerate(self.offsets):
-            got += [vals[self.template._cuts[i] + off] for off in offsets]
+            entries = self.template._entries(sources, i, 0)
+            got += [entries[off] for off in offsets]
         assert len(got) == len(self.nodes)
         return got
 
     def scalar(self, sample):
         """What ``_Series.reduce`` gives each series, or the message it raises."""
-        plain, _ = self.plain.finish_all(self.plain.bind_all([sample])[0])
+        plain = self.plain._bind([sample], self.plain._sources)
         out = []
         for i, node in enumerate(self.nodes):
             try:
-                got = node.reduce(plain[i])
+                got = node.reduce(self.plain._entries(plain, i, 0))
             except PoleError as exc:
                 got = str(exc)
             out.append(OUT_OF_RANGE if got is None else got)

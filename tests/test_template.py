@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from operator import mul
 from pathlib import Path
 
 import mpmath
@@ -21,6 +22,7 @@ import pytest
 
 from ellu2.biorth import (
     _ITEMS,
+    _over,
     BiorthCache,
     BiorthParams,
     _item,
@@ -45,10 +47,13 @@ from ellu2.theta import (
     Joined,
     Rec,
     Scalar,
+    Template,
     TemplateContext,
     ThetaContext,
     ThetaProduct,
+    combine,
     garg,
+    known,
 )
 
 biorth_mod = importlib.import_module("ellu2.biorth")
@@ -198,7 +203,7 @@ def test_single_items_are_bit_identical_to_the_sweep(N, M):
 
 
 def bound_bits(x):
-    """The bits of one entry of a bound list: a number, a series result
+    """The bits of one entry of a bound plan: a number, a series result
     (value, max term, count) or the message of a failure."""
     if isinstance(x, str):
         return x
@@ -207,9 +212,26 @@ def bound_bits(x):
     return hexes(x)
 
 
-def finished_bits(template, vals):
-    values, failed = template.finish_all(vals)
-    return [hexes(v) for v in values], {i: (type(e), str(e)) for i, e in failed.items()}
+def finished_bits(values, failed):
+    """The bits of finished plan values (a failing plan's value skipped),
+    and the type and message of each failure."""
+    bits = [None if i in failed else hexes(v) for i, v in enumerate(values)]
+    return bits, {i: (type(e), str(e)) for i, e in failed.items()}
+
+
+def bound_together(template, draws):
+    """For each of ``draws``, bound together: the bits of every entry of
+    every plan (``bound_bits``), and of every plan ``bind_all`` finishes,
+    with its failures."""
+    values, failed = template.bind_all(draws)
+    sources = template._bind(draws, template._sources)
+    out = []
+    for d in range(len(draws)):
+        entries = []
+        for i in range(len(template._skeletons)):
+            entries += map(bound_bits, template._entries(sources, i, d))
+        out.append((entries, finished_bits(values[d].tolist(), failed[d])))
+    return out
 
 
 def drawn(rng, N, M, count):
@@ -221,17 +243,17 @@ def drawn(rng, N, M, count):
     return bps
 
 
-def assert_bound_together_as_alone(template, draws):
+def assert_bound_together_as_alone(template, draws, skeleton_finish):
     """Each of ``draws`` bound with the others, in batches of 1, 2 and 10,
-    gets the bits of its list bound alone, and finishes every item alone."""
-    alone = [template.bind_all([draw])[0] for draw in draws]
-    want = [(list(map(bound_bits, vals)), finished_bits(template, vals)) for vals in alone]
+    gets the bits of its entries bound alone, and finishes every plan as
+    alone; alone, each plan finishes as its skeleton finishes it."""
+    alone = [bound_together(template, [draw])[0] for draw in draws]
+    for (_, finished), (values, failed) in zip(alone, skeleton_finish(template, draws)):
+        assert finished == finished_bits(values, failed)
     for K in (1, 2, 10):
         for start in range(0, len(draws), K):
-            together = template.bind_all(draws[start : start + K])
-            assert len(together) == min(K, len(draws) - start)
-            for got, bits in zip(together, want[start:]):
-                assert (list(map(bound_bits, got)), finished_bits(template, got)) == bits
+            together = bound_together(template, draws[start : start + K])
+            assert together == alone[start : start + K]
 
 
 def bound_draws(bps):
@@ -239,27 +261,74 @@ def bound_draws(bps):
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_draws_bound_together_are_bit_identical_to_draws_bound_alone(N):
+def test_draws_bound_together_are_bit_identical_to_draws_bound_alone(N, skeleton_finish):
     rng = np.random.default_rng([271828, N])
     for M in range(3):
         bps = drawn(rng, N, M, 10)
-        assert_bound_together_as_alone(biorth_mod._sweep(bps[0]).template, bound_draws(bps))
+        template = biorth_mod._sweep(bps[0]).template
+        assert_bound_together_as_alone(template, bound_draws(bps), skeleton_finish)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_the_array_finish_equals_the_skeleton_finish(N, skeleton_finish):
+    # Every item of every sweep shape at N, M <= 2 (the items of the direct
+    # and the dual sums), ten draws finished together on arrays: the values
+    # and the failures, positions, types and messages, of the skeletons
+    # finishing each item one by one.
+    rng = np.random.default_rng([141421, N])
+    for M in range(3):
+        draws = bound_draws(drawn(rng, N, M, 10))
+        template = biorth_mod._sweep(params(N, M)).template
+        values, failed = template.bind_all(draws)
+        want = skeleton_finish(template, draws)
+        assert [finished_bits(v.tolist(), f) for v, f in zip(values, failed)] == [
+            finished_bits(v, f) for v, f in want
+        ]
 
 
 @pytest.mark.parametrize("seed,N,count", [(20240, 8, 4), (3164770343, 6, 3)])
-def test_the_pinned_failing_draws_bound_together_are_bit_identical(seed, N, count):
+def test_the_pinned_failing_draws_bound_together_are_bit_identical(seed, N, count, skeleton_finish):
     # The draws of the direct table at (seed, N, M = 1, 2 samples), redrawn
     # ones included: at seed 20240 a series of the level-8 sweep leaves the
     # double range in two of them, at seed 3164770343 a tau head of the
     # level-6 sweep underflows in one.
     bps = drawn(np.random.default_rng([seed, 200 + 10 * N + 1]), N, 1, count)
     template = biorth_mod._sweep(bps[0]).template
-    assert_bound_together_as_alone(template, bound_draws(bps))
-    failing = [template.finish_all(vals)[1] for vals in template.bind_all(bound_draws(bps))]
+    assert_bound_together_as_alone(template, bound_draws(bps), skeleton_finish)
+    _, failing = template.bind_all(bound_draws(bps))
     assert sum(map(bool, failing)) == count - 2
 
 
-def test_guard_failures_bound_together_are_those_bound_alone():
+def test_a_reduction_without_an_array_form_is_refused_at_compile():
+    # A joined plan's reduction runs on arrays only in its declared array
+    # form; a sum is not declared.  Products of records compile.
+    ctx = TemplateContext()
+    parts = [known(ctx, ctx.qpow(LAM)), known(ctx, Z)]
+    draw = (ThetaContext(0.12, 0.67), 0.8 + 0.4j, 0.3 - 0.2j, 1.2 + 0.5j)
+    summed = Template([("sum", combine(ctx, parts, lambda a, b: a + b))])
+    with pytest.raises(TypeError, match="no array form"):
+        summed.bind_all([draw])
+    values, _ = Template([("product", combine(ctx, parts, mul))]).bind_all([draw])
+    want = 0.67 ** (0.8 + 0.4j) * (1.2 + 0.5j)
+    assert abs(values[0, 0] - want) <= 1e-15 * abs(want)
+
+
+def test_a_division_by_zero_fails_as_the_skeleton_finish(skeleton_finish):
+    # Python raises where the arrays give NaN: the array finish flags the
+    # plan, and its skeleton raises.
+    ctx = TemplateContext()
+    template = Template([
+        ("by zero", combine(ctx, [known(ctx, 0j), known(ctx, Z)], _over)),
+        ("of zero", combine(ctx, [known(ctx, Z), known(ctx, 0j)], _over)),
+    ])
+    draw = (ThetaContext(0.12, 0.67), 0.8 + 0.4j, 0.3 - 0.2j, 1.2 + 0.5j)
+    values, (failed,) = template.bind_all([draw])
+    assert list(failed) == [0] and type(failed[0]) is ZeroDivisionError
+    [(want, want_failed)] = skeleton_finish(template, [draw])
+    assert finished_bits(values[0].tolist(), failed) == finished_bits(want, want_failed)
+
+
+def test_guard_failures_bound_together_are_those_bound_alone(skeleton_finish):
     # q^(2 Λ) = p puts zeros of theta at some series' theta(a1) and at
     # denominators of series and products: draws there, bound with generic
     # ones, fail where and as they fail bound alone.
@@ -270,8 +339,8 @@ def test_guard_failures_bound_together_are_those_bound_alone():
         bps = drawn(rng, N, 1, 3)
         bps[1:1] = [BiorthParams(N, lam, 1, om, 1.2 + 0.5j, ctx) for om in (0.3 - 0.2j, 0.7j)]
         template = biorth_mod._sweep(bps[0]).template
-        assert_bound_together_as_alone(template, bound_draws(bps))
-        failed = [template.finish_all(vals)[1] for vals in template.bind_all(bound_draws(bps))]
+        assert_bound_together_as_alone(template, bound_draws(bps), skeleton_finish)
+        _, failed = template.bind_all(bound_draws(bps))
         messages = {str(exc) for exc in failed[1].values()}
         assert {DEN_GUARD, A1_GUARD} <= messages and failed[2]
 
@@ -352,8 +421,8 @@ def test_single_items_leave_no_module_state():
 
 def held_by_templates(monkeypatch, shapes) -> float:
     """Bytes (tracemalloc) the sweeps of ``shapes`` hold in the module's
-    shape cache: the templates with their series and product programs, and
-    the compiled checks of the direct and the dual sums."""
+    shape cache: the templates with their series, product and finish
+    programs, and the compiled checks of the direct and the dual sums."""
     monkeypatch.setattr(biorth_mod, "_SWEEPS", {})
     gc.collect()
     tracemalloc.start()
@@ -361,7 +430,7 @@ def held_by_templates(monkeypatch, shapes) -> float:
         before = tracemalloc.get_traced_memory()[0]
         for N, M in shapes:
             sweep = biorth_mod._sweep(params(N, M))
-            sweep.program(False), sweep.program(True)
+            sweep.template._finish(), sweep.program(False), sweep.program(True)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -383,16 +452,18 @@ def test_levels_templates_stay_small(monkeypatch):
 
 
 def test_no_template_is_built_at_import():
-    # Nor is a check compiled: a sweep compiles the checks of each sum at
-    # the first check of that sum.
+    # Nor is a check or a finish program compiled: a sweep compiles the
+    # checks of each sum at the first check of that sum, and its template
+    # the finish program at its first bind.
     code = (
         "import importlib, ellu2\n"
         "biorth = importlib.import_module('ellu2.biorth')\n"
         "assert not biorth._SWEEPS\n"
         "from ellu2.theta import ThetaContext\n"
         "bp = biorth.BiorthParams(2, 0.8 + 0.4j, 1, 0.3 - 0.2j, 1.2 + 0.5j, ThetaContext(0.12, 0.67))\n"
-        "assert not biorth._sweep(bp)._programs\n"
+        "assert not biorth._sweep(bp)._programs and biorth._sweep(bp).template._program is None\n"
         "biorth.check_dual_biorth(bp, 1, 0)\n"
         "assert list(biorth._sweep(bp)._programs) == [True]\n"
+        "assert biorth._sweep(bp).template._program is not None\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SRC)})

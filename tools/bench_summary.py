@@ -6,7 +6,10 @@
 
 Each input file holds the output of one ``perfbench/run.py`` run; its last
 non-empty line is the run's JSON object
-``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``.
+``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``,
+and its ``rounds = N`` line the number of rounds the run fit, kept beside the
+metrics: a faster change fits more rounds, and a run's peak RSS grows with
+them.
 List the parent and change files in the order they ran, so that the i-th
 files of both lists are one pair.  For every metric the output gives the
 parent's and the change's values, median and quartiles, the relative change
@@ -26,10 +29,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def last_json(path: Path) -> dict:
+    """The run's JSON object, with its round count under ``rounds`` (None
+    when the output has no ``rounds = N`` line)."""
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines:
         raise SystemExit(f"{path}: no output, so no run to read")
-    return json.loads(lines[-1])
+    run = json.loads(lines[-1])
+    counts = [line.split("=")[1] for line in lines if line.split("=")[0].strip() == "rounds"]
+    run["rounds"] = int(counts[0]) if counts else None
+    return run
 
 
 def spread(values: list[float]) -> dict:
@@ -80,6 +88,10 @@ def main(argv=None) -> None:
     report.setdefault("workloads", {})[args.workload] = {
         "pairs": len(parent),
         "correct": [run["correct"] for run in parent + change],
+        "rounds": {
+            "parent": [run["rounds"] for run in parent],
+            "change": [run["rounds"] for run in change],
+        },
         "failed": {
             "parent": [run["failed"] for run in parent],
             "change": [run["failed"] for run in change],
