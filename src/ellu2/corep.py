@@ -570,8 +570,8 @@ def check_unitarity(N: int, k: int, j: int, z: complex, m: int, rc: RepContext) 
 
     ``residual_between`` of the two sides of ``unitarity_words``.  The first
     call for a level N at a sample binds every (k, j) and every m up to
-    ``UNITARITY_MMAX`` at once (``rep.Compiled``); the others read the
-    residuals kept on ``rc``.
+    ``UNITARITY_MMAX`` at once (``rep.bind_rows``), unless a batch of
+    samples bound them before; the others read the residuals kept on ``rc``.
     """
     return _element_residual(_unitarity_rows, N, k, j, z, m, rc)
 

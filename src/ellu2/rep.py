@@ -22,14 +22,15 @@ whole family of checks into one ``theta.Template``.
 ``relation_inventory`` builds the defining exchange relations as pairs of
 algebra elements; ``check_relations`` evaluates both sides on basis vectors
 at a random dynamical point and reports relative residuals, from the
-compiled check bound to the sample: one ``theta_vec`` call, one pass over
-arrays for every path product, and one fold.
+compiled check bound to the sample (``bind_rows``, which binds many samples
+in one ``Template.bind_all``).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -93,6 +94,7 @@ __all__ = [
     "check_relations",
     "Compiled",
     "compiled",
+    "bind_rows",
     "residual_between",
 ]
 
@@ -102,8 +104,9 @@ class RepContext:
     """Weight parameter, evaluation point for the dynamical variable, and base.
 
     The checks keep here, per compiled check and spectral points, the
-    residuals of the sample (``_bound_rows``): ``corep.check_unitarity`` asks
-    for one matrix element at a time, and the first ask binds them all.
+    residuals of the sample, or the error binding it raised (``bind_rows``):
+    ``corep.check_unitarity`` asks for one matrix element at a time, and the
+    first ask binds them all, unless a batch bound them before.
     """
 
     omega: complex
@@ -580,10 +583,10 @@ class Compiled:
     target, is one path.
 
     Every path is one theta product over records in one ``Template``, and so
-    is every distinct guard of the factors, after them.  Binding it to a
-    sample (``_path_values``) is one ``theta_vec`` call and one products
-    pass; the guards are checked on their values, and the fold of the groups
-    is a few array operations over index arrays laid out here.
+    is every distinct guard of the factors, after them.  Binding it to
+    samples (``bind_rows``) is one ``Template.bind_all``; the guards are
+    checked on their values (``outcome``), and the fold of the groups is a
+    few array operations over index arrays laid out here.
     """
 
     def __init__(self, rows: Iterable):
@@ -639,9 +642,17 @@ class Compiled:
         self.group_m = _indices(group_m)
         self.path_m = self.group_m[self.cell_group[self.path_cell]]
 
-    def rows(self, rc: RepContext, symbols: dict) -> dict:
-        """Each row's residual at the sample of ``rc``, by key."""
-        return dict(zip(self.keys, self.fold(_path_values(self, rc, symbols)).tolist()))
+    def outcome(self, values: np.ndarray, failed: dict, zero_guard: float) -> dict | ArithmeticError:
+        """Each row's residual by key, from one draw's values and failures
+        (``Template.bind_all``); or the draw's error, with no traceback nor
+        error it was raised from: the first failing plan's, else the
+        ``PoleError`` of the first guard whose value is below ``zero_guard``."""
+        if failed:
+            return copy.copy(failed[min(failed)])
+        low = _modulus(values[self.paths :]) < zero_guard
+        if low.any():
+            return PoleError(self.messages[int(np.argmax(low))])
+        return dict(zip(self.keys, self.fold(values[: self.paths]).tolist()))
 
     def fold(self, values: np.ndarray) -> np.ndarray:
         """Each row's residual from the paths' values; a NaN anywhere in a
@@ -702,21 +713,6 @@ def _product(ctx: TemplateContext, scalar, nums: tuple, dens: tuple) -> ThetaPro
     return tp
 
 
-def _path_values(check: Compiled, rc: RepContext, symbols: dict) -> np.ndarray:
-    """The value of every path of ``check`` at the sample of ``rc``.
-
-    One ``Template.bind_products``, paths and guards together; the first
-    guard, in compile order, whose value is below the zero guard of
-    ``rc.ctx`` raises its ``PoleError``.
-    """
-    ctx = rc.ctx
-    values = check.template.bind_products(ctx, rc.lam0, rc.omega, **symbols)
-    low = _modulus(values[check.paths :]) < ctx.zero_guard
-    if low.any():
-        raise PoleError(check.messages[int(np.argmax(low))])
-    return values[: check.paths]
-
-
 def compiled(build, params: tuple, zero_guard: float) -> Compiled:
     """The check ``build(ctx, *params)`` builds over records, compiled once
     per shape (``build``, ``params``, zero guard) and kept in ``_SHAPES``
@@ -728,11 +724,32 @@ def compiled(build, params: tuple, zero_guard: float) -> Compiled:
     )
 
 
+def bind_rows(build, params: tuple, drawn: Sequence[tuple[RepContext, dict]]) -> None:
+    """Bind the check ``compiled(build, params, ...)`` at each (rc, symbols)
+    of ``drawn`` (the spectral points ``z`` and maybe ``z1``, ``z2``; one zero
+    guard), in one ``Template.bind_all``, and keep each outcome on its ``rc``."""
+    check = compiled(build, params, drawn[0][0].ctx.zero_guard)
+    points = [
+        (rc.ctx, rc.lam0, rc.omega, symbols["z"], symbols.get("z1"), symbols.get("z2"))
+        for rc, symbols in drawn
+    ]
+    values, failed = check.template.bind_all(points)
+    for (rc, symbols), v, f in zip(drawn, values, failed):
+        rc._bound[_bound_key(build, params, symbols)] = check.outcome(v, f, rc.ctx.zero_guard)
+
+
+def _bound_key(build, params: tuple, symbols: dict) -> tuple:
+    return (build, params, *sorted(symbols.items()))
+
+
 def _bound_rows(rc: RepContext, build, params: tuple, **symbols) -> dict:
     """The rows of a compiled check at the sample of ``rc`` and the spectral
-    points ``symbols`` (``z``, ``z1``, ``z2``), bound once per ``rc``."""
-    key = (build, params, *symbols.items())
-    got = rc._bound.get(key)
-    if got is None:
-        got = rc._bound[key] = compiled(build, params, rc.ctx.zero_guard).rows(rc, symbols)
+    points ``symbols``, bound once per ``rc`` (``bind_rows``); a failed
+    binding raises a copy of its error, so no traceback reaches ``rc``."""
+    key = _bound_key(build, params, symbols)
+    if key not in rc._bound:
+        bind_rows(build, params, [(rc, symbols)])
+    got = rc._bound[key]
+    if isinstance(got, ArithmeticError):
+        raise copy.copy(got)
     return got

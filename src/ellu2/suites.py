@@ -17,15 +17,19 @@ Suites and the focused tables of ``ellu2 check`` share one engine:
   report; the two own the pass rules, and ``_grid`` folds the per-(k, j)
   and per-(k, l) entries of the corep and biorth tables;
 - each per-sample body a suite shares with its table is written once
-  (``_corep_tower``, ``_qdybe_draw``, ``_relations_draw``, ``_BiorthDraws``,
-  ``_bailey_draw``) and consumes the RNG in the same order for both.
+  (``_corep_tower``, ``_qdybe_draw``, ``_relations_ahead``,
+  ``_biorth_ahead``, ``_bailey_draw``) and consumes the RNG in the same
+  order for both.
 
-The biorthogonality suites and tables draw ahead: at each sweep shape, their
-sampler draws the attempts of all the samples still unfinished at once, in
-the order drawing them one by one takes, and evaluates them in one batch
-(``_BiorthDraws``).  Each attempt is still one call of the sample closure,
-and the stream, the redraws and the reports are those of drawing one at a
-time.
+The suites and tables whose checks are compiled (biorth and dual-biorth,
+relations, unitarity) draw ahead through one sampler, ``_DrawAhead``, and
+evaluate the attempts of up to ``AHEAD`` unfinished samples in one batch.
+An attempt makes all its ``rng`` calls before anything of it is evaluated,
+as many whatever the outcome, and every unfinished sample takes at least
+one more attempt; so no drawn attempt goes unused, and the stream, the
+redraws and the reports are those of drawing one at a time.  The cap bounds
+what one batch binds: the relations suite's 50 draws bound together would
+add several MB to peak memory.
 
 A sample returns plain floats (or, for the per-sample tables, one entry), so
 nothing of a draw outlives it (or, drawn ahead, its own attempt).  ``_sample``
@@ -46,6 +50,9 @@ import numpy as np
 
 from .biorth import BiorthCache, BiorthParams, BiorthReport, check_biorth, check_dual_biorth
 from .corep import (
+    UNITARITY_MMAX,
+    _inversion_rows,
+    _unitarity_rows,
     check_coproduct,
     check_counit_exact,
     check_inversion_words,
@@ -57,7 +64,16 @@ from .corep import (
     tau_product,
     tau_tilde_closed,
 )
-from .rep import RepContext, apply_word, check_det_forms, check_relations, relation_inventory
+from .rep import (
+    RepContext,
+    _det_form_rows,
+    _relation_rows,
+    apply_word,
+    bind_rows,
+    check_det_forms,
+    check_relations,
+    relation_inventory,
+)
 from .residuals import TINY, rel, rel_to_terms, spread, worst
 from .rmatrix import det_residual, qdybe_residual
 from .sampling import draw_context, draw_lambda, draw_z, run_with_redraws
@@ -87,6 +103,8 @@ __all__ = [
 ]
 
 REPORT_VERSION = 1
+# Most attempts a draw-ahead sampler draws and evaluates in one batch.
+AHEAD = 10
 # The gate on the middle determinant's closed form, in the suite and the table.
 QDYBE_DET_TOL = 1e-12
 
@@ -135,7 +153,7 @@ def _sample(
     ``values`` holds the completed draws in order; a draw still at a pole
     after ``max_redraws`` attempts counts as rejected.  ``pending``, when
     given, is told before each sample how many samples, that one included,
-    are still unfinished (``_BiorthDraws``).
+    are still unfinished (``_DrawAhead``).
     """
     values = []
     for i in range(samples):
@@ -204,10 +222,59 @@ def _drive(
     classes: dict[str, float],
     sample_fn: Callable[[], dict[str, float]],
     notes: list[str],
+    pending: Callable[[int], None] | None = None,
 ) -> dict:
     """Run a per-sample closure with pole redraws; aggregate named residuals."""
-    values, rejected = _sample(samples, max_redraws, sample_fn)
+    values, rejected = _sample(samples, max_redraws, sample_fn, pending)
     return _suite_result(name, samples, rejected, classes, values, notes)
+
+
+class _DrawAhead:
+    """Attempts drawn ahead and evaluated in batches.
+
+    ``draw()`` makes one attempt's draws, with all its ``rng`` calls, and
+    ``evaluate(drawn)`` gives the result of each of a list of them.  Each
+    call of ``attempt`` is one attempt.  When no drawn attempt is left, it
+    draws as many as there are samples still unfinished (``pending``), at
+    most ``AHEAD``, and evaluates them together (``_evaluate``).  An
+    attempt takes the next draw's result, or raises the error evaluating
+    that draw raised.
+    """
+
+    def __init__(self, draw: Callable[[], object], evaluate: Callable[[list], list]):
+        self.draw, self.evaluate = draw, evaluate
+        self.unfinished = 1
+        self.queue: deque = deque()
+
+    def pending(self, unfinished: int) -> None:
+        self.unfinished = unfinished
+
+    def attempt(self):
+        if not self.queue:
+            drawn = [self.draw() for _ in range(min(self.unfinished, AHEAD))]
+            self.queue.extend(_evaluate(self.evaluate, drawn))
+        got = self.queue.popleft()
+        if isinstance(got, ArithmeticError):
+            raise got.with_traceback(None)
+        return got
+
+
+def _evaluate(evaluate: Callable[[list], list], drawn: list) -> list:
+    """For each draw, ``evaluate``'s result, or the ``ArithmeticError``
+    evaluating it raised.  The draws are evaluated in one batch, which
+    records what fails per draw; should the batch raise all the same, each
+    draw is evaluated alone, to tell whose error it is."""
+    try:
+        return evaluate(drawn)
+    except ArithmeticError:
+        pass
+    out: list = []
+    for one in drawn:
+        try:
+            out += evaluate([one])
+        except ArithmeticError as exc:
+            out.append(exc)
+    return out
 
 
 def _rep_draw(
@@ -322,35 +389,56 @@ def _suite_qdybe(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
     return _drive("qdybe", samples, cfg.max_redraws, classes, sample, [])
 
 
-def _relations_draw(
+# (mmax, kmax_reverse) of the relation checks and mmax of the determinant forms.
+RELATIONS_SHAPE = (6, 4)
+DET_FORMS_SHAPE = (4,)
+
+
+def _relations_ahead(
     cfg: RunConfig,
     rng: np.random.Generator,
     omega: complex | None = None,
     lam: complex | None = None,
-) -> tuple[RepContext, complex, list[tuple[str, float]]]:
-    """(rep context, z, (relation, residual) rows) of one drawn relation check."""
-    # Relation sides multiply up to eight theta-quotient coefficients, so a
-    # denominator theta of magnitude 1e-7 already costs 1e-9 relative
-    # accuracy; insist on a wider pole margin than the evaluation default.
-    rc = _rep_draw(cfg, rng, omega, lam, zero_guard=1e-4)
-    z1, z2, z = (draw_z(rng) for _ in range(3))
-    return rc, z, check_relations(rc, z1, z2, z, mmax=6, kmax_reverse=4)
+    det_forms: bool = False,
+) -> _DrawAhead:
+    """The draw-ahead sampler of the relation checks: an attempt gives (rep
+    context, z1, z2, z), bound to the relation rows and, with
+    ``det_forms``, the determinant-form rows."""
+
+    def draw() -> tuple:
+        # Relation sides multiply up to eight theta-quotient coefficients, so
+        # a denominator theta of magnitude 1e-7 already costs 1e-9 relative
+        # accuracy; insist on a wider pole margin than the evaluation default.
+        rc = _rep_draw(cfg, rng, omega, lam, zero_guard=1e-4)
+        z1, z2, z = (draw_z(rng) for _ in range(3))
+        return rc, z1, z2, z
+
+    def evaluate(drawn: list) -> list:
+        points = [(rc, {"z": z, "z1": z1, "z2": z2}) for rc, z1, z2, z in drawn]
+        bind_rows(_relation_rows, RELATIONS_SHAPE, points)
+        if det_forms:
+            bind_rows(_det_form_rows, DET_FORMS_SHAPE, [(rc, {"z": z}) for rc, *_, z in drawn])
+        return drawn
+
+    return _DrawAhead(draw, evaluate)
 
 
 def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     notes: list[str] = []
     det_tol = 1e-10
     flagged: set[str] = set()
+    draws = _relations_ahead(cfg, rng, det_forms=True)
 
     def sample() -> dict[str, float]:
-        rc, z, rows = _relations_draw(cfg, rng)
+        rc, z1, z2, z = draws.attempt()
+        rows = check_relations(rc, z1, z2, z, *RELATIONS_SHAPE)
         for rel_name, res in rows:
             if res > tol and rel_name not in flagged:
                 flagged.add(rel_name)
                 notes.append(f"relation over tolerance: {rel_name} ({res:.3e})")
         return _worst([
             (("defining relations", res) for _, res in rows),
-            (("det forms", res) for _, res in check_det_forms(rc, z, mmax=4)),
+            (("det forms", res) for _, res in check_det_forms(rc, z, *DET_FORMS_SHAPE)),
         ])
 
     return _drive(
@@ -360,6 +448,7 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
         {"defining relations": tol, "det forms": det_tol},
         sample,
         notes,
+        draws.pending,
     )
 
 
@@ -458,10 +547,20 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
 
 def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     inversion_tol = 1e-7
+    families = [(_unitarity_rows, N) for N in (1, 2, 3)] + [(_inversion_rows, N) for N in (1, 2)]
+
+    def draw() -> tuple:
+        return _rep_draw(cfg, rng), draw_z(rng)
+
+    def evaluate(drawn: list) -> list:
+        for build, n_level in families:
+            bind_rows(build, (n_level, UNITARITY_MMAX), [(rc, {"z": z}) for rc, z in drawn])
+        return drawn
+
+    draws = _DrawAhead(draw, evaluate)
 
     def sample() -> dict[str, float]:
-        rc = _rep_draw(cfg, rng)
-        z = draw_z(rng)
+        rc, z = draws.attempt()
         unitarity = worst(
             check_unitarity(n_level, k, j, z, m, rc)
             for n_level in range(1, 4)
@@ -485,75 +584,29 @@ def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
         {"unitarity": tol, "inversion sums": inversion_tol},
         sample,
         [],
+        draws.pending,
     )
 
 
-class _BiorthDraws:
-    """The attempts at one sweep shape (N, M), direct or dual, drawn ahead
-    and evaluated together.
+def _biorth_ahead(
+    cfg: RunConfig, rng: np.random.Generator, n_level: int, m_shift: int, dual: bool
+) -> _DrawAhead:
+    """The draw-ahead sampler at one sweep shape (N, M), direct or dual: an
+    attempt gives (params, their cache with the (dual) reports)."""
 
-    ``attempt`` is a sampling closure: each call is one attempt.  When no
-    drawn attempt is left, it draws as many as there are samples still
-    unfinished (``pending``), with the ``rng`` calls, in the order, of
-    drawing them one at a time, and evaluates them in one batch
-    (``_evaluate``).  Every unfinished sample takes at least one attempt,
-    so no drawn attempt goes unused, and the stream ends where drawing one
-    per attempt leaves it.  An attempt takes the next draw: it raises the
-    error evaluating that draw raised, or returns the report of every
-    (k, l) check, ``checker(bp, k, l, cache)`` on the draw's cache.
-    """
-
-    def __init__(
-        self,
-        cfg: RunConfig,
-        rng: np.random.Generator,
-        n_level: int,
-        m_shift: int,
-        checker,
-        dual: bool,
-    ):
-        self.cfg, self.rng, self.n_level, self.m_shift = cfg, rng, n_level, m_shift
-        self.checker, self.dual = checker, dual
-        self.unfinished = 1
-        self.queue: deque = deque()
-
-    def pending(self, unfinished: int) -> None:
-        self.unfinished = unfinished
-
-    def _draw(self) -> BiorthParams:
-        rng = self.rng
-        ctx = self.cfg.context(rng)
+    def draw() -> BiorthParams:
+        ctx = cfg.context(rng)
         lam, omega, z = draw_lambda(rng), draw_lambda(rng), draw_z(rng)
-        return BiorthParams(self.n_level, lam, self.m_shift, omega, z, ctx)
+        return BiorthParams(n_level, lam, m_shift, omega, z, ctx)
 
-    def attempt(self) -> dict[tuple[int, int], BiorthReport]:
-        if not self.queue:
-            drawn = [self._draw() for _ in range(self.unfinished)]
-            self.queue.extend(zip(drawn, _evaluate(drawn, self.dual)))
-        bp, cache = self.queue.popleft()
-        if isinstance(cache, ArithmeticError):
-            raise cache.with_traceback(None)
-        ks = range(self.n_level + 1)
-        return {(k, l): self.checker(bp, k, l, cache) for k in ks for l in ks}
+    return _DrawAhead(draw, lambda drawn: list(zip(drawn, BiorthCache.batch(drawn, dual))))
 
 
-def _evaluate(drawn: list[BiorthParams], dual: bool) -> list:
-    """For each draw, its cache with the reports of its (dual) checks, or
-    the ``ArithmeticError`` evaluating it raised.  The draws are evaluated
-    in one batch (``BiorthCache.batch``), which records what fails per item
-    and per check; should the batch raise all the same, each draw is
-    evaluated alone, to tell whose error it is."""
-    try:
-        return BiorthCache.batch(drawn, dual)
-    except ArithmeticError:
-        pass
-    out: list = []
-    for bp in drawn:
-        try:
-            out += BiorthCache.batch([bp], dual)
-        except ArithmeticError as exc:
-            out.append(exc)
-    return out
+def _biorth_reports(draws: _DrawAhead, checker) -> dict[tuple[int, int], BiorthReport]:
+    """``checker(bp, k, l, cache)`` of every (k, l) at the next attempt."""
+    bp, cache = draws.attempt()
+    ks = range(bp.N + 1)
+    return {(k, l): checker(bp, k, l, cache) for k in ks for l in ks}
 
 
 def _biorth_driver(
@@ -574,10 +627,10 @@ def _biorth_driver(
     rejected = 0
     for n_level in range(1, 6):
         for m_shift in (0, 1, 2):
-            draws = _BiorthDraws(cfg, rng, n_level, m_shift, checker, dual)
+            draws = _biorth_ahead(cfg, rng, n_level, m_shift, dual)
 
             def sample() -> dict[str, float]:
-                reports = draws.attempt().values()
+                reports = _biorth_reports(draws, checker).values()
                 return {
                     "biorthogonality sum": worst(r.sum_residual for r in reports),
                     "termwise vs oracle": worst(r.termwise_residual for r in reports),
@@ -787,9 +840,13 @@ def relations_table(
     """
     rng = np.random.default_rng([cfg.seed, 700])
     tol = _tol(cfg, "relations")
-    values, rejected = _sample(
-        samples, cfg.max_redraws, lambda: _relations_draw(cfg, rng, omega, lam)[2]
-    )
+    draws = _relations_ahead(cfg, rng, omega, lam)
+
+    def sample() -> list[tuple[str, float]]:
+        rc, z1, z2, z = draws.attempt()
+        return check_relations(rc, z1, z2, z, *RELATIONS_SHAPE)
+
+    values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)
     entries = [
         {"relation": name, "max_rel_residual": v, "pass": v <= tol}
         for name, v in sorted(_worst(values).items())
@@ -811,10 +868,10 @@ def biorth_table(
     check = "dual-biorth" if dual else "biorth"
     tol = _tol(cfg, check)
     checker = check_dual_biorth if dual else check_biorth
-    draws = _BiorthDraws(cfg, rng, n_level, m_shift, checker, dual)
+    draws = _biorth_ahead(cfg, rng, n_level, m_shift, dual)
 
     def sample() -> list[tuple[tuple[int, int], float]]:
-        return [(kl, report.residual) for kl, report in draws.attempt().items()]
+        return [(kl, report.residual) for kl, report in _biorth_reports(draws, checker).items()]
 
     values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)
     entries = _grid(values, n_level, "l", tol)

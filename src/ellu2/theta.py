@@ -56,7 +56,8 @@ scalars it multiplies by; whether a tracked argument vanishes exactly is
 derived from its record (``Rec.tracked``).  A record may also hold the
 spectral points z1 and z2 (``Z1``, ``Z2``) of a relation check, and their
 conjugates.  A ``Template`` compiles such plans once and binds them to many
-draws at once, with one ``theta_vec`` call per draw and without the vector
+draws at once (``Template.bind_all``, its one entry: a single draw is a
+batch of one), with one ``theta_vec`` call per draw and without the vector
 cache, and finishes every plan at every draw in one pass over arrays (its
 docstring has the steps).  ``biorth`` and ``rep`` keep the templates of up
 to ``SHAPE_CAP`` shapes each (``kept_shape``).
@@ -752,9 +753,7 @@ class Template:
     (``_Finish``), compiled from the skeletons at the first ``bind_all``,
     then finishes every plan at every draw in one pass; only the plans it
     flags are finished again, one by one, by their skeletons.  Every array
-    has one column per draw, and lives for the one call.  ``bind_products``
-    binds and finishes one draw on arrays, for a template whose plans are
-    all theta products with record scalars.
+    has one column per draw, and lives for the one call.
 
     Each record's value depends on its own row and draw only, and each
     series or product result, and each plan's value, on its own values
@@ -840,7 +839,6 @@ class Template:
             if cols[i].any() or cols[i + 1].any()
         ]
         self._theta = np.array(list(thetas), dtype=np.intp)
-        self._layout = None  # set by the first ``bind_products``
 
     def _records(self, draws: Sequence[tuple]) -> np.ndarray:
         """The value of every record at each draw, one column per draw, with
@@ -854,15 +852,18 @@ class Template:
                 lnq * lam.imag, lnq * omega.imag, logz.imag,
             ))
         lam_re, om_re, lnq, z_re, lam_im, om_im, z_im = np.array(coefficients).T
-        re = self._lam * lam_re + self._om * om_re + self._c * lnq + self._re_z * z_re
-        im = self._lam * lam_im + self._om * om_im + self._im_z * z_im
-        for at, re_w, im_w in self._spectral:
-            logw = [cmath.log(draw[at]) for draw in draws]
-            re = re + re_w * np.array([w.real for w in logw])
-            im = im + im_w * np.array([w.imag for w in logw])
-        e = np.empty(re.shape, dtype=complex)
-        e.real, e.imag = re, im
-        np.exp(e, out=e)
+        # A record beyond the double range comes out inf or 0, and fails as
+        # a theta argument or a product there, not as a numpy warning.
+        with np.errstate(all="ignore"):
+            re = self._lam * lam_re + self._om * om_re + self._c * lnq + self._re_z * z_re
+            im = self._lam * lam_im + self._om * om_im + self._im_z * z_im
+            for at, re_w, im_w in self._spectral:
+                logw = [cmath.log(draw[at]) for draw in draws]
+                re = re + re_w * np.array([w.real for w in logw])
+                im = im + im_w * np.array([w.imag for w in logw])
+            e = np.empty(re.shape, dtype=complex)
+            e.real, e.imag = re, im
+            np.exp(e, out=e)
         e[self._neg] = -e[self._neg]
         return e
 
@@ -939,65 +940,6 @@ class Template:
                 # Kept without its traceback, whose frames hold this pass's arrays.
                 failed[d][int(i)] = exc.with_traceback(None)
         return values, failed
-
-    def bind_products(
-        self, ctx: ThetaContext, lam: complex, omega: complex, z: complex, z1=None, z2=None
-    ) -> np.ndarray:
-        """The value of every plan at one sample, in plan order, as one array.
-
-        For a template whose plans are all theta products with a record for
-        scalar: each value is what ``bind_all`` gives the plan, bit for
-        bit, without the finish program and its replays.  Where some plan's
-        finish would raise, this raises the ``PoleError`` of the first such
-        plan.
-        """
-        draws = [(ctx, lam, omega, z, z1, z2)]
-        e = self._records(draws)
-        bound = Bound.of(e, self._thetas(draws, e))
-        rows, ranks, zero = self._product_layout()
-        products = self._batches[0]
-        pr, pi = products.running(bound)
-        failed = {r: message for r, _, message in products.failures(bound)}
-        if failed:
-            first = np.flatnonzero(np.isin(ranks, list(failed)))[0]
-            raise PoleError(failed[int(ranks[first])])
-        sr, si = e.real[rows, 0], e.imag[rows, 0]
-        with np.errstate(all="ignore"):
-            vr, vi = _c_mul(sr, si, pr[ranks, 0], pi[ranks, 0])
-        vr[zero] = vi[zero] = 0.0
-        lost = (vr == 0) & (vi == 0) & ~zero & ((sr != 0) | (si != 0))
-        if lost.any():
-            exact = products.exact_zeros(bound)
-            if exact is not None:
-                lost &= ~exact[ranks, 0]
-        if lost.any() or not (np.isfinite(vr).all() and np.isfinite(vi).all()):
-            raise PoleError(PRODUCT_RANGE)
-        out = np.empty(len(vr), dtype=complex)
-        out.real, out.imag = vr, vi
-        return out
-
-    def _product_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(scalar record row, product rank, exact zero) of each plan, for
-        ``bind_products``: every plan lists its scalar's record, then its
-        product."""
-        got = self._layout
-        if got is None:
-            cuts = np.array(self._cuts)
-            gather = np.array(self._gather)
-            n, start = len(self._listed_rows), len(self._listed_rows) + len(self._listed_thetas)
-            scalars, products = gather[cuts[:-1]], gather[cuts[:-1] + 1]
-            simple = (
-                len(self._batches) == 1
-                and isinstance(self._batches[0], _Products)
-                and (np.diff(cuts) == 2).all()
-                and (scalars < n).all()
-                and (products >= start).all()
-            )
-            if not simple:
-                raise TypeError("bind_products needs theta products with record scalars only")
-            zero = np.array([sk.zero for sk in self._skeletons], dtype=bool)
-            got = self._layout = (self._listed_rows[scalars], products - start, zero)
-        return got
 
 
 class Bound(NamedTuple):
@@ -1482,7 +1424,7 @@ def _in_range(out: complex, scalar: complex) -> complex:
 
 class _ExactZero(complex):
     """The batch result of a theta product one of whose numerator theta
-    values is exactly 0j (``_Products.exact_zeros``): a 0 it leads to is
+    values is exactly 0j (``_Products.reduce``): a 0 it leads to is
     that zero, not an underflow.  The value and its arithmetic are the
     complex number's."""
 
@@ -1683,27 +1625,13 @@ class _Products:
 
     def reduce(self, b: "Bound") -> Reduced:
         """Each product's result at each draw, by ``rank`` and draw; an
-        entry is a number, an ``_ExactZero`` or the message of a failure."""
-        pr, pi = self.running(b)
-        failed = np.zeros(pr.shape, dtype=bool)
-        messages = {}
-        for r, k, message in self.failures(b):
-            failed[r, k] = True
-            messages[r, k] = message
-        exact = self.exact_zeros(b)
+        entry is a number, an ``_ExactZero`` or the message of a failure.
 
-        def entry(r: int, k: int):
-            if (r, k) in messages:
-                return messages[r, k]
-            value = complex(pr[r, k], pi[r, k])
-            return _ExactZero(value) if exact is not None and exact[r, k] else value
-
-        return Reduced(pr, pi, failed, entry)
-
-    def running(self, b: "Bound") -> tuple[np.ndarray, np.ndarray]:
-        """Each product's value, real and imaginary parts, by ``rank`` and
-        draw; a product whose guard fails (``failures``) gets a meaningless
-        one."""
+        A product fails at the first denominator, in order, whose modulus is
+        below the guard (or overflows, as ``abs`` raises there), with the
+        message ``ThetaProduct.finish`` raises at it; its value is then
+        meaningless.  Where a numerator theta value is exactly 0j, its
+        value is an ``_ExactZero``."""
         with np.errstate(all="ignore"):
             num, div = self.num, self.div
             qr, qi = _c_div(b.re[num], b.im[num], b.re[div], b.im[div])
@@ -1713,32 +1641,29 @@ class _Products:
             pr, pi = np.ones(shape), np.zeros(shape)
             for w, at in _steps(self.widths):
                 pr[:w], pi[:w] = _c_mul(pr[:w], pi[:w], fr[at], fi[at])
-        return pr, pi
-
-    def exact_zeros(self, b: "Bound") -> np.ndarray | None:
-        """Where a numerator theta value of a product is exactly 0j, by
-        ``rank`` and draw; None when no theta value is, at any draw."""
-        zero = (b.re == 0) & (b.im == 0)
-        if not zero.any():
-            return None
-        # A factor's numerator: that of its quotient (-1, the appended 1.0,
-        # for 1 / den), or the theta value itself.
-        factor = np.concatenate((zero[self.num], zero))[self.factor]
-        out = np.zeros((len(self.rank), zero.shape[1]), dtype=bool)
-        for w, at in _steps(self.widths):
-            out[:w] |= factor[at]
-        return out
-
-    def failures(self, b: "Bound") -> list[tuple]:
-        """The guard failures, (rank, draw, message): at each draw, the
-        first denominator of each product, in order, whose modulus is below
-        the guard (or overflows, as ``abs`` raises there), and the message
-        ``ThetaProduct.finish`` raises at it."""
+        failed = np.zeros(pr.shape, dtype=bool)
+        messages = {}
         events = b.over | (b.mag < self.guard)
-        return [
-            (r, k, DEN_GUARD if b.mag[i, k] < self.guard else PRODUCT_RANGE)
-            for r, k, i in zip(*_first_events(events, self.den, self.den_cuts))
-        ]
+        for r, k, i in zip(*_first_events(events, self.den, self.den_cuts)):
+            failed[r, k] = True
+            messages[r, k] = DEN_GUARD if b.mag[i, k] < self.guard else PRODUCT_RANGE
+        zero = (b.re == 0) & (b.im == 0)
+        exact = None
+        if zero.any():
+            # A factor's numerator: that of its quotient (-1, the appended
+            # 1.0, for 1 / den), or the theta value itself.
+            factor = np.concatenate((zero[self.num], zero))[self.factor]
+            exact = np.zeros(shape, dtype=bool)
+            for w, at in _steps(self.widths):
+                exact[:w] |= factor[at]
+
+        def entry(r: int, k: int):
+            if (r, k) in messages:
+                return messages[r, k]
+            value = complex(pr[r, k], pi[r, k])
+            return _ExactZero(value) if exact is not None and exact[r, k] else value
+
+        return Reduced(pr, pi, failed, entry)
 
 
 def _ranked(counts: Sequence[int]) -> tuple[list, array, array]:

@@ -32,6 +32,7 @@ from ellu2.theta import PoleError, ThetaContext
 
 CFG = RunConfig(seed=20240)
 suites_mod = importlib.import_module("ellu2.suites")
+rep_mod = importlib.import_module("ellu2.rep")
 
 NOTE = re.compile(r"^(?P<name>.+): max residual (?P<res>[0-9.e+-]+) \(tol (?P<tol>[0-9.e+-]+)\)$")
 
@@ -205,10 +206,21 @@ def _nan_rows(original):
 
 
 def _nan_at_index_3(original):
-    def patched(check, rc, symbols):
-        values = original(check, rc, symbols)
-        values[check.path_m == 3] = NAN
-        return values
+    # The batch binder, its template's values NaN on every path at m = 3.
+    def patched(build, params, drawn):
+        check = rep_mod.compiled(build, params, drawn[0][0].ctx.zero_guard)
+        bind_all = check.template.bind_all
+
+        def nan_paths(draws):
+            values, failed = bind_all(draws)
+            values[:, : check.paths][:, check.path_m == 3] = NAN
+            return values, failed
+
+        check.template.bind_all = nan_paths
+        try:
+            return original(build, params, drawn)
+        finally:
+            del check.template.bind_all
 
     return patched
 
@@ -235,7 +247,7 @@ NAN_CASES = {
     "unitarity": ("suites", "check_unitarity", _nan, [_suite("unitarity")]),
     "closed-tau": ("suites", "tau_closed", _nan, [lambda cfg: corep_table(cfg, 2, cfg.samples)]),
     "basis-index-3": (
-        "rep", "_path_values", _nan_at_index_3, [_suite("relations"), _relations_table]
+        "suites", "bind_rows", _nan_at_index_3, [_suite("relations"), _relations_table]
     ),
     "representation-oracle": (
         "biorth", "_oracle_terms", _nan_arrays, [lambda cfg: biorth_table(cfg, 2, 0, cfg.samples, False)]

@@ -248,16 +248,23 @@ def test_domain_errors_exit_2_with_one_line(capsys, argv):
 
 def test_range_error_writes_no_numpy_warning():
     # In a fresh interpreter, as a user sees it: pytest would collect numpy's
-    # RuntimeWarnings apart from the captured stderr.
-    done = subprocess.run(
-        [sys.executable, "-m", "ellu2", "eval", "pochhammer", "--a", "1e-320", "--n", "2"],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(SRC)},
-    )
-    assert done.returncode == 2 and done.stdout == ""
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ellu2: error: ")
+    # RuntimeWarnings apart from the captured stderr.  The check's one sample
+    # is rejected: every draw's records leave the double range.
+    cases = [
+        (["eval", "pochhammer", "--a", "1e-320", "--n", "2"], 2, r"ellu2: error: .*"),
+        (["check", "relations", "--omega", "1e300", "--samples", "1"], 1, r"wall time: \d+ ms"),
+    ]
+    for argv, code, line in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "ellu2", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == code and "RuntimeWarning" not in done.stderr
+        assert (done.stdout == "") == (code == 2)
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and re.fullmatch(line, lines[0]), argv
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,19 @@ FAMILIES = {
 }
 
 
+def point(rc, symbols):
+    """The draw ``Template.bind_all`` takes for the sample of ``rc``."""
+    return (rc.ctx, rc.lam0, rc.omega, symbols["z"], symbols.get("z1"), symbols.get("z2"))
+
+
+def path_values(check, rc, symbols):
+    """The value of every path of ``check`` at the sample of ``rc``, from
+    ``bind_all``; no plan may fail there."""
+    values, (failed,) = check.template.bind_all([point(rc, symbols)])
+    assert not failed
+    return values[0, : check.paths]
+
+
 def draw(rng, zero_guard, lam0=None):
     ctx = ThetaContext(rng.uniform(0.05, 0.3), rng.uniform(0.55, 0.9), zero_guard=zero_guard)
     omega = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
@@ -118,7 +131,7 @@ def test_the_compiled_action_is_the_numeric_one(name):
     for _ in range(2):
         rc = draw(rng, zero_guard)
         numeric = numeric_sides(rc)
-        got = check.actions(rep_mod._path_values(check, rc, symbols))
+        got = check.actions(path_values(check, rc, symbols))
         assert set(got) == set(numeric)
         for key, sides in numeric.items():
             assert len(got[key]) == len(sides), key
@@ -138,24 +151,24 @@ def test_a_draw_next_to_a_pole_raises_on_both_paths(name):
     with pytest.raises(PoleError):
         numeric_sides(rc)
     with pytest.raises(PoleError):
-        compiled(build, params, zero_guard).rows(rc, symbols)
+        rep_mod._bound_rows(rc, build, params, **symbols)
 
 
 @pytest.mark.parametrize("name", ["relations", "unitarity N=3"])
-def test_products_bound_on_arrays_are_the_finished_plans(name):
-    # ``bind_products`` finishes every path and guard product on arrays:
-    # the same bits as ``bind_all`` finishes each plan with.
+def test_products_bound_on_arrays_are_the_finished_plans(name, skeleton_finish):
+    # ``bind_all`` finishes every path and guard product of a batch of draws
+    # on arrays: the same bits as each plan's skeleton finishes it with.
     build, params, zero_guard, symbols, _ = FAMILIES[name]
     template = compiled(build, params, zero_guard).template
-    rc = draw(np.random.default_rng(1), zero_guard)
-    sample = (rc.ctx, rc.lam0, rc.omega)
-    got = template.bind_products(*sample, **symbols)
-    points = (symbols["z"], symbols.get("z1"), symbols.get("z2"))
-    want, (failed,) = template.bind_all([(*sample, *points)])
-    assert not failed
-    assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == [
-        (v.real.hex(), v.imag.hex()) for v in want[0].tolist()
-    ]
+    rng = np.random.default_rng(1)
+    draws = [point(draw(rng, zero_guard), symbols) for _ in range(3)]
+    got, failed = template.bind_all(draws)
+    assert failed == [{}, {}, {}]
+    for values, (want, errors) in zip(got, skeleton_finish(template, draws)):
+        assert not errors
+        assert [(v.real.hex(), v.imag.hex()) for v in values.tolist()] == [
+            (v.real.hex(), v.imag.hex()) for v in want
+        ]
 
 
 def test_action_peaks_are_python_abs_bit_for_bit():
@@ -180,13 +193,13 @@ def test_action_peaks_are_python_abs_bit_for_bit():
 
 def test_checks_read_each_sample_once_per_context(monkeypatch):
     calls = []
-    original = rep_mod._path_values
+    original = rep_mod.bind_rows
 
-    def counted(check, rc, symbols):
-        calls.append(check)
-        return original(check, rc, symbols)
+    def counted(build, params, drawn):
+        calls.append(build)
+        return original(build, params, drawn)
 
-    monkeypatch.setattr(rep_mod, "_path_values", counted)
+    monkeypatch.setattr(rep_mod, "bind_rows", counted)
     rc = draw(np.random.default_rng(3), 1e-12)
     first = [corep_mod.check_unitarity(2, k, j, Z, m, rc) for k in range(3) for j in range(3) for m in range(3)]
     again = [corep_mod.check_unitarity(2, k, j, Z, m, rc) for k in range(3) for j in range(3) for m in range(3)]

@@ -80,16 +80,25 @@ def test_contexts_with_different_zero_guards_share_nothing():
 
 
 def test_bound_rows_do_not_keep_the_context_alive():
-    # The residuals kept on the representation context are plain floats:
+    # The residuals kept on the representation context are plain floats,
+    # and the error kept for a draw whose binding failed holds no traceback:
     # dropping the context frees its ThetaContext without a collection.
+    # theta(q^(-2 (lam + 1))) vanishes at lam = -1, where the second draw's
+    # coefficients divide by it.
     gc.disable()
     try:
-        rc = RepContext(0.3 + 0.1j, 0.4 - 0.2j, ThetaContext(0.15, 0.6))
-        for fn in (check_unitarity, check_inversion_words):
-            fn(2, 1, 1, 1.1 + 0.3j, 0, rc)
-        assert rc._bound
-        gone = weakref.ref(rc.ctx)
-        del rc
-        assert gone() is None
+        for lam0, failed in ((0.4 - 0.2j, False), (-1 + 1e-15 + 0j, True)):
+            rc = RepContext(0.3 + 0.1j, lam0, ThetaContext(0.15, 0.6))
+            for fn in (check_unitarity, check_inversion_words):
+                try:
+                    fn(2, 1, 1, 1.1 + 0.3j, 0, rc)
+                except PoleError:
+                    pass
+            kept = list(rc._bound.values())
+            assert len(kept) == 2
+            assert all(isinstance(got, PoleError) == failed for got in kept)
+            gone = weakref.ref(rc.ctx)
+            del rc, kept
+            assert gone() is None
     finally:
         gc.enable()

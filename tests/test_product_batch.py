@@ -187,9 +187,9 @@ def test_a_product_that_underflows_to_zero_raises_as_out_of_range():
 def test_an_exact_zero_theta_value_makes_a_product_zero_on_every_path():
     # The record q^Λ is not tracked as a zero, but at Λ = 0 it is 1, and
     # theta(1) comes out exactly 0j: a product with it among its numerators
-    # is that 0, after a record or a plan scalar, in the scalar loop, the
-    # batched pass and ``bind_products``.  A product that underflows to 0
-    # beside it still raises.
+    # is that 0, after a record or a plan scalar, in the scalar loop and in
+    # ``bind_all``, with the other plans or alone.  A product that
+    # underflows to 0 beside it still fails.
     ctx = TemplateContext()
     at_one, near_one = Rec(lam=1), Rec(c=1e-13)
     scaled = combine(ctx, [binomial_plan(3, 1, ctx), known(ctx, Rec(c=3))], mul)
@@ -204,7 +204,8 @@ def test_an_exact_zero_theta_value_makes_a_product_zero_on_every_path():
     assert got["underflow"] == PRODUCT_RANGE
     for name in ("zero", "zero after a plan"):
         assert not isinstance(got[name], str) and all(float.fromhex(x) == 0 for x in got[name])
-    alone = Template(plans[:1])
-    assert alone.bind_products(*sample).tolist() == [0j]
-    with pytest.raises(PoleError, match="double precision range"):
-        Template(plans[2:]).bind_products(*sample)
+    values, failed = Template(plans[:1]).bind_all([sample])
+    assert values.tolist() == [[0j]] and failed == [{}]
+    _, [failed] = Template(plans[2:]).bind_all([sample])
+    assert list(failed) == [0]
+    assert type(failed[0]) is PoleError and str(failed[0]) == PRODUCT_RANGE

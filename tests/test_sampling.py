@@ -17,7 +17,8 @@ from ellu2.sampling import (
     draw_z,
     run_with_redraws,
 )
-from ellu2.theta import PoleError
+from ellu2.rep import RepContext
+from ellu2.theta import THETA_RANGE, PoleError
 
 
 def test_draw_ranges(rng):
@@ -110,12 +111,15 @@ def prefetched_biorth(monkeypatch, cfg, rng, N, M, samples, dual, fail):
     evaluate = suites._evaluate
     attempts = itertools.count()
 
-    def failing(drawn, dual):
-        return [fail.get(next(attempts), got) for got in evaluate(drawn, dual)]
+    def failing(batch, drawn):
+        return [fail.get(next(attempts), got) for got in evaluate(batch, drawn)]
 
     monkeypatch.setattr(suites, "_evaluate", failing)
-    draws = suites._BiorthDraws(cfg, rng, N, M, check_dual_biorth if dual else check_biorth, dual)
-    return suites._sample(samples, cfg.max_redraws, draws.attempt, draws.pending)
+    draws = suites._biorth_ahead(cfg, rng, N, M, dual)
+    checker = check_dual_biorth if dual else check_biorth
+    return suites._sample(
+        samples, cfg.max_redraws, lambda: suites._biorth_reports(draws, checker), draws.pending
+    )
 
 
 def watched(monkeypatch, run):
@@ -177,3 +181,55 @@ def test_prefetched_biorth_draws_equal_drawing_one_at_a_time(monkeypatch, dual):
     _, rejected, attempts, raised, _ = runs["sequential"]
     assert rejected == 1 and attempts == [2, 1, 2, 3, 1, 1]
     assert raised == [(type(e).__name__, str(e)) for e in fail.values()]
+
+
+AHEAD_RUNS = {
+    "relations suite": lambda cfg: suites.run_suite("relations", cfg),
+    "relations table": lambda cfg: suites.relations_table(cfg, None, None, cfg.samples),
+    "pinned relations table": lambda cfg: suites.relations_table(
+        cfg, 0.3 - 0.2j, -0.7 + 0.4j, cfg.samples
+    ),
+    "unitarity suite": lambda cfg: suites.run_suite("unitarity", cfg),
+}
+
+
+@pytest.mark.parametrize("case", AHEAD_RUNS)
+def test_representation_draws_ahead_equal_drawing_one_at_a_time(monkeypatch, case):
+    # The suites' representation draws, made pole-prone: a zero guard of
+    # 0.03, at which about one attempt in three fails a guard, and every
+    # seventh draw's weight 1e300, whose records leave the double range, so
+    # that binding its batch raises from ``Template.bind_all`` itself and
+    # each draw is bound alone.  Drawing ahead must give the report, the
+    # attempts, the error of each failed attempt and the number of draws
+    # of drawing one attempt at a time.
+    rep_draw, bind_rows, default = suites._rep_draw, suites.bind_rows, suites.AHEAD
+    cfg = suites.RunConfig(seed=3, samples=12, max_redraws=4)
+    runs = {}
+    for ahead in (1, default):
+        drawn, batches, raised_batches = itertools.count(), [], []
+
+        def pole_prone(cfg, rng, omega=None, lam=None, zero_guard=1e-12):
+            rc = rep_draw(cfg, rng, omega, lam, zero_guard=0.03)
+            return RepContext(1e300, rc.lam0, rc.ctx) if next(drawn) % 7 == 3 else rc
+
+        def binding(build, params, points):
+            batches.append(len(points))
+            try:
+                return bind_rows(build, params, points)
+            except ArithmeticError:
+                raised_batches.append(len(points))
+                raise
+
+        monkeypatch.setattr(suites, "AHEAD", ahead)
+        monkeypatch.setattr(suites, "_rep_draw", pole_prone)
+        monkeypatch.setattr(suites, "bind_rows", binding)
+        report, attempts, raised = watched(monkeypatch, lambda: AHEAD_RUNS[case](cfg))
+        runs[ahead] = (suites.canonical_json(report), attempts, raised, next(drawn))
+    # Drawn ahead, no batch passed the cap, and some batch of several draws
+    # raised: each of its draws was bound alone.
+    assert max(batches) == default and max(raised_batches) > 1
+    assert runs[default] == runs[1]
+    _, attempts, raised, drawn = runs[1]
+    assert drawn == sum(attempts) and max(attempts) > 1
+    assert ("PoleError", THETA_RANGE) in raised
+    assert len({message for _, message in raised}) > 1
