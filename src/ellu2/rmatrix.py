@@ -90,6 +90,32 @@ def det_residual(lam: complex, z: complex, ctx: ThetaContext) -> float:
     return abs(ad - bc - closed) / max(abs(ad), abs(bc), abs(closed), 1e-300)
 
 
+def _embed_index(legs: tuple[int, int], spectator: int) -> np.ndarray:
+    """The index table of ``_embed`` for one pair of legs: for each cell of
+    the 8x8 matrix that a two-leg matrix reaches, in rows, its flat position,
+    the flat position of its entry among the two-leg matrices of weights +1
+    and -1 stacked, and the same among one matrix."""
+    i, j = legs
+    cells = []
+    for col in range(8):
+        bits_in = ((col >> 2) & 1, (col >> 1) & 1, col & 1)
+        sub_col = 2 * bits_in[i] + bits_in[j]
+        for sub_row in range(4):
+            bits_out = list(bits_in)
+            bits_out[i] = (sub_row >> 1) & 1
+            bits_out[j] = sub_row & 1
+            row = (bits_out[0] << 2) | (bits_out[1] << 1) | bits_out[2]
+            entry = 4 * sub_row + sub_col
+            cells.append((8 * row + col, 16 * bits_in[spectator] + entry, entry))
+    return np.array(cells).T
+
+
+# One index table per pair of legs, with the third leg as the spectator.
+_EMBED = {
+    (legs, 3 - sum(legs)): _embed_index(legs, 3 - sum(legs)) for legs in ((0, 1), (0, 2), (1, 2))
+}
+
+
 def _embed(
     rm_by_weight: dict[Optional[int], np.ndarray],
     legs: tuple[int, int],
@@ -99,24 +125,22 @@ def _embed(
     """Embed a two-leg matrix into the tensor cube, optionally branching on the
     spectator weight.  Leg bits are 0 for weight +1 and 1 for weight -1; basis
     index is the big-endian bit string (b1, b2, b3).
+
+    The cells come from the constant index table of the legs (``_EMBED``):
+    each cell of the cube matrix is 0 plus the one entry of the two-leg
+    matrix (of the spectator's weight, when ``shifted``) that lands there,
+    or 0.  Adding to 0 turns a -0.0 part of an entry into +0.0;
+    ``tests/test_kernel_reference.py`` holds the cells to the earlier loop
+    over cells, bit for bit.
     """
-    out = np.zeros((8, 8), dtype=complex)
-    i, j = legs
-    for col in range(8):
-        bits_in = ((col >> 2) & 1, (col >> 1) & 1, col & 1)
-        w_spec = 1 - 2 * bits_in[spectator]
-        rm = rm_by_weight[w_spec if shifted else None]
-        sub_col = 2 * bits_in[i] + bits_in[j]
-        for sub_row in range(4):
-            val = rm[sub_row, sub_col]
-            if val == 0:
-                continue
-            bits_out = list(bits_in)
-            bits_out[i] = (sub_row >> 1) & 1
-            bits_out[j] = sub_row & 1
-            row = (bits_out[0] << 2) | (bits_out[1] << 1) | bits_out[2]
-            out[row, col] += val
-    return out
+    cell, stacked, single = _EMBED[legs, spectator]
+    if shifted:
+        entries = np.concatenate((rm_by_weight[1].ravel(), rm_by_weight[-1].ravel()))[stacked]
+    else:
+        entries = rm_by_weight[None].ravel()[single]
+    out = np.zeros(64, dtype=complex)
+    out[cell] += entries
+    return out.reshape(8, 8)
 
 
 def _leg_op(

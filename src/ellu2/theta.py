@@ -16,8 +16,13 @@ part: a product with surviving numerator zeros is exactly 0, while an exact or
 near-exact zero in denominator position raises ``PoleError`` instead of
 propagating garbage.
 
-A context holds its parameters (p, q and the zero guard), the powers of p
-its products run over, one cache per theta kernel and a memo of powers of q:
+A context holds its parameters (p, q and the zero guard), one factor table
+of the powers p^j and p^(j+1) its products run over, one cache per theta
+kernel and a memo of powers of q.  The factor table is kept in the types the
+kernels compute in: pairs of Python complex numbers for ``theta`` and two
+complex128 rows for ``theta_vec``.  Python and numpy both promote a float
+factor to x + 0j before they multiply, so a complex table gives the same
+bits as a float one, without the promotion on every factor.  The caches:
 
 * the scalar memo (``theta``) maps an argument to the scalar kernel's value;
 * the vector cache (``theta_vec_cached``) maps an argument to the element
@@ -66,7 +71,9 @@ The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
 rest of its batch.  The same holds for a bound template: a record's
 value depends only on its own row.  The two theta caches are kept apart
-because the scalar and vector kernels round differently in the last bit.
+because the scalar and vector kernels round differently in the last bit:
+numpy's complex multiply is fused, Python's is not, and the layout of
+``theta_vec`` is pinned by that (its docstring has the measured facts).
 ``theta_vec`` itself stays uncached: on batches of fresh arguments the
 lookup costs more than it saves.
 The scalar memo stops growing at ``MEMO_CAP`` entries; the vector cache
@@ -192,6 +199,13 @@ class ThetaContext:
     ``MAX_THETA_FACTORS``), fixed when the context is made; ``zero_guard``
     is the magnitude below which an untracked denominator theta value is
     treated as a pole.
+
+    The context keeps one factor table, the powers p^j and p^(j+1) as
+    complex numbers, in the form each kernel reads it: ``_pairs``, a tuple
+    of (p^j, p^(j+1)) Python complex pairs, for ``theta``, and ``_rows``, the
+    same numbers as two complex128 rows, for ``theta_vec``.  It also keeps
+    ln p (``_lnp``), by which both kernels find an argument's annulus, and
+    ln q (``_lnq``), by which it takes powers of q.
     """
 
     p: float
@@ -203,11 +217,10 @@ class ThetaContext:
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q!r}")
         ppow = self.p ** np.arange(nfac)
-        object.__setattr__(self, "_ppow", ppow)
-        object.__setattr__(self, "_ppow1", self.p * ppow)
-        object.__setattr__(
-            self, "_pairs", tuple(zip(ppow.tolist(), (self.p * ppow).tolist()))
-        )
+        rows = (ppow.astype(complex), (self.p * ppow).astype(complex))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_pairs", tuple(zip(rows[0].tolist(), rows[1].tolist())))
+        object.__setattr__(self, "_lnp", math.log(self.p))
         object.__setattr__(self, "_lnq", math.log(self.q))
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_vec_cache", {})
@@ -289,7 +302,7 @@ def theta(z: complex, ctx: ThetaContext) -> complex:
         return got
     if z == 0:
         raise PoleError(THETA_RANGE)
-    m = round(math.log(abs(z)) / math.log(ctx.p))
+    m = round(math.log(abs(z)) / ctx._lnp)
     w = z
     pref = 1.0 + 0.0j
     if m != 0:
@@ -298,9 +311,10 @@ def theta(z: complex, ctx: ThetaContext) -> complex:
             pref = (-1 if m % 2 else 1) * w ** (-m) * ctx.p ** (-m * (m - 1) // 2)
         except OverflowError:
             raise PoleError(THETA_RANGE) from None
-    acc = 1.0 + 0.0j
+    # Every operand is complex, so no factor converts a float first.
+    acc = one = 1.0 + 0.0j
     for pj, pj1 in ctx._pairs:
-        acc *= (1.0 - w * pj) * (1.0 - pj1 / w)
+        acc *= (one - w * pj) * (one - pj1 / w)
     acc *= pref
     if not cmath.isfinite(acc):
         raise PoleError(THETA_RANGE)
@@ -314,24 +328,48 @@ def theta_vec(zs: Sequence[complex], ctx: ThetaContext) -> np.ndarray:
 
     Same annulus reduction as the scalar path, applied only when some entry
     needs it so moderate batches stay on the fast path.  An argument 0 raises
-    ``PoleError``, as in the scalar path.
+    ``PoleError``, as in the scalar path.  A far argument whose reduction
+    leaves the double range gives inf or nan, without numpy's warnings; a
+    theta product over it raises ``PoleError``.
+
+    The layout fixes the bits, as measured with numpy 2.4.6 on x86-64: the
+    factors form an arguments x factors array, (1 - z p^j) times
+    (1 - p^(j+1) / z) in that order, and the product is taken over the last
+    axis.  numpy fuses the multiply and add of its contiguous complex
+    multiply (a fused multiply-add), so swapping the two operands changes
+    the last bit of some imaginary parts; its product reduction over the
+    last axis is not fused and rounds as a Python loop does, while a
+    reduction over the first axis multiplies whole rows, fused, and rounds
+    otherwise.  The temporaries are reused in place, which changes no bit.
     """
     arr = np.asarray(zs, dtype=complex)
-    if arr.size and np.any(arr == 0):
+    if (arr == 0).any():
         raise PoleError(THETA_RANGE)
-    m = np.rint(np.log(np.abs(arr)) / math.log(ctx.p)).astype(np.int64)
-    if np.any(m != 0):
-        arr = arr * ctx.p ** (-m.astype(float))
+    m = np.rint(np.log(np.abs(arr)) / ctx._lnp)
+    if not m.any():
+        return _theta_rows(arr, ctx._rows)
+    with np.errstate(all="ignore"):
+        m = m.astype(np.int64)
+        shift = -m.astype(float)
+        arr = arr * ctx.p**shift
         pref = (
             np.where(m % 2 == 0, 1.0, -1.0)
-            * arr ** (-m.astype(float))
+            * arr**shift
             * ctx.p ** (-(m * (m - 1) // 2).astype(float))
         )
-    else:
-        pref = None
+        return _theta_rows(arr, ctx._rows) * pref
+
+
+def _theta_rows(arr: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """prod_j (1 - z p^j) (1 - p^(j+1) / z) for each z of ``arr`` near the
+    unit circle, over the context's factor rows."""
     zc = arr[..., None]
-    out = np.prod((1.0 - zc * ctx._ppow) * (1.0 - ctx._ppow1 / zc), axis=-1)
-    return out if pref is None else out * pref
+    left = zc * rows[0]
+    np.subtract(1.0, left, out=left)
+    right = rows[1] / zc
+    np.subtract(1.0, right, out=right)
+    left *= right
+    return np.multiply.reduce(left, axis=-1)
 
 
 def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> list[complex]:
@@ -339,17 +377,22 @@ def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> list[complex]:
 
     Only the arguments not seen before on ``ctx`` are evaluated, in one
     ``theta_vec`` call; every value equals the element ``theta_vec`` gives for
-    the same argument, bit for bit.
+    the same argument, bit for bit.  An empty cache misses every argument
+    without looking, and a batch of distinct misses is returned as
+    ``theta_vec`` gave it, without reading the cache back.
     """
     keys = zs.tolist() if isinstance(zs, np.ndarray) else zs
     cache = ctx._vec_cache
-    miss = [z for z in keys if z not in cache]
+    miss = [z for z in keys if z not in cache] if cache else keys
     if len(cache) + len(miss) > MEMO_CAP:
         cache.clear()
         miss = keys
     if miss:
         miss = list(dict.fromkeys(miss))
-        cache.update(zip(miss, theta_vec(miss, ctx).tolist()))
+        values = theta_vec(miss, ctx).tolist()
+        cache.update(zip(miss, values))
+        if len(miss) == len(keys):
+            return values
     return [cache[z] for z in keys]
 
 

@@ -248,11 +248,15 @@ def test_domain_errors_exit_2_with_one_line(capsys, argv):
 
 def test_range_error_writes_no_numpy_warning():
     # In a fresh interpreter, as a user sees it: pytest would collect numpy's
-    # RuntimeWarnings apart from the captured stderr.  The check's one sample
-    # is rejected: every draw's records leave the double range.
+    # RuntimeWarnings apart from the captured stderr.  The relations check's
+    # one sample is rejected: every draw's records leave the double range.
+    # At p = 0.9 and q = 0.01 the bailey check's series reach theta
+    # arguments whose annulus reduction leaves the double range; those
+    # draws are redrawn, and the check passes.
     cases = [
         (["eval", "pochhammer", "--a", "1e-320", "--n", "2"], 2, r"ellu2: error: .*"),
         (["check", "relations", "--omega", "1e300", "--samples", "1"], 1, r"wall time: \d+ ms"),
+        (["check", "bailey", "--p", "0.9", "--q", "0.01", "--samples", "3"], 0, r"wall time: \d+ ms"),
     ]
     for argv, code, line in cases:
         done = subprocess.run(

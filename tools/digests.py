@@ -14,7 +14,11 @@ all computed in one process:
 - ``ellu2 check corep --N 5`` and ``--N 6``;
 - the benchmark's twelve levels biorth tables (N = 6-8, M = 1, 2 samples,
   direct and dual, at seeds 20240 and 3164770343), their canonical JSON
-  joined by newlines, in the benchmark's order.
+  joined by newlines, in the benchmark's order;
+- the kernel values (``kernel_values``): ``float.hex`` of every value of
+  ``theta``, ``theta_vec``, ``r_entries``, ``qdybe_residual`` and
+  ``eval_omega`` on seeded inputs.  A report holds maxima of residuals, which
+  can hide a last-bit change of a value; this line does not.
 
 Each ``ellu2`` command's digest is of what it writes to stdout.  Run it on
 two checkouts and compare the lines: equal lines mean equal report bytes.
@@ -26,11 +30,19 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
+
 from ellu2.cli import main
+from ellu2.rmatrix import qdybe_residual, r_entries
+from ellu2.series import SeriesSpec, eval_omega
 from ellu2.suites import RunConfig, biorth_table, canonical_json, run_report
+from ellu2.theta import PoleError, ThetaContext, garg, qarg, theta, theta_vec
 
 BATTERY = ["theta", "series", "relations", "unitarity", "biorth", "dual-biorth"]
 LEVEL_TABLE_SEEDS = (20240, 3164770343)
+KERNEL_SEED = 20240
+KERNEL_NOMES = (0.05, 0.12, 0.175, 0.3)
+KERNEL_BATCHES = (1, 8, 64, 1024)
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -39,6 +51,51 @@ def stdout_of(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
     return out.getvalue()
+
+
+def _hex(value) -> str:
+    """Every float of a value (number, tuple or array) as ``float.hex``."""
+    flat = np.asarray(value, dtype=complex).reshape(-1).view(np.float64).tolist()
+    return " ".join(map(float.hex, flat))
+
+
+def _kernel(fn, *args) -> str:
+    try:
+        return _hex(fn(*args))
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+
+
+def kernel_values() -> str:
+    """One line per kernel call on seeded inputs: its value's floats as
+    ``float.hex``, or the ``PoleError`` it raised.  Arguments lie in the
+    annulus 0.5 <= |z| <= 2, every fourth one moved to 1e-8 <= |z| <= 1e8."""
+    rng = np.random.default_rng(KERNEL_SEED)
+
+    def spread(n: int) -> list[complex]:
+        z = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        far = np.arange(n) % 4 == 3
+        z[far] = z[far] / np.abs(z[far]) * 10.0 ** rng.uniform(-8.0, 8.0, int(far.sum()))
+        return z.tolist()
+
+    lines = []
+    for p in KERNEL_NOMES:
+        ctx = ThetaContext(p, rng.uniform(0.1, 0.9))
+        for size in KERNEL_BATCHES:
+            batch = spread(size)
+            lines.append(_kernel(theta_vec, batch, ctx))
+            lines += [_kernel(theta, z, ctx) for z in batch]
+        for _ in range(8):
+            lam = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+            z1, z2, z3 = spread(3)
+            lines.append(_kernel(r_entries, lam, z1, ctx))
+            lines.append(_kernel(qdybe_residual, lam, z1, z2, z3, ctx))
+        for n in range(8):
+            a, b, c, d = spread(4)
+            e = a * a * ctx.qpow(2) ** (n + 1) / (b * c * d)
+            uppers = (*map(garg, (b, c, d, e)), qarg(-n))
+            lines.append(_kernel(lambda s: eval_omega(s).value, SeriesSpec(garg(a), uppers, 4, ctx)))
+    return "\n".join(lines)
 
 
 def reports():
@@ -58,6 +115,8 @@ def reports():
         for dual in (False, True)
     )
     yield "the 12 levels tables", "\n".join(tables)
+    with np.errstate(all="ignore"):
+        yield "kernel values", kernel_values()
 
 
 if __name__ == "__main__":
