@@ -5,7 +5,11 @@ explicit sum of generator words with dynamical coefficients.  ``tau_closed``
 and ``tau_tilde_closed`` give the action of these elements (and their
 conjugates) on basis vectors in closed form: a theta-product prefactor times
 a terminating very well poised balanced series.  ``tau_product`` is an
-independent oracle built by composing the raw single-letter actions.
+independent oracle built by composing the raw single-letter actions.  The
+towers of the suites check the closed forms against both; their closed side
+is compiled once per level over records and bound once per sample
+(``closed_tower``), while ``tau_closed`` and ``tau_tilde_closed`` evaluate
+one element over numbers.
 ``gamma_factor`` supplies the diagonal normalization appearing in the
 inversion identity, checked word by word in ``check_unitarity`` and
 ``check_inversion_words``: their words are compiled once per level over
@@ -16,8 +20,9 @@ identity take their reflected point and inverse-determinant word from
 
 from __future__ import annotations
 
+import copy
 from operator import mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,10 +41,13 @@ from .residuals import residual_between, worst
 from .series import vwp_plan
 from .theta import (
     _ONE,
+    LAM,
+    OMEGA,
     Z,
     Factor,
     Joined,
     Plan,
+    Template,
     TemplateContext,
     ThetaContext,
     ThetaProduct,
@@ -50,6 +58,7 @@ from .theta import (
     combine,
     elliptic_binomial,
     garg,
+    kept_shape,
     known,
     qarg,
     reciprocal,
@@ -81,6 +90,7 @@ __all__ = [
     "tau_tilde_plan",
     "tau_tilde_closed",
     "tau_product",
+    "closed_tower",
     "gamma_plan",
     "gamma_factor",
     "inv_gamma_factor",
@@ -357,6 +367,53 @@ def tau_product(
             coeff *= coef_b(m + n, lam + N - 2 * j - 1 - n, qp(2 * (n + N - k)) * z, omega, ctx)
         total += coeff
     return total
+
+
+# The basis indices m < TOWER_M of the corepresentation towers.
+TOWER_M = 4
+# The compiled closed sides of up to ``theta.SHAPE_CAP`` towers.
+_TOWERS: dict = {}
+
+
+def closed_tower(plan, N: int, rc: RepContext, z: complex) -> Callable[[int, int, int], complex]:
+    """The closed side of a corepresentation tower at level N, bound at the
+    sample (rc, z): the reader of (k, j, m), for 0 <= k, j <= N and m <
+    ``TOWER_M``, that gives ``plan(N, k, j, m, rc.lam0, z, rc.omega, ctx)``'s
+    value or raises a copy of its error.  ``plan`` is ``tau_plan`` or
+    ``tau_tilde_plan``.
+
+    Every item is compiled into one ``Template`` per (plan, N, zero guard),
+    kept in ``_TOWERS`` (``theta.kept_shape``), and bound in one
+    ``Template.bind_all``.  The values are those of ``tau_closed`` and
+    ``tau_tilde_closed`` up to rounding: a bound record is one ``exp``, and
+    the finish runs on arrays.  A bind that raises (an argument out of the
+    double range) fails every item with its error."""
+    guard = rc.ctx.zero_guard
+
+    def build() -> Template:
+        ctx = TemplateContext(guard)
+        ks = range(N + 1)
+        return Template(
+            ((k, j, m), plan(N, k, j, m, LAM, Z, OMEGA, ctx))
+            for k in ks
+            for j in ks
+            for m in range(TOWER_M)
+        )
+
+    template = kept_shape(_TOWERS, (plan, N, guard), build)
+    try:
+        values, (failed,) = template.bind_all([(rc.ctx, rc.lam0, rc.omega, z)])
+        row = values[0].tolist()
+    except ArithmeticError as exc:
+        row, failed = [], dict.fromkeys(template.plans.values(), exc.with_traceback(None))
+
+    def read(k: int, j: int, m: int) -> complex:
+        i = template.plans[(k, j, m)]
+        if i in failed:
+            raise copy.copy(failed[i])
+        return row[i]
+
+    return read
 
 
 def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:

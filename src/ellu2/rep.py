@@ -13,8 +13,8 @@ the function letters) is written once, on ``ctx.quotient``, and has two
 instances.  Over numbers, ``apply_word_states`` and ``apply_word`` evaluate
 a word at a sample, each coefficient afresh on every path; the theta values
 repeat from path to path and come from the context's scalar memo.  That
-instance serves the tensor checks, the corepresentation tower and the
-tests' references.  Over records, the same ``apply_word_states`` runs once
+instance serves the tensor checks, the word side of the corepresentation
+towers and the tests' references.  Over records, the same ``apply_word_states`` runs once
 per shape with the symbols ``LAM``, ``OMEGA``, ``Z``, ``Z1`` and ``Z2``,
 and gives each path as one factor; ``Compiled`` compiles the paths of a
 whole family of checks into one ``theta.Template``.

@@ -50,6 +50,7 @@ import numpy as np
 
 from .biorth import BiorthCache, BiorthParams, BiorthReport, check_biorth, check_dual_biorth
 from .corep import (
+    TOWER_M,
     UNITARITY_MMAX,
     _inversion_rows,
     _unitarity_rows,
@@ -58,11 +59,12 @@ from .corep import (
     check_inversion_words,
     check_tensor_relation,
     check_unitarity,
+    closed_tower,
     linear_independence_ratio,
     t_word,
-    tau_closed,
+    tau_plan,
     tau_product,
-    tau_tilde_closed,
+    tau_tilde_plan,
 )
 from .rep import (
     RepContext,
@@ -453,8 +455,14 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
 
 
 def _corep_tower(rc: RepContext, z: complex, n_level: int) -> dict[tuple[int, int], float]:
-    """Worst spread per (k, j) at one level between the word action, tau_product and tau_closed."""
+    """Worst spread per (k, j) at one level between the word action,
+    ``tau_product`` and the closed form, over m < ``TOWER_M``.  The closed
+    form is ``tau_plan`` compiled once for the level and bound once at the
+    draw (``corep.closed_tower``); each (k, j, m) reads its value, or raises
+    its error, after the word action and ``tau_product``, as a call of
+    ``tau_closed`` would."""
     ctx = rc.ctx
+    closed = closed_tower(tau_plan, n_level, rc, z)
     out: dict[tuple[int, int], float] = {}
     for k in range(n_level + 1):
         for j in range(n_level + 1):
@@ -463,9 +471,9 @@ def _corep_tower(rc: RepContext, z: complex, n_level: int) -> dict[tuple[int, in
                 spread([
                     apply_word(tw, m, rc).get(m + k - j, 0.0 + 0.0j),
                     tau_product(n_level, k, j, m, rc.lam0, z, rc.omega, ctx),
-                    tau_closed(n_level, k, j, m, rc.lam0, z, rc.omega, ctx),
+                    closed(k, j, m),
                 ])
-                for m in range(4)
+                for m in range(TOWER_M)
             ])
     return out
 
@@ -488,16 +496,13 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         )
         star_res = []
         for n_level in range(1, 4):
+            closed = closed_tower(tau_tilde_plan, n_level, rc, z)
             for k in range(n_level + 1):
                 for j in range(n_level + 1):
                     sw = star(t_word(n_level, k, j, z, ctx), ctx)
-                    for m in range(4):
+                    for m in range(TOWER_M):
                         got = apply_word(sw, m, rc)
-                        vals = [
-                            got.get(m + j - k, 0.0 + 0.0j),
-                            tau_tilde_closed(n_level, k, j, m, lam0, z, omega, ctx),
-                        ]
-                        star_res.append(spread(vals))
+                        star_res.append(spread([got.get(m + j - k, 0.0 + 0.0j), closed(k, j, m)]))
         for n_level in range(1, 6):
             counit_failures.extend(check_counit_exact(n_level, z, ctx))
         out = {"matrix element tower": tower, "conjugate tower": worst(star_res)}
@@ -763,12 +768,18 @@ def _table(
 
 def _grid(values: list, n_level: int, second: str, tol: float) -> list[dict]:
     """Table entries of the worst residual per (k, ``second``) on the level's
-    (N + 1) x (N + 1) grid, over samples of ((k, ``second``), residual) pairs."""
-    keys = [(k, i) for k in range(n_level + 1) for i in range(n_level + 1)]
-    top = _worst(values, keys)
+    (N + 1) x (N + 1) grid, over samples of ((k, ``second``), residual) pairs.
+    An entry no sample reached reads 0.0 and does not pass: nothing checked it."""
+    top = _worst(values)
     return [
-        {"k": k, second: i, "max_rel_residual": top[(k, i)], "pass": top[(k, i)] <= tol}
-        for k, i in keys
+        {
+            "k": k,
+            second: i,
+            "max_rel_residual": top.get((k, i), 0.0),
+            "pass": top.get((k, i), math.inf) <= tol,
+        }
+        for k in range(n_level + 1)
+        for i in range(n_level + 1)
     ]
 
 

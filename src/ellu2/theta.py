@@ -397,8 +397,14 @@ def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> list[complex]:
 
 
 def theta_multi(args: Sequence[complex], ctx: ThetaContext) -> complex:
-    """Product of theta values, the usual shorthand theta(a_1, ..., a_n)."""
-    return math.prod(theta_vec_cached(args, ctx), start=1.0 + 0.0j)
+    """Product of theta values, the usual shorthand theta(a_1, ..., a_n).
+
+    A value or product beyond the double range raises ``PoleError``, as
+    ``theta`` does: a non-finite value makes the product non-finite."""
+    out = math.prod(theta_vec_cached(args, ctx), start=1.0 + 0.0j)
+    if not cmath.isfinite(out):
+        raise PoleError(THETA_RANGE)
+    return out
 
 
 def theta_condition(z: complex, p: float) -> float:

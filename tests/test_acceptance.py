@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from ellu2.corep import tau_plan, tau_tilde_plan
 from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
 from ellu2.suites import (
@@ -225,6 +226,19 @@ def _nan_at_index_3(original):
     return patched
 
 
+def _nan_closed(plan):
+    # The closed side of the tower of ``plan``, each bound value NaN; the
+    # items that fail still raise.
+    def patch(original):
+        def patched(build, *args):
+            read = original(build, *args)
+            return (lambda *key: read(*key) * NAN) if build is plan else read
+
+        return patched
+
+    return patch
+
+
 def _suite(name):
     return lambda cfg: run_suite(name, cfg)
 
@@ -236,7 +250,9 @@ def _relations_table(cfg):
 # (module, name, patch, runs): each run must fail once ``patch`` has made
 # the named function return NaN.  The first two cases break a residual the
 # suites fold across samples; the others break one folded inside a check, or
-# the ratio of the corep suite's independence gate.
+# the ratio of the corep suite's independence gate.  The corep tower's closed
+# sides are bound per level (``corep.closed_tower``); the conjugate tower is
+# a class of the corep suite beside its headline.
 NAN_CASES = {
     "qdybe-residual": (
         "suites", "qdybe_residual", _nan,
@@ -245,7 +261,10 @@ NAN_CASES = {
     "relation-rows": ("suites", "check_relations", _nan_rows, [_suite("relations"), _relations_table]),
     "theta-product": ("suites", "theta_multi", _nan, [_suite("theta")]),
     "unitarity": ("suites", "check_unitarity", _nan, [_suite("unitarity")]),
-    "closed-tau": ("suites", "tau_closed", _nan, [lambda cfg: corep_table(cfg, 2, cfg.samples)]),
+    "closed-tau": (
+        "suites", "closed_tower", _nan_closed(tau_plan), [lambda cfg: corep_table(cfg, 2, cfg.samples)]
+    ),
+    "conjugate-tau": ("suites", "closed_tower", _nan_closed(tau_tilde_plan), [_suite("corep")]),
     "basis-index-3": (
         "suites", "bind_rows", _nan_at_index_3, [_suite("relations"), _relations_table]
     ),
@@ -270,11 +289,34 @@ def test_a_nan_residual_fails_closed(monkeypatch, case):
         assert not record["pass"]
         if case == "independence-ratio":
             assert "matrix element independence ratio 0.000e+00 <= 1e-08" in record["notes"]
+        elif case == "conjugate-tau":
+            assert "conjugate tower: max residual inf (tol 1e-08)" in record["notes"]
         elif "entries" not in record:
             assert record["max_rel_residual"] == INF
         elif record["check"] != "qdybe":  # the qdybe table reports each sample unfolded
             assert record["entries"]
             assert all(e["max_rel_residual"] == INF for e in record["entries"])
+
+
+@pytest.mark.parametrize("check", ["corep", "biorth"])
+def test_a_table_entry_no_sample_reached_does_not_pass(monkeypatch, check):
+    # Every attempt at a pole: no sample completes, so no (k, j) or (k, l)
+    # entry was checked.  Each keeps its fields and 0.0, and fails.
+    def at_a_pole(*args):
+        raise PoleError("every attempt at a pole")
+
+    cfg = RunConfig(seed=1, max_redraws=2)
+    if check == "corep":
+        monkeypatch.setattr(suites_mod, "_corep_tower", at_a_pole)
+        report, second = corep_table(cfg, 2, 2), "j"
+    else:
+        monkeypatch.setattr(suites_mod, "_biorth_reports", at_a_pole)
+        report, second = biorth_table(cfg, 2, 0, 2, False), "l"
+    assert (report["samples"], report["rejected"], report["pass"]) == (0, 2, False)
+    assert len(report["entries"]) == 9
+    for entry in report["entries"]:
+        assert set(entry) == {"k", second, "max_rel_residual", "pass"}
+        assert entry["max_rel_residual"] == 0.0 and entry["pass"] is False
 
 
 def test_a_failing_report_is_strict_json(monkeypatch):

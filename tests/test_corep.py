@@ -6,26 +6,35 @@ import numpy as np
 import pytest
 
 from ellu2.corep import (
+    TOWER_M,
     check_coproduct,
     check_counit_exact,
     check_inversion_words,
     check_tensor_relation,
     check_unitarity,
+    closed_tower,
     gamma_cf,
     gamma_factor,
     inv_gamma_factor,
     linear_independence_ratio,
     t_word,
     tau_closed,
+    tau_plan,
     tau_product,
+    tau_series_parts,
     tau_tilde_closed,
+    tau_tilde_plan,
+    tau_tilde_series_parts,
 )
 from ellu2.rep import RepContext, apply_word, relation_inventory
-from ellu2.suites import RunConfig, run_suite
+from ellu2.sampling import draw_z
+from ellu2.series import vwp_sum
+from ellu2.suites import RunConfig, _corep_tower, _rep_draw, run_suite
 from ellu2.theta import Rec, ThetaContext, ThetaProduct, qarg
 from ellu2.words import star
 
 corep_mod = importlib.import_module("ellu2.corep")
+suites_mod = importlib.import_module("ellu2.suites")
 theta_mod = importlib.import_module("ellu2.theta")
 
 
@@ -69,6 +78,118 @@ def test_conjugate_tower(ctx, rng):
                         tau_tilde_closed(N, k, j, m, rc.lam0, z, rc.omega, ctx),
                     ]
                     assert spread(vals) <= 1e-10
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _summed_size(plan, parts, N, k, j, m, rc, z):
+    """The size of what the closed form sums: |value|, or |head| times the
+    largest term of its series where that is larger."""
+    closed = plan(N, k, j, m, rc.lam0, z, rc.omega, rc.ctx)
+    size = abs(closed.value())
+    if isinstance(closed, corep_mod._HeadTimesSeries):
+        a1, numer, denom, c, n = parts(N, k, j, m, rc.lam0, z, rc.omega, rc.ctx)
+        _, max_term, _ = vwp_sum(rc.ctx, a1, numer, denom, n, merged=(c, j))
+        size = max(size, abs(closed.parts[0].value()) * max_term)
+    return size
+
+
+@pytest.mark.parametrize(
+    "plan, closed, parts",
+    [
+        (tau_plan, tau_closed, tau_series_parts),
+        (tau_tilde_plan, tau_tilde_closed, tau_tilde_series_parts),
+    ],
+)
+def test_the_bound_tower_is_the_scalar_closed_form(plan, closed, parts):
+    # 20 seeded draws at N = 1-6, every other one at a zero guard of 0.05, so
+    # that some denominators fail.  The compiled closed side bound at a draw
+    # agrees with the scalar closed form to 1e-12 of the size of what the
+    # series sums, and the same items fail with the same error.  Relative to
+    # the value alone the two differ by up to 1.4e-10 at other seeds, where
+    # the series cancels and the word action differs from both by as much.
+    rng = np.random.default_rng(4711)
+    compared = failed = 0
+    for d in range(20):
+        rc = _rep_draw(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
+        z = draw_z(rng)
+        for N in range(1, 7):
+            read = closed_tower(plan, N, rc, z)
+            for k in range(N + 1):
+                for j in range(N + 1):
+                    for m in range(TOWER_M):
+                        want = _outcome(closed, N, k, j, m, rc.lam0, z, rc.omega, rc.ctx)
+                        got = _outcome(read, k, j, m)
+                        if isinstance(want, tuple) or isinstance(got, tuple):
+                            assert got == want, (d, N, k, j, m)
+                            failed += 1
+                            continue
+                        compared += 1
+                        if abs(got - want) > 1e-12 * abs(want):
+                            size = _summed_size(plan, parts, N, k, j, m, rc, z)
+                            assert abs(got - want) <= 1e-12 * size, (d, N, k, j, m)
+    assert compared > 10_000 and failed > 100
+
+
+def _scalar_tower_failure(rc, z, N):
+    """Where the tower with scalar ``tau_closed`` raises first, and the error."""
+    ctx = rc.ctx
+    for k in range(N + 1):
+        for j in range(N + 1):
+            tw = t_word(N, k, j, z, ctx)
+            for m in range(TOWER_M):
+                steps = [
+                    ("word", lambda: apply_word(tw, m, rc)),
+                    ("product", lambda: tau_product(N, k, j, m, rc.lam0, z, rc.omega, ctx)),
+                    ("closed", lambda: tau_closed(N, k, j, m, rc.lam0, z, rc.omega, ctx)),
+                ]
+                for side, step in steps:
+                    try:
+                        step()
+                    except ArithmeticError as exc:
+                        return (side, k, j, m), exc
+    return None, None
+
+
+def test_the_tower_raises_where_its_scalar_closed_side_raised(monkeypatch):
+    # A pinned draw whose first failure is tau_closed's at (k, j, m) =
+    # (0, 2, 2): the bound tower raises the same error at the same read.
+    rng = np.random.default_rng(4)
+    rc = _rep_draw(RunConfig(), rng, zero_guard=0.01)
+    z = draw_z(rng)
+    where, expected = _scalar_tower_failure(rc, z, 2)
+    assert where == ("closed", 0, 2, 2)
+    reads = []
+    bind = suites_mod.closed_tower
+
+    def recorded(*args):
+        read = bind(*args)
+
+        def recording(*key):
+            reads.append(key)
+            return read(*key)
+
+        return recording
+
+    monkeypatch.setattr(suites_mod, "closed_tower", recorded)
+    with pytest.raises(type(expected)) as raised:
+        _corep_tower(rc, z, 2)
+    assert str(raised.value) == str(expected)
+    assert reads[-1] == where[1:]
+    # Each read of a failed item raises a fresh copy of its error.
+    read = closed_tower(tau_plan, 2, rc, z)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(type(expected)) as raised:
+            read(0, 2, 2)
+        errors.append(raised.value)
+    assert errors[0] is not errors[1] and str(errors[1]) == str(expected)
 
 
 def test_level_one_is_the_generator_matrix(ctx, rng):

@@ -160,6 +160,21 @@ def test_theta_multi_is_factorwise():
     assert theta_multi((), ctx) == 1
 
 
+def test_theta_multi_out_of_range_raises_as_theta_does():
+    # At p = 0.9 theta(1e-300j) leaves the double range: the scalar kernel
+    # raises, and the product over it raises the same error instead of
+    # returning nan+nanj, so the theta suite redraws the sample.
+    with pytest.raises(PoleError, match=THETA_RANGE):
+        theta(1e-300j, ThetaContext(0.9, 0.5))
+    ctx = ThetaContext(0.9, 0.5)
+    for _ in range(2):  # the second time from the vector cache
+        with pytest.raises(PoleError, match=THETA_RANGE):
+            theta_multi([1e-300j, 0.5], ctx)
+    suites = importlib.import_module("ellu2.suites")
+    with pytest.raises(PoleError, match=THETA_RANGE):
+        suites._theta_identity_residual([(1.0, (0.5,)), (1.0, (1e-300j, 0.5))], ctx)
+
+
 def test_pochhammer_empty_and_splitting(ctx):
     a = garg(0.7 + 0.3j)
     assert pochhammer(a, 0, ctx) == 1

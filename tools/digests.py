@@ -15,6 +15,9 @@ all computed in one process:
 - the benchmark's twelve levels biorth tables (N = 6-8, M = 1, 2 samples,
   direct and dual, at seeds 20240 and 3164770343), their canonical JSON
   joined by newlines, in the benchmark's order;
+- the corep tables of the benchmark's first three levels rounds at seed
+  20240 (N = 5 and 6, 2 samples, at the seed ``SeedSequence([20240, i])``
+  gives round i, i = 0-2), joined the same way;
 - the kernel values (``kernel_values``): ``float.hex`` of every value of
   ``theta``, ``theta_vec``, ``r_entries``, ``qdybe_residual`` and
   ``eval_omega`` on seeded inputs.  A report holds maxima of residuals, which
@@ -35,11 +38,12 @@ import numpy as np
 from ellu2.cli import main
 from ellu2.rmatrix import qdybe_residual, r_entries
 from ellu2.series import SeriesSpec, eval_omega
-from ellu2.suites import RunConfig, biorth_table, canonical_json, run_report
+from ellu2.suites import RunConfig, biorth_table, canonical_json, corep_table, run_report
 from ellu2.theta import PoleError, ThetaContext, garg, qarg, theta, theta_vec
 
 BATTERY = ["theta", "series", "relations", "unitarity", "biorth", "dual-biorth"]
 LEVEL_TABLE_SEEDS = (20240, 3164770343)
+LEVEL_COREP_ROUNDS = 3
 KERNEL_SEED = 20240
 KERNEL_NOMES = (0.05, 0.12, 0.175, 0.3)
 KERNEL_BATCHES = (1, 8, 64, 1024)
@@ -98,6 +102,12 @@ def kernel_values() -> str:
     return "\n".join(lines)
 
 
+def _round_seed(i: int) -> int:
+    """The seed of the corep tables of levels round i at seed 20240, as the
+    benchmark derives it."""
+    return int(np.random.SeedSequence([20240, i]).generate_state(1)[0])
+
+
 def reports():
     """(label, report text) of each report, in the order printed."""
     for seed in (20240, 7, 123456):
@@ -115,6 +125,12 @@ def reports():
         for dual in (False, True)
     )
     yield "the 12 levels tables", "\n".join(tables)
+    corep = (
+        canonical_json(corep_table(RunConfig(seed=_round_seed(i)), n, 2))
+        for i in range(LEVEL_COREP_ROUNDS)
+        for n in (5, 6)
+    )
+    yield "the levels corep tables of rounds 0-2", "\n".join(corep)
     with np.errstate(all="ignore"):
         yield "kernel values", kernel_values()
 
