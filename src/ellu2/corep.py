@@ -6,10 +6,13 @@ and ``tau_tilde_closed`` give the action of these elements (and their
 conjugates) on basis vectors in closed form: a theta-product prefactor times
 a terminating very well poised balanced series.  ``tau_product`` is an
 independent oracle built by composing the raw single-letter actions.  The
-towers of the suites check the closed forms against both; their closed side
-is compiled once per level over records and bound once per sample
-(``closed_tower``), while ``tau_closed`` and ``tau_tilde_closed`` evaluate
-one element over numbers.
+towers of the suites check the closed forms against both.  Their word
+action and closed side are compiled once per level over records, into one
+template, and bound once per sample (``closed_tower``); ``tau_product`` is
+the one side they evaluate over numbers.  ``tau_closed``,
+``tau_tilde_closed`` and ``rep.apply_word`` evaluate one element over
+numbers.  The tensor checks (``check_coproduct``, ``check_tensor_relation``)
+evaluate each leg once per call and point (``_leg``).
 ``gamma_factor`` supplies the diagonal normalization appearing in the
 inversion identity, checked word by word in ``check_unitarity`` and
 ``check_inversion_words``: their words are compiled once per level over
@@ -29,9 +32,14 @@ import numpy as np
 from .rep import (
     RepContext,
     _bound_rows,
+    _factor,
+    _indices,
+    _modulus,
+    _product,
     _side,
     _symbols,
     apply_word,
+    apply_word_states,
     coef_a,
     coef_b,
     coef_c,
@@ -47,6 +55,7 @@ from .theta import (
     Factor,
     Joined,
     Plan,
+    PoleError,
     Template,
     TemplateContext,
     ThetaContext,
@@ -371,49 +380,143 @@ def tau_product(
 
 # The basis indices m < TOWER_M of the corepresentation towers.
 TOWER_M = 4
-# The compiled closed sides of up to ``theta.SHAPE_CAP`` towers.
+# The compiled towers of up to ``theta.SHAPE_CAP`` (plan, level, zero guard).
 _TOWERS: dict = {}
 
 
-def closed_tower(plan, N: int, rc: RepContext, z: complex) -> Callable[[int, int, int], complex]:
-    """The closed side of a corepresentation tower at level N, bound at the
-    sample (rc, z): the reader of (k, j, m), for 0 <= k, j <= N and m <
-    ``TOWER_M``, that gives ``plan(N, k, j, m, rc.lam0, z, rc.omega, ctx)``'s
-    value or raises a copy of its error.  ``plan`` is ``tau_plan`` or
-    ``tau_tilde_plan``.
+def _conjugate_word(N: int, k: int, j: int, z: complex, ctx: ThetaContext) -> AlgebraElement:
+    """The conjugate of the (k, j) matrix element, whose action ``tau_tilde_plan`` closes."""
+    return star(t_word(N, k, j, z, ctx), ctx)
 
-    Every item is compiled into one ``Template`` per (plan, N, zero guard),
-    kept in ``_TOWERS`` (``theta.kept_shape``), and bound in one
-    ``Template.bind_all``.  The values are those of ``tau_closed`` and
-    ``tau_tilde_closed`` up to rounding: a bound record is one ``exp``, and
-    the finish runs on arrays.  A bind that raises (an argument out of the
+
+# The word each closed form is the action of, and the sign of its index
+# displacement: on e_m the word of (k, j) gives e_(m + sign * (k - j)).
+_TOWER_WORDS = {tau_plan: (t_word, 1), tau_tilde_plan: (_conjugate_word, -1)}
+
+
+class _Tower:
+    """Both compiled sides of a corepresentation tower at level N, in one
+    ``Template``: for each (k, j) and m < ``TOWER_M``, the closed item
+    ``plan(N, k, j, m, LAM, Z, OMEGA, ctx)`` under the key (k, j, m), and the
+    paths of the word's action on e_m (``rep._side``) and the distinct
+    guards of their factors, as ``rep.Compiled`` lays them out.
+
+    ``words`` holds, for each (k, j, m), the word item's guards (template
+    position and message) in the order a numeric evaluation meets them, the
+    positions of its paths, and of those at its index, which its value
+    sums.  That order is the order of ``t_word`` (the scalars' elliptic
+    binomials, of every term, dead or not), then of ``apply_word`` (each
+    path's letters left to right).  The paths and guards are bound with no
+    zero guard; each guard is compared with the sample's on read (``bind``).
+    """
+
+    __slots__ = ("template", "words", "guard_rows")
+
+    def __init__(self, plan, N: int, guard: float):
+        word, sign = _TOWER_WORDS[plan]
+        ctx = TemplateContext(guard)
+        rc = _symbols(ctx)
+        plain = TemplateContext(0.0)
+        guards: dict = {}
+        words: dict = {}
+
+        def plans():
+            for k in range(N + 1):
+                for j in range(N + 1):
+                    el = word(N, k, j, Z, ctx)
+                    head = [g for s, _ in el.terms for g in _factor(s).all_guards()]
+                    for m in range(TOWER_M):
+                        yield (k, j, m), plan(N, k, j, m, LAM, Z, OMEGA, ctx)
+                        checks, paths, summed = dict.fromkeys(head), [], []
+                        for index, factor in _side(el, m, rc):
+                            checks.update(dict.fromkeys(factor.all_guards()))
+                            key = ("path", k, j, m, len(paths))
+                            paths.append(key)
+                            if index == m + sign * (k - j):
+                                summed.append(key)
+                            yield key, _product(plain, factor.scalar, factor.nums, factor.dens)
+                        for g in checks:
+                            if g not in guards:
+                                guards[g] = ("guard", len(guards))
+                                yield guards[g], _product(plain, *g[:3])
+                        words[(k, j, m)] = ([(guards[g], g[3]) for g in checks], paths, summed)
+
+        self.template = Template(plans())
+        at = self.template.plans.__getitem__
+        self.words = {
+            key: ([(at(g), message) for g, message in checks], [*map(at, paths)], [*map(at, sums)])
+            for key, (checks, paths, sums) in words.items()
+        }
+        self.guard_rows = _indices([*map(at, guards.values())])
+
+    def bind(self, rc: RepContext, z: complex) -> Callable[..., complex]:
+        """The reader of (k, j, m, side) at the sample (rc, z), bound in one
+        ``Template.bind_all``; see ``closed_tower``."""
+        try:
+            values, (failed,) = self.template.bind_all([(rc.ctx, rc.lam0, rc.omega, z)])
+        except ArithmeticError as exc:
+            error = exc.with_traceback(None)
+
+            def broken(k: int, j: int, m: int, side: str = "closed") -> complex:
+                raise copy.copy(error)
+
+            return broken
+        values = values[0]
+        low = set(self.guard_rows[_modulus(values[self.guard_rows]) < rc.ctx.zero_guard].tolist())
+        row, plans, words = values.tolist(), self.template.plans, self.words
+
+        def word_error(checks: list, paths: list) -> ArithmeticError | None:
+            for i, message in checks:
+                if i in failed:
+                    return copy.copy(failed[i])
+                if i in low:
+                    return PoleError(message)
+            for i in paths:
+                if i in failed:
+                    return copy.copy(failed[i])
+            return None
+
+        def read(k: int, j: int, m: int, side: str = "closed") -> complex:
+            if side == "word":
+                checks, paths, summed = words[(k, j, m)]
+                if failed or low:
+                    error = word_error(checks, paths)
+                    if error is not None:
+                        raise error
+                # Path after path, from 0: as ``apply_word`` adds.
+                total = 0.0 + 0.0j
+                for i in summed:
+                    total += row[i]
+                return total
+            i = plans[(k, j, m)]
+            if i in failed:
+                raise copy.copy(failed[i])
+            return row[i]
+
+        return read
+
+
+def closed_tower(plan, N: int, rc: RepContext, z: complex) -> Callable[..., complex]:
+    """A corepresentation tower at level N, bound at the sample (rc, z): the
+    reader of (k, j, m) and a side, for 0 <= k, j <= N and m < ``TOWER_M``.
+    ``plan`` is ``tau_plan`` or ``tau_tilde_plan``.  On the side "closed"
+    (the default) it gives ``plan(N, k, j, m, rc.lam0, z, rc.omega, ctx)``'s
+    value; on the side "word" the coefficient of e_(m + k - j) (for
+    ``tau_tilde_plan``, of e_(m + j - k)) in the action on e_m of
+    ``t_word(N, k, j, z, ctx)`` (its ``words.star``), as ``apply_word``
+    gives it; or it raises a copy of the item's error.
+
+    Both sides are compiled into one ``Template`` per (plan, N, zero guard)
+    (``_Tower``), kept in ``_TOWERS`` (``theta.kept_shape``), and bound in
+    one ``Template.bind_all``.  The values are those of the numeric
+    evaluation up to rounding: a bound record is one ``exp``, the finish
+    runs on arrays, and each path is one theta product.  A word item raises
+    the first of its guards below the zero guard, in the numeric order;
+    then a path that failed raises its error, where the numeric sum would
+    carry an inf or a NaN.  A bind that raises (an argument out of the
     double range) fails every item with its error."""
     guard = rc.ctx.zero_guard
-
-    def build() -> Template:
-        ctx = TemplateContext(guard)
-        ks = range(N + 1)
-        return Template(
-            ((k, j, m), plan(N, k, j, m, LAM, Z, OMEGA, ctx))
-            for k in ks
-            for j in ks
-            for m in range(TOWER_M)
-        )
-
-    template = kept_shape(_TOWERS, (plan, N, guard), build)
-    try:
-        values, (failed,) = template.bind_all([(rc.ctx, rc.lam0, rc.omega, z)])
-        row = values[0].tolist()
-    except ArithmeticError as exc:
-        row, failed = [], dict.fromkeys(template.plans.values(), exc.with_traceback(None))
-
-    def read(k: int, j: int, m: int) -> complex:
-        i = template.plans[(k, j, m)]
-        if i in failed:
-            raise copy.copy(failed[i])
-        return row[i]
-
-    return read
+    return kept_shape(_TOWERS, (plan, N, guard), lambda: _Tower(plan, N, guard)).bind(rc, z)
 
 
 def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:
@@ -461,41 +564,58 @@ def eval_tensor(
     n: int,
     rc1: RepContext,
     rc2: RepContext,
+    legs: tuple[dict, dict] | None = None,
 ) -> dict[tuple[int, int], complex]:
     """Evaluate two-leg word pairs on e_m (x) e_n.
 
     The first leg sees the dynamical variable shifted by the weight of the
     second leg's output state; both contexts must share the base and the
-    evaluation point.
+    evaluation point.  ``legs`` keeps the legs of each side (the first
+    side's, the second's; ``_leg``) across the calls of one check, which
+    passes the same pair of dicts to each: within a check a word recurs in
+    many pairs, on the same basis vector and context.  The sums are formed
+    term by term in the same order with or without it, so every value keeps
+    its bits.
     """
-    from .rep import apply_word_states
-
+    left, right = ({}, {}) if legs is None else legs
     lam0 = rc1.lam0
     out: dict[tuple[int, int], complex] = {}
     for scalar, w1, w2 in pairs:
-        states2 = apply_word_states(word(1.0, w2), n, rc2)
-        if not states2:
-            continue
-        states1 = apply_word_states(word(1.0, w1), m, rc1)
-        for n2, f2 in states2:
-            right = f2(lam0)
+        for n2, f2 in _leg(right, w2, n, rc2, lam0):
             shift = lam0 - rc2.omega + 2 * n2
-            for n1, f1 in states1:
+            for n1, f1 in _leg(left, w1, m, rc1, shift):
                 key = (n1, n2)
-                out[key] = out.get(key, 0.0 + 0.0j) + scalar * f1(shift) * right
+                out[key] = out.get(key, 0.0 + 0.0j) + scalar * f1 * f2
     return out
+
+
+def _leg(legs: dict, w: tuple, m: int, rc: RepContext, point: complex) -> list[tuple[int, complex]]:
+    """(index, value at ``point``) of each path of the word ``w`` on e_m, in
+    the order of ``apply_word_states``: its states built once per ``legs``,
+    which holds one basis index and context, and evaluated once per point
+    (``eval_tensor``)."""
+    leg = legs.get(w)
+    if leg is None:
+        leg = legs[w] = ({}, apply_word_states(word(1.0, w), m, rc))
+    values, states = leg
+    got = values.get(point)
+    if got is None:
+        got = values[point] = [(k, f(point)) for k, f in states]
+    return got
 
 
 def check_coproduct(
     N: int, z: complex, m: int, n: int, rc1: RepContext, rc2: RepContext
 ) -> float:
-    """Worst residual of the matrix-element coproduct rule over all (k, j)."""
+    """Worst residual of the matrix-element coproduct rule over all (k, j);
+    each leg is built and evaluated once in the call (``_leg``)."""
     ctx = rc1.ctx
     res = []
+    legs = ({}, {})
     tws = {(a, b): t_word(N, a, b, z, ctx) for a in range(N + 1) for b in range(N + 1)}
     for k in range(N + 1):
         for j in range(N + 1):
-            lhs = eval_tensor(coproduct(tws[(k, j)]), m, n, rc1, rc2)
+            lhs = eval_tensor(coproduct(tws[(k, j)]), m, n, rc1, rc2, legs)
             rhs: dict[tuple[int, int], complex] = {}
             for s in range(N + 1):
                 pairs = [
@@ -503,7 +623,7 @@ def check_coproduct(
                     for s1, w1 in tws[(k, s)].terms
                     for s2, w2 in tws[(s, j)].terms
                 ]
-                for key, val in eval_tensor(pairs, m, n, rc1, rc2).items():
+                for key, val in eval_tensor(pairs, m, n, rc1, rc2, legs).items():
                     rhs[key] = rhs.get(key, 0.0 + 0.0j) + val
             res.append(residual_between(lhs, rhs))
     return worst(res)
@@ -517,10 +637,12 @@ def check_tensor_relation(
     rc1: RepContext,
     rc2: RepContext,
 ) -> float:
-    """Residual of a defining relation evaluated in a tensor of two actions."""
+    """Residual of a defining relation evaluated in a tensor of two actions;
+    the two sides share their legs (``_leg``)."""
+    legs = ({}, {})
     return residual_between(
-        eval_tensor(coproduct(lhs), m, n, rc1, rc2),
-        eval_tensor(coproduct(rhs), m, n, rc1, rc2),
+        eval_tensor(coproduct(lhs), m, n, rc1, rc2, legs),
+        eval_tensor(coproduct(rhs), m, n, rc1, rc2, legs),
     )
 
 

@@ -13,11 +13,13 @@ the function letters) is written once, on ``ctx.quotient``, and has two
 instances.  Over numbers, ``apply_word_states`` and ``apply_word`` evaluate
 a word at a sample, each coefficient afresh on every path; the theta values
 repeat from path to path and come from the context's scalar memo.  That
-instance serves the tensor checks, the word side of the corepresentation
-towers and the tests' references.  Over records, the same ``apply_word_states`` runs once
-per shape with the symbols ``LAM``, ``OMEGA``, ``Z``, ``Z1`` and ``Z2``,
-and gives each path as one factor; ``Compiled`` compiles the paths of a
-whole family of checks into one ``theta.Template``.
+instance serves the tensor checks, the independence ratio, ``ellu2 eval``
+and the tests' references.  Over records, the same ``apply_word_states``
+runs once per shape with the symbols ``LAM``, ``OMEGA``, ``Z``, ``Z1`` and
+``Z2``, and gives each path as one factor; ``Compiled`` compiles the paths
+of a whole family of checks into one ``theta.Template``, and
+``corep.closed_tower`` the word side of the corepresentation towers beside
+their closed side.
 
 ``relation_inventory`` builds the defining exchange relations as pairs of
 algebra elements; ``check_relations`` evaluates both sides on basis vectors

@@ -61,7 +61,6 @@ from .corep import (
     check_unitarity,
     closed_tower,
     linear_independence_ratio,
-    t_word,
     tau_plan,
     tau_product,
     tau_tilde_plan,
@@ -70,7 +69,6 @@ from .rep import (
     RepContext,
     _det_form_rows,
     _relation_rows,
-    apply_word,
     bind_rows,
     check_det_forms,
     check_relations,
@@ -87,7 +85,6 @@ from .series import (
     eval_omega_termwise,
 )
 from .theta import PoleError, ThetaContext, garg, qarg, theta, theta_condition, theta_multi
-from .words import star
 
 __all__ = [
     "RunConfig",
@@ -456,22 +453,22 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
 
 def _corep_tower(rc: RepContext, z: complex, n_level: int) -> dict[tuple[int, int], float]:
     """Worst spread per (k, j) at one level between the word action,
-    ``tau_product`` and the closed form, over m < ``TOWER_M``.  The closed
-    form is ``tau_plan`` compiled once for the level and bound once at the
-    draw (``corep.closed_tower``); each (k, j, m) reads its value, or raises
-    its error, after the word action and ``tau_product``, as a call of
-    ``tau_closed`` would."""
-    ctx = rc.ctx
-    closed = closed_tower(tau_plan, n_level, rc, z)
+    ``tau_product`` and the closed form, over m < ``TOWER_M``.  The word
+    action and the closed form are compiled once for the level and bound
+    once at the draw (``corep.closed_tower``); ``tau_product`` is the one
+    side evaluated over numbers, afresh for each (k, j, m).  Each (k, j, m)
+    reads, or raises, its word action, then its ``tau_product``, then its
+    closed form, so the first error of a draw is the one a numeric tower
+    raises first."""
+    tower = closed_tower(tau_plan, n_level, rc, z)
     out: dict[tuple[int, int], float] = {}
     for k in range(n_level + 1):
         for j in range(n_level + 1):
-            tw = t_word(n_level, k, j, z, ctx)
             out[(k, j)] = worst([
                 spread([
-                    apply_word(tw, m, rc).get(m + k - j, 0.0 + 0.0j),
-                    tau_product(n_level, k, j, m, rc.lam0, z, rc.omega, ctx),
-                    closed(k, j, m),
+                    tower(k, j, m, "word"),
+                    tau_product(n_level, k, j, m, rc.lam0, z, rc.omega, rc.ctx),
+                    tower(k, j, m),
                 ])
                 for m in range(TOWER_M)
             ])
@@ -496,13 +493,13 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         )
         star_res = []
         for n_level in range(1, 4):
-            closed = closed_tower(tau_tilde_plan, n_level, rc, z)
-            for k in range(n_level + 1):
-                for j in range(n_level + 1):
-                    sw = star(t_word(n_level, k, j, z, ctx), ctx)
-                    for m in range(TOWER_M):
-                        got = apply_word(sw, m, rc)
-                        star_res.append(spread([got.get(m + j - k, 0.0 + 0.0j), closed(k, j, m)]))
+            conjugate = closed_tower(tau_tilde_plan, n_level, rc, z)
+            star_res += [
+                spread([conjugate(k, j, m, "word"), conjugate(k, j, m)])
+                for k in range(n_level + 1)
+                for j in range(n_level + 1)
+                for m in range(TOWER_M)
+            ]
         for n_level in range(1, 6):
             counit_failures.extend(check_counit_exact(n_level, z, ctx))
         out = {"matrix element tower": tower, "conjugate tower": worst(star_res)}

@@ -788,8 +788,9 @@ class Template:
     be (``Plan.template_args``).  A series plan or a theta product, wherever
     it sits in an item (a part of a joined plan, the scalar of a theta
     product), takes one entry there, for its result: the template collects
-    the series and the products and compiles each kind into one program of
-    int32 indices (``series._Batch``, ``_Products``).  Of each plan it then
+    the series and the products and compiles each kind, at each zero guard
+    its plans were built with, into one program of int32 indices
+    (``series._Batch``, ``_Products``).  Of each plan it then
     keeps only the skeleton (``Plan.skeleton``), which holds no record;
     equal skeletons are one object, shared through a pool that lives while
     the template is compiled.  ``plans`` maps a key to the position of its
@@ -828,7 +829,7 @@ class Template:
         listed_thetas: dict = {}
         refs = array("i")
         # A batch, and the positions in ``refs`` of its plans' entries, by
-        # the batch's maker (``type(plan).batch``).
+        # the batch's maker (``type(plan).batch``) and zero guard.
         batches: dict = {}
         self.plans: dict = {}
         self._skeletons: list[Plan] = []
@@ -841,12 +842,10 @@ class Template:
                 elif type(a) is Rec:
                     refs.append(~listed_thetas.setdefault(theta_of(a), len(listed_thetas)))
                 elif isinstance(a, Plan):
-                    make = type(a).batch
-                    if make not in batches:
-                        batches[make] = (make(record, theta_of, a.ctx.zero_guard), array("i"))
-                    batch, slots = batches[make]
-                    if a.ctx.zero_guard != batch.guard:
-                        raise ValueError("the plans a template batches share one zero guard")
+                    make, guard = type(a).batch, a.ctx.zero_guard
+                    if (make, guard) not in batches:
+                        batches[make, guard] = (make(record, theta_of, guard), array("i"))
+                    batch, slots = batches[make, guard]
                     batch.add(a)
                     slots.append(len(refs))
                     refs.append(0)  # set once the batch is compiled

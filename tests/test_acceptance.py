@@ -226,13 +226,18 @@ def _nan_at_index_3(original):
     return patched
 
 
-def _nan_closed(plan):
-    # The closed side of the tower of ``plan``, each bound value NaN; the
-    # items that fail still raise.
+def _nan_tower(plan, nan_side="closed"):
+    # One side of the tower of ``plan`` ("closed" or "word"), each bound
+    # value NaN; the items that fail still raise.
     def patch(original):
         def patched(build, *args):
             read = original(build, *args)
-            return (lambda *key: read(*key) * NAN) if build is plan else read
+
+            def nan_read(k, j, m, side="closed"):
+                value = read(k, j, m, side)
+                return value * NAN if side == nan_side else value
+
+            return nan_read if build is plan else read
 
         return patched
 
@@ -250,9 +255,9 @@ def _relations_table(cfg):
 # (module, name, patch, runs): each run must fail once ``patch`` has made
 # the named function return NaN.  The first two cases break a residual the
 # suites fold across samples; the others break one folded inside a check, or
-# the ratio of the corep suite's independence gate.  The corep tower's closed
-# sides are bound per level (``corep.closed_tower``); the conjugate tower is
-# a class of the corep suite beside its headline.
+# the ratio of the corep suite's independence gate.  The corep towers' word
+# and closed sides are bound per level (``corep.closed_tower``); the
+# conjugate tower is a class of the corep suite beside its headline.
 NAN_CASES = {
     "qdybe-residual": (
         "suites", "qdybe_residual", _nan,
@@ -262,9 +267,16 @@ NAN_CASES = {
     "theta-product": ("suites", "theta_multi", _nan, [_suite("theta")]),
     "unitarity": ("suites", "check_unitarity", _nan, [_suite("unitarity")]),
     "closed-tau": (
-        "suites", "closed_tower", _nan_closed(tau_plan), [lambda cfg: corep_table(cfg, 2, cfg.samples)]
+        "suites", "closed_tower", _nan_tower(tau_plan), [lambda cfg: corep_table(cfg, 2, cfg.samples)]
     ),
-    "conjugate-tau": ("suites", "closed_tower", _nan_closed(tau_tilde_plan), [_suite("corep")]),
+    "word-tau": (
+        "suites", "closed_tower", _nan_tower(tau_plan, "word"),
+        [lambda cfg: corep_table(cfg, 2, cfg.samples)],
+    ),
+    "conjugate-tau": ("suites", "closed_tower", _nan_tower(tau_tilde_plan), [_suite("corep")]),
+    "conjugate-word": (
+        "suites", "closed_tower", _nan_tower(tau_tilde_plan, "word"), [_suite("corep")]
+    ),
     "basis-index-3": (
         "suites", "bind_rows", _nan_at_index_3, [_suite("relations"), _relations_table]
     ),
@@ -289,7 +301,7 @@ def test_a_nan_residual_fails_closed(monkeypatch, case):
         assert not record["pass"]
         if case == "independence-ratio":
             assert "matrix element independence ratio 0.000e+00 <= 1e-08" in record["notes"]
-        elif case == "conjugate-tau":
+        elif case in ("conjugate-tau", "conjugate-word"):
             assert "conjugate tower: max residual inf (tol 1e-08)" in record["notes"]
         elif "entries" not in record:
             assert record["max_rel_residual"] == INF

@@ -26,7 +26,7 @@ from ellu2.corep import (
     tau_tilde_plan,
     tau_tilde_series_parts,
 )
-from ellu2.rep import RepContext, apply_word, relation_inventory
+from ellu2.rep import RepContext, apply_word, apply_word_scaled, relation_inventory
 from ellu2.sampling import draw_z
 from ellu2.series import vwp_sum
 from ellu2.suites import RunConfig, _corep_tower, _rep_draw, run_suite
@@ -190,6 +190,104 @@ def test_the_tower_raises_where_its_scalar_closed_side_raised(monkeypatch):
             read(0, 2, 2)
         errors.append(raised.value)
     assert errors[0] is not errors[1] and str(errors[1]) == str(expected)
+
+
+def _conjugate_word(N, k, j, z, ctx):
+    return star(t_word(N, k, j, z, ctx), ctx)
+
+
+def _numeric_word(word, sign, N, k, j, m, rc, z):
+    """The word side of (k, j, m) over numbers: the word built, then acted on
+    e_m; its coefficient of e_(m + sign * (k - j)) and its largest path."""
+    got, peak = apply_word_scaled(word(N, k, j, z, rc.ctx), m, rc)
+    return got.get(m + sign * (k - j), 0.0 + 0.0j), peak
+
+
+@pytest.mark.parametrize(
+    "plan, word, sign", [(tau_plan, t_word, 1), (tau_tilde_plan, _conjugate_word, -1)]
+)
+def test_the_bound_word_side_is_the_numeric_action(plan, word, sign):
+    # 20 seeded draws at N = 1-6, every other one at a zero guard of 0.05, so
+    # that some guards fail.  The word side bound at a draw agrees with
+    # ``apply_word`` to 1e-12 of its largest single path, and the same items
+    # fail with the same error, building the word or acting with it.
+    rng = np.random.default_rng(4711)
+    compared = failed = 0
+    for d in range(20):
+        rc = _rep_draw(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
+        z = draw_z(rng)
+        for N in range(1, 7):
+            read = closed_tower(plan, N, rc, z)
+            for k in range(N + 1):
+                for j in range(N + 1):
+                    for m in range(TOWER_M):
+                        want = _outcome(_numeric_word, word, sign, N, k, j, m, rc, z)
+                        got = _outcome(read, k, j, m, "word")
+                        if isinstance(got, tuple) or isinstance(want[1], str):
+                            assert got == want, (d, N, k, j, m)
+                            failed += 1
+                            continue
+                        compared += 1
+                        value, peak = want
+                        assert abs(got - value) <= 1e-12 * peak, (d, N, k, j, m)
+    assert compared > 9_000 and failed > 1_000
+
+
+def _numeric_tower_failure(rc, z, N):
+    """Where a numeric tower raises first, and the error; its word step
+    builds the word as well as applying it."""
+    ctx = rc.ctx
+    for k in range(N + 1):
+        for j in range(N + 1):
+            for m in range(TOWER_M):
+                steps = [
+                    ("word", lambda: apply_word(t_word(N, k, j, z, ctx), m, rc)),
+                    ("product", lambda: tau_product(N, k, j, m, rc.lam0, z, rc.omega, ctx)),
+                    ("closed", lambda: tau_closed(N, k, j, m, rc.lam0, z, rc.omega, ctx)),
+                ]
+                for side, step in steps:
+                    try:
+                        step()
+                    except ArithmeticError as exc:
+                        return (side, k, j, m), exc
+    return None, None
+
+
+@pytest.mark.parametrize(
+    "seed, where, message",
+    [
+        # An elliptic binomial of t_word(3, 0, 2): raised building the word.
+        (4, (0, 2, 0), "denominator theta factor below zero guard"),
+        # A letter's coefficient, at an item past the first.
+        (10, (2, 1, 0), "representation coefficient denominator below zero guard"),
+    ],
+    ids=["binomial", "coefficient"],
+)
+def test_the_tower_raises_where_its_numeric_word_side_raised(monkeypatch, seed, where, message):
+    # Pinned draws at N = 3, zero guard 0.01, whose first failure is on the
+    # word side: the bound tower raises the same error at the same read.
+    rng = np.random.default_rng(seed)
+    rc = _rep_draw(RunConfig(), rng, zero_guard=0.01)
+    z = draw_z(rng)
+    first, expected = _numeric_tower_failure(rc, z, 3)
+    assert first == ("word", *where) and str(expected) == message
+    reads = []
+    bind = suites_mod.closed_tower
+
+    def recorded(*args):
+        read = bind(*args)
+
+        def recording(*key):
+            reads.append(key)
+            return read(*key)
+
+        return recording
+
+    monkeypatch.setattr(suites_mod, "closed_tower", recorded)
+    with pytest.raises(type(expected)) as raised:
+        _corep_tower(rc, z, 3)
+    assert str(raised.value) == message
+    assert reads[-1] == (*where, "word")
 
 
 def test_level_one_is_the_generator_matrix(ctx, rng):

@@ -45,6 +45,7 @@ from ellu2.theta import (
     OMEGA,
     Z,
     Joined,
+    PoleError,
     Rec,
     Scalar,
     Template,
@@ -326,6 +327,35 @@ def test_a_division_by_zero_fails_as_the_skeleton_finish(skeleton_finish):
     assert list(failed) == [0] and type(failed[0]) is ZeroDivisionError
     [(want, want_failed)] = skeleton_finish(template, [draw])
     assert finished_bits(values[0].tolist(), failed) == finished_bits(want, want_failed)
+
+
+def test_plans_at_two_zero_guards_finish_as_in_templates_of_their_own():
+    # The corep towers hold closed forms built at the sample's zero guard
+    # and word paths built at none, in one template: each plan's products
+    # are reduced with its own guard.  At a guard of 10 every denominator
+    # fails; at 0 none does.
+    draw = (ThetaContext(0.12, 0.67), 0.8 + 0.4j, 0.3 - 0.2j, 1.2 + 0.5j)
+
+    def plans(guard):
+        ctx = TemplateContext(guard)
+        tp = ThetaProduct(ctx, Z).theta(garg(Z * ctx.qpow(LAM)), inv=True)
+        tp.theta(garg(ctx.qpow(OMEGA)))
+        return [((guard, 0), tp), ((guard, 1), ThetaProduct(ctx).theta(garg(Z), inv=True))]
+
+    def bound(items):
+        template = Template(items)
+        values, (failed,) = template.bind_all([draw])
+        return {
+            key: finished_bits([values[0, i]], {0: failed[i]} if i in failed else {})
+            for key, i in template.plans.items()
+        }
+
+    alone = {**bound(plans(10.0)), **bound(plans(0.0))}
+    assert bound(plans(10.0) + plans(0.0)) == alone
+    assert bound(plans(0.0) + plans(10.0)) == alone
+    for i in (0, 1):
+        assert alone[(10.0, i)][1] == {0: (PoleError, DEN_GUARD)}
+        assert alone[(0.0, i)][1] == {}
 
 
 def test_guard_failures_bound_together_are_those_bound_alone(skeleton_finish):

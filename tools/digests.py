@@ -21,7 +21,10 @@ all computed in one process:
 - the kernel values (``kernel_values``): ``float.hex`` of every value of
   ``theta``, ``theta_vec``, ``r_entries``, ``qdybe_residual`` and
   ``eval_omega`` on seeded inputs.  A report holds maxima of residuals, which
-  can hide a last-bit change of a value; this line does not.
+  can hide a last-bit change of a value; this line does not;
+- the tensor residuals (``tensor_residuals``): ``float.hex`` of every
+  residual of ``check_coproduct`` and ``check_tensor_relation`` at seeded
+  draws, each unfolded, for the same reason.
 
 Each ``ellu2`` command's digest is of what it writes to stdout.  Run it on
 two checkouts and compare the lines: equal lines mean equal report bytes.
@@ -36,9 +39,12 @@ import io
 import numpy as np
 
 from ellu2.cli import main
+from ellu2.corep import check_coproduct, check_tensor_relation
+from ellu2.rep import RepContext, relation_inventory
 from ellu2.rmatrix import qdybe_residual, r_entries
 from ellu2.series import SeriesSpec, eval_omega
-from ellu2.suites import RunConfig, biorth_table, canonical_json, corep_table, run_report
+from ellu2.sampling import draw_lambda, draw_z
+from ellu2.suites import RunConfig, _rep_draw, biorth_table, canonical_json, corep_table, run_report
 from ellu2.theta import PoleError, ThetaContext, garg, qarg, theta, theta_vec
 
 BATTERY = ["theta", "series", "relations", "unitarity", "biorth", "dual-biorth"]
@@ -47,6 +53,7 @@ LEVEL_COREP_ROUNDS = 3
 KERNEL_SEED = 20240
 KERNEL_NOMES = (0.05, 0.12, 0.175, 0.3)
 KERNEL_BATCHES = (1, 8, 64, 1024)
+TENSOR_SEEDS = (20240, 7)
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -102,6 +109,35 @@ def kernel_values() -> str:
     return "\n".join(lines)
 
 
+def tensor_residuals() -> str:
+    """One line per draw and check: the ``float.hex`` of each residual of
+    ``check_coproduct`` at N = 1-3 and m, n < 3, then of
+    ``check_tensor_relation`` over the relation inventory at m, n < 2, at two
+    representations drawn as the corep suite draws them, at each seed of
+    ``TENSOR_SEEDS``."""
+    lines = []
+    for seed in TENSOR_SEEDS:
+        rng = np.random.default_rng(seed)
+        rc = _rep_draw(RunConfig(), rng)
+        z = draw_z(rng)
+        rc2 = RepContext(draw_lambda(rng), rc.lam0, rc.ctx)
+        coproducts = (
+            check_coproduct(N, z, m, n, rc, rc2)
+            for N in range(1, 4)
+            for m in range(3)
+            for n in range(3)
+        )
+        lines.append(" ".join(map(float.hex, coproducts)))
+        relations = (
+            check_tensor_relation(lhs, rhs, m, n, rc, rc2)
+            for _, lhs, rhs in relation_inventory(draw_z(rng), draw_z(rng), rc.ctx)
+            for m in range(2)
+            for n in range(2)
+        )
+        lines.append(" ".join(map(float.hex, relations)))
+    return "\n".join(lines)
+
+
 def _round_seed(i: int) -> int:
     """The seed of the corep tables of levels round i at seed 20240, as the
     benchmark derives it."""
@@ -133,6 +169,7 @@ def reports():
     yield "the levels corep tables of rounds 0-2", "\n".join(corep)
     with np.errstate(all="ignore"):
         yield "kernel values", kernel_values()
+    yield "tensor residuals", tensor_residuals()
 
 
 if __name__ == "__main__":
