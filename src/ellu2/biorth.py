@@ -46,10 +46,10 @@ Each check returns its row, or raises what that arithmetic raises: the first
 failing item in its read order (the determinant product, h_k, the summand
 items of j = 0..N, then their oracle items), else the first
 ``ZeroDivisionError`` or ``OverflowError`` of its own arithmetic
-(``_Faults``).  ``norm_h``, ``weight_w1``, ``weight_w2`` and
-``c_det_product`` bind a template of their one item the same way, as a
-batch of one, to the same bits, and raise the error recorded for a failing
-item.
+(``_raises``), each named by its failure code (``theta.ERRORS``).
+``norm_h``, ``weight_w1``, ``weight_w2`` and ``c_det_product`` bind a
+template of their one item the same way, as a batch of one, to the same
+bits, and raise the error of a failing item.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_t
 from .residuals import worst
 from .series import vwp_plan
 from .theta import (
+    ABS_RANGE,
+    COMPLEX_BY_ZERO,
+    FLOAT_BY_ZERO,
     LAM,
     OMEGA,
     Z,
@@ -76,10 +79,14 @@ from .theta import (
     binomial_plan,
     combine,
     garg,
+    _c_abs,
     _c_div,
     _c_mul,
+    _failing,
+    _either,
     _indices,
     array_form,
+    error,
     kept_shape,
     known,
     qarg,
@@ -429,9 +436,9 @@ def _item(bp: BiorthParams, key: tuple) -> complex:
     """The value of one item, its template built and bound to ``bp`` alone;
     an item that fails raises its error."""
     alone = Template([(key, _ITEMS[key[0]](_symbols(bp), *key[1:]))])
-    values, (failed,) = alone.bind_all([_draw(bp)])
-    if failed:
-        raise failed[0].with_traceback(None)
+    values, codes = alone.bind_all([_draw(bp)])
+    if codes[0, 0]:
+        raise error(codes[0, 0])
     return complex(values[0, 0])
 
 
@@ -489,15 +496,6 @@ class _Program:
         self.head = _indices(head, len(at))
         self.diag = np.array([k == l for k, l in rows], dtype=bool)
 
-    def read_order(self) -> np.ndarray:
-        """The positions of the items each row reads, in the order it reads them."""
-        rows = len(self.diag)
-        return np.concatenate(
-            [self.head.T]
-            + [g.transpose(2, 1, 0).reshape(rows, -1) for g in (self.summand, self.oracle)],
-            axis=1,
-        )
-
     def stacked(self, draws: int, items: int) -> "_Program":
         """This program over ``draws`` draws whose item values lie end to
         end, ``items`` each: row d R + r is row r of draw d, R rows a draw."""
@@ -512,44 +510,44 @@ class _Program:
         out.diag = np.tile(self.diag, draws)
         return out
 
-    def reports(self, values: np.ndarray, failed: list[dict]) -> list[tuple[list, dict]]:
-        """(rows, errors) at each draw, from ``values``, the finished item
-        values by draw and position (``Template.bind_all``), and
-        ``failed[d]``, the failing items of draw d by position: the
-        residuals of every row, and the error of each row whose check
-        raises, the first failing item it reads, else the first operation
-        of its arithmetic that raises.
+    def reports(self, values: np.ndarray, codes: np.ndarray) -> list[tuple[list, dict]]:
+        """(rows, errors) at each draw, from ``values`` and ``codes``, the
+        finished item values and failure codes by draw and position
+        (``Template.bind_all``): the residuals of every row, and the failure
+        code of each row whose check raises, the first failing item it
+        reads, else the first operation of its arithmetic that raises.
 
         All draws are one pass, their rows end to end (``stacked``); each
         row's residuals and error are those of its draw alone, bit for bit.
         """
         (draws, items), rows = values.shape, len(self.diag)
         p = self.stacked(draws, items)
-        v = values.ravel()
-        faults = _Faults(len(p.diag))
+        v, stacked = values.ravel(), len(p.diag)
+        faults: list = []
+        code = np.zeros(stacked, dtype=np.int8)
         with np.errstate(all="ignore"):
             residuals = _residuals(p, v.real, v.imag, faults)
-        failed = {d * items + i: exc for d, got in enumerate(failed) for i, exc in got.items()}
-        errors = {}
-        if failed:
-            read = p.read_order()
-            bad = np.isin(read, list(failed))
-            for r in np.flatnonzero(bad.any(axis=1)):
-                errors[int(r)] = failed[int(read[r, bad[r].argmax()])]
-        errors.update(faults.first(skip=errors))
+            for clear, ops in faults:
+                if not clear.all():
+                    code = _either(code, _raises(ops(), stacked))
+        if codes.any():
+            # The codes of the items of each row, in the order it reads them.
+            c = codes.ravel()
+            read = [c[g].transpose(1, 0, 2).reshape(-1, stacked) for g in (p.summand, p.oracle)]
+            code = _either(_first_code(np.concatenate([c[p.head], *read])), code)
         reports = list(zip(*(a.tolist() for a in residuals)))
         out = [(reports[d * rows : (d + 1) * rows], {}) for d in range(draws)]
-        for r, exc in errors.items():
-            out[r // rows][1][r % rows] = exc
+        for r in np.flatnonzero(code).tolist():
+            out[r // rows][1][r % rows] = int(code[r])
         return out
 
 
-def _residuals(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults") -> tuple:
+def _residuals(p: _Program, re: np.ndarray, im: np.ndarray, faults: list) -> tuple:
     """The four residual arrays of ``BiorthReport``, over rows, by the
     formulas of ``check_biorth`` and ``check_dual_biorth`` on split arrays,
     rounded as Python's complex arithmetic rounds them.  The operations at
     which Python would raise are listed in ``faults``, in the order the
-    check evaluates them."""
+    check evaluates them (``_raises``)."""
     terms = _terms(p, re, im, faults)
     oracle = _oracle_terms(p, re, im, faults)
     if p.dual:
@@ -567,19 +565,19 @@ def _residuals(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults") -
     return sum_res, term_res, oracle_res, max_term
 
 
-def _terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults") -> tuple:
+def _terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: list) -> tuple:
     """Every summand of every row, over j and rows: w1 w2 f f~ (direct sum),
     w1 w2 / h f~ f (dual sum), multiplied left to right."""
     factors = list(zip(re[p.summand], im[p.summand]))
     if p.dual:
         w1, w2, h, f1, f2 = factors
-        faults.add(h[0] != 0, (_complex_quotient, *h))
+        faults.append((h[0] != 0, lambda: [(COMPLEX_BY_ZERO, _is_zero(h))]))
         return _mul(_mul(_div(_mul(w1, w2), h), f1), f2)
     w1, w2, f1, f2 = factors
     return _mul(_mul(_mul(w1, w2), f1), f2)
 
 
-def _oracle_terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults") -> tuple:
+def _oracle_terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: list) -> tuple:
     """The representation-side value of every summand, over j and rows,
     multiplied left to right: tilde g1 / g2 c_d tau (direct sum, over h_k),
     g1 / g2 tau tilde c_d (dual sum)."""
@@ -587,10 +585,10 @@ def _oracle_terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: "_Faults"
     cd = re[p.head[0]], im[p.head[0]]
     if p.dual:
         g1, g2, tau, tilde = factors
-        faults.add(g2[0] != 0, (_complex_quotient, *g2))
+        faults.append((g2[0] != 0, lambda: [(COMPLEX_BY_ZERO, _is_zero(g2))]))
         return _mul(_mul(_mul(_div(g1, g2), tau), tilde), cd)
     tilde, g1, g2, tau = factors
-    faults.add(g2[0] != 0, (_complex_quotient, *g2))
+    faults.append((g2[0] != 0, lambda: [(COMPLEX_BY_ZERO, _is_zero(g2))]))
     return _mul(_mul(_div(_mul(tilde, g1), g2), cd), tau)
 
 
@@ -615,7 +613,7 @@ def _total(v: tuple) -> tuple:
     return re, im
 
 
-def _peak(v: tuple, faults: "_Faults") -> np.ndarray:
+def _peak(v: tuple, faults: list) -> np.ndarray:
     """The largest modulus over j, as ``max`` of ``abs`` gives it: a later
     value replaces the largest so far only if it is larger."""
     mag = np.hypot(*v)
@@ -623,7 +621,7 @@ def _peak(v: tuple, faults: "_Faults") -> np.ndarray:
     for m in mag[1:]:
         top = np.where(m > top, m, top)
     # A modulus beyond range leaves the peak inf or NaN.
-    faults.add(np.isfinite(top), (_abs_of, *v))
+    faults.append((np.isfinite(top), lambda: [(ABS_RANGE, _c_abs(*v)[1])]))
     return top
 
 
@@ -635,84 +633,43 @@ def _worst(res: np.ndarray) -> np.ndarray:
     return top
 
 
-def _scaled(lhs: tuple, rhs: tuple, scale, faults: "_Faults") -> np.ndarray:
+def _scaled(lhs: tuple, rhs: tuple, scale, faults: list) -> np.ndarray:
     """``residuals.scaled`` on split arrays."""
     diff = lhs[0] - rhs[0], lhs[1] - rhs[1]
     num, a, b = np.hypot(*diff), np.hypot(*lhs), np.hypot(*rhs)
     den = a + b + scale
     res = num / den
+
+    def ops() -> list:
+        return [*((ABS_RANGE, _c_abs(*x)[1]) for x in (diff, lhs, rhs)), (FLOAT_BY_ZERO, den == 0)]
+
     # A modulus beyond range leaves den or res inf, and den = 0 leaves res
     # inf or NaN: den * res is finite wherever neither happened.
-    faults.add(
-        np.isfinite(den * res),
-        (_abs_of, *diff),
-        (_abs_of, *lhs),
-        (_abs_of, *rhs),
-        (_float_quotient, den),
-    )
+    faults.append((np.isfinite(den * res), ops))
     return res
 
 
-# The Python operations a check's arithmetic may raise at.
+def _is_zero(v: tuple) -> np.ndarray:
+    return (v[0] == 0) & (v[1] == 0)
 
 
-def _abs_of(re: float, im: float):
-    return abs(complex(re, im))
+# The operations at which Python raises where the arrays go on with inf or
+# NaN: a division by zero, ``abs`` of finite parts beyond range.  Each entry
+# of ``faults`` holds a mask where a cheap test clears its operations, and
+# gives them, each as (message, where it raises), in the order a check meets
+# them for each j = 0..N (or once).
 
 
-def _complex_quotient(re: float, im: float):
-    return 1.0 / complex(re, im)
+def _raises(ops: list, rows: int) -> np.ndarray:
+    """The code of the first of ``ops`` that raises on each of ``rows``
+    rows, j after j and, within each j, operation after operation."""
+    got = np.stack([_failing(0, at, message).reshape(-1, rows) for message, at in ops], axis=1)
+    return _first_code(got.reshape(-1, rows))
 
 
-def _float_quotient(den: float):
-    return 1.0 / den
-
-
-class _Faults:
-    """Where a pass may have gone on past an operation at which Python raises.
-
-    Python raises ``ZeroDivisionError`` at a division by zero and
-    ``OverflowError`` at ``abs`` of finite parts whose modulus is beyond
-    range; the arrays give inf or NaN there instead.  Each entry holds a
-    mask, over j and rows, of where a cheap test clears the operations it
-    covers, and those operations, each with its operands: the check
-    evaluates them for j = 0..N in turn (or once), in the listed order
-    within each j.  Only the rows a test does not clear are looked at
-    operation by operation, in Python.
-    """
-
-    def __init__(self, rows: int):
-        self.rows = rows
-        self.entries: list = []
-
-    def add(self, clear: np.ndarray, *ops) -> None:
-        self.entries.append((clear, ops))
-
-    def first(self, skip) -> dict:
-        """{row: the error of the first operation that raises on it}, for
-        the rows not in ``skip``."""
-        if all(clear.all() for clear, _ in self.entries):
-            return {}
-        rows = set()
-        for clear, _ in self.entries:
-            rows.update(np.flatnonzero(~clear.reshape(-1, self.rows).all(axis=0)).tolist())
-        errors = {}
-        for r in sorted(rows.difference(skip)):
-            exc = self._first_at(r)
-            if exc is not None:
-                errors[r] = exc
-        return errors
-
-    def _first_at(self, r: int) -> ArithmeticError | None:
-        for clear, ops in self.entries:
-            operands = [[x.reshape(-1, self.rows)[:, r] for x in args] for _, *args in ops]
-            for j in range(clear.reshape(-1, self.rows).shape[0]):
-                for (op, *_), args in zip(ops, operands):
-                    try:
-                        op(*(float(x[j]) for x in args))
-                    except ArithmeticError as exc:
-                        return exc
-        return None
+def _first_code(got: np.ndarray) -> np.ndarray:
+    """The first nonzero code of each column of ``got``, else 0."""
+    return got[(got != 0).argmax(axis=0), np.arange(got.shape[1])]
 
 
 class BiorthCache:
@@ -723,7 +680,8 @@ class BiorthCache:
     a batch of one, at its first check.  The reports of the kind it was
     filled for come with it; those of the other kind, direct or dual, are
     computed from its stored items at the first check of that kind.  Each
-    check returns its row, or raises the error recorded for it.
+    check returns its row, or raises a fresh error of the failure code
+    recorded for it.
 
     ``get`` keeps values by key in ``_store``.  The checks do not use it; the
     benchmark's tracer counts cache hits through it, so it stays.
@@ -754,16 +712,16 @@ class BiorthCache:
         sweep = _sweep(bps[0])
         if any(_shape(bp) != _shape(bps[0]) for bp in bps):
             raise ValueError("the params of one batch share one shape (N, M, zero guard)")
-        values, failed = sweep.template.bind_all(list(map(_draw, bps)))
-        reports = sweep.program(dual).reports(values, failed)
-        for cache, v, f, rows in zip(caches, values, failed, reports):
-            cache._items = (sweep, v, f)
+        values, codes = sweep.template.bind_all(list(map(_draw, bps)))
+        reports = sweep.program(dual).reports(values, codes)
+        for cache, v, c, rows in zip(caches, values, codes, reports):
+            cache._items = (sweep, v, c)
             cache._rows[dual] = rows
 
     def items(self, bp: BiorthParams) -> tuple:
-        """(sweep, finished values by position, failures by position) of the
-        sweep's items at ``bp``; a cache not yet filled fills itself, with
-        the direct reports."""
+        """(sweep, finished values by position, failure codes by position)
+        of the sweep's items at ``bp``; a cache not yet filled fills itself,
+        with the direct reports."""
         if self._items is None:
             self._fill([self], [bp], False)
         return self._items
@@ -777,12 +735,12 @@ class BiorthCache:
             self._fill([self], [bp], dual)
         got = self._rows.get(dual)
         if got is None:
-            sweep, values, failed = self._items
-            got = self._rows[dual] = sweep.program(dual).reports(values[None], [failed])[0]
+            sweep, values, codes = self._items
+            got = self._rows[dual] = sweep.program(dual).reports(values[None], codes[None])[0]
         rows, errors = got
         r = k * (N + 1) + l
         if r in errors:
-            raise errors[r].with_traceback(None)
+            raise error(errors[r])
         return BiorthReport(*rows[r])
 
 

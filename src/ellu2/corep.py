@@ -23,7 +23,6 @@ identity take their reflected point and inverse-determinant word from
 
 from __future__ import annotations
 
-import copy
 from operator import mul
 from typing import Callable, Iterable
 
@@ -66,6 +65,7 @@ from .theta import (
     binomial_plan,
     combine,
     elliptic_binomial,
+    error,
     garg,
     kept_shape,
     known,
@@ -205,12 +205,12 @@ class _HeadTimesSeries(Joined):
 
 def _head_times_series(head: _Split, series: tuple) -> _Split:
     """``_HeadTimesSeries.finish`` on split values (``theta.array_form``):
-    0 where the head is 0, and the series not read there."""
+    0 where the head is 0, and the series, its failure too, not read there."""
     (value,) = series
     out = head * value
     zero = (head.re == 0) & (head.im == 0)
-    bad = head.bad | (value.bad & ~zero)
-    return _Split(np.where(zero, 0.0, out.re), np.where(zero, 0.0, out.im), bad)
+    code = np.where(zero, head.code, out.code)
+    return _Split(np.where(zero, 0.0, out.re), np.where(zero, 0.0, out.im), code)
 
 
 array_form(_HeadTimesSeries, _head_times_series)
@@ -453,44 +453,45 @@ class _Tower:
         """The reader of (k, j, m, side) at the sample (rc, z), bound in one
         ``Template.bind_all``; see ``closed_tower``."""
         try:
-            values, (failed,) = self.template.bind_all([(rc.ctx, rc.lam0, rc.omega, z)])
+            values, codes = self.template.bind_all([(rc.ctx, rc.lam0, rc.omega, z)])
         except ArithmeticError as exc:
-            error = exc.with_traceback(None)
+            kind, args = type(exc), exc.args
 
             def broken(k: int, j: int, m: int, side: str = "closed") -> complex:
-                raise copy.copy(error)
+                raise kind(*args)
 
             return broken
-        values = values[0]
+        values, failed = values[0], codes[0].any()
         low = set(self.guard_rows[_modulus(values[self.guard_rows]) < rc.ctx.zero_guard].tolist())
-        row, plans, words = values.tolist(), self.template.plans, self.words
+        row, code = values.tolist(), codes[0].tolist()
+        plans, words = self.template.plans, self.words
 
         def word_error(checks: list, paths: list) -> ArithmeticError | None:
             for i, message in checks:
-                if i in failed:
-                    return copy.copy(failed[i])
+                if code[i]:
+                    return error(code[i])
                 if i in low:
                     return PoleError(message)
             for i in paths:
-                if i in failed:
-                    return copy.copy(failed[i])
+                if code[i]:
+                    return error(code[i])
             return None
 
         def read(k: int, j: int, m: int, side: str = "closed") -> complex:
             if side == "word":
                 checks, paths, summed = words[(k, j, m)]
                 if failed or low:
-                    error = word_error(checks, paths)
-                    if error is not None:
-                        raise error
+                    failure = word_error(checks, paths)
+                    if failure is not None:
+                        raise failure
                 # Path after path, from 0: as ``apply_word`` adds.
                 total = 0.0 + 0.0j
                 for i in summed:
                     total += row[i]
                 return total
             i = plans[(k, j, m)]
-            if i in failed:
-                raise copy.copy(failed[i])
+            if code[i]:
+                raise error(code[i])
             return row[i]
 
         return read
@@ -504,7 +505,7 @@ def closed_tower(plan, N: int, rc: RepContext, z: complex) -> Callable[..., comp
     value; on the side "word" the coefficient of e_(m + k - j) (for
     ``tau_tilde_plan``, of e_(m + j - k)) in the action on e_m of
     ``t_word(N, k, j, z, ctx)`` (its ``words.star``), as ``apply_word``
-    gives it; or it raises a copy of the item's error.
+    gives it; or it raises the item's error, a fresh one at each read.
 
     Both sides are compiled into one ``Template`` per (plan, N, zero guard)
     (``_Tower``), kept in ``_TOWERS`` (``theta.kept_shape``), and bound in
@@ -578,30 +579,49 @@ def eval_tensor(
     its bits.
     """
     left, right = ({}, {}) if legs is None else legs
+    return _tensor(
+        [(scalar, _leg(left, w1, m, rc1), _leg(right, w2, n, rc2)) for scalar, w1, w2 in pairs],
+        rc1,
+        rc2,
+    )
+
+
+def _tensor(pairs: list, rc1: RepContext, rc2: RepContext) -> dict[tuple[int, int], complex]:
+    """``eval_tensor`` over pairs (scalar, left leg, right leg) of ``_Leg``."""
     lam0 = rc1.lam0
     out: dict[tuple[int, int], complex] = {}
-    for scalar, w1, w2 in pairs:
-        for n2, f2 in _leg(right, w2, n, rc2, lam0):
+    for scalar, leg1, leg2 in pairs:
+        for n2, f2 in leg2.at(lam0):
             shift = lam0 - rc2.omega + 2 * n2
-            for n1, f1 in _leg(left, w1, m, rc1, shift):
+            for n1, f1 in leg1.at(shift):
                 key = (n1, n2)
                 out[key] = out.get(key, 0.0 + 0.0j) + scalar * f1 * f2
     return out
 
 
-def _leg(legs: dict, w: tuple, m: int, rc: RepContext, point: complex) -> list[tuple[int, complex]]:
-    """(index, value at ``point``) of each path of the word ``w`` on e_m, in
-    the order of ``apply_word_states``: its states built once per ``legs``,
-    which holds one basis index and context, and evaluated once per point
-    (``eval_tensor``)."""
-    leg = legs.get(w)
-    if leg is None:
-        leg = legs[w] = ({}, apply_word_states(word(1.0, w), m, rc))
-    values, states = leg
-    got = values.get(point)
-    if got is None:
-        got = values[point] = [(k, f(point)) for k, f in states]
-    return got
+class _Leg:
+    """A word on e_m in one context: its states (``apply_word_states``),
+    built at its first point, and its paths' values by point."""
+
+    __slots__ = ("word", "m", "rc", "states", "values")
+
+    def __init__(self, w: tuple, m: int, rc: RepContext):
+        self.word, self.m, self.rc, self.states, self.values = w, m, rc, None, {}
+
+    def at(self, point: complex) -> list[tuple[int, complex]]:
+        """(index, value at ``point``) of each path, evaluated once per point."""
+        got = self.values.get(point)
+        if got is None:
+            if self.states is None:
+                self.states = apply_word_states(word(1.0, self.word), self.m, self.rc)
+            got = self.values[point] = [(k, f(point)) for k, f in self.states]
+        return got
+
+
+def _leg(legs: dict, w: tuple, m: int, rc: RepContext) -> _Leg:
+    """The leg of ``w`` in ``legs`` (one basis index and context), by one
+    hash of its letters, which runs in Python: a caller looks a word up once."""
+    return legs.setdefault(w, _Leg(w, m, rc))
 
 
 def check_coproduct(
@@ -613,17 +633,20 @@ def check_coproduct(
     res = []
     legs = ({}, {})
     tws = {(a, b): t_word(N, a, b, z, ctx) for a in range(N + 1) for b in range(N + 1)}
+    # Each term's legs, looked up once: the right sides pair them many times.
+    lefts = {key: [(s, _leg(legs[0], w, m, rc1)) for s, w in tw.terms] for key, tw in tws.items()}
+    rights = {key: [(s, _leg(legs[1], w, n, rc2)) for s, w in tw.terms] for key, tw in tws.items()}
     for k in range(N + 1):
         for j in range(N + 1):
             lhs = eval_tensor(coproduct(tws[(k, j)]), m, n, rc1, rc2, legs)
             rhs: dict[tuple[int, int], complex] = {}
             for s in range(N + 1):
                 pairs = [
-                    (s1 * s2, w1, w2)
-                    for s1, w1 in tws[(k, s)].terms
-                    for s2, w2 in tws[(s, j)].terms
+                    (s1 * s2, leg1, leg2)
+                    for s1, leg1 in lefts[(k, s)]
+                    for s2, leg2 in rights[(s, j)]
                 ]
-                for key, val in eval_tensor(pairs, m, n, rc1, rc2, legs).items():
+                for key, val in _tensor(pairs, rc1, rc2).items():
                     rhs[key] = rhs.get(key, 0.0 + 0.0j) + val
             res.append(residual_between(lhs, rhs))
     return worst(res)

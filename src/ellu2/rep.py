@@ -30,7 +30,6 @@ in one ``Template.bind_all``).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -52,6 +51,7 @@ from .theta import (
     TemplateContext,
     ThetaContext,
     ThetaProduct,
+    error,
     garg,
     kept_shape,
     reciprocal,
@@ -644,13 +644,13 @@ class Compiled:
         self.group_m = _indices(group_m)
         self.path_m = self.group_m[self.cell_group[self.path_cell]]
 
-    def outcome(self, values: np.ndarray, failed: dict, zero_guard: float) -> dict | ArithmeticError:
-        """Each row's residual by key, from one draw's values and failures
-        (``Template.bind_all``); or the draw's error, with no traceback nor
-        error it was raised from: the first failing plan's, else the
-        ``PoleError`` of the first guard whose value is below ``zero_guard``."""
-        if failed:
-            return copy.copy(failed[min(failed)])
+    def outcome(self, values: np.ndarray, codes: np.ndarray, zero_guard: float) -> dict | ArithmeticError:
+        """Each row's residual by key, from one draw's values and failure
+        codes (``Template.bind_all``); or the draw's error, never raised: the
+        first failing plan's, else the ``PoleError`` of the first guard whose
+        value is below ``zero_guard``."""
+        if codes.any():
+            return error(codes[np.flatnonzero(codes)[0]])
         low = _modulus(values[self.paths :]) < zero_guard
         if low.any():
             return PoleError(self.messages[int(np.argmax(low))])
@@ -735,9 +735,9 @@ def bind_rows(build, params: tuple, drawn: Sequence[tuple[RepContext, dict]]) ->
         (rc.ctx, rc.lam0, rc.omega, symbols["z"], symbols.get("z1"), symbols.get("z2"))
         for rc, symbols in drawn
     ]
-    values, failed = check.template.bind_all(points)
-    for (rc, symbols), v, f in zip(drawn, values, failed):
-        rc._bound[_bound_key(build, params, symbols)] = check.outcome(v, f, rc.ctx.zero_guard)
+    values, codes = check.template.bind_all(points)
+    for (rc, symbols), v, c in zip(drawn, values, codes):
+        rc._bound[_bound_key(build, params, symbols)] = check.outcome(v, c, rc.ctx.zero_guard)
 
 
 def _bound_key(build, params: tuple, symbols: dict) -> tuple:
@@ -747,11 +747,12 @@ def _bound_key(build, params: tuple, symbols: dict) -> tuple:
 def _bound_rows(rc: RepContext, build, params: tuple, **symbols) -> dict:
     """The rows of a compiled check at the sample of ``rc`` and the spectral
     points ``symbols``, bound once per ``rc`` (``bind_rows``); a failed
-    binding raises a copy of its error, so no traceback reaches ``rc``."""
+    binding raises a fresh error of the kept one's type and message, so no
+    traceback reaches ``rc``."""
     key = _bound_key(build, params, symbols)
     if key not in rc._bound:
         bind_rows(build, params, [(rc, symbols)])
     got = rc._bound[key]
     if isinstance(got, ArithmeticError):
-        raise copy.copy(got)
+        raise type(got)(*got.args)
     return got

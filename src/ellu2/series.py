@@ -37,8 +37,8 @@ float64 arrays.  Its bits are the loop's.  It does each operation of
 ``_vwp_reduce`` in the same order, with CPython's formulas for complex
 ``*``, ``/`` and ``abs`` (``theta._c_mul``, ``_c_div``, ``_c_abs``, which the
 template's theta products use too), and an elementwise float64 operation
-rounds as the C operation does.  Each bound series then only reads its
-result, or raises its loop's ``PoleError``.
+rounds as the C operation does.  Where the loop raises, the pass gives the
+failure code of the loop's ``PoleError`` (``theta.ERRORS``).
 Plans over numbers (``vwp_sum``, corep's ``tau_closed``, the series and
 bailey checks) stay on the loop.
 """
@@ -55,7 +55,11 @@ import numpy as np
 
 from .residuals import TINY, scaled
 from .theta import (
+    A1_GUARD,
+    CODE,
     DEN_GUARD,
+    DEN_ZERO,
+    OUT_OF_RANGE,
     Bound,
     Plan,
     PoleError,
@@ -76,7 +80,6 @@ from .theta import (
     qarg,
     shared_skeleton,
     theta_condition,
-    theta_vec_cached,
 )
 
 __all__ = [
@@ -217,13 +220,13 @@ def _vwp_reduce(
     ncum, nzero, _ = _poch_columns(vals[:cut], nums, n)
     dcum, dzero, draw = _poch_columns(vals[cut : cut + len(dens) * n], dens, n)
     if min(dzero) < n:
-        raise PoleError("denominator Pochhammer factor hits an exact zero")
+        raise PoleError(DEN_ZERO)
     cut += len(dens) * n
     head, th_a1 = vals[cut : cut + n + 1], vals[cut + n + 1]
     if any(abs(v) < ctx.zero_guard for v in draw):
-        raise PoleError("denominator theta factor below zero guard")
+        raise PoleError(DEN_GUARD)
     if abs(th_a1) < ctx.zero_guard:
-        raise PoleError("theta(a1) below zero guard")
+        raise PoleError(A1_GUARD)
 
     # Term k is live when no exact zero survives in it: none among the
     # first k factors of a numerator row, none in the head theta(a1 q^(4k)),
@@ -266,8 +269,8 @@ class _Series(Plan):
     Its arguments are the term scalars q^(2k) when they are records, the
     numerator rows, the denominator rows, the head theta(a1 q^(4k)) for
     k = 0..n followed by theta(a1), and the merged row; they are listed when
-    asked for, from the parameters the plan keeps.  ``reduce`` gives None for
-    a term out of range, ``finish`` raises ``PoleError`` for it.
+    asked for, from the parameters the plan keeps.  ``finish`` raises
+    ``PoleError`` where the reduction raises or a term is out of range.
     """
 
     __slots__ = ("a1", "nums", "dens", "merged", "n", "q2pow", "ladder")
@@ -306,18 +309,21 @@ class _Series(Plan):
             args += _poch_args(ctx, [self.merged[0]], self.merged[1], q2pow)
         return args
 
-    def reduce(self, vals: list[complex]) -> Optional[tuple[complex, float, int]]:
+    def finish(self, vals: list[complex]) -> tuple[complex, float, int]:
         cut = len(self.ladder.args)
         try:
-            return _vwp_reduce(
+            out = _vwp_reduce(
                 self.ctx, self.a1, self.nums, self.dens, self.merged, self.n,
                 self.ladder.finish(vals[:cut]), vals[cut:] if cut else vals,
             )
         except (OverflowError, ZeroDivisionError):
-            return None
-
-    def finish(self, vals: list[complex]) -> tuple[complex, float, int]:
-        return _in_range(self.reduce(vals))
+            out = None
+        # Raised here, once the rows' frame is gone and outside the handler:
+        # a kept exception keeps every frame of its traceback (and of its
+        # context) alive, and callers may keep many.
+        if out is None:
+            raise PoleError(OUT_OF_RANGE)
+        return out
 
     def template_args(self) -> list:
         return [self]
@@ -331,26 +337,13 @@ class _Series(Plan):
         return _Batch(record, theta, guard)
 
 
-def _in_range(out: Optional[tuple[complex, float, int]]) -> tuple[complex, float, int]:
-    # Raised from here, away from the rows: a kept exception keeps every
-    # frame of its traceback (and of its context) alive, and callers may
-    # keep many.
-    if out is None:
-        raise PoleError(OUT_OF_RANGE)
-    return out
-
-
-OUT_OF_RANGE = "series term magnitude exceeds double precision range"
-DEN_ZERO = "denominator Pochhammer factor hits an exact zero"
-A1_GUARD = "theta(a1) below zero guard"
-
-
 class _Batch:
     """The series plans of one template, reduced together on split arrays.
 
     ``reduce`` takes the template's record values and theta values and gives
-    each series what ``_Series.reduce`` gives it on the same values, bit for
-    bit, or the message of the ``PoleError`` its ``finish`` raises.  It
+    each series the value ``_Series.finish`` gives it on the same values,
+    bit for bit, and the failure code of the ``PoleError`` its ``finish``
+    raises there.  It
     follows ``_vwp_reduce`` step by step: each value is formed by the same
     operations, in the same order, as in the scalar loop, with CPython's
     complex formulas (``_c_mul``, ``_c_div``, ``_c_abs``), and float64 array
@@ -371,7 +364,7 @@ class _Batch:
     """
 
     __slots__ = (
-        "rank", "guard", "fixed", "counts", "widths", "factors", "head", "a1", "q2",
+        "rank", "guard", "den_zero", "widths", "factors", "head", "a1", "q2",
         "merged", "steps", "den", "den_cuts", "series_a1", "_pending",
     )
 
@@ -391,11 +384,12 @@ class _Batch:
         compiled, rows, _, _ = self._pending
         self._pending = None
         order, self.rank, self.widths = _ranked([len(c.live) for c in compiled])
-        self.fixed = {self.rank[s]: c.message for s, c in enumerate(compiled) if c.message}
-        self.counts = [compiled[s].count for s in order]
-        self.den = _i32([i for c in compiled for i in c.den])
-        self.den_cuts = _i32([0, *accumulate(len(c.den) for c in compiled)])
-        self.series_a1 = _i32([c.a1 for c in compiled])
+        # The guards, series by series in ``rank`` order.
+        ranked = [compiled[s] for s in order]
+        self.den_zero = _i32([r for r, c in enumerate(ranked) if c.den_zero])
+        self.den = _i32([i for c in ranked for i in c.den])
+        self.den_cuts = _i32([0, *accumulate(len(c.den) for c in ranked)])
+        self.series_a1 = _i32([c.a1 for c in ranked])
 
         # The terms, position by position: term j of each series that has one.
         # A running product is indexed flat, k * nrows + row.
@@ -424,9 +418,12 @@ class _Batch:
             self.factors[: len(row), r] = row
 
     def reduce(self, b: Bound) -> Reduced:
-        """Each series' result at each draw, by ``rank`` and draw, from the
-        template's bound values; an entry is (value, max term, count) or
-        the message of a failure."""
+        """Each series' value and code at each draw, by ``rank`` and draw,
+        from the template's bound values.  A series fails, as the scalar
+        reduction raises, at an exact zero among its denominator factors,
+        else at the first denominator factor, in row order, else at theta(a1),
+        whose modulus is below the guard (or overflows, as ``abs`` raises
+        there), else at a term that is not finite."""
         tr, ti, mag = b.re, b.im, b.mag
         draws = tr.shape[1]
         events = b.over | (mag < self.guard)
@@ -451,54 +448,40 @@ class _Batch:
                 ar, ai = _apply(_c_mul, ar, ai, sel, *_c_div(pr[num], pi[num], pr[den], pi[den]))
             for is_div, sel, idx in self.steps:
                 ar, ai = _apply(_c_div if is_div else _c_mul, ar, ai, sel, pr[idx], pi[idx])
-            tmag = np.hypot(ar, ai)
+            finite = np.isfinite(np.hypot(ar, ai))
             # The sums over each series' live terms, left to right.
-            shape = (len(self.counts), draws)
-            vr, vi, top = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+            shape = (len(self.rank), draws)
+            vr, vi = np.zeros(shape), np.zeros(shape)
             failed = np.zeros(shape, dtype=bool)
             for w, at in _steps(self.widths):
                 vr[:w] += ar[at]
                 vi[:w] += ai[at]
-                np.maximum(top[:w], tmag[at], out=top[:w])
-                failed[:w] |= ~np.isfinite(tmag[at])
-        messages = dict.fromkeys(zip(*np.nonzero(failed)), OUT_OF_RANGE)
-        # The guard failures: each series' first denominator factor, in row
-        # order, else its theta(a1), whose modulus is below the guard (or
-        # overflows, as ``abs`` raises there).
+                failed[:w] |= ~finite[at]
+        code = np.where(failed, CODE[OUT_OF_RANGE], 0).astype(np.int8)
         a1 = events[self.series_a1]
-        for s, k, i in zip(*_first_events(events, self.den, self.den_cuts)):
-            a1[s, k] = False
-            messages[self.rank[s], k] = DEN_GUARD if mag[i, k] < self.guard else OUT_OF_RANGE
-        for s, k in zip(*np.nonzero(a1)):
-            i = self.series_a1[s]
-            messages[self.rank[s], k] = A1_GUARD if mag[i, k] < self.guard else OUT_OF_RANGE
-        for r, k in messages:
-            failed[r, k] = True
-        fixed, counts = self.fixed, self.counts
-        failed[list(fixed)] = True
-
-        def entry(r: int, k: int):
-            got = fixed.get(r) or messages.get((r, k))
-            if got is not None:
-                return got
-            return complex(vr[r, k], vi[r, k]), float(top[r, k]), counts[r]
-
-        return Reduced(vr, vi, failed, entry)
+        r, k, i = _first_events(events, self.den, self.den_cuts)
+        a1[r, k] = False
+        code[r, k] = np.where(mag[i, k] < self.guard, CODE[DEN_GUARD], CODE[OUT_OF_RANGE])
+        r, k = np.nonzero(a1)
+        i = self.series_a1[r]
+        code[r, k] = np.where(mag[i, k] < self.guard, CODE[A1_GUARD], CODE[OUT_OF_RANGE])
+        code[self.den_zero] = CODE[DEN_ZERO]
+        return Reduced(vr, vi, code)
 
 
 class _Compiled(NamedTuple):
     """One series as ``_Batch`` takes it in.
 
-    ``message``: that of the ``PoleError`` every reduction of the series
-    raises (an exact zero among its denominator factors), or None; ``a1``
-    indexes theta(a1), ``den`` the denominator factors in row order, for the
+    ``den_zero``: whether every reduction of the series raises at an exact
+    zero among its denominator factors (``DEN_ZERO``); ``a1`` indexes
+    theta(a1), ``den`` the denominator factors in row order, for the
     guards.  ``live`` lists the live terms k, ``head`` and ``q2`` index
     theta(a1 q^(4k)) and q^(2k) for each; ``merged`` is the merged row and
     its length, or None; ``ops`` the (divide?, row) operations of a term, in
-    order; ``count`` the scalar reduction's.
+    order.
     """
 
-    message: Optional[str]
+    den_zero: bool
     a1: int
     den: Sequence[int]
     live: Sequence[int] = ()
@@ -506,7 +489,6 @@ class _Compiled(NamedTuple):
     q2: Sequence[int] = ()
     merged: Optional[tuple[int, int]] = None
     ops: Sequence[tuple[bool, int]] = ()
-    count: int = 0
 
 
 def _compile(node: _Series, rows: dict, record, theta) -> _Compiled:
@@ -531,7 +513,7 @@ def _compile(node: _Series, rows: dict, record, theta) -> _Compiled:
         return -ta.s if ta.is_one and 0 <= -ta.s < length else length
 
     if min(zero_at(ta, n) for ta in node.dens) < n:
-        return _Compiled(DEN_ZERO, a1, [])
+        return _Compiled(True, a1, [])
     den = [theta(rec) for row in dens for rec in row]
     # Term k is live as in ``_vwp_reduce``: no exact zero among the first k
     # factors of a numerator row, in the head, or among the merged factors
@@ -544,7 +526,7 @@ def _compile(node: _Series, rows: dict, record, theta) -> _Compiled:
         first = mzero + 1 if mzero < mlen else 0
     live = [k for k in range(first, last + 1) if not node.a1.theta_is_zero(2 * k)]
     if not live:
-        return _Compiled(None, a1, den)
+        return _Compiled(False, a1, den)
 
     def row_id(factors) -> int:
         return rows.setdefault(tuple(factors), len(rows))
@@ -563,7 +545,7 @@ def _compile(node: _Series, rows: dict, record, theta) -> _Compiled:
             ops.append((True, den_rows[i]))
     heads = [theta(head[k]) for k in live]
     q2 = [record(args[k].rec) for k in live]
-    return _Compiled(None, a1, den, live, heads, q2, merged, ops, live[-1] + 1)
+    return _Compiled(False, a1, den, live, heads, q2, merged, ops)
 
 
 def _apply(op, ar, ai, sel, br, bi):
@@ -617,8 +599,7 @@ def vwp_sum(
     index of last contributing term + 1).  All theta values of the series
     come from one lookup.
     """
-    plan = _Series(ctx, a1, numer, denom, n, merged)
-    return _in_range(plan.reduce(theta_vec_cached(plan.args, ctx)))
+    return _Series(ctx, a1, numer, denom, n, merged).value()
 
 
 def _denominators(spec: SeriesSpec) -> list[TrackedArg]:

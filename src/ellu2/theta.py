@@ -97,9 +97,10 @@ exception, and so are the plans that a bound template finishes from them
 (``_Finish``): their passes over arrays keep the real and imaginary parts
 apart and write out CPython's formulas (``_c_mul``, ``_c_div``, ``_c_abs``),
 and each elementwise float64 operation rounds as the C operation does, so
-they round as the Python loops do.  A failure there, or a value at which
-Python would raise, flags the plan, and only a flagged plan is finished
-again in Python, by its skeleton, which raises the loop's error.  The loops
+they round as the Python loops do.  Where a loop would raise, the pass
+carries a small failure code instead (``ERRORS``): which guard, which range
+check, a division by 0j, an ``abs`` beyond range, the first the loop meets.
+A caller raises a fresh error from it (``error``).  The loops
 (``ThetaProduct.finish``, ``series._vwp_reduce``) stay for plans over
 numbers, and are the oracles the passes are tested against.
 """
@@ -114,12 +115,15 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "PoleError",
+    "ERRORS",
+    "CODE",
+    "error",
     "ThetaContext",
     "TrackedArg",
     "Plan",
@@ -165,12 +169,42 @@ THETA_RANGE = "theta value exceeds double precision range"
 POWER_RANGE = "power of q exceeds double precision range"
 PRODUCT_RANGE = "theta product exceeds double precision range"
 DEN_GUARD = "denominator theta factor below zero guard"
-# What ``Template.bind_all`` puts in place of a plan whose finish raised.
-_FAILED = complex(math.nan, math.nan)
+OUT_OF_RANGE = "series term magnitude exceeds double precision range"
+A1_GUARD = "theta(a1) below zero guard"
+DEN_ZERO = "denominator Pochhammer factor hits an exact zero"
+# Python's own messages.
+COMPLEX_BY_ZERO = "complex division by zero"
+FLOAT_BY_ZERO = "float division by zero"
+ABS_RANGE = "absolute value too large"
 
 
 class PoleError(ArithmeticError):
     """A theta factor in denominator position vanished, exactly or numerically."""
+
+
+# The error of each failure code of a bound template's plans
+# (``Template.bind_all``; 0 is none): what its scalar finish raises.
+ERRORS = (
+    None,
+    (PoleError, DEN_GUARD),
+    (PoleError, PRODUCT_RANGE),
+    (PoleError, OUT_OF_RANGE),
+    (PoleError, A1_GUARD),
+    (PoleError, DEN_ZERO),
+    (ZeroDivisionError, COMPLEX_BY_ZERO),
+    (ZeroDivisionError, FLOAT_BY_ZERO),
+    (OverflowError, ABS_RANGE),
+)
+CODE = {message: code for code, (_, message) in enumerate(ERRORS[1:], 1)}
+# A theta product's batch result where a numerator theta value is exactly
+# 0j (``_Products.reduce``): no failure, and a 0 there is no underflow.
+_EXACT = -1
+
+
+def error(code: int) -> ArithmeticError:
+    """A fresh error for the failure code ``code`` (``ERRORS``)."""
+    kind, message = ERRORS[code]
+    return kind(message)
 
 
 def theta_factors(p: float) -> int:
@@ -801,8 +835,8 @@ class Template:
     distinct theta arguments of that draw, and one pass over arrays each
     reduces every series and every theta product.  The finish program
     (``_Finish``), compiled from the skeletons at the first ``bind_all``,
-    then finishes every plan at every draw in one pass; only the plans it
-    flags are finished again, one by one, by their skeletons.  Every array
+    then finishes every plan at every draw in one pass, and names the error
+    of each plan that fails by its failure code (``ERRORS``).  Every array
     has one column per draw, and lives for the one call.
 
     Each record's value depends on its own row and draw only, and each
@@ -924,39 +958,25 @@ class Template:
                 th[:, k] = theta_vec(e[self._theta, k], draw[0])
         return th
 
-    def _bind(self, draws: Sequence[tuple], size: int) -> "_Sources":
-        """The entries' sources at each draw, one column per draw, in the
-        first rows of arrays of ``size`` rows: the records and theta values
-        the plans list, then the results of each batch (``Reduced``)."""
+    def _bind(self, draws: Sequence[tuple], size: int) -> tuple:
+        """(re, im, code): the entries' sources at each draw, one column per
+        draw, in the first rows of arrays of ``size`` rows: the records and
+        theta values the plans list, then the results of each batch
+        (``Reduced``), with their failure codes (0 for a record or a theta
+        value)."""
         e = self._records(draws)
         bound = Bound.of(e, self._thetas(draws, e))
         shape = (size, len(draws))
-        re, im, bad = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
+        re, im, code = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=np.int8)
         rows, thetas = self._listed_rows, self._listed_thetas
         n, t = len(rows), len(rows) + len(thetas)
         re[:n], im[:n] = e.real[rows], e.imag[rows]
         re[n:t], im[n:t] = bound.re[thetas], bound.im[thetas]
-        results = []
         for batch, start in zip(self._batches, self._starts):
             got = batch.reduce(bound)
             stop = start + len(got.re)
-            re[start:stop], im[start:stop], bad[start:stop] = got.re, got.im, got.failed
-            results.append(got)
-        return _Sources(re, im, bad, results)
-
-    def _entries(self, sources: "_Sources", i: int, d: int) -> list:
-        """The entries of plan ``i`` at draw ``d``, as its skeleton's
-        ``finish`` reads them: numbers, and each batch result as
-        ``Reduced.entry`` gives it."""
-        out = []
-        for at in self._gather[self._cuts[i] : self._cuts[i + 1]]:
-            for start, got in zip(reversed(self._starts), reversed(sources.results)):
-                if at >= start:
-                    out.append(got.entry(at - start, d))
-                    break
-            else:
-                out.append(complex(sources.re[at, d], sources.im[at, d]))
-        return out
+            re[start:stop], im[start:stop], code[start:stop] = got
+        return re, im, code
 
     def _finish(self) -> "_Finish":
         """The finish program, compiled at its first use."""
@@ -964,30 +984,20 @@ class Template:
             self._program = _Finish(self)
         return self._program
 
-    def bind_all(self, draws: Sequence[tuple]) -> tuple[np.ndarray, list[dict]]:
-        """Every plan finished at each of ``draws``: (values, failed), the
-        values by draw and plan position, and for each draw the error each
-        failing plan's finish raises, by position, with a complex NaN in
-        its place among the values.  A draw is (ctx, lam, omega, z) and, for
+    def bind_all(self, draws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Every plan finished at each of ``draws``: (values, codes), both by
+        draw and plan position.  ``codes`` (int8) is 0 where the plan
+        finished, else the failure code of the error its scalar finish
+        raises at the same values (``ERRORS``; ``error`` makes it), and the
+        value there is meaningless.  A draw is (ctx, lam, omega, z) and, for
         a template whose records have them, the spectral points z1 and z2.
 
         Every array of the pass has a trailing axis over the draws, and each
         operation is elementwise or gathers along the first axis, so each
-        draw's values are what it gets bound alone, bit for bit.  A plan the
-        finish program flags at a draw is finished by its skeleton there.
+        draw's values and codes are what it gets bound alone, bit for bit.
         """
         program = self._finish()
-        sources = self._bind(draws, program.size)
-        values, flagged = program.run(sources)
-        failed: list[dict] = [{} for _ in draws]
-        for i, d in zip(*np.nonzero(flagged)):
-            try:
-                values[d, i] = self._skeletons[i].finish(self._entries(sources, i, d))
-            except ArithmeticError as exc:
-                values[d, i] = _FAILED
-                # Kept without its traceback, whose frames hold this pass's arrays.
-                failed[d][int(i)] = exc.with_traceback(None)
-        return values, failed
+        return program.run(*self._bind(draws, program.size))
 
 
 class Bound(NamedTuple):
@@ -1015,25 +1025,12 @@ class Bound(NamedTuple):
 class Reduced(NamedTuple):
     """What a batch (``series._Batch``, ``_Products``) gives a bound
     template: its results by ``rank`` and draw, real and imaginary parts,
-    where they failed, and ``entry(rank, draw)``, one result as the skeleton
-    that reads it takes it (a number, a series result, or the message of
-    the failure), for the plans finished again one by one."""
+    and the failure code of the error its scalar reduction raises there
+    (0 where it raises none)."""
 
     re: np.ndarray
     im: np.ndarray
-    failed: np.ndarray
-    entry: Callable
-
-
-class _Sources(NamedTuple):
-    """The values a bound template's plans are finished from, by row and
-    draw (``Template._bind``), with where they failed, and the batch results
-    they hold."""
-
-    re: np.ndarray
-    im: np.ndarray
-    bad: np.ndarray
-    results: list
+    code: np.ndarray
 
 
 # -- CPython's complex arithmetic on split arrays -------------------------------
@@ -1078,22 +1075,36 @@ def _c_abs(re, im):
 
 class _Split:
     """A complex value by row and draw, on split real and imaginary arrays,
-    with ``bad`` marking where it is not to be trusted.  ``*`` and ``/`` are
-    CPython's (``_c_mul``, ``_c_div``), so a reduction written with them
-    runs unchanged on split values (``array_form``); ``/`` also marks a
-    divisor that is exactly 0j, where Python raises ``ZeroDivisionError``."""
+    with ``code``, the failure code of the error met computing it (0 where
+    none was).  ``*`` and ``/`` are CPython's (``_c_mul``, ``_c_div``), so a
+    reduction written with them runs unchanged on split values
+    (``array_form``); each keeps the first failure of its operands, and
+    ``/`` then fails where the divisor is exactly 0j, where Python raises
+    ``ZeroDivisionError``."""
 
-    __slots__ = ("re", "im", "bad")
+    __slots__ = ("re", "im", "code")
 
-    def __init__(self, re: np.ndarray, im: np.ndarray, bad: np.ndarray):
-        self.re, self.im, self.bad = re, im, bad
+    def __init__(self, re: np.ndarray, im: np.ndarray, code: np.ndarray):
+        self.re, self.im, self.code = re, im, code
 
     def __mul__(self, other: "_Split") -> "_Split":
-        return _Split(*_c_mul(self.re, self.im, other.re, other.im), self.bad | other.bad)
+        return _Split(*_c_mul(self.re, self.im, other.re, other.im), _either(self.code, other.code))
 
     def __truediv__(self, other: "_Split") -> "_Split":
         zero = (other.re == 0) & (other.im == 0)
-        return _Split(*_c_div(self.re, self.im, other.re, other.im), self.bad | other.bad | zero)
+        code = _failing(_either(self.code, other.code), zero, COMPLEX_BY_ZERO)
+        return _Split(*_c_div(self.re, self.im, other.re, other.im), code)
+
+
+def _either(code: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """``code``, and ``later`` where ``code`` is 0: the first of two failures."""
+    return np.where(code != 0, code, later)
+
+
+def _failing(code: np.ndarray, where: np.ndarray, message: str) -> np.ndarray:
+    """``code``, and the code of ``message`` where ``where`` holds and
+    ``code`` is 0: a failure after those already met."""
+    return np.where(where & (code == 0), CODE[message], code)
 
 
 def _i32(values) -> np.ndarray:
@@ -1390,7 +1401,11 @@ class ThetaProduct(Plan):
         out = scalar * prod
         if out == 0 and 0 in nums:
             return out  # a numerator theta value is exactly 0j
-        return _in_range(out, scalar)
+        # Else it is finite and, unless its scalar is 0, not 0: a 0 there is
+        # a partial product that underflowed, and fails as leaving the range.
+        if not cmath.isfinite(out) or (out == 0 and scalar != 0):
+            raise PoleError(PRODUCT_RANGE)
+        return out
 
     def template_args(self) -> list:
         """The product is one entry, for its batch result (``_Products``),
@@ -1416,12 +1431,11 @@ class ThetaProduct(Plan):
 
 
 class _Scaled(Plan):
-    """A bound template's theta product: its arguments are those of its
-    scalar's skeleton, when the scalar is a plan, then the batch result of
-    the product's own factors.  It finishes as ``ThetaProduct.finish``
-    does: the scalar first, then the guard, the exact zeros, the product
-    and its range check, which a 0 passes when a numerator theta value of
-    the product is exactly 0j (``_ExactZero``)."""
+    """The skeleton of a theta product in a template: its arguments are
+    those of its scalar's skeleton, when the scalar is a plan, then the
+    batch result of the product's own factors; ``zero`` is whether exact
+    zeros survive.  The finish program compiles it (``_scaled``,
+    ``_zeroed``)."""
 
     __slots__ = ("scalar", "zero")
 
@@ -1429,54 +1443,16 @@ class _Scaled(Plan):
         self.ctx, self.scalar, self.zero = None, scalar, zero
         self.args = [None] * (len(scalar.args) + 1 if isinstance(scalar, Plan) else 1)
 
-    def finish(self, vals: list) -> complex:
-        scalar, got = self.scalar, vals[-1]
-        if isinstance(scalar, Plan):
-            scalar = scalar.finish(vals[:-1])
-        if type(got) is str:
-            raise PoleError(got)
-        if self.zero:
-            return 0.0 + 0.0j
-        out = scalar * got
-        if out == 0 and type(got) is _ExactZero:
-            return out
-        return _in_range(out, scalar)
-
 
 class _Result(Plan):
-    """A bound template's series: its one argument is what ``series._Batch``
-    gave the series, its (value, max term, count) or the message of the
-    ``PoleError`` its scalar reduction raises."""
+    """The skeleton of a series in a template: its one argument is the
+    series' batch result (``series._Batch``), which the finish program
+    reads as it is."""
 
     __slots__ = ()
 
     def __init__(self):
         self.ctx, self.args = None, [None]
-
-    def finish(self, vals: list) -> tuple[complex, float, int]:
-        got = vals[0]
-        if type(got) is str:
-            raise PoleError(got)
-        return got
-
-
-def _in_range(out: complex, scalar: complex) -> complex:
-    """The value of a theta product with no surviving exact zero and no
-    numerator theta value exactly 0j, which is finite and, unless its
-    scalar is 0, not 0: a 0 there is a partial product that underflowed,
-    and raises as leaving the range does."""
-    if not cmath.isfinite(out) or (out == 0 and scalar != 0):
-        raise PoleError(PRODUCT_RANGE)
-    return out
-
-
-class _ExactZero(complex):
-    """The batch result of a theta product one of whose numerator theta
-    values is exactly 0j (``_Products.reduce``): a 0 it leads to is
-    that zero, not an underflow.  The value and its arithmetic are the
-    complex number's."""
-
-    __slots__ = ()
 
 
 class _Finish:
@@ -1491,19 +1467,21 @@ class _Finish:
     Compiling a plan of any other kind, or a joined plan whose reduction has
     no array form, raises ``TypeError``.
 
-    The values are the rows of one pair of arrays, by row and draw: the
-    entries' sources (``Template._bind``), the constants, then the results
-    of the operations.  The operations of one kind at one depth (the
-    longest path down to a source) are one group; it gathers its operands
-    with one row of indices per part (``operands``), and writes one run of
-    rows.  ``items`` holds the row of each plan's value.
+    The values are the rows of three arrays (real and imaginary parts, and
+    failure codes), by row and draw: the entries' sources
+    (``Template._bind``), the constants, then the results of the
+    operations.  The operations of one kind at one depth (the longest path
+    down to a source) are one group; it gathers its operands with one row
+    of indices per part (``operands``), and writes one run of rows.
+    ``items`` holds the row of each plan's value.
 
-    Each value carries where it is not to be trusted (``_Split.bad``): a
-    failed batch result, a division by exactly 0j, and a theta product that
-    is not finite or is 0 where its scalar is not (``_in_range``, or a
-    numerator theta value exactly 0j, ``_ExactZero``).  ``run`` returns the
-    plans' values and those flags; a flagged plan is finished again by its
-    skeleton (``Template.bind_all``), which raises where Python raises.
+    Each value carries the failure code of the error its scalar finish
+    raises (``_Split.code``), as that finish meets them: a theta product
+    fails at its scalar, then at its batch result (a guard, or a range
+    failure), then where it leaves the range (``_scaled``); a joined plan
+    at its first failing part, in part order, among the parts its
+    reduction reads, then at a division by exactly 0j in its reduction.
+    ``run`` returns the plans' values and codes.
     """
 
     __slots__ = ("size", "sources", "constants", "groups", "operands", "items")
@@ -1572,39 +1550,48 @@ class _Finish:
         self.operands = _indices(operands, start)
         self.items = _indices([row(r) for r in items], start)
 
-    def run(self, sources: _Sources) -> tuple[np.ndarray, np.ndarray]:
-        """(values by draw and plan, flags by plan and draw) at the draws of
-        ``sources``, whose arrays have ``size`` rows."""
-        re, im, bad = sources.re, sources.im, sources.bad
+    def run(self, re: np.ndarray, im: np.ndarray, code: np.ndarray) -> tuple:
+        """(values, codes), both by draw and plan, from the entries' sources
+        (``Template._bind``), whose arrays have ``size`` rows.
+
+        A form keeps the failures of the parts it reads; where it fails,
+        the operation takes its first failing part, else its own failure."""
         at = slice(self.sources, self.sources + len(self.constants))
         re[at], im[at] = self.constants.real[:, None], self.constants.imag[:, None]
         with np.errstate(all="ignore"):
             for start, count, width, form, series, at in self.groups:
                 rows = self.operands[at : at + width * count].reshape(width, count)
-                parts = [_Split(re[i], im[i], bad[i]) for i in rows]
+                parts = [_Split(re[i], im[i], code[i]) for i in rows]
                 out = form(*[(p,) if s else p for p, s in zip(parts, series)])
                 stop = start + count
-                re[start:stop], im[start:stop], bad[start:stop] = out.re, out.im, out.bad
+                re[start:stop], im[start:stop], code[start:stop] = out.re, out.im, out.code
+                fails = code[start:stop] != 0
+                if fails.any():
+                    first = functools.reduce(_either, [p.code for p in parts])
+                    code[start:stop] = np.where(fails & (first != 0), first, code[start:stop])
         values = np.empty((re.shape[1], len(self.items)), dtype=complex)
         values.real, values.imag = re[self.items].T, im[self.items].T
-        return values, bad[self.items]
+        return values, code[self.items].T
 
 
 def _scaled(scalar: _Split, product: _Split) -> _Split:
-    """``_Scaled.finish`` of products with no surviving exact zero: the
-    scalar times the product, flagged where ``_in_range`` raises, or may
-    not, as a 0 where the scalar is not 0 (an underflow, or a numerator
-    theta value exactly 0j, ``_ExactZero``)."""
-    out = scalar * product
-    lost = (out.re == 0) & (out.im == 0) & ((scalar.re != 0) | (scalar.im != 0))
-    out.bad |= lost | ~(np.isfinite(out.re) & np.isfinite(out.im))
-    return out
+    """``ThetaProduct.finish`` of products with no surviving exact zero,
+    from its scalar and its batch result: the scalar times the product,
+    failing where it is not finite or is 0 while the scalar is not, as the
+    loop does; a 0 passes where a numerator theta value of the product is
+    exactly 0j (``_EXACT``)."""
+    exact = product.code == _EXACT
+    re, im = _c_mul(scalar.re, scalar.im, product.re, product.im)
+    lost = (re == 0) & (im == 0) & ((scalar.re != 0) | (scalar.im != 0)) & ~exact
+    out_of_range = lost | ~(np.isfinite(re) & np.isfinite(im))
+    code = _either(scalar.code, np.maximum(product.code, 0))
+    return _Split(re, im, _failing(code, out_of_range, PRODUCT_RANGE))
 
 
 def _zeroed(scalar: _Split, product: _Split) -> _Split:
-    """``_Scaled.finish`` of products with surviving exact zeros: 0, once
-    the scalar and the product's guards have passed."""
-    return _Split(0.0, 0.0, scalar.bad | product.bad)
+    """``ThetaProduct.finish`` of products with surviving exact zeros: 0,
+    once the scalar and the product's guards have passed."""
+    return _Split(0.0, 0.0, _either(scalar.code, product.code))
 
 
 class _Products:
@@ -1612,12 +1599,12 @@ class _Products:
 
     ``reduce`` gives each product, from the template's bound values, what
     ``ThetaProduct.finish`` computes on the same values before it multiplies
-    by the scalar, bit for bit; or the message of the ``PoleError`` it
+    by the scalar, bit for bit, and the failure code of the ``PoleError`` it
     raises there.  It follows the scalar loop step by step, with CPython's
     complex formulas (``_c_mul``, ``_c_div``, ``_c_abs``): the guard on each
     denominator, in order; no numerator when exact zeros survive (the
-    skeleton, ``_Scaled``, returns 0 then); then the factors num/den of the
-    pairs, the numerators left, and 1/den of the denominators left,
+    finish program gives 0 then, ``_zeroed``); then the factors num/den of
+    the pairs, the numerators left, and 1/den of the denominators left,
     multiplied into 1 + 0j one by one.  The quotients are independent of
     one another, so each distinct one is taken once, all in one call; the
     running products take one step per factor position.
@@ -1672,14 +1659,13 @@ class _Products:
         self.den_cuts = _i32([0, *accumulate(len(dens) for dens, _ in ranked)])
 
     def reduce(self, b: "Bound") -> Reduced:
-        """Each product's result at each draw, by ``rank`` and draw; an
-        entry is a number, an ``_ExactZero`` or the message of a failure.
+        """Each product's result and code at each draw, by ``rank`` and draw.
 
         A product fails at the first denominator, in order, whose modulus is
         below the guard (or overflows, as ``abs`` raises there), with the
-        message ``ThetaProduct.finish`` raises at it; its value is then
-        meaningless.  Where a numerator theta value is exactly 0j, its
-        value is an ``_ExactZero``."""
+        code of what ``ThetaProduct.finish`` raises at it; its value is then
+        meaningless.  Where a numerator theta value is exactly 0j and the
+        product does not fail, its code is ``_EXACT``."""
         with np.errstate(all="ignore"):
             num, div = self.num, self.div
             qr, qi = _c_div(b.re[num], b.im[num], b.re[div], b.im[div])
@@ -1689,14 +1675,8 @@ class _Products:
             pr, pi = np.ones(shape), np.zeros(shape)
             for w, at in _steps(self.widths):
                 pr[:w], pi[:w] = _c_mul(pr[:w], pi[:w], fr[at], fi[at])
-        failed = np.zeros(pr.shape, dtype=bool)
-        messages = {}
-        events = b.over | (b.mag < self.guard)
-        for r, k, i in zip(*_first_events(events, self.den, self.den_cuts)):
-            failed[r, k] = True
-            messages[r, k] = DEN_GUARD if b.mag[i, k] < self.guard else PRODUCT_RANGE
+        code = np.zeros(shape, dtype=np.int8)
         zero = (b.re == 0) & (b.im == 0)
-        exact = None
         if zero.any():
             # A factor's numerator: that of its quotient (-1, the appended
             # 1.0, for 1 / den), or the theta value itself.
@@ -1704,14 +1684,10 @@ class _Products:
             exact = np.zeros(shape, dtype=bool)
             for w, at in _steps(self.widths):
                 exact[:w] |= factor[at]
-
-        def entry(r: int, k: int):
-            if (r, k) in messages:
-                return messages[r, k]
-            value = complex(pr[r, k], pi[r, k])
-            return _ExactZero(value) if exact is not None and exact[r, k] else value
-
-        return Reduced(pr, pi, failed, entry)
+            code[exact] = _EXACT
+        r, k, i = _first_events(b.over | (b.mag < self.guard), self.den, self.den_cuts)
+        code[r, k] = np.where(b.mag[i, k] < self.guard, CODE[DEN_GUARD], CODE[PRODUCT_RANGE])
+        return Reduced(pr, pi, code)
 
 
 def _ranked(counts: Sequence[int]) -> tuple[list, array, array]:
@@ -1735,18 +1711,21 @@ def _steps(widths: Sequence[int]):
         a += w
 
 
+_NONE = np.zeros(0, dtype=np.intp)
+
+
 def _first_events(events: np.ndarray, den: np.ndarray, cuts: np.ndarray) -> tuple:
-    """(groups, draws, theta indices) of the first guard event of each group
-    of denominators, ``den[cuts[g]:cuts[g + 1]]`` in that order, at each
-    draw that has one; ``events`` marks, by theta index and draw, a modulus
-    below the zero guard or beyond range."""
+    """(groups, draws, theta indices), as index arrays, of the first guard
+    event of each group of denominators, ``den[cuts[g]:cuts[g + 1]]`` in
+    that order, at each draw that has one; ``events`` marks, by theta index
+    and draw, a modulus below the zero guard or beyond range."""
     if not events.any():
-        return [], [], []
+        return _NONE, _NONE, _NONE
     at, draw = np.nonzero(events[den])
     group = np.searchsorted(cuts, at, side="right") - 1
     # ``at`` ascends, so the first entry of each (group, draw) is its first event.
     _, first = np.unique(group * events.shape[1] + draw, return_index=True)
-    return group[first].tolist(), draw[first].tolist(), den[at[first]].tolist()
+    return group[first], draw[first], den[at[first]]
 
 
 def pochhammer(a: ArgLike, n: int, ctx: ThetaContext) -> complex:

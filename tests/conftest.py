@@ -1,17 +1,20 @@
 """Shared fixtures: a generic evaluation context, a seeded RNG, the
-biorthogonality sweep plans built over records, and the skeleton finish,
-the reference a bound template's finish on arrays is held to.
+biorthogonality sweep plans built over records, and the scalar finish of
+plans built over records, the reference a bound template's finish on
+arrays is held to.
 
 Hypothesis runs derandomized and without an example database, so every run
 of the suite draws the same cases.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from ellu2.biorth import _ITEMS, BiorthParams, _sweep_keys
-from ellu2.theta import LAM, OMEGA, Z, TemplateContext, ThetaContext
+from ellu2.theta import LAM, OMEGA, Z, Plan, Template, TemplateContext, ThetaContext
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -51,18 +54,44 @@ def sweep_plans():
     return plans
 
 
-def finish_by_skeletons(template, draws) -> list:
-    """Every plan of ``template`` at each of ``draws`` finished one by one,
-    in Python, by its skeleton's ``finish`` from its entries: for each draw,
-    (values, failed), the values in plan order (``None`` for a failing
-    plan) and the error of each failing plan by position."""
-    sources = template._bind(draws, template._sources)
+def plain_values(plans, draws, kept: dict) -> list:
+    """For each of ``draws``, the values of the arguments of each plan of
+    ``plans`` ((key, plan) pairs built over records), bound plainly: the
+    theta value of each theta argument and the value of each ``Scalar``
+    record, by a template of plans that only list them.  ``kept`` keeps the
+    templates of the last plans bound, by the plans' identity: the shared
+    sweep plans are bound by many tests."""
+    got = kept.pop(id(plans), None)
+    if got is None:
+        plain = Template((i, Plan(plan.ctx, plan.args, list)) for i, (_, plan) in enumerate(plans))
+        rows = [plain._gather[a:b].tolist() for a, b in zip(plain._cuts, plain._cuts[1:])]
+        got = (plans, plain, rows)
+    kept[id(plans)] = got  # kept with the plans, so that their id stays theirs
+    while len(kept) > 8:
+        kept.pop(next(iter(kept)))
+    _, plain, rows = got
+    re, im, _ = plain._bind(draws, plain._sources)
     out = []
     for d in range(len(draws)):
+        column = np.empty(len(re), dtype=complex)
+        column.real, column.imag = re[:, d], im[:, d]
+        flat = column.tolist()
+        out.append([[flat[r] for r in at] for at in rows])
+    return out
+
+
+def finish_by_plans(plans, draws, kept: dict) -> list:
+    """Every plan of ``plans`` at each of ``draws`` finished one by one, in
+    Python, by its own scalar ``finish`` over its arguments bound plainly
+    (``plain_values``): for each draw, (values, failed), the values in plan
+    order (``None`` for a failing plan) and the error of each failing plan
+    by position."""
+    out = []
+    for bound in plain_values(plans, draws, kept):
         values, failed = [], {}
-        for i, skeleton in enumerate(template._skeletons):
+        for i, ((_, plan), vals) in enumerate(zip(plans, bound)):
             try:
-                values.append(skeleton.finish(template._entries(sources, i, d)))
+                values.append(plan.finish(vals))
             except ArithmeticError as exc:
                 values.append(None)
                 failed[i] = exc
@@ -71,6 +100,6 @@ def finish_by_skeletons(template, draws) -> list:
 
 
 @pytest.fixture(scope="session")
-def skeleton_finish():
-    """finish(template, draws): the reference finish (``finish_by_skeletons``)."""
-    return finish_by_skeletons
+def scalar_finish():
+    """finish(plans, draws): the reference finish (``finish_by_plans``)."""
+    return functools.partial(finish_by_plans, kept={})

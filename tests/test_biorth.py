@@ -21,7 +21,8 @@ from ellu2.biorth import _item, _oracle_keys, _series_parts, _summand_keys, _swe
 from ellu2.residuals import scaled, worst
 from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.series import vwp_sum
-from ellu2.theta import PoleError, ThetaContext, pochhammer
+from ellu2.theta import A1_GUARD, CODE, DEN_GUARD, DEN_ZERO, PoleError, ThetaContext, error
+from ellu2.theta import pochhammer
 
 theta_mod = importlib.import_module("ellu2.theta")
 
@@ -87,13 +88,13 @@ def reference_report(read, N, k, l, dual):
 def swept(bp, cache=None):
     """read(key): the value of an item as the sweep at ``bp`` finished it;
     an item that failed raises its error."""
-    sweep, values, failed = (cache if cache is not None else BiorthCache()).items(bp)
+    sweep, values, codes = (cache if cache is not None else BiorthCache()).items(bp)
     at = sweep.template.plans
 
     def read(key):
         i = at[key]
-        if i in failed:
-            raise failed[i]
+        if codes[i]:
+            raise error(codes[i])
         return complex(values[i])
 
     return read
@@ -311,20 +312,21 @@ def test_the_pinned_overflow_draws_equal_the_scalar_reference(monkeypatch, seed,
 
 def patch_items(monkeypatch, changes):
     """Make every sweep finish the items of ``changes`` as given there: a
-    value, or an error recorded as the item's failure."""
+    value, or an error of ``theta.ERRORS``, recorded as the item's failure
+    by its code."""
     bind_all = theta_mod.Template.bind_all
 
     def patched(self, draws):
-        values, failed = bind_all(self, draws)
+        values, codes = bind_all(self, draws)
         for d in range(len(draws)):
             for key, change in changes.items():
                 i = self.plans[key]
                 if isinstance(change, Exception):
-                    failed[d][i] = change
+                    codes[d, i] = CODE[str(change)]
                 else:
                     values[d, i] = change
-                    failed[d].pop(i, None)
-        return values, failed
+                    codes[d, i] = 0
+        return values, codes
 
     monkeypatch.setattr(theta_mod.Template, "bind_all", patched)
 
@@ -336,7 +338,7 @@ def _one(keys, value):
 ERROR_CASES = {
     # An item that fails, and in the dual sums a norm h_j that is 0.
     "failed-item-and-zero-h": (
-        {("tau", 2, 1): PoleError("patched item"), ("h", 2): 0j},
+        {("tau", 2, 1): PoleError(DEN_GUARD), ("h", 2): 0j},
         {"PoleError", "ZeroDivisionError"},
     ),
     # A complex division by zero in the oracle summands.
@@ -385,13 +387,13 @@ def test_exact_zero_denominator_error_is_unchanged(monkeypatch):
     # An item read before another failing one raises first, as reading them
     # one by one would: here c_det_product, read first, whose denominators
     # all fall below a zero guard of 1e3.
-    patch_items(monkeypatch, {("w1", 0, 1): PoleError("exact zero theta factor in denominator")})
-    with pytest.raises(PoleError, match="below zero guard"):
+    patch_items(monkeypatch, {("w1", 0, 1): PoleError(DEN_ZERO)})
+    with pytest.raises(PoleError, match="^denominator theta factor below zero guard$"):
         check_biorth(level_four(guard=1e3), 1, 0)
     # And the patched summand item, read before the oracle items, raises
     # before a failing oracle item.
-    patch_items(monkeypatch, {("tau", 0, 1): PoleError("oracle item"), ("w1", 0, 1): PoleError("summand item")})
-    with pytest.raises(PoleError, match="^summand item$"):
+    patch_items(monkeypatch, {("tau", 0, 1): PoleError(A1_GUARD), ("w1", 0, 1): PoleError(DEN_ZERO)})
+    with pytest.raises(PoleError, match=f"^{DEN_ZERO}$"):
         check_biorth(level_four(), 1, 0)
 
 
@@ -483,16 +485,16 @@ def test_stacked_reports_equal_the_scalar_reference(monkeypatch, N):
     bind_all = theta_mod.Template.bind_all
 
     def patched(self, draws):
-        values, failed = bind_all(self, draws)
+        values, codes = bind_all(self, draws)
         for d in range(len(draws)):
             if next(changes) % 2:
                 for i in rng.choice(len(keys), size=6, replace=False).tolist():
                     pick = rng.integers(len(SPECIAL) + 1)
                     if pick == len(SPECIAL):
-                        failed[d][self.plans[keys[i]]] = PoleError("patched item")
+                        codes[d, self.plans[keys[i]]] = CODE[DEN_GUARD]
                     else:
                         values[d, self.plans[keys[i]]] = SPECIAL[pick]
-        return values, failed
+        return values, codes
 
     monkeypatch.setattr(theta_mod.Template, "bind_all", patched)
     bps = []

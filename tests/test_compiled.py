@@ -111,8 +111,8 @@ def point(rc, symbols):
 def path_values(check, rc, symbols):
     """The value of every path of ``check`` at the sample of ``rc``, from
     ``bind_all``; no plan may fail there."""
-    values, (failed,) = check.template.bind_all([point(rc, symbols)])
-    assert not failed
+    values, codes = check.template.bind_all([point(rc, symbols)])
+    assert not codes.any()
     return values[0, : check.paths]
 
 
@@ -154,17 +154,32 @@ def test_a_draw_next_to_a_pole_raises_on_both_paths(name):
         rep_mod._bound_rows(rc, build, params, **symbols)
 
 
+def compiled_plans(monkeypatch, build, params, zero_guard) -> tuple:
+    """The check ``build`` builds, compiled afresh, and the (key, plan) pairs
+    its template was compiled from."""
+    plans = []
+
+    def keeping(items):
+        plans.extend(items)
+        return theta_mod.Template(plans)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rep_mod, "Template", keeping)
+        check = rep_mod.Compiled(build(theta_mod.TemplateContext(zero_guard), *params))
+    return check, plans
+
+
 @pytest.mark.parametrize("name", ["relations", "unitarity N=3"])
-def test_products_bound_on_arrays_are_the_finished_plans(name, skeleton_finish):
+def test_products_bound_on_arrays_are_the_finished_plans(monkeypatch, name, scalar_finish):
     # ``bind_all`` finishes every path and guard product of a batch of draws
-    # on arrays: the same bits as each plan's skeleton finishes it with.
+    # on arrays: the same bits as each plan's scalar ``finish`` gives.
     build, params, zero_guard, symbols, _ = FAMILIES[name]
-    template = compiled(build, params, zero_guard).template
+    check, plans = compiled_plans(monkeypatch, build, params, zero_guard)
     rng = np.random.default_rng(1)
     draws = [point(draw(rng, zero_guard), symbols) for _ in range(3)]
-    got, failed = template.bind_all(draws)
-    assert failed == [{}, {}, {}]
-    for values, (want, errors) in zip(got, skeleton_finish(template, draws)):
+    got, codes = check.template.bind_all(draws)
+    assert not codes.any()
+    for values, (want, errors) in zip(got, scalar_finish(plans, draws)):
         assert not errors
         assert [(v.real.hex(), v.imag.hex()) for v in values.tolist()] == [
             (v.real.hex(), v.imag.hex()) for v in want

@@ -137,33 +137,13 @@ def test_the_bound_tower_is_the_scalar_closed_form(plan, closed, parts):
     assert compared > 10_000 and failed > 100
 
 
-def _scalar_tower_failure(rc, z, N):
-    """Where the tower with scalar ``tau_closed`` raises first, and the error."""
-    ctx = rc.ctx
-    for k in range(N + 1):
-        for j in range(N + 1):
-            tw = t_word(N, k, j, z, ctx)
-            for m in range(TOWER_M):
-                steps = [
-                    ("word", lambda: apply_word(tw, m, rc)),
-                    ("product", lambda: tau_product(N, k, j, m, rc.lam0, z, rc.omega, ctx)),
-                    ("closed", lambda: tau_closed(N, k, j, m, rc.lam0, z, rc.omega, ctx)),
-                ]
-                for side, step in steps:
-                    try:
-                        step()
-                    except ArithmeticError as exc:
-                        return (side, k, j, m), exc
-    return None, None
-
-
 def test_the_tower_raises_where_its_scalar_closed_side_raised(monkeypatch):
     # A pinned draw whose first failure is tau_closed's at (k, j, m) =
     # (0, 2, 2): the bound tower raises the same error at the same read.
     rng = np.random.default_rng(4)
     rc = _rep_draw(RunConfig(), rng, zero_guard=0.01)
     z = draw_z(rng)
-    where, expected = _scalar_tower_failure(rc, z, 2)
+    where, expected = _numeric_tower_failure(rc, z, 2)
     assert where == ("closed", 0, 2, 2)
     reads = []
     bind = suites_mod.closed_tower

@@ -3,11 +3,10 @@
 Binding a template reduces every theta product of it in one pass over
 split real and imaginary float64 arrays (``theta._Products``), with CPython's
 own formulas for complex ``*``, ``/`` and ``abs``.  Each product, finished
-from its slice of the bound template (its skeleton reads the batch result,
-after finishing a plan scalar), must equal bit for bit what
-``ThetaProduct.finish`` gives on the same bound values, and must raise the
-same ``PoleError`` message.  Each plan finished on arrays
-(``Template.bind_all``) must equal its skeleton's finish.
+on arrays as a plan of a template (``Template.bind_all``, after its plan
+scalar), must equal bit for bit what ``ThetaProduct.finish`` gives on the
+same bound values, and must fail with the ``PoleError`` message it raises.
+Each plan finished on arrays must equal its own scalar ``finish``.
 """
 
 from operator import mul
@@ -28,77 +27,69 @@ from ellu2.theta import (
     TemplateContext,
     ThetaContext,
     ThetaProduct,
-    _Scaled,
     binomial_plan,
     combine,
+    error,
     known,
     qarg,
 )
 
 
-def products(plan, skeleton, offset=0):
-    """(offset, product, skeleton) of every theta product of ``plan``, those
-    in a plan scalar before the product that holds them."""
+def products(plan):
+    """Every theta product of ``plan``, those in a plan scalar before the
+    product that holds them."""
     if isinstance(plan, ThetaProduct):
-        assert isinstance(skeleton, _Scaled)
         if isinstance(plan.scalar, Plan):
-            yield from products(plan.scalar, skeleton.scalar, offset)
-        yield offset, plan, skeleton
+            yield from products(plan.scalar)
+        yield plan
     elif isinstance(plan, Joined):
-        for part, sk, cut in zip(plan.parts, skeleton.parts, skeleton.cuts):
-            yield from products(part, sk, offset + cut)
+        for part in plan.parts:
+            yield from products(part)
 
 
-def outcome(finish, vals):
-    """The bits of what ``finish(vals)`` returns, or the message it raises."""
-    try:
-        value = finish(vals)
-    except PoleError as exc:
-        return str(exc)
+def bits(value):
     return value.real.hex(), value.imag.hex()
 
 
-class BoundProducts:
-    """The theta products of a template's plans (built over records), with a
-    template that binds their arguments as plain values, for the scalar
-    ``ThetaProduct.finish``."""
+def bound(template, sample) -> list:
+    """The bits of every plan ``template`` finishes on arrays at ``sample``,
+    or the message of its failure."""
+    (values,), (codes,) = template.bind_all([sample])
+    return [str(error(c)) if c else bits(v) for v, c in zip(values.tolist(), codes.tolist())]
 
-    def __init__(self, template, plans):
-        self.template = template
-        self.found = []
-        for key, plan in plans:
-            i = template.plans[key]
-            for off, node, sk in products(plan, template._skeletons[i]):
-                self.found.append((i, off, node, sk))
-        self.plain = Template(
-            (n, Plan(node.ctx, node.args, list)) for n, (_, _, node, _) in enumerate(self.found)
-        )
+
+def finished(scalar_finish, plans, sample) -> list:
+    """The bits of what each plan's scalar ``finish`` returns at ``sample``,
+    or the message it raises."""
+    [(values, failed)] = scalar_finish(plans, [sample])
+    return [str(failed[i]) if i in failed else bits(v) for i, v in enumerate(values)]
+
+
+class BoundProducts:
+    """The plans a template was compiled from (built over records), and
+    their theta products, each a plan of a template of its own, finished on
+    arrays and by their scalar ``finish`` (``scalar_finish``)."""
+
+    def __init__(self, template, plans, scalar_finish):
+        self.template, self.plans, self.scalar_finish = template, list(plans), scalar_finish
+        found = (node for _, plan in self.plans for node in products(plan))
+        self.found = list(enumerate(found))
+        self.products = Template(self.found)
 
     def compare(self, sample) -> list:
-        """The outcome of every product at ``sample``, the same from its
-        skeleton and from ``ThetaProduct.finish``; and every plan finished
-        on arrays as its skeleton finishes it."""
-        template = self.template
-        sources = template._bind([sample], template._sources)
-        plain = self.plain._bind([sample], self.plain._sources)
-        batch, scalar = [], []
-        for n, (i, off, node, sk) in enumerate(self.found):
-            vals = template._entries(sources, i, 0)
-            batch.append(outcome(sk.finish, vals[off : off + len(sk.args)]))
-            scalar.append(outcome(node.finish, self.plain._entries(plain, n, 0)))
-        assert batch == scalar
-        values, (failed,) = template.bind_all([sample])
-        for i, sk in enumerate(template._skeletons):
-            value = complex(values[0, i])
-            got = str(failed[i]) if i in failed else (value.real.hex(), value.imag.hex())
-            assert got == outcome(sk.finish, template._entries(sources, i, 0))
+        """The outcome of every product at ``sample``, the same on arrays
+        and from ``ThetaProduct.finish``; and every plan finished on arrays
+        as its scalar ``finish`` finishes it."""
+        scalar = finished(self.scalar_finish, self.found, sample)
+        assert bound(self.products, sample) == scalar
+        assert bound(self.template, sample) == finished(self.scalar_finish, self.plans, sample)
         return scalar
 
 
-def sweep_products(bp, plans):
+def sweep_products(bp, plans, scalar_finish):
     """The theta products of the sweep template of the shape of ``bp``, from
     the shared sweep plans ``plans`` (the ``sweep_plans`` fixture)."""
-    return BoundProducts(_sweep(bp).template, plans(bp.N, bp.M, bp.ctx.zero_guard))
+    return BoundProducts(_sweep(bp).template, plans(bp.N, bp.M, bp.ctx.zero_guard), scalar_finish)
 
 
 def sample(bp):
@@ -106,35 +97,35 @@ def sample(bp):
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_every_product_of_every_sweep_equals_the_scalar_finish(N, sweep_plans):
+def test_every_product_of_every_sweep_equals_the_scalar_finish(N, sweep_plans, scalar_finish):
     # One sweep holds the items of the direct and the dual checks.
     rng = np.random.default_rng([8675309, N])
     for M in range(3):
         found = None
         for _ in range(3):
             bp = BiorthParams(N, draw_lambda(rng), M, draw_lambda(rng), draw_z(rng), draw_context(rng))
-            found = found or sweep_products(bp, sweep_plans)
+            found = found or sweep_products(bp, sweep_plans, scalar_finish)
             results = found.compare(sample(bp))
             # Some draws at N = 8 leave the double range; most values do not.
             assert sum(isinstance(r, str) for r in results) < len(results) // 10
         # Products over a number, a record and a joined plan are among them.
-        scalars = {type(node.scalar) for _, _, node, _ in found.found}
+        scalars = {type(node.scalar) for _, node in found.found}
         assert {complex, Plan, Joined} <= scalars
 
 
-def test_a_zero_guard_hit_fails_as_the_scalar_path(sweep_plans):
+def test_a_zero_guard_hit_fails_as_the_scalar_path(sweep_plans, scalar_finish):
     # Under a zero guard of 1e3 every denominator fails it; a product with
     # none still gets its value.
     for N in (2, 4):
         bp = BiorthParams(
             N, 0.8 + 0.4j, 1, 0.3 - 0.2j, 1.2 + 0.5j, ThetaContext(0.12, 0.67, zero_guard=1e3)
         )
-        results = sweep_products(bp, sweep_plans).compare(sample(bp))
+        results = sweep_products(bp, sweep_plans, scalar_finish).compare(sample(bp))
         assert DEN_GUARD in results
         assert any(not isinstance(r, str) for r in results)
 
 
-def test_products_beyond_the_double_range_or_exactly_zero_as_the_scalar_path():
+def test_products_beyond_the_double_range_or_exactly_zero_as_the_scalar_path(scalar_finish):
     # q^-1772 is about 1.6e308 at q = 0.67, and theta(-1) about 2.5: their
     # product leaves the double range, times a record or after a plan
     # scalar.  A surviving exact zero (theta(1)
@@ -155,7 +146,7 @@ def test_products_beyond_the_double_range_or_exactly_zero_as_the_scalar_path():
         ("0j", ThetaProduct(ctx, 0j).theta(minus_one)),
         ("-0j", ThetaProduct(ctx, complex(-0.0, -0.0)).theta(minus_one)),
     ]
-    found = BoundProducts(Template(plans), plans)
+    found = BoundProducts(Template(plans), plans, scalar_finish)
     results = found.compare((ThetaContext(0.12, 0.67), 0.8 + 0.4j, 0.3 - 0.2j, 1.2 + 0.5j))
     # A plan scalar's product (the binomial) comes before the product it is in.
     names = ["record", "binomial", "scaled", "fine", "zero", "binomial", "scaled zero", "0j", "-0j"]
@@ -166,7 +157,7 @@ def test_products_beyond_the_double_range_or_exactly_zero_as_the_scalar_path():
     assert not isinstance(got["fine"], str) and not isinstance(got["binomial"], str)
 
 
-def test_a_product_that_underflows_to_zero_raises_as_out_of_range():
+def test_a_product_that_underflows_to_zero_raises_as_out_of_range(scalar_finish):
     # theta(q^(1e-13)) is about 1e-14 and vanishes exactly for no draw: thirty
     # of them take the running product below the least double, to 0.  Without
     # an exact zero factor, that 0 is a range failure, not a value, in the
@@ -178,13 +169,13 @@ def test_a_product_that_underflows_to_zero_raises_as_out_of_range():
         ("fine", ThetaProduct(ctx, Rec(c=2)).theta(near_one, count=3)),
         ("0j scalar", ThetaProduct(ctx, 0j).theta(near_one, count=3)),
     ]
-    found = BoundProducts(Template(plans), plans)
+    found = BoundProducts(Template(plans), plans, scalar_finish)
     got = dict(zip(["underflow", "fine", "0j scalar"], found.compare((ThetaContext(0.12, 0.67), 0, 0, 1))))
     assert got["underflow"] == PRODUCT_RANGE
     assert not isinstance(got["fine"], str) and got["0j scalar"] == ("0x0.0p+0", "0x0.0p+0")
 
 
-def test_an_exact_zero_theta_value_makes_a_product_zero_on_every_path():
+def test_an_exact_zero_theta_value_makes_a_product_zero_on_every_path(scalar_finish):
     # The record q^Λ is not tracked as a zero, but at Λ = 0 it is 1, and
     # theta(1) comes out exactly 0j: a product with it among its numerators
     # is that 0, after a record or a plan scalar, in the scalar loop and in
@@ -199,13 +190,12 @@ def test_an_exact_zero_theta_value_makes_a_product_zero_on_every_path():
         ("underflow", ThetaProduct(ctx, Rec(c=2)).theta(near_one, count=30)),
     ]
     sample = (ThetaContext(0.12, 0.67), 0, 0.3 - 0.2j, 1.2 + 0.5j)
-    found = BoundProducts(Template(plans), plans)
+    found = BoundProducts(Template(plans), plans, scalar_finish)
     got = dict(zip(["zero", "binomial", "zero after a plan", "underflow"], found.compare(sample)))
     assert got["underflow"] == PRODUCT_RANGE
     for name in ("zero", "zero after a plan"):
         assert not isinstance(got[name], str) and all(float.fromhex(x) == 0 for x in got[name])
-    values, failed = Template(plans[:1]).bind_all([sample])
-    assert values.tolist() == [[0j]] and failed == [{}]
-    _, [failed] = Template(plans[2:]).bind_all([sample])
-    assert list(failed) == [0]
-    assert type(failed[0]) is PoleError and str(failed[0]) == PRODUCT_RANGE
+    values, codes = Template(plans[:1]).bind_all([sample])
+    assert values.tolist() == [[0j]] and codes.tolist() == [[0]]
+    _, [[code]] = Template(plans[2:]).bind_all([sample])
+    assert type(error(code)) is PoleError and str(error(code)) == PRODUCT_RANGE

@@ -2,10 +2,10 @@
 
 Binding a template reduces every series of it in one pass over split
 real and imaginary float64 arrays (``series._Batch``), with CPython's own
-formulas for complex ``*``, ``/`` and ``abs``.  Each series' (value, max
-term, count) must equal, bit for bit, what ``_Series.reduce`` gives on the
-same bound values, and each failure must carry the ``PoleError`` message the
-scalar path raises.
+formulas for complex ``*``, ``/`` and ``abs``.  Each series' value, bound
+as a plan of a template (``Template.bind_all``), must equal, bit for bit,
+what ``_Series.finish`` gives on the same bound values, and each failure
+must carry the ``PoleError`` message the scalar path raises.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ellu2 import suites
-from ellu2.biorth import BiorthParams, _sweep
+from ellu2.biorth import BiorthParams
 from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.series import (
     A1_GUARD,
@@ -30,11 +30,11 @@ from ellu2.series import (
 from ellu2.theta import (
     LAM,
     OMEGA,
-    Plan,
     PoleError,
     Template,
     TemplateContext,
     ThetaContext,
+    error,
     garg,
     qarg,
 )
@@ -154,46 +154,34 @@ def batched(plan, kind):
 
 
 def hexes(result):
+    """The bits of a series' value, or the message of its failure."""
     if isinstance(result, str):
         return result
-    value, top, count = result
-    return value.real.hex(), value.imag.hex(), top.hex(), count
+    value = result[0] if isinstance(result, tuple) else result
+    return value.real.hex(), value.imag.hex()
 
 
 class BoundSeries:
-    """The series of a template's plans (built over records, in template
-    order), with a template that binds their arguments as plain values, for
-    the scalar reduction."""
+    """The series of plans built over records, in plan order, each a plan
+    of a template of their own, bound on arrays and reduced by their scalar
+    ``finish`` (``scalar_finish``)."""
 
-    def __init__(self, template, plans):
-        self.template = template
-        self.offsets = [[off for off, _ in batched(plan, _Series)] for _, plan in plans]
-        self.nodes = [node for _, plan in plans for _, node in batched(plan, _Series)]
-        self.plain = Template(
-            (i, Plan(node.ctx, node.args, list)) for i, node in enumerate(self.nodes)
-        )
+    def __init__(self, plans, scalar_finish):
+        nodes = [node for _, plan in plans for _, node in batched(plan, _Series)]
+        self.nodes = list(enumerate(nodes))
+        self.template = Template(self.nodes)
+        self.scalar_finish = scalar_finish
 
     def batch(self, sample):
-        """What each series' entry holds in the template bound to ``sample``."""
-        sources = self.template._bind([sample], self.template._sources)
-        got = []
-        for i, offsets in enumerate(self.offsets):
-            entries = self.template._entries(sources, i, 0)
-            got += [entries[off] for off in offsets]
-        assert len(got) == len(self.nodes)
-        return got
+        """Each series' value on arrays at ``sample``, or the message of its failure."""
+        (values,), (codes,) = self.template.bind_all([sample])
+        return [str(error(c)) if c else v for v, c in zip(values.tolist(), codes.tolist())]
 
     def scalar(self, sample):
-        """What ``_Series.reduce`` gives each series, or the message it raises."""
-        plain = self.plain._bind([sample], self.plain._sources)
-        out = []
-        for i, node in enumerate(self.nodes):
-            try:
-                got = node.reduce(self.plain._entries(plain, i, 0))
-            except PoleError as exc:
-                got = str(exc)
-            out.append(OUT_OF_RANGE if got is None else got)
-        return out
+        """What ``_Series.finish`` gives each series, (value, max term,
+        count), or the message its ``finish`` raises."""
+        [(values, failed)] = self.scalar_finish(self.nodes, [sample])
+        return [str(failed[i]) if i in failed else v for i, v in enumerate(values)]
 
     def compare(self, sample) -> list:
         batch, scalar = self.batch(sample), self.scalar(sample)
@@ -201,10 +189,10 @@ class BoundSeries:
         return scalar
 
 
-def sweep_series(bp, plans):
-    """The series of the sweep template of the shape of ``bp``, from
-    the shared sweep plans ``plans`` (the ``sweep_plans`` fixture)."""
-    return BoundSeries(_sweep(bp).template, plans(bp.N, bp.M, bp.ctx.zero_guard))
+def sweep_series(bp, plans, scalar_finish):
+    """The series of the sweep of the shape of ``bp``, from the shared sweep
+    plans ``plans`` (the ``sweep_plans`` fixture)."""
+    return BoundSeries(plans(bp.N, bp.M, bp.ctx.zero_guard), scalar_finish)
 
 
 def sample(bp):
@@ -212,19 +200,19 @@ def sample(bp):
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_every_series_of_every_sweep_equals_the_scalar_reduction(N, sweep_plans):
+def test_every_series_of_every_sweep_equals_the_scalar_reduction(N, sweep_plans, scalar_finish):
     # One sweep holds the items of the direct and the dual checks.
     rng = np.random.default_rng([31337, N])
     for M in range(3):
         series = None
         for _ in range(3):
             bp = BiorthParams(N, draw_lambda(rng), M, draw_lambda(rng), draw_z(rng), draw_context(rng))
-            series = series or sweep_series(bp, sweep_plans)
+            series = series or sweep_series(bp, sweep_plans, scalar_finish)
             results = series.compare(sample(bp))
             assert any(not isinstance(r, str) and r[2] > 1 for r in results)
 
 
-def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch, sweep_plans):
+def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch, sweep_plans, scalar_finish):
     # The level-8 table at seed 20240 redraws twice on a series overflow.
     failed = []
 
@@ -241,22 +229,22 @@ def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch, sweep_pl
     table = suites.biorth_table(suites.RunConfig(seed=20240), 8, 1, 2, False)
     assert (table["samples"], table["rejected"]) == (2, 0)
     assert [msg for _, msg in failed] == [OUT_OF_RANGE] * 2
-    series = sweep_series(failed[0][0], sweep_plans)
+    series = sweep_series(failed[0][0], sweep_plans, scalar_finish)
     for bp, _ in failed:
         assert OUT_OF_RANGE in series.compare(sample(bp))
 
 
-def test_a_draw_on_theta_zeros_trips_the_guards_as_the_scalar_path(sweep_plans):
+def test_a_draw_on_theta_zeros_trips_the_guards_as_the_scalar_path(sweep_plans, scalar_finish):
     # q^(2 Λ) = p: theta(a1) and denominator factors of some series vanish.
     ctx = ThetaContext(0.2, 0.7)
     lam = math.log(ctx.p) / (2 * math.log(ctx.q))
     for N in (2, 4):
         bp = BiorthParams(N, complex(lam, 0.0), 1, 0.3 - 0.2j, 1.2 + 0.5j, ctx)
-        results = sweep_series(bp, sweep_plans).compare(sample(bp))
+        results = sweep_series(bp, sweep_plans, scalar_finish).compare(sample(bp))
         assert DEN_GUARD in results and A1_GUARD in results
 
 
-def test_a_denominator_factor_trips_its_guard_before_theta_a1():
+def test_a_denominator_factor_trips_its_guard_before_theta_a1(scalar_finish):
     # Series over records, bound where q^(2 Λ) = p, a zero of theta: the
     # first trips both guards, a denominator factor first; the second only
     # the theta(a1) guard; the third only a denominator guard.  The fourth
@@ -275,7 +263,7 @@ def test_a_denominator_factor_trips_its_guard_before_theta_a1():
     ]
     bound = ThetaContext(0.2, 0.7)
     lam = math.log(bound.p) / (2 * math.log(bound.q))
-    series = BoundSeries(Template(plans), plans)
+    series = BoundSeries(plans, scalar_finish)
     results = series.compare((bound, complex(lam, 0.0), 0.3 - 0.2j, 1.2 + 0.5j))
     assert results[:4] == [DEN_GUARD, A1_GUARD, DEN_GUARD, DEN_ZERO]
     assert not isinstance(results[4], str)

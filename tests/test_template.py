@@ -38,9 +38,10 @@ from ellu2.biorth import (
     weight_w2,
 )
 from ellu2.sampling import draw_context, draw_lambda, draw_z
-from ellu2.series import A1_GUARD, _Series
+from ellu2.series import A1_GUARD, _Series, vwp_plan
 from ellu2.theta import (
     DEN_GUARD,
+    ERRORS,
     LAM,
     OMEGA,
     Z,
@@ -53,8 +54,11 @@ from ellu2.theta import (
     ThetaContext,
     ThetaProduct,
     combine,
+    error,
     garg,
     known,
+    qarg,
+    theta_vec,
 )
 
 biorth_mod = importlib.import_module("ellu2.biorth")
@@ -190,8 +194,8 @@ def test_single_items_are_bit_identical_to_the_sweep(N, M):
             for l in range(N + 1):
                 check(bp, k, l, cache)
     # The sweep holds exactly the sweep keys, finished once for both sums.
-    sweep, values, failed = cache.items(bp)
-    assert list(sweep.template.plans) == _sweep_keys(N) and not failed
+    sweep, values, codes = cache.items(bp)
+    assert list(sweep.template.plans) == _sweep_keys(N) and not codes.any()
     swept = dict(zip(sweep.template.plans, values))
     for key, value in swept.items():
         assert hexes(_item(bp, key)) == hexes(value), key
@@ -203,14 +207,10 @@ def test_single_items_are_bit_identical_to_the_sweep(N, M):
     assert hexes(c_det_product(bp)) == hexes(swept["cd",])
 
 
-def bound_bits(x):
-    """The bits of one entry of a bound plan: a number, a series result
-    (value, max term, count) or the message of a failure."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, tuple):
-        return hexes(x[0]), x[1].hex(), x[2]
-    return hexes(x)
+def failures(codes):
+    """The error of each failing plan by position, from one draw's failure
+    codes (``Template.bind_all``)."""
+    return {i: error(c) for i, c in enumerate(codes.tolist()) if c}
 
 
 def finished_bits(values, failed):
@@ -221,17 +221,16 @@ def finished_bits(values, failed):
 
 
 def bound_together(template, draws):
-    """For each of ``draws``, bound together: the bits of every entry of
-    every plan (``bound_bits``), and of every plan ``bind_all`` finishes,
-    with its failures."""
-    values, failed = template.bind_all(draws)
-    sources = template._bind(draws, template._sources)
+    """For each of ``draws``, bound together: the bits and failure code of
+    every source the plans are finished from (``Template._bind``), and the
+    bits of every plan ``bind_all`` finishes, with its failures."""
+    values, codes = template.bind_all(draws)
+    re, im, code = template._bind(draws, template._sources)
     out = []
     for d in range(len(draws)):
-        entries = []
-        for i in range(len(template._skeletons)):
-            entries += map(bound_bits, template._entries(sources, i, d))
-        out.append((entries, finished_bits(values[d].tolist(), failed[d])))
+        sources = list(zip(map(float.hex, re[:, d].tolist()), map(float.hex, im[:, d].tolist())))
+        sources = list(zip(sources, code[:, d].tolist()))
+        out.append((sources, finished_bits(values[d].tolist(), failures(codes[d]))))
     return out
 
 
@@ -244,12 +243,13 @@ def drawn(rng, N, M, count):
     return bps
 
 
-def assert_bound_together_as_alone(template, draws, skeleton_finish):
+def assert_bound_together_as_alone(template, plans, draws, scalar_finish):
     """Each of ``draws`` bound with the others, in batches of 1, 2 and 10,
-    gets the bits of its entries bound alone, and finishes every plan as
-    alone; alone, each plan finishes as its skeleton finishes it."""
+    gets the bits of its sources bound alone, and finishes every plan as
+    alone; alone, each plan finishes as ``plans``, those ``template`` was
+    compiled from, finish by their own scalar ``finish``."""
     alone = [bound_together(template, [draw])[0] for draw in draws]
-    for (_, finished), (values, failed) in zip(alone, skeleton_finish(template, draws)):
+    for (_, finished), (values, failed) in zip(alone, scalar_finish(plans, draws)):
         assert finished == finished_bits(values, failed)
     for K in (1, 2, 10):
         for start in range(0, len(draws), K):
@@ -262,42 +262,44 @@ def bound_draws(bps):
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_draws_bound_together_are_bit_identical_to_draws_bound_alone(N, skeleton_finish):
+def test_draws_bound_together_are_bit_identical_to_draws_bound_alone(N, sweep_plans, scalar_finish):
     rng = np.random.default_rng([271828, N])
     for M in range(3):
         bps = drawn(rng, N, M, 10)
         template = biorth_mod._sweep(bps[0]).template
-        assert_bound_together_as_alone(template, bound_draws(bps), skeleton_finish)
+        assert_bound_together_as_alone(template, sweep_plans(N, M), bound_draws(bps), scalar_finish)
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_the_array_finish_equals_the_skeleton_finish(N, skeleton_finish):
+def test_the_array_finish_equals_the_skeleton_finish(N, sweep_plans, scalar_finish):
     # Every item of every sweep shape at N, M <= 2 (the items of the direct
     # and the dual sums), ten draws finished together on arrays: the values
-    # and the failures, positions, types and messages, of the skeletons
-    # finishing each item one by one.
+    # and the failures, positions, types and messages, of each item's plan
+    # finished one by one by its scalar ``finish``.
     rng = np.random.default_rng([141421, N])
     for M in range(3):
         draws = bound_draws(drawn(rng, N, M, 10))
         template = biorth_mod._sweep(params(N, M)).template
-        values, failed = template.bind_all(draws)
-        want = skeleton_finish(template, draws)
-        assert [finished_bits(v.tolist(), f) for v, f in zip(values, failed)] == [
+        values, codes = template.bind_all(draws)
+        want = scalar_finish(sweep_plans(N, M), draws)
+        assert [finished_bits(v.tolist(), failures(c)) for v, c in zip(values, codes)] == [
             finished_bits(v, f) for v, f in want
         ]
 
 
 @pytest.mark.parametrize("seed,N,count", [(20240, 8, 4), (3164770343, 6, 3)])
-def test_the_pinned_failing_draws_bound_together_are_bit_identical(seed, N, count, skeleton_finish):
+def test_the_pinned_failing_draws_bound_together_are_bit_identical(
+    seed, N, count, sweep_plans, scalar_finish
+):
     # The draws of the direct table at (seed, N, M = 1, 2 samples), redrawn
     # ones included: at seed 20240 a series of the level-8 sweep leaves the
     # double range in two of them, at seed 3164770343 a tau head of the
     # level-6 sweep underflows in one.
     bps = drawn(np.random.default_rng([seed, 200 + 10 * N + 1]), N, 1, count)
     template = biorth_mod._sweep(bps[0]).template
-    assert_bound_together_as_alone(template, bound_draws(bps), skeleton_finish)
-    _, failing = template.bind_all(bound_draws(bps))
-    assert sum(map(bool, failing)) == count - 2
+    assert_bound_together_as_alone(template, sweep_plans(N, 1), bound_draws(bps), scalar_finish)
+    _, codes = template.bind_all(bound_draws(bps))
+    assert codes.any(axis=1).sum() == count - 2
 
 
 def test_a_reduction_without_an_array_form_is_refused_at_compile():
@@ -314,19 +316,62 @@ def test_a_reduction_without_an_array_form_is_refused_at_compile():
     assert abs(values[0, 0] - want) <= 1e-15 * abs(want)
 
 
-def test_a_division_by_zero_fails_as_the_skeleton_finish(skeleton_finish):
-    # Python raises where the arrays give NaN: the array finish flags the
-    # plan, and its skeleton raises.
+def test_a_division_by_zero_fails_as_the_skeleton_finish(scalar_finish):
+    # Python raises where the arrays give NaN: the array finish fails the
+    # plan with the error the plan's scalar finish raises.
     ctx = TemplateContext()
-    template = Template([
+    plans = [
         ("by zero", combine(ctx, [known(ctx, 0j), known(ctx, Z)], _over)),
         ("of zero", combine(ctx, [known(ctx, Z), known(ctx, 0j)], _over)),
-    ])
+    ]
     draw = (ThetaContext(0.12, 0.67), 0.8 + 0.4j, 0.3 - 0.2j, 1.2 + 0.5j)
-    values, (failed,) = template.bind_all([draw])
+    values, (codes,) = Template(plans).bind_all([draw])
+    failed = failures(codes)
     assert list(failed) == [0] and type(failed[0]) is ZeroDivisionError
-    [(want, want_failed)] = skeleton_finish(template, [draw])
+    [(want, want_failed)] = scalar_finish(plans, [draw])
     assert finished_bits(values[0].tolist(), failed) == finished_bits(want, want_failed)
+
+
+def test_each_failure_code_is_the_error_python_raises():
+    # A failure code stands for the error the scalar finish raises at the
+    # same values: Python's own at its arithmetic, the messages of
+    # ``ThetaProduct.finish`` and ``_Series.finish`` at their guards and
+    # range checks.  A Python that rewords an error fails here, rather than
+    # change what the reports raise unnoticed.
+    def raised(fn, *args):
+        with pytest.raises(ArithmeticError) as got:
+            fn(*args)
+        return type(got.value), str(got.value)
+
+    ctx = ThetaContext(0.12, 0.67)
+    guarded = ThetaProduct(ctx).theta(garg(1.3 + 0.2j), inv=True)
+    too_big = ThetaProduct(ctx, 1e300).theta(garg(1.3 + 0.2j))
+    series = vwp_plan(ctx, garg(1.1 + 0.3j), [qarg(-2), garg(0.7 - 0.4j)], [garg(0.9 + 0.2j)], 2)
+    vals = theta_vec(series.args, ctx).tolist()
+    # The layout of ``_Series.args`` over numbers: three numerator rows (a1
+    # first) and two denominator rows of n = 2 factors, the head of n + 1,
+    # then theta(a1).
+    den, head, a1 = 6, 10, 13
+
+    def changed(at, value):
+        return [value if i == at else v for i, v in enumerate(vals)]
+
+    pole = vwp_plan(ctx, garg(1.1 + 0.3j), [qarg(-2)], [qarg(-1)], 2)
+    python = [
+        raised(guarded.finish, [1e-20 + 0j]),
+        raised(too_big.finish, [1e300 + 0j]),
+        raised(series.finish, changed(head, complex(math.inf, 0.0))),
+        raised(series.finish, changed(a1, 1e-20 + 0j)),
+        raised(pole.finish, theta_vec(pole.args, ctx).tolist()),
+        raised(lambda: 1 / 0j),
+        raised(lambda: 1.0 / 0.0),
+        raised(abs, complex(1.5e308, 1.5e308)),
+    ]
+    assert raised(series.finish, changed(den, 1e-20 + 0j)) == python[0]
+    assert python == list(ERRORS[1:])
+    for code, (kind, message) in enumerate(ERRORS[1:], 1):
+        assert (type(error(code)), str(error(code))) == (kind, message)
+    assert len(ERRORS) <= np.iinfo(np.int8).max
 
 
 def test_plans_at_two_zero_guards_finish_as_in_templates_of_their_own():
@@ -344,9 +389,9 @@ def test_plans_at_two_zero_guards_finish_as_in_templates_of_their_own():
 
     def bound(items):
         template = Template(items)
-        values, (failed,) = template.bind_all([draw])
+        values, (codes,) = template.bind_all([draw])
         return {
-            key: finished_bits([values[0, i]], {0: failed[i]} if i in failed else {})
+            key: finished_bits([values[0, i]], failures(codes[i : i + 1]))
             for key, i in template.plans.items()
         }
 
@@ -358,7 +403,7 @@ def test_plans_at_two_zero_guards_finish_as_in_templates_of_their_own():
         assert alone[(0.0, i)][1] == {}
 
 
-def test_guard_failures_bound_together_are_those_bound_alone(skeleton_finish):
+def test_guard_failures_bound_together_are_those_bound_alone(sweep_plans, scalar_finish):
     # q^(2 Λ) = p puts zeros of theta at some series' theta(a1) and at
     # denominators of series and products: draws there, bound with generic
     # ones, fail where and as they fail bound alone.
@@ -369,10 +414,10 @@ def test_guard_failures_bound_together_are_those_bound_alone(skeleton_finish):
         bps = drawn(rng, N, 1, 3)
         bps[1:1] = [BiorthParams(N, lam, 1, om, 1.2 + 0.5j, ctx) for om in (0.3 - 0.2j, 0.7j)]
         template = biorth_mod._sweep(bps[0]).template
-        assert_bound_together_as_alone(template, bound_draws(bps), skeleton_finish)
-        _, failed = template.bind_all(bound_draws(bps))
-        messages = {str(exc) for exc in failed[1].values()}
-        assert {DEN_GUARD, A1_GUARD} <= messages and failed[2]
+        assert_bound_together_as_alone(template, sweep_plans(N, 1), bound_draws(bps), scalar_finish)
+        _, codes = template.bind_all(bound_draws(bps))
+        messages = {str(exc) for exc in failures(codes[1]).values()}
+        assert {DEN_GUARD, A1_GUARD} <= messages and codes[2].any()
 
 
 def mp_theta(x, p):

@@ -24,7 +24,11 @@ all computed in one process:
   can hide a last-bit change of a value; this line does not;
 - the tensor residuals (``tensor_residuals``): ``float.hex`` of every
   residual of ``check_coproduct`` and ``check_tensor_relation`` at seeded
-  draws, each unfolded, for the same reason.
+  draws, each unfolded, for the same reason;
+- the failing plans (``failing_plans``): the draw, plan position, error type
+  and message of every plan ``Template.bind_all`` fails on the biorth sweeps
+  at N = 18 and 20, where range failures are common.  Reports show only
+  the first error of a check; this line shows every one.
 
 Each ``ellu2`` command's digest is of what it writes to stdout.  Run it on
 two checkouts and compare the lines: equal lines mean equal report bytes.
@@ -38,14 +42,16 @@ import io
 
 import numpy as np
 
+from ellu2.biorth import BiorthParams, _sweep
 from ellu2.cli import main
 from ellu2.corep import check_coproduct, check_tensor_relation
 from ellu2.rep import RepContext, relation_inventory
 from ellu2.rmatrix import qdybe_residual, r_entries
 from ellu2.series import SeriesSpec, eval_omega
-from ellu2.sampling import draw_lambda, draw_z
-from ellu2.suites import RunConfig, _rep_draw, biorth_table, canonical_json, corep_table, run_report
-from ellu2.theta import PoleError, ThetaContext, garg, qarg, theta, theta_vec
+from ellu2.sampling import draw_context, draw_lambda, draw_z
+from ellu2.suites import AHEAD, RunConfig, _rep_draw, biorth_table, canonical_json, corep_table
+from ellu2.suites import run_report
+from ellu2.theta import PoleError, ThetaContext, error, garg, qarg, theta, theta_vec
 
 BATTERY = ["theta", "series", "relations", "unitarity", "biorth", "dual-biorth"]
 LEVEL_TABLE_SEEDS = (20240, 3164770343)
@@ -54,6 +60,7 @@ KERNEL_SEED = 20240
 KERNEL_NOMES = (0.05, 0.12, 0.175, 0.3)
 KERNEL_BATCHES = (1, 8, 64, 1024)
 TENSOR_SEEDS = (20240, 7)
+FAILURE_LEVELS = (18, 20)
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -138,6 +145,32 @@ def tensor_residuals() -> str:
     return "\n".join(lines)
 
 
+def failing_plans() -> str:
+    """One line per plan that ``Template.bind_all`` fails, sorted: N, table,
+    draw, plan position, error type and message.  The draws are those a
+    two-sample direct or dual biorth table at N = 18 and 20, M = 1, seed
+    20240 can make (``2 * max_redraws``), drawn as the tables draw them and
+    bound ``AHEAD`` at a time, as the tables bind them."""
+    cfg, M = RunConfig(seed=20240), 1
+    failing = []
+    for N in FAILURE_LEVELS:
+        for dual in (False, True):
+            rng = np.random.default_rng([cfg.seed, (500 if dual else 200) + 10 * N + M])
+            bps = []
+            for _ in range(2 * cfg.max_redraws):
+                ctx = draw_context(rng)
+                bps.append(BiorthParams(N, draw_lambda(rng), M, draw_lambda(rng), draw_z(rng), ctx))
+            template = _sweep(bps[0]).template
+            for start in range(0, len(bps), AHEAD):
+                draws = [(bp.ctx, bp.Lam, bp.omega, bp.z) for bp in bps[start : start + AHEAD]]
+                _, codes = template.bind_all(draws)
+                for d, i in zip(*np.nonzero(codes)):
+                    exc = error(codes[d, i])
+                    table = "dual" if dual else "direct"
+                    failing.append((N, table, start + int(d), int(i), type(exc).__name__, str(exc)))
+    return "\n".join(" ".join(map(str, f)) for f in sorted(failing))
+
+
 def _round_seed(i: int) -> int:
     """The seed of the corep tables of levels round i at seed 20240, as the
     benchmark derives it."""
@@ -170,6 +203,7 @@ def reports():
     with np.errstate(all="ignore"):
         yield "kernel values", kernel_values()
     yield "tensor residuals", tensor_residuals()
+    yield "failing plans at N = 18, 20", failing_plans()
 
 
 if __name__ == "__main__":
