@@ -67,7 +67,6 @@ from .theta import (
     ThetaContext,
     ThetaProduct,
     TrackedArg,
-    _Result,
     _c_abs,
     _c_div,
     _c_mul,
@@ -78,7 +77,6 @@ from .theta import (
     garg,
     known,
     qarg,
-    shared_skeleton,
     theta_condition,
 )
 
@@ -141,14 +139,18 @@ class SeriesSpec:
                 return f"unbalanced: exact exponent defect {lhs - rhs}"
             return None
         ctx = self.ctx
+        unchecked = "balance not checked: parameter product beyond double precision range"
         prod = np.prod([u.value(ctx) for u in self.upper])
-        target = self.a1.value(ctx) ** (r - 3) * ctx.qpow(2 * (r - 5))
+        try:
+            target = self.a1.value(ctx) ** (r - 3) * ctx.qpow(2 * (r - 5))
+        except OverflowError:  # Python's complex power raises where numpy gives inf
+            return unchecked
         if target == 0:
             return "unbalanced: degenerate target"
         ratio = prod * prod / target
         mag = abs(ratio)
         if not np.isfinite(mag):
-            return "balance not checked: parameter product beyond double precision range"
+            return unchecked
         if mag == 0:
             return "unbalanced: vanishing parameter product"
         tshift = round(-np.log(mag) / np.log(ctx.p))
@@ -325,12 +327,6 @@ class _Series(Plan):
             raise PoleError(OUT_OF_RANGE)
         return out
 
-    def template_args(self) -> list:
-        return [self]
-
-    def skeleton(self, pool: dict) -> Plan:
-        return shared_skeleton(pool, (_Series,), _Result)
-
     @staticmethod
     def batch(record, theta, guard: float) -> "_Batch":
         """The program that reduces the series of a template together."""
@@ -353,7 +349,7 @@ class _Batch:
     an exact 0j divisor, a modulus beyond range) fails its series, as a
     raise or a non-finite term fails the scalar reduction.
 
-    A template compiles its series one by one (``add``), as it lists its
+    A template compiles its series one by one (``add``), as it walks its
     plans, and ``close`` lays out the program, all int32 indices: ``rank``
     orders the series by decreasing live-term count; terms are laid out
     count position by count position (``widths``), so each term sum is a

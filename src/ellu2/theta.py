@@ -60,12 +60,14 @@ so lists records, for theta arguments, and ``Scalar`` records, for the
 scalars it multiplies by; whether a tracked argument vanishes exactly is
 derived from its record (``Rec.tracked``).  A record may also hold the
 spectral points z1 and z2 (``Z1``, ``Z2``) of a relation check, and their
-conjugates.  A ``Template`` compiles such plans once and binds them to many
-draws at once (``Template.bind_all``, its one entry: a single draw is a
-batch of one), with one ``theta_vec`` call per draw and without the vector
-cache, and finishes every plan at every draw in one pass over arrays (its
-docstring has the steps).  ``biorth`` and ``rep`` keep the templates of up
-to ``SHAPE_CAP`` shapes each (``kept_shape``).
+conjugates.  A ``Template`` compiles such plans once, in one walk of each
+plan, into programs of indices (a batch of its series, one of its theta
+products, and the finish program of its plans), and keeps no plan.  It
+binds them to many draws at once (``Template.bind_all``, its one entry: a
+single draw is a batch of one), with one ``theta_vec`` call per draw and
+without the vector cache, and finishes every plan at every draw in one pass
+over arrays (its docstring has the steps).  ``biorth`` and ``rep`` keep the
+templates of up to ``SHAPE_CAP`` shapes each (``kept_shape``).
 
 The caches hold exactly what was computed, so a cached value is
 bit-identical to a fresh one: a ``theta_vec`` element does not depend on the
@@ -140,7 +142,6 @@ __all__ = [
     "Scalar",
     "Template",
     "TemplateContext",
-    "shared_skeleton",
     "kept_shape",
     "binomial_plan",
     "combine",
@@ -815,29 +816,27 @@ class Template:
     """Plans built over records, compiled once and bound to many draws.
 
     ``plans`` gives (key, plan) pairs, each plan built with a
-    ``TemplateContext``; the arguments of each are records (theta of the
-    record) and ``Scalar`` entries (the record's value).  Compiling collects
-    the distinct records of all the plans as the rows of a small matrix of
-    exponents, and lists, plan after plan, where each argument's value will
-    be (``Plan.template_args``).  A series plan or a theta product, wherever
-    it sits in an item (a part of a joined plan, the scalar of a theta
-    product), takes one entry there, for its result: the template collects
-    the series and the products and compiles each kind, at each zero guard
-    its plans were built with, into one program of int32 indices
-    (``series._Batch``, ``_Products``).  Of each plan it then
-    keeps only the skeleton (``Plan.skeleton``), which holds no record;
-    equal skeletons are one object, shared through a pool that lives while
-    the template is compiled.  ``plans`` maps a key to the position of its
-    skeleton, and of the slice of the entries its plan owns.
+    ``TemplateContext``.  Compiling walks each plan once, node by node,
+    and compiles it into the finish program (``_Finish``) as it goes: a
+    ``Known`` number is a constant; a record scalar (``known`` of a record)
+    is listed, its record a row of a small matrix of exponents; a series
+    plan, or the own factors of a theta product, wherever it sits in a plan
+    (a part of a joined plan, the scalar of a theta product), is added to
+    the batch of its kind and zero guard, which compiles it into one
+    program of int32 indices (``series._Batch``, ``_Products``); and a
+    theta product or a joined plan is an operation on the values of its
+    parts.  The batches are closed once every plan is walked, and the
+    finish program is then laid out.  A plan of any other kind, or a joined
+    plan whose reduction has no array form (``array_form``), raises
+    ``TypeError``.  ``plans`` maps a key to the position of its plan.
 
     ``bind_all`` binds draws, all together: one matrix-vector product and
     one ``exp`` evaluate every record, one ``theta_vec`` call per draw the
     distinct theta arguments of that draw, and one pass over arrays each
-    reduces every series and every theta product.  The finish program
-    (``_Finish``), compiled from the skeletons at the first ``bind_all``,
-    then finishes every plan at every draw in one pass, and names the error
-    of each plan that fails by its failure code (``ERRORS``).  Every array
-    has one column per draw, and lives for the one call.
+    reduces every series and every theta product.  The finish program then
+    finishes every plan at every draw in one pass, and names the error of
+    each plan that fails by its failure code (``ERRORS``).  Every array has
+    one column per draw, and lives for the one call.
 
     Each record's value depends on its own row and draw only, and each
     series or product result, and each plan's value, on its own values
@@ -855,55 +854,94 @@ class Template:
         def theta_of(rec: Rec) -> int:
             return thetas.setdefault(record(rec), len(thetas))
 
-        # The entries' sources: the values of the records and theta
-        # arguments the plans list (keyed by record row and theta index),
-        # then the results of each batch; a batched plan's own values stay
-        # out of them.  ``gather`` maps each entry to its source.
-        listed_rows: dict = {}
-        listed_thetas: dict = {}
-        refs = array("i")
-        # A batch, and the positions in ``refs`` of its plans' entries, by
-        # the batch's maker (``type(plan).batch``) and zero guard.
+        # The entries the operations read, each an int: a record scalar's
+        # position among the listed records, ~ the index of a constant, or
+        # a slot for a batch result, set once its batch is closed.
+        listed: dict = {}
+        constants: dict = {}
+        entries = array("i")
+        # A batch, and the positions in ``entries`` of its results, by the
+        # batch's maker (``type(plan).batch``) and zero guard.
         batches: dict = {}
+        # The operations by group, (depth, form, series parts): the group's
+        # index, its count, and its operands, operation after operation,
+        # each an entry (>= 0) or ~ an operation; and each operation's
+        # group and place in it.
+        groups: dict = {}
+        group_of, place, items = array("i"), array("i"), array("i")
+
+        def entry(value: int) -> int:
+            entries.append(value)
+            return len(entries) - 1
+
+        def constant(number) -> int:
+            c = complex(number)
+            key = (c.real.hex(), c.imag.hex())
+            return entry(~constants.setdefault(key, (len(constants), c))[0])
+
+        def result(plan: Plan) -> int:
+            make, guard = type(plan).batch, plan.ctx.zero_guard
+            if (make, guard) not in batches:
+                batches[make, guard] = (make(record, theta_of, guard), array("i"))
+            batch, slots = batches[make, guard]
+            batch.add(plan)
+            slots.append(len(entries))
+            return entry(0)
+
+        def operation(form, series: tuple, depth: int, operands) -> tuple:
+            group = groups.setdefault((depth, form, series), [len(groups), 0, array("i")])
+            group_of.append(group[0])
+            place.append(group[1])
+            group[1] += 1
+            group[2].extend(operands)
+            return ~(len(place) - 1), depth
+
+        def node(plan: Plan) -> tuple:
+            """(entry or ~ operation, depth) of ``plan``; the depth is the
+            longest path down to an entry."""
+            kind = type(plan)
+            if kind is Known:
+                return constant(plan.number), 0
+            if kind is Plan and plan.finish is _first and type(plan.args[0]) is Scalar:
+                return entry(listed.setdefault(record(plan.args[0].rec), len(listed))), 0
+            if isinstance(plan, ThetaProduct):
+                scalar = plan.scalar
+                ref, depth = node(scalar) if isinstance(scalar, Plan) else (constant(scalar), 0)
+                form = _zeroed if plan.zeros > 0 else _scaled
+                return operation(form, (False, False), depth + 1, (ref, result(plan)))
+            if isinstance(plan, Joined):
+                form = _ARRAY_FORMS.get(plan.fn if kind is Joined else kind)
+                if form is None:
+                    raise TypeError(f"no array form for the reduction of {plan!r}")
+                parts = [node(part) for part in plan.parts]
+                # A series part: its batch result, which the form reads as it is.
+                series = tuple(hasattr(p, "batch") and not isinstance(p, ThetaProduct) for p in plan.parts)
+                depth = max((d for _, d in parts), default=0) + 1
+                return operation(form, series, depth, [r for r, _ in parts])
+            if hasattr(kind, "batch"):  # a series: its batch result, read as it is
+                return result(plan), 0
+            raise TypeError(f"a finish program takes no plan {plan!r}")
+
         self.plans: dict = {}
-        self._skeletons: list[Plan] = []
-        self._cuts = array("i", [0])
-        pool: dict = {}
         for key, plan in plans:
-            for a in plan.template_args():
-                if type(a) is Scalar:
-                    refs.append(listed_rows.setdefault(record(a.rec), len(listed_rows)))
-                elif type(a) is Rec:
-                    refs.append(~listed_thetas.setdefault(theta_of(a), len(listed_thetas)))
-                elif isinstance(a, Plan):
-                    make, guard = type(a).batch, a.ctx.zero_guard
-                    if (make, guard) not in batches:
-                        batches[make, guard] = (make(record, theta_of, guard), array("i"))
-                    batch, slots = batches[make, guard]
-                    batch.add(a)
-                    slots.append(len(refs))
-                    refs.append(0)  # set once the batch is compiled
-                else:
-                    raise TypeError(f"a template argument must be a record, not {a!r}")
-            self.plans[key] = len(self._skeletons)
-            self._skeletons.append(plan.skeleton(pool))
-            self._cuts.append(len(refs))
-        n = len(listed_rows)
-        gather = array("i", [r if r >= 0 else n + ~r for r in refs])
-        start = n + len(listed_thetas)
+            self.plans[key] = len(items)
+            items.append(node(plan)[0])
+        del node  # it refers to itself; the compile state goes with this call
+        # The sources of the finish program: the listed records, then the
+        # results of each batch.
+        gather = np.array(entries, dtype=np.intp)
+        constant_at = gather < 0
+        start = len(listed)
         self._starts = []
         for batch, slots in batches.values():
             batch.close()
-            for s, pos in enumerate(slots):
-                gather[pos] = start + batch.rank[s]
+            gather[np.asarray(slots)] = start + np.asarray(batch.rank)
             self._starts.append(start)
             start += len(slots)
+        gather[constant_at] = start + ~gather[constant_at]
         self._batches = [batch for batch, _ in batches.values()]
-        self._sources = start
-        self._gather = gather
-        self._program = None  # the finish program, compiled at the first ``bind_all``
-        self._listed_rows = np.array(list(listed_rows), dtype=np.intp)
-        self._listed_thetas = np.array(list(listed_thetas), dtype=np.intp)
+        self._listed_rows = np.array(list(listed), dtype=np.intp)
+        self._program = _Finish(gather, start, constants, groups, group_of, place, items)
         n = len(rows)
         cols = np.array(list(rows), dtype=float).reshape(n, len(Rec._fields)).T
         self._neg = np.flatnonzero(cols[5])
@@ -959,30 +997,21 @@ class Template:
         return th
 
     def _bind(self, draws: Sequence[tuple], size: int) -> tuple:
-        """(re, im, code): the entries' sources at each draw, one column per
-        draw, in the first rows of arrays of ``size`` rows: the records and
-        theta values the plans list, then the results of each batch
-        (``Reduced``), with their failure codes (0 for a record or a theta
-        value)."""
+        """(re, im, code): the sources of the finish program at each draw,
+        one column per draw, in the first rows of arrays of ``size`` rows:
+        the listed records, then the results of each batch (``Reduced``),
+        with their failure codes (0 for a record)."""
         e = self._records(draws)
         bound = Bound.of(e, self._thetas(draws, e))
         shape = (size, len(draws))
         re, im, code = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=np.int8)
-        rows, thetas = self._listed_rows, self._listed_thetas
-        n, t = len(rows), len(rows) + len(thetas)
-        re[:n], im[:n] = e.real[rows], e.imag[rows]
-        re[n:t], im[n:t] = bound.re[thetas], bound.im[thetas]
+        rows = self._listed_rows
+        re[: len(rows)], im[: len(rows)] = e.real[rows], e.imag[rows]
         for batch, start in zip(self._batches, self._starts):
             got = batch.reduce(bound)
             stop = start + len(got.re)
             re[start:stop], im[start:stop], code[start:stop] = got
         return re, im, code
-
-    def _finish(self) -> "_Finish":
-        """The finish program, compiled at its first use."""
-        if self._program is None:
-            self._program = _Finish(self)
-        return self._program
 
     def bind_all(self, draws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """Every plan finished at each of ``draws``: (values, codes), both by
@@ -996,7 +1025,7 @@ class Template:
         operation is elementwise or gathers along the first axis, so each
         draw's values and codes are what it gets bound alone, bit for bit.
         """
-        program = self._finish()
+        program = self._program
         return program.run(*self._bind(draws, program.size))
 
 
@@ -1131,6 +1160,11 @@ class Plan:
     ``finish(vals)`` reduces their ``theta_vec`` values, given in the same
     order.  Building a plan looks nothing up, so the plans of a whole check
     can be built first and their arguments looked up together (``combine``).
+
+    A template compiles a plan built over records by its type, not by its
+    ``finish`` (``Template``): a record scalar (``known`` of a record), a
+    ``Known`` number, a theta product, a joined plan whose reduction has an
+    array form, or a series.
     """
 
     __slots__ = ("ctx", "args", "finish")
@@ -1143,43 +1177,6 @@ class Plan:
     def value(self):
         """Look the arguments up in one ``theta_vec_cached`` call and reduce them."""
         return self.finish(theta_vec_cached(self.args, self.ctx))
-
-    def template_args(self) -> list:
-        """The entries a template lists for this plan: its arguments, except
-        that a series plan or a theta product stands in one entry for all of
-        its own (after the entries of a product's plan scalar), and a
-        template reduces its series and its products together
-        (``series._Batch``, ``_Products``)."""
-        return self.args
-
-    def skeleton(self, pool: dict) -> "Plan":
-        """A plan that finishes as this one does and holds no argument.
-
-        A template keeps skeletons once it has listed its plans' arguments;
-        equal skeletons are one object, kept in the template's ``pool``
-        (``shared_skeleton``).  An argument list is kept only as
-        placeholders of the same length, which a plan that holds this one as
-        its scalar reads.
-        """
-        n = len(self.args)
-        key = (Plan, self.ctx, self.finish, n)
-        return shared_skeleton(
-            pool, key, lambda: Plan(self.ctx, _placeholders(pool, n), self.finish)
-        )
-
-
-def _placeholders(pool: dict, n: int) -> list:
-    """A list of n Nones, one per length, shared by the skeletons: never changed."""
-    return shared_skeleton(pool, (list, n), lambda: [None] * n)
-
-
-def shared_skeleton(pool: dict, key: tuple, make):
-    """The skeleton kept in ``pool`` under ``key``, made by ``make()`` the first time."""
-    got = pool.get(key)
-    if got is None:
-        got = pool[key] = make()
-    return got
-
 
 def kept_shape(shapes: dict, shape: tuple, build):
     """What ``shapes`` keeps for ``shape``, else ``build()``, kept while
@@ -1218,9 +1215,6 @@ class Known(Plan):
 
     def finish(self, vals: list):
         return self.number
-
-    def skeleton(self, pool: dict) -> Plan:
-        return self
 
 
 _first = operator.itemgetter(0)
@@ -1264,8 +1258,9 @@ def combine(ctx: ThetaContext, parts: Sequence[Plan], fn) -> Plan:
 
 class Joined(Plan):
     """``combine``'s plan.  It keeps its parts and the cuts between their
-    arguments, and joins the arguments only when asked for them: a template
-    holds many joined plans, and each would otherwise keep a copy."""
+    arguments, and joins the arguments only when asked for them: a shape's
+    template is built from many joined plans, and each would otherwise keep
+    a copy."""
 
     __slots__ = ("parts", "cuts", "fn")
 
@@ -1285,28 +1280,9 @@ class Joined(Plan):
             out += part.args
         return out
 
-    def template_args(self) -> list:
-        out: list = []
-        for part in self.parts:
-            out += part.template_args()
-        return out
-
     def finish(self, vals: list[complex]):
         cuts = self.cuts
         return self.fn(*[part.finish(vals[a:b]) for part, a, b in zip(self.parts, cuts, cuts[1:])])
-
-    def skeleton(self, pool: dict) -> Plan:
-        parts = tuple(part.skeleton(pool) for part in self.parts)
-        # The cuts of the skeleton's arguments: a series takes one entry there.
-        cuts = (0, *accumulate(len(part.args) for part in parts))
-
-        def make() -> Joined:
-            out = object.__new__(type(self))
-            out.ctx, out.parts, out.cuts, out.fn = self.ctx, parts, cuts, self.fn
-            return out
-
-        return shared_skeleton(pool, (type(self), self.ctx, self.fn, cuts, parts), make)
-
 
 class ThetaProduct(Plan):
     """Deferred product of theta factors and plain scalars.
@@ -1407,73 +1383,30 @@ class ThetaProduct(Plan):
             raise PoleError(PRODUCT_RANGE)
         return out
 
-    def template_args(self) -> list:
-        """The product is one entry, for its batch result (``_Products``),
-        after the entries of a plan scalar."""
-        if isinstance(self.scalar, Plan):
-            return self.scalar.template_args() + [self]
-        return [self]
-
-    def skeleton(self, pool: dict) -> Plan:
-        scalar, zero = self.scalar, self.zeros > 0
-        if isinstance(scalar, Plan):
-            scalar = scalar.skeleton(pool)
-            key = (_Scaled, scalar, zero)
-        else:
-            # A number keys by its bits: 0j and -0j are equal, not the same.
-            key = (_Scaled, scalar.real.hex(), scalar.imag.hex(), zero)
-        return shared_skeleton(pool, key, lambda: _Scaled(scalar, zero))
-
     @staticmethod
     def batch(record, theta, guard: float) -> "_Products":
         """The program that reduces the theta products of a template together."""
         return _Products(theta, guard)
 
 
-class _Scaled(Plan):
-    """The skeleton of a theta product in a template: its arguments are
-    those of its scalar's skeleton, when the scalar is a plan, then the
-    batch result of the product's own factors; ``zero`` is whether exact
-    zeros survive.  The finish program compiles it (``_scaled``,
-    ``_zeroed``)."""
-
-    __slots__ = ("scalar", "zero")
-
-    def __init__(self, scalar: complex | Plan, zero: bool):
-        self.ctx, self.scalar, self.zero = None, scalar, zero
-        self.args = [None] * (len(scalar.args) + 1 if isinstance(scalar, Plan) else 1)
-
-
-class _Result(Plan):
-    """The skeleton of a series in a template: its one argument is the
-    series' batch result (``series._Batch``), which the finish program
-    reads as it is."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        self.ctx, self.args = None, [None]
-
-
 class _Finish:
     """The finish program of a template: every plan of it finished at every
-    draw at once, on split arrays, from the entries' sources.
+    draw at once, on split arrays, from the program's sources.
 
-    It is compiled from the skeletons, node by node: a record scalar
-    (``_first``) reads its entry, a ``Known`` number is a constant, a series
-    (``_Result``) reads its batch result, and a theta product (``_Scaled``)
-    and a joined plan are each an operation on the values of their parts, a
-    joined plan through the array form of its reduction (``array_form``).
-    Compiling a plan of any other kind, or a joined plan whose reduction has
-    no array form, raises ``TypeError``.
+    ``Template`` compiles it as it walks its plans: a record scalar reads
+    its entry, a ``Known`` number is a constant, a series reads its batch
+    result, and a theta product and a joined plan are each an operation on
+    the values of their parts, a theta product through ``_scaled`` or
+    ``_zeroed`` on its scalar and its batch result, a joined plan through
+    the array form of its reduction (``array_form``).
 
     The values are the rows of three arrays (real and imaginary parts, and
-    failure codes), by row and draw: the entries' sources
-    (``Template._bind``), the constants, then the results of the
-    operations.  The operations of one kind at one depth (the longest path
-    down to a source) are one group; it gathers its operands with one row
-    of indices per part (``operands``), and writes one run of rows.
-    ``items`` holds the row of each plan's value.
+    failure codes), by row and draw: the ``sources`` (``Template._bind``),
+    the constants, then the results of the operations.  The operations of
+    one kind at one depth (the longest path down to an entry) are one
+    group; it gathers its operands with one row of indices per part
+    (``operands``), and writes one run of rows.  ``items`` holds the row of
+    each plan's value.
 
     Each value carries the failure code of the error its scalar finish
     raises (``_Split.code``), as that finish meets them: a theta product
@@ -1486,69 +1419,36 @@ class _Finish:
 
     __slots__ = ("size", "sources", "constants", "groups", "operands", "items")
 
-    def __init__(self, template: Template):
-        gather, sources = template._gather, template._sources
-        constants: dict = {}
-        groups: dict = {}
-
-        def constant(number) -> int:
-            c = complex(number)
-            key = (c.real.hex(), c.imag.hex())
-            return sources + constants.setdefault(key, (len(constants), c))[0]
-
-        def operation(form, series: tuple, depth: int, operands: list) -> tuple:
-            """An operation's (group, position) and depth; its row is laid out below."""
-            group = groups.setdefault((depth, form, series), [])
-            group.append(operands)
-            return ((depth, form, series), len(group) - 1), depth
-
-        def node(sk: Plan, at: int) -> tuple:
-            """(row or operation, depth) of skeleton ``sk``, whose entries start at ``at``."""
-            kind = type(sk)
-            if kind is Known:
-                return constant(sk.number), 0
-            if kind is _Result or (kind is Plan and sk.finish is _first):
-                return gather[at], 0
-            if kind is _Scaled:
-                if isinstance(sk.scalar, Plan):
-                    scalar, depth = node(sk.scalar, at)
-                else:
-                    scalar, depth = constant(sk.scalar), 0
-                product = gather[at + len(sk.args) - 1]
-                form = _zeroed if sk.zero else _scaled
-                return operation(form, (False, False), depth + 1, [scalar, product])
-            if isinstance(sk, Joined):
-                form = _ARRAY_FORMS.get(sk.fn if kind is Joined else kind)
-                if form is None:
-                    raise TypeError(f"no array form for the reduction of {sk!r}")
-                parts = [node(part, at + cut) for part, cut in zip(sk.parts, sk.cuts)]
-                series = tuple(type(part) is _Result for part in sk.parts)
-                depth = max((d for _, d in parts), default=0) + 1
-                return operation(form, series, depth, [r for r, _ in parts])
-            raise TypeError(f"a finish program takes no plan {sk!r}")
-
-        items = [node(sk, at)[0] for sk, at in zip(template._skeletons, template._cuts)]
-        first: dict = {}
-
-        def row(ref) -> int:
-            return ref if type(ref) is int else first[ref[0]] + ref[1]
-
+    def __init__(self, gather, sources: int, constants: dict, groups: dict, group_of, place, items):
+        """Lay out the program ``Template`` compiled: ``gather`` maps each
+        entry to its row, and an operation's row is its group's first row
+        plus its ``place`` in the group (``Template.__init__`` has the rest)."""
         # The groups by depth, in order of first use within a depth; each
         # reads rows of lower depths only.  A group: its first row, its
         # count, its number of parts, its form and series parts, and where
         # its operands start, part after part.
-        start, operands, self.groups = sources + len(constants), [], []
-        for key in sorted(groups, key=lambda key: key[0]):
-            refs = groups[key]
-            first[key] = start
-            self.groups.append((start, len(refs), len(refs[0]), *key[1:], len(operands)))
-            operands += [row(r) for part in zip(*refs) for r in part]
-            start += len(refs)
+        start, at, refs, self.groups = sources + len(constants), 0, [], []
+        first = np.empty(len(groups), dtype=np.intp)
+        for (_, form, series), (g, count, ops) in sorted(groups.items(), key=lambda kv: kv[0][0]):
+            first[g] = start
+            self.groups.append((start, count, len(series), form, series, at))
+            refs.append(np.asarray(ops).reshape(count, len(series)).T.ravel())
+            start += count
+            at += len(ops)
+        op_rows = first[np.asarray(group_of)] + np.asarray(place)
+
+        def rows(refs) -> np.ndarray:
+            out = np.array(refs, dtype=np.intp)
+            op = out < 0
+            out[~op] = gather[out[~op]]
+            out[op] = op_rows[~out[op]]
+            return out
+
         self.size = start
         self.sources = sources
         self.constants = np.array([c for _, c in constants.values()], dtype=complex)
-        self.operands = _indices(operands, start)
-        self.items = _indices([row(r) for r in items], start)
+        self.operands = _indices(rows(np.concatenate(refs)) if refs else [], start)
+        self.items = _indices(rows(items), start)
 
     def run(self, re: np.ndarray, im: np.ndarray, code: np.ndarray) -> tuple:
         """(values, codes), both by draw and plan, from the entries' sources

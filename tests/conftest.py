@@ -14,7 +14,17 @@ import pytest
 from hypothesis import settings
 
 from ellu2.biorth import _ITEMS, BiorthParams, _sweep_keys
-from ellu2.theta import LAM, OMEGA, Z, Plan, Template, TemplateContext, ThetaContext
+from ellu2.theta import (
+    LAM,
+    OMEGA,
+    Z,
+    Scalar,
+    Template,
+    TemplateContext,
+    ThetaContext,
+    known,
+    theta_vec,
+)
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -56,27 +66,41 @@ def sweep_plans():
 
 def plain_values(plans, draws, kept: dict) -> list:
     """For each of ``draws``, the values of the arguments of each plan of
-    ``plans`` ((key, plan) pairs built over records), bound plainly: the
-    theta value of each theta argument and the value of each ``Scalar``
-    record, by a template of plans that only list them.  ``kept`` keeps the
-    templates of the last plans bound, by the plans' identity: the shared
-    sweep plans are bound by many tests."""
+    ``plans`` ((key, plan) pairs built over records), bound plainly: each
+    distinct record of the plans is a record scalar (``known``) of one
+    template, which gives the value of each ``Scalar`` record, and each
+    theta argument takes ``theta_vec`` of its record's value at the draw's
+    context, as a bound template does (an element of ``theta_vec`` does not
+    depend on the rest of its batch).  ``kept`` keeps the templates of the
+    last plans bound, by the plans' identity: the shared sweep plans are
+    bound by many tests."""
     got = kept.pop(id(plans), None)
     if got is None:
-        plain = Template((i, Plan(plan.ctx, plan.args, list)) for i, (_, plan) in enumerate(plans))
-        rows = [plain._gather[a:b].tolist() for a, b in zip(plain._cuts, plain._cuts[1:])]
-        got = (plans, plain, rows)
+        records: dict = {}
+        thetas: dict = {}
+        # Each argument: its record's position, or ~ its theta argument's.
+        rows = [
+            [
+                records.setdefault(a.rec, len(records))
+                if type(a) is Scalar
+                else ~thetas.setdefault(records.setdefault(a, len(records)), len(thetas))
+                for a in plan.args
+            ]
+            for _, plan in plans
+        ]
+        ctx = TemplateContext()
+        plain = Template((i, known(ctx, rec)) for i, rec in enumerate(records))
+        got = (plans, plain, np.array(list(thetas), dtype=np.intp), rows)
     kept[id(plans)] = got  # kept with the plans, so that their id stays theirs
     while len(kept) > 8:
         kept.pop(next(iter(kept)))
-    _, plain, rows = got
-    re, im, _ = plain._bind(draws, plain._sources)
+    _, plain, thetas, rows = got
+    values, _ = plain.bind_all(draws)
     out = []
-    for d in range(len(draws)):
-        column = np.empty(len(re), dtype=complex)
-        column.real, column.imag = re[:, d], im[:, d]
-        flat = column.tolist()
-        out.append([[flat[r] for r in at] for at in rows])
+    for draw, recs in zip(draws, values):
+        th = theta_vec(recs[thetas], draw[0]).tolist() if len(thetas) else []
+        flat = recs.tolist()
+        out.append([[flat[r] if r >= 0 else th[~r] for r in at] for at in rows])
     return out
 
 

@@ -235,6 +235,8 @@ def test_check_biorth_table(capsys):
         ["eval", "theta", "--z", "1e-310", "--p", "0.5"],
         ["eval", "r-entries", "--z", "1e-320", "--lambda", "0.3"],
         ["eval", "omega", "--a1", "0.3", "--upper", "1e200,1e200,q^:-2", "--slot", "2"],
+        # A leading parameter whose power in the balancing check is beyond it.
+        ["eval", "omega", "--a1", "1e200", "--upper", "2,3,q^:-3", "--slot", "2"],
     ],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, argv):

@@ -30,10 +30,13 @@ from ellu2.series import (
 from ellu2.theta import (
     LAM,
     OMEGA,
+    Joined,
+    Plan,
     PoleError,
     Template,
     TemplateContext,
     ThetaContext,
+    ThetaProduct,
     error,
     garg,
     qarg,
@@ -148,9 +151,16 @@ def test_twin_equals_python_on_edge_cases():
 
 
 def batched(plan, kind):
-    """(offset, plan) of every entry of ``plan``'s template entries that is
-    a plan of ``kind``: the entries a template batches."""
-    return [(i, a) for i, a in enumerate(plan.template_args()) if isinstance(a, kind)]
+    """Every plan of ``kind`` in ``plan``, in the order a template walks
+    them: those in a theta product's plan scalar, and the parts of a joined
+    plan in order."""
+    if isinstance(plan, kind):
+        yield plan
+    elif isinstance(plan, ThetaProduct) and isinstance(plan.scalar, Plan):
+        yield from batched(plan.scalar, kind)
+    elif isinstance(plan, Joined):
+        for part in plan.parts:
+            yield from batched(part, kind)
 
 
 def hexes(result):
@@ -167,7 +177,7 @@ class BoundSeries:
     ``finish`` (``scalar_finish``)."""
 
     def __init__(self, plans, scalar_finish):
-        nodes = [node for _, plan in plans for _, node in batched(plan, _Series)]
+        nodes = [node for _, plan in plans for node in batched(plan, _Series)]
         self.nodes = list(enumerate(nodes))
         self.template = Template(self.nodes)
         self.scalar_finish = scalar_finish

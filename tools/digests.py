@@ -28,7 +28,14 @@ all computed in one process:
 - the failing plans (``failing_plans``): the draw, plan position, error type
   and message of every plan ``Template.bind_all`` fails on the biorth sweeps
   at N = 18 and 20, where range failures are common.  Reports show only
-  the first error of a check; this line shows every one.
+  the first error of a check; this line shows every one;
+- the compiled programs (``compiled_programs``): every array of every
+  template the battery and the levels compile (the biorth sweeps at
+  N = 1-8, M = 0-2, the corep towers at N = 1-6 of both plans, and the
+  compiled checks of the battery's suites): its record exponent columns,
+  its theta and listed-record indices, each batch's index arrays, and its
+  finish program.  A compiled template is data; two compiles of the same
+  shapes must emit the same programs.
 
 Each ``ellu2`` command's digest is of what it writes to stdout.  Run it on
 two checkouts and compare the lines: equal lines mean equal report bytes.
@@ -38,13 +45,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 
 import numpy as np
 
 from ellu2.biorth import BiorthParams, _sweep
 from ellu2.cli import main
-from ellu2.corep import check_coproduct, check_tensor_relation
+from ellu2.corep import _Tower, check_coproduct, check_tensor_relation, tau_plan, tau_tilde_plan
 from ellu2.rep import RepContext, relation_inventory
 from ellu2.rmatrix import qdybe_residual, r_entries
 from ellu2.series import SeriesSpec, eval_omega
@@ -171,6 +179,68 @@ def failing_plans() -> str:
     return "\n".join(" ".join(map(str, f)) for f in sorted(failing))
 
 
+# What a template keeps besides its batches and finish program.
+TEMPLATE_ARRAYS = ("_lam", "_om", "_c", "_re_z", "_im_z", "_neg", "_spectral", "_theta", "_listed_rows", "_starts")
+PROGRAM_ARRAYS = ("size", "sources", "constants", "groups", "operands", "items")
+
+
+def _feed(h, x) -> None:
+    """Every array, number and name in ``x`` into the hash ``h``: an array
+    by its dtype, shape and bytes, a function (a finish form) by its name."""
+    if isinstance(x, np.ndarray):
+        h.update(f"{x.dtype.str}{x.shape}".encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    elif isinstance(x, (list, tuple)):
+        h.update(b"(")
+        for y in x:
+            _feed(h, y)
+        h.update(b")")
+    elif callable(x) and hasattr(x, "__qualname__"):
+        h.update(x.__qualname__.encode())
+    else:
+        h.update(repr(x).encode())
+    h.update(b",")
+
+
+def template_digest(template) -> str:
+    """The sha256 of every array of a compiled template: its records, theta
+    and listed-record indices, its plans' positions, each batch's program
+    and the finish program."""
+    h = hashlib.sha256()
+    _feed(h, [getattr(template, name) for name in TEMPLATE_ARRAYS])
+    _feed(h, list(template.plans.items()))
+    for batch in template._batches:
+        slots = [name for name in type(batch).__slots__ if name != "_pending"]
+        _feed(h, [type(batch).__name__, *(getattr(batch, name) for name in slots)])
+    program = template._program
+    _feed(h, [getattr(program, name) for name in PROGRAM_ARRAYS])
+    return h.hexdigest()
+
+
+def compiled_programs() -> str:
+    """One line per template, with its ``template_digest``: the biorth sweeps
+    at N = 1-8, M = 0-2, the corep towers at N = 1-6 of ``tau_plan`` and
+    ``tau_tilde_plan`` (zero guard 1e-12), and the compiled checks of the
+    battery's suites at seed 20240, in the order the battery compiles them."""
+    lines = []
+    for N in range(1, 9):
+        for M in range(3):
+            bp = BiorthParams(N, 0.8 + 0.4j, M, 0.3 - 0.2j, 1.2 + 0.5j, ThetaContext(0.12, 0.67))
+            lines.append(f"biorth {N} {M} {template_digest(_sweep(bp).template)}")
+    for plan in (tau_plan, tau_tilde_plan):
+        for N in range(1, 7):
+            lines.append(f"corep {plan.__name__} {N} {template_digest(_Tower(plan, N, 1e-12).template)}")
+    rep = importlib.import_module("ellu2.rep")
+    kept, rep._SHAPES = rep._SHAPES, {}
+    try:
+        run_report(RunConfig(seed=20240), BATTERY)
+        for shape, check in rep._SHAPES.items():
+            lines.append(f"check {shape[0].__name__} {template_digest(check.template)}")
+    finally:
+        rep._SHAPES = kept
+    return "\n".join(lines)
+
+
 def _round_seed(i: int) -> int:
     """The seed of the corep tables of levels round i at seed 20240, as the
     benchmark derives it."""
@@ -204,6 +274,7 @@ def reports():
         yield "kernel values", kernel_values()
     yield "tensor residuals", tensor_residuals()
     yield "failing plans at N = 18, 20", failing_plans()
+    yield "compiled programs", compiled_programs()
 
 
 if __name__ == "__main__":
