@@ -9,10 +9,12 @@ independent oracle built by composing the raw single-letter actions.  The
 towers of the suites check the closed forms against both.  Their word
 action and closed side are compiled once per level over records, into one
 template, and bound once per sample (``closed_tower``); ``tau_product`` is
-the one side they evaluate over numbers.  ``tau_closed``,
-``tau_tilde_closed`` and ``rep.apply_word`` evaluate one element over
-numbers.  The tensor checks (``check_coproduct``, ``check_tensor_relation``)
-evaluate each leg once per call and point (``_leg``).
+the one side they evaluate over numbers, by one reader per sample and level
+(``product_tower``) that evaluates each shared prefactor and letter
+coefficient once.  ``tau_closed``, ``tau_tilde_closed`` and
+``rep.apply_word`` evaluate one element over numbers.  The tensor checks
+(``check_coproduct``, ``check_tensor_relation``) evaluate each leg once per
+call and point (``_leg``).
 ``gamma_factor`` supplies the diagonal normalization appearing in the
 inversion identity, checked word by word in ``check_unitarity`` and
 ``check_inversion_words``: their words are compiled once per level over
@@ -99,6 +101,7 @@ __all__ = [
     "tau_tilde_plan",
     "tau_tilde_closed",
     "tau_product",
+    "product_tower",
     "closed_tower",
     "gamma_plan",
     "gamma_factor",
@@ -344,38 +347,75 @@ def tau_tilde_closed(
 def tau_product(
     N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
 ) -> complex:
-    """Oracle for tau_closed built from products of single-letter coefficients."""
-    if m < 0:
-        raise ValueError("basis index must be >= 0")
-    if m + k - j < 0:
-        return 0.0 + 0.0j
+    """Oracle for tau_closed built from products of single-letter coefficients:
+    one read of a fresh ``product_tower``."""
+    return product_tower(N, lam, z, omega, ctx)(k, j, m)
+
+
+def product_tower(
+    N: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
+) -> Callable[[int, int, int], complex]:
+    """The reader of ``tau_product(N, k, j, m, lam, z, omega, ctx)`` by (k, j, m).
+
+    Each summand l of (k, j) is an m-independent prefactor (the two elliptic
+    binomials times four Pochhammer blocks) times a product of single-letter
+    coefficients, each at a letter, an index, a dynamical argument and the
+    point q^(2s) z.  The reader evaluates each prefactor once per (k, j, l),
+    each coefficient once per (letter, index, dynamical argument, s) and
+    each point once per s, by the same expressions in the same order as a
+    reader of one element, so every value keeps its bits.  A failure is not
+    kept: an element that raised raises again where it is read.  Like
+    ``_leg``, this sharing lives as long as the reader, which a caller keeps
+    for one check at one sample.
+    """
     qp = ctx.qpow
-    total = 0.0 + 0.0j
-    for l in range(max(0, k + j - N), min(k, j) + 1):
-        tp = ThetaProduct(
-            ctx, elliptic_binomial(k, l, ctx) * elliptic_binomial(N - k, j - l, ctx)
-        )
-        tp.poch(garg(qp(2 * (lam + N - k - 2 * j + l + 2))), l)
-        tp.poch(garg(qp(2 * (lam + N - 2 * j + 2))), l, inv=True)
-        tp.poch(garg(qp(2 * (lam + l - j + 2))), j - l)
-        tp.poch(garg(qp(2 * (lam + N - 2 * j - k + 2 * l + 2))), j - l, inv=True)
-        coeff = tp.value()
-        for n in range(j - l):
-            coeff *= coef_c(
-                m + k - l - n, lam - j + l + 1 + n, qp(2 * (n + N - k - j + l)) * z, omega, ctx
+    heads: dict = {}
+    letters: dict = {}
+    points: dict = {}
+
+    def head(k: int, j: int, l: int) -> complex:
+        got = heads.get((k, j, l))
+        if got is None:
+            tp = ThetaProduct(
+                ctx, elliptic_binomial(k, l, ctx) * elliptic_binomial(N - k, j - l, ctx)
             )
-        for n in range(N - j - k + l):
-            coeff *= coef_d(
-                m + k - l, lam + N - k - 2 * j + 2 * l - 1 - n, qp(2 * n) * z, omega, ctx
-            )
-        for n in range(l):
-            coeff *= coef_a(
-                m + k - l, lam + n + N - k - 2 * j + l + 1, qp(2 * (N - l + n)) * z, omega, ctx
-            )
-        for n in range(k - l):
-            coeff *= coef_b(m + n, lam + N - 2 * j - 1 - n, qp(2 * (n + N - k)) * z, omega, ctx)
-        total += coeff
-    return total
+            tp.poch(garg(qp(2 * (lam + N - k - 2 * j + l + 2))), l)
+            tp.poch(garg(qp(2 * (lam + N - 2 * j + 2))), l, inv=True)
+            tp.poch(garg(qp(2 * (lam + l - j + 2))), j - l)
+            tp.poch(garg(qp(2 * (lam + N - 2 * j - k + 2 * l + 2))), j - l, inv=True)
+            got = heads[(k, j, l)] = tp.value()
+        return got
+
+    def letter(coef, index: int, x: complex, s: int) -> complex:
+        key = (coef, index, x, s)
+        got = letters.get(key)
+        if got is None:
+            point = points.get(s)
+            if point is None:
+                point = points[s] = qp(2 * s) * z
+            got = letters[key] = coef(index, x, point, omega, ctx)
+        return got
+
+    def read(k: int, j: int, m: int) -> complex:
+        if m < 0:
+            raise ValueError("basis index must be >= 0")
+        if m + k - j < 0:
+            return 0.0 + 0.0j
+        total = 0.0 + 0.0j
+        for l in range(max(0, k + j - N), min(k, j) + 1):
+            coeff = head(k, j, l)
+            for n in range(j - l):
+                coeff *= letter(coef_c, m + k - l - n, lam - j + l + 1 + n, n + N - k - j + l)
+            for n in range(N - j - k + l):
+                coeff *= letter(coef_d, m + k - l, lam + N - k - 2 * j + 2 * l - 1 - n, n)
+            for n in range(l):
+                coeff *= letter(coef_a, m + k - l, lam + n + N - k - 2 * j + l + 1, N - l + n)
+            for n in range(k - l):
+                coeff *= letter(coef_b, m + n, lam + N - 2 * j - 1 - n, n + N - k)
+            total += coeff
+        return total
+
+    return read
 
 
 # The basis indices m < TOWER_M of the corepresentation towers.

@@ -61,8 +61,8 @@ from .corep import (
     check_unitarity,
     closed_tower,
     linear_independence_ratio,
+    product_tower,
     tau_plan,
-    tau_product,
     tau_tilde_plan,
 )
 from .rep import (
@@ -456,20 +456,18 @@ def _corep_tower(rc: RepContext, z: complex, n_level: int) -> dict[tuple[int, in
     ``tau_product`` and the closed form, over m < ``TOWER_M``.  The word
     action and the closed form are compiled once for the level and bound
     once at the draw (``corep.closed_tower``); ``tau_product`` is the one
-    side evaluated over numbers, afresh for each (k, j, m).  Each (k, j, m)
-    reads, or raises, its word action, then its ``tau_product``, then its
-    closed form, so the first error of a draw is the one a numeric tower
-    raises first."""
+    side evaluated over numbers, by one reader for the draw and level
+    (``corep.product_tower``), which evaluates each prefactor and letter
+    coefficient once.  Each (k, j, m) reads, or raises, its word action,
+    then its ``tau_product``, then its closed form, so the first error of a
+    draw is the one a numeric tower raises first."""
     tower = closed_tower(tau_plan, n_level, rc, z)
+    product = product_tower(n_level, rc.lam0, z, rc.omega, rc.ctx)
     out: dict[tuple[int, int], float] = {}
     for k in range(n_level + 1):
         for j in range(n_level + 1):
             out[(k, j)] = worst([
-                spread([
-                    tower(k, j, m, "word"),
-                    tau_product(n_level, k, j, m, rc.lam0, z, rc.omega, rc.ctx),
-                    tower(k, j, m),
-                ])
+                spread([tower(k, j, m, "word"), product(k, j, m), tower(k, j, m)])
                 for m in range(TOWER_M)
             ])
     return out

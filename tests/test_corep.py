@@ -30,7 +30,7 @@ from ellu2.rep import RepContext, apply_word, apply_word_scaled, relation_invent
 from ellu2.sampling import draw_z
 from ellu2.series import vwp_sum
 from ellu2.suites import RunConfig, _corep_tower, _rep_draw, run_suite
-from ellu2.theta import Rec, ThetaContext, ThetaProduct, qarg
+from ellu2.theta import PoleError, Rec, ThetaContext, ThetaProduct, qarg
 from ellu2.words import star
 
 corep_mod = importlib.import_module("ellu2.corep")
@@ -268,6 +268,87 @@ def test_the_tower_raises_where_its_numeric_word_side_raised(monkeypatch, seed, 
         _corep_tower(rc, z, 3)
     assert str(raised.value) == message
     assert reads[-1] == (*where, "word")
+
+
+def _hex_outcome(read, *key):
+    """``read(*key)`` as the ``float.hex`` of its parts, or the type and
+    message of the error it raises."""
+    got = _outcome(read, *key)
+    return got if isinstance(got, tuple) else (got.real.hex(), got.imag.hex())
+
+
+def test_the_shared_product_reader_is_the_single_call():
+    # 20 seeded draws at N = 1-6, every other one at a zero guard of 0.05, so
+    # that some guards fail.  Every (k, j, m) read from one reader per draw
+    # and level, in tower order and again in reverse order on a new reader,
+    # is the value of a fresh ``tau_product`` bit for bit, or the same error.
+    rng = np.random.default_rng(4711)
+    compared = failed = 0
+    for d in range(20):
+        rc = _rep_draw(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
+        z = draw_z(rng)
+        for N in range(1, 7):
+            keys = [(k, j, m) for k in range(N + 1) for j in range(N + 1) for m in range(TOWER_M)]
+            want = {
+                key: _hex_outcome(tau_product, N, *key, rc.lam0, z, rc.omega, rc.ctx)
+                for key in keys
+            }
+            for order in (keys, keys[::-1]):
+                read = corep_mod.product_tower(N, rc.lam0, z, rc.omega, rc.ctx)
+                for key in order:
+                    assert _hex_outcome(read, *key) == want[key], (d, N, key)
+            compared += sum(type(w[0]) is str for w in want.values())
+            failed += sum(type(w[0]) is type for w in want.values())
+    assert compared > 9_000 and failed > 1_000
+
+
+@pytest.mark.parametrize(
+    "seed, N, where, message",
+    [
+        # A letter's coefficient, at an item past the first.
+        (10, 3, (2, 1, 0), "representation coefficient denominator below zero guard"),
+        # An elliptic binomial of the prefactor of (0, 2).
+        (4, 4, (0, 2, 2), "denominator theta factor below zero guard"),
+    ],
+    ids=["coefficient", "prefactor"],
+)
+def test_the_tower_raises_where_its_product_side_raised(monkeypatch, seed, N, where, message):
+    # Pinned draws at zero guard 0.01.  No draw at N = 3-4 fails first on the
+    # product side: each of its letter coefficients is also one of the word
+    # side's at the same (k, j, m), which the tower reads first, and the
+    # prefactors it alone evaluates (those the word omits as identically
+    # one) fail only after an earlier item has.  So the compiled sides are
+    # replaced by ones that never fail, and the tower raises the error of the
+    # first ``tau_product`` that a loop of single calls finds, at its read.
+    rng = np.random.default_rng(seed)
+    rc = _rep_draw(RunConfig(), rng, zero_guard=0.01)
+    z = draw_z(rng)
+    assert _numeric_tower_failure(rc, z, N)[0][0] == "word"
+    first = None
+    for key in [(k, j, m) for k in range(N + 1) for j in range(N + 1) for m in range(TOWER_M)]:
+        got = _outcome(tau_product, N, *key, rc.lam0, z, rc.omega, rc.ctx)
+        if isinstance(got, tuple):
+            first = key, got
+            break
+    assert first == (where, (PoleError, message))
+    reads = []
+    bind = suites_mod.product_tower
+
+    def recorded(*args):
+        read = bind(*args)
+
+        def recording(*key):
+            reads.append(key)
+            return read(*key)
+
+        return recording
+
+    monkeypatch.setattr(suites_mod, "closed_tower", lambda *args: lambda *key: 1.0 + 0.0j)
+    monkeypatch.setattr(suites_mod, "product_tower", recorded)
+    with pytest.raises(PoleError) as raised:
+        _corep_tower(rc, z, N)
+    assert str(raised.value) == message
+    assert reads[-1] == where
 
 
 def test_level_one_is_the_generator_matrix(ctx, rng):

@@ -14,8 +14,11 @@ List the parent and change files in the order they ran, so that the i-th
 files of both lists are one pair.  For every metric the output gives the
 parent's and the change's values, median and quartiles, the relative change
 of the medians, and on how many pairs the change was better (the direction
-comes from BENCHMARK.json).  An existing ``--out`` file keeps its other
-workloads, so that one file can collect all of them.
+comes from BENCHMARK.json).  ``rss_per_round`` shows how much of a peak
+RSS move is rounds: the least-squares line of ``peak_rss_mb`` against the
+round count over all runs given, and the change's median RSS moved along
+it to the parent's median round count.  An existing ``--out`` file keeps
+its other workloads, so that one file can collect all of them.
 """
 
 from __future__ import annotations
@@ -68,6 +71,28 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def rss_per_round(parent: list[dict], change: list[dict]) -> dict | None:
+    """The least-squares slope (KB per round) and intercept (MB) of
+    ``peak_rss_mb`` against the round count over every run, and the
+    change's median ``peak_rss_mb`` moved along that slope from its median
+    round count to the parent's.  None where the runs fit one round count
+    only (or do not say how many), so that no line can be fit."""
+    runs = [(run["rounds"], run["metrics"]["peak_rss_mb"]["value"]) for run in parent + change]
+    if any(rounds is None for rounds, _ in runs) or len({rounds for rounds, _ in runs}) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(*zip(*runs))
+    parent_rounds = statistics.median(run["rounds"] for run in parent)
+    change_rounds = statistics.median(run["rounds"] for run in change)
+    change_rss = statistics.median(run["metrics"]["peak_rss_mb"]["value"] for run in change)
+    return {
+        "slope_kb_per_round": slope * 1024.0,
+        "intercept_mb": intercept,
+        "parent_median_rounds": parent_rounds,
+        "change_median_rounds": change_rounds,
+        "change_mb_at_parent_rounds": change_rss + slope * (parent_rounds - change_rounds),
+    }
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -97,6 +122,7 @@ def main(argv=None) -> None:
             "change": [run["failed"] for run in change],
         },
         "metrics": summarize(parent, change),
+        "rss_per_round": rss_per_round(parent, change),
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 

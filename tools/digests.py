@@ -18,6 +18,10 @@ all computed in one process:
 - the corep tables of the benchmark's first three levels rounds at seed
   20240 (N = 5 and 6, 2 samples, at the seed ``SeedSequence([20240, i])``
   gives round i, i = 0-2), joined the same way;
+- the product side values (``product_values``): ``float.hex`` of every
+  ``tau_product`` value, or its error, read in tower order at each draw the
+  corep tables of the line above make.  Those tables hold maxima of
+  spreads, which can hide a last-bit change of this side;
 - the kernel values (``kernel_values``): ``float.hex`` of every value of
   ``theta``, ``theta_vec``, ``r_entries``, ``qdybe_residual`` and
   ``eval_omega`` on seeded inputs.  A report holds maxima of residuals, which
@@ -52,11 +56,20 @@ import numpy as np
 
 from ellu2.biorth import BiorthParams, _sweep
 from ellu2.cli import main
-from ellu2.corep import _Tower, check_coproduct, check_tensor_relation, tau_plan, tau_tilde_plan
+from ellu2.corep import (
+    TOWER_M,
+    _Tower,
+    check_coproduct,
+    check_tensor_relation,
+    product_tower,
+    tau_plan,
+    tau_tilde_plan,
+)
 from ellu2.rep import RepContext, relation_inventory
 from ellu2.rmatrix import qdybe_residual, r_entries
 from ellu2.series import SeriesSpec, eval_omega
 from ellu2.sampling import draw_context, draw_lambda, draw_z
+from ellu2 import suites
 from ellu2.suites import AHEAD, RunConfig, _rep_draw, biorth_table, canonical_json, corep_table
 from ellu2.suites import run_report
 from ellu2.theta import PoleError, ThetaContext, error, garg, qarg, theta, theta_vec
@@ -121,6 +134,34 @@ def kernel_values() -> str:
             e = a * a * ctx.qpow(2) ** (n + 1) / (b * c * d)
             uppers = (*map(garg, (b, c, d, e)), qarg(-n))
             lines.append(_kernel(lambda s: eval_omega(s).value, SeriesSpec(garg(a), uppers, 4, ctx)))
+    return "\n".join(lines)
+
+
+def product_values() -> str:
+    """One line per draw of the levels corep tables of rounds 0-2 (N = 5
+    and 6, 2 samples; ``_round_seed``), redraws included, in the order the
+    tables draw them: N, then each (k, j, m) of the tower's product side,
+    in tower order, as ``_kernel`` gives it.  Every element is read, also
+    past a draw's first failure."""
+    draws = []
+    tower = suites._corep_tower
+
+    def recorded(rc, z, n_level):
+        draws.append((rc, z, n_level))
+        return tower(rc, z, n_level)
+
+    suites._corep_tower = recorded
+    try:
+        for i in range(LEVEL_COREP_ROUNDS):
+            for n in (5, 6):
+                corep_table(RunConfig(seed=_round_seed(i)), n, 2)
+    finally:
+        suites._corep_tower = tower
+    lines = []
+    for rc, z, N in draws:
+        read = product_tower(N, rc.lam0, z, rc.omega, rc.ctx)
+        keys = [(k, j, m) for k in range(N + 1) for j in range(N + 1) for m in range(TOWER_M)]
+        lines.append(f"{N} " + " ".join(_kernel(read, *key) for key in keys))
     return "\n".join(lines)
 
 
@@ -270,6 +311,7 @@ def reports():
         for n in (5, 6)
     )
     yield "the levels corep tables of rounds 0-2", "\n".join(corep)
+    yield "product side values", product_values()
     with np.errstate(all="ignore"):
         yield "kernel values", kernel_values()
     yield "tensor residuals", tensor_residuals()
