@@ -8,10 +8,11 @@ a terminating very well poised balanced series.  ``tau_product`` is an
 independent oracle built by composing the raw single-letter actions.  The
 towers of the suites check the closed forms against both.  Their word
 action and closed side are compiled once per level over records, into one
-template, and bound once per sample (``closed_tower``); ``tau_product`` is
-the one side they evaluate over numbers, by one reader per sample and level
-(``product_tower``) that evaluates each shared prefactor and letter
-coefficient once.  ``tau_closed``, ``tau_tilde_closed`` and
+template, and bound once per sample (``closed_tower``), or once per batch of
+samples (``closed_towers``); ``tau_product`` is the one side they evaluate
+over numbers, by one reader per sample and level (``product_tower``) that
+evaluates each shared prefactor, elliptic binomial and letter coefficient
+once.  ``tau_closed``, ``tau_tilde_closed`` and
 ``rep.apply_word`` evaluate one element over numbers.  The tensor checks
 (``check_coproduct``, ``check_tensor_relation``) evaluate each leg once per
 call and point (``_leg``).
@@ -103,6 +104,7 @@ __all__ = [
     "tau_product",
     "product_tower",
     "closed_tower",
+    "closed_towers",
     "gamma_plan",
     "gamma_factor",
     "inv_gamma_factor",
@@ -137,6 +139,12 @@ def _t_coefficient(N: int, k: int, j: int, l: int, ctx: ThetaContext) -> Coeffic
     return cf_from(fn, f"tcoef[{N};{k},{j};{l}]")
 
 
+def _in_level(N: int, k: int, j: int) -> None:
+    """Raise ``ValueError`` unless (k, j) is a matrix element of level N."""
+    if not (0 <= k <= N and 0 <= j <= N):
+        raise ValueError("need 0 <= k, j <= N")
+
+
 def t_word(N: int, k: int, j: int, z: complex, ctx: ThetaContext) -> AlgebraElement:
     """Matrix element (k, j) of the N-th symmetric power as a sum of words.
 
@@ -145,8 +153,7 @@ def t_word(N: int, k: int, j: int, z: complex, ctx: ThetaContext) -> AlgebraElem
     The coefficient letter is omitted whenever it is identically one, so the
     diagonal elements have exactly one bare word surviving the counit.
     """
-    if not (0 <= k <= N and 0 <= j <= N):
-        raise ValueError("need 0 <= k, j <= N")
+    _in_level(N, k, j)
     q2 = lambda t: ctx.qpow(2 * t) * z
     out = AlgebraElement(())
     for l in range(max(0, k + j - N), min(k, j) + 1):
@@ -223,6 +230,7 @@ def tau_plan(
     N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
 ) -> Plan:
     """Plan of ``tau_closed``.  A head with an exact zero builds no series."""
+    _in_level(N, k, j)
     if m < 0:
         raise ValueError("basis index must be >= 0")
     if m + k - j < 0:
@@ -296,6 +304,7 @@ def tau_tilde_plan(
     N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
 ) -> Plan:
     """Plan of ``tau_tilde_closed``.  A head with an exact zero builds no series."""
+    _in_level(N, k, j)
     if m < 0:
         raise ValueError("basis index must be >= 0")
     if m + j - k < 0:
@@ -361,24 +370,31 @@ def product_tower(
     binomials times four Pochhammer blocks) times a product of single-letter
     coefficients, each at a letter, an index, a dynamical argument and the
     point q^(2s) z.  The reader evaluates each prefactor once per (k, j, l),
-    each coefficient once per (letter, index, dynamical argument, s) and
-    each point once per s, by the same expressions in the same order as a
-    reader of one element, so every value keeps its bits.  A failure is not
-    kept: an element that raised raises again where it is read.  Like
+    each elliptic binomial once per pair of its arguments, each coefficient
+    once per (letter, index, dynamical argument, s) and each point once per
+    s, by the same expressions in the same order as a reader of one element,
+    so every value keeps its bits.  A failure is not kept: an element that
+    raised raises again where it is read.  A (k, j) outside 0 <= k, j <= N
+    raises ``ValueError``, as ``t_word`` does.  Like
     ``_leg``, this sharing lives as long as the reader, which a caller keeps
     for one check at one sample.
     """
     qp = ctx.qpow
     heads: dict = {}
+    binomials: dict = {}
     letters: dict = {}
     points: dict = {}
+
+    def binomial(a: int, b: int) -> complex:
+        got = binomials.get((a, b))
+        if got is None:
+            got = binomials[(a, b)] = elliptic_binomial(a, b, ctx)
+        return got
 
     def head(k: int, j: int, l: int) -> complex:
         got = heads.get((k, j, l))
         if got is None:
-            tp = ThetaProduct(
-                ctx, elliptic_binomial(k, l, ctx) * elliptic_binomial(N - k, j - l, ctx)
-            )
+            tp = ThetaProduct(ctx, binomial(k, l) * binomial(N - k, j - l))
             tp.poch(garg(qp(2 * (lam + N - k - 2 * j + l + 2))), l)
             tp.poch(garg(qp(2 * (lam + N - 2 * j + 2))), l, inv=True)
             tp.poch(garg(qp(2 * (lam + l - j + 2))), j - l)
@@ -397,6 +413,7 @@ def product_tower(
         return got
 
     def read(k: int, j: int, m: int) -> complex:
+        _in_level(N, k, j)
         if m < 0:
             raise ValueError("basis index must be >= 0")
         if m + k - j < 0:
@@ -489,21 +506,29 @@ class _Tower:
         }
         self.guard_rows = _indices([*map(at, guards.values())])
 
-    def bind(self, rc: RepContext, z: complex) -> Callable[..., complex]:
-        """The reader of (k, j, m, side) at the sample (rc, z), bound in one
-        ``Template.bind_all``; see ``closed_tower``."""
+    def bind(self, samples: list[tuple[RepContext, complex]]) -> list[Callable[..., complex]]:
+        """The reader of (k, j, m, side) at each sample (rc, z), all bound in
+        one ``Template.bind_all``; see ``closed_towers``.  Should that bind
+        raise, each sample is bound alone, and a sample whose own bind
+        raises gets a reader that raises that error at every read."""
         try:
-            values, codes = self.template.bind_all([(rc.ctx, rc.lam0, rc.omega, z)])
+            values, codes = self.template.bind_all([(rc.ctx, rc.lam0, rc.omega, z) for rc, z in samples])
         except ArithmeticError as exc:
+            if len(samples) > 1:
+                return [self.bind([sample])[0] for sample in samples]
             kind, args = type(exc), exc.args
 
             def broken(k: int, j: int, m: int, side: str = "closed") -> complex:
                 raise kind(*args)
 
-            return broken
-        values, failed = values[0], codes[0].any()
-        low = set(self.guard_rows[_modulus(values[self.guard_rows]) < rc.ctx.zero_guard].tolist())
-        row, code = values.tolist(), codes[0].tolist()
+            return [broken]
+        return [self._reader(rc.ctx, v, c) for (rc, _), v, c in zip(samples, values, codes)]
+
+    def _reader(self, ctx: ThetaContext, values: np.ndarray, codes: np.ndarray) -> Callable[..., complex]:
+        """The reader of one sample's bound ``values`` and ``codes``."""
+        failed = codes.any()
+        low = set(self.guard_rows[_modulus(values[self.guard_rows]) < ctx.zero_guard].tolist())
+        row, code = values.tolist(), codes.tolist()
         plans, words = self.template.plans, self.words
 
         def word_error(checks: list, paths: list) -> ArithmeticError | None:
@@ -539,25 +564,38 @@ class _Tower:
 
 def closed_tower(plan, N: int, rc: RepContext, z: complex) -> Callable[..., complex]:
     """A corepresentation tower at level N, bound at the sample (rc, z): the
-    reader of (k, j, m) and a side, for 0 <= k, j <= N and m < ``TOWER_M``.
-    ``plan`` is ``tau_plan`` or ``tau_tilde_plan``.  On the side "closed"
-    (the default) it gives ``plan(N, k, j, m, rc.lam0, z, rc.omega, ctx)``'s
-    value; on the side "word" the coefficient of e_(m + k - j) (for
-    ``tau_tilde_plan``, of e_(m + j - k)) in the action on e_m of
-    ``t_word(N, k, j, z, ctx)`` (its ``words.star``), as ``apply_word``
-    gives it; or it raises the item's error, a fresh one at each read.
+    reader ``closed_towers`` gives for the one sample."""
+    return closed_towers(plan, N, [(rc, z)])[0]
+
+
+def closed_towers(plan, N: int, samples: list[tuple[RepContext, complex]]) -> list[Callable[..., complex]]:
+    """A corepresentation tower at level N, bound at each sample (rc, z) of
+    ``samples``: for each, the reader of (k, j, m) and a side, for
+    0 <= k, j <= N and m < ``TOWER_M``.  ``plan`` is ``tau_plan`` or
+    ``tau_tilde_plan``.  On the side "closed" (the default) a reader gives
+    ``plan(N, k, j, m, rc.lam0, z, rc.omega, ctx)``'s value; on the side
+    "word" the coefficient of e_(m + k - j) (for ``tau_tilde_plan``, of
+    e_(m + j - k)) in the action on e_m of ``t_word(N, k, j, z, ctx)`` (its
+    ``words.star``), as ``apply_word`` gives it; or it raises the item's
+    error, a fresh one at each read.
 
     Both sides are compiled into one ``Template`` per (plan, N, zero guard)
-    (``_Tower``), kept in ``_TOWERS`` (``theta.kept_shape``), and bound in
-    one ``Template.bind_all``.  The values are those of the numeric
-    evaluation up to rounding: a bound record is one ``exp``, the finish
-    runs on arrays, and each path is one theta product.  A word item raises
-    the first of its guards below the zero guard, in the numeric order;
-    then a path that failed raises its error, where the numeric sum would
-    carry an inf or a NaN.  A bind that raises (an argument out of the
-    double range) fails every item with its error."""
-    guard = rc.ctx.zero_guard
-    return kept_shape(_TOWERS, (plan, N, guard), lambda: _Tower(plan, N, guard)).bind(rc, z)
+    (``_Tower``), kept in ``_TOWERS`` (``theta.kept_shape``), and bound at
+    every sample in one ``Template.bind_all``, which gives each sample the
+    bits it gets bound alone.  The samples share one zero guard.  The
+    values are those of the numeric evaluation up to rounding: a bound
+    record is one ``exp``, the finish runs on arrays, and each path is one
+    theta product.  A word item raises the first of its guards below the
+    zero guard, in the numeric order; then a path that failed raises its
+    error, where the numeric sum would carry an inf or a NaN.  A bind that
+    raises (an argument out of the double range) is redone sample by
+    sample, and fails every item of a sample whose own bind raises with
+    its error."""
+    guards = {rc.ctx.zero_guard for rc, _ in samples}
+    if len(guards) != 1:
+        raise ValueError("the samples of one tower bind need one zero guard")
+    (guard,) = guards
+    return kept_shape(_TOWERS, (plan, N, guard), lambda: _Tower(plan, N, guard)).bind(samples)
 
 
 def gamma_plan(N: int, k: int, x: complex, ctx: ThetaContext) -> ThetaProduct:

@@ -22,8 +22,9 @@ Suites and the focused tables of ``ellu2 check`` share one engine:
   order for both.
 
 The suites and tables whose checks are compiled (biorth and dual-biorth,
-relations, unitarity) draw ahead through one sampler, ``_DrawAhead``, and
-evaluate the attempts of up to ``AHEAD`` unfinished samples in one batch.
+relations, unitarity, and the corep tables) draw ahead through one sampler,
+``_DrawAhead``, and evaluate the attempts of up to ``AHEAD`` unfinished
+samples in one batch.
 An attempt makes all its ``rng`` calls before anything of it is evaluated,
 as many whatever the outcome, and every unfinished sample takes at least
 one more attempt; so no drawn attempt goes unused, and the stream, the
@@ -60,6 +61,7 @@ from .corep import (
     check_tensor_relation,
     check_unitarity,
     closed_tower,
+    closed_towers,
     linear_independence_ratio,
     product_tower,
     tau_plan,
@@ -451,17 +453,21 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
     )
 
 
-def _corep_tower(rc: RepContext, z: complex, n_level: int) -> dict[tuple[int, int], float]:
+def _corep_tower(
+    rc: RepContext, z: complex, n_level: int, tower: Callable[..., complex] | None = None
+) -> dict[tuple[int, int], float]:
     """Worst spread per (k, j) at one level between the word action,
     ``tau_product`` and the closed form, over m < ``TOWER_M``.  The word
     action and the closed form are compiled once for the level and bound
-    once at the draw (``corep.closed_tower``); ``tau_product`` is the one
-    side evaluated over numbers, by one reader for the draw and level
-    (``corep.product_tower``), which evaluates each prefactor and letter
-    coefficient once.  Each (k, j, m) reads, or raises, its word action,
-    then its ``tau_product``, then its closed form, so the first error of a
-    draw is the one a numeric tower raises first."""
-    tower = closed_tower(tau_plan, n_level, rc, z)
+    at the draw (``corep.closed_tower``), or come bound already as
+    ``tower``, one reader of ``corep.closed_towers``; ``tau_product`` is the
+    one side evaluated over numbers, by one reader for the draw and level
+    (``corep.product_tower``), which evaluates each prefactor, elliptic
+    binomial and letter coefficient once.  Each (k, j, m) reads, or raises,
+    its word action, then its ``tau_product``, then its closed form, so the
+    first error of a draw is the one a numeric tower raises first."""
+    if tower is None:
+        tower = closed_tower(tau_plan, n_level, rc, z)
     product = product_tower(n_level, rc.lam0, z, rc.omega, rc.ctx)
     out: dict[tuple[int, int], float] = {}
     for k in range(n_level + 1):
@@ -779,15 +785,30 @@ def _grid(values: list, n_level: int, second: str, tol: float) -> list[dict]:
 
 
 def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
-    """Per-(k, j) worst tower residuals for one corepresentation level."""
+    """Per-(k, j) worst tower residuals for one corepresentation level.
+
+    The draws are made ahead (``_DrawAhead``), and the level's tower is
+    bound at all the draws of a batch at once (``corep.closed_towers``);
+    each draw's result, or the error it raises, is then that of
+    ``_corep_tower`` at the draw alone."""
     rng = np.random.default_rng([cfg.seed, 100 + n_level])
     tol = _tol(cfg, "corep")
 
-    def sample():
+    def draw() -> tuple:
         rc = _rep_draw(cfg, rng)
-        return _corep_tower(rc, draw_z(rng), n_level).items()
+        return rc, draw_z(rng)
 
-    values, rejected = _sample(samples, cfg.max_redraws, sample)
+    def evaluate(drawn: list) -> list:
+        out: list = []
+        for (rc, z), tower in zip(drawn, closed_towers(tau_plan, n_level, drawn)):
+            try:
+                out.append(_corep_tower(rc, z, n_level, tower).items())
+            except ArithmeticError as exc:
+                out.append(exc)
+        return out
+
+    draws = _DrawAhead(draw, evaluate)
+    values, rejected = _sample(samples, cfg.max_redraws, draws.attempt, draws.pending)
     entries = _grid(values, n_level, "j", tol)
     return _table(cfg, "corep", samples, rejected, tol, entries, N=n_level)
 

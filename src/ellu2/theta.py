@@ -99,10 +99,13 @@ exception, and so are the plans that a bound template finishes from them
 (``_Finish``): their passes over arrays keep the real and imaginary parts
 apart and write out CPython's formulas (``_c_mul``, ``_c_div``, ``_c_abs``),
 and each elementwise float64 operation rounds as the C operation does, so
-they round as the Python loops do.  Where a loop would raise, the pass
-carries a small failure code instead (``ERRORS``): which guard, which range
-check, a division by 0j, an ``abs`` beyond range, the first the loop meets.
-A caller raises a fresh error from it (``error``).  The loops
+they round as the Python loops do.  The running products of the theta
+products are the one complex pass: numpy's ``reduceat`` over the first axis
+multiplies as CPython does (``theta_vec`` has the measured facts).  Where a
+loop would raise, the pass carries a small failure code instead
+(``ERRORS``): which guard, which range check, a division by 0j, an ``abs``
+beyond range, the first the loop meets.  A caller raises a fresh error from
+it (``error``).  The loops
 (``ThetaProduct.finish``, ``series._vwp_reduce``) stay for plans over
 numbers, and are the oracles the passes are tested against.
 """
@@ -372,10 +375,14 @@ def theta_vec(zs: Sequence[complex], ctx: ThetaContext) -> np.ndarray:
     (1 - p^(j+1) / z) in that order, and the product is taken over the last
     axis.  numpy fuses the multiply and add of its contiguous complex
     multiply (a fused multiply-add), so swapping the two operands changes
-    the last bit of some imaginary parts; its product reduction over the
-    last axis is not fused and rounds as a Python loop does, while a
-    reduction over the first axis multiplies whole rows, fused, and rounds
-    otherwise.  The temporaries are reused in place, which changes no bit.
+    the last bit of some imaginary parts.  Its complex product reductions:
+    ``np.multiply.reduce`` over the last axis is not fused and rounds as a
+    Python loop does, and so is ``np.multiply.reduceat`` over the first
+    axis (``_Products.reduce`` relies on it); ``reduce`` over the first
+    axis multiplies whole rows, fused, and rounds otherwise; and
+    ``accumulate`` over the first axis is fused for some shapes and not
+    for others, so no bit-exact pass uses it.  The temporaries are reused
+    in place, which changes no bit.
     """
     arr = np.asarray(zs, dtype=complex)
     if (arr == 0).any():
@@ -823,7 +830,7 @@ class Template:
     plan, or the own factors of a theta product, wherever it sits in a plan
     (a part of a joined plan, the scalar of a theta product), is added to
     the batch of its kind and zero guard, which compiles it into one
-    program of int32 indices (``series._Batch``, ``_Products``); and a
+    program of indices (``series._Batch``, ``_Products``); and a
     theta product or a joined plan is an operation on the values of its
     parts.  The batches are closed once every plan is walked, and the
     finish program is then laid out.  A plan of any other kind, or a joined
@@ -1495,30 +1502,47 @@ def _zeroed(scalar: _Split, product: _Split) -> _Split:
 
 
 class _Products:
-    """The theta products of one template, reduced together on split arrays.
+    """The theta products of one template, reduced together on arrays.
 
     ``reduce`` gives each product, from the template's bound values, what
     ``ThetaProduct.finish`` computes on the same values before it multiplies
     by the scalar, bit for bit, and the failure code of the ``PoleError`` it
-    raises there.  It follows the scalar loop step by step, with CPython's
-    complex formulas (``_c_mul``, ``_c_div``, ``_c_abs``): the guard on each
+    raises there.  It follows the scalar loop: the guard on each
     denominator, in order; no numerator when exact zeros survive (the
     finish program gives 0 then, ``_zeroed``); then the factors num/den of
     the pairs, the numerators left, and 1/den of the denominators left,
     multiplied into 1 + 0j one by one.  The quotients are independent of
-    one another, so each distinct one is taken once, all in one call; the
-    running products take one step per factor position.
+    one another, so each distinct one is taken once, all in one call, with
+    CPython's formula (``_c_div``).
 
     A template compiles its products one by one (``add``), and ``close``
-    lays out the program, all int32 indices: ``rank`` orders the products
-    by decreasing factor count, and the factors are laid out position by
-    position (``widths``), so each step multiplies a prefix of the running
-    products.  ``factor`` indexes, for each factor, the distinct quotients
-    (theta indices ``num`` over ``div``), then the theta values; an index -1
-    reads the 1.0 appended to the theta values.
+    lays out the program, all indices, in the order the products were added
+    (``rank``).  Each product is one chain of factors, product after
+    product (``starts``), and each chain starts with the 1.0 appended to the
+    theta values (index -1).  ``chain`` indexes, for each factor, the
+    distinct quotients (theta indices ``num`` over ``div``), then the theta
+    values; its factors' numerators are the quotients' numerators (-1 for
+    1 / den), and the theta values.  ``reduce`` gathers the chains as
+    complex values and takes every running product with one
+    ``np.multiply.reduceat`` over the first axis, which is not fused and
+    multiplies as CPython's ``*`` does (``theta_vec`` has the measured
+    facts); the exact-zero flags of the numerators are reduced the same way
+    with ``np.logical_or.reduceat``.  It gathers and reduces a run of whole
+    chains at a time, so that no gathered block exceeds ``BLOCK_BYTES``
+    (unless one chain does): a freed temporary above 128 KiB moves glibc's
+    mmap threshold, and with it the speed of whatever runs next.
+
+    No caller binds more than ``suites.AHEAD`` (10) draws at once; most
+    bind 1 or 2, where the fixed cost per call is what counts.  A block
+    holds 8,192 chain entries at one draw and 819 at ten, so a bind takes
+    a few blocks: the products of the N = 8 biorth sweep have 15,325.  On
+    those products (2-core x86-64, numpy 2.4.6) this pass takes 0.42 ms at
+    2 draws, 1.95 ms at 10 and 55 ms at 160, where a loop of one
+    ``_c_mul`` step per factor position took 1.14, 2.17 and 59 ms; so no
+    draw count calls for another path.
     """
 
-    __slots__ = ("rank", "guard", "widths", "num", "div", "factor", "den", "den_cuts", "_pending")
+    __slots__ = ("rank", "guard", "num", "div", "chain", "starts", "den", "den_cuts", "_pending")
 
     def __init__(self, theta, guard: float):
         self.guard = guard
@@ -1537,26 +1561,31 @@ class _Products:
         is nums[s] / dens[s] while both run, then nums[s], or 1 / dens[s]."""
         compiled, _ = self._pending
         self._pending = None
-        order, self.rank, self.widths = _ranked([max(map(len, c)) for c in compiled])
-        ranked = [compiled[p] for p in order]
-        # The factors, position by position: each distinct quotient is taken
-        # once, and a factor indexes the quotients, then the theta values.
+        self.rank = range(len(compiled))
+
+        def pairs(dens, nums):
+            return ((nums[s] if s < len(nums) else -1, d) for s, d in enumerate(dens))
+
         quotients: dict = {}
-        factor = array("i")
-        for s, w in enumerate(self.widths):
-            for dens, nums in ranked[:w]:
-                a = nums[s] if s < len(nums) else -1
-                if s < len(dens):
-                    factor.append(quotients.setdefault((a, dens[s]), len(quotients)))
-                else:
-                    factor.append(~a)  # a theta value; set below
+        for dens, nums in compiled:
+            for pair in pairs(dens, nums):
+                quotients.setdefault(pair, len(quotients))
+        # A theta value's factor index: its theta index after the quotients;
+        # -1, the appended 1.0, leads each chain.
+        plain = len(quotients)
+        chain, starts = array("i"), array("i")
+        for dens, nums in compiled:
+            starts.append(len(chain))
+            chain.append(-1)
+            chain.extend(quotients[pair] for pair in pairs(dens, nums))
+            chain.extend(plain + a for a in nums[len(dens) :])
+        starts.append(len(chain))
         self.num = _i32([a for a, _ in quotients])
         self.div = _i32([b for _, b in quotients])
-        self.factor = _i32(factor)
-        plain = self.factor < 0
-        self.factor[plain] = len(quotients) + ~self.factor[plain]
-        self.den = _i32([d for dens, _ in ranked for d in dens])
-        self.den_cuts = _i32([0, *accumulate(len(dens) for dens, _ in ranked)])
+        self.chain = _indices(chain, max(chain) + 1)
+        self.starts = np.array(starts, dtype=np.intp)
+        self.den = _i32([d for dens, _ in compiled for d in dens])
+        self.den_cuts = _i32([0, *accumulate(len(dens) for dens, _ in compiled)])
 
     def reduce(self, b: "Bound") -> Reduced:
         """Each product's result and code at each draw, by ``rank`` and draw.
@@ -1566,28 +1595,51 @@ class _Products:
         code of what ``ThetaProduct.finish`` raises at it; its value is then
         meaningless.  Where a numerator theta value is exactly 0j and the
         product does not fail, its code is ``_EXACT``."""
+        draws = b.re.shape[1]
+        shape = (len(self.rank), draws)
+        pr, pi = np.empty(shape), np.empty(shape)
+        code = np.zeros(shape, dtype=np.int8)
+        zero = (b.re == 0) & (b.im == 0)
+        # A factor's numerator: that of its quotient (-1, the appended 1.0,
+        # for 1 / den), or the theta value itself.
+        zeros = np.concatenate((zero[self.num], zero)) if zero.any() else None
         with np.errstate(all="ignore"):
             num, div = self.num, self.div
             qr, qi = _c_div(b.re[num], b.im[num], b.re[div], b.im[div])
-            fr = np.concatenate((qr, b.re))[self.factor]
-            fi = np.concatenate((qi, b.im))[self.factor]
-            shape = (len(self.rank), b.re.shape[1])
-            pr, pi = np.ones(shape), np.zeros(shape)
-            for w, at in _steps(self.widths):
-                pr[:w], pi[:w] = _c_mul(pr[:w], pi[:w], fr[at], fi[at])
-        code = np.zeros(shape, dtype=np.int8)
-        zero = (b.re == 0) & (b.im == 0)
-        if zero.any():
-            # A factor's numerator: that of its quotient (-1, the appended
-            # 1.0, for 1 / den), or the theta value itself.
-            factor = np.concatenate((zero[self.num], zero))[self.factor]
-            exact = np.zeros(shape, dtype=bool)
-            for w, at in _steps(self.widths):
-                exact[:w] |= factor[at]
-            code[exact] = _EXACT
+            fr, fi = np.concatenate((qr, b.re)), np.concatenate((qi, b.im))
+            for first, stop in _blocks(self.starts, draws):
+                s0, s1 = self.starts[first], self.starts[stop]
+                at = self.chain[s0:s1]
+                cuts = self.starts[first:stop] - s0
+                g = np.empty((s1 - s0, draws), dtype=complex)
+                np.take(fr, at, axis=0, out=g.real, mode="wrap")
+                np.take(fi, at, axis=0, out=g.imag, mode="wrap")
+                got = np.multiply.reduceat(g, cuts, axis=0)
+                pr[first:stop], pi[first:stop] = got.real, got.imag
+                if zeros is not None:
+                    exact = np.logical_or.reduceat(np.take(zeros, at, axis=0, mode="wrap"), cuts, axis=0)
+                    code[first:stop][exact] = _EXACT
         r, k, i = _first_events(b.over | (b.mag < self.guard), self.den, self.den_cuts)
         code[r, k] = np.where(b.mag[i, k] < self.guard, CODE[DEN_GUARD], CODE[PRODUCT_RANGE])
         return Reduced(pr, pi, code)
+
+
+# Most bytes of one block of gathered chains (``_Products.reduce``).
+BLOCK_BYTES = 128 << 10
+
+
+def _blocks(starts: np.ndarray, draws: int):
+    """(first, stop) of each run of whole chains, chains ``first`` to
+    ``stop`` - 1, whose complex values at ``draws`` draws fill at most
+    ``BLOCK_BYTES``, or of one chain that alone fills more; ``starts``
+    holds each chain's first entry, then the total."""
+    width = BLOCK_BYTES // (16 * draws)
+    first, count = 0, len(starts) - 1
+    while first < count:
+        stop = int(np.searchsorted(starts, starts[first] + width, side="right")) - 1
+        stop = max(stop, first + 1)
+        yield first, stop
+        first = stop
 
 
 def _ranked(counts: Sequence[int]) -> tuple[list, array, array]:

@@ -226,18 +226,23 @@ def _nan_at_index_3(original):
     return patched
 
 
-def _nan_tower(plan, nan_side="closed"):
+def _nan_tower(plan, nan_side="closed", many=False):
     # One side of the tower of ``plan`` ("closed" or "word"), each bound
-    # value NaN; the items that fail still raise.
+    # value NaN; the items that fail still raise.  With ``many``, the
+    # binder of many samples (``closed_towers``), each of its readers so.
     def patch(original):
-        def patched(build, *args):
-            read = original(build, *args)
-
+        def nan(read):
             def nan_read(k, j, m, side="closed"):
                 value = read(k, j, m, side)
                 return value * NAN if side == nan_side else value
 
-            return nan_read if build is plan else read
+            return nan_read
+
+        def patched(build, *args):
+            got = original(build, *args)
+            if build is not plan:
+                return got
+            return [nan(read) for read in got] if many else nan(got)
 
         return patched
 
@@ -256,8 +261,10 @@ def _relations_table(cfg):
 # the named function return NaN.  The first two cases break a residual the
 # suites fold across samples; the others break one folded inside a check, or
 # the ratio of the corep suite's independence gate.  The corep towers' word
-# and closed sides are bound per level (``corep.closed_tower``); the
-# conjugate tower is a class of the corep suite beside its headline.
+# and closed sides are bound per level, at a batch of draws in the corep
+# tables (``corep.closed_towers``) and at one draw in the corep suite
+# (``corep.closed_tower``); the conjugate tower is a class of the corep
+# suite beside its headline.
 NAN_CASES = {
     "qdybe-residual": (
         "suites", "qdybe_residual", _nan,
@@ -267,10 +274,11 @@ NAN_CASES = {
     "theta-product": ("suites", "theta_multi", _nan, [_suite("theta")]),
     "unitarity": ("suites", "check_unitarity", _nan, [_suite("unitarity")]),
     "closed-tau": (
-        "suites", "closed_tower", _nan_tower(tau_plan), [lambda cfg: corep_table(cfg, 2, cfg.samples)]
+        "suites", "closed_towers", _nan_tower(tau_plan, many=True),
+        [lambda cfg: corep_table(cfg, 2, cfg.samples)],
     ),
     "word-tau": (
-        "suites", "closed_tower", _nan_tower(tau_plan, "word"),
+        "suites", "closed_towers", _nan_tower(tau_plan, "word", many=True),
         [lambda cfg: corep_table(cfg, 2, cfg.samples)],
     ),
     "conjugate-tau": ("suites", "closed_tower", _nan_tower(tau_tilde_plan), [_suite("corep")]),

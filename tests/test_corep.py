@@ -542,3 +542,42 @@ def test_corep_suite_independence_gate(monkeypatch, seed):
         assert not rec["pass"]
         notes = [note for note in rec["notes"] if "independence ratio" in note]
         assert len(notes) == 1 and "<= 1e-08" in notes[0]
+
+
+@pytest.mark.parametrize("k, j", [(2, 3), (3, 2), (-1, 0), (0, -1), (3, 3)])
+def test_an_element_outside_the_level_raises_as_t_word_does(k, j):
+    # (k, j) must lie in 0 <= k, j <= N = 2: every side refuses it with
+    # t_word's error, rather than return a value (tau_closed gave -0.8195
+    # and tau_product 0j at (2, 3)).
+    ctx = ThetaContext(0.12, 0.67)
+    args = (0, 0.2, 1.1, 0.3, ctx)
+    calls = [
+        lambda: t_word(2, k, j, 1.1, ctx),
+        lambda: tau_closed(2, k, j, *args),
+        lambda: tau_tilde_closed(2, k, j, *args),
+        lambda: tau_product(2, k, j, *args),
+        lambda: corep_mod.product_tower(2, 0.2, 1.1, 0.3, ctx)(k, j, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^need 0 <= k, j <= N$"):
+            call()
+
+
+def test_a_product_reader_evaluates_each_elliptic_binomial_once(monkeypatch):
+    # Over a whole N = 6 tower, one reader evaluates each elliptic binomial
+    # (n, l) once, as it does each prefactor and letter coefficient.
+    calls = []
+    binomial = corep_mod.elliptic_binomial
+
+    def counted(n, l, ctx):
+        calls.append((n, l))
+        return binomial(n, l, ctx)
+
+    monkeypatch.setattr(corep_mod, "elliptic_binomial", counted)
+    N, ctx = 6, ThetaContext(0.12, 0.67)
+    read = corep_mod.product_tower(N, 0.2 + 0.1j, 1.1 - 0.3j, 0.3 + 0.2j, ctx)
+    for k in range(N + 1):
+        for j in range(N + 1):
+            for m in range(TOWER_M):
+                read(k, j, m)
+    assert len(calls) == len(set(calls)) > 20

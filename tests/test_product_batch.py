@@ -9,7 +9,9 @@ same bound values, and must fail with the ``PoleError`` message it raises.
 Each plan finished on arrays must equal its own scalar ``finish``.
 """
 
+import importlib
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,3 +201,116 @@ def test_an_exact_zero_theta_value_makes_a_product_zero_on_every_path(scalar_fin
     assert values.tolist() == [[0j]] and codes.tolist() == [[0]]
     _, [[code]] = Template(plans[2:]).bind_all([sample])
     assert type(error(code)) is PoleError and str(error(code)) == PRODUCT_RANGE
+
+
+theta_mod = importlib.import_module("ellu2.theta")
+INF, NAN = float("inf"), float("nan")
+# Theta values a bound template can meet: signed zeros and exactly 0j,
+# infinities and NaNs, subnormals, and values near the ends of the range.
+ADVERSARIAL = [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(INF, 0.0), complex(-INF, 1.0), complex(INF, INF), complex(NAN, 0.0), complex(1.0, NAN),
+    complex(5e-324, 0.0), complex(1e-310, -3e-320), complex(-2.5e-160, 1e-170),
+    complex(1e300, 1e300), complex(1e308, -1e308), complex(-1e-300, 0.0),
+    1 + 0j, -1 + 0j, 1j, complex(1.0, -0.0),
+]
+
+
+def split_loop(dens, nums, re, im):
+    """What ``ThetaProduct.finish`` multiplies before its scalar, at every
+    draw: one ``_c_mul`` step per factor into 1 + 0j, on split arrays, each
+    factor nums[s] / dens[s] (1 / dens[s] past the numerators), then
+    nums[s]; index -1 is the 1.0 appended to the theta values."""
+    pr, pi = np.ones(re.shape[1]), np.zeros(re.shape[1])
+    for s in range(max(len(dens), len(nums))):
+        if s < len(dens):
+            a = nums[s] if s < len(nums) else -1
+            fr, fi = theta_mod._c_div(re[a], im[a], re[dens[s]], im[dens[s]])
+        else:
+            fr, fi = re[nums[s]], im[nums[s]]
+        pr, pi = theta_mod._c_mul(pr, pi, fr, fi)
+    return pr, pi
+
+
+def scalar_code(dens, nums, values, guard) -> int:
+    """The failure code ``ThetaProduct.finish`` meets at one draw's theta
+    values: the first denominator below the guard or whose ``abs`` raises,
+    else ``_EXACT`` where a numerator is exactly 0j, else 0."""
+    for d in dens:
+        try:
+            if abs(values[d]) < guard:
+                return theta_mod.CODE[DEN_GUARD]
+        except OverflowError:
+            return theta_mod.CODE[PRODUCT_RANGE]
+    return theta_mod._EXACT if any(values[a] == 0 for a in nums) else 0
+
+
+def random_products(rng, count: int, thetas: int) -> list:
+    """(dens, nums, zeros) of ``count`` products over ``thetas`` theta
+    values; indices from a narrow range repeat the same quotients."""
+    out = []
+    for _ in range(count):
+        top = thetas if rng.random() < 0.5 else 4
+        dens = rng.integers(0, top, rng.integers(0, 7)).tolist()
+        nums = rng.integers(0, top, rng.integers(0, 9)).tolist()
+        zeros = int(rng.random() < 0.1)
+        out.append((dens, [] if zeros else nums, zeros))
+    return out
+
+
+def hexes(re, im) -> list:
+    return [(x.hex(), y.hex()) for x, y in zip(re.tolist(), im.tolist())]
+
+
+@pytest.mark.parametrize("block_bytes", [theta_mod.BLOCK_BYTES, 256])
+def test_the_reduced_products_are_the_split_step_loop(monkeypatch, block_bytes):
+    # One np.multiply.reduceat per block of chains gives every running
+    # product what a split _c_mul loop started at 1 + 0j gives, bit for bit,
+    # at 1-16 draws, on ordinary and adversarial theta values, with the
+    # same codes; each draw gets the bits it gets bound alone.  At 256
+    # bytes a block holds one or a few chains.
+    monkeypatch.setattr(theta_mod, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(26)
+    thetas, guard = 40, 1e-3
+    checked = {"exact": 0, "guarded": 0, "nan": 0}
+    for draws in range(1, 17):
+        specs = random_products(rng, 60, thetas) + [([], [], 0), ([3], [], 1)]
+        batch = theta_mod._Products(int, guard)
+        for dens, nums, zeros in specs:
+            batch.add(SimpleNamespace(_den=dens, _num=nums, zeros=zeros))
+        batch.close()
+        th = rng.lognormal(0.0, 1.0, (thetas, draws)) * np.exp(2j * np.pi * rng.random((thetas, draws)))
+        special = rng.random((thetas, draws)) < 0.3
+        th[special] = rng.choice(ADVERSARIAL, int(special.sum()))
+        b = theta_mod.Bound.of(np.empty((0, draws)), th)
+        got = batch.reduce(b)
+        assert list(batch.rank) == list(range(len(specs)))
+        for p, (dens, nums, _) in enumerate(specs):
+            with np.errstate(all="ignore"):
+                pr, pi = split_loop(dens, nums, b.re, b.im)
+            assert hexes(got.re[p], got.im[p]) == hexes(pr, pi), (draws, p)
+            codes = [scalar_code(dens, nums, th[:, k].tolist(), guard) for k in range(draws)]
+            assert got.code[p].tolist() == codes, (draws, p)
+            checked["exact"] += codes.count(theta_mod._EXACT)
+            checked["guarded"] += sum(c > 0 for c in codes)
+            checked["nan"] += int(np.isnan(pr).sum())
+        for k in range(draws):
+            alone = batch.reduce(theta_mod.Bound.of(np.empty((0, 1)), th[:, k : k + 1]))
+            assert hexes(alone.re[:, 0], alone.im[:, 0]) == hexes(got.re[:, k], got.im[:, k])
+            assert alone.code[:, 0].tolist() == got.code[:, k].tolist()
+    assert min(checked.values()) > 50, checked
+
+
+def test_blocks_cover_the_chains_within_the_byte_bound():
+    # Whole chains, in order, each block within BLOCK_BYTES at its draw
+    # count unless it is one chain that alone exceeds it.
+    rng = np.random.default_rng(7)
+    lengths = rng.integers(1, 3000, 400)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    for draws in (1, 2, 10, 16, 160):
+        blocks = list(theta_mod._blocks(starts, draws))
+        assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
+        assert blocks[-1][1] == len(lengths)
+        for first, stop in blocks:
+            size = (starts[stop] - starts[first]) * 16 * draws
+            assert size <= theta_mod.BLOCK_BYTES or stop == first + 1

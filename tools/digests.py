@@ -146,9 +146,9 @@ def product_values() -> str:
     draws = []
     tower = suites._corep_tower
 
-    def recorded(rc, z, n_level):
+    def recorded(rc, z, n_level, *bound):
         draws.append((rc, z, n_level))
-        return tower(rc, z, n_level)
+        return tower(rc, z, n_level, *bound)
 
     suites._corep_tower = recorded
     try:
