@@ -12,16 +12,18 @@ template, and bound once per sample (``closed_tower``), or once per batch of
 samples (``closed_towers``); ``tau_product`` is the one side they evaluate
 over numbers, by one reader per sample and level (``product_tower``) that
 evaluates each shared prefactor, elliptic binomial and letter coefficient
-once.  ``tau_closed``, ``tau_tilde_closed`` and
+once, and that shares its four Pochhammer blocks with the ``t_word``
+coefficients (``_t_blocks``).  ``tau_closed``, ``tau_tilde_closed`` and
 ``rep.apply_word`` evaluate one element over numbers.  The tensor checks
 (``check_coproduct``, ``check_tensor_relation``) evaluate each leg once per
 call and point (``_leg``).
 ``gamma_factor`` supplies the diagonal normalization appearing in the
 inversion identity, checked word by word in ``check_unitarity`` and
 ``check_inversion_words``: their words are compiled once per level over
-records (``rep.Compiled``) and bound once per sample.  Both sides of that
-identity take their reflected point and inverse-determinant word from
-``_reflection``.
+records (``rep.Compiled``), and each call binds its level's family at its
+one sample (the suites bind a family at a batch of samples, through
+``rep.bind_rows``).  Both sides of that identity take their reflected point
+and inverse-determinant word from ``_reflection``.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ import numpy as np
 
 from .rep import (
     RepContext,
-    _bound_rows,
     _factor,
     _indices,
     _modulus,
     _product,
+    _rows_at,
     _side,
     _symbols,
     apply_word,
@@ -129,14 +131,20 @@ def _t_coefficient(N: int, k: int, j: int, l: int, ctx: ThetaContext) -> Coeffic
         return None
 
     def fn(x: complex) -> complex:
-        tp = ThetaProduct(ctx)
-        tp.poch(garg(ctx.qpow(2 * (x + N - k - 2 * j + l + 2))), l)
-        tp.poch(garg(ctx.qpow(2 * (x + N - 2 * j + 2))), l, inv=True)
-        tp.poch(garg(ctx.qpow(2 * (x + l - j + 2))), j - l)
-        tp.poch(garg(ctx.qpow(2 * (x + N - 2 * j - k + 2 * l + 2))), j - l, inv=True)
-        return ctx.evaluate(tp)
+        return ctx.evaluate(_t_blocks(ThetaProduct(ctx), N, k, j, l, x))
 
     return cf_from(fn, f"tcoef[{N};{k},{j};{l}]")
+
+
+def _t_blocks(tp: ThetaProduct, N: int, k: int, j: int, l: int, x: complex) -> ThetaProduct:
+    """``tp`` times the four Pochhammer blocks of the l-th summand of the
+    (k, j) matrix element at level N, at the dynamical point x."""
+    qp = tp.ctx.qpow
+    tp.poch(garg(qp(2 * (x + N - k - 2 * j + l + 2))), l)
+    tp.poch(garg(qp(2 * (x + N - 2 * j + 2))), l, inv=True)
+    tp.poch(garg(qp(2 * (x + l - j + 2))), j - l)
+    tp.poch(garg(qp(2 * (x + N - 2 * j - k + 2 * l + 2))), j - l, inv=True)
+    return tp
 
 
 def _in_level(N: int, k: int, j: int) -> None:
@@ -395,11 +403,7 @@ def product_tower(
         got = heads.get((k, j, l))
         if got is None:
             tp = ThetaProduct(ctx, binomial(k, l) * binomial(N - k, j - l))
-            tp.poch(garg(qp(2 * (lam + N - k - 2 * j + l + 2))), l)
-            tp.poch(garg(qp(2 * (lam + N - 2 * j + 2))), l, inv=True)
-            tp.poch(garg(qp(2 * (lam + l - j + 2))), j - l)
-            tp.poch(garg(qp(2 * (lam + N - 2 * j - k + 2 * l + 2))), j - l, inv=True)
-            got = heads[(k, j, l)] = tp.value()
+            got = heads[(k, j, l)] = _t_blocks(tp, N, k, j, l, lam).value()
         return got
 
     def letter(coef, index: int, x: complex, s: int) -> complex:
@@ -508,20 +512,8 @@ class _Tower:
 
     def bind(self, samples: list[tuple[RepContext, complex]]) -> list[Callable[..., complex]]:
         """The reader of (k, j, m, side) at each sample (rc, z), all bound in
-        one ``Template.bind_all``; see ``closed_towers``.  Should that bind
-        raise, each sample is bound alone, and a sample whose own bind
-        raises gets a reader that raises that error at every read."""
-        try:
-            values, codes = self.template.bind_all([(rc.ctx, rc.lam0, rc.omega, z) for rc, z in samples])
-        except ArithmeticError as exc:
-            if len(samples) > 1:
-                return [self.bind([sample])[0] for sample in samples]
-            kind, args = type(exc), exc.args
-
-            def broken(k: int, j: int, m: int, side: str = "closed") -> complex:
-                raise kind(*args)
-
-            return [broken]
+        one ``Template.bind_all``; see ``closed_towers``."""
+        values, codes = self.template.bind_all([(rc.ctx, rc.lam0, rc.omega, z) for rc, z in samples])
         return [self._reader(rc.ctx, v, c) for (rc, _), v, c in zip(samples, values, codes)]
 
     def _reader(self, ctx: ThetaContext, values: np.ndarray, codes: np.ndarray) -> Callable[..., complex]:
@@ -587,10 +579,10 @@ def closed_towers(plan, N: int, samples: list[tuple[RepContext, complex]]) -> li
     record is one ``exp``, the finish runs on arrays, and each path is one
     theta product.  A word item raises the first of its guards below the
     zero guard, in the numeric order; then a path that failed raises its
-    error, where the numeric sum would carry an inf or a NaN.  A bind that
-    raises (an argument out of the double range) is redone sample by
-    sample, and fails every item of a sample whose own bind raises with
-    its error."""
+    error, where the numeric sum would carry an inf or a NaN.  The bind
+    itself raises where a sample's argument leaves the double range; a
+    caller that binds many samples tells whose error it is by binding them
+    one at a time (``suites._evaluate``)."""
     guards = {rc.ctx.zero_guard for rc, _ in samples}
     if len(guards) != 1:
         raise ValueError("the samples of one tower bind need one zero guard")
@@ -838,20 +830,20 @@ def _inversion_rows(ctx: TemplateContext, N: int, mmax: int) -> Iterable:
 
 def _element_residual(build, N: int, a: int, b: int, z: complex, m: int, rc: RepContext) -> float:
     """The residual of (a, b) on e_m from the compiled check ``build`` at level N."""
-    if not (0 <= a <= N and 0 <= b <= N):
-        raise ValueError("need 0 <= k, j <= N")
+    _in_level(N, a, b)
     if m < 0:
         raise ValueError("basis index must be >= 0")
-    return _bound_rows(rc, build, (N, max(m, UNITARITY_MMAX)), z=z)[(a, b, m)]
+    return _rows_at(rc, build, (N, max(m, UNITARITY_MMAX)), z=z)[(a, b, m)]
 
 
 def check_unitarity(N: int, k: int, j: int, z: complex, m: int, rc: RepContext) -> float:
     """The inversion identity of one matrix element, applied to e_m.
 
-    ``residual_between`` of the two sides of ``unitarity_words``.  The first
-    call for a level N at a sample binds every (k, j) and every m up to
-    ``UNITARITY_MMAX`` at once (``rep.bind_rows``), unless a batch of
-    samples bound them before; the others read the residuals kept on ``rc``.
+    ``residual_between`` of the two sides of ``unitarity_words``.  Each call
+    binds every (k, j) of the level and every m up to ``UNITARITY_MMAX``
+    (at least m) at the sample, in one ``rep.bind_rows``, and reads one of
+    them; ``rc`` keeps nothing.  The suites bind the whole family at a batch
+    of samples and read every residual, never calling this.
     """
     return _element_residual(_unitarity_rows, N, k, j, z, m, rc)
 

@@ -24,8 +24,10 @@ their closed side.
 ``relation_inventory`` builds the defining exchange relations as pairs of
 algebra elements; ``check_relations`` evaluates both sides on basis vectors
 at a random dynamical point and reports relative residuals, from the
-compiled check bound to the sample (``bind_rows``, which binds many samples
-in one ``Template.bind_all``).
+compiled check bound to the sample.  ``bind_rows`` binds a check at many
+samples in one ``Template.bind_all`` and returns each sample's rows, or its
+error, keeping nothing; the one-sample checks bind their family at their
+one sample (``_rows_at``).
 """
 
 from __future__ import annotations
@@ -97,26 +99,18 @@ __all__ = [
     "Compiled",
     "compiled",
     "bind_rows",
+    "rows_of",
     "residual_between",
 ]
 
 
 @dataclass(frozen=True)
 class RepContext:
-    """Weight parameter, evaluation point for the dynamical variable, and base.
-
-    The checks keep here, per compiled check and spectral points, the
-    residuals of the sample, or the error binding it raised (``bind_rows``):
-    ``corep.check_unitarity`` asks for one matrix element at a time, and the
-    first ask binds them all, unless a batch bound them before.
-    """
+    """Weight parameter, evaluation point for the dynamical variable, and base."""
 
     omega: complex
     lam0: complex
     ctx: ThetaContext
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_bound", {})
 
 
 REP_GUARD = "representation coefficient denominator below zero guard"
@@ -510,26 +504,32 @@ def relation_pairs(
     return pairs
 
 
+# (mmax, kmax_reverse) of the relation checks and mmax of the determinant
+# forms, as the relations suite and table run them.
+RELATIONS_SHAPE = (6, 4)
+DET_FORMS_SHAPE = (4,)
+
+
 def check_relations(
     rc: RepContext,
     z1: complex,
     z2: complex,
     z: complex,
-    mmax: int = 6,
-    kmax_reverse: int = 4,
+    mmax: int = RELATIONS_SHAPE[0],
+    kmax_reverse: int = RELATIONS_SHAPE[1],
 ) -> list[tuple[str, float]]:
     """Evaluate every relation pair on e_0..e_mmax; returns (name, residual).
 
     Each residual is ``residual_between`` of the two sides' actions, with the
     largest single path of either side as its floor, worst over m.
     """
-    rows = _bound_rows(rc, _relation_rows, (mmax, kmax_reverse), z=z, z1=z1, z2=z2)
+    rows = _rows_at(rc, _relation_rows, (mmax, kmax_reverse), z=z, z1=z1, z2=z2)
     return list(rows.items())
 
 
-def check_det_forms(rc: RepContext, z: complex, mmax: int = 4) -> list[tuple[str, float]]:
+def check_det_forms(rc: RepContext, z: complex, mmax: int = DET_FORMS_SHAPE[0]) -> list[tuple[str, float]]:
     """Compare each determinant word expansion against its scalar action."""
-    return list(_bound_rows(rc, _det_form_rows, (mmax,), z=z).items())
+    return list(_rows_at(rc, _det_form_rows, (mmax,), z=z).items())
 
 
 # -- the checks compiled once per shape ----------------------------------------
@@ -726,33 +726,31 @@ def compiled(build, params: tuple, zero_guard: float) -> Compiled:
     )
 
 
-def bind_rows(build, params: tuple, drawn: Sequence[tuple[RepContext, dict]]) -> None:
-    """Bind the check ``compiled(build, params, ...)`` at each (rc, symbols)
-    of ``drawn`` (the spectral points ``z`` and maybe ``z1``, ``z2``; one zero
-    guard), in one ``Template.bind_all``, and keep each outcome on its ``rc``."""
+def bind_rows(build, params: tuple, drawn: Sequence[tuple[RepContext, dict]]) -> list[dict | ArithmeticError]:
+    """The outcome (``Compiled.outcome``: the rows, or the error, not raised)
+    of the check ``compiled(build, params, ...)`` at each (rc, symbols) of
+    ``drawn`` (the spectral points ``z`` and maybe ``z1``, ``z2``; one zero
+    guard), all bound in one ``Template.bind_all``."""
     check = compiled(build, params, drawn[0][0].ctx.zero_guard)
     points = [
         (rc.ctx, rc.lam0, rc.omega, symbols["z"], symbols.get("z1"), symbols.get("z2"))
         for rc, symbols in drawn
     ]
     values, codes = check.template.bind_all(points)
-    for (rc, symbols), v, c in zip(drawn, values, codes):
-        rc._bound[_bound_key(build, params, symbols)] = check.outcome(v, c, rc.ctx.zero_guard)
+    return [check.outcome(v, c, rc.ctx.zero_guard) for (rc, _), v, c in zip(drawn, values, codes)]
 
 
-def _bound_key(build, params: tuple, symbols: dict) -> tuple:
-    return (build, params, *sorted(symbols.items()))
+def rows_of(outcome: dict | ArithmeticError) -> dict:
+    """The rows of an outcome of ``bind_rows``, or a fresh error of the
+    outcome's type and message raised.  Raising the outcome itself would
+    put the frames that hold it on its own traceback: a reference cycle
+    that keeps them, and the sample they hold, until a collection."""
+    if isinstance(outcome, ArithmeticError):
+        raise type(outcome)(*outcome.args)
+    return outcome
 
 
-def _bound_rows(rc: RepContext, build, params: tuple, **symbols) -> dict:
-    """The rows of a compiled check at the sample of ``rc`` and the spectral
-    points ``symbols``, bound once per ``rc`` (``bind_rows``); a failed
-    binding raises a fresh error of the kept one's type and message, so no
-    traceback reaches ``rc``."""
-    key = _bound_key(build, params, symbols)
-    if key not in rc._bound:
-        bind_rows(build, params, [(rc, symbols)])
-    got = rc._bound[key]
-    if isinstance(got, ArithmeticError):
-        raise type(got)(*got.args)
-    return got
+def _rows_at(rc: RepContext, build, params: tuple, **symbols) -> dict:
+    """The rows of a compiled check at the one sample of ``rc`` and the
+    spectral points ``symbols``, bound afresh, or its error raised."""
+    return rows_of(bind_rows(build, params, [(rc, symbols)])[0])

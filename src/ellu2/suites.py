@@ -24,7 +24,10 @@ Suites and the focused tables of ``ellu2 check`` share one engine:
 The suites and tables whose checks are compiled (biorth and dual-biorth,
 relations, unitarity, and the corep tables) draw ahead through one sampler,
 ``_DrawAhead``, and evaluate the attempts of up to ``AHEAD`` unfinished
-samples in one batch.
+samples in one batch, which returns each draw's results (the relation and
+unitarity rows of ``rep.bind_rows``, a biorth cache, a tower's residuals)
+or its error; a batch that raises is evaluated again draw by draw, there
+(``_evaluate``) and nowhere else.
 An attempt makes all its ``rng`` calls before anything of it is evaluated,
 as many whatever the outcome, and every unfinished sample takes at least
 one more attempt; so no drawn attempt goes unused, and the stream, the
@@ -57,9 +60,7 @@ from .corep import (
     _unitarity_rows,
     check_coproduct,
     check_counit_exact,
-    check_inversion_words,
     check_tensor_relation,
-    check_unitarity,
     closed_tower,
     closed_towers,
     linear_independence_ratio,
@@ -68,13 +69,14 @@ from .corep import (
     tau_tilde_plan,
 )
 from .rep import (
+    DET_FORMS_SHAPE,
+    RELATIONS_SHAPE,
     RepContext,
     _det_form_rows,
     _relation_rows,
     bind_rows,
-    check_det_forms,
-    check_relations,
     relation_inventory,
+    rows_of,
 )
 from .residuals import TINY, rel, rel_to_terms, spread, worst
 from .rmatrix import det_residual, qdybe_residual
@@ -234,12 +236,16 @@ class _DrawAhead:
     """Attempts drawn ahead and evaluated in batches.
 
     ``draw()`` makes one attempt's draws, with all its ``rng`` calls, and
-    ``evaluate(drawn)`` gives the result of each of a list of them.  Each
-    call of ``attempt`` is one attempt.  When no drawn attempt is left, it
-    draws as many as there are samples still unfinished (``pending``), at
-    most ``AHEAD``, and evaluates them together (``_evaluate``).  An
-    attempt takes the next draw's result, or raises the error evaluating
-    that draw raised.
+    ``evaluate(drawn)`` gives the result of each of a list of them, or the
+    error of a draw that failed, not raised.  Each call of ``attempt`` is
+    one attempt.  When no drawn attempt is left, it draws as many as there
+    are samples still unfinished (``pending``), at most ``AHEAD``, and
+    evaluates them together (``_evaluate``).  An attempt takes the next
+    draw's result, or raises a fresh error of its error's type and
+    message: raising that error itself would put the attempt's frame, and
+    so the sampler, on its own traceback, a cycle only a collection frees.
+    Nothing of a batch is kept but these results, each popped by its
+    attempt.
     """
 
     def __init__(self, draw: Callable[[], object], evaluate: Callable[[list], list]):
@@ -256,26 +262,22 @@ class _DrawAhead:
             self.queue.extend(_evaluate(self.evaluate, drawn))
         got = self.queue.popleft()
         if isinstance(got, ArithmeticError):
-            raise got.with_traceback(None)
+            raise type(got)(*got.args)
         return got
 
 
 def _evaluate(evaluate: Callable[[list], list], drawn: list) -> list:
     """For each draw, ``evaluate``'s result, or the ``ArithmeticError``
     evaluating it raised.  The draws are evaluated in one batch, which
-    records what fails per draw; should the batch raise all the same, each
-    draw is evaluated alone, to tell whose error it is."""
+    records what fails per draw; should the batch raise all the same, the
+    error of a batch of one is its draw's, and each draw of a larger batch
+    is evaluated alone, to tell whose error it is."""
     try:
         return evaluate(drawn)
-    except ArithmeticError:
-        pass
-    out: list = []
-    for one in drawn:
-        try:
-            out += evaluate([one])
-        except ArithmeticError as exc:
-            out.append(exc)
-    return out
+    except ArithmeticError as exc:
+        if len(drawn) == 1:
+            return [exc]
+    return [got for one in drawn for got in _evaluate(evaluate, [one])]
 
 
 def _rep_draw(
@@ -390,11 +392,6 @@ def _suite_qdybe(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
     return _drive("qdybe", samples, cfg.max_redraws, classes, sample, [])
 
 
-# (mmax, kmax_reverse) of the relation checks and mmax of the determinant forms.
-RELATIONS_SHAPE = (6, 4)
-DET_FORMS_SHAPE = (4,)
-
-
 def _relations_ahead(
     cfg: RunConfig,
     rng: np.random.Generator,
@@ -402,9 +399,10 @@ def _relations_ahead(
     lam: complex | None = None,
     det_forms: bool = False,
 ) -> _DrawAhead:
-    """The draw-ahead sampler of the relation checks: an attempt gives (rep
-    context, z1, z2, z), bound to the relation rows and, with
-    ``det_forms``, the determinant-form rows."""
+    """The draw-ahead sampler of the relation checks: an attempt gives the
+    outcomes (``rep.bind_rows``) of its draw of a rep context and z1, z2,
+    z: the relation rows, and with ``det_forms`` the determinant-form
+    rows, else None."""
 
     def draw() -> tuple:
         # Relation sides multiply up to eight theta-quotient coefficients, so
@@ -416,10 +414,11 @@ def _relations_ahead(
 
     def evaluate(drawn: list) -> list:
         points = [(rc, {"z": z, "z1": z1, "z2": z2}) for rc, z1, z2, z in drawn]
-        bind_rows(_relation_rows, RELATIONS_SHAPE, points)
-        if det_forms:
-            bind_rows(_det_form_rows, DET_FORMS_SHAPE, [(rc, {"z": z}) for rc, *_, z in drawn])
-        return drawn
+        relations = bind_rows(_relation_rows, RELATIONS_SHAPE, points)
+        if not det_forms:
+            return [(rows, None) for rows in relations]
+        forms = bind_rows(_det_form_rows, DET_FORMS_SHAPE, [(rc, {"z": z}) for rc, *_, z in drawn])
+        return list(zip(relations, forms))
 
     return _DrawAhead(draw, evaluate)
 
@@ -431,15 +430,17 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
     draws = _relations_ahead(cfg, rng, det_forms=True)
 
     def sample() -> dict[str, float]:
-        rc, z1, z2, z = draws.attempt()
-        rows = check_relations(rc, z1, z2, z, *RELATIONS_SHAPE)
-        for rel_name, res in rows:
+        relations, forms = draws.attempt()
+        rows = rows_of(relations)
+        # Flagged before the determinant forms' error is raised: an attempt
+        # redrawn at that error keeps its notes.
+        for rel_name, res in rows.items():
             if res > tol and rel_name not in flagged:
                 flagged.add(rel_name)
                 notes.append(f"relation over tolerance: {rel_name} ({res:.3e})")
         return _worst([
-            (("defining relations", res) for _, res in rows),
-            (("det forms", res) for _, res in check_det_forms(rc, z, *DET_FORMS_SHAPE)),
+            (("defining relations", res) for res in rows.values()),
+            (("det forms", res) for res in rows_of(forms).values()),
         ])
 
     return _drive(
@@ -553,42 +554,32 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
 
 def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     inversion_tol = 1e-7
+    # Each family is bound at every (k, j) of its level and every m up to
+    # ``UNITARITY_MMAX``: unitarity at N = 1, 2, 3, then inversion at N = 1, 2.
     families = [(_unitarity_rows, N) for N in (1, 2, 3)] + [(_inversion_rows, N) for N in (1, 2)]
 
     def draw() -> tuple:
         return _rep_draw(cfg, rng), draw_z(rng)
 
     def evaluate(drawn: list) -> list:
-        for build, n_level in families:
-            bind_rows(build, (n_level, UNITARITY_MMAX), [(rc, {"z": z}) for rc, z in drawn])
-        return drawn
+        points = [(rc, {"z": z}) for rc, z in drawn]
+        bound = [bind_rows(build, (n_level, UNITARITY_MMAX), points) for build, n_level in families]
+        out: list = []
+        for outcomes in zip(*bound):
+            failed = [got for got in outcomes if isinstance(got, ArithmeticError)]
+            out.append(failed[0] if failed else {
+                "unitarity": worst(v for rows in outcomes[:3] for v in rows.values()),
+                "inversion sums": worst(v for rows in outcomes[3:] for v in rows.values()),
+            })
+        return out
 
     draws = _DrawAhead(draw, evaluate)
-
-    def sample() -> dict[str, float]:
-        rc, z = draws.attempt()
-        unitarity = worst(
-            check_unitarity(n_level, k, j, z, m, rc)
-            for n_level in range(1, 4)
-            for k in range(n_level + 1)
-            for j in range(n_level + 1)
-            for m in range(3)
-        )
-        inversion = worst(
-            check_inversion_words(n_level, k, l, z, m, rc)
-            for n_level in range(1, 3)
-            for k in range(n_level + 1)
-            for l in range(n_level + 1)
-            for m in range(3)
-        )
-        return {"unitarity": unitarity, "inversion sums": inversion}
-
     return _drive(
         "unitarity",
         samples,
         cfg.max_redraws,
         {"unitarity": tol, "inversion sums": inversion_tol},
-        sample,
+        draws.attempt,
         [],
         draws.pending,
     )
@@ -870,8 +861,8 @@ def relations_table(
     draws = _relations_ahead(cfg, rng, omega, lam)
 
     def sample() -> list[tuple[str, float]]:
-        rc, z1, z2, z = draws.attempt()
-        return check_relations(rc, z1, z2, z, *RELATIONS_SHAPE)
+        relations, _ = draws.attempt()
+        return list(rows_of(relations).items())
 
     values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)
     entries = [

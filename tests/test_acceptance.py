@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from ellu2.corep import tau_plan, tau_tilde_plan
+from ellu2.corep import _unitarity_rows, tau_plan, tau_tilde_plan
 from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
 from ellu2.suites import (
@@ -202,8 +202,19 @@ def _nan_arrays(original):
     return patched
 
 
-def _nan_rows(original):
-    return lambda *args, **kw: [(name, NAN) for name, _ in original(*args, **kw)]
+def _nan_rows(build):
+    # The batch binder, each row of the check ``build`` NaN at every draw
+    # whose binding did not fail.
+    def patch(original):
+        def patched(check, params, drawn):
+            got = original(check, params, drawn)
+            if check is not build:
+                return got
+            return [rows if isinstance(rows, ArithmeticError) else dict.fromkeys(rows, NAN) for rows in got]
+
+        return patched
+
+    return patch
 
 
 def _nan_at_index_3(original):
@@ -270,9 +281,11 @@ NAN_CASES = {
         "suites", "qdybe_residual", _nan,
         [_suite("qdybe"), lambda cfg: qdybe_table(cfg, cfg.samples)],
     ),
-    "relation-rows": ("suites", "check_relations", _nan_rows, [_suite("relations"), _relations_table]),
+    "relation-rows": (
+        "suites", "bind_rows", _nan_rows(rep_mod._relation_rows), [_suite("relations"), _relations_table]
+    ),
     "theta-product": ("suites", "theta_multi", _nan, [_suite("theta")]),
-    "unitarity": ("suites", "check_unitarity", _nan, [_suite("unitarity")]),
+    "unitarity": ("suites", "bind_rows", _nan_rows(_unitarity_rows), [_suite("unitarity")]),
     "closed-tau": (
         "suites", "closed_towers", _nan_tower(tau_plan, many=True),
         [lambda cfg: corep_table(cfg, 2, cfg.samples)],
@@ -365,10 +378,33 @@ def test_the_k_equals_n_row_passes():
 
 def test_relations_table_keeps_an_exact_relation(monkeypatch):
     rows = [("exact", 0.0), ("rounded", 1e-12)]
-    monkeypatch.setattr(suites_mod, "check_relations", lambda *args, **kw: rows)
+    monkeypatch.setattr(suites_mod, "bind_rows", lambda build, params, drawn: [dict(rows)] * len(drawn))
     table = relations_table(RunConfig(seed=1), None, None, 2)
     assert [(e["relation"], e["max_rel_residual"]) for e in table["entries"]] == rows
     assert table["pass"]
+
+
+def test_a_relations_draw_notes_its_rows_before_its_det_form_error(monkeypatch):
+    # The first draw has one relation row over tolerance and its
+    # determinant forms at a pole: the row's note is kept, and the draw is
+    # redrawn, its residuals left out of the report.
+    bind_rows, binds = suites_mod.bind_rows, []
+
+    def patched(build, params, drawn):
+        got = bind_rows(build, params, drawn)
+        binds.append(build)
+        if len(binds) == 1:
+            got[0] = {**got[0], "commute alpha": 1.0}
+        elif len(binds) == 2:
+            got[0] = PoleError("determinant forms at a pole")
+        return got
+
+    monkeypatch.setattr(suites_mod, "bind_rows", patched)
+    rec = run_suite("relations", RunConfig(seed=1, samples=2))
+    assert binds[:2] == [rep_mod._relation_rows, rep_mod._det_form_rows]
+    assert "relation over tolerance: commute alpha (1.000e+00)" in rec["notes"]
+    assert (rec["samples"], rec["rejected"], rec["pass"]) == (2, 0, True)
+    assert rec["max_rel_residual"] < 1e-9
 
 
 def test_series_transformation_residual_formula():

@@ -1,5 +1,6 @@
-"""``tools/bench_summary.py`` on synthetic run files: the round counts kept
-beside the metrics and the fit of peak RSS against them."""
+"""``tools/bench_summary.py`` on synthetic run files: the round counts and
+reference task times kept beside the metrics, and the fit of peak RSS
+against the round counts."""
 
 import importlib.util
 import json
@@ -19,14 +20,16 @@ def summary():
 
 
 def _runs(tmp_path, side, rows):
-    """One run file per (rounds, peak_rss_mb, wall_s), as ``perfbench/run.py``
-    prints a run: its round count, then its JSON object last."""
+    """One run file per (rounds, peak_rss_mb, wall_s[, reference task s]),
+    as ``perfbench/run.py`` prints a run: its round count, its reference
+    task time where given, then its JSON object last."""
     paths = []
-    for i, (rounds, rss, wall) in enumerate(rows):
+    for i, (rounds, rss, wall, *reference) in enumerate(rows):
         metrics = {"peak_rss_mb": {"value": rss, "unit": "MB"}, "wall_s": {"value": wall, "unit": "s"}}
         run = {"correct": True, "attempted": rounds, "failed": 0, "metrics": metrics}
+        info = [f"  rounds = {rounds}", *(f"  reference task s = {t}" for t in reference)]
         path = tmp_path / f"{side}_{i}.json"
-        path.write_text(f"rounds = {rounds}\n{json.dumps(run)}\n")
+        path.write_text("\n".join(["levels seed=1 trace=0: attempted 1, failed 0", *info, json.dumps(run)]) + "\n")
         paths.append(path)
     return paths
 
@@ -60,4 +63,26 @@ def test_rss_per_round_is_null_at_one_round_count(summary, tmp_path):
     change = [(200, 50.5, 0.12), (200, 52.0, 0.13)]
     report = _summarize(summary, tmp_path, parent, change)
     assert report["rss_per_round"] is None
+    assert report["rounds"] == {"parent": [200, 200], "change": [200, 200]}
+
+
+def test_reference_task_times_are_kept_per_side(summary, tmp_path):
+    # Each run's reference task time, in run order, with its side's median
+    # and quartiles: the task rescales wall_s, so a move of the task shows.
+    parent = [(200, 50.0, 0.15, t) for t in (0.0169, 0.0119, 0.0142)]
+    change = [(200, 50.0, 0.15, t) for t in (0.0117, 0.0108, 0.0116)]
+    got = _summarize(summary, tmp_path, parent, change)["reference_task_s"]
+    assert got["parent"]["values"] == [0.0169, 0.0119, 0.0142]
+    assert got["change"]["values"] == [0.0117, 0.0108, 0.0116]
+    assert got["parent"]["median"] == 0.0142 and got["change"]["median"] == 0.0116
+    assert (got["parent"]["q1"], got["parent"]["q3"]) == pytest.approx((0.01305, 0.01555))
+    assert (got["change"]["q1"], got["change"]["q3"]) == pytest.approx((0.0112, 0.01165))
+
+
+def test_reference_task_is_null_where_a_run_has_none(summary, tmp_path):
+    # A --trace 1 run prints no reference task time.
+    parent = [(200, 50.0, 0.15, 0.0169), (200, 50.0, 0.15)]
+    change = [(200, 50.5, 0.12, 0.0117), (200, 52.0, 0.13, 0.0108)]
+    report = _summarize(summary, tmp_path, parent, change)
+    assert report["reference_task_s"] is None
     assert report["rounds"] == {"parent": [200, 200], "change": [200, 200]}

@@ -36,6 +36,7 @@ from ellu2.theta import PoleError, ThetaContext
 rep_mod = importlib.import_module("ellu2.rep")
 theta_mod = importlib.import_module("ellu2.theta")
 corep_mod = importlib.import_module("ellu2.corep")
+suites_mod = importlib.import_module("ellu2.suites")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 Z1, Z2, Z = 1.1 + 0.3j, 0.7 - 0.5j, 0.9 + 0.6j
@@ -151,7 +152,7 @@ def test_a_draw_next_to_a_pole_raises_on_both_paths(name):
     with pytest.raises(PoleError):
         numeric_sides(rc)
     with pytest.raises(PoleError):
-        rep_mod._bound_rows(rc, build, params, **symbols)
+        rep_mod._rows_at(rc, build, params, **symbols)
 
 
 def compiled_plans(monkeypatch, build, params, zero_guard) -> tuple:
@@ -206,21 +207,33 @@ def test_action_peaks_are_python_abs_bit_for_bit():
         assert [p.hex() for p in peaks] == [p.hex() for p in want[g]]
 
 
-def test_checks_read_each_sample_once_per_context(monkeypatch):
-    calls = []
-    original = rep_mod.bind_rows
+def test_samplers_bind_each_family_once_per_batch(monkeypatch):
+    # The unitarity and relations suites bind each family once per batch,
+    # at all of its draws, and read every residual from what that returns:
+    # no one-sample check (which binds through ``rep.bind_rows``) is called.
+    calls, one_sample = [], []
 
-    def counted(build, params, drawn):
-        calls.append(build)
-        return original(build, params, drawn)
+    def counted(record, original):
+        def bind(build, params, drawn):
+            record.append((build, params, len(drawn)))
+            return original(build, params, drawn)
 
-    monkeypatch.setattr(rep_mod, "bind_rows", counted)
-    rc = draw(np.random.default_rng(3), 1e-12)
-    first = [corep_mod.check_unitarity(2, k, j, Z, m, rc) for k in range(3) for j in range(3) for m in range(3)]
-    again = [corep_mod.check_unitarity(2, k, j, Z, m, rc) for k in range(3) for j in range(3) for m in range(3)]
-    assert first == again and len(calls) == 1
-    corep_mod.check_unitarity(2, 0, 0, 1.3 * Z, 0, rc)
-    assert len(calls) == 2
+        return bind
+
+    monkeypatch.setattr(suites_mod, "bind_rows", counted(calls, suites_mod.bind_rows))
+    monkeypatch.setattr(rep_mod, "bind_rows", counted(one_sample, rep_mod.bind_rows))
+    runs = {
+        "unitarity": [(corep_mod._unitarity_rows, (N, 2)) for N in (1, 2, 3)]
+        + [(corep_mod._inversion_rows, (N, 2)) for N in (1, 2)],
+        "relations": [(rep_mod._relation_rows, (6, 4)), (rep_mod._det_form_rows, (4,))],
+    }
+    for name, families in runs.items():
+        calls.clear()
+        assert run_suite(name, RunConfig(seed=1, samples=12))["pass"]
+        sizes = [n for _, _, n in calls[:: len(families)]]
+        assert calls == [(build, params, n) for n in sizes for build, params in families]
+        assert sizes[0] == suites_mod.AHEAD and sum(sizes) >= 12
+    assert not one_sample
 
 
 # -- gates with teeth: each fault patched into the shared formula ----------------

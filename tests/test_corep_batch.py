@@ -36,22 +36,36 @@ def attempts(monkeypatch, cfg, n_level: int, samples: int, ahead: int) -> tuple:
     ``ahead`` draws, and for each attempt in order its draw and the bits
     of its tower residuals, or the type and message of its error."""
     monkeypatch.setattr(suites_mod, "AHEAD", ahead)
-    tower = suites_mod._corep_tower
+    tower, towers = suites_mod._corep_tower, suites_mod.closed_towers
     outcomes = []
 
+    def _draw(rc, z):
+        return (rc.ctx.p.hex(), rc.ctx.q.hex(), repr(rc.lam0), repr(rc.omega), repr(z))
+
     def recorded(rc, z, n, *bound):
-        draw = (rc.ctx.p.hex(), rc.ctx.q.hex(), repr(rc.lam0), repr(rc.omega), repr(z))
         try:
             got = tower(rc, z, n, *bound)
         except ArithmeticError as exc:
-            outcomes.append((draw, type(exc).__name__, str(exc)))
+            outcomes.append((_draw(rc, z), type(exc).__name__, str(exc)))
             raise
-        outcomes.append((draw, sorted((key, _hex(v)) for key, v in got.items())))
+        outcomes.append((_draw(rc, z), sorted((key, _hex(v)) for key, v in got.items())))
         return got
 
+    def bound(plan, n, samples):
+        # A bind that raises at one draw fails that draw; a batch's bind
+        # that raises is bound again draw by draw (``suites._evaluate``).
+        try:
+            return towers(plan, n, samples)
+        except ArithmeticError as exc:
+            if len(samples) == 1:
+                outcomes.append((_draw(*samples[0]), type(exc).__name__, str(exc)))
+            raise
+
     monkeypatch.setattr(suites_mod, "_corep_tower", recorded)
+    monkeypatch.setattr(suites_mod, "closed_towers", bound)
     report = canonical_json(corep_table(cfg, n_level, samples))
     monkeypatch.setattr(suites_mod, "_corep_tower", tower)
+    monkeypatch.setattr(suites_mod, "closed_towers", towers)
     return report, outcomes
 
 
@@ -70,8 +84,8 @@ def test_batched_binds_equal_binds_one_at_a_time(monkeypatch, n_level):
 def test_a_batch_whose_bind_raises_is_bound_draw_by_draw(monkeypatch):
     # The bind of the second draw of the first batch raises (its theta
     # values, here forced): the batch is bound again draw by draw, that
-    # draw fails with the bind's error at its first read and is redrawn,
-    # and every other draw is bound as it is alone.
+    # draw fails with the bind's error at its own bind and is redrawn, and
+    # every other draw is bound as it is alone.
     cfg = RunConfig(seed=26)
     _, outcomes = attempts(monkeypatch, cfg, 2, 4, suites_mod.AHEAD)
     broken_p = float.fromhex(outcomes[1][0][0])

@@ -3,9 +3,9 @@
 The coefficients read their theta values from the scalar memo of their
 ``ThetaContext``: a value on a context that has served other calls must be
 the value on a fresh context, bit for bit, for arguments one ulp apart too,
-and contexts with different zero guards share nothing.  The residuals the
-corepresentation checks keep on their ``RepContext`` must not keep the
-``ThetaContext`` alive.
+and contexts with different zero guards share nothing.  The
+corepresentation checks keep nothing on their ``RepContext``, so dropping it
+frees its ``ThetaContext``.
 """
 
 import gc
@@ -79,12 +79,13 @@ def test_contexts_with_different_zero_guards_share_nothing():
     assert bits(r_entries(lam, z, other_loose)) == bits(value)
 
 
-def test_bound_rows_do_not_keep_the_context_alive():
-    # The residuals kept on the representation context are plain floats,
-    # and the error kept for a draw whose binding failed holds no traceback:
-    # dropping the context frees its ThetaContext without a collection.
-    # theta(q^(-2 (lam + 1))) vanishes at lam = -1, where the second draw's
-    # coefficients divide by it.
+def test_checks_keep_nothing_on_the_context():
+    # A check binds its level's family at its sample and keeps nothing: the
+    # representation context holds its three fields only, after a draw
+    # whose binding failed too, and the error raised holds nothing that
+    # refers to itself, so dropping the context frees its ThetaContext
+    # without a collection.  theta(q^(-2 (lam + 1))) vanishes at lam = -1,
+    # where the second draw's coefficients divide by it.
     gc.disable()
     try:
         for lam0, failed in ((0.4 - 0.2j, False), (-1 + 1e-15 + 0j, True)):
@@ -92,13 +93,13 @@ def test_bound_rows_do_not_keep_the_context_alive():
             for fn in (check_unitarity, check_inversion_words):
                 try:
                     fn(2, 1, 1, 1.1 + 0.3j, 0, rc)
+                    raised = False
                 except PoleError:
-                    pass
-            kept = list(rc._bound.values())
-            assert len(kept) == 2
-            assert all(isinstance(got, PoleError) == failed for got in kept)
+                    raised = True
+                assert raised == failed
+            assert list(vars(rc)) == ["omega", "lam0", "ctx"]
             gone = weakref.ref(rc.ctx)
-            del rc, kept
+            del rc
             assert gone() is None
     finally:
         gc.enable()

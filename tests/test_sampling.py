@@ -1,7 +1,9 @@
 """Parameter draw policy and pole-rejection plumbing."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +155,26 @@ def report_bits(values):
         {kl: [x.hex() for x in dataclasses.astuple(r)] for kl, r in reports.items()}
         for reports in values
     ]
+
+
+def test_a_failed_attempt_keeps_nothing_alive():
+    # The error a failed attempt raises holds no frame that refers to it:
+    # once it is handled and the sampler dropped, the sampler's draws are
+    # freed without a collection.
+    class Draw:
+        pass
+
+    drawn = Draw()
+    draws = suites._DrawAhead(lambda: drawn, lambda batch: [PoleError("at a pole") for _ in batch])
+    gone = weakref.ref(drawn)
+    gc.disable()
+    try:
+        with pytest.raises(PoleError, match="at a pole"):
+            draws.attempt()
+        del draws, drawn
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("dual", [False, True])

@@ -9,7 +9,10 @@ non-empty line is the run's JSON object
 ``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``,
 and its ``rounds = N`` line the number of rounds the run fit, kept beside the
 metrics: a faster change fits more rounds, and a run's peak RSS grows with
-them.
+them.  Its ``reference task s = T`` line is kept too, with its median and
+quartiles per side (``reference_task_s``): ``wall_s`` is rescaled by that
+task, which runs in the workload's process and shares its allocator, so a
+program change that moves the task moves ``wall_s`` with it.
 List the parent and change files in the order they ran, so that the i-th
 files of both lists are one pair.  For every metric the output gives the
 parent's and the change's values, median and quartiles, the relative change
@@ -32,15 +35,26 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def last_json(path: Path) -> dict:
-    """The run's JSON object, with its round count under ``rounds`` (None
-    when the output has no ``rounds = N`` line)."""
+    """The run's JSON object, with its round count under ``rounds`` and its
+    mean reference task time under ``reference_s`` (each None when the
+    output has no such line)."""
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines:
         raise SystemExit(f"{path}: no output, so no run to read")
     run = json.loads(lines[-1])
-    counts = [line.split("=")[1] for line in lines if line.split("=")[0].strip() == "rounds"]
-    run["rounds"] = int(counts[0]) if counts else None
+    rounds, reference = info(lines, "rounds"), info(lines, "reference task s")
+    run["rounds"] = None if rounds is None else int(rounds)
+    run["reference_s"] = None if reference is None else float(reference)
     return run
+
+
+def info(lines: list[str], name: str) -> str | None:
+    """The value of the first ``name = value`` line, or None."""
+    for line in lines:
+        key, _, value = line.partition("=")
+        if key.strip() == name:
+            return value
+    return None
 
 
 def spread(values: list[float]) -> dict:
@@ -93,6 +107,14 @@ def rss_per_round(parent: list[dict], change: list[dict]) -> dict | None:
     }
 
 
+def reference_task(parent: list[dict], change: list[dict]) -> dict | None:
+    """Each side's ``reference task s`` values, median and quartiles; None
+    where a run does not say (a ``--trace 1`` run runs no task)."""
+    if any(run["reference_s"] is None for run in parent + change):
+        return None
+    return {side: spread([run["reference_s"] for run in runs]) for side, runs in (("parent", parent), ("change", change))}
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -123,6 +145,7 @@ def main(argv=None) -> None:
         },
         "metrics": summarize(parent, change),
         "rss_per_round": rss_per_round(parent, change),
+        "reference_task_s": reference_task(parent, change),
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
