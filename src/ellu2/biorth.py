@@ -681,7 +681,7 @@ class BiorthCache:
     filled for come with it; those of the other kind, direct or dual, are
     computed from its stored items at the first check of that kind.  Each
     check returns its row, or raises a fresh error of the failure code
-    recorded for it.
+    recorded for it; ``rows`` reads all the rows of a kind at once.
 
     ``get`` keeps values by key in ``_store``.  The checks do not use it; the
     benchmark's tracer counts cache hits through it, so it stays.
@@ -726,18 +726,32 @@ class BiorthCache:
             self._fill([self], [bp], False)
         return self._items
 
-    def report(self, bp: BiorthParams, k: int, l: int, dual: bool) -> BiorthReport:
-        """The report of the (dual) (k, l) check at ``bp``, from its row."""
-        N = bp.N
-        if not (0 <= k <= N and 0 <= l <= N):
-            raise ValueError(f"(k, l) = ({k}, {l}) lies outside the sweep 0..{N}")
+    def _reports(self, bp: BiorthParams, dual: bool) -> tuple[list, dict]:
+        """(rows, errors) of the (dual) checks at ``bp`` (``_Program.reports``)."""
         if self._items is None:
             self._fill([self], [bp], dual)
         got = self._rows.get(dual)
         if got is None:
             sweep, values, codes = self._items
             got = self._rows[dual] = sweep.program(dual).reports(values[None], codes[None])[0]
-        rows, errors = got
+        return got
+
+    def rows(self, bp: BiorthParams, dual: bool) -> list[tuple]:
+        """The residuals of every (dual) (k, l) check at ``bp``, row r =
+        k (N + 1) + l a tuple of the fields of its ``BiorthReport``; a sweep
+        with a failing row raises a fresh error of its first failing row,
+        what its checks, made in row order, raise first."""
+        rows, errors = self._reports(bp, dual)
+        if errors:
+            raise error(errors[min(errors)])
+        return rows
+
+    def report(self, bp: BiorthParams, k: int, l: int, dual: bool) -> BiorthReport:
+        """The report of the (dual) (k, l) check at ``bp``, from its row."""
+        N = bp.N
+        if not (0 <= k <= N and 0 <= l <= N):
+            raise ValueError(f"(k, l) = ({k}, {l}) lies outside the sweep 0..{N}")
+        rows, errors = self._reports(bp, dual)
         r = k * (N + 1) + l
         if r in errors:
             raise error(errors[r])

@@ -48,7 +48,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,6 +75,7 @@ from .theta import (
     _i32,
     _ranked,
     _steps,
+    combine,
     garg,
     known,
     qarg,
@@ -88,6 +90,8 @@ __all__ = [
     "vwp_sum",
     "eval_omega",
     "eval_omega_termwise",
+    "omega_plan",
+    "termwise_plan",
     "bailey_g",
     "bailey_theta_condition",
     "check_bailey",
@@ -619,26 +623,30 @@ def eval_omega(spec: SeriesSpec) -> SeriesValue:
     w = spec.balancing_warning()
     if w is not None:
         warnings = (w,)
-    value, max_term, terms = vwp_sum(
-        spec.ctx,
-        spec.a1,
-        spec.upper,
-        _denominators(spec),
-        spec.termination_index,
-        merged=None,
-    )
+    dens = _denominators(spec)
+    value, max_term, terms = vwp_sum(spec.ctx, spec.a1, spec.upper, dens, spec.termination_index)
     return SeriesValue(value, terms, max_term, warnings)
 
 
-def eval_omega_termwise(spec: SeriesSpec) -> complex:
-    """Naive per-term evaluation with fresh Pochhammer products.
+def omega_plan(spec: SeriesSpec) -> Plan:
+    """The plan of the series ``eval_omega`` sums: (value, max term
+    magnitude, index of last contributing term + 1)."""
+    return vwp_plan(spec.ctx, spec.a1, spec.upper, _denominators(spec), spec.termination_index)
+
+
+def termwise_plan(spec: SeriesSpec) -> Plan:
+    """The plan of ``eval_omega_termwise``: each term a fresh theta product
+    of full Pochhammer symbols, the terms added left to right.
 
     Slow path used to cross-check the accumulating evaluator; identical
-    semantics including exact zero and pole handling.
+    semantics including exact zero and pole handling.  Every term is built
+    before any is finished, so an exact zero in a denominator raises at the
+    build; the terms are then finished in order, and the first that fails
+    raises.
     """
     ctx = spec.ctx
     dens = _denominators(spec)
-    total = 0.0 + 0.0j
+    terms = []
     for k in range(spec.termination_index + 1):
         tp = ThetaProduct(ctx, ctx.qpow(2 * k))
         tp.theta(spec.a1.shifted(2 * k))
@@ -649,8 +657,13 @@ def eval_omega_termwise(spec: SeriesSpec) -> complex:
         tp.poch(qarg(1), k, inv=True)
         for d in dens:
             tp.poch(d, k, inv=True)
-        total += tp.value()
-    return total
+        terms.append(tp)
+    return combine(ctx, terms, lambda *values: reduce(add, values, 0.0 + 0.0j))
+
+
+def eval_omega_termwise(spec: SeriesSpec) -> complex:
+    """Naive per-term evaluation (``termwise_plan``), in one lookup."""
+    return termwise_plan(spec).value()
 
 
 def bailey_g(a: complex, b: complex, c: complex, d: complex, e: complex, f: complex, n: int, ctx: ThetaContext) -> complex:

@@ -35,6 +35,12 @@ redraws and the reports are those of drawing one at a time.  The cap bounds
 what one batch binds: the relations suite's 50 draws bound together would
 add several MB to peak memory.
 
+Each draw is read in one pass: the theta suite looks every theta argument
+of a draw up in one ``theta_vec`` call (``_theta_draw``), the series suite
+finishes both its evaluators from one lookup of the vector cache, and the
+biorth suites and tables read a draw's rows as its batch left them
+(``BiorthCache.rows``).
+
 A sample returns plain floats (or, for the per-sample tables, one entry), so
 nothing of a draw outlives it (or, drawn ahead, its own attempt).  ``_sample``
 looks ``run_with_redraws`` up in this module's namespace at each call, never
@@ -44,15 +50,17 @@ name.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .biorth import BiorthCache, BiorthParams, BiorthReport, check_biorth, check_dual_biorth
+from .biorth import BiorthCache, BiorthParams
 from .corep import (
     TOWER_M,
     UNITARITY_MMAX,
@@ -86,9 +94,11 @@ from .series import (
     bailey_theta_condition,
     check_bailey,
     eval_omega,
-    eval_omega_termwise,
+    omega_plan,
+    termwise_plan,
 )
-from .theta import PoleError, ThetaContext, garg, qarg, theta, theta_condition, theta_multi
+from .theta import THETA_RANGE, PoleError, ThetaContext, combine, garg, qarg
+from .theta import theta_condition, theta_vec
 
 __all__ = [
     "RunConfig",
@@ -128,18 +138,24 @@ class RunConfig:
 
 
 def _theta_identity_residual(
-    terms: list[tuple[complex, tuple[complex, ...]]], ctx: ThetaContext
+    terms: list[tuple[complex, tuple[complex, ...]]], values: list[complex], ctx: ThetaContext
 ) -> float:
-    """Residual of sum_i c_i theta(args_i) = 0 for terms (c_i, args_i).
+    """Residual of sum_i c_i theta(args_i) = 0 for terms (c_i, args_i), where
+    ``values`` holds the theta values of the terms' arguments, in order.
 
     Each term enters the scale at its own condition, |term| times the largest
     ``theta_condition`` of its arguments: a theta factor near a zero turns the
-    rounding of its argument into that much relative error.
+    rounding of its argument into that much relative error.  A product beyond
+    the double range raises ``PoleError``, as a value does.
     """
     total = 0.0 + 0.0j
     scale = TINY
+    read = iter(values)
     for c, args in terms:
-        t = c * theta_multi(args, ctx)
+        product = math.prod([next(read) for _ in args], start=1.0 + 0.0j)
+        if not cmath.isfinite(product):
+            raise PoleError(THETA_RANGE)
+        t = c * product
         total += t
         scale = max(scale, abs(t) * max(theta_condition(a, ctx.p) for a in args))
     return abs(total) / scale
@@ -294,23 +310,35 @@ def _rep_draw(
     return RepContext(omega, lam, ctx)
 
 
+def _theta_draw(ctx: ThetaContext, z: complex, w: complex, x: complex, y: complex) -> float:
+    """The worst residual of the theta suite's identities at one draw: the
+    quasi-periodicity and inversion of theta(z), theta(q^(-2s)) =
+    -q^(-2s) theta(q^(2s)) for s = 1..5, and the three-term relation at x,
+    y, z, w.  All their theta values come from one ``theta_vec`` call; a
+    value beyond the double range raises ``PoleError``, as ``theta`` does."""
+    down = [ctx.qpow(-2 * s) for s in range(1, 6)]
+    up = [ctx.qpow(2 * s) for s in range(1, 6)]
+    three_term = [
+        (1.0, (x * y, x / y, z * w, z / w)),
+        (-1.0, (x * w, x / w, z * y, z / y)),
+        (-z / y, (x * z, x / z, y * w, y / w)),
+    ]
+    args = [z, ctx.p * z, 1.0 / z, *down, *up, *(a for _, t in three_term for a in t)]
+    values = theta_vec(args, ctx).tolist()
+    if not all(map(cmath.isfinite, values)):
+        raise PoleError(THETA_RANGE)
+    shifted = -values[0] / z
+    res = [rel(values[1], shifted), rel(values[2], shifted)]
+    res += [rel(values[3 + i], -down[i] * values[8 + i]) for i in range(5)]
+    res.append(_theta_identity_residual(three_term, values[13:], ctx))
+    return worst(res)
+
+
 def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
 
     def sample() -> dict[str, float]:
-        ctx = cfg.context(rng)
-        z, w, x, y = (draw_z(rng) for _ in range(4))
-        shifted = -theta(z, ctx) / z
-        res = [rel(theta(ctx.p * z, ctx), shifted), rel(theta(1.0 / z, ctx), shifted)]
-        for s in range(1, 6):
-            lhs = theta(ctx.qpow(-2 * s), ctx)
-            res.append(rel(lhs, -ctx.qpow(-2 * s) * theta(ctx.qpow(2 * s), ctx)))
-        three_term = [
-            (1.0, (x * y, x / y, z * w, z / w)),
-            (-1.0, (x * w, x / w, z * y, z / y)),
-            (-z / y, (x * z, x / z, y * w, y / w)),
-        ]
-        res.append(_theta_identity_residual(three_term, ctx))
-        return {"theta identities": worst(res)}
+        # The context, then z, w, x and y, in that order.
+        return {"theta identities": _theta_draw(cfg.context(rng), *(draw_z(rng) for _ in range(4)))}
 
     return _drive("theta", samples, cfg.max_redraws, {"theta identities": tol}, sample, [])
 
@@ -326,12 +354,15 @@ def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: f
         sixth = a1**3 * ctx.qpow(4 + 2 * n) / np.prod(uppers)
         free = tuple(garg(u) for u in uppers) + (garg(complex(sixth)),)
         spec = SeriesSpec(garg(a1), free + (qarg(-n),), 6, ctx)
-        ratio_eval = eval_omega(spec)
-        if ratio_eval.warnings:
-            notes.append(f"unexpected balance warning: {ratio_eval.warnings[0]}")
+        # Both evaluators from one lookup; the permuted series below then
+        # finds every argument in the vector cache.
+        both = combine(ctx, [omega_plan(spec), termwise_plan(spec)], lambda *got: got)
+        (value, max_term, _), termwise = both.value()
+        warning = spec.balancing_warning()
+        if warning is not None:
+            notes.append(f"unexpected balance warning: {warning}")
             return {"evaluator agreement": float("inf")}
-        value, max_term = ratio_eval.value, ratio_eval.max_term_magnitude
-        res = [rel_to_terms(value, eval_omega_termwise(spec), max_term)]
+        res = [rel_to_terms(value, termwise, max_term)]
         perm = tuple(free[i] for i in rng.permutation(6))
         permuted = eval_omega(SeriesSpec(spec.a1, perm + (qarg(-n),), 6, ctx))
         res.append(rel_to_terms(value, permuted.value, max_term))
@@ -589,7 +620,8 @@ def _biorth_ahead(
     cfg: RunConfig, rng: np.random.Generator, n_level: int, m_shift: int, dual: bool
 ) -> _DrawAhead:
     """The draw-ahead sampler at one sweep shape (N, M), direct or dual: an
-    attempt gives (params, their cache with the (dual) reports)."""
+    attempt gives (params, their cache with the (dual) reports), whose rows
+    the suite and the table read (``BiorthCache.rows``)."""
 
     def draw() -> BiorthParams:
         ctx = cfg.context(rng)
@@ -599,22 +631,11 @@ def _biorth_ahead(
     return _DrawAhead(draw, lambda drawn: list(zip(drawn, BiorthCache.batch(drawn, dual))))
 
 
-def _biorth_reports(draws: _DrawAhead, checker) -> dict[tuple[int, int], BiorthReport]:
-    """``checker(bp, k, l, cache)`` of every (k, l) at the next attempt."""
-    bp, cache = draws.attempt()
-    ks = range(bp.N + 1)
-    return {(k, l): checker(bp, k, l, cache) for k in ks for l in ks}
-
-
-def _biorth_driver(
-    name: str,
-    checker,
-    dual: bool,
-    cfg: RunConfig,
-    rng: np.random.Generator,
-    samples: int,
-    tol: float,
+def _suite_biorth(
+    dual: bool, cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float
 ) -> dict:
+    """The biorth suite, or with ``dual`` the dual-biorth suite: the worst
+    of each residual of ``BiorthCache.rows`` over the rows of each sample."""
     classes = {
         "biorthogonality sum": tol,
         "termwise vs oracle": 1e-7,
@@ -627,25 +648,15 @@ def _biorth_driver(
             draws = _biorth_ahead(cfg, rng, n_level, m_shift, dual)
 
             def sample() -> dict[str, float]:
-                reports = _biorth_reports(draws, checker).values()
-                return {
-                    "biorthogonality sum": worst(r.sum_residual for r in reports),
-                    "termwise vs oracle": worst(r.termwise_residual for r in reports),
-                    "representation oracle": worst(r.oracle_residual for r in reports),
-                }
+                # The classes in the order of a row's fields, max term left out.
+                bp, cache = draws.attempt()
+                return dict(zip(classes, map(worst, zip(*cache.rows(bp, dual)))))
 
             got, lost = _sample(samples, cfg.max_redraws, sample, draws.pending)
             values += got
             rejected += lost
+    name = "dual-biorth" if dual else "biorth"
     return _suite_result(name, 15 * samples, rejected, classes, values, [])
-
-
-def _suite_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
-    return _biorth_driver("biorth", check_biorth, False, cfg, rng, samples, tol)
-
-
-def _suite_dual_biorth(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
-    return _biorth_driver("dual-biorth", check_dual_biorth, True, cfg, rng, samples, tol)
 
 
 @dataclass(frozen=True)
@@ -664,8 +675,8 @@ _REGISTRY: tuple[SuiteSpec, ...] = (
     SuiteSpec("relations", 50, 1e-9, _suite_relations),
     SuiteSpec("corep", 8, 1e-8, _suite_corep),
     SuiteSpec("unitarity", 20, 1e-8, _suite_unitarity),
-    SuiteSpec("biorth", 10, 1e-6, _suite_biorth),
-    SuiteSpec("dual-biorth", 10, 1e-6, _suite_dual_biorth),
+    SuiteSpec("biorth", 10, 1e-6, partial(_suite_biorth, False)),
+    SuiteSpec("dual-biorth", 10, 1e-6, partial(_suite_biorth, True)),
 )
 
 SUITE_NAMES = tuple(spec.name for spec in _REGISTRY)
@@ -885,11 +896,14 @@ def biorth_table(
     )
     check = "dual-biorth" if dual else "biorth"
     tol = _tol(cfg, check)
-    checker = check_dual_biorth if dual else check_biorth
     draws = _biorth_ahead(cfg, rng, n_level, m_shift, dual)
 
     def sample() -> list[tuple[tuple[int, int], float]]:
-        return [(kl, report.residual) for kl, report in _biorth_reports(draws, checker).items()]
+        # Row r is (k, l) = divmod(r, N + 1); its residual is its report's,
+        # the worse of the sum and the oracle.
+        bp, cache = draws.attempt()
+        rows = enumerate(cache.rows(bp, dual))
+        return [(divmod(r, n_level + 1), worst((s, o))) for r, (s, _, o, _) in rows]
 
     values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)
     entries = _grid(values, n_level, "l", tol)

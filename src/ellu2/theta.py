@@ -26,10 +26,10 @@ bits as a float one, without the promotion on every factor.  The caches:
 
 * the scalar memo (``theta``) maps an argument to the scalar kernel's value;
 * the vector cache (``theta_vec_cached``) maps an argument to the element
-  ``theta_vec`` computed for it.  ``ThetaProduct.value``, the series of
-  ``series.vwp_sum`` and ``theta_multi`` look their arguments up there and
-  send only the misses to ``theta_vec``, in one call per lookup; the lookup
-  returns a list of Python complex numbers;
+  ``theta_vec`` computed for it.  ``ThetaProduct.value`` and the series of
+  ``series.vwp_sum`` look their arguments up there and send only the misses
+  to ``theta_vec``, in one call per lookup; the lookup returns a list of
+  Python complex numbers;
 * the power memo (``ThetaContext.q2n``) maps an integer n to q^(2n).
 
 Nothing built on the kernels is memoized: the coefficient functions of
@@ -81,8 +81,8 @@ lookup costs more than it saves.
 The scalar memo stops growing at ``MEMO_CAP`` entries; the vector cache
 starts over when a lookup would take it past that.
 
-The products and quotients of cached values (``ThetaProduct.value``,
-``theta_multi`` and the series in ``series.vwp_sum``) are reduced with plain
+The products and quotients of cached values (``ThetaProduct.value`` and
+the series in ``series.vwp_sum``) are reduced with plain
 Python complex arithmetic.  Each reduction works on a few dozen numbers, so
 building numpy arrays for it costs far more than the arithmetic.  Python
 rounds some products and quotients differently from numpy in the last bit,
@@ -154,7 +154,6 @@ __all__ = [
     "theta",
     "theta_vec",
     "theta_vec_cached",
-    "theta_multi",
     "theta_condition",
     "theta_factors",
     "pochhammer",
@@ -436,17 +435,6 @@ def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> list[complex]:
         if len(miss) == len(keys):
             return values
     return [cache[z] for z in keys]
-
-
-def theta_multi(args: Sequence[complex], ctx: ThetaContext) -> complex:
-    """Product of theta values, the usual shorthand theta(a_1, ..., a_n).
-
-    A value or product beyond the double range raises ``PoleError``, as
-    ``theta`` does: a non-finite value makes the product non-finite."""
-    out = math.prod(theta_vec_cached(args, ctx), start=1.0 + 0.0j)
-    if not cmath.isfinite(out):
-        raise PoleError(THETA_RANGE)
-    return out
 
 
 def theta_condition(z: complex, p: float) -> float:

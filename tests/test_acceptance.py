@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from ellu2.biorth import BiorthCache
 from ellu2.corep import _unitarity_rows, tau_plan, tau_tilde_plan
 from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
@@ -29,7 +30,7 @@ from ellu2.suites import (
     run_report,
     run_suite,
 )
-from ellu2.theta import PoleError, ThetaContext
+from ellu2.theta import PoleError, ThetaContext, theta_vec
 
 CFG = RunConfig(seed=20240)
 suites_mod = importlib.import_module("ellu2.suites")
@@ -82,8 +83,21 @@ def test_theta_three_term_gate_rejects_a_wrong_identity():
             (-z / y, (x * z, x / z, y * w, y / w)),
         ]
         wrong = right[:2] + [(-1.0, right[2][1])]
-        assert _theta_identity_residual(right, ctx) <= 1e-12
-        assert _theta_identity_residual(wrong, ctx) > 1e-6
+        values = theta_vec([a for _, args in right for a in args], ctx).tolist()
+        assert _theta_identity_residual(right, values, ctx) <= 1e-12
+        assert _theta_identity_residual(wrong, values, ctx) > 1e-6
+
+
+@pytest.mark.parametrize("seed", [20240, 7, 1])
+def test_theta_suite_fails_a_truncated_kernel(monkeypatch, seed):
+    # The theta suite reads its values from ``theta_vec``, the kernel every
+    # compiled check reads.  Cut that kernel's product short, at p^j below
+    # 1e-10 instead of 1e-17, and the identities miss the suite's 1e-10
+    # gate by about 4x.
+    monkeypatch.setattr(importlib.import_module("ellu2.theta"), "TRUNCATION_FLOOR", 1e-10)
+    rec = run_suite("theta", RunConfig(seed=seed))
+    assert not rec["pass"] and rec["rejected"] == 0
+    assert 1e-10 < rec["max_rel_residual"] < 1e-9
 
 
 def test_hexagon_identity_and_middle_determinant(battery):
@@ -284,7 +298,7 @@ NAN_CASES = {
     "relation-rows": (
         "suites", "bind_rows", _nan_rows(rep_mod._relation_rows), [_suite("relations"), _relations_table]
     ),
-    "theta-product": ("suites", "theta_multi", _nan, [_suite("theta")]),
+    "theta-product": ("suites", "_theta_identity_residual", _nan, [_suite("theta")]),
     "unitarity": ("suites", "bind_rows", _nan_rows(_unitarity_rows), [_suite("unitarity")]),
     "closed-tau": (
         "suites", "closed_towers", _nan_tower(tau_plan, many=True),
@@ -343,7 +357,7 @@ def test_a_table_entry_no_sample_reached_does_not_pass(monkeypatch, check):
         monkeypatch.setattr(suites_mod, "_corep_tower", at_a_pole)
         report, second = corep_table(cfg, 2, 2), "j"
     else:
-        monkeypatch.setattr(suites_mod, "_biorth_reports", at_a_pole)
+        monkeypatch.setattr(BiorthCache, "rows", at_a_pole)
         report, second = biorth_table(cfg, 2, 0, 2, False), "l"
     assert (report["samples"], report["rejected"], report["pass"]) == (0, 2, False)
     assert len(report["entries"]) == 9

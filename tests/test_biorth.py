@@ -115,19 +115,34 @@ def outcome(run):
 CHECKS = {False: check_biorth, True: check_dual_biorth}
 
 
+def assert_rows_read_as_the_checks(bp, dual, wants):
+    """``BiorthCache.rows`` at ``bp`` gives the bits of ``wants``, the
+    outcomes of the (k, l) checks in row order, or raises the error of the
+    first that failed."""
+    try:
+        got = [bits(BiorthReport(*row)) for row in BiorthCache().rows(bp, dual)]
+    except ArithmeticError as exc:
+        got = type(exc).__name__, str(exc)
+    assert got == next((w for w in wants if isinstance(w, tuple)), wants), dual
+
+
 def assert_reports_equal_the_reference(bp):
     """Every (k, l) report of both sweeps at ``bp``, read from a shared
-    cache and as lone calls, equals the reference's, or raises its error."""
+    cache and as lone calls, equals the reference's, or raises its error;
+    so do the rows of each sweep read at once."""
     N = bp.N
     read = swept(bp)
     for dual, check in CHECKS.items():
         cache = BiorthCache()
+        wants = []
         for k in range(N + 1):
             for l in range(N + 1):
                 want = outcome(lambda: reference_report(read, N, k, l, dual))
                 assert outcome(lambda: check(bp, k, l, cache)) == want, (dual, k, l)
                 if k + l in (0, N):
                     assert outcome(lambda: check(bp, k, l)) == want, (dual, k, l)
+                wants.append(want)
+        assert_rows_read_as_the_checks(bp, dual, wants)
 
 
 # Oracles built from the items of a sweep.
@@ -279,20 +294,20 @@ def test_every_report_equals_the_scalar_reference(N):
 
 def drawn_by_table(monkeypatch, seed, N, M):
     """The params of every draw of the direct table (seed, N, M, 2 samples),
-    and how many of its checks raised."""
+    and how many of them raised."""
     draws, raised = [], []
-    check = suites.check_biorth
+    rows = BiorthCache.rows
 
-    def recording(bp, k, l, cache=None):
+    def recording(cache, bp, dual):
         if bp not in draws:
             draws.append(bp)
         try:
-            return check(bp, k, l, cache)
+            return rows(cache, bp, dual)
         except PoleError:
             raised.append(bp)
             raise
 
-    monkeypatch.setattr(suites, "check_biorth", recording)
+    monkeypatch.setattr(BiorthCache, "rows", recording)
     table = suites.biorth_table(suites.RunConfig(seed=seed), N, M, 2, False)
     assert table["pass"] and table["rejected"] == 0
     return draws, len(raised)
@@ -343,6 +358,12 @@ ERROR_CASES = {
     ),
     # A complex division by zero in the oracle summands.
     "zero-g2": ({("g2", 1): 0j}, {"ZeroDivisionError"}),
+    # The direct rows k = 1 read a failing h_1 first, the rows k = 3 a
+    # failing h_3: the rows of a sweep read at once raise the error of k = 1.
+    "rows-fail-apart": (
+        {("h", 1): PoleError(A1_GUARD), ("h", 3): PoleError(DEN_ZERO)},
+        {"PoleError"},
+    ),
     # Every summand of the rows k = 0 is 0: a float division by zero in the
     # residual of an off-diagonal sum.
     "zero-terms": (_one([("w1", j, 0) for j in range(5)], 0j), {"ZeroDivisionError"}),
@@ -374,6 +395,7 @@ def test_each_check_raises_what_the_reference_raises(monkeypatch, case):
             cache = BiorthCache()
             assert {kl: outcome(lambda: check(bp, *kl, cache)) for kl in order} == want
         assert {kl: outcome(lambda: check(bp, *kl)) for kl in rows} == want
+        assert_rows_read_as_the_checks(bp, dual, [want[kl] for kl in rows])
     assert kinds <= seen
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ellu2 import suites
-from ellu2.biorth import BiorthCache, BiorthParams, check_biorth, check_dual_biorth
+from ellu2.biorth import BiorthCache, BiorthParams, BiorthReport, check_biorth, check_dual_biorth
 from ellu2.sampling import (
     P_RANGE,
     Q_RANGE,
@@ -75,7 +75,7 @@ def test_a_suite_redraws_a_check_that_overflows(monkeypatch):
     # Python's abs of a finite complex number beyond the double range raises
     # OverflowError inside a biorth check: the same out-of-range draw the
     # kernels report as a pole, so the suite redraws it.
-    original = suites.check_biorth
+    original = BiorthCache.rows
     raised = []
 
     def overflows_once(*args):
@@ -84,7 +84,7 @@ def test_a_suite_redraws_a_check_that_overflows(monkeypatch):
             raise OverflowError("absolute value too large")
         return original(*args)
 
-    monkeypatch.setattr(suites, "check_biorth", overflows_once)
+    monkeypatch.setattr(BiorthCache, "rows", overflows_once)
     rec = suites.run_suite("biorth", suites.RunConfig(seed=1, samples=1))
     assert raised and rec["pass"] and rec["rejected"] == 0
 
@@ -118,10 +118,13 @@ def prefetched_biorth(monkeypatch, cfg, rng, N, M, samples, dual, fail):
 
     monkeypatch.setattr(suites, "_evaluate", failing)
     draws = suites._biorth_ahead(cfg, rng, N, M, dual)
-    checker = check_dual_biorth if dual else check_biorth
-    return suites._sample(
-        samples, cfg.max_redraws, lambda: suites._biorth_reports(draws, checker), draws.pending
-    )
+
+    def sample():
+        bp, cache = draws.attempt()
+        kls = [(k, l) for k in range(N + 1) for l in range(N + 1)]
+        return {kl: BiorthReport(*row) for kl, row in zip(kls, cache.rows(bp, dual))}
+
+    return suites._sample(samples, cfg.max_redraws, sample, draws.pending)
 
 
 def watched(monkeypatch, run):

@@ -166,6 +166,49 @@ def termwise(ctx, a1, numer, denom, n, merged):
     return total
 
 
+def termwise_specs(count):
+    """``count`` seeded specs at n = 0..8, of four kinds in turn: generic; an
+    upper q^(-2m), m <= n, whose row vanishes exactly from term m + 1 on; a1
+    = q^4 with an upper q^(2(3 + j)), whose denominator row hits an exact
+    zero from term j + 1 on; an upper a relative 1e-14 off a1 q^(2(1 + j)),
+    whose denominator row falls below the zero guard from term j + 1 on."""
+    rng = np.random.default_rng(20240)
+    for i in range(count):
+        ctx, n, kind = CONTEXTS[i % 3], i % 9, i % 4
+        a1, *free = annulus(rng, 5)
+        m, j = int(rng.integers(0, n + 1)), int(rng.integers(0, max(n, 1)))
+        lead, uppers = garg(a1), [garg(u) for u in free]
+        if kind == 1:
+            uppers[0] = qarg(-m)
+        elif kind == 2:
+            lead, uppers[0] = qarg(2), qarg(3 + j)
+        elif kind == 3:
+            uppers[0] = garg(a1 * ctx.qpow(2 * (1 + j)) * (1 + 1e-14))
+        yield SeriesSpec(lead, (*uppers, qarg(-n)), 4, ctx)
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as the ``float.hex`` of its parts, or the error it raised."""
+    try:
+        value = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    return value.real.hex(), value.imag.hex()
+
+
+def test_termwise_plan_equals_the_per_term_loop():
+    # ``eval_omega_termwise`` finishes every term from one lookup; each of
+    # 200 seeded specs gives the bits, or the error, of the loop that built
+    # and evaluated one term at a time (``termwise`` without a merged slot).
+    raised = set()
+    for spec in termwise_specs(200):
+        dens = series_mod._denominators(spec)
+        want = outcome(termwise, spec.ctx, spec.a1, spec.upper, dens, spec.termination_index, None)
+        assert outcome(eval_omega_termwise, spec) == want
+        raised.add(want[1] if want[0] == "PoleError" else None)
+    assert raised >= {None, theta_mod.DEN_GUARD, "exact zero theta factor in denominator"}
+
+
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=["p05", "p17", "p29"])
 def test_vwp_sum_matches_termwise_evaluation(ctx, rng):
     checked = 0

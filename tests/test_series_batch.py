@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ellu2 import suites
-from ellu2.biorth import BiorthParams
+from ellu2.biorth import BiorthCache, BiorthParams
 from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.series import (
     A1_GUARD,
@@ -226,16 +226,16 @@ def test_the_pinned_overflow_draws_fail_as_the_scalar_path(monkeypatch, sweep_pl
     # The level-8 table at seed 20240 redraws twice on a series overflow.
     failed = []
 
-    check = suites.check_biorth
+    rows = BiorthCache.rows
 
-    def recording(bp, k, l, cache=None):
+    def recording(cache, bp, dual):
         try:
-            return check(bp, k, l, cache)
+            return rows(cache, bp, dual)
         except PoleError as exc:
             failed.append((bp, str(exc)))
             raise
 
-    monkeypatch.setattr(suites, "check_biorth", recording)
+    monkeypatch.setattr(BiorthCache, "rows", recording)
     table = suites.biorth_table(suites.RunConfig(seed=20240), 8, 1, 2, False)
     assert (table["samples"], table["rejected"]) == (2, 0)
     assert [msg for _, msg in failed] == [OUT_OF_RANGE] * 2

@@ -1,6 +1,7 @@
 """Theta evaluation, Pochhammer products, and tracked-argument bookkeeping."""
 
 import importlib
+import math
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ellu2 import suites
 from ellu2.theta import (
     MAX_THETA_FACTORS,
     THETA_RANGE,
@@ -21,10 +23,15 @@ from ellu2.theta import (
     qarg,
     theta,
     theta_factors,
-    theta_multi,
     theta_vec,
     theta_vec_cached,
 )
+
+
+def theta_product(args, ctx):
+    """Product of theta values, the usual shorthand theta(a_1, ..., a_n),
+    factor by factor over ``theta_vec`` values."""
+    return math.prod(theta_vec(args, ctx).tolist(), start=1.0 + 0.0j)
 
 
 def brute_theta(z, p, factors=500):
@@ -136,7 +143,7 @@ def test_theta_three_term_relation(x, y, z, w):
         (1.0, (x * w, x / w, z * y, z / y)),
         (z / y, (x * z, x / z, y * w, y / w)),
     ]
-    t1, t2, t3 = (c * theta_multi(args, ctx) for c, args in terms)
+    t1, t2, t3 = (c * theta_product(args, ctx) for c, args in terms)
     scale = max(
         abs(t) * max(theta_condition(a, p) for a in args)
         for t, (_, args) in zip((t1, t2, t3), terms)
@@ -154,25 +161,24 @@ def test_theta_vec_matches_scalar(ctx, rng):
 
 def test_theta_multi_is_factorwise():
     ctx = ThetaContext(0.2, 0.7)
-    got = theta_multi((0.3, 1.7), ctx)
+    got = theta_product((0.3, 1.7), ctx)
     ref = theta(0.3 + 0.0j, ctx) * theta(1.7 + 0.0j, ctx)
     assert abs(got - ref) <= 1e-14 * abs(ref)
-    assert theta_multi((), ctx) == 1
+    assert theta_product((), ctx) == 1
 
 
 def test_theta_multi_out_of_range_raises_as_theta_does():
     # At p = 0.9 theta(1e-300j) leaves the double range: the scalar kernel
-    # raises, and the product over it raises the same error instead of
-    # returning nan+nanj, so the theta suite redraws the sample.
+    # raises, and a theta suite draw at z = 1e-300j raises the same error
+    # instead of returning nan+nanj, so the suite redraws the sample.
     with pytest.raises(PoleError, match=THETA_RANGE):
         theta(1e-300j, ThetaContext(0.9, 0.5))
     ctx = ThetaContext(0.9, 0.5)
-    for _ in range(2):  # the second time from the vector cache
-        with pytest.raises(PoleError, match=THETA_RANGE):
-            theta_multi([1e-300j, 0.5], ctx)
-    suites = importlib.import_module("ellu2.suites")
     with pytest.raises(PoleError, match=THETA_RANGE):
-        suites._theta_identity_residual([(1.0, (0.5,)), (1.0, (1e-300j, 0.5))], ctx)
+        suites._theta_draw(ctx, 1e-300j, 0.5, 0.7 + 0.2j, 1.1 - 0.3j)
+    # A product of finite values beyond the range raises the same error.
+    with pytest.raises(PoleError, match=THETA_RANGE):
+        suites._theta_identity_residual([(1.0, (0.5,)), (1.0, (0.5, 0.5))], [1.0, 1e200, 1e200], ctx)
 
 
 def test_pochhammer_empty_and_splitting(ctx):
@@ -312,8 +318,9 @@ def test_theta_vec_cached_rejects_zero(ctx):
     theta_vec_cached([0.5 + 0.1j], ctx)
     with pytest.raises(PoleError, match=THETA_RANGE):
         theta_vec_cached([0.5 + 0.1j, 0.0], ctx)
+    # x y underflows to 0j at a theta suite draw.
     with pytest.raises(PoleError, match=THETA_RANGE):
-        theta_multi((0.5 + 0.1j, 0j), ctx)
+        suites._theta_draw(ctx, 0.5 + 0.1j, 0.7, 1e-200, 1e-200)
     with pytest.raises(PoleError, match=THETA_RANGE):
         theta(0j, ctx)
 

@@ -8,7 +8,9 @@ all computed in one process:
 - ``ellu2 run --suite all`` at seeds 20240, 7 and 123456;
 - the battery digest: the canonical JSON of ``run_report`` at seed 20240
   over the benchmark battery's suites (``REGISTERED`` in
-  ``perfbench/workloads.py``);
+  ``perfbench/workloads.py``), and the same at seed 7.  The benchmark
+  compares battery bytes only between runs at one seed in one checkout, so
+  this line shows a move at a second seed;
 - ``ellu2 check relations``, ``bailey`` and ``qdybe`` with ``--samples 5``;
 - ``ellu2 check biorth --N 6 --M 1``, direct and ``--dual``;
 - ``ellu2 check corep --N 5`` and ``--N 6``;
@@ -293,6 +295,7 @@ def reports():
     for seed in (20240, 7, 123456):
         yield f"run --suite all --seed {seed}", stdout_of(["run", "--suite", "all", "--seed", str(seed)])
     yield "battery digest", canonical_json(run_report(RunConfig(seed=20240), BATTERY))
+    yield "battery digest --seed 7", canonical_json(run_report(RunConfig(seed=7), BATTERY))
     commands = [["check", name, "--samples", "5"] for name in ("relations", "bailey", "qdybe")]
     commands += [["check", "biorth", "--N", "6", "--M", "1", *dual] for dual in ([], ["--dual"])]
     commands += [["check", "corep", "--N", str(n)] for n in (5, 6)]
