@@ -579,10 +579,10 @@ def closed_towers(plan, N: int, samples: list[tuple[RepContext, complex]]) -> li
     record is one ``exp``, the finish runs on arrays, and each path is one
     theta product.  A word item raises the first of its guards below the
     zero guard, in the numeric order; then a path that failed raises its
-    error, where the numeric sum would carry an inf or a NaN.  The bind
-    itself raises where a sample's argument leaves the double range; a
-    caller that binds many samples tells whose error it is by binding them
-    one at a time (``suites._evaluate``)."""
+    error, where the numeric sum would carry an inf or a NaN.  At a sample
+    whose theta argument underflowed to 0, every read raises
+    ``PoleError(THETA_RANGE)`` (``Template.bind_all``); the bind itself
+    raises for no sample."""
     guards = {rc.ctx.zero_guard for rc, _ in samples}
     if len(guards) != 1:
         raise ValueError("the samples of one tower bind need one zero guard")

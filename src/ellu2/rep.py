@@ -740,11 +740,13 @@ def bind_rows(build, params: tuple, drawn: Sequence[tuple[RepContext, dict]]) ->
     return [check.outcome(v, c, rc.ctx.zero_guard) for (rc, _), v, c in zip(drawn, values, codes)]
 
 
-def rows_of(outcome: dict | ArithmeticError) -> dict:
-    """The rows of an outcome of ``bind_rows``, or a fresh error of the
-    outcome's type and message raised.  Raising the outcome itself would
-    put the frames that hold it on its own traceback: a reference cycle
-    that keeps them, and the sample they hold, until a collection."""
+def rows_of(outcome):
+    """The rows of an outcome of ``bind_rows`` (or any result of a batch
+    that gives a draw's error, not raised: ``suites._DrawAhead``), or a
+    fresh error of the outcome's type and message raised.  Raising the
+    outcome itself would put the frames that hold it on its own traceback:
+    a reference cycle that keeps them, and the sample they hold, until a
+    collection."""
     if isinstance(outcome, ArithmeticError):
         raise type(outcome)(*outcome.args)
     return outcome

@@ -26,8 +26,9 @@ relations, unitarity, and the corep tables) draw ahead through one sampler,
 ``_DrawAhead``, and evaluate the attempts of up to ``AHEAD`` unfinished
 samples in one batch, which returns each draw's results (the relation and
 unitarity rows of ``rep.bind_rows``, a biorth cache, a tower's residuals)
-or its error; a batch that raises is evaluated again draw by draw, there
-(``_evaluate``) and nowhere else.
+or its error.  A batch never raises: ``Template.bind_all`` reports each
+draw's failures as codes, and each batch turns a draw's codes into that
+draw's error.
 An attempt makes all its ``rng`` calls before anything of it is evaluated,
 as many whatever the outcome, and every unfinished sample takes at least
 one more attempt; so no drawn attempt goes unused, and the stream, the
@@ -256,12 +257,10 @@ class _DrawAhead:
     error of a draw that failed, not raised.  Each call of ``attempt`` is
     one attempt.  When no drawn attempt is left, it draws as many as there
     are samples still unfinished (``pending``), at most ``AHEAD``, and
-    evaluates them together (``_evaluate``).  An attempt takes the next
-    draw's result, or raises a fresh error of its error's type and
-    message: raising that error itself would put the attempt's frame, and
-    so the sampler, on its own traceback, a cycle only a collection frees.
-    Nothing of a batch is kept but these results, each popped by its
-    attempt.
+    evaluates them together, once.  An attempt takes the next draw's
+    result, or raises a fresh error of its error's type and message
+    (``rep.rows_of``).  Nothing of a batch is kept but these results, each
+    popped by its attempt.
     """
 
     def __init__(self, draw: Callable[[], object], evaluate: Callable[[list], list]):
@@ -275,25 +274,8 @@ class _DrawAhead:
     def attempt(self):
         if not self.queue:
             drawn = [self.draw() for _ in range(min(self.unfinished, AHEAD))]
-            self.queue.extend(_evaluate(self.evaluate, drawn))
-        got = self.queue.popleft()
-        if isinstance(got, ArithmeticError):
-            raise type(got)(*got.args)
-        return got
-
-
-def _evaluate(evaluate: Callable[[list], list], drawn: list) -> list:
-    """For each draw, ``evaluate``'s result, or the ``ArithmeticError``
-    evaluating it raised.  The draws are evaluated in one batch, which
-    records what fails per draw; should the batch raise all the same, the
-    error of a batch of one is its draw's, and each draw of a larger batch
-    is evaluated alone, to tell whose error it is."""
-    try:
-        return evaluate(drawn)
-    except ArithmeticError as exc:
-        if len(drawn) == 1:
-            return [exc]
-    return [got for one in drawn for got in _evaluate(evaluate, [one])]
+            self.queue.extend(self.evaluate(drawn))
+        return rows_of(self.queue.popleft())
 
 
 def _rep_draw(

@@ -186,7 +186,9 @@ class PoleError(ArithmeticError):
 
 
 # The error of each failure code of a bound template's plans
-# (``Template.bind_all``; 0 is none): what its scalar finish raises.
+# (``Template.bind_all``; 0 is none): what its scalar finish raises, or,
+# for every plan of a draw whose theta argument underflowed to 0, what
+# ``theta_vec`` raises there.
 ERRORS = (
     None,
     (PoleError, DEN_GUARD),
@@ -197,6 +199,7 @@ ERRORS = (
     (ZeroDivisionError, COMPLEX_BY_ZERO),
     (ZeroDivisionError, FLOAT_BY_ZERO),
     (OverflowError, ABS_RANGE),
+    (PoleError, THETA_RANGE),
 )
 CODE = {message: code for code, (_, message) in enumerate(ERRORS[1:], 1)}
 # A theta product's batch result where a numerator theta value is exactly
@@ -982,22 +985,30 @@ class Template:
         e[self._neg] = -e[self._neg]
         return e
 
-    def _thetas(self, draws: Sequence[tuple], e: np.ndarray) -> np.ndarray:
-        """theta of every theta argument at each draw, one column per draw:
-        one ``theta_vec`` call per draw, on that draw's arguments."""
-        th = np.empty((len(self._theta), len(draws)), dtype=complex)
+    def _thetas(self, draws: Sequence[tuple], e: np.ndarray) -> tuple[np.ndarray, list]:
+        """(th, failed): theta of every theta argument at each draw, one
+        column per draw, from one ``theta_vec`` call per draw on that draw's
+        arguments; and the draws where that call raised ``PoleError`` (an
+        argument that underflowed to 0), whose column is left at 1.0."""
+        th = np.ones((len(self._theta), len(draws)), dtype=complex)
+        failed = []
         if len(self._theta):
             for k, draw in enumerate(draws):
-                th[:, k] = theta_vec(e[self._theta, k], draw[0])
-        return th
+                try:
+                    th[:, k] = theta_vec(e[self._theta, k], draw[0])
+                except PoleError:
+                    failed.append(k)
+        return th, failed
 
     def _bind(self, draws: Sequence[tuple], size: int) -> tuple:
-        """(re, im, code): the sources of the finish program at each draw,
-        one column per draw, in the first rows of arrays of ``size`` rows:
-        the listed records, then the results of each batch (``Reduced``),
-        with their failure codes (0 for a record)."""
+        """(re, im, code, failed): the sources of the finish program at
+        each draw, one column per draw, in the first rows of arrays of
+        ``size`` rows: the listed records, then the results of each batch
+        (``Reduced``), with their failure codes (0 for a record); and the
+        draws whose theta values failed (``_thetas``)."""
         e = self._records(draws)
-        bound = Bound.of(e, self._thetas(draws, e))
+        th, failed = self._thetas(draws, e)
+        bound = Bound.of(e, th)
         shape = (size, len(draws))
         re, im, code = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=np.int8)
         rows = self._listed_rows
@@ -1006,22 +1017,28 @@ class Template:
             got = batch.reduce(bound)
             stop = start + len(got.re)
             re[start:stop], im[start:stop], code[start:stop] = got
-        return re, im, code
+        return re, im, code, failed
 
     def bind_all(self, draws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """Every plan finished at each of ``draws``: (values, codes), both by
         draw and plan position.  ``codes`` (int8) is 0 where the plan
         finished, else the failure code of the error its scalar finish
         raises at the same values (``ERRORS``; ``error`` makes it), and the
-        value there is meaningless.  A draw is (ctx, lam, omega, z) and, for
-        a template whose records have them, the spectral points z1 and z2.
+        value there is meaningless.  At a draw where a theta argument
+        underflowed to 0, every plan has the code of ``theta_vec``'s
+        ``PoleError(THETA_RANGE)``, so the bind raises for no draw.  A draw
+        is (ctx, lam, omega, z) and, for a template whose records have
+        them, the spectral points z1 and z2.
 
         Every array of the pass has a trailing axis over the draws, and each
         operation is elementwise or gathers along the first axis, so each
         draw's values and codes are what it gets bound alone, bit for bit.
         """
         program = self._program
-        return program.run(*self._bind(draws, program.size))
+        re, im, code, failed = self._bind(draws, program.size)
+        values, codes = program.run(re, im, code)
+        codes[failed] = CODE[THETA_RANGE]
+        return values, codes
 
 
 class Bound(NamedTuple):

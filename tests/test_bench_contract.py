@@ -9,9 +9,12 @@ them count the wrong thing, so the signatures are pinned here.  The
 benchmark is only read, never changed.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,8 @@ import pytest
 from ellu2 import suites
 from ellu2.theta import ThetaContext
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # (module, name, parameters) of every function the tracer binds.
 TRACED = [
@@ -143,3 +147,22 @@ def test_every_suite_and_table_draws_once_per_sample():
         draws.close()
     assert suites.run_with_redraws is original
     assert drawn == {name: want for name, _, want in runs}
+
+
+def test_the_package_gives_what_the_setup_code_calls_and_loads_every_module():
+    # The setup code (``SETUP_CODE`` of perfbench/run.py, read as text)
+    # calls ``ellu2.ThetaContext`` and ``ellu2.theta``.  And ``import ellu2``
+    # must load ``suites``: the benchmark's ``DrawCounter.install`` rebinds
+    # ``run_with_redraws`` only in the modules already loaded, so a suites
+    # module loaded later would draw uncounted.
+    (setup,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse((ROOT / "perfbench" / "run.py").read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]
+    ]
+    code = setup + (
+        "import sys\n"
+        "assert 'ellu2.suites' in sys.modules\n"
+        "assert ellu2.__all__ == ['ThetaContext', 'theta', '__version__']\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(ROOT / "src")})

@@ -36,7 +36,7 @@ def attempts(monkeypatch, cfg, n_level: int, samples: int, ahead: int) -> tuple:
     ``ahead`` draws, and for each attempt in order its draw and the bits
     of its tower residuals, or the type and message of its error."""
     monkeypatch.setattr(suites_mod, "AHEAD", ahead)
-    tower, towers = suites_mod._corep_tower, suites_mod.closed_towers
+    tower = suites_mod._corep_tower
     outcomes = []
 
     def _draw(rc, z):
@@ -51,21 +51,9 @@ def attempts(monkeypatch, cfg, n_level: int, samples: int, ahead: int) -> tuple:
         outcomes.append((_draw(rc, z), sorted((key, _hex(v)) for key, v in got.items())))
         return got
 
-    def bound(plan, n, samples):
-        # A bind that raises at one draw fails that draw; a batch's bind
-        # that raises is bound again draw by draw (``suites._evaluate``).
-        try:
-            return towers(plan, n, samples)
-        except ArithmeticError as exc:
-            if len(samples) == 1:
-                outcomes.append((_draw(*samples[0]), type(exc).__name__, str(exc)))
-            raise
-
     monkeypatch.setattr(suites_mod, "_corep_tower", recorded)
-    monkeypatch.setattr(suites_mod, "closed_towers", bound)
     report = canonical_json(corep_table(cfg, n_level, samples))
     monkeypatch.setattr(suites_mod, "_corep_tower", tower)
-    monkeypatch.setattr(suites_mod, "closed_towers", towers)
     return report, outcomes
 
 
@@ -81,11 +69,11 @@ def test_batched_binds_equal_binds_one_at_a_time(monkeypatch, n_level):
     assert '"rejected":0' not in batched[0]
 
 
-def test_a_batch_whose_bind_raises_is_bound_draw_by_draw(monkeypatch):
-    # The bind of the second draw of the first batch raises (its theta
-    # values, here forced): the batch is bound again draw by draw, that
-    # draw fails with the bind's error at its own bind and is redrawn, and
-    # every other draw is bound as it is alone.
+def test_a_draw_whose_theta_values_raise_fails_in_its_batch_bind(monkeypatch):
+    # ``theta_vec`` raises at the second draw of the first batch (here
+    # forced): the batch is bound once, that draw fails with the error of
+    # its first read and is redrawn in the next batch, and every other
+    # draw is bound as it is alone.
     cfg = RunConfig(seed=26)
     _, outcomes = attempts(monkeypatch, cfg, 2, 4, suites_mod.AHEAD)
     broken_p = float.fromhex(outcomes[1][0][0])
@@ -105,7 +93,7 @@ def test_a_batch_whose_bind_raises_is_bound_draw_by_draw(monkeypatch):
     monkeypatch.setattr(theta_mod, "theta_vec", failing)
     monkeypatch.setattr(theta_mod.Template, "bind_all", counted)
     batched = attempts(monkeypatch, cfg, 2, 4, suites_mod.AHEAD)
-    assert binds[:5] == [4, 1, 1, 1, 1]
+    assert binds == [4, 1]
     assert batched == attempts(monkeypatch, cfg, 2, 4, 1)
     (failed,) = [o for o in batched[1] if len(o) == 3]
     assert failed == (outcomes[1][0], "PoleError", theta_mod.THETA_RANGE)

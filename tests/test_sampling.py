@@ -108,15 +108,18 @@ def sequential_biorth(cfg, rng, N, M, samples, dual, fail):
 
 
 def prefetched_biorth(monkeypatch, cfg, rng, N, M, samples, dual, fail):
-    """The suites' sampler, its batch evaluation patched to fail attempt t
+    """The suites' sampler, its batch evaluation wrapped to fail attempt t
     with ``fail[t]``: the draws reach it in attempt order."""
-    evaluate = suites._evaluate
     attempts = itertools.count()
 
-    def failing(batch, drawn):
-        return [fail.get(next(attempts), got) for got in evaluate(batch, drawn)]
+    class Failing(suites._DrawAhead):
+        def __init__(self, draw, evaluate):
+            def failing(drawn):
+                return [fail.get(next(attempts), got) for got in evaluate(drawn)]
 
-    monkeypatch.setattr(suites, "_evaluate", failing)
+            super().__init__(draw, failing)
+
+    monkeypatch.setattr(suites, "_DrawAhead", Failing)
     draws = suites._biorth_ahead(cfg, rng, N, M, dual)
 
     def sample():
@@ -223,15 +226,16 @@ def test_representation_draws_ahead_equal_drawing_one_at_a_time(monkeypatch, cas
     # The suites' representation draws, made pole-prone: a zero guard of
     # 0.03, at which about one attempt in three fails a guard, and every
     # seventh draw's weight 1e300, whose records leave the double range, so
-    # that binding its batch raises from ``Template.bind_all`` itself and
-    # each draw is bound alone.  Drawing ahead must give the report, the
-    # attempts, the error of each failed attempt and the number of draws
-    # of drawing one attempt at a time.
+    # that a theta argument underflows to 0 and ``Template.bind_all`` gives
+    # that draw the code of ``PoleError(THETA_RANGE)``, raising nothing.
+    # Drawing ahead must give the report, the attempts, the error of each
+    # failed attempt and the number of draws of drawing one attempt at a
+    # time.
     rep_draw, bind_rows, default = suites._rep_draw, suites.bind_rows, suites.AHEAD
     cfg = suites.RunConfig(seed=3, samples=12, max_redraws=4)
-    runs = {}
+    runs, raised_binds = {}, []
     for ahead in (1, default):
-        drawn, batches, raised_batches = itertools.count(), [], []
+        drawn, batches = itertools.count(), []
 
         def pole_prone(cfg, rng, omega=None, lam=None, zero_guard=1e-12):
             rc = rep_draw(cfg, rng, omega, lam, zero_guard=0.03)
@@ -242,7 +246,7 @@ def test_representation_draws_ahead_equal_drawing_one_at_a_time(monkeypatch, cas
             try:
                 return bind_rows(build, params, points)
             except ArithmeticError:
-                raised_batches.append(len(points))
+                raised_binds.append(len(points))
                 raise
 
         monkeypatch.setattr(suites, "AHEAD", ahead)
@@ -250,9 +254,8 @@ def test_representation_draws_ahead_equal_drawing_one_at_a_time(monkeypatch, cas
         monkeypatch.setattr(suites, "bind_rows", binding)
         report, attempts, raised = watched(monkeypatch, lambda: AHEAD_RUNS[case](cfg))
         runs[ahead] = (suites.canonical_json(report), attempts, raised, next(drawn))
-    # Drawn ahead, no batch passed the cap, and some batch of several draws
-    # raised: each of its draws was bound alone.
-    assert max(batches) == default and max(raised_batches) > 1
+    # Drawn ahead, no batch passed the cap, and no bind raised.
+    assert max(batches) == default and not raised_binds
     assert runs[default] == runs[1]
     _, attempts, raised, drawn = runs[1]
     assert drawn == sum(attempts) and max(attempts) > 1

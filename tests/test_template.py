@@ -225,7 +225,7 @@ def bound_together(template, draws):
     every source the plans are finished from (``Template._bind``), and the
     bits of every plan ``bind_all`` finishes, with its failures."""
     values, codes = template.bind_all(draws)
-    re, im, code = template._bind(draws, template._program.sources)
+    re, im, code, _ = template._bind(draws, template._program.sources)
     out = []
     for d in range(len(draws)):
         sources = list(zip(map(float.hex, re[:, d].tolist()), map(float.hex, im[:, d].tolist())))
@@ -335,7 +335,8 @@ def test_each_failure_code_is_the_error_python_raises():
     # A failure code stands for the error the scalar finish raises at the
     # same values: Python's own at its arithmetic, the messages of
     # ``ThetaProduct.finish`` and ``_Series.finish`` at their guards and
-    # range checks.  A Python that rewords an error fails here, rather than
+    # range checks, and last ``theta_vec``'s at an argument that underflowed
+    # to 0, which a bound draw's every plan takes.  A Python that rewords an error fails here, rather than
     # change what the reports raise unnoticed.
     def raised(fn, *args):
         with pytest.raises(ArithmeticError) as got:
@@ -365,6 +366,7 @@ def test_each_failure_code_is_the_error_python_raises():
         raised(lambda: 1 / 0j),
         raised(lambda: 1.0 / 0.0),
         raised(abs, complex(1.5e308, 1.5e308)),
+        raised(theta_vec, [0j], ctx),
     ]
     assert raised(series.finish, changed(den, 1e-20 + 0j)) == python[0]
     assert python == list(ERRORS[1:])

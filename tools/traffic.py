@@ -1,0 +1,172 @@
+"""The functions of ``src/ellu2`` that no traffic executes.
+
+    PYTHONPATH=src python3 tools/traffic.py
+
+Traffic is what the program is run for: two rounds of each benchmark
+workload (``perfbench/workloads.py``, run in this process as
+``perfbench/run.py`` runs them, with its ``DrawCounter`` installed), and
+the CLI commands of ``COMMANDS`` (``run --suite all``, each ``check``
+command and each ``eval`` command), their output discarded.  All of it runs
+under a ``sys.settrace`` line tracer that records the lines executed in
+``src/ellu2`` and nothing else.  It takes about 20 s on a 2-core x86-64
+machine, reports on stderr whether each round passed its checks and each
+command's exit code, and writes nothing.
+
+It prints the functions that no traffic calls, then the functions with at
+least ``MISSED`` statements that no traffic executes, each with its missed
+statement lines.  A listed function is a candidate for deletion, not a
+verdict: error handling, the independent oracles and reference paths, and
+seams that tests need stay, though no traffic reaches them.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ellu2"
+# Least number of unexecuted statements that lists a function that ran.
+MISSED = 3
+ROUNDS = 2
+SEED = 20240
+COMMANDS = [
+    ["run", "--suite", "all"],
+    ["check", "corep", "--N", "3", "--samples", "5"],
+    ["check", "biorth", "--N", "4", "--M", "1", "--samples", "5"],
+    ["check", "biorth", "--N", "4", "--M", "1", "--samples", "5", "--dual"],
+    ["check", "bailey", "--n", "4", "--samples", "50", "--seed", "1"],
+    ["check", "qdybe", "--samples", "100"],
+    ["check", "relations", "--omega", "0.4-0.2i", "--lambda", "0.7+0.3i", "--samples", "10"],
+    ["eval", "theta", "--z", "1", "--p", "0.1"],
+    ["eval", "r-entries", "--z", "1", "--lambda", "0.3+0.1i"],
+    ["eval", "pochhammer", "--a", "q^:2", "--n", "3"],
+    ["eval", "omega", "--a1", "q^:1", "--upper", "0.9+0.2i,1.1,0.8-0.1i,1.2+0.3i,0.7,q^:9,q^:-2", "--slot", "6"],
+    ["eval", "tau", "--N", "2", "--k", "1", "--j", "1", "--m", "2",
+     "--omega", "0.4-0.2i", "--lambda", "0.7+0.3i", "--z", "1.3+0.4i"],
+]
+# Statements that run no code of their own, or whose line no event names.
+_SILENT = (ast.Global, ast.Nonlocal, ast.Try)
+
+
+class Function:
+    """A function of a source file: its name, its first line as its code
+    object gives it, and the lines of its own statements (a nested
+    function's body is its own)."""
+
+    def __init__(self, path: Path, qualname: str, node: ast.FunctionDef):
+        self.path, self.qualname = path, qualname
+        self.first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]  # the docstring
+        self.lines: set[int] = set()
+        todo = list(body)
+        while todo:
+            stmt = todo.pop()
+            if not isinstance(stmt, _SILENT):
+                self.lines.add(stmt.lineno)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.stmt):
+                    todo.append(child)
+                elif isinstance(child, ast.excepthandler):
+                    todo.extend(child.body)
+
+
+def functions(path: Path) -> list[Function]:
+    """Every function and method of the source at ``path``."""
+    out = []
+
+    def walk(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                out.append(Function(path, name, child))
+                walk(child, f"{name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text()), "")
+    return out
+
+
+class LineTracer:
+    """The lines executed in the package's files, and the first line of
+    each code object of them called."""
+
+    def __init__(self) -> None:
+        self.prefix = str(PACKAGE) + "/"
+        self.lines: set[tuple[str, int]] = set()
+        self.calls: set[tuple[str, int]] = set()
+
+    def __call__(self, frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(self.prefix):
+            return None
+        self.calls.add((code.co_filename, code.co_firstlineno))
+        return self.line
+
+    def line(self, frame, event, arg):
+        if event == "line":
+            self.lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return self.line
+
+
+def traffic() -> None:
+    """Two rounds of each workload, then each command of ``COMMANDS``."""
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+    import ellu2  # noqa: F401  (loaded before the draw counter is installed)
+    from calibrate import Clock
+    from ellu2.cli import main
+    from tracer import DrawCounter
+    from workloads import WORKLOADS
+
+    for name, make in WORKLOADS.items():
+        draws = DrawCounter().install()
+        try:
+            workload = make(SEED, draws, Clock(rescale=False))
+            for i in range(ROUNDS):
+                errors = workload.round(i, workload.inputs(i)).errors
+                print(f"{name} round {i}: {'; '.join(errors) or 'correct'}", file=sys.stderr)
+        finally:
+            draws.close()
+    for argv in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        print(f"ellu2 {' '.join(argv)}: exit {code}", file=sys.stderr)
+
+
+def main() -> int:
+    sys.dont_write_bytecode = True
+    tracer = LineTracer()
+    sys.settrace(tracer)
+    try:
+        traffic()
+    finally:
+        sys.settrace(None)
+    uncalled, partial = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in functions(path):
+            where = f"{path.relative_to(ROOT)}:{fn.first} {fn.qualname}"
+            if (str(path), fn.first) not in tracer.calls:
+                uncalled.append(f"{where} ({len(fn.lines)} statements)")
+                continue
+            missed = sorted(n for n in fn.lines if (str(path), n) not in tracer.lines)
+            if len(missed) >= MISSED:
+                partial.append(f"{where}: {len(missed)} of {len(fn.lines)} unexecuted, lines {missed}")
+    print(f"{len(uncalled)} functions no traffic calls:")
+    print("\n".join(f"  {line}" for line in uncalled))
+    print(f"{len(partial)} functions with at least {MISSED} statements no traffic executes:")
+    print("\n".join(f"  {line}" for line in partial))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
