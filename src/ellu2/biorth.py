@@ -25,23 +25,23 @@ with a ``TemplateContext`` and the symbols ``LAM``, ``OMEGA`` and ``Z`` in
 place of the sample's numbers.  The sweep templates of up to
 ``theta.SHAPE_CAP`` shapes (N, M, zero guard) are kept, in ``_SWEEPS``.
 
-A ``BiorthCache`` holds the items and reports of one sample, and is filled
-in one way, ``BiorthCache.batch``: for the samples of one shape together,
-each with its own cache, as the suites draw them, or for a cache's sample
-alone, at its first check.  The template of every item of the full (k, l)
-sweep is bound to all the samples at once, and every item of every sample
-is finished in the same pass over arrays (``theta.Template.bind_all``), an
+The sweeps are bound in one way, ``_reports``: for the params of one shape
+together, a batch of the suites' draws (``sweep_rows``), or for one
+check's params alone, as a batch of one (``check_biorth``, kept by
+``BiorthCache``).  The template of every item of the full (k, l) sweep is
+bound to all the samples at once, and every item of every sample is
+finished in the same pass over arrays (``theta.Template.bind_all``), an
 item that fails recorded, not raised: one array of item values by sample
 and position, read as it is by the checks.  The check layer of each sweep
 shape, direct or dual, is compiled once, at its first use, into gathers of
 item positions (``_Program``): for every (k, l) row, every summand j and
-every factor of the summand and of its representation-side value.  The reports of all (N + 1)^2 rows of every
-sample are computed in one pass, the samples' rows end to end, over split
-real and imaginary arrays, with CPython's complex formulas
-(``theta._c_mul``, ``_c_div``, and ``hypot`` for ``abs``), sums over j
-added left to right.  Each report has the bits the same arithmetic in
-Python complex numbers gives at its sample alone.  A check with k or l
-outside 0..N is refused with ``ValueError``.
+every factor of the summand and of its representation-side value.  The
+reports of all (N + 1)^2 rows of every sample are computed in one pass, the
+samples' rows end to end, over split real and imaginary arrays, with
+CPython's complex formulas (``theta._c_mul``, ``_c_div``, and ``hypot`` for
+``abs``), sums over j added left to right.  Each report has the bits the
+same arithmetic in Python complex numbers gives at its sample alone.  A
+check with k or l outside 0..N is refused with ``ValueError``.
 Each check returns its row, or raises what that arithmetic raises: the first
 failing item in its read order (the determinant product, h_k, the summand
 items of j = 0..N, then their oracle items), else the first
@@ -100,6 +100,7 @@ __all__ = [
     "c_det_product",
     "BiorthCache",
     "BiorthReport",
+    "sweep_rows",
     "check_biorth",
     "check_dual_biorth",
 ]
@@ -672,90 +673,53 @@ def _first_code(got: np.ndarray) -> np.ndarray:
     return got[(got != 0).argmax(axis=0), np.arange(got.shape[1])]
 
 
+def _reports(bps: Sequence[BiorthParams], dual: bool) -> list[tuple[list, dict]]:
+    """(rows, errors) of the (dual) checks at each of ``bps``, params of one
+    shape, all bound together (``_Program.reports``)."""
+    sweep = _sweep(bps[0])
+    if any(_shape(bp) != _shape(bps[0]) for bp in bps):
+        raise ValueError("the params of one batch share one shape (N, M, zero guard)")
+    values, codes = sweep.template.bind_all(list(map(_draw, bps)))
+    return sweep.program(dual).reports(values, codes)
+
+
+def sweep_rows(bps: Sequence[BiorthParams], dual: bool) -> list:
+    """The outcome of the (dual) sweep at each of ``bps``, params of one
+    shape bound together: the residuals of every (k, l) check, row r =
+    k (N + 1) + l a tuple of the fields of its ``BiorthReport``, or, where
+    a row fails, the error of the first failing row, what the checks made
+    in row order raise first, not raised."""
+    return [error(errors[min(errors)]) if errors else rows for rows, errors in _reports(bps, dual)]
+
+
 class BiorthCache:
-    """The items and reports of one (k, l) sweep at fixed params.
-
-    A cache is filled once, by the code of ``batch`` (see the module
-    docstring): with the caches of other params of its shape, or alone, as
-    a batch of one, at its first check.  The reports of the kind it was
-    filled for come with it; those of the other kind, direct or dual, are
-    computed from its stored items at the first check of that kind.  Each
-    check returns its row, or raises a fresh error of the failure code
-    recorded for it; ``rows`` reads all the rows of a kind at once.
-
-    ``get`` keeps values by key in ``_store``.  The checks do not use it; the
-    benchmark's tracer counts cache hits through it, so it stays.
-    """
+    """The reports of the (k, l) checks, by (params, dual): ``get`` keeps
+    each value by key in ``_store``, computing it at its first read.  The
+    benchmark's tracer counts cache hits through ``get``."""
 
     def __init__(self) -> None:
         self._store: dict = {}
-        self._items: tuple | None = None
-        self._rows: dict = {}
 
     def get(self, key, fn):
         if key not in self._store:
             self._store[key] = fn()
         return self._store[key]
 
-    @staticmethod
-    def batch(bps: Sequence[BiorthParams], dual: bool) -> list["BiorthCache"]:
-        """A cache for each of ``bps``, params of one shape, with its items
-        and the reports of its (dual) checks."""
-        caches = [BiorthCache() for _ in bps]
-        BiorthCache._fill(caches, bps, dual)
-        return caches
 
-    @staticmethod
-    def _fill(caches: Sequence["BiorthCache"], bps: Sequence[BiorthParams], dual: bool) -> None:
-        """Fill each of ``caches`` with the items and (dual) reports of the
-        params in the same place of ``bps``, all of them together."""
-        sweep = _sweep(bps[0])
-        if any(_shape(bp) != _shape(bps[0]) for bp in bps):
-            raise ValueError("the params of one batch share one shape (N, M, zero guard)")
-        values, codes = sweep.template.bind_all(list(map(_draw, bps)))
-        reports = sweep.program(dual).reports(values, codes)
-        for cache, v, c, rows in zip(caches, values, codes, reports):
-            cache._items = (sweep, v, c)
-            cache._rows[dual] = rows
-
-    def items(self, bp: BiorthParams) -> tuple:
-        """(sweep, finished values by position, failure codes by position)
-        of the sweep's items at ``bp``; a cache not yet filled fills itself,
-        with the direct reports."""
-        if self._items is None:
-            self._fill([self], [bp], False)
-        return self._items
-
-    def _reports(self, bp: BiorthParams, dual: bool) -> tuple[list, dict]:
-        """(rows, errors) of the (dual) checks at ``bp`` (``_Program.reports``)."""
-        if self._items is None:
-            self._fill([self], [bp], dual)
-        got = self._rows.get(dual)
-        if got is None:
-            sweep, values, codes = self._items
-            got = self._rows[dual] = sweep.program(dual).reports(values[None], codes[None])[0]
-        return got
-
-    def rows(self, bp: BiorthParams, dual: bool) -> list[tuple]:
-        """The residuals of every (dual) (k, l) check at ``bp``, row r =
-        k (N + 1) + l a tuple of the fields of its ``BiorthReport``; a sweep
-        with a failing row raises a fresh error of its first failing row,
-        what its checks, made in row order, raise first."""
-        rows, errors = self._reports(bp, dual)
-        if errors:
-            raise error(errors[min(errors)])
-        return rows
-
-    def report(self, bp: BiorthParams, k: int, l: int, dual: bool) -> BiorthReport:
-        """The report of the (dual) (k, l) check at ``bp``, from its row."""
-        N = bp.N
-        if not (0 <= k <= N and 0 <= l <= N):
-            raise ValueError(f"(k, l) = ({k}, {l}) lies outside the sweep 0..{N}")
-        rows, errors = self._reports(bp, dual)
-        r = k * (N + 1) + l
-        if r in errors:
-            raise error(errors[r])
-        return BiorthReport(*rows[r])
+def _check(
+    bp: BiorthParams, k: int, l: int, cache: BiorthCache | None, dual: bool
+) -> BiorthReport:
+    """The report of the (dual) (k, l) check at ``bp``, from its sweep's
+    (rows, errors), bound afresh or read from ``cache``."""
+    N = bp.N
+    if not (0 <= k <= N and 0 <= l <= N):
+        raise ValueError(f"(k, l) = ({k}, {l}) lies outside the sweep 0..{N}")
+    cache = cache if cache is not None else BiorthCache()
+    rows, errors = cache.get((bp, dual), lambda: _reports([bp], dual)[0])
+    r = k * (N + 1) + l
+    if r in errors:
+        raise error(errors[r])
+    return BiorthReport(*rows[r])
 
 
 def check_biorth(
@@ -771,8 +735,10 @@ def check_biorth(
     scaled by the largest oracle value.  The summand scale keeps the
     vanishing off-diagonal case measuring cancellation quality relative to
     the largest term rather than against zero.  k and l lie in 0..N.
+    The whole sweep at ``bp`` is bound, as a batch of one; ``cache`` keeps
+    its reports, so the other checks at ``bp`` of the same kind read them.
     """
-    return (cache if cache is not None else BiorthCache()).report(bp, k, l, False)
+    return _check(bp, k, l, cache, False)
 
 
 def check_dual_biorth(
@@ -785,4 +751,4 @@ def check_dual_biorth(
     ``check_biorth`` with delta(k, l) for target and the oracle itself for
     each summand's reference.
     """
-    return (cache if cache is not None else BiorthCache()).report(bp, k, l, True)
+    return _check(bp, k, l, cache, True)

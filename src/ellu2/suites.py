@@ -25,10 +25,10 @@ The suites and tables whose checks are compiled (biorth and dual-biorth,
 relations, unitarity, and the corep tables) draw ahead through one sampler,
 ``_DrawAhead``, and evaluate the attempts of up to ``AHEAD`` unfinished
 samples in one batch, which returns each draw's results (the relation and
-unitarity rows of ``rep.bind_rows``, a biorth cache, a tower's residuals)
-or its error.  A batch never raises: ``Template.bind_all`` reports each
-draw's failures as codes, and each batch turns a draw's codes into that
-draw's error.
+unitarity rows of ``rep.bind_rows``, the biorth rows of
+``biorth.sweep_rows``, a tower's residuals) or its error.  A batch never
+raises: ``Template.bind_all`` reports each draw's failures as codes, and
+each batch turns a draw's codes into that draw's error.
 An attempt makes all its ``rng`` calls before anything of it is evaluated,
 as many whatever the outcome, and every unfinished sample takes at least
 one more attempt; so no drawn attempt goes unused, and the stream, the
@@ -39,8 +39,9 @@ add several MB to peak memory.
 Each draw is read in one pass: the theta suite looks every theta argument
 of a draw up in one ``theta_vec`` call (``_theta_draw``), the series suite
 finishes both its evaluators from one lookup of the vector cache, and the
-biorth suites and tables read a draw's rows as its batch left them
-(``BiorthCache.rows``).
+biorth suites and tables read a draw's rows as its batch gave them
+(``biorth.sweep_rows``).  Nothing that reads a draw binds: a sampler's
+batch, or a one-sample entry, binds it.
 
 A sample returns plain floats (or, for the per-sample tables, one entry), so
 nothing of a draw outlives it (or, drawn ahead, its own attempt).  ``_sample``
@@ -61,7 +62,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .biorth import BiorthCache, BiorthParams
+from .biorth import BiorthParams, sweep_rows
 from .corep import (
     TOWER_M,
     UNITARITY_MMAX,
@@ -468,20 +469,18 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
 
 
 def _corep_tower(
-    rc: RepContext, z: complex, n_level: int, tower: Callable[..., complex] | None = None
+    rc: RepContext, z: complex, n_level: int, tower: Callable[..., complex]
 ) -> dict[tuple[int, int], float]:
     """Worst spread per (k, j) at one level between the word action,
     ``tau_product`` and the closed form, over m < ``TOWER_M``.  The word
-    action and the closed form are compiled once for the level and bound
-    at the draw (``corep.closed_tower``), or come bound already as
-    ``tower``, one reader of ``corep.closed_towers``; ``tau_product`` is the
-    one side evaluated over numbers, by one reader for the draw and level
+    action and the closed form come bound at the draw as ``tower``, the
+    level's reader of ``corep.closed_tower`` or ``corep.closed_towers``,
+    compiled once for the level; ``tau_product`` is the one side evaluated
+    over numbers, by one reader for the draw and level
     (``corep.product_tower``), which evaluates each prefactor, elliptic
     binomial and letter coefficient once.  Each (k, j, m) reads, or raises,
     its word action, then its ``tau_product``, then its closed form, so the
     first error of a draw is the one a numeric tower raises first."""
-    if tower is None:
-        tower = closed_tower(tau_plan, n_level, rc, z)
     product = product_tower(n_level, rc.lam0, z, rc.omega, rc.ctx)
     out: dict[tuple[int, int], float] = {}
     for k in range(n_level + 1):
@@ -507,7 +506,9 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         z = draw_z(rng)
         ctx, omega, lam0 = rc.ctx, rc.omega, rc.lam0
         tower = worst(
-            res for n_level in range(1, 5) for res in _corep_tower(rc, z, n_level).values()
+            res
+            for n_level in range(1, 5)
+            for res in _corep_tower(rc, z, n_level, closed_tower(tau_plan, n_level, rc, z)).values()
         )
         star_res = []
         for n_level in range(1, 4):
@@ -602,22 +603,22 @@ def _biorth_ahead(
     cfg: RunConfig, rng: np.random.Generator, n_level: int, m_shift: int, dual: bool
 ) -> _DrawAhead:
     """The draw-ahead sampler at one sweep shape (N, M), direct or dual: an
-    attempt gives (params, their cache with the (dual) reports), whose rows
-    the suite and the table read (``BiorthCache.rows``)."""
+    attempt gives the rows of its draw's (dual) sweep (``biorth.sweep_rows``),
+    which the suite and the table read."""
 
     def draw() -> BiorthParams:
         ctx = cfg.context(rng)
         lam, omega, z = draw_lambda(rng), draw_lambda(rng), draw_z(rng)
         return BiorthParams(n_level, lam, m_shift, omega, z, ctx)
 
-    return _DrawAhead(draw, lambda drawn: list(zip(drawn, BiorthCache.batch(drawn, dual))))
+    return _DrawAhead(draw, partial(sweep_rows, dual=dual))
 
 
 def _suite_biorth(
     dual: bool, cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float
 ) -> dict:
     """The biorth suite, or with ``dual`` the dual-biorth suite: the worst
-    of each residual of ``BiorthCache.rows`` over the rows of each sample."""
+    of each residual of ``biorth.sweep_rows`` over the rows of each sample."""
     classes = {
         "biorthogonality sum": tol,
         "termwise vs oracle": 1e-7,
@@ -631,8 +632,7 @@ def _suite_biorth(
 
             def sample() -> dict[str, float]:
                 # The classes in the order of a row's fields, max term left out.
-                bp, cache = draws.attempt()
-                return dict(zip(classes, map(worst, zip(*cache.rows(bp, dual)))))
+                return dict(zip(classes, map(worst, zip(*draws.attempt()))))
 
             got, lost = _sample(samples, cfg.max_redraws, sample, draws.pending)
             values += got
@@ -883,8 +883,7 @@ def biorth_table(
     def sample() -> list[tuple[tuple[int, int], float]]:
         # Row r is (k, l) = divmod(r, N + 1); its residual is its report's,
         # the worse of the sum and the oracle.
-        bp, cache = draws.attempt()
-        rows = enumerate(cache.rows(bp, dual))
+        rows = enumerate(draws.attempt())
         return [(divmod(r, n_level + 1), worst((s, o))) for r, (s, _, o, _) in rows]
 
     values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)

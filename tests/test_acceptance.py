@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from ellu2.biorth import BiorthCache
 from ellu2.corep import _unitarity_rows, tau_plan, tau_tilde_plan
 from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
@@ -352,12 +351,15 @@ def test_a_table_entry_no_sample_reached_does_not_pass(monkeypatch, check):
     def at_a_pole(*args):
         raise PoleError("every attempt at a pole")
 
+    def at_poles(bps, dual):
+        return [PoleError("every attempt at a pole") for _ in bps]
+
     cfg = RunConfig(seed=1, max_redraws=2)
     if check == "corep":
         monkeypatch.setattr(suites_mod, "_corep_tower", at_a_pole)
         report, second = corep_table(cfg, 2, 2), "j"
     else:
-        monkeypatch.setattr(BiorthCache, "rows", at_a_pole)
+        monkeypatch.setattr(suites_mod, "sweep_rows", at_poles)
         report, second = biorth_table(cfg, 2, 0, 2, False), "l"
     assert (report["samples"], report["rejected"], report["pass"]) == (0, 2, False)
     assert len(report["entries"]) == 9

@@ -17,7 +17,9 @@ from ellu2.biorth import (
     weight_w1,
     weight_w2,
 )
-from ellu2.biorth import _item, _oracle_keys, _series_parts, _summand_keys, _sweep_keys
+from ellu2.biorth import _draw, _item, _oracle_keys, _reports, _series_parts, _summand_keys
+from ellu2.biorth import _sweep, _sweep_keys, sweep_rows
+from ellu2.rep import rows_of
 from ellu2.residuals import scaled, worst
 from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.series import vwp_sum
@@ -85,11 +87,18 @@ def reference_report(read, N, k, l, dual):
     return BiorthReport(sum_res, term_res, oracle_res, max_term)
 
 
-def swept(bp, cache=None):
+def swept(bp):
     """read(key): the value of an item as the sweep at ``bp`` finished it;
     an item that failed raises its error."""
-    sweep, values, codes = (cache if cache is not None else BiorthCache()).items(bp)
-    at = sweep.template.plans
+    template = _sweep(bp).template
+    (values,), (codes,) = template.bind_all([_draw(bp)])
+    return reader(template.plans, values, codes)
+
+
+def reader(at, values, codes):
+    """read(key): the value of the item at position ``at[key]`` of one
+    draw's finished ``values`` and failure ``codes``; an item that failed
+    raises its error."""
 
     def read(key):
         i = at[key]
@@ -116,11 +125,10 @@ CHECKS = {False: check_biorth, True: check_dual_biorth}
 
 
 def assert_rows_read_as_the_checks(bp, dual, wants):
-    """``BiorthCache.rows`` at ``bp`` gives the bits of ``wants``, the
-    outcomes of the (k, l) checks in row order, or raises the error of the
-    first that failed."""
+    """``sweep_rows`` at ``bp`` gives the bits of ``wants``, the outcomes of
+    the (k, l) checks in row order, or the error of the first that failed."""
     try:
-        got = [bits(BiorthReport(*row)) for row in BiorthCache().rows(bp, dual)]
+        got = [bits(BiorthReport(*row)) for row in rows_of(sweep_rows([bp], dual)[0])]
     except ArithmeticError as exc:
         got = type(exc).__name__, str(exc)
     assert got == next((w for w in wants if isinstance(w, tuple)), wants), dual
@@ -228,6 +236,19 @@ def test_cache_does_not_change_results(bp):
     assert fresh == cached
 
 
+@pytest.mark.parametrize("dual", [False, True])
+def test_a_cache_read_at_other_params_gives_their_reports(dual):
+    # One cache, read at params of one shape, then at other params of that
+    # shape, then at another level: each check reports the bits of a fresh
+    # call at its own params.
+    first = level_four()
+    check = CHECKS[dual]
+    cache = BiorthCache()
+    for bp in (first, dataclasses.replace(first, z=0.7 - 0.9j), dataclasses.replace(first, N=2)):
+        for k, l in ((1, 1), (0, 2)):
+            assert bits(check(bp, k, l, cache)) == bits(check(bp, k, l)), (bp, k, l)
+
+
 def biorth_lhs_member(bp, j, kl, shifted):
     """One explicit series factor in its direct form (no merged rewrite)."""
     a1, numer, denom, c, n = _series_parts(bp, j, kl, shifted)
@@ -296,18 +317,15 @@ def drawn_by_table(monkeypatch, seed, N, M):
     """The params of every draw of the direct table (seed, N, M, 2 samples),
     and how many of them raised."""
     draws, raised = [], []
-    rows = BiorthCache.rows
+    rows = suites.sweep_rows
 
-    def recording(cache, bp, dual):
-        if bp not in draws:
-            draws.append(bp)
-        try:
-            return rows(cache, bp, dual)
-        except PoleError:
-            raised.append(bp)
-            raise
+    def recording(bps, dual):
+        got = rows(bps, dual)
+        draws.extend(bps)
+        raised.extend(bp for bp, out in zip(bps, got) if isinstance(out, PoleError))
+        return got
 
-    monkeypatch.setattr(BiorthCache, "rows", recording)
+    monkeypatch.setattr(suites, "sweep_rows", recording)
     table = suites.biorth_table(suites.RunConfig(seed=seed), N, M, 2, False)
     assert table["pass"] and table["rejected"] == 0
     return draws, len(raised)
@@ -450,14 +468,15 @@ def test_a_full_sweep_finishes_each_item_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(theta_mod.Template, "bind_all", counted)
     for bp in (level_four(), dataclasses.replace(level_four(), z=0.7 - 0.9j)):
-        finished.clear()
         cache = BiorthCache()
         for check in (check_biorth, check_dual_biorth):
+            finished.clear()
             for k in range(bp.N + 1):
                 for l in range(bp.N + 1):
                     check(bp, k, l, cache)
-        # The direct and the dual sweep finish every item in one pass, once.
-        assert finished == [_sweep_keys(bp.N)]
+            # The direct sweep, and then the dual sweep, finish every item
+            # in one pass, once.
+            assert finished == [_sweep_keys(bp.N)], check
 
 
 SPECIAL = [0j, 1.5e308 + 1.5e308j, complex(1e308, -1e-300), complex("inf"), complex("nan"), 5e-324j]
@@ -505,9 +524,11 @@ def test_stacked_reports_equal_the_scalar_reference(monkeypatch, N):
     keys = _sweep_keys(N)
     changes = iter(range(10))
     bind_all = theta_mod.Template.bind_all
+    bound = []
 
     def patched(self, draws):
         values, codes = bind_all(self, draws)
+        bound.append((self.plans, values, codes))
         for d in range(len(draws)):
             if next(changes) % 2:
                 for i in rng.choice(len(keys), size=6, replace=False).tolist():
@@ -526,8 +547,14 @@ def test_stacked_reports_equal_the_scalar_reference(monkeypatch, N):
     seen = set()
     for dual, check in CHECKS.items():
         changes = iter(range(10))
-        for bp, cache in zip(bps, BiorthCache.batch(bps, dual)):
-            read = swept(bp, cache)
+        bound.clear()
+        reports = _reports(bps, dual)
+        ((at, values, codes),) = bound
+        for d, (bp, got) in enumerate(zip(bps, reports)):
+            read = reader(at, values[d], codes[d])
+            # The checks read this draw's reports from the batch's.
+            cache = BiorthCache()
+            cache.get((bp, dual), lambda: got)
             for k in range(N + 1):
                 for l in range(N + 1):
                     want = outcome(lambda: reference_report(read, N, k, l, dual))
@@ -539,4 +566,4 @@ def test_stacked_reports_equal_the_scalar_reference(monkeypatch, N):
 def test_a_batch_takes_params_of_one_shape():
     bp = level_four()
     with pytest.raises(ValueError, match="one shape"):
-        BiorthCache.batch([bp, dataclasses.replace(bp, M=2)], False)
+        sweep_rows([bp, dataclasses.replace(bp, M=2)], False)

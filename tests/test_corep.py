@@ -137,7 +137,7 @@ def test_the_bound_tower_is_the_scalar_closed_form(plan, closed, parts):
     assert compared > 10_000 and failed > 100
 
 
-def test_the_tower_raises_where_its_scalar_closed_side_raised(monkeypatch):
+def test_the_tower_raises_where_its_scalar_closed_side_raised():
     # A pinned draw whose first failure is tau_closed's at (k, j, m) =
     # (0, 2, 2): the bound tower raises the same error at the same read.
     rng = np.random.default_rng(4)
@@ -146,7 +146,7 @@ def test_the_tower_raises_where_its_scalar_closed_side_raised(monkeypatch):
     where, expected = _numeric_tower_failure(rc, z, 2)
     assert where == ("closed", 0, 2, 2)
     reads = []
-    bind = suites_mod.closed_tower
+    bind = closed_tower
 
     def recorded(*args):
         read = bind(*args)
@@ -157,9 +157,8 @@ def test_the_tower_raises_where_its_scalar_closed_side_raised(monkeypatch):
 
         return recording
 
-    monkeypatch.setattr(suites_mod, "closed_tower", recorded)
     with pytest.raises(type(expected)) as raised:
-        _corep_tower(rc, z, 2)
+        _corep_tower(rc, z, 2, recorded(tau_plan, 2, rc, z))
     assert str(raised.value) == str(expected)
     assert reads[-1] == where[1:]
     # Each read of a failed item raises a fresh copy of its error.
@@ -243,7 +242,7 @@ def _numeric_tower_failure(rc, z, N):
     ],
     ids=["binomial", "coefficient"],
 )
-def test_the_tower_raises_where_its_numeric_word_side_raised(monkeypatch, seed, where, message):
+def test_the_tower_raises_where_its_numeric_word_side_raised(seed, where, message):
     # Pinned draws at N = 3, zero guard 0.01, whose first failure is on the
     # word side: the bound tower raises the same error at the same read.
     rng = np.random.default_rng(seed)
@@ -252,7 +251,7 @@ def test_the_tower_raises_where_its_numeric_word_side_raised(monkeypatch, seed, 
     first, expected = _numeric_tower_failure(rc, z, 3)
     assert first == ("word", *where) and str(expected) == message
     reads = []
-    bind = suites_mod.closed_tower
+    bind = closed_tower
 
     def recorded(*args):
         read = bind(*args)
@@ -263,9 +262,8 @@ def test_the_tower_raises_where_its_numeric_word_side_raised(monkeypatch, seed, 
 
         return recording
 
-    monkeypatch.setattr(suites_mod, "closed_tower", recorded)
     with pytest.raises(type(expected)) as raised:
-        _corep_tower(rc, z, 3)
+        _corep_tower(rc, z, 3, recorded(tau_plan, 3, rc, z))
     assert str(raised.value) == message
     assert reads[-1] == (*where, "word")
 
@@ -343,10 +341,9 @@ def test_the_tower_raises_where_its_product_side_raised(monkeypatch, seed, N, wh
 
         return recording
 
-    monkeypatch.setattr(suites_mod, "closed_tower", lambda *args: lambda *key: 1.0 + 0.0j)
     monkeypatch.setattr(suites_mod, "product_tower", recorded)
     with pytest.raises(PoleError) as raised:
-        _corep_tower(rc, z, N)
+        _corep_tower(rc, z, N, lambda *key: 1.0 + 0.0j)
     assert str(raised.value) == message
     assert reads[-1] == where
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import importlib
 import itertools
 import weakref
 
@@ -21,6 +22,8 @@ from ellu2.sampling import (
 )
 from ellu2.rep import RepContext
 from ellu2.theta import THETA_RANGE, PoleError
+
+biorth_mod = importlib.import_module("ellu2.biorth")
 
 
 def test_draw_ranges(rng):
@@ -75,16 +78,17 @@ def test_a_suite_redraws_a_check_that_overflows(monkeypatch):
     # Python's abs of a finite complex number beyond the double range raises
     # OverflowError inside a biorth check: the same out-of-range draw the
     # kernels report as a pole, so the suite redraws it.
-    original = BiorthCache.rows
+    original = suites.sweep_rows
     raised = []
 
-    def overflows_once(*args):
+    def overflows_once(bps, dual):
+        got = original(bps, dual)
         if not raised:
             raised.append(1)
-            raise OverflowError("absolute value too large")
-        return original(*args)
+            got[0] = OverflowError("absolute value too large")
+        return got
 
-    monkeypatch.setattr(BiorthCache, "rows", overflows_once)
+    monkeypatch.setattr(suites, "sweep_rows", overflows_once)
     rec = suites.run_suite("biorth", suites.RunConfig(seed=1, samples=1))
     assert raised and rec["pass"] and rec["rejected"] == 0
 
@@ -123,9 +127,9 @@ def prefetched_biorth(monkeypatch, cfg, rng, N, M, samples, dual, fail):
     draws = suites._biorth_ahead(cfg, rng, N, M, dual)
 
     def sample():
-        bp, cache = draws.attempt()
+        rows = draws.attempt()
         kls = [(k, l) for k in range(N + 1) for l in range(N + 1)]
-        return {kl: BiorthReport(*row) for kl, row in zip(kls, cache.rows(bp, dual))}
+        return {kl: BiorthReport(*row) for kl, row in zip(kls, rows)}
 
     return suites._sample(samples, cfg.max_redraws, sample, draws.pending)
 
@@ -261,3 +265,92 @@ def test_representation_draws_ahead_equal_drawing_one_at_a_time(monkeypatch, cas
     assert drawn == sum(attempts) and max(attempts) > 1
     assert ("PoleError", THETA_RANGE) in raised
     assert len({message for _, message in raised}) > 1
+
+
+def evaluated(monkeypatch) -> list:
+    """Every (drawn, outcomes) that the batches of the draw-ahead samplers
+    made from here on give, in order."""
+    batches = []
+
+    class Recording(suites._DrawAhead):
+        def __init__(self, draw, evaluate):
+            def recording(drawn):
+                got = evaluate(drawn)
+                batches.append((drawn, got))
+                return got
+
+            super().__init__(draw, recording)
+
+    monkeypatch.setattr(suites, "_DrawAhead", Recording)
+    return batches
+
+
+def assert_rows_or_error(got):
+    """``got`` is one draw's outcome: its error, or its rows, numbers by
+    name (a dict), by key (dict items) or by row (a list of tuples)."""
+    if isinstance(got, ArithmeticError):
+        return
+    if isinstance(got, dict):
+        numbers = list(got.values())
+    elif isinstance(got, list):
+        numbers = [x for row in got for x in row]
+    else:
+        assert isinstance(got, type({}.items())), type(got)
+        numbers = [v for _, v in got]
+    assert numbers and all(isinstance(x, float) for x in numbers), got
+
+
+PROTOCOL_RUNS = {
+    # The relations suite's outcome is a pair: the relation rows and the
+    # determinant-form rows.
+    "relations": lambda: suites.run_suite("relations", suites.RunConfig(seed=1, samples=3)),
+    "unitarity": lambda: suites.run_suite("unitarity", suites.RunConfig(seed=1, samples=2)),
+    "corep table": lambda: suites.corep_table(suites.RunConfig(seed=1), 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", PROTOCOL_RUNS)
+def test_a_batch_gives_each_draw_its_rows_or_its_error(monkeypatch, case):
+    batches = evaluated(monkeypatch)
+    PROTOCOL_RUNS[case]()
+    assert batches
+    for drawn, outcomes in batches:
+        assert len(outcomes) == len(drawn)
+        for got in outcomes:
+            for part in got if case == "relations" else (got,):
+                assert_rows_or_error(part)
+
+
+def row_hexes(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "seed, N, dual, failing",
+    [(20240, 8, False, 2), (20240, 8, True, 0), (3164770343, 6, False, 1), (3164770343, 6, True, 0)],
+)
+def test_a_biorth_batch_gives_each_draw_its_own_sweep(monkeypatch, seed, N, dual, failing):
+    # The levels tables of the pinned overflow draws: each draw's outcome is
+    # bit for bit the rows of its sweep bound alone, or, where a row fails,
+    # the error that the first failing check in row order raises.
+    batches = evaluated(monkeypatch)
+    suites.biorth_table(suites.RunConfig(seed=seed), N, 1, 2, dual)
+    check = check_dual_biorth if dual else check_biorth
+    failed = 0
+    for drawn, outcomes in batches:
+        for bp, got in zip(drawn, outcomes, strict=True):
+            assert_rows_or_error(got)
+            rows, errors = biorth_mod._reports([bp], dual)[0]
+            if not errors:
+                assert row_hexes(got) == row_hexes(rows)
+                continue
+            failed += 1
+            cache, first = BiorthCache(), None
+            for k, l in itertools.product(range(N + 1), repeat=2):
+                try:
+                    check(bp, k, l, cache)
+                except ArithmeticError as exc:
+                    first = exc
+                    break
+            assert (type(got), str(got)) == (type(first), str(first))
+    assert failed == failing and sum(len(drawn) for drawn, _ in batches) == 2 + failing

@@ -193,8 +193,9 @@ def test_single_items_are_bit_identical_to_the_sweep(N, M):
         for k in range(N + 1):
             for l in range(N + 1):
                 check(bp, k, l, cache)
-    # The sweep holds exactly the sweep keys, finished once for both sums.
-    sweep, values, codes = cache.items(bp)
+    # The sweep holds exactly the sweep keys, finished at ``bp`` as the checks bind it.
+    sweep = biorth_mod._sweep(bp)
+    (values,), (codes,) = sweep.template.bind_all([biorth_mod._draw(bp)])
     assert list(sweep.template.plans) == _sweep_keys(N) and not codes.any()
     swept = dict(zip(sweep.template.plans, values))
     for key, value in swept.items():
