@@ -9,7 +9,9 @@ independent oracle built by composing the raw single-letter actions.  The
 towers of the suites check the closed forms against both.  Their word
 action and closed side are compiled once per level over records, into one
 template, and bound once per sample (``closed_tower``), or once per batch of
-samples (``closed_towers``); ``tau_product`` is the one side they evaluate
+samples (``closed_towers``); the word side is laid out, and its items fail,
+as ``rep.Compiled`` lays out and fails a check (``rep.word_plans``,
+``rep.item_errors``).  ``tau_product`` is the one side they evaluate
 over numbers, by one reader per sample and level (``product_tower``) that
 evaluates each shared prefactor, elliptic binomial and letter coefficient
 once, and that shares its four Pochhammer blocks with the ``t_word``
@@ -35,31 +37,26 @@ import numpy as np
 
 from .rep import (
     RepContext,
-    _factor,
-    _indices,
-    _modulus,
-    _product,
     _rows_at,
-    _side,
-    _symbols,
     apply_word,
     apply_word_states,
     coef_a,
     coef_b,
     coef_c,
     coef_d,
+    guard_plans,
+    guard_rows,
+    item_errors,
+    word_plans,
 )
 from .residuals import residual_between, worst
 from .series import vwp_plan
 from .theta import (
-    _ONE,
     LAM,
     OMEGA,
     Z,
-    Factor,
     Joined,
     Plan,
-    PoleError,
     Template,
     TemplateContext,
     ThetaContext,
@@ -92,6 +89,7 @@ from .words import (
     coproduct,
     counit,
     star,
+    unit,
     word,
 )
 
@@ -458,17 +456,15 @@ _TOWER_WORDS = {tau_plan: (t_word, 1), tau_tilde_plan: (_conjugate_word, -1)}
 class _Tower:
     """Both compiled sides of a corepresentation tower at level N, in one
     ``Template``: for each (k, j) and m < ``TOWER_M``, the closed item
-    ``plan(N, k, j, m, LAM, Z, OMEGA, ctx)`` under the key (k, j, m), and the
-    paths of the word's action on e_m (``rep._side``) and the distinct
-    guards of their factors, as ``rep.Compiled`` lays them out.
+    ``plan(N, k, j, m, LAM, Z, OMEGA, ctx)`` under the key (k, j, m), then
+    the word item, the paths of the word's action on e_m and its guards not
+    listed before (``rep.word_plans``, ``rep.guard_plans``).
 
     ``words`` holds, for each (k, j, m), the word item's guards (template
-    position and message) in the order a numeric evaluation meets them, the
-    positions of its paths, and of those at its index, which its value
-    sums.  That order is the order of ``t_word`` (the scalars' elliptic
-    binomials, of every term, dead or not), then of ``apply_word`` (each
-    path's letters left to right).  The paths and guards are bound with no
-    zero guard; each guard is compared with the sample's on read (``bind``).
+    position and message) in the order of ``rep.word_plans``, the positions
+    of its paths, and of those at its index, which its value sums.  The
+    paths and guards are bound with no zero guard; a word item's error at a
+    sample follows ``rep.item_errors``.
     """
 
     __slots__ = ("template", "words", "guard_rows")
@@ -476,31 +472,21 @@ class _Tower:
     def __init__(self, plan, N: int, guard: float):
         word, sign = _TOWER_WORDS[plan]
         ctx = TemplateContext(guard)
-        rc = _symbols(ctx)
-        plain = TemplateContext(0.0)
-        guards: dict = {}
+        keys: dict = {}
         words: dict = {}
 
         def plans():
             for k in range(N + 1):
                 for j in range(N + 1):
                     el = word(N, k, j, Z, ctx)
-                    head = [g for s, _ in el.terms for g in _factor(s).all_guards()]
                     for m in range(TOWER_M):
                         yield (k, j, m), plan(N, k, j, m, LAM, Z, OMEGA, ctx)
-                        checks, paths, summed = dict.fromkeys(head), [], []
-                        for index, factor in _side(el, m, rc):
-                            checks.update(dict.fromkeys(factor.all_guards()))
-                            key = ("path", k, j, m, len(paths))
-                            paths.append(key)
-                            if index == m + sign * (k - j):
-                                summed.append(key)
-                            yield key, _product(plain, factor.scalar, factor.nums, factor.dens)
-                        for g in checks:
-                            if g not in guards:
-                                guards[g] = ("guard", len(guards))
-                                yield guards[g], _product(plain, *g[:3])
-                        words[(k, j, m)] = ([(guards[g], g[3]) for g in checks], paths, summed)
+                        paths, checks = word_plans(el, m, ctx)
+                        named = [("path", k, j, m, i) for i in range(len(paths))]
+                        yield from zip(named, (p for _, p in paths))
+                        yield from guard_plans(checks, keys)
+                        summed = [key for key, (index, _) in zip(named, paths) if index == m + sign * (k - j)]
+                        words[(k, j, m)] = ([(keys[g], g[3]) for g in checks], named, summed)
 
         self.template = Template(plans())
         at = self.template.plans.__getitem__
@@ -508,7 +494,7 @@ class _Tower:
             key: ([(at(g), message) for g, message in checks], [*map(at, paths)], [*map(at, sums)])
             for key, (checks, paths, sums) in words.items()
         }
-        self.guard_rows = _indices([*map(at, guards.values())])
+        self.guard_rows = guard_rows(self.template, keys)
 
     def bind(self, samples: list[tuple[RepContext, complex]]) -> list[Callable[..., complex]]:
         """The reader of (k, j, m, side) at each sample (rc, z), all bound in
@@ -518,29 +504,16 @@ class _Tower:
 
     def _reader(self, ctx: ThetaContext, values: np.ndarray, codes: np.ndarray) -> Callable[..., complex]:
         """The reader of one sample's bound ``values`` and ``codes``."""
-        failed = codes.any()
-        low = set(self.guard_rows[_modulus(values[self.guard_rows]) < ctx.zero_guard].tolist())
+        item_error = item_errors(self.guard_rows, values, codes, ctx.zero_guard)
         row, code = values.tolist(), codes.tolist()
         plans, words = self.template.plans, self.words
-
-        def word_error(checks: list, paths: list) -> ArithmeticError | None:
-            for i, message in checks:
-                if code[i]:
-                    return error(code[i])
-                if i in low:
-                    return PoleError(message)
-            for i in paths:
-                if code[i]:
-                    return error(code[i])
-            return None
 
         def read(k: int, j: int, m: int, side: str = "closed") -> complex:
             if side == "word":
                 checks, paths, summed = words[(k, j, m)]
-                if failed or low:
-                    failure = word_error(checks, paths)
-                    if failure is not None:
-                        raise failure
+                failure = item_error(checks, paths)
+                if failure is not None:
+                    raise failure
                 # Path after path, from 0: as ``apply_word`` adds.
                 total = 0.0 + 0.0j
                 for i in summed:
@@ -577,12 +550,12 @@ def closed_towers(plan, N: int, samples: list[tuple[RepContext, complex]]) -> li
     bits it gets bound alone.  The samples share one zero guard.  The
     values are those of the numeric evaluation up to rounding: a bound
     record is one ``exp``, the finish runs on arrays, and each path is one
-    theta product.  A word item raises the first of its guards below the
-    zero guard, in the numeric order; then a path that failed raises its
-    error, where the numeric sum would carry an inf or a NaN.  At a sample
-    whose theta argument underflowed to 0, every read raises
-    ``PoleError(THETA_RANGE)`` (``Template.bind_all``); the bind itself
-    raises for no sample."""
+    theta product.  A word item raises the error ``rep.item_errors`` gives
+    it: the first of its guards below the zero guard, in the numeric order;
+    then a path that failed, where the numeric sum would carry an inf or a
+    NaN.  At a sample whose theta argument underflowed to 0, every read
+    raises ``PoleError(THETA_RANGE)`` (``Template.bind_all``); the bind
+    itself raises for no sample."""
     guards = {rc.ctx.zero_guard for rc, _ in samples}
     if len(guards) != 1:
         raise ValueError("the samples of one tower bind need one zero guard")
@@ -808,23 +781,21 @@ UNITARITY_MMAX = 2
 
 
 def _unitarity_rows(ctx: TemplateContext, N: int, mmax: int) -> Iterable:
-    rc = _symbols(ctx)
     for k in range(N + 1):
         for j in range(N + 1):
             lhs, rhs = unitarity_words(N, k, j, Z, ctx)
             for m in range(mmax + 1):
-                yield (k, j, m), [([(1, _side(lhs, m, rc)), (-1, _side(rhs, m, rc))], False)]
+                yield (k, j, m), [([(1, word_plans(lhs, m, ctx)), (-1, word_plans(rhs, m, ctx))], False)]
 
 
 def _inversion_rows(ctx: TemplateContext, N: int, mmax: int) -> Iterable:
-    rc = _symbols(ctx)
     for k in range(N + 1):
         for l in range(N + 1):
             elements = inversion_elements(N, k, l, Z, ctx)
             for m in range(mmax + 1):
-                sides = [(1, _side(el, m, rc)) for el in elements]
+                sides = [(1, word_plans(el, m, ctx)) for el in elements]
                 if k == l:
-                    sides.append((-1, [(m, Factor(_ONE))]))
+                    sides.append((-1, word_plans(unit(), m, ctx)))
                 yield (k, l, m), [(sides, False)]
 
 

@@ -16,10 +16,14 @@ repeat from path to path and come from the context's scalar memo.  That
 instance serves the tensor checks, the independence ratio, ``ellu2 eval``
 and the tests' references.  Over records, the same ``apply_word_states``
 runs once per shape with the symbols ``LAM``, ``OMEGA``, ``Z``, ``Z1`` and
-``Z2``, and gives each path as one factor; ``Compiled`` compiles the paths
-of a whole family of checks into one ``theta.Template``, and
-``corep.closed_tower`` the word side of the corepresentation towers beside
-their closed side.
+``Z2``, and gives each path as one factor.  ``word_plans`` lays out the
+action of an element on e_m as template plans, one theta product per path,
+and lists its distinct pole guards in the order a numeric evaluation meets
+them; ``guard_plans`` makes one plan of each guard a template has not
+listed, and ``item_errors`` is the one rule for the error of such an item
+at a draw.  ``Compiled`` compiles a whole family of checks into one
+``theta.Template`` through them, and ``corep.closed_tower`` the word side
+of the corepresentation towers beside their closed side.
 
 ``relation_inventory`` builds the defining exchange relations as pairs of
 algebra elements; ``check_relations`` evaluates both sides on basis vectors
@@ -33,7 +37,7 @@ one sample (``_rows_at``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -168,8 +172,8 @@ def apply_word_states(el: AlgebraElement, m: int, rc: RepContext) -> list[State]
     variable and evaluate all letter coefficients at their shifted positions.
     Words killed by gamma on e_0 are dropped.  The index displacement of each
     word, (number of beta) - (number of gamma), is asserted as a consistency
-    check.  On a context of symbols (``_symbols``) each function, called at
-    ``LAM``, gives its path as one ``Factor`` over records.
+    check.  On a context of symbols (``word_plans``) each function, called
+    at ``LAM``, gives its path as one ``Factor`` over records.
     """
     if m < 0:
         raise ValueError("basis index must be >= 0")
@@ -537,36 +541,93 @@ def check_det_forms(rc: RepContext, z: complex, mmax: int = DET_FORMS_SHAPE[0]) 
 # A check's rows are built once per shape, over records: the elements with
 # the symbols ``Z``, ``Z1``, ``Z2`` for their spectral points, acted on by
 # ``apply_word_states`` with ``LAM`` and ``OMEGA`` for the sample's point
-# and weight.  Every path of every side is then one ``Factor`` (``_side``).
+# and weight.  Every path of every side is then one ``Factor``, compiled
+# into one theta product (``word_plans``).  ``corep._Tower`` lays out the
+# word side of the corepresentation towers the same way.
 
 # The compiled checks of up to ``theta.SHAPE_CAP`` shapes.
 _SHAPES: dict = {}
-
-
-def _symbols(ctx: TemplateContext) -> RepContext:
-    return RepContext(OMEGA, LAM, ctx)
-
-
-def _side(el: AlgebraElement, m: int, rc: RepContext) -> list[tuple[int, Factor]]:
-    """(index, factor) of every path of ``el`` on e_m, over records."""
-    return [(k, _factor(fn(rc.lam0))) for k, fn in apply_word_states(el, m, rc)]
+# The context of the path and guard plans: they are bound with no zero
+# guard, and each guard is compared with the sample's apart (``item_errors``).
+_PLAIN = TemplateContext(0.0)
 
 
 def _factor(value) -> Factor:
     return value if type(value) is Factor else Factor(_ONE * value)
 
 
+def word_plans(el: AlgebraElement, m: int, ctx: TemplateContext) -> tuple[list[tuple[int, ThetaProduct]], tuple]:
+    """The action of ``el`` on e_m over records, at the symbols ``LAM`` and
+    ``OMEGA``, compiled: the (index, theta product) of every path, and the
+    distinct guards (scalar, nums, dens, message) of the action in the order
+    a numeric evaluation meets them.  That is every term scalar's guards,
+    dead term or not, as building the element computes each scalar, then
+    each path's, its letters left to right, as ``apply_word`` evaluates
+    them."""
+    guards = dict.fromkeys(g for s, _ in el.terms for g in _factor(s).all_guards())
+    paths = []
+    for index, fn in apply_word_states(el, m, RepContext(OMEGA, LAM, ctx)):
+        factor = _factor(fn(LAM))
+        guards.update(dict.fromkeys(factor.all_guards()))
+        paths.append((index, _product(_PLAIN, factor.scalar, factor.nums, factor.dens)))
+    return paths, tuple(guards)
+
+
+def guard_plans(guards: Iterable, keys: dict) -> Iterator[tuple]:
+    """The (template key, plan) of each of ``guards`` not in ``keys`` yet,
+    which enters it there under the key ("guard", n): a template lists each
+    distinct guard once."""
+    for guard in guards:
+        if guard not in keys:
+            keys[guard] = ("guard", len(keys))
+            yield keys[guard], _product(_PLAIN, *guard[:3])
+
+
+def guard_rows(template: Template, keys: dict) -> np.ndarray:
+    """The positions in ``template`` of the guard plans of ``keys``."""
+    return _indices([*map(template.plans.__getitem__, keys.values())])
+
+
+def item_errors(rows: np.ndarray, values: np.ndarray, codes: np.ndarray, zero_guard: float):
+    """The one rule for the error of a compiled word item at a draw, from
+    the draw's bound ``values`` and failure ``codes`` (``Template.bind_all``)
+    and the template's guard positions ``rows`` (``guard_rows``): the
+    function of an item's guards, (position, message) pairs in the order of
+    ``word_plans``, and its paths' positions that gives the item's error, or
+    None.  An item fails at the first of its guards whose plan failed or
+    whose modulus is below ``zero_guard``, as the numeric evaluation raises;
+    else at the first of its paths whose plan failed, where the numeric sum
+    would carry an inf or a NaN.  Where no plan failed and no guard is low,
+    every item passes at once."""
+    low = set(rows[_modulus(values[rows]) < zero_guard].tolist())
+    code = codes.tolist() if low or codes.any() else None
+
+    def item_error(guards: list, paths: Iterable) -> ArithmeticError | None:
+        if code is None:
+            return None
+        for i, message in guards:
+            if code[i]:
+                return error(code[i])
+            if i in low:
+                return PoleError(message)
+        for i in paths:
+            if code[i]:
+                return error(code[i])
+        return None
+
+    return item_error
+
+
 def _relation_rows(ctx: TemplateContext, mmax: int, kmax_reverse: int) -> Iterable:
-    rc = _symbols(ctx)
     for name, lhs, rhs in relation_pairs(Z1, Z2, Z, kmax_reverse, ctx):
-        yield name, [([(1, _side(lhs, m, rc)), (-1, _side(rhs, m, rc))], True) for m in range(mmax + 1)]
+        yield name, [([(1, word_plans(lhs, m, ctx)), (-1, word_plans(rhs, m, ctx))], True) for m in range(mmax + 1)]
 
 
 def _det_form_rows(ctx: TemplateContext, mmax: int) -> Iterable:
-    rc = _symbols(ctx)
-    target = det_scalar(Z, OMEGA, ctx)
+    # The determinant element acts on each e_m as its scalar.
+    target = word(det_scalar(Z, OMEGA, ctx), ())
     for name, el in det_form_elements(Z, ctx):
-        yield name, [([(1, _side(el, m, rc)), (-1, [(m, target)])], False) for m in range(mmax + 1)]
+        yield name, [([(1, word_plans(el, m, ctx)), (-1, word_plans(target, m, ctx))], False) for m in range(mmax + 1)]
 
 
 class Compiled:
@@ -574,47 +635,46 @@ class Compiled:
 
     ``rows`` gives (key, groups): a row's residual is the worst of its
     groups', one group per basis index m = 0, 1, ...  A group is (sides,
-    peak): each side a list of (index, factor) paths entering with a sign of
-    +1 or -1.  A group's residual is
+    peak): each side (sign, ``word_plans`` of an element on e_m), entering
+    with a sign of +1 or -1.  A group's residual is
 
         max_i |sum_s sign_s S_s,i| / max(max_s,i |S_s,i|, peak, TINY),
 
     with S_s,i the sum of the paths of side s at index i, and peak the
     largest single path of the group where ``peak`` is set, else 0: the
     formula of ``residual_between`` for two sides.  A constant side, a
-    target, is one path.
+    target, is the action of a scalar times the unit.
 
-    Every path is one theta product over records in one ``Template``, and so
-    is every distinct guard of the factors, after them.  Binding it to
-    samples (``bind_rows``) is one ``Template.bind_all``; the guards are
-    checked on their values (``outcome``), and the fold of the groups is a
-    few array operations over index arrays laid out here.
+    Every path is one theta product in one ``Template``, and so is every
+    distinct guard of the family, after them.  Binding it to samples
+    (``bind_rows``) is one ``Template.bind_all``; each row is one item of
+    ``item_errors``, its guards those of its sides in order (``outcome``),
+    and the fold of the groups is a few array operations over index arrays
+    laid out here.
     """
 
     def __init__(self, rows: Iterable):
         self.keys: list = []
         path_cell, cell_entry, cell_sign, cell_group = [], [], [], []
-        entry_group, group_row, group_m, peak_paths = [], [], [], []
-        self.cells: list[tuple] = []  # (group, side, index) of each cell
-        self.group_sides: list[int] = []
-        guards: dict = {}
-        plain = TemplateContext(0.0)  # the guards are checked apart
+        entry_group, group_row, path_m, peak_paths = [], [], [], []
+        items: list = []  # each row's guards and paths
+        keys: dict = {}  # each guard's plan key (``guard_plans``)
 
         def plans():
             # One pass: each row is laid out and its paths handed to the
-            # template as they come, so that no more than a row's factors
+            # template as they come, so that no more than a row's plans
             # are alive at once.
             for r, (key, groups) in enumerate(rows):
                 self.keys.append(key)
+                start, checks = len(path_cell), {}
                 for m, (sides, peak) in enumerate(groups):
                     g = len(group_row)
                     group_row.append(r)
-                    group_m.append(m)
-                    self.group_sides.append(len(sides))
                     entries: dict = {}
-                    for side, (sign, paths) in enumerate(sides):
+                    for sign, (paths, guards) in sides:
+                        checks.update(dict.fromkeys(guards))
                         cells: dict = {}
-                        for index, factor in paths:
+                        for index, plan in paths:
                             if index not in cells:
                                 cells[index] = len(cell_sign)
                                 if index not in entries:
@@ -623,37 +683,36 @@ class Compiled:
                                 cell_entry.append(entries[index])
                                 cell_sign.append(float(sign))
                                 cell_group.append(g)
-                                self.cells.append((g, side, index))
                             if peak:
                                 peak_paths.append(len(path_cell))
-                            for guard in factor.all_guards():
-                                guards.setdefault(guard, len(guards))
-                            yield len(path_cell), _product(plain, factor.scalar, factor.nums, factor.dens)
+                            yield len(path_cell), plan
                             path_cell.append(cells[index])
-            for guard, i in guards.items():
-                yield ("guard", i), _product(plain, *guard[:3])
+                            path_m.append(m)
+                items.append((checks, range(start, len(path_cell))))
+            yield from guard_plans((g for checks, _ in items for g in checks), keys)
 
         self.template = Template(plans())
-        self.messages = [guard[3] for guard in guards]
+        at = self.template.plans.__getitem__
+        pairs = {g: (at(key), g[3]) for g, key in keys.items()}
+        self.items = [([*map(pairs.__getitem__, checks)], paths) for checks, paths in items]
+        self.guard_rows = guard_rows(self.template, keys)
         self.paths = len(path_cell)
         self.path_cell, self.cell_entry = _indices(path_cell), _indices(cell_entry)
         self.cell_group, self.entry_group = _indices(cell_group), _indices(entry_group)
         self.group_row, self.peak_paths = _indices(group_row), _indices(peak_paths)
         self.peak_group = self.cell_group[self.path_cell[self.peak_paths]]
         self.cell_sign = np.array(cell_sign)
-        self.group_m = _indices(group_m)
-        self.path_m = self.group_m[self.cell_group[self.path_cell]]
+        self.path_m = _indices(path_m)
 
     def outcome(self, values: np.ndarray, codes: np.ndarray, zero_guard: float) -> dict | ArithmeticError:
         """Each row's residual by key, from one draw's values and failure
-        codes (``Template.bind_all``); or the draw's error, never raised: the
-        first failing plan's, else the ``PoleError`` of the first guard whose
-        value is below ``zero_guard``."""
-        if codes.any():
-            return error(codes[np.flatnonzero(codes)[0]])
-        low = _modulus(values[self.paths :]) < zero_guard
-        if low.any():
-            return PoleError(self.messages[int(np.argmax(low))])
+        codes (``Template.bind_all``); or the error of the first row that
+        fails (``item_errors``), never raised."""
+        item_error = item_errors(self.guard_rows, values, codes, zero_guard)
+        for guards, paths in self.items:
+            failure = item_error(guards, paths)
+            if failure is not None:
+                return failure
         return dict(zip(self.keys, self.fold(values[: self.paths]).tolist()))
 
     def fold(self, values: np.ndarray) -> np.ndarray:
@@ -674,25 +733,6 @@ class Compiled:
             np.maximum.at(out, self.group_row, diff / scale)
         out[np.isnan(out)] = np.inf
         return out
-
-    def actions(self, values: np.ndarray) -> dict:
-        """(key, m) -> [({index: S_s,i}, largest path of s) for each side s]:
-        each side's action, as ``apply_word_scaled`` gives it over numbers."""
-        cells = len(self.cell_sign)
-        sums = np.bincount(self.path_cell, values.real, cells) + 1j * np.bincount(
-            self.path_cell, values.imag, cells
-        )
-        peaks = np.zeros(cells)
-        np.maximum.at(peaks, self.path_cell, _modulus(values))
-        groups = [[({}, 0.0) for _ in range(n)] for n in self.group_sides]
-        for (g, side, index), total, peak in zip(self.cells, sums.tolist(), peaks.tolist()):
-            got, top = groups[g][side]
-            got[index] = total
-            groups[g][side] = (got, max(top, peak))
-        return {
-            (self.keys[r], m): sides
-            for r, m, sides in zip(self.group_row.tolist(), self.group_m.tolist(), groups)
-        }
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each family is built once per shape over records and bound to a sample in
 one batch (``rep.Compiled``).  Its action must be the numeric
 ``apply_word_scaled``'s: the same indices on every side, the same values to
-1e-13 of the side's largest path, and a ``PoleError`` at the same draws.
+1e-13 of the side's largest path, and the numeric evaluation's first
+error, type and message, at the same draws (``rep.item_errors``).
 A wrong coefficient formula must fail the gate of the suite that reads it;
 each fault is patched into the one formula both instances read, with the
 shape cache emptied, so that no template compiled before the fault hides it.
@@ -30,7 +31,8 @@ from ellu2.rep import (
     det_scalar,
     relation_pairs,
 )
-from ellu2.suites import RunConfig, run_suite
+from ellu2.sampling import draw_z
+from ellu2.suites import RunConfig, _rep_draw, run_suite
 from ellu2.theta import PoleError, ThetaContext
 
 rep_mod = importlib.import_module("ellu2.rep")
@@ -42,30 +44,36 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 Z1, Z2, Z = 1.1 + 0.3j, 0.7 - 0.5j, 0.9 + 0.6j
 
 
-def relation_sides(rc):
-    """The numeric sides of every (row, m) of a family: (action, largest path)."""
+def relation_sides(rc, points):
+    """The numeric sides of every (row, m) of a family at the spectral
+    points ``points``: (action, largest path).  The words are built in row
+    order, then applied for each m, side after side, so the first error
+    raised is the numeric evaluation's."""
     return {
         (name, m): [apply_word_scaled(lhs, m, rc), apply_word_scaled(rhs, m, rc)]
-        for name, lhs, rhs in relation_pairs(Z1, Z2, Z, 4, rc.ctx)
+        for name, lhs, rhs in relation_pairs(points["z1"], points["z2"], points["z"], 4, rc.ctx)
         for m in range(7)
     }
 
 
-def det_form_sides(rc):
-    target = det_scalar(Z, rc.omega, rc.ctx)
+def det_form_sides(rc, points):
+    def target(m):
+        value = det_scalar(points["z"], rc.omega, rc.ctx)
+        return {m: value}, abs(value)
+
     return {
-        (name, m): [apply_word_scaled(el, m, rc), ({m: target}, abs(target))]
-        for name, el in det_form_elements(Z, rc.ctx)
+        (name, m): [apply_word_scaled(el, m, rc), target(m)]
+        for name, el in det_form_elements(points["z"], rc.ctx)
         for m in range(5)
     }
 
 
 def unitarity_sides(N):
-    def sides(rc):
+    def sides(rc, points):
         out = {}
         for k in range(N + 1):
             for j in range(N + 1):
-                lhs, rhs = unitarity_words(N, k, j, Z, rc.ctx)
+                lhs, rhs = unitarity_words(N, k, j, points["z"], rc.ctx)
                 for m in range(3):
                     out[(k, j, m), 0] = [apply_word_scaled(lhs, m, rc), apply_word_scaled(rhs, m, rc)]
         return out
@@ -74,11 +82,11 @@ def unitarity_sides(N):
 
 
 def inversion_sides(N):
-    def sides(rc):
+    def sides(rc, points):
         out = {}
         for k in range(N + 1):
             for l in range(N + 1):
-                elements = inversion_elements(N, k, l, Z, rc.ctx)
+                elements = inversion_elements(N, k, l, points["z"], rc.ctx)
                 for m in range(3):
                     got = [apply_word_scaled(el, m, rc) for el in elements]
                     out[(k, l, m), 0] = got + ([({m: 1.0}, 1.0)] if k == l else [])
@@ -124,6 +132,22 @@ def draw(rng, zero_guard, lam0=None):
     return RepContext(omega, lam0, ctx)
 
 
+def side_values(name, values):
+    """(key, m) -> [(indices, values) of each side's paths] of the family
+    ``name``, from the values of its paths in template order: a re-walk of
+    its rows, which ``rep.Compiled`` lays out in that order."""
+    build, params, zero_guard = FAMILIES[name][:3]
+    out, at = {}, 0
+    for key, groups in build(theta_mod.TemplateContext(zero_guard), *params):
+        for m, (sides, _) in enumerate(groups):
+            out[key, m] = []
+            for _, (paths, _) in sides:
+                out[key, m].append(([index for index, _ in paths], values[at : at + len(paths)]))
+                at += len(paths)
+    assert at == len(values)
+    return out
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_the_compiled_action_is_the_numeric_one(name):
     build, params, zero_guard, symbols, numeric_sides = FAMILIES[name]
@@ -131,12 +155,15 @@ def test_the_compiled_action_is_the_numeric_one(name):
     rng = np.random.default_rng(20240)
     for _ in range(2):
         rc = draw(rng, zero_guard)
-        numeric = numeric_sides(rc)
-        got = check.actions(path_values(check, rc, symbols))
+        numeric = numeric_sides(rc, symbols)
+        got = side_values(name, path_values(check, rc, symbols))
         assert set(got) == set(numeric)
         for key, sides in numeric.items():
             assert len(got[key]) == len(sides), key
-            for (cmap, _), (nmap, npeak) in zip(got[key], sides):
+            for (indices, values), (nmap, npeak) in zip(got[key], sides):
+                cmap: dict = {}
+                for index, value in zip(indices, values.tolist()):
+                    cmap[index] = cmap.get(index, 0.0) + value
                 assert set(cmap) == set(nmap), key
                 scale = max([npeak, *map(abs, nmap.values())])
                 for index, value in nmap.items():
@@ -150,9 +177,37 @@ def test_a_draw_next_to_a_pole_raises_on_both_paths(name):
     build, params, zero_guard, symbols, numeric_sides = FAMILIES[name]
     rc = draw(np.random.default_rng(7), zero_guard, lam0=-1 + 1e-15 + 0j)
     with pytest.raises(PoleError):
-        numeric_sides(rc)
+        numeric_sides(rc, symbols)
     with pytest.raises(PoleError):
         rep_mod._rows_at(rc, build, params, **symbols)
+
+
+def _outcome(fn, *args):
+    """None if ``fn(*args)`` returns, else the type and message it raised."""
+    try:
+        fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_a_compiled_family_raises_the_numeric_first_error(name):
+    # 40 seeded suite draws, every other one at a zero guard of 0.05, the
+    # rest at 0.01, so that guards fail: the bound family raises the type
+    # and message of the first error the numeric evaluation raises (row
+    # after row, ``rep.item_errors``), or both pass.
+    build, params, _, symbols, numeric_sides = FAMILIES[name]
+    rng = np.random.default_rng(4711)
+    failed = 0
+    for d in range(40):
+        rc = _rep_draw(RunConfig(), rng, zero_guard=0.05 if d % 2 else 0.01)
+        points = {key: draw_z(rng) for key in symbols}
+        want = _outcome(numeric_sides, rc, points)
+        got = _outcome(lambda: rep_mod._rows_at(rc, build, params, **points))
+        assert got == want, d
+        failed += want is not None
+    assert failed >= 10
 
 
 def compiled_plans(monkeypatch, build, params, zero_guard) -> tuple:
@@ -189,22 +244,19 @@ def test_products_bound_on_arrays_are_the_finished_plans(monkeypatch, name, scal
 
 def test_action_peaks_are_python_abs_bit_for_bit():
     # Log-uniform moduli, those at which numpy's abs of a complex array
-    # rounds differently from Python's first: each side's largest path must
-    # be Python's abs of one of its paths, bit for bit.
+    # rounds differently from Python's first: each side's largest path, by
+    # the modulus the fold and the guards take (``rep._modulus``), must be
+    # Python's abs of one of its paths, bit for bit.
     check = compiled(*FAMILIES["unitarity N=2"][:3])
     rng = np.random.default_rng(0)
     n = 20 * check.paths
     pool = np.exp(rng.uniform(-30, 30, n) + 2j * np.pi * rng.uniform(size=n))
     differs = np.abs(pool) != np.array([abs(v) for v in pool.tolist()])
     values = np.concatenate((pool[differs], pool[~differs]))[: check.paths]
-    want = [[0.0] * n for n in check.group_sides]
-    for v, cell in zip(values.tolist(), check.path_cell.tolist()):
-        g, side, _ = check.cells[cell]
-        want[g][side] = max(want[g][side], abs(v))
-    got = check.actions(values)
-    for g, (r, m) in enumerate(zip(check.group_row.tolist(), check.group_m.tolist())):
-        peaks = [peak for _, peak in got[check.keys[r], m]]
-        assert [p.hex() for p in peaks] == [p.hex() for p in want[g]]
+    for key, sides in side_values("unitarity N=2", values).items():
+        for _, side in sides:
+            want = max(map(abs, side.tolist()), default=0.0)
+            assert rep_mod._modulus(side).max(initial=0.0).hex() == want.hex(), key
 
 
 def test_samplers_bind_each_family_once_per_batch(monkeypatch):
