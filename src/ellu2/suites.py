@@ -21,14 +21,16 @@ Suites and the focused tables of ``ellu2 check`` share one engine:
   ``_biorth_ahead``, ``_bailey_draw``) and consumes the RNG in the same
   order for both.
 
-The suites and tables whose checks are compiled (biorth and dual-biorth,
-relations, unitarity, and the corep tables) draw ahead through one sampler,
-``_DrawAhead``, and evaluate the attempts of up to ``AHEAD`` unfinished
-samples in one batch, which returns each draw's results (the relation and
+The theta suite, and the suites and tables whose checks are compiled
+(biorth and dual-biorth, relations, unitarity, and the corep tables), draw
+ahead through one sampler, ``_DrawAhead``, and evaluate the attempts of up
+to ``AHEAD`` unfinished samples in one batch, which returns each draw's
+results (the theta suite's residual of ``_theta_batch``, the relation and
 unitarity rows of ``rep.bind_rows``, the biorth rows of
 ``biorth.sweep_rows``, a tower's residuals) or its error.  A batch never
-raises: ``Template.bind_all`` reports each draw's failures as codes, and
-each batch turns a draw's codes into that draw's error.
+raises at a pole of one draw: ``theta.theta_columns`` names the draws
+whose theta values fail and ``Template.bind_all`` reports each draw's
+failures as codes, and each batch turns them into that draw's error.
 An attempt makes all its ``rng`` calls before anything of it is evaluated,
 as many whatever the outcome, and every unfinished sample takes at least
 one more attempt; so no drawn attempt goes unused, and the stream, the
@@ -36,12 +38,13 @@ redraws and the reports are those of drawing one at a time.  The cap bounds
 what one batch binds: the relations suite's 50 draws bound together would
 add several MB to peak memory.
 
-Each draw is read in one pass: the theta suite looks every theta argument
-of a draw up in one ``theta_vec`` call (``_theta_draw``), the series suite
-finishes both its evaluators from one lookup of the vector cache, and the
-biorth suites and tables read a draw's rows as its batch gave them
-(``biorth.sweep_rows``).  Nothing that reads a draw binds: a sampler's
-batch, or a one-sample entry, binds it.
+Each draw is read in one pass: the theta suite reads a draw's theta
+values from its batch, which evaluates every draw's in one
+``theta_columns`` call (``_theta_batch``; ``_theta_draw`` is its
+one-draw case), the series suite finishes both its evaluators from one
+lookup of the vector cache, and the biorth suites and tables read a draw's
+rows as its batch gave them (``biorth.sweep_rows``).  Nothing that reads a
+draw binds: a sampler's batch, or a one-sample entry, binds it.
 
 A sample returns plain floats (or, for the per-sample tables, one entry), so
 nothing of a draw outlives it (or, drawn ahead, its own attempt).  ``_sample``
@@ -100,7 +103,7 @@ from .series import (
     termwise_plan,
 )
 from .theta import THETA_RANGE, PoleError, ThetaContext, combine, garg, qarg
-from .theta import theta_condition, theta_vec
+from .theta import theta_columns, theta_condition
 
 __all__ = [
     "RunConfig",
@@ -293,21 +296,44 @@ def _rep_draw(
     return RepContext(omega, lam, ctx)
 
 
-def _theta_draw(ctx: ThetaContext, z: complex, w: complex, x: complex, y: complex) -> float:
-    """The worst residual of the theta suite's identities at one draw: the
+def _theta_batch(drawn: list) -> list:
+    """The theta suite's identities at each draw (ctx, z, w, x, y): the
     quasi-periodicity and inversion of theta(z), theta(q^(-2s)) =
     -q^(-2s) theta(q^(2s)) for s = 1..5, and the three-term relation at x,
-    y, z, w.  All their theta values come from one ``theta_vec`` call; a
-    value beyond the double range raises ``PoleError``, as ``theta`` does."""
-    down = [ctx.qpow(-2 * s) for s in range(1, 6)]
-    up = [ctx.qpow(2 * s) for s in range(1, 6)]
-    three_term = [
-        (1.0, (x * y, x / y, z * w, z / w)),
-        (-1.0, (x * w, x / w, z * y, z / y)),
-        (-z / y, (x * z, x / z, y * w, y / w)),
-    ]
-    args = [z, ctx.p * z, 1.0 / z, *down, *up, *(a for _, t in three_term for a in t)]
-    values = theta_vec(args, ctx).tolist()
+    y, z, w.  Every draw's theta values come from one ``theta_columns``
+    call.  Each draw gives its worst residual, by name, or its error, not
+    raised: ``PoleError(THETA_RANGE)`` where ``theta_vec`` would raise or
+    give a value beyond the double range, as ``theta`` does.  A power of q
+    beyond the double range (a pinned q below about 1e-31) raises, at
+    every draw of that q alike."""
+    columns, terms = [], []
+    for ctx, z, w, x, y in drawn:
+        down = [ctx.qpow(-2 * s) for s in range(1, 6)]
+        up = [ctx.qpow(2 * s) for s in range(1, 6)]
+        three_term = [
+            (1.0, (x * y, x / y, z * w, z / w)),
+            (-1.0, (x * w, x / w, z * y, z / y)),
+            (-z / y, (x * z, x / z, y * w, y / w)),
+        ]
+        columns.append([z, ctx.p * z, 1.0 / z, *down, *up, *(a for _, t in three_term for a in t)])
+        terms.append((down, three_term))
+    values, failed = theta_columns(np.array(columns).T, [ctx for ctx, *_ in drawn])
+    out: list = []
+    for k, ((ctx, z, *_), (down, three_term)) in enumerate(zip(drawn, terms)):
+        if k in failed:
+            out.append(PoleError(THETA_RANGE))
+            continue
+        try:
+            out.append({"theta identities": _theta_worst(values[:, k].tolist(), ctx, z, down, three_term)})
+        except ArithmeticError as exc:
+            out.append(exc)
+    return out
+
+
+def _theta_worst(values: list, ctx: ThetaContext, z: complex, down: list, three_term: list) -> float:
+    """The worst residual of the theta suite's identities at one draw from
+    its theta values (``_theta_batch``); a value beyond the double range
+    raises ``PoleError``."""
     if not all(map(cmath.isfinite, values)):
         raise PoleError(THETA_RANGE)
     shifted = -values[0] / z
@@ -317,13 +343,21 @@ def _theta_draw(ctx: ThetaContext, z: complex, w: complex, x: complex, y: comple
     return worst(res)
 
 
+def _theta_draw(ctx: ThetaContext, z: complex, w: complex, x: complex, y: complex) -> float:
+    """The worst residual of the theta suite's identities at one draw
+    (``_theta_batch``), or its error raised."""
+    return rows_of(_theta_batch([(ctx, z, w, x, y)])[0])["theta identities"]
+
+
 def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
 
-    def sample() -> dict[str, float]:
+    def draw() -> tuple:
         # The context, then z, w, x and y, in that order.
-        return {"theta identities": _theta_draw(cfg.context(rng), *(draw_z(rng) for _ in range(4)))}
+        return (cfg.context(rng), *(draw_z(rng) for _ in range(4)))
 
-    return _drive("theta", samples, cfg.max_redraws, {"theta identities": tol}, sample, [])
+    draws = _DrawAhead(draw, _theta_batch)
+    classes = {"theta identities": tol}
+    return _drive("theta", samples, cfg.max_redraws, classes, draws.attempt, [], draws.pending)
 
 
 def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:

@@ -64,9 +64,9 @@ conjugates.  A ``Template`` compiles such plans once, in one walk of each
 plan, into programs of indices (a batch of its series, one of its theta
 products, and the finish program of its plans), and keeps no plan.  It
 binds them to many draws at once (``Template.bind_all``, its one entry: a
-single draw is a batch of one), with one ``theta_vec`` call per draw and
-without the vector cache, and finishes every plan at every draw in one pass
-over arrays (its docstring has the steps).  ``biorth`` and ``rep`` keep the
+single draw is a batch of one), with one ``theta_columns`` call per
+batch and without the vector cache, and finishes every plan at every draw
+in one pass over arrays (its docstring has the steps).  ``biorth`` and ``rep`` keep the
 templates of up to ``SHAPE_CAP`` shapes each (``kept_shape``).
 
 The caches hold exactly what was computed, so a cached value is
@@ -153,6 +153,7 @@ __all__ = [
     "garg",
     "theta",
     "theta_vec",
+    "theta_columns",
     "theta_vec_cached",
     "theta_condition",
     "theta_factors",
@@ -370,50 +371,102 @@ def theta_vec(zs: Sequence[complex], ctx: ThetaContext) -> np.ndarray:
     needs it so moderate batches stay on the fast path.  An argument 0 raises
     ``PoleError``, as in the scalar path.  A far argument whose reduction
     leaves the double range gives inf or nan, without numpy's warnings; a
-    theta product over it raises ``PoleError``.
+    theta product over it raises ``PoleError``.  ``theta_columns`` is the
+    same kernel over the columns of many contexts at once.
 
     The layout fixes the bits, as measured with numpy 2.4.6 on x86-64: the
-    factors form an arguments x factors array, (1 - z p^j) times
-    (1 - p^(j+1) / z) in that order, and the product is taken over the last
-    axis.  numpy fuses the multiply and add of its contiguous complex
-    multiply (a fused multiply-add), so swapping the two operands changes
-    the last bit of some imaginary parts.  Its complex product reductions:
-    ``np.multiply.reduce`` over the last axis is not fused and rounds as a
-    Python loop does, and so is ``np.multiply.reduceat`` over the first
-    axis (``_Products.reduce`` relies on it); ``reduce`` over the first
-    axis multiplies whole rows, fused, and rounds otherwise; and
-    ``accumulate`` over the first axis is fused for some shapes and not
-    for others, so no bit-exact pass uses it.  The temporaries are reused
-    in place, which changes no bit.
+    factors form a factors x arguments array, (1 - p^j z) times
+    (1 - p^(j+1) / z) in that order, and the product is taken with
+    ``np.multiply.reduceat`` over the first axis.  numpy fuses the multiply
+    and add of its contiguous complex multiply (a fused multiply-add), so
+    swapping the two factor operands changes the last bit of some imaginary
+    parts.  Its complex product reductions: ``reduceat`` over the first axis
+    is not fused and rounds as a Python loop does (``_Products.reduce``
+    relies on it too), and so is ``np.multiply.reduce`` over the last axis;
+    ``reduce`` over the first axis multiplies whole rows, fused, and rounds
+    otherwise; and ``accumulate`` over the first axis is fused for some
+    shapes and not for others, so no bit-exact pass uses it.  A real factor
+    p^j times z rounds alike in either operand order.  The temporaries are
+    reused in place, which changes no bit.
     """
     arr = np.asarray(zs, dtype=complex)
     if (arr == 0).any():
         raise PoleError(THETA_RANGE)
-    m = np.rint(np.log(np.abs(arr)) / ctx._lnp)
-    if not m.any():
+    far, w, pref = _annulus(arr, ctx._lnp, ctx.p)
+    if far is None:
         return _theta_rows(arr, ctx._rows)
     with np.errstate(all="ignore"):
+        return _theta_rows(w, ctx._rows) * pref
+
+
+def theta_columns(zs: np.ndarray, ctxs: Sequence[ThetaContext]) -> tuple[np.ndarray, list]:
+    """(values, failed): ``theta_vec`` over each column of the arguments x
+    columns array ``zs`` at its own context of ``ctxs``, in one call; and
+    the columns with an argument 0, where ``theta_vec`` raises, whose values
+    are left at 1.0.  Every other column holds the bits ``theta_vec`` gives
+    for it alone.
+
+    The annulus reduction runs once over every argument, each column's
+    p and ln p broadcast along it; then each column takes its own factor
+    product, over its own context's factors (their number moves with the
+    nome, and no column is padded to another's count: it multiplies the
+    factors ``theta_vec`` multiplies, and no more), and, as ``theta_vec``
+    does, the prefactor multiply only where some argument of the column is
+    far.  The columns are laid out as rows while they are evaluated, so
+    each one meets every numpy loop with the strides ``theta_vec`` gives
+    it.
+    """
+    arr = np.ascontiguousarray(np.asarray(zs, dtype=complex).T)
+    out = np.ones(arr.shape, dtype=complex)
+    zero = (arr == 0).any(axis=1)
+    lnp = np.array([[ctx._lnp] for ctx in ctxs])
+    p = np.array([[ctx.p] for ctx in ctxs])
+    with np.errstate(all="ignore"):
+        far, w, pref = _annulus(arr, lnp, p)
+        shifted = [False] * len(ctxs) if far is None else far.any(axis=1).tolist()
+        for k, (ctx, failed, moved) in enumerate(zip(ctxs, zero.tolist(), shifted)):
+            if failed:
+                continue
+            if moved:
+                out[k] = _theta_rows(w[k], ctx._rows) * pref[k]
+            else:
+                out[k] = _theta_rows(arr[k], ctx._rows)
+    return out.T, np.flatnonzero(zero).tolist()
+
+
+def _annulus(arr: np.ndarray, lnp, p) -> tuple:
+    """(far, w, pref): where ``arr`` has arguments outside the annulus
+    sqrt(p) <= |z| < 1/sqrt(p), ``far`` marks them, ``w`` holds every
+    argument moved into it by quasi-periodicity and ``pref`` the factor
+    that carries theta(w) back to theta(z); (None, arr, None) where it has
+    none.  ``lnp`` and ``p`` are numbers, or columns of one value per row
+    of a 2-d ``arr``."""
+    m = np.rint(np.log(np.abs(arr)) / lnp)
+    if not m.any():
+        return None, arr, None
+    with np.errstate(all="ignore"):
+        far = m != 0
         m = m.astype(np.int64)
         shift = -m.astype(float)
-        arr = arr * ctx.p**shift
-        pref = (
-            np.where(m % 2 == 0, 1.0, -1.0)
-            * arr**shift
-            * ctx.p ** (-(m * (m - 1) // 2).astype(float))
-        )
-        return _theta_rows(arr, ctx._rows) * pref
+        w = arr * p**shift
+        pref = np.where(m % 2 == 0, 1.0, -1.0) * w**shift * p ** (-(m * (m - 1) // 2).astype(float))
+    return far, w, pref
+
+
+# The one segment of a factor product's ``reduceat``: every factor.
+_FIRST = np.zeros(1, dtype=np.intp)
 
 
 def _theta_rows(arr: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """prod_j (1 - z p^j) (1 - p^(j+1) / z) for each z of ``arr`` near the
-    unit circle, over the context's factor rows."""
-    zc = arr[..., None]
-    left = zc * rows[0]
+    """prod_j (1 - p^j z) (1 - p^(j+1) / z) for each z of the 1-d ``arr``
+    near the unit circle, over the context's factor rows, as a factors x
+    arguments array reduced over its first axis."""
+    left = rows[0][:, None] * arr
     np.subtract(1.0, left, out=left)
-    right = rows[1] / zc
+    right = rows[1][:, None] / arr
     np.subtract(1.0, right, out=right)
     left *= right
-    return np.multiply.reduce(left, axis=-1)
+    return np.multiply.reduceat(left, _FIRST, axis=0)[0]
 
 
 def theta_vec_cached(zs: Sequence[complex], ctx: ThetaContext) -> list[complex]:
@@ -829,8 +882,8 @@ class Template:
     ``TypeError``.  ``plans`` maps a key to the position of its plan.
 
     ``bind_all`` binds draws, all together: one matrix-vector product and
-    one ``exp`` evaluate every record, one ``theta_vec`` call per draw the
-    distinct theta arguments of that draw, and one pass over arrays each
+    one ``exp`` evaluate every record, one ``theta_columns`` call the
+    distinct theta arguments of every draw, and one pass over arrays each
     reduces every series and every theta product.  The finish program then
     finishes every plan at every draw in one pass, and names the error of
     each plan that fails by its failure code (``ERRORS``).  Every array has
@@ -985,29 +1038,17 @@ class Template:
         e[self._neg] = -e[self._neg]
         return e
 
-    def _thetas(self, draws: Sequence[tuple], e: np.ndarray) -> tuple[np.ndarray, list]:
-        """(th, failed): theta of every theta argument at each draw, one
-        column per draw, from one ``theta_vec`` call per draw on that draw's
-        arguments; and the draws where that call raised ``PoleError`` (an
-        argument that underflowed to 0), whose column is left at 1.0."""
-        th = np.ones((len(self._theta), len(draws)), dtype=complex)
-        failed = []
-        if len(self._theta):
-            for k, draw in enumerate(draws):
-                try:
-                    th[:, k] = theta_vec(e[self._theta, k], draw[0])
-                except PoleError:
-                    failed.append(k)
-        return th, failed
-
     def _bind(self, draws: Sequence[tuple], size: int) -> tuple:
         """(re, im, code, failed): the sources of the finish program at
         each draw, one column per draw, in the first rows of arrays of
         ``size`` rows: the listed records, then the results of each batch
         (``Reduced``), with their failure codes (0 for a record); and the
-        draws whose theta values failed (``_thetas``)."""
+        draws whose theta values failed.  One ``theta_columns`` call gives
+        the theta values of every draw, one column per draw; a failed
+        draw's column, where ``theta_vec`` would raise ``PoleError`` (an
+        argument that underflowed to 0), is left at 1.0."""
         e = self._records(draws)
-        th, failed = self._thetas(draws, e)
+        th, failed = theta_columns(e[self._theta], [draw[0] for draw in draws])
         bound = Bound.of(e, th)
         shape = (size, len(draws))
         re, im, code = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=np.int8)
@@ -1531,8 +1572,9 @@ class _Products:
     complex values and takes every running product with one
     ``np.multiply.reduceat`` over the first axis, which is not fused and
     multiplies as CPython's ``*`` does (``theta_vec`` has the measured
-    facts); the exact-zero flags of the numerators are reduced the same way
-    with ``np.logical_or.reduceat``.  It gathers and reduces a run of whole
+    facts, and takes its factor products the same way); the exact-zero
+    flags of the numerators are reduced the same way with
+    ``np.logical_or.reduceat``.  It gathers and reduces a run of whole
     chains at a time, so that no gathered block exceeds ``BLOCK_BYTES``
     (unless one chain does): a freed temporary above 128 KiB moves glibc's
     mmap threshold, and with it the speed of whatever runs next.

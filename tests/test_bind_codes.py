@@ -1,10 +1,10 @@
 """A bound template reports every failure of a draw as a code.
 
-``Template.bind_all`` never raises: where ``theta_vec`` raises for a draw
-(a theta argument that underflowed to 0), every plan of that draw takes
-the code of ``PoleError(THETA_RANGE)``, and the other draws keep the bits
-they get bound alone.  The one-sample entries raise that error at their
-first read.
+``Template.bind_all`` never raises: where ``theta_columns`` fails a draw
+(a theta argument that underflowed to 0, at which ``theta_vec`` raises),
+every plan of that draw takes the code of ``PoleError(THETA_RANGE)``, and
+the other draws keep the bits they get bound alone.  The one-sample
+entries raise that error at their first read.
 """
 
 import importlib
@@ -19,7 +19,7 @@ from ellu2.theta import CODE, THETA_RANGE, PoleError, ThetaContext
 
 theta_mod = importlib.import_module("ellu2.theta")
 
-# Three draws, each at a base of its own; ``theta_vec`` is made to raise at
+# Three draws, each at a base of its own; ``theta_columns`` is made to fail
 # the middle one.
 CONTEXTS = [ThetaContext(0.12, 0.67), ThetaContext(0.15, 0.71), ThetaContext(0.2, 0.63)]
 LAMS = [0.31 - 0.22j, -0.7 + 0.4j, 1.1 + 0.3j]
@@ -55,15 +55,17 @@ def templates():
 
 @pytest.fixture
 def failing_middle(monkeypatch):
-    """``theta_vec`` raising, as at an argument 0, at the middle draw's base."""
-    theta_vec, broken = theta_mod.theta_vec, CONTEXTS[1]
+    """``theta_columns`` failing the column at the middle draw's base, as
+    at an argument 0: its values left at 1.0, and it listed as failed."""
+    theta_columns, broken = theta_mod.theta_columns, CONTEXTS[1]
 
-    def failing(zs, ctx):
-        if ctx is broken:
-            raise PoleError(THETA_RANGE)
-        return theta_vec(zs, ctx)
+    def failing(zs, ctxs):
+        values, failed = theta_columns(zs, ctxs)
+        at = [k for k, ctx in enumerate(ctxs) if ctx is broken]
+        values[:, at] = 1.0
+        return values, sorted({*failed, *at})
 
-    monkeypatch.setattr(theta_mod, "theta_vec", failing)
+    monkeypatch.setattr(theta_mod, "theta_columns", failing)
 
 
 def bits(values, codes):

@@ -440,13 +440,13 @@ def test_exact_zero_denominator_error_is_unchanged(monkeypatch):
 @pytest.mark.parametrize("check", [check_biorth, check_dual_biorth])
 def test_full_sweep_makes_few_kernel_calls(monkeypatch, check):
     calls = []
-    kernel = theta_mod.theta_vec
+    kernel = theta_mod.theta_columns
 
-    def counted(zs, ctx):
+    def counted(zs, ctxs):
         calls.append(len(zs))
-        return kernel(zs, ctx)
+        return kernel(zs, ctxs)
 
-    monkeypatch.setattr(theta_mod, "theta_vec", counted)
+    monkeypatch.setattr(theta_mod, "theta_columns", counted)
     for sample, bp in enumerate([level_four(), dataclasses.replace(level_four(), z=0.7 - 0.9j)]):
         cache = BiorthCache()
         for k in range(bp.N + 1):

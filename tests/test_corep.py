@@ -479,15 +479,15 @@ def test_zero_head_template_builds_no_series(monkeypatch, item):
     # on the head's distinct denominator arguments.
     biorth_mod = importlib.import_module("ellu2.biorth")
     calls = []
-    kernel = theta_mod.theta_vec
+    kernel = theta_mod.theta_columns
 
-    def counted(zs, ctx):
+    def counted(zs, ctxs):
         calls.append(len(zs))
-        return kernel(zs, ctx)
+        return kernel(zs, ctxs)
 
     monkeypatch.setattr(corep_mod, "ThetaProduct", ZeroHead)
     monkeypatch.setattr(corep_mod, "vwp_plan", no_series)
-    monkeypatch.setattr(theta_mod, "theta_vec", counted)
+    monkeypatch.setattr(theta_mod, "theta_columns", counted)
     monkeypatch.setattr(biorth_mod, "_SWEEPS", {})
     bp = biorth_mod.BiorthParams(3, 0.4 + 0.2j, 1, 0.3 + 0.1j, 1.3 - 0.2j, ThetaContext(0.12, 0.67))
     key = (item, 1, 2)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import pytest
 
 from ellu2.suites import RunConfig, canonical_json, corep_table
-from ellu2.theta import PoleError
 
 suites_mod = importlib.import_module("ellu2.suites")
 theta_mod = importlib.import_module("ellu2.theta")
@@ -70,27 +69,28 @@ def test_batched_binds_equal_binds_one_at_a_time(monkeypatch, n_level):
 
 
 def test_a_draw_whose_theta_values_raise_fails_in_its_batch_bind(monkeypatch):
-    # ``theta_vec`` raises at the second draw of the first batch (here
+    # ``theta_columns`` fails the second draw of the first batch (here
     # forced): the batch is bound once, that draw fails with the error of
     # its first read and is redrawn in the next batch, and every other
     # draw is bound as it is alone.
     cfg = RunConfig(seed=26)
     _, outcomes = attempts(monkeypatch, cfg, 2, 4, suites_mod.AHEAD)
     broken_p = float.fromhex(outcomes[1][0][0])
-    theta_vec = theta_mod.theta_vec
+    theta_columns = theta_mod.theta_columns
     binds = []
 
-    def failing(zs, ctx):
-        if ctx.p == broken_p:
-            raise PoleError(theta_mod.THETA_RANGE)
-        return theta_vec(zs, ctx)
+    def failing(zs, ctxs):
+        values, failed = theta_columns(zs, ctxs)
+        at = [k for k, ctx in enumerate(ctxs) if ctx.p == broken_p]
+        values[:, at] = 1.0
+        return values, sorted({*failed, *at})
 
     def counted(template, draws):
         binds.append(len(draws))
         return bind_all(template, draws)
 
     bind_all = theta_mod.Template.bind_all
-    monkeypatch.setattr(theta_mod, "theta_vec", failing)
+    monkeypatch.setattr(theta_mod, "theta_columns", failing)
     monkeypatch.setattr(theta_mod.Template, "bind_all", counted)
     batched = attempts(monkeypatch, cfg, 2, 4, suites_mod.AHEAD)
     assert binds == [4, 1]

@@ -7,9 +7,14 @@ constant index tables.  The copies below are the kernels as they were before:
 float factor tables, ``np.prod`` over fresh temporaries, and a loop over the
 cells of the embedded matrix.  Python and numpy promote a float factor to
 x + 0j before they multiply, so the values must not move by one bit.  The
-layout of ``theta_vec`` is part of that: numpy fuses its contiguous complex
-multiply but not the product reduction over the last axis, so swapping the
-factor operands, or reducing over the first axis, changes last bits.
+layout of ``theta_vec`` is part of that: it lays the factors out as a
+factors x arguments array and takes the product with
+``np.multiply.reduceat`` over the first axis, which numpy does not fuse,
+as it does not the reduction over the last axis of the frozen copy; numpy
+fuses its contiguous complex multiply, so swapping the two factors, or
+reducing with ``np.multiply.reduce`` over the first axis, changes last
+bits.  The batch kernel ``theta_columns`` gives each of its columns the
+bits ``theta_vec`` gives that column alone.
 """
 
 import cmath
@@ -20,7 +25,8 @@ import numpy as np
 import pytest
 
 from ellu2.rmatrix import _embed, r_matrix
-from ellu2.theta import THETA_RANGE, PoleError, ThetaContext, theta, theta_factors, theta_vec
+from ellu2.theta import THETA_RANGE, PoleError, ThetaContext, theta, theta_columns, theta_factors
+from ellu2.theta import theta_vec
 
 NOMES = (0.05, 0.12, 0.175, 0.3, 0.9)
 BATCHES = (1, 2, 7, 64, 1024)
@@ -197,6 +203,53 @@ def test_the_reference_sees_a_change_of_layout():
             ctx = ThetaContext(p, 0.5)
             moved += bits(theta_vec(batch, ctx)) != bits(reference_theta_vec(batch, ctx, layout))
         assert moved, layout.__name__
+
+
+def test_theta_columns_equal_theta_vec_column_by_column():
+    # One batch over every nome: at each, a column of near arguments only,
+    # one with far arguments (|z| = 1e-8 to 1e8) and one with extreme ones
+    # (1e-300 to 1e300), whose reductions leave the double range at some
+    # nomes; and a column with an exact 0.  Each column holds the bits
+    # ``theta_vec`` gives it alone, in this batch and in a batch of one,
+    # and only the column with the 0 fails.
+    rng = np.random.default_rng(20244)
+    n = 24
+
+    def near(p):
+        # |z| = p^t, |t| <= 0.45: inside the annulus, so no reduction.
+        return p ** rng.uniform(-0.45, 0.45, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+
+    def moved(p, exponent):
+        z = near(p)
+        at = np.arange(n) % 3 == 1
+        z[at] = z[at] / np.abs(z[at]) * 10.0 ** rng.uniform(-exponent, exponent, int(at.sum()))
+        return z
+
+    columns, ctxs = [], []
+    for p in NOMES:
+        columns += [near(p), moved(p, 8.0), moved(p, 300.0)]
+        ctxs += [ThetaContext(p, 0.5)] * 3
+    zero = near(0.12)
+    zero[5] = 0.0
+    columns.insert(4, zero)
+    ctxs.insert(4, ThetaContext(0.12, 0.5))
+    zs = np.array(columns).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, failed = theta_columns(zs, ctxs)
+        assert failed == [4] and (values[:, 4] == 1.0).all()
+        assert theta_columns(zs[:, 4:5], ctxs[4:5])[1] == [0]
+        out_of_range = []
+        for k, ctx in enumerate(ctxs):
+            if k != 4:
+                alone = theta_vec(zs[:, k], ctx)
+                assert bits(values[:, k]) == bits(alone), k
+                one, none = theta_columns(zs[:, k : k + 1], [ctx])
+                assert bits(one[:, 0]) == bits(alone) and none == [], k
+                out_of_range.append(not np.isfinite(alone).all())
+    # Some columns leave the range (the extreme ones, and the far one at
+    # p = 0.9), with inf or nan in those columns only; no near one does.
+    assert any(out_of_range[2::3]) and not any(out_of_range[0::3])
 
 
 def two_leg_matrix(rng, lam, z, ctx):

@@ -267,6 +267,46 @@ def test_representation_draws_ahead_equal_drawing_one_at_a_time(monkeypatch, cas
     assert len({message for _, message in raised}) > 1
 
 
+@pytest.mark.parametrize("seed,forced", [(20240, False), (7, False), (3, True)])
+def test_theta_suite_drawn_ahead_equals_drawing_one_at_a_time(monkeypatch, seed, forced):
+    # The theta suite evaluates up to ``AHEAD`` draws in one
+    # ``theta_columns`` call.  Forced: every seventh draw's x and y are
+    # 1e-200, so that x y underflows to an argument 0 and that draw's
+    # column fails in the middle of its batch, as ``PoleError(THETA_RANGE)``.
+    # Drawing ahead must give the report bytes, the attempts, the error of
+    # each failed attempt and the number of draws of drawing one at a time.
+    draw_z, columns, default = suites.draw_z, suites.theta_columns, suites.AHEAD
+    cfg = suites.RunConfig(seed=seed, samples=24, max_redraws=3)
+    runs = {}
+    for ahead in (1, default):
+        drawn, batches = itertools.count(), []
+
+        def tiny_xy(rng):
+            n, z = next(drawn), draw_z(rng)
+            return 1e-200 if forced and n // 4 % 7 == 3 and n % 4 >= 2 else z
+
+        def counted(zs, ctxs):
+            values, failed = columns(zs, ctxs)
+            batches.append((len(ctxs), failed))
+            return values, failed
+
+        monkeypatch.setattr(suites, "AHEAD", ahead)
+        monkeypatch.setattr(suites, "draw_z", tiny_xy)
+        monkeypatch.setattr(suites, "theta_columns", counted)
+        report, attempts, raised = watched(monkeypatch, lambda: suites.run_suite("theta", cfg))
+        runs[ahead] = (suites.canonical_json(report), attempts, raised, next(drawn))
+        assert max(size for size, _ in batches) == ahead
+    assert runs[default] == runs[1]
+    _, attempts, raised, drawn = runs[1]
+    assert drawn == 4 * sum(attempts) and len(attempts) == 24
+    if forced:
+        assert max(attempts) > 1 and set(raised) == {("PoleError", THETA_RANGE)}
+        # The failed draws sat inside batches of several draws, not first.
+        assert any(size > 1 and any(failed) for size, failed in batches)
+    else:
+        assert attempts == [1] * 24 and not raised
+
+
 def evaluated(monkeypatch) -> list:
     """Every (drawn, outcomes) that the batches of the draw-ahead samplers
     made from here on give, in order."""

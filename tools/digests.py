@@ -41,7 +41,11 @@ all computed in one process:
   compiled checks of the battery's suites): its record exponent columns,
   its theta and listed-record indices, each batch's index arrays, and its
   finish program.  A compiled template is data; two compiles of the same
-  shapes must emit the same programs.
+  shapes must emit the same programs;
+- the bound values (``bound_values``): ``float.hex`` of every value, and
+  every failure code, that ``Template.bind_all`` gives for the battery's
+  templates at one seeded batch of ten draws.  The reports fold these
+  values into maxima; this line shows a last-bit move of any of them.
 
 Each ``ellu2`` command's digest is of what it writes to stdout.  Run it on
 two checkouts and compare the lines: equal lines mean equal report bytes.
@@ -67,7 +71,9 @@ from ellu2.corep import (
     tau_plan,
     tau_tilde_plan,
 )
-from ellu2.rep import RepContext, relation_inventory
+from ellu2.corep import UNITARITY_MMAX, _inversion_rows, _unitarity_rows
+from ellu2.rep import DET_FORMS_SHAPE, RELATIONS_SHAPE, RepContext, _det_form_rows, _relation_rows
+from ellu2.rep import compiled, relation_inventory
 from ellu2.rmatrix import qdybe_residual, r_entries
 from ellu2.series import SeriesSpec, eval_omega
 from ellu2.sampling import draw_context, draw_lambda, draw_z
@@ -84,6 +90,8 @@ KERNEL_NOMES = (0.05, 0.12, 0.175, 0.3)
 KERNEL_BATCHES = (1, 8, 64, 1024)
 TENSOR_SEEDS = (20240, 7)
 FAILURE_LEVELS = (18, 20)
+BOUND_SEED = 20240
+BOUND_DRAWS = 10
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -284,6 +292,40 @@ def compiled_programs() -> str:
     return "\n".join(lines)
 
 
+def bound_values() -> str:
+    """One line per template of the battery: its name, then the
+    ``float.hex`` of every value and the failure code of every plan that
+    ``Template.bind_all`` gives at ``BOUND_DRAWS`` draws bound together, by
+    draw and plan position.  The templates: the biorth sweeps at N = 1-5,
+    M = 0-2 (one template per shape serves its direct and its dual sums),
+    the relations and det-form checks at the relations suite's zero guard
+    1e-4, and the unitarity (N = 1-3) and inversion (N = 1-2) checks at
+    1e-12.  Each draw is a base, lambda, omega and the spectral points z,
+    z1 and z2, from one generator seeded with ``BOUND_SEED``."""
+    rng = np.random.default_rng(BOUND_SEED)
+    drawn = []
+    for _ in range(BOUND_DRAWS):
+        ctx = draw_context(rng)
+        drawn.append((ctx, draw_lambda(rng), draw_lambda(rng), *(draw_z(rng) for _ in range(3))))
+
+    def line(name: str, template, guard: float) -> str:
+        draws = [(ThetaContext(ctx.p, ctx.q, guard), *rest) for ctx, *rest in drawn]
+        values, codes = template.bind_all(draws)
+        return f"{name} {_hex(values)} {' '.join(map(str, codes.ravel().tolist()))}"
+
+    lines = []
+    for N in range(1, 6):
+        for M in range(3):
+            bp = BiorthParams(N, 0.8 + 0.4j, M, 0.3 - 0.2j, 1.2 + 0.5j, ThetaContext(0.12, 0.67))
+            lines.append(line(f"biorth {N} {M}", _sweep(bp).template, 1e-12))
+    checks = [(_relation_rows, RELATIONS_SHAPE, 1e-4), (_det_form_rows, DET_FORMS_SHAPE, 1e-4)]
+    checks += [(_unitarity_rows, (N, UNITARITY_MMAX), 1e-12) for N in (1, 2, 3)]
+    checks += [(_inversion_rows, (N, UNITARITY_MMAX), 1e-12) for N in (1, 2)]
+    for build, params, guard in checks:
+        lines.append(line(f"{build.__name__} {params}", compiled(build, params, guard).template, guard))
+    return "\n".join(lines)
+
+
 def _round_seed(i: int) -> int:
     """The seed of the corep tables of levels round i at seed 20240, as the
     benchmark derives it."""
@@ -320,6 +362,7 @@ def reports():
     yield "tensor residuals", tensor_residuals()
     yield "failing plans at N = 18, 20", failing_plans()
     yield "compiled programs", compiled_programs()
+    yield "bound values", bound_values()
 
 
 if __name__ == "__main__":
