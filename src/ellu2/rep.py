@@ -648,9 +648,10 @@ class Compiled:
     Every path is one theta product in one ``Template``, and so is every
     distinct guard of the family, after them.  Binding it to samples
     (``bind_rows``) is one ``Template.bind_all``; each row is one item of
-    ``item_errors``, its guards those of its sides in order (``outcome``),
-    and the fold of the groups is a few array operations over index arrays
-    laid out here.
+    ``item_errors``, its guards those of its sides in order (``outcomes``),
+    and the fold of the groups, at every sample of the bind at once, is a
+    few array operations over index arrays laid out here, each sorted by
+    group.
     """
 
     def __init__(self, rows: Iterable):
@@ -703,36 +704,69 @@ class Compiled:
         self.peak_group = self.cell_group[self.path_cell[self.peak_paths]]
         self.cell_sign = np.array(cell_sign)
         self.path_m = _indices(path_m)
+        # Where each run of equal values of each sorted group index array
+        # starts, and its value.
+        groups = (self.entry_group, self.cell_group, self.peak_group, self.group_row)
+        self.runs = [(at, g[at]) for g in groups for at in [np.flatnonzero(np.diff(g, prepend=-1))]]
 
-    def outcome(self, values: np.ndarray, codes: np.ndarray, zero_guard: float) -> dict | ArithmeticError:
-        """Each row's residual by key, from one draw's values and failure
-        codes (``Template.bind_all``); or the error of the first row that
-        fails (``item_errors``), never raised."""
-        item_error = item_errors(self.guard_rows, values, codes, zero_guard)
-        for guards, paths in self.items:
-            failure = item_error(guards, paths)
-            if failure is not None:
-                return failure
-        return dict(zip(self.keys, self.fold(values[: self.paths]).tolist()))
+    def outcomes(self, values: np.ndarray, codes: np.ndarray, zero_guards: list) -> list[dict | ArithmeticError]:
+        """Each draw's residual of each row by key, from the draws' values
+        and failure codes (``Template.bind_all``) and their zero guards; or
+        the error of the draw's first row that fails (``item_errors``),
+        never raised.  All draws are folded together (``fold``); only a
+        draw with a failed plan or a guard below its zero guard looks for
+        its error, row by row."""
+        out: list = [dict(zip(self.keys, rows)) for rows in self.fold(values[:, : self.paths]).tolist()]
+        low = _modulus(values[:, self.guard_rows]) < np.array(zero_guards)[:, None]
+        for d in np.flatnonzero(low.any(axis=1) | codes.any(axis=1)).tolist():
+            item_error = item_errors(self.guard_rows, values[d], codes[d], zero_guards[d])
+            out[d] = next((e for e in (item_error(*item) for item in self.items) if e is not None), out[d])
+        return out
 
     def fold(self, values: np.ndarray) -> np.ndarray:
-        """Each row's residual from the paths' values; a NaN anywhere in a
-        row makes it +inf, as ``residuals.worst`` folds it."""
+        """Each draw's row residuals from its paths' values, a draws x paths
+        array, as a draws x rows array; a NaN anywhere in a row makes it
+        +inf, as ``residuals.worst`` folds it.
+
+        The draws are laid end to end: each sum is one ``bincount`` with
+        each draw's bins offset past the last draw's, which adds every bin's
+        terms in path order, as one draw's ``bincount`` does.  Each maximum
+        over a group is one ``np.maximum.reduceat`` over the runs of a
+        sorted group index array (``runs``); a maximum is one of its
+        values, whatever the order, and a NaN in it stays NaN."""
         groups, cells, entries = len(self.group_row), len(self.cell_sign), len(self.entry_group)
-        sr = np.bincount(self.path_cell, values.real, cells)
-        si = np.bincount(self.path_cell, values.imag, cells)
-        dr = np.bincount(self.cell_entry, sr * self.cell_sign, entries)
-        di = np.bincount(self.cell_entry, si * self.cell_sign, entries)
-        diff = np.zeros(groups)
-        scale = np.full(groups, TINY)
-        out = np.zeros(len(self.keys))
-        with np.errstate(invalid="ignore"):
-            np.maximum.at(diff, self.entry_group, np.hypot(dr, di))
-            np.maximum.at(scale, self.cell_group, np.hypot(sr, si))
-            np.maximum.at(scale, self.peak_group, _modulus(values[self.peak_paths]))
-            np.maximum.at(out, self.group_row, diff / scale)
+        sr = _sums(self.path_cell, values.real, cells)
+        si = _sums(self.path_cell, values.imag, cells)
+        dr = _sums(self.cell_entry, sr * self.cell_sign, entries)
+        di = _sums(self.cell_entry, si * self.cell_sign, entries)
+        # A failed draw's values may be inf or NaN; its rows are not read.
+        with np.errstate(all="ignore"):
+            diff = _group_max(self.runs[0], np.hypot(dr, di), groups, 0.0)
+            scale = _group_max(self.runs[1], np.hypot(sr, si), groups, TINY)
+            scale = np.maximum(scale, _group_max(self.runs[2], _modulus(values[:, self.peak_paths]), groups, TINY))
+            out = _group_max(self.runs[3], diff / scale, len(self.keys), 0.0)
         out[np.isnan(out)] = np.inf
         return out
+
+
+def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount(index, w, size)`` of each row w of the draws x
+    len(index) array ``weights``, as a draws x size array."""
+    draws = len(weights)
+    at = (index + size * np.arange(draws)[:, None]).ravel()
+    return np.bincount(at, weights.ravel(), size * draws).reshape(draws, size)
+
+
+def _group_max(runs: tuple, values: np.ndarray, size: int, start: float) -> np.ndarray:
+    """``np.maximum.at(out, groups, v)`` into an ``out`` of ``size``
+    elements ``start``, for each row v of the draws x len(groups) array
+    ``values``, as a draws x size array; ``runs`` holds where each run of
+    the sorted ``groups`` starts, and its group."""
+    at, ids = runs
+    out = np.full((len(values), size), start)
+    if len(at):
+        out[:, ids] = np.maximum(start, np.maximum.reduceat(values, at, axis=1))
+    return out
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
@@ -767,7 +801,7 @@ def compiled(build, params: tuple, zero_guard: float) -> Compiled:
 
 
 def bind_rows(build, params: tuple, drawn: Sequence[tuple[RepContext, dict]]) -> list[dict | ArithmeticError]:
-    """The outcome (``Compiled.outcome``: the rows, or the error, not raised)
+    """The outcome (``Compiled.outcomes``: the rows, or the error, not raised)
     of the check ``compiled(build, params, ...)`` at each (rc, symbols) of
     ``drawn`` (the spectral points ``z`` and maybe ``z1``, ``z2``; one zero
     guard), all bound in one ``Template.bind_all``."""
@@ -777,7 +811,7 @@ def bind_rows(build, params: tuple, drawn: Sequence[tuple[RepContext, dict]]) ->
         for rc, symbols in drawn
     ]
     values, codes = check.template.bind_all(points)
-    return [check.outcome(v, c, rc.ctx.zero_guard) for (rc, _), v, c in zip(drawn, values, codes)]
+    return check.outcomes(values, codes, [rc.ctx.zero_guard for rc, _ in drawn])
 
 
 def rows_of(outcome):

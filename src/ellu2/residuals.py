@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-__all__ = ["TINY", "worst", "rel", "scaled", "rel_to_terms", "spread", "residual_between"]
+__all__ = ["TINY", "worst", "scaled", "rel_to_terms", "spread", "residual_between"]
 
 # The least scale of a relative residual: comparing two zeros gives 0, not NaN.
 TINY = 1e-300
@@ -27,11 +27,6 @@ def worst(values: Iterable[float]) -> float:
         elif v != v:
             return math.inf
     return top
-
-
-def rel(lhs: complex, rhs: complex) -> float:
-    """|lhs - rhs| relative to the larger side."""
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY)
 
 
 def scaled(lhs: complex, rhs: complex, scale: float) -> float:

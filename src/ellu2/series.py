@@ -57,6 +57,7 @@ import numpy as np
 from .residuals import TINY, scaled
 from .theta import (
     A1_GUARD,
+    ABS_RANGE,
     CODE,
     DEN_GUARD,
     DEN_ZERO,
@@ -774,4 +775,7 @@ def bailey_theta_condition(
     q2 = ctx.qpow(2)
     args = [x * q2**i for x in nums + dens for i in range(n)]
     args += _series_factor_args(lhs_spec) + _series_factor_args(rhs_spec)
-    return max(theta_condition(z, ctx.p) for z in args)
+    cond, over = theta_condition(args, ctx.p)
+    if over.any():
+        raise OverflowError(ABS_RANGE)
+    return float(cond.max())

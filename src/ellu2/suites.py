@@ -38,13 +38,21 @@ redraws and the reports are those of drawing one at a time.  The cap bounds
 what one batch binds: the relations suite's 50 draws bound together would
 add several MB to peak memory.
 
+A batch does its per-draw work on arrays, each draw with the bits it
+gets alone: its attempts are drawn in one ``sampling.draw_batch`` call
+(``RunConfig.draws``; ``_rep_draws`` for the representation samplers),
+the theta suite computes every draw's residuals at once on split arrays
+(``_theta_batch``), and a compiled check folds every draw of its bind at
+once (``rep.Compiled.fold``).  The one-draw-at-a-time forms these replaced
+are kept beside the tests as their references.
+
 Each draw is read in one pass: the theta suite reads a draw's theta
 values from its batch, which evaluates every draw's in one
-``theta_columns`` call (``_theta_batch``; ``_theta_draw`` is its
-one-draw case), the series suite finishes both its evaluators from one
-lookup of the vector cache, and the biorth suites and tables read a draw's
-rows as its batch gave them (``biorth.sweep_rows``).  Nothing that reads a
-draw binds: a sampler's batch, or a one-sample entry, binds it.
+``theta_columns`` call (``_theta_batch``), the series suite finishes both
+its evaluators from one lookup of the vector cache, and the biorth suites
+and tables read a draw's rows as its batch gave them
+(``biorth.sweep_rows``).  Nothing that reads a draw binds: a sampler's
+batch, or a one-sample entry, binds it.
 
 A sample returns plain floats (or, for the per-sample tables, one entry), so
 nothing of a draw outlives it (or, drawn ahead, its own attempt).  ``_sample``
@@ -55,7 +63,6 @@ name.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from collections import deque
@@ -91,9 +98,9 @@ from .rep import (
     relation_inventory,
     rows_of,
 )
-from .residuals import TINY, rel, rel_to_terms, spread, worst
+from .residuals import TINY, rel_to_terms, spread, worst
 from .rmatrix import det_residual, qdybe_residual
-from .sampling import draw_context, draw_lambda, draw_z, run_with_redraws
+from .sampling import draw_batch, draw_context, draw_lambda, draw_z, run_with_redraws
 from .series import (
     SeriesSpec,
     bailey_theta_condition,
@@ -102,8 +109,8 @@ from .series import (
     omega_plan,
     termwise_plan,
 )
-from .theta import THETA_RANGE, PoleError, ThetaContext, combine, garg, qarg
-from .theta import theta_columns, theta_condition
+from .theta import ABS_RANGE, CODE, THETA_RANGE, PoleError, combine, error, garg, qarg
+from .theta import _c_abs, _c_div, _c_mul, theta_columns, theta_condition
 
 __all__ = [
     "RunConfig",
@@ -141,29 +148,51 @@ class RunConfig:
     def context(self, rng: np.random.Generator, zero_guard: float = 1e-12):
         return draw_context(rng, self.p, self.q, zero_guard)
 
+    def draws(self, rng: np.random.Generator, k: int, kinds: tuple, zero_guard: float = 1e-12) -> list[list]:
+        """The draws of k attempts of ``kinds`` (``sampling.draw_batch``),
+        each context at the pinned p and q and ``zero_guard``."""
+        return draw_batch(rng, k, kinds, self.p, self.q, zero_guard)
 
-def _theta_identity_residual(
-    terms: list[tuple[complex, tuple[complex, ...]]], values: list[complex], ctx: ThetaContext
-) -> float:
-    """Residual of sum_i c_i theta(args_i) = 0 for terms (c_i, args_i), where
-    ``values`` holds the theta values of the terms' arguments, in order.
+
+def _theta_identity_residual(terms: tuple, args: np.ndarray, p: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Residual of sum_i c_i theta(args_i) = 0 at each draw of a batch.
+    ``terms`` is (c, values): the coefficients, split (real, imaginary),
+    terms x draws, and the theta values of the terms' arguments, split,
+    terms x arguments x draws; ``args`` holds the arguments, as complex
+    rows in the same order, and ``p`` each draw's nome.
 
     Each term enters the scale at its own condition, |term| times the largest
     ``theta_condition`` of its arguments: a theta factor near a zero turns the
-    rounding of its argument into that much relative error.  A product beyond
-    the double range raises ``PoleError``, as a value does.
+    rounding of its argument into that much relative error.  Every step is
+    Python's on complex numbers, term after term (``theta._c_mul``,
+    ``_c_abs``), so each residual has the bits a loop over one draw gives.
+    Where that loop would raise, the draw's ``code`` takes the error, if it
+    has none yet: ``PoleError(THETA_RANGE)`` for a product beyond the double
+    range, as for a value, and ``OverflowError`` for a modulus beyond it.
     """
-    total = 0.0 + 0.0j
+    (cr, ci), (vr, vi) = terms
+    product = (1.0, 0.0)
+    for j in range(vr.shape[1]):
+        product = _c_mul(*product, vr[:, j], vi[:, j])
+    t = _c_mul(cr, ci, *product)
+    size, beyond = _c_abs(*t)
+    cond, over = theta_condition(args, p)
     scale = TINY
-    read = iter(values)
-    for c, args in terms:
-        product = math.prod([next(read) for _ in args], start=1.0 + 0.0j)
-        if not cmath.isfinite(product):
-            raise PoleError(THETA_RANGE)
-        t = c * product
-        total += t
-        scale = max(scale, abs(t) * max(theta_condition(a, ctx.p) for a in args))
-    return abs(total) / scale
+    for big in size * cond.reshape(vr.shape).max(axis=1):
+        scale = np.where(big > scale, big, scale)
+    total = (0.0, 0.0)
+    for tr, ti in zip(*t):
+        total = (total[0] + tr, total[1] + ti)
+    top, top_beyond = _c_abs(*total)
+    # The errors the loop meets, in its order: each term's product (one
+    # beyond range leaves |term| unraised), then |term| and its
+    # conditions; then |total|.
+    over = beyond | over.reshape(vr.shape).any(axis=1)
+    finite = np.isfinite(product[0]) & np.isfinite(product[1])
+    met = np.where(finite, np.where(over, CODE[ABS_RANGE], 0), CODE[THETA_RANGE])
+    for row in [*met, np.where(top_beyond, CODE[ABS_RANGE], 0)]:
+        np.copyto(code, row, where=code == 0)
+    return top / scale
 
 
 def _sample(
@@ -256,18 +285,19 @@ def _drive(
 class _DrawAhead:
     """Attempts drawn ahead and evaluated in batches.
 
-    ``draw()`` makes one attempt's draws, with all its ``rng`` calls, and
-    ``evaluate(drawn)`` gives the result of each of a list of them, or the
-    error of a draw that failed, not raised.  Each call of ``attempt`` is
-    one attempt.  When no drawn attempt is left, it draws as many as there
-    are samples still unfinished (``pending``), at most ``AHEAD``, and
-    evaluates them together, once.  An attempt takes the next draw's
-    result, or raises a fresh error of its error's type and message
-    (``rep.rows_of``).  Nothing of a batch is kept but these results, each
-    popped by its attempt.
+    ``draw(k)`` makes the draws of k attempts, with all their ``rng``
+    calls, in one ``sampling.draw_batch``, which gives each attempt the
+    numbers drawing it alone gives, and ``evaluate(drawn)`` gives the
+    result of each of a list of them, or the error of a draw that failed,
+    not raised.  Each call of ``attempt`` is one attempt.  When no drawn
+    attempt is left, it draws as many as there are samples still
+    unfinished (``pending``), at most ``AHEAD``, and evaluates them
+    together, once.  An attempt takes the next draw's result, or raises a
+    fresh error of its error's type and message (``rep.rows_of``).  Nothing
+    of a batch is kept but these results, each popped by its attempt.
     """
 
-    def __init__(self, draw: Callable[[], object], evaluate: Callable[[list], list]):
+    def __init__(self, draw: Callable[[int], list], evaluate: Callable[[list], list]):
         self.draw, self.evaluate = draw, evaluate
         self.unfinished = 1
         self.queue: deque = deque()
@@ -277,83 +307,92 @@ class _DrawAhead:
 
     def attempt(self):
         if not self.queue:
-            drawn = [self.draw() for _ in range(min(self.unfinished, AHEAD))]
+            drawn = self.draw(min(self.unfinished, AHEAD))
             self.queue.extend(self.evaluate(drawn))
         return rows_of(self.queue.popleft())
 
 
-def _rep_draw(
-    cfg: RunConfig,
-    rng: np.random.Generator,
-    omega: complex | None = None,
-    lam: complex | None = None,
-    zero_guard: float = 1e-12,
-) -> RepContext:
-    """The base, then the weight omega and evaluation point lambda, each drawn unless pinned."""
-    ctx = cfg.context(rng, zero_guard)
-    omega = draw_lambda(rng) if omega is None else omega
-    lam = draw_lambda(rng) if lam is None else lam
-    return RepContext(omega, lam, ctx)
+def _rep_draws(
+    cfg: RunConfig, rng: np.random.Generator, k: int, omega=None, lam=None, zero_guard: float = 1e-12, points: int = 1
+) -> list[tuple]:
+    """k attempts, each (rc, z_1, ..., z_points): the base, then the weight
+    omega and evaluation point lambda, each drawn unless pinned, then
+    ``points`` spectral points, from one ``sampling.draw_batch``."""
+    kinds = ("context", *("box" for pinned in (omega, lam) if pinned is None), *("annulus",) * points)
+    ctxs, *drawn = cfg.draws(rng, k, kinds, zero_guard)
+    omegas = drawn.pop(0) if omega is None else [omega] * k
+    lams = drawn.pop(0) if lam is None else [lam] * k
+    return list(zip([RepContext(*rep) for rep in zip(omegas, lams, ctxs)], *drawn))
+
+
+# The operands, among a theta suite draw's points (z, w, x, y, 1, -z, p),
+# of the products and quotients its theta arguments take: x y, z w, x w,
+# z y, x z, y w (the three-term relation's, each pair once as a product
+# and once as a quotient), then p z and 1 / z, and -z / y.
+_PRODUCTS = ([2, 0, 2, 0, 2, 3, 6], [3, 1, 1, 3, 0, 1, 0])
+_QUOTIENTS = ([2, 0, 2, 0, 2, 3, 4, 5], [3, 1, 1, 3, 0, 1, 0, 3])
 
 
 def _theta_batch(drawn: list) -> list:
     """The theta suite's identities at each draw (ctx, z, w, x, y): the
     quasi-periodicity and inversion of theta(z), theta(q^(-2s)) =
     -q^(-2s) theta(q^(2s)) for s = 1..5, and the three-term relation at x,
-    y, z, w.  Every draw's theta values come from one ``theta_columns``
-    call.  Each draw gives its worst residual, by name, or its error, not
-    raised: ``PoleError(THETA_RANGE)`` where ``theta_vec`` would raise or
-    give a value beyond the double range, as ``theta`` does.  A power of q
-    beyond the double range (a pinned q below about 1e-31) raises, at
-    every draw of that q alike."""
-    columns, terms = [], []
-    for ctx, z, w, x, y in drawn:
-        down = [ctx.qpow(-2 * s) for s in range(1, 6)]
-        up = [ctx.qpow(2 * s) for s in range(1, 6)]
-        three_term = [
-            (1.0, (x * y, x / y, z * w, z / w)),
-            (-1.0, (x * w, x / w, z * y, z / y)),
-            (-z / y, (x * z, x / z, y * w, y / w)),
-        ]
-        columns.append([z, ctx.p * z, 1.0 / z, *down, *up, *(a for _, t in three_term for a in t)])
-        terms.append((down, three_term))
-    values, failed = theta_columns(np.array(columns).T, [ctx for ctx, *_ in drawn])
-    out: list = []
-    for k, ((ctx, z, *_), (down, three_term)) in enumerate(zip(drawn, terms)):
-        if k in failed:
-            out.append(PoleError(THETA_RANGE))
-            continue
-        try:
-            out.append({"theta identities": _theta_worst(values[:, k].tolist(), ctx, z, down, three_term)})
-        except ArithmeticError as exc:
-            out.append(exc)
-    return out
+    y, z, w.  Each draw gives its worst residual, by name, or its error,
+    not raised: ``PoleError(THETA_RANGE)`` where ``theta_vec`` would raise
+    or give a value beyond the double range, as ``theta`` does.
 
-
-def _theta_worst(values: list, ctx: ThetaContext, z: complex, down: list, three_term: list) -> float:
-    """The worst residual of the theta suite's identities at one draw from
-    its theta values (``_theta_batch``); a value beyond the double range
-    raises ``PoleError``."""
-    if not all(map(cmath.isfinite, values)):
-        raise PoleError(THETA_RANGE)
-    shifted = -values[0] / z
-    res = [rel(values[1], shifted), rel(values[2], shifted)]
-    res += [rel(values[3 + i], -down[i] * values[8 + i]) for i in range(5)]
-    res.append(_theta_identity_residual(three_term, values[13:], ctx))
-    return worst(res)
-
-
-def _theta_draw(ctx: ThetaContext, z: complex, w: complex, x: complex, y: complex) -> float:
-    """The worst residual of the theta suite's identities at one draw
-    (``_theta_batch``), or its error raised."""
-    return rows_of(_theta_batch([(ctx, z, w, x, y)])[0])["theta identities"]
+    Every draw's theta values come from one ``theta_columns`` call, and the
+    residuals are computed for all draws at once on split arrays, every
+    operation CPython's on complex numbers (``theta._c_mul``, ``_c_div``,
+    ``_c_abs``), so each draw has the bits, and the error, that evaluating
+    it alone over numbers gives.  The powers of q are each draw's
+    ``ctx.qpow``; one beyond the double range (a pinned q below about
+    1e-31) raises, at every draw of that q alike."""
+    ctxs, k = [ctx for ctx, *_ in drawn], len(drawn)
+    p = np.array([ctx.p for ctx in ctxs])
+    points = np.array([d[1:] for d in drawn], dtype=complex).T
+    points = np.concatenate([points, np.ones((1, k)), -points[:1], p[None]])
+    re, im = points.real, points.imag
+    mr, mi = _c_mul(re[_PRODUCTS[0]], im[_PRODUCTS[0]], re[_PRODUCTS[1]], im[_PRODUCTS[1]])
+    dr, di = _c_div(re[_QUOTIENTS[0]], im[_QUOTIENTS[0]], re[_QUOTIENTS[1]], im[_QUOTIENTS[1]])
+    powers = np.array([[ctx.qpow(2 * s) for s in (-1, -2, -3, -4, -5, 1, 2, 3, 4, 5)] for ctx in ctxs]).T
+    # theta(z), theta(p z), theta(1 / z), the ten powers, then the
+    # three-term relation's twelve arguments, four per term.
+    columns = np.empty((25, k), dtype=complex)
+    columns[0], columns[3:13] = points[0], powers
+    for part, m, d in ((columns.real, mr, dr), (columns.imag, mi, di)):
+        part[1], part[2], part[13::2], part[14::2] = m[6], d[6], m[:6], d[:6]
+    values, failed = theta_columns(columns, ctxs)
+    values[:, failed] = np.nan  # an argument 0 fails as a value beyond range does
+    vr, vi = values.real, values.imag
+    with np.errstate(all="ignore"):
+        code = np.where(np.isfinite(values).all(axis=0), 0, CODE[THETA_RANGE])
+        sr, si = _c_div(-vr[0], -vi[0], re[0], im[0])
+        nr, ni = _c_mul(-powers.real[:5], -powers.imag[:5], vr[8:13], vi[8:13])
+        # |lhs - rhs| / max(|lhs|, |rhs|, TINY) of theta(p z) and
+        # theta(1 / z) against -theta(z) / z, and of each theta(q^(-2s))
+        # against -q^(-2s) theta(q^(2s)).
+        lhs, rhs = (vr[1:8], vi[1:8]), (np.vstack([sr, sr, nr]), np.vstack([si, si, ni]))
+        parts = [(lhs[0] - rhs[0], lhs[1] - rhs[1]), lhs, rhs]
+        (diff, d_over), (left, l_over), (right, r_over) = [_c_abs(*x) for x in parts]
+        over = (d_over | l_over | r_over).any(axis=0)
+        np.copyto(code, CODE[ABS_RANGE], where=(code == 0) & over)
+        larger = np.where(right > left, right, left)
+        res = diff / np.where(TINY > larger, TINY, larger)
+        # The terms' coefficients: 1, -1 and -z / y.
+        coefficients = (np.vstack([np.ones(k), -np.ones(k), dr[7]]), np.vstack([np.zeros((2, k)), di[7]]))
+        terms = (coefficients, (vr[13:].reshape(3, 4, k), vi[13:].reshape(3, 4, k)))
+        top = np.maximum(res.max(axis=0), _theta_identity_residual(terms, columns[13:], p, code))
+    # ``residuals.worst``: the largest and 0.0, or +inf where any is NaN.
+    top = np.where(np.isnan(top), math.inf, np.maximum(top, 0.0))
+    return [error(c) if c else {"theta identities": r} for r, c in zip(top.tolist(), code.tolist())]
 
 
 def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
 
-    def draw() -> tuple:
+    def draw(k: int) -> list:
         # The context, then z, w, x and y, in that order.
-        return (cfg.context(rng), *(draw_z(rng) for _ in range(4)))
+        return list(zip(*cfg.draws(rng, k, ("context", *("annulus",) * 4))))
 
     draws = _DrawAhead(draw, _theta_batch)
     classes = {"theta identities": tol}
@@ -452,13 +491,11 @@ def _relations_ahead(
     z: the relation rows, and with ``det_forms`` the determinant-form
     rows, else None."""
 
-    def draw() -> tuple:
+    def draw(k: int) -> list:
         # Relation sides multiply up to eight theta-quotient coefficients, so
         # a denominator theta of magnitude 1e-7 already costs 1e-9 relative
         # accuracy; insist on a wider pole margin than the evaluation default.
-        rc = _rep_draw(cfg, rng, omega, lam, zero_guard=1e-4)
-        z1, z2, z = (draw_z(rng) for _ in range(3))
-        return rc, z1, z2, z
+        return _rep_draws(cfg, rng, k, omega, lam, zero_guard=1e-4, points=3)
 
     def evaluate(drawn: list) -> list:
         points = [(rc, {"z": z, "z1": z1, "z2": z2}) for rc, z1, z2, z in drawn]
@@ -486,10 +523,7 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
             if res > tol and rel_name not in flagged:
                 flagged.add(rel_name)
                 notes.append(f"relation over tolerance: {rel_name} ({res:.3e})")
-        return _worst([
-            (("defining relations", res) for res in rows.values()),
-            (("det forms", res) for res in rows_of(forms).values()),
-        ])
+        return {"defining relations": worst(rows.values()), "det forms": worst(rows_of(forms).values())}
 
     return _drive(
         "relations",
@@ -536,8 +570,7 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
 
     def sample() -> dict[str, float]:
         nonlocal completed, min_indep
-        rc = _rep_draw(cfg, rng)
-        z = draw_z(rng)
+        rc, z = _rep_draws(cfg, rng, 1)[0]
         ctx, omega, lam0 = rc.ctx, rc.omega, rc.lam0
         tower = worst(
             res
@@ -606,8 +639,8 @@ def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
     # ``UNITARITY_MMAX``: unitarity at N = 1, 2, 3, then inversion at N = 1, 2.
     families = [(_unitarity_rows, N) for N in (1, 2, 3)] + [(_inversion_rows, N) for N in (1, 2)]
 
-    def draw() -> tuple:
-        return _rep_draw(cfg, rng), draw_z(rng)
+    def draw(k: int) -> list:
+        return _rep_draws(cfg, rng, k)
 
     def evaluate(drawn: list) -> list:
         points = [(rc, {"z": z}) for rc, z in drawn]
@@ -640,10 +673,9 @@ def _biorth_ahead(
     attempt gives the rows of its draw's (dual) sweep (``biorth.sweep_rows``),
     which the suite and the table read."""
 
-    def draw() -> BiorthParams:
-        ctx = cfg.context(rng)
-        lam, omega, z = draw_lambda(rng), draw_lambda(rng), draw_z(rng)
-        return BiorthParams(n_level, lam, m_shift, omega, z, ctx)
+    def draw(k: int) -> list:
+        drawn = cfg.draws(rng, k, ("context", "box", "box", "annulus"))
+        return [BiorthParams(n_level, lam, m_shift, omega, z, ctx) for ctx, lam, omega, z in zip(*drawn)]
 
     return _DrawAhead(draw, partial(sweep_rows, dual=dual))
 
@@ -812,9 +844,8 @@ def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
     rng = np.random.default_rng([cfg.seed, 100 + n_level])
     tol = _tol(cfg, "corep")
 
-    def draw() -> tuple:
-        rc = _rep_draw(cfg, rng)
-        return rc, draw_z(rng)
+    def draw(k: int) -> list:
+        return _rep_draws(cfg, rng, k)
 
     def evaluate(drawn: list) -> list:
         out: list = []

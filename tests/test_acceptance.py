@@ -19,7 +19,6 @@ from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
 from ellu2.suites import (
     RunConfig,
-    _theta_identity_residual,
     assemble_report,
     biorth_table,
     canonical_json,
@@ -30,6 +29,8 @@ from ellu2.suites import (
     run_suite,
 )
 from ellu2.theta import PoleError, ThetaContext, theta_vec
+import per_draw
+from per_draw import theta_identity_residual
 
 CFG = RunConfig(seed=20240)
 suites_mod = importlib.import_module("ellu2.suites")
@@ -83,8 +84,12 @@ def test_theta_three_term_gate_rejects_a_wrong_identity():
         ]
         wrong = right[:2] + [(-1.0, right[2][1])]
         values = theta_vec([a for _, args in right for a in args], ctx).tolist()
-        assert _theta_identity_residual(right, values, ctx) <= 1e-12
-        assert _theta_identity_residual(wrong, values, ctx) > 1e-6
+        assert theta_identity_residual(right, values, ctx) <= 1e-12
+        assert theta_identity_residual(wrong, values, ctx) > 1e-6
+        # The suite's array form gives the same residuals, bit for bit.
+        for terms in (right, wrong):
+            got, code = per_draw.batch_identity_residual(terms, values, ctx)
+            assert (got.hex(), code) == (theta_identity_residual(terms, values, ctx).hex(), 0)
 
 
 @pytest.mark.parametrize("seed", [20240, 7, 1])

@@ -32,8 +32,10 @@ from ellu2.rep import (
     relation_pairs,
 )
 from ellu2.sampling import draw_z
-from ellu2.suites import RunConfig, _rep_draw, run_suite
+from ellu2.suites import RunConfig, run_suite
 from ellu2.theta import PoleError, ThetaContext
+import per_draw
+from per_draw import rep_attempt
 
 rep_mod = importlib.import_module("ellu2.rep")
 theta_mod = importlib.import_module("ellu2.theta")
@@ -201,13 +203,51 @@ def test_a_compiled_family_raises_the_numeric_first_error(name):
     rng = np.random.default_rng(4711)
     failed = 0
     for d in range(40):
-        rc = _rep_draw(RunConfig(), rng, zero_guard=0.05 if d % 2 else 0.01)
+        rc = rep_attempt(RunConfig(), rng, zero_guard=0.05 if d % 2 else 0.01)
         points = {key: draw_z(rng) for key in symbols}
         want = _outcome(numeric_sides, rc, points)
         got = _outcome(lambda: rep_mod._rows_at(rc, build, params, **points))
         assert got == want, d
         failed += want is not None
     assert failed >= 10
+
+
+def outcome_bits(outcome):
+    """A draw's rows as (key, ``float.hex``) pairs, or its error's type and message."""
+    if isinstance(outcome, ArithmeticError):
+        return type(outcome).__name__, str(outcome)
+    return [(key, v.hex()) for key, v in outcome.items()]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_a_bind_folds_its_draws_as_each_alone(name):
+    # 40 seeded suite draws at a zero guard of 0.05, bound together: some
+    # fail a guard.  One path of the first draw that passes is NaN, so that
+    # its row folds to inf.  The bind's fold and outcomes, all draws at
+    # once (``Compiled.fold``, ``outcomes``), equal the per-draw reference
+    # at every draw, bit for bit: a failing draw gives its first error.
+    build, params, _, symbols, _ = FAMILIES[name]
+    rng = np.random.default_rng(4711)
+    draws = []
+    for _ in range(40):
+        rc = rep_attempt(RunConfig(), rng, zero_guard=0.05)
+        draws.append(point(rc, {key: draw_z(rng) for key in symbols}))
+    check = compiled(build, params, 0.05)
+    values, codes = check.template.bind_all(draws)
+
+    def reference():
+        return [per_draw.compiled_outcome(check, v, c, 0.05) for v, c in zip(values, codes)]
+
+    nan_draw = next(d for d, got in enumerate(reference()) if not isinstance(got, ArithmeticError))
+    values[nan_draw, 0] = np.nan
+    want = reference()
+    got = check.outcomes(values, codes, [0.05] * len(draws))
+    assert [outcome_bits(o) for o in got] == [outcome_bits(o) for o in want]
+    folded = [per_draw.compiled_fold(check, v[: check.paths]) for v in values]
+    assert check.fold(values[:, : check.paths]).tobytes() == np.array(folded).tobytes()
+    assert np.inf in got[nan_draw].values()
+    # Some draws fail, and more than the NaN draw pass.
+    assert 0 < sum(isinstance(o, ArithmeticError) for o in got) < len(draws) - 1
 
 
 def compiled_plans(monkeypatch, build, params, zero_guard) -> tuple:

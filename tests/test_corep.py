@@ -29,9 +29,10 @@ from ellu2.corep import (
 from ellu2.rep import RepContext, apply_word, apply_word_scaled, relation_inventory
 from ellu2.sampling import draw_z
 from ellu2.series import vwp_sum
-from ellu2.suites import RunConfig, _corep_tower, _rep_draw, run_suite
+from ellu2.suites import RunConfig, _corep_tower, run_suite
 from ellu2.theta import PoleError, Rec, ThetaContext, ThetaProduct, qarg
 from ellu2.words import star
+from per_draw import rep_attempt
 
 corep_mod = importlib.import_module("ellu2.corep")
 suites_mod = importlib.import_module("ellu2.suites")
@@ -117,7 +118,7 @@ def test_the_bound_tower_is_the_scalar_closed_form(plan, closed, parts):
     rng = np.random.default_rng(4711)
     compared = failed = 0
     for d in range(20):
-        rc = _rep_draw(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
+        rc = rep_attempt(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
         z = draw_z(rng)
         for N in range(1, 7):
             read = closed_tower(plan, N, rc, z)
@@ -141,7 +142,7 @@ def test_the_tower_raises_where_its_scalar_closed_side_raised():
     # A pinned draw whose first failure is tau_closed's at (k, j, m) =
     # (0, 2, 2): the bound tower raises the same error at the same read.
     rng = np.random.default_rng(4)
-    rc = _rep_draw(RunConfig(), rng, zero_guard=0.01)
+    rc = rep_attempt(RunConfig(), rng, zero_guard=0.01)
     z = draw_z(rng)
     where, expected = _numeric_tower_failure(rc, z, 2)
     assert where == ("closed", 0, 2, 2)
@@ -193,7 +194,7 @@ def test_the_bound_word_side_is_the_numeric_action(plan, word, sign):
     rng = np.random.default_rng(4711)
     compared = failed = 0
     for d in range(20):
-        rc = _rep_draw(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
+        rc = rep_attempt(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
         z = draw_z(rng)
         for N in range(1, 7):
             read = closed_tower(plan, N, rc, z)
@@ -246,7 +247,7 @@ def test_the_tower_raises_where_its_numeric_word_side_raised(seed, where, messag
     # Pinned draws at N = 3, zero guard 0.01, whose first failure is on the
     # word side: the bound tower raises the same error at the same read.
     rng = np.random.default_rng(seed)
-    rc = _rep_draw(RunConfig(), rng, zero_guard=0.01)
+    rc = rep_attempt(RunConfig(), rng, zero_guard=0.01)
     z = draw_z(rng)
     first, expected = _numeric_tower_failure(rc, z, 3)
     assert first == ("word", *where) and str(expected) == message
@@ -283,7 +284,7 @@ def test_the_shared_product_reader_is_the_single_call():
     rng = np.random.default_rng(4711)
     compared = failed = 0
     for d in range(20):
-        rc = _rep_draw(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
+        rc = rep_attempt(RunConfig(), rng, zero_guard=0.05 if d % 2 else 1e-12)
         z = draw_z(rng)
         for N in range(1, 7):
             keys = [(k, j, m) for k in range(N + 1) for j in range(N + 1) for m in range(TOWER_M)]
@@ -319,7 +320,7 @@ def test_the_tower_raises_where_its_product_side_raised(monkeypatch, seed, N, wh
     # replaced by ones that never fail, and the tower raises the error of the
     # first ``tau_product`` that a loop of single calls finds, at its read.
     rng = np.random.default_rng(seed)
-    rc = _rep_draw(RunConfig(), rng, zero_guard=0.01)
+    rc = rep_attempt(RunConfig(), rng, zero_guard=0.01)
     z = draw_z(rng)
     assert _numeric_tower_failure(rc, z, N)[0][0] == "word"
     first = None

@@ -22,8 +22,8 @@ class WideGuard(RunConfig):
     """A run whose draws take a zero guard of 0.05, so that some attempts
     fail a guard and are redrawn."""
 
-    def context(self, rng, zero_guard: float = 1e-12):
-        return super().context(rng, 0.05)
+    def draws(self, rng, k, kinds, zero_guard: float = 1e-12):
+        return super().draws(rng, k, kinds, 0.05)
 
 
 def _hex(value) -> tuple:

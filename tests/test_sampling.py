@@ -22,6 +22,7 @@ from ellu2.sampling import (
 )
 from ellu2.rep import RepContext
 from ellu2.theta import THETA_RANGE, PoleError
+import per_draw
 
 biorth_mod = importlib.import_module("ellu2.biorth")
 
@@ -175,7 +176,7 @@ def test_a_failed_attempt_keeps_nothing_alive():
         pass
 
     drawn = Draw()
-    draws = suites._DrawAhead(lambda: drawn, lambda batch: [PoleError("at a pole") for _ in batch])
+    draws = suites._DrawAhead(lambda k: [drawn] * k, lambda batch: [PoleError("at a pole") for _ in batch])
     gone = weakref.ref(drawn)
     gc.disable()
     try:
@@ -235,15 +236,18 @@ def test_representation_draws_ahead_equal_drawing_one_at_a_time(monkeypatch, cas
     # Drawing ahead must give the report, the attempts, the error of each
     # failed attempt and the number of draws of drawing one attempt at a
     # time.
-    rep_draw, bind_rows, default = suites._rep_draw, suites.bind_rows, suites.AHEAD
+    rep_draws, bind_rows, default = suites._rep_draws, suites.bind_rows, suites.AHEAD
     cfg = suites.RunConfig(seed=3, samples=12, max_redraws=4)
     runs, raised_binds = {}, []
     for ahead in (1, default):
         drawn, batches = itertools.count(), []
 
-        def pole_prone(cfg, rng, omega=None, lam=None, zero_guard=1e-12):
-            rc = rep_draw(cfg, rng, omega, lam, zero_guard=0.03)
-            return RepContext(1e300, rc.lam0, rc.ctx) if next(drawn) % 7 == 3 else rc
+        def pole_prone(cfg, rng, k, omega=None, lam=None, zero_guard=1e-12, points=1):
+            got = rep_draws(cfg, rng, k, omega, lam, zero_guard=0.03, points=points)
+            return [
+                (RepContext(1e300, rc.lam0, rc.ctx) if next(drawn) % 7 == 3 else rc, *zs)
+                for rc, *zs in got
+            ]
 
         def binding(build, params, points):
             batches.append(len(points))
@@ -254,7 +258,7 @@ def test_representation_draws_ahead_equal_drawing_one_at_a_time(monkeypatch, cas
                 raise
 
         monkeypatch.setattr(suites, "AHEAD", ahead)
-        monkeypatch.setattr(suites, "_rep_draw", pole_prone)
+        monkeypatch.setattr(suites, "_rep_draws", pole_prone)
         monkeypatch.setattr(suites, "bind_rows", binding)
         report, attempts, raised = watched(monkeypatch, lambda: AHEAD_RUNS[case](cfg))
         runs[ahead] = (suites.canonical_json(report), attempts, raised, next(drawn))
@@ -275,15 +279,21 @@ def test_theta_suite_drawn_ahead_equals_drawing_one_at_a_time(monkeypatch, seed,
     # column fails in the middle of its batch, as ``PoleError(THETA_RANGE)``.
     # Drawing ahead must give the report bytes, the attempts, the error of
     # each failed attempt and the number of draws of drawing one at a time.
-    draw_z, columns, default = suites.draw_z, suites.theta_columns, suites.AHEAD
+    draw_batch, columns, default = suites.draw_batch, suites.theta_columns, suites.AHEAD
     cfg = suites.RunConfig(seed=seed, samples=24, max_redraws=3)
     runs = {}
     for ahead in (1, default):
         drawn, batches = itertools.count(), []
 
-        def tiny_xy(rng):
-            n, z = next(drawn), draw_z(rng)
-            return 1e-200 if forced and n // 4 % 7 == 3 and n % 4 >= 2 else z
+        def tiny_xy(rng, k, kinds, *pins):
+            # Each attempt's four points, z, w, x and y, counted in turn.
+            ctxs, *points = draw_batch(rng, k, kinds, *pins)
+            for i in range(k):
+                for column in points:
+                    n = next(drawn)
+                    if forced and n // 4 % 7 == 3 and n % 4 >= 2:
+                        column[i] = 1e-200
+            return [ctxs, *points]
 
         def counted(zs, ctxs):
             values, failed = columns(zs, ctxs)
@@ -291,7 +301,7 @@ def test_theta_suite_drawn_ahead_equals_drawing_one_at_a_time(monkeypatch, seed,
             return values, failed
 
         monkeypatch.setattr(suites, "AHEAD", ahead)
-        monkeypatch.setattr(suites, "draw_z", tiny_xy)
+        monkeypatch.setattr(suites, "draw_batch", tiny_xy)
         monkeypatch.setattr(suites, "theta_columns", counted)
         report, attempts, raised = watched(monkeypatch, lambda: suites.run_suite("theta", cfg))
         runs[ahead] = (suites.canonical_json(report), attempts, raised, next(drawn))
@@ -394,3 +404,84 @@ def test_a_biorth_batch_gives_each_draw_its_own_sweep(monkeypatch, seed, N, dual
                     break
             assert (type(got), str(got)) == (type(first), str(first))
     assert failed == failing and sum(len(drawn) for drawn, _ in batches) == 2 + failing
+
+
+def attempt_bits(x):
+    """Every number of an attempt (or a list of them), in order: each
+    float's ``float.hex``, each complex number's parts', each int as it is,
+    a dataclass (a context, a rep context, biorth params) by its fields."""
+    if dataclasses.is_dataclass(x):
+        return [attempt_bits(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, (list, tuple)):
+        return [attempt_bits(y) for y in x]
+    if isinstance(x, complex):
+        return [x.real.hex(), x.imag.hex()]
+    return x.hex() if isinstance(x, float) else x
+
+
+PINNED_WEIGHTS = (0.3 - 0.2j, -0.7 + 0.4j)
+# name: (run, the sampler's stream key, one attempt drawn one at a time).
+DRAW_RUNS = {
+    "theta suite": (
+        lambda cfg: suites.run_suite("theta", cfg), 0,
+        lambda cfg, rng, got: per_draw.theta_attempt(cfg, rng),
+    ),
+    "relations suite": (
+        lambda cfg: suites.run_suite("relations", cfg), 4,
+        lambda cfg, rng, got: per_draw.relations_attempt(cfg, rng),
+    ),
+    "relations table": (
+        lambda cfg: suites.relations_table(cfg, None, None, cfg.samples), 700,
+        lambda cfg, rng, got: per_draw.relations_attempt(cfg, rng),
+    ),
+    "pinned relations table": (
+        lambda cfg: suites.relations_table(cfg, *PINNED_WEIGHTS, cfg.samples), 700,
+        lambda cfg, rng, got: per_draw.relations_attempt(cfg, rng, *PINNED_WEIGHTS),
+    ),
+    "unitarity suite": (
+        lambda cfg: suites.run_suite("unitarity", cfg), 6,
+        lambda cfg, rng, got: per_draw.unitarity_attempt(cfg, rng),
+    ),
+    "biorth suite": (
+        lambda cfg: suites.run_suite("biorth", cfg), 7,
+        lambda cfg, rng, got: per_draw.biorth_attempt(cfg, rng, got.N, got.M),
+    ),
+    "dual-biorth suite": (
+        lambda cfg: suites.run_suite("dual-biorth", cfg), 8,
+        lambda cfg, rng, got: per_draw.biorth_attempt(cfg, rng, got.N, got.M),
+    ),
+    "biorth table": (
+        lambda cfg: suites.biorth_table(cfg, 3, 1, cfg.samples, False), 231,
+        lambda cfg, rng, got: per_draw.biorth_attempt(cfg, rng, 3, 1),
+    ),
+    "dual biorth table": (
+        lambda cfg: suites.biorth_table(cfg, 3, 1, cfg.samples, True), 531,
+        lambda cfg, rng, got: per_draw.biorth_attempt(cfg, rng, 3, 1),
+    ),
+    "corep table": (
+        lambda cfg: suites.corep_table(cfg, 2, cfg.samples), 102,
+        lambda cfg, rng, got: per_draw.unitarity_attempt(cfg, rng),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DRAW_RUNS)
+def test_batched_draws_equal_drawing_one_at_a_time(monkeypatch, case):
+    # Every attempt a drawn-ahead sampler hands its batches, drawn a batch
+    # at a time (``sampling.draw_batch``), equals, bit for bit and in order,
+    # the attempt drawn one at a time with one ``rng.uniform`` per slot from
+    # a fresh generator on the sampler's stream: at three seeds, with the
+    # base drawn and pinned.  Twelve samples take a batch of ``AHEAD`` and
+    # then smaller ones.
+    run, stream, reference = DRAW_RUNS[case]
+    batches = evaluated(monkeypatch)
+    for seed in (20240, 7, 3164770343):
+        for pinned in ({}, {"p": 0.11, "q": 0.66}):
+            cfg = suites.RunConfig(seed=seed, samples=12, **pinned)
+            batches.clear()
+            run(cfg)
+            drawn = [attempt for attempts, _ in batches for attempt in attempts]
+            rng = np.random.default_rng([seed, stream])
+            want = [reference(cfg, rng, got) for got in drawn]
+            assert len(batches) > 1 and len(drawn) >= 12
+            assert attempt_bits(drawn) == attempt_bits(want), (seed, pinned)

@@ -14,8 +14,9 @@ from ellu2.corep import check_coproduct, check_tensor_relation, t_word
 from ellu2.rep import RepContext, apply_word_states, relation_inventory
 from ellu2.residuals import residual_between, worst
 from ellu2.sampling import draw_lambda, draw_z
-from ellu2.suites import RunConfig, _rep_draw
+from ellu2.suites import RunConfig
 from ellu2.words import coproduct, word
+from per_draw import rep_attempt
 
 # -- the frozen copies ----------------------------------------------------------
 
@@ -70,7 +71,7 @@ def reference_check_tensor_relation(lhs, rhs, m, n, rc1, rc2):
 def _draw(seed):
     """Two representations at a shared point, as the corep suite draws them."""
     rng = np.random.default_rng(seed)
-    rc = _rep_draw(RunConfig(), rng)
+    rc = rep_attempt(RunConfig(), rng)
     z = draw_z(rng)
     return rc, RepContext(draw_lambda(rng), rc.lam0, rc.ctx), z, rng
 

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellu2 import suites
+from ellu2.rep import rows_of
 from ellu2.theta import (
+    CODE,
     MAX_THETA_FACTORS,
     THETA_RANGE,
     PoleError,
@@ -26,6 +28,15 @@ from ellu2.theta import (
     theta_vec,
     theta_vec_cached,
 )
+from ellu2.theta import theta_condition as theta_condition_array
+import per_draw
+from per_draw import theta_identity_residual
+
+
+def theta_draw(ctx, z, w, x, y):
+    """The theta suite's worst residual at one draw (ctx, z, w, x, y), its
+    batch a batch of one (``suites._theta_batch``), or its error raised."""
+    return rows_of(suites._theta_batch([(ctx, z, w, x, y)])[0])["theta identities"]
 
 
 def theta_product(args, ctx):
@@ -175,10 +186,98 @@ def test_theta_multi_out_of_range_raises_as_theta_does():
         theta(1e-300j, ThetaContext(0.9, 0.5))
     ctx = ThetaContext(0.9, 0.5)
     with pytest.raises(PoleError, match=THETA_RANGE):
-        suites._theta_draw(ctx, 1e-300j, 0.5, 0.7 + 0.2j, 1.1 - 0.3j)
+        theta_draw(ctx, 1e-300j, 0.5, 0.7 + 0.2j, 1.1 - 0.3j)
     # A product of finite values beyond the range raises the same error.
     with pytest.raises(PoleError, match=THETA_RANGE):
-        suites._theta_identity_residual([(1.0, (0.5,)), (1.0, (0.5, 0.5))], [1.0, 1e200, 1e200], ctx)
+        theta_identity_residual([(1.0, (0.5,)), (1.0, (0.5, 0.5))], [1.0, 1e200, 1e200], ctx)
+    # The suite's array form fails such a draw with that error's code.
+    terms, values = [(1.0, (0.5, 0.5)), (1.0, (0.5, 0.5))], [1.0, 1.0, 1e200, 1e200]
+    with pytest.raises(PoleError, match=THETA_RANGE):
+        theta_identity_residual(terms, values, ctx)
+    assert per_draw.batch_identity_residual(terms, values, ctx)[1] == CODE[THETA_RANGE]
+
+
+def theta_outcome_bits(outcome):
+    """A theta suite draw's worst residual as ``float.hex``, or its error's type and message."""
+    if isinstance(outcome, ArithmeticError):
+        return type(outcome).__name__, str(outcome)
+    return outcome.hex()
+
+
+def test_theta_suite_batches_equal_the_per_draw_reference():
+    # The theta suite's residuals, computed for ten draws at once on split
+    # arrays (``suites._theta_batch``), equal the per-draw reference over
+    # Python numbers bit for bit, errors included, at 240 draws.  Every
+    # seventh draw's x and y are 1e-200, so that x y underflows to an
+    # argument 0 in the middle of a batch; every thirteenth draw's q is
+    # 1e-20, so that theta(q^(-2s)) leaves the double range while the
+    # three-term relation's values do not; every eleventh draw's y is its
+    # x, so that x / y is, at most of them, exactly 1: theta there is
+    # exactly 0, and its condition meets an exact zero factor.
+    rng = np.random.default_rng(20240)
+    drawn = []
+    for i in range(240):
+        ctx, z, w, x, y = per_draw.theta_attempt(suites.RunConfig(), rng)
+        if i % 7 == 3:
+            x = y = 1e-200
+        elif i % 13 == 5:
+            ctx = ThetaContext(ctx.p, 1e-20)
+        elif i % 11 == 4:
+            y = x
+        drawn.append((ctx, z, w, x, y))
+    got = [
+        theta_outcome_bits(o if isinstance(o, ArithmeticError) else o["theta identities"])
+        for i in range(0, 240, 10)
+        for o in suites._theta_batch(drawn[i : i + 10])
+    ]
+    want = []
+    for draw in drawn:
+        try:
+            want.append(theta_outcome_bits(per_draw.theta_outcome(*draw)))
+        except ArithmeticError as exc:
+            want.append(theta_outcome_bits(exc))
+    assert got == want
+    # The underflowed and far draws fail, and only they; the exact zeros pass.
+    forced = [i for i in range(240) if i % 7 == 3 or i % 13 == 5]
+    assert [i for i, g in enumerate(got) if g == ("PoleError", THETA_RANGE)] == forced
+    exact = [i for i, (ctx, _, _, x, y) in enumerate(drawn) if i not in forced and x / y == 1]
+    assert len(exact) > 10 and all(isinstance(got[i], str) for i in exact)
+    assert all(per_draw.theta_condition(1.0 + 0.0j, drawn[i][0].p) > 1e299 for i in exact)
+
+
+def test_theta_condition_on_arrays_equals_the_loop():
+    # The array form's bits equal the Python loop's at every argument: far
+    # and near ones, exact zero factors (z = 1, or p / z = 1 at z = p),
+    # arguments at the edge of the double range and past it, each nome its
+    # own.  Where the loop raises ``OverflowError``, the array form flags it.
+    rng = np.random.default_rng(7)
+    n = 3000
+    p = rng.uniform(0.05, 0.5, n)
+    z = 10.0 ** rng.uniform(-6, 6, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    z[::40], z[1::40], z[2::40], z[3::40] = 1.0, p[1::40], -2.0, 1.5e308 + 1.5e308j
+    z[4::40], z[5::40] = 1e-30, 1e150
+    cond, over = theta_condition_array(z.reshape(100, 30), p.reshape(100, 30))
+    for zi, pi, c, o in zip(z.tolist(), p.tolist(), cond.ravel().tolist(), over.ravel().tolist()):
+        try:
+            want = per_draw.theta_condition(zi, pi)
+        except OverflowError:
+            assert o, zi
+        else:
+            assert (c.hex(), o) == (want.hex(), False), (zi, pi)
+    assert over.sum() == n // 40
+
+
+def test_a_context_without_its_pairs_makes_them_at_its_first_theta():
+    # The contexts ``sampling.draw_batch`` makes leave the scalar factor
+    # pairs unmade; ``theta`` makes them at its first call, with the bits
+    # of an eager context, and the two contexts are equal.
+    eager, lazy = ThetaContext(0.2, 0.7), ThetaContext(0.2, 0.7, pairs=False)
+    assert lazy._pairs is None and lazy == eager and hash(lazy) == hash(eager)
+
+    def bits(c):
+        return [(v.real.hex(), v.imag.hex()) for v in (theta(z, c) for z in (0.3 + 0.4j, 1.7 - 0.2j, -9j))]
+
+    assert bits(lazy) == bits(eager) and lazy._pairs == eager._pairs
 
 
 def test_pochhammer_empty_and_splitting(ctx):
@@ -320,7 +419,7 @@ def test_theta_vec_cached_rejects_zero(ctx):
         theta_vec_cached([0.5 + 0.1j, 0.0], ctx)
     # x y underflows to 0j at a theta suite draw.
     with pytest.raises(PoleError, match=THETA_RANGE):
-        suites._theta_draw(ctx, 0.5 + 0.1j, 0.7, 1e-200, 1e-200)
+        theta_draw(ctx, 0.5 + 0.1j, 0.7, 1e-200, 1e-200)
     with pytest.raises(PoleError, match=THETA_RANGE):
         theta(0j, ctx)
 

@@ -45,7 +45,14 @@ all computed in one process:
 - the bound values (``bound_values``): ``float.hex`` of every value, and
   every failure code, that ``Template.bind_all`` gives for the battery's
   templates at one seeded batch of ten draws.  The reports fold these
-  values into maxima; this line shows a last-bit move of any of them.
+  values into maxima; this line shows a last-bit move of any of them;
+- the drawn attempts (``drawn_attempts``): ``float.hex`` of every number
+  of every attempt each drawn-ahead sampler (``suites._DrawAhead``) hands
+  its batch evaluation in its first two batches at seed 20240: the
+  battery's suites, and the relations (drawn and pinned weights), biorth
+  and corep tables.  The attempts are recorded by wrapping the evaluation
+  each sampler is made with, so the tool reads any tree whose samplers
+  take (draw, evaluate).
 
 Each ``ellu2`` command's digest is of what it writes to stdout.  Run it on
 two checkouts and compare the lines: equal lines mean equal report bytes.
@@ -54,6 +61,7 @@ two checkouts and compare the lines: equal lines mean equal report bytes.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -78,8 +86,8 @@ from ellu2.rmatrix import qdybe_residual, r_entries
 from ellu2.series import SeriesSpec, eval_omega
 from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2 import suites
-from ellu2.suites import AHEAD, RunConfig, _rep_draw, biorth_table, canonical_json, corep_table
-from ellu2.suites import run_report
+from ellu2.suites import AHEAD, RunConfig, biorth_table, canonical_json, corep_table
+from ellu2.suites import relations_table, run_report
 from ellu2.theta import PoleError, ThetaContext, error, garg, qarg, theta, theta_vec
 
 BATTERY = ["theta", "series", "relations", "unitarity", "biorth", "dual-biorth"]
@@ -92,6 +100,7 @@ TENSOR_SEEDS = (20240, 7)
 FAILURE_LEVELS = (18, 20)
 BOUND_SEED = 20240
 BOUND_DRAWS = 10
+DRAW_SEED = 20240
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -184,7 +193,9 @@ def tensor_residuals() -> str:
     lines = []
     for seed in TENSOR_SEEDS:
         rng = np.random.default_rng(seed)
-        rc = _rep_draw(RunConfig(), rng)
+        # The base, omega and lambda, then z, as the corep suite draws them.
+        ctx = draw_context(rng)
+        rc = RepContext(draw_lambda(rng), draw_lambda(rng), ctx)
         z = draw_z(rng)
         rc2 = RepContext(draw_lambda(rng), rc.lam0, rc.ctx)
         coproducts = (
@@ -326,6 +337,57 @@ def bound_values() -> str:
     return "\n".join(lines)
 
 
+def attempt_hex(x) -> str:
+    """Every number of an attempt, or of a list of them, in order: each
+    float as ``float.hex``, each complex number by its parts, each int as
+    it is, a dataclass (a context, a rep context, biorth params) by its
+    fields."""
+    if dataclasses.is_dataclass(x):
+        return " ".join(attempt_hex(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return " ".join(map(attempt_hex, x))
+    if isinstance(x, complex):
+        return f"{x.real.hex()} {x.imag.hex()}"
+    return x.hex() if isinstance(x, float) else str(x)
+
+
+def drawn_attempts() -> str:
+    """One line per batch: ``attempt_hex`` of the attempts of each of the
+    first two batches of each drawn-ahead sampler, samplers in the order
+    they are made: those of ``run_report`` over the battery's suites, of
+    ``relations_table`` with the weights drawn and pinned (5 samples), of
+    the direct and dual ``biorth_table`` at N = 6, M = 1 and of
+    ``corep_table`` at N = 5 (2 samples each), all at ``DRAW_SEED``."""
+    lines: list = []
+    draw_ahead = suites._DrawAhead
+
+    class Recording(draw_ahead):
+        def __init__(self, draw, evaluate):
+            batches = 0
+
+            def recording(drawn):
+                nonlocal batches
+                if batches < 2:
+                    lines.append(attempt_hex(drawn))
+                batches += 1
+                return evaluate(drawn)
+
+            super().__init__(draw, recording)
+
+    cfg = RunConfig(seed=DRAW_SEED)
+    suites._DrawAhead = Recording
+    try:
+        run_report(cfg, BATTERY)
+        relations_table(cfg, None, None, 5)
+        relations_table(cfg, 0.3 - 0.2j, -0.7 + 0.4j, 5)
+        for dual in (False, True):
+            biorth_table(cfg, 6, 1, 2, dual)
+        corep_table(cfg, 5, 2)
+    finally:
+        suites._DrawAhead = draw_ahead
+    return "\n".join(lines)
+
+
 def _round_seed(i: int) -> int:
     """The seed of the corep tables of levels round i at seed 20240, as the
     benchmark derives it."""
@@ -363,6 +425,7 @@ def reports():
     yield "failing plans at N = 18, 20", failing_plans()
     yield "compiled programs", compiled_programs()
     yield "bound values", bound_values()
+    yield "drawn attempts", drawn_attempts()
 
 
 if __name__ == "__main__":
