@@ -1,22 +1,21 @@
 """Matrix elements of the symmetric-power corepresentations.
 
 ``t_word`` builds the (k, j) matrix element of the N-th symmetric power as an
-explicit sum of generator words with dynamical coefficients.  ``tau_closed``
-and ``tau_tilde_closed`` give the action of these elements (and their
+explicit sum of generator words with dynamical coefficients.  ``tau_plan``
+and ``tau_tilde_plan`` give the action of these elements (and their
 conjugates) on basis vectors in closed form: a theta-product prefactor times
 a terminating very well poised balanced series.  ``tau_product`` is an
 independent oracle built by composing the raw single-letter actions.  The
 towers of the suites check the closed forms against both.  Their word
 action and closed side are compiled once per level over records, into one
-template, and bound once per sample (``closed_tower``), or once per batch of
-samples (``closed_towers``); the word side is laid out, and its items fail,
-as ``rep.Compiled`` lays out and fails a check (``rep.word_plans``,
-``rep.item_errors``).  ``tau_product`` is the one side they evaluate
+template, and bound once per batch of samples (``closed_towers``); the
+word side is laid out, and its items fail, as ``rep.Compiled`` lays out and
+fails a check (``rep.word_plans``, ``rep.item_errors``).  ``tau_product`` is the one side they evaluate
 over numbers, by one reader per sample and level (``product_tower``) that
 evaluates each shared prefactor, elliptic binomial and letter coefficient
 once, and that shares its four Pochhammer blocks with the ``t_word``
-coefficients (``_t_blocks``).  ``tau_closed``, ``tau_tilde_closed`` and
-``rep.apply_word`` evaluate one element over numbers.  The tensor checks
+coefficients (``_t_blocks``).  ``tau_closed`` and ``rep.apply_word``
+evaluate one element over numbers.  The tensor checks
 (``check_coproduct``, ``check_tensor_relation``) evaluate each leg once per
 call and point (``_leg``).
 ``gamma_factor`` supplies the diagonal normalization appearing in the
@@ -100,10 +99,8 @@ __all__ = [
     "tau_plan",
     "tau_closed",
     "tau_tilde_plan",
-    "tau_tilde_closed",
     "tau_product",
     "product_tower",
-    "closed_tower",
     "closed_towers",
     "gamma_plan",
     "gamma_factor",
@@ -309,7 +306,8 @@ def tau_tilde_series_parts(
 def tau_tilde_plan(
     N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
 ) -> Plan:
-    """Plan of ``tau_tilde_closed``.  A head with an exact zero builds no series."""
+    """Coefficient of e_(m+j-k) in the action of the conjugated (k, j)
+    element.  A head with an exact zero builds no series."""
     _in_level(N, k, j)
     if m < 0:
         raise ValueError("basis index must be >= 0")
@@ -350,13 +348,6 @@ def tau_tilde_plan(
         return pref
     a1, numer, denom, c, n = tau_tilde_series_parts(N, k, j, m, lam, z, omega, ctx)
     return _HeadTimesSeries(pref, vwp_plan(ctx, a1, numer, denom, n, merged=(c, j)))
-
-
-def tau_tilde_closed(
-    N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
-) -> complex:
-    """Coefficient of e_(m+j-k) in the action of the conjugated (k, j) element."""
-    return tau_tilde_plan(N, k, j, m, lam, z, omega, ctx).value()
 
 
 def tau_product(
@@ -525,12 +516,6 @@ class _Tower:
             return row[i]
 
         return read
-
-
-def closed_tower(plan, N: int, rc: RepContext, z: complex) -> Callable[..., complex]:
-    """A corepresentation tower at level N, bound at the sample (rc, z): the
-    reader ``closed_towers`` gives for the one sample."""
-    return closed_towers(plan, N, [(rc, z)])[0]
 
 
 def closed_towers(plan, N: int, samples: list[tuple[RepContext, complex]]) -> list[Callable[..., complex]]:

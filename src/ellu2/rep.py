@@ -22,16 +22,16 @@ and lists its distinct pole guards in the order a numeric evaluation meets
 them; ``guard_plans`` makes one plan of each guard a template has not
 listed, and ``item_errors`` is the one rule for the error of such an item
 at a draw.  ``Compiled`` compiles a whole family of checks into one
-``theta.Template`` through them, and ``corep.closed_tower`` the word side
+``theta.Template`` through them, and ``corep.closed_towers`` the word side
 of the corepresentation towers beside their closed side.
 
 ``relation_inventory`` builds the defining exchange relations as pairs of
-algebra elements; ``check_relations`` evaluates both sides on basis vectors
-at a random dynamical point and reports relative residuals, from the
-compiled check bound to the sample.  ``bind_rows`` binds a check at many
-samples in one ``Template.bind_all`` and returns each sample's rows, or its
-error, keeping nothing; the one-sample checks bind their family at their
-one sample (``_rows_at``).
+algebra elements, and ``relation_pairs`` every pair the relation check
+compares on basis vectors (``_relation_rows``; ``_det_form_rows`` compares
+each determinant word expansion with its scalar action).  ``bind_rows``
+binds a check at many samples in one ``Template.bind_all`` and returns
+each sample's rows, or its error, keeping nothing; the one-sample checks
+bind their family at their one sample (``_rows_at``).
 """
 
 from __future__ import annotations
@@ -96,10 +96,8 @@ __all__ = [
     "residual_inventory",
     "reverse_relation",
     "det_form_elements",
-    "check_det_forms",
     "antipode_inverse_identities",
     "relation_pairs",
-    "check_relations",
     "Compiled",
     "compiled",
     "bind_rows",
@@ -498,7 +496,7 @@ def antipode_inverse_identities(
 def relation_pairs(
     z1: complex, z2: complex, z: complex, kmax_reverse: int, ctx: ThetaContext
 ) -> list[tuple[str, AlgebraElement, AlgebraElement]]:
-    """Every relation pair ``check_relations`` evaluates, in its row order."""
+    """Every relation pair the relation check compares, in its row order."""
     pairs = relation_inventory(z1, z2, ctx)
     pairs += residual_inventory(z, ctx)
     for k in range(1, kmax_reverse + 1):
@@ -512,28 +510,6 @@ def relation_pairs(
 # forms, as the relations suite and table run them.
 RELATIONS_SHAPE = (6, 4)
 DET_FORMS_SHAPE = (4,)
-
-
-def check_relations(
-    rc: RepContext,
-    z1: complex,
-    z2: complex,
-    z: complex,
-    mmax: int = RELATIONS_SHAPE[0],
-    kmax_reverse: int = RELATIONS_SHAPE[1],
-) -> list[tuple[str, float]]:
-    """Evaluate every relation pair on e_0..e_mmax; returns (name, residual).
-
-    Each residual is ``residual_between`` of the two sides' actions, with the
-    largest single path of either side as its floor, worst over m.
-    """
-    rows = _rows_at(rc, _relation_rows, (mmax, kmax_reverse), z=z, z1=z1, z2=z2)
-    return list(rows.items())
-
-
-def check_det_forms(rc: RepContext, z: complex, mmax: int = DET_FORMS_SHAPE[0]) -> list[tuple[str, float]]:
-    """Compare each determinant word expansion against its scalar action."""
-    return list(_rows_at(rc, _det_form_rows, (mmax,), z=z).items())
 
 
 # -- the checks compiled once per shape ----------------------------------------

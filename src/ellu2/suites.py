@@ -8,43 +8,45 @@ alone or as part of the full battery.
 
 Suites and the focused tables of ``ellu2 check`` share one engine:
 
-- one loop, ``_sample``, draws each sample through ``run_with_redraws``,
-  redrawing at poles, and returns the completed values and the rejected
-  count;
+- one sampler, ``_DrawAhead``, draws the attempts of up to ``AHEAD``
+  unfinished samples in one batch and evaluates them together;
+- one loop, ``_sample``, draws each sample from a sampler through
+  ``run_with_redraws``, redrawing at poles, and returns the completed
+  values and the rejected count;
 - one fold, ``_worst``, keeps the worst residual per key, counting a NaN as
   +inf (``residuals.worst``) so that a check which breaks fails its gate;
 - ``_suite_result`` returns a suite's record and ``_table`` a table's
   report; the two own the pass rules, and ``_grid`` folds the per-(k, j)
   and per-(k, l) entries of the corep and biorth tables;
-- each per-sample body a suite shares with its table is written once
-  (``_corep_tower``, ``_qdybe_draw``, ``_relations_ahead``,
-  ``_biorth_ahead``, ``_bailey_draw``) and consumes the RNG in the same
-  order for both.
+- each sampler a suite shares with its table is written once
+  (``_qdybe_ahead``, ``_bailey_ahead``, ``_relations_ahead``,
+  ``_biorth_ahead``, and ``_corep_tower`` for a tower's residuals), and
+  draws the same attempts for both.
 
-The theta suite, and the suites and tables whose checks are compiled
-(biorth and dual-biorth, relations, unitarity, and the corep tables), draw
-ahead through one sampler, ``_DrawAhead``, and evaluate the attempts of up
-to ``AHEAD`` unfinished samples in one batch, which returns each draw's
-results (the theta suite's residual of ``_theta_batch``, the relation and
-unitarity rows of ``rep.bind_rows``, the biorth rows of
-``biorth.sweep_rows``, a tower's residuals) or its error.  A batch never
-raises at a pole of one draw: ``theta.theta_columns`` names the draws
-whose theta values fail and ``Template.bind_all`` reports each draw's
-failures as codes, and each batch turns them into that draw's error.
-An attempt makes all its ``rng`` calls before anything of it is evaluated,
-as many whatever the outcome, and every unfinished sample takes at least
-one more attempt; so no drawn attempt goes unused, and the stream, the
-redraws and the reports are those of drawing one at a time.  The cap bounds
-what one batch binds: the relations suite's 50 draws bound together would
-add several MB to peak memory.
+Every suite and table draws ahead.  A batch's ``draw(k)`` makes all the
+``rng`` calls of its k attempts, as many whatever their outcome
+(``RunConfig.draws``, ``sampling.draw_batch``; the series suite and the
+bailey draws with an unpinned order draw an integer between their slots,
+so they draw one attempt at a time).  Its ``evaluate(drawn)`` returns each
+draw's result or its error, never raising at a pole of one draw: the
+theta suite's residuals of ``_theta_batch``, the relation and unitarity
+rows of ``rep.bind_rows``, the biorth rows of ``biorth.sweep_rows``, the
+towers bound by ``corep.closed_towers``, and the series, transformation
+and R-matrix checks over numbers, draw by draw (``_each``).
+``theta.theta_columns`` names the draws whose theta values fail and
+``Template.bind_all`` reports each draw's failures as codes, and each
+batch turns them into that draw's error.  Every unfinished sample takes at
+least one more attempt, so no drawn attempt goes unused, and the stream,
+the redraws and the reports are those of drawing one at a time.  The cap
+bounds what one batch binds: the relations suite's 50 draws bound together
+would add several MB to peak memory.
 
 A batch does its per-draw work on arrays, each draw with the bits it
-gets alone: its attempts are drawn in one ``sampling.draw_batch`` call
-(``RunConfig.draws``; ``_rep_draws`` for the representation samplers),
-the theta suite computes every draw's residuals at once on split arrays
-(``_theta_batch``), and a compiled check folds every draw of its bind at
-once (``rep.Compiled.fold``).  The one-draw-at-a-time forms these replaced
-are kept beside the tests as their references.
+gets alone: the theta suite computes every draw's residuals at once on
+split arrays (``_theta_batch``), and a compiled check folds every draw of
+its bind at once (``rep.Compiled.fold``).  The one-draw-at-a-time forms
+these replaced, the draws among them, are kept beside the tests as their
+references.
 
 Each draw is read in one pass: the theta suite reads a draw's theta
 values from its batch, which evaluates every draw's in one
@@ -52,7 +54,7 @@ values from its batch, which evaluates every draw's in one
 its evaluators from one lookup of the vector cache, and the biorth suites
 and tables read a draw's rows as its batch gave them
 (``biorth.sweep_rows``).  Nothing that reads a draw binds: a sampler's
-batch, or a one-sample entry, binds it.
+batch binds it.
 
 A sample returns plain floats (or, for the per-sample tables, one entry), so
 nothing of a draw outlives it (or, drawn ahead, its own attempt).  ``_sample``
@@ -81,7 +83,6 @@ from .corep import (
     check_coproduct,
     check_counit_exact,
     check_tensor_relation,
-    closed_tower,
     closed_towers,
     linear_independence_ratio,
     product_tower,
@@ -100,7 +101,7 @@ from .rep import (
 )
 from .residuals import TINY, rel_to_terms, spread, worst
 from .rmatrix import det_residual, qdybe_residual
-from .sampling import draw_batch, draw_context, draw_lambda, draw_z, run_with_redraws
+from .sampling import draw_batch, run_with_redraws
 from .series import (
     SeriesSpec,
     bailey_theta_condition,
@@ -144,9 +145,6 @@ class RunConfig:
     q: float | None = None
     tol: float | None = None
     max_redraws: int = 50
-
-    def context(self, rng: np.random.Generator, zero_guard: float = 1e-12):
-        return draw_context(rng, self.p, self.q, zero_guard)
 
     def draws(self, rng: np.random.Generator, k: int, kinds: tuple, zero_guard: float = 1e-12) -> list[list]:
         """The draws of k attempts of ``kinds`` (``sampling.draw_batch``),
@@ -195,24 +193,19 @@ def _theta_identity_residual(terms: tuple, args: np.ndarray, p: np.ndarray, code
     return top / scale
 
 
-def _sample(
-    samples: int,
-    max_redraws: int,
-    sample_fn: Callable[[], object],
-    pending: Callable[[int], None] | None = None,
-) -> tuple[list, int]:
-    """(values, rejected): ``samples`` draws of ``sample_fn``, each redrawn at poles.
+def _sample(samples: int, max_redraws: int, draws: _DrawAhead) -> tuple[list, int]:
+    """(values, rejected): ``samples`` samples of the sampler ``draws``,
+    each attempted (``_DrawAhead.attempt``) and redrawn at poles.
 
-    ``values`` holds the completed draws in order; a draw still at a pole
-    after ``max_redraws`` attempts counts as rejected.  ``pending``, when
-    given, is told before each sample how many samples, that one included,
-    are still unfinished (``_DrawAhead``).
+    ``values`` holds the completed samples in order; a sample still at a
+    pole after ``max_redraws`` attempts counts as rejected.  Before each
+    sample the sampler is told how many samples, that one included, are
+    still unfinished.
     """
     values = []
     for i in range(samples):
-        if pending is not None:
-            pending(samples - i)
-        value, rejected = run_with_redraws(sample_fn, max_redraws)
+        draws.unfinished = samples - i
+        value, rejected = run_with_redraws(draws.attempt, max_redraws)
         if not rejected:
             values.append(value)
     return values, samples - len(values)
@@ -273,28 +266,28 @@ def _drive(
     samples: int,
     max_redraws: int,
     classes: dict[str, float],
-    sample_fn: Callable[[], dict[str, float]],
+    draws: _DrawAhead,
     notes: list[str],
-    pending: Callable[[int], None] | None = None,
 ) -> dict:
-    """Run a per-sample closure with pole redraws; aggregate named residuals."""
-    values, rejected = _sample(samples, max_redraws, sample_fn, pending)
+    """Sample a sampler of named residuals with pole redraws; aggregate them."""
+    values, rejected = _sample(samples, max_redraws, draws)
     return _suite_result(name, samples, rejected, classes, values, notes)
 
 
 class _DrawAhead:
-    """Attempts drawn ahead and evaluated in batches.
+    """Attempts drawn ahead and evaluated in batches: the one sampler of
+    every suite and table.
 
     ``draw(k)`` makes the draws of k attempts, with all their ``rng``
-    calls, in one ``sampling.draw_batch``, which gives each attempt the
-    numbers drawing it alone gives, and ``evaluate(drawn)`` gives the
-    result of each of a list of them, or the error of a draw that failed,
-    not raised.  Each call of ``attempt`` is one attempt.  When no drawn
-    attempt is left, it draws as many as there are samples still
-    unfinished (``pending``), at most ``AHEAD``, and evaluates them
-    together, once.  An attempt takes the next draw's result, or raises a
-    fresh error of its error's type and message (``rep.rows_of``).  Nothing
-    of a batch is kept but these results, each popped by its attempt.
+    calls (``RunConfig.draws``, ``sampling.draw_batch``), as many whatever
+    the outcome, and ``evaluate(drawn)`` gives the result of each of a
+    list of them, or the error of a draw that failed, not raised.  Each
+    call of ``attempt`` is one attempt.  When no drawn attempt is left, it
+    draws as many as there are samples still ``unfinished`` (set by
+    ``_sample``), at most ``AHEAD``, and evaluates them together, once.  An
+    attempt takes the next draw's result, or raises a fresh error of its
+    error's type and message (``rep.rows_of``).  Nothing of a batch is kept
+    but these results, each popped by its attempt.
     """
 
     def __init__(self, draw: Callable[[int], list], evaluate: Callable[[list], list]):
@@ -302,14 +295,25 @@ class _DrawAhead:
         self.unfinished = 1
         self.queue: deque = deque()
 
-    def pending(self, unfinished: int) -> None:
-        self.unfinished = unfinished
-
     def attempt(self):
         if not self.queue:
             drawn = self.draw(min(self.unfinished, AHEAD))
             self.queue.extend(self.evaluate(drawn))
         return rows_of(self.queue.popleft())
+
+
+def _each(check: Callable, drawn: Iterable[tuple]) -> list:
+    """``check(*d)`` of each d of ``drawn``, in order, or the error it
+    raised, not raised: the outcomes of a batch whose draws are checked
+    one by one.  An error is kept without its traceback, which would hold
+    the frames that hold it."""
+    out = []
+    for d in drawn:
+        try:
+            out.append(check(*d))
+        except ArithmeticError as exc:
+            out.append(exc.with_traceback(None))
+    return out
 
 
 def _rep_draws(
@@ -394,19 +398,28 @@ def _suite_theta(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         # The context, then z, w, x and y, in that order.
         return list(zip(*cfg.draws(rng, k, ("context", *("annulus",) * 4))))
 
-    draws = _DrawAhead(draw, _theta_batch)
-    classes = {"theta identities": tol}
-    return _drive("theta", samples, cfg.max_redraws, classes, draws.attempt, [], draws.pending)
+    return _drive("theta", samples, cfg.max_redraws, {"theta identities": tol}, _DrawAhead(draw, _theta_batch), [])
+
+
+def _ordered(cfg: RunConfig, rng: np.random.Generator, high: int, points: int) -> tuple:
+    """One attempt drawn alone, (ctx, n, z_1, ..., z_points): the base, an
+    order n from 0..high - 1 (``rng.integers``), then ``points`` spectral
+    points."""
+    ctx = cfg.draws(rng, 1, ("context",))[0][0]
+    n = int(rng.integers(0, high))
+    return (ctx, n, *(z for (z,) in cfg.draws(rng, 1, ("annulus",) * points)))
 
 
 def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
     notes: list[str] = []
 
-    def sample() -> dict[str, float]:
-        ctx = cfg.context(rng)
-        n = int(rng.integers(0, 9))
-        a1 = draw_z(rng)
-        uppers = [draw_z(rng) for _ in range(5)]
+    def draw(k: int) -> list:
+        # Each attempt's base, order, a1 and five upper parameters, then
+        # the order the permuted series takes the free parameters in.
+        return [(*_ordered(cfg, rng, 9, 6), tuple(rng.permutation(6).tolist())) for _ in range(k)]
+
+    def check(ctx, n: int, a1: complex, *drawn) -> dict[str, float]:
+        *uppers, perm = drawn
         sixth = a1**3 * ctx.qpow(4 + 2 * n) / np.prod(uppers)
         free = tuple(garg(u) for u in uppers) + (garg(complex(sixth)),)
         spec = SeriesSpec(garg(a1), free + (qarg(-n),), 6, ctx)
@@ -419,77 +432,88 @@ def _suite_series(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: f
             notes.append(f"unexpected balance warning: {warning}")
             return {"evaluator agreement": float("inf")}
         res = [rel_to_terms(value, termwise, max_term)]
-        perm = tuple(free[i] for i in rng.permutation(6))
-        permuted = eval_omega(SeriesSpec(spec.a1, perm + (qarg(-n),), 6, ctx))
+        permuted = eval_omega(SeriesSpec(spec.a1, tuple(free[i] for i in perm) + (qarg(-n),), 6, ctx))
         res.append(rel_to_terms(value, permuted.value, max_term))
         return {"evaluator agreement": worst(res)}
 
-    return _drive("series", samples, cfg.max_redraws, {"evaluator agreement": tol}, sample, notes)
+    draws = _DrawAhead(draw, partial(_each, check))
+    return _drive("series", samples, cfg.max_redraws, {"evaluator agreement": tol}, draws, notes)
 
 
 BAILEY_MAX_CONDITION = 1e6
 
 
-def _bailey_draw(cfg: RunConfig, rng: np.random.Generator, order: int | None):
-    """(n, report, theta condition) of one drawn transformation check.
+def _bailey_ahead(cfg: RunConfig, rng: np.random.Generator, order: int | None, read: Callable) -> _DrawAhead:
+    """The draw-ahead sampler of the transformation check: an attempt gives
+    ``read(n, report, theta condition)`` of its draw of a base, the order
+    n (drawn from 0..6 unless pinned by ``order``) and six points.
 
     The draw is gated on the report's condition, the cancellation between
     terms, times the theta condition, the largest ``theta_condition`` over the
     terms' factors (``bailey_theta_condition``).  A draw whose product passes
-    ``BAILEY_MAX_CONDITION`` raises ``PoleError``, to be redrawn: the forced
-    seventh parameter can land near a pole, and p near a power of q^2 puts a
-    factor of the terminating row near a zero of theta; either hides the
-    identity behind rounding double precision cannot resolve.
+    ``BAILEY_MAX_CONDITION`` fails with ``PoleError``, to be redrawn: the
+    forced seventh parameter can land near a pole, and p near a power of q^2
+    puts a factor of the terminating row near a zero of theta; either hides
+    the identity behind rounding double precision cannot resolve.
     """
-    ctx = cfg.context(rng)
-    n = int(rng.integers(0, 7)) if order is None else order
-    args = tuple(draw_z(rng) for _ in range(6))
-    report = check_bailey(*args, n, ctx)
-    theta_cond = bailey_theta_condition(*args, n, ctx)
-    condition = report.condition * theta_cond
-    if condition > BAILEY_MAX_CONDITION:
-        raise PoleError(
-            f"bailey draw condition {condition:.2e} exceeds {BAILEY_MAX_CONDITION:g}"
-        )
-    return n, report, theta_cond
+
+    def draw(k: int) -> list:
+        if order is None:
+            return [_ordered(cfg, rng, 7, 6) for _ in range(k)]
+        ctxs, *points = cfg.draws(rng, k, ("context", *("annulus",) * 6))
+        return [(ctx, order, *args) for ctx, *args in zip(ctxs, *points)]
+
+    def check(ctx, n: int, *args):
+        report = check_bailey(*args, n, ctx)
+        theta_cond = bailey_theta_condition(*args, n, ctx)
+        condition = report.condition * theta_cond
+        if condition > BAILEY_MAX_CONDITION:
+            raise PoleError(
+                f"bailey draw condition {condition:.2e} exceeds {BAILEY_MAX_CONDITION:g}"
+            )
+        return read(n, report, theta_cond)
+
+    return _DrawAhead(draw, partial(_each, check))
 
 
 def _suite_bailey(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
-
-    def sample() -> dict[str, float]:
-        return {"transformation": _bailey_draw(cfg, rng, None)[1].residual}
-
-    return _drive("bailey", samples, cfg.max_redraws, {"transformation": tol}, sample, [])
+    draws = _bailey_ahead(cfg, rng, None, lambda n, report, theta_cond: {"transformation": report.residual})
+    return _drive("bailey", samples, cfg.max_redraws, {"transformation": tol}, draws, [])
 
 
-def _qdybe_draw(cfg: RunConfig, rng: np.random.Generator) -> tuple[float, float]:
-    """(hexagon residual, middle determinant residual) of one drawn R-matrix."""
-    ctx = cfg.context(rng)
-    lam = draw_lambda(rng)
-    z1, z2, z3 = (draw_z(rng) for _ in range(3))
-    return qdybe_residual(lam, z1, z2, z3, ctx), det_residual(lam, z1, ctx)
+def _qdybe_ahead(cfg: RunConfig, rng: np.random.Generator, read: Callable) -> _DrawAhead:
+    """The draw-ahead sampler of the R-matrix: an attempt gives
+    ``read(hexagon residual, middle determinant residual)`` of its draw of
+    a base, lambda and three spectral points."""
+
+    def draw(k: int) -> list:
+        return list(zip(*cfg.draws(rng, k, ("context", "box", "annulus", "annulus", "annulus"))))
+
+    def check(ctx, lam: complex, z1: complex, z2: complex, z3: complex):
+        return read(qdybe_residual(lam, z1, z2, z3, ctx), det_residual(lam, z1, ctx))
+
+    return _DrawAhead(draw, partial(_each, check))
 
 
 def _suite_qdybe(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: float) -> dict:
-    def sample() -> dict[str, float]:
-        res, det = _qdybe_draw(cfg, rng)
-        return {"hexagon": res, "det closed form": det}
-
+    draws = _qdybe_ahead(cfg, rng, lambda res, det: {"hexagon": res, "det closed form": det})
     classes = {"hexagon": tol, "det closed form": QDYBE_DET_TOL}
-    return _drive("qdybe", samples, cfg.max_redraws, classes, sample, [])
+    return _drive("qdybe", samples, cfg.max_redraws, classes, draws, [])
 
 
 def _relations_ahead(
     cfg: RunConfig,
     rng: np.random.Generator,
+    read: Callable,
     omega: complex | None = None,
     lam: complex | None = None,
     det_forms: bool = False,
 ) -> _DrawAhead:
-    """The draw-ahead sampler of the relation checks: an attempt gives the
-    outcomes (``rep.bind_rows``) of its draw of a rep context and z1, z2,
-    z: the relation rows, and with ``det_forms`` the determinant-form
-    rows, else None."""
+    """The draw-ahead sampler of the relation checks: an attempt gives
+    ``read(relations, forms)`` of the outcomes (``rep.bind_rows``) of its
+    draw of a rep context and z1, z2, z: the relation rows, and with
+    ``det_forms`` the determinant-form rows, else None.  ``read`` raises an
+    outcome's error with ``rep.rows_of``."""
 
     def draw(k: int) -> list:
         # Relation sides multiply up to eight theta-quotient coefficients, so
@@ -500,10 +524,10 @@ def _relations_ahead(
     def evaluate(drawn: list) -> list:
         points = [(rc, {"z": z, "z1": z1, "z2": z2}) for rc, z1, z2, z in drawn]
         relations = bind_rows(_relation_rows, RELATIONS_SHAPE, points)
-        if not det_forms:
-            return [(rows, None) for rows in relations]
-        forms = bind_rows(_det_form_rows, DET_FORMS_SHAPE, [(rc, {"z": z}) for rc, *_, z in drawn])
-        return list(zip(relations, forms))
+        forms = [None] * len(drawn)
+        if det_forms:
+            forms = bind_rows(_det_form_rows, DET_FORMS_SHAPE, [(rc, {"z": z}) for rc, *_, z in drawn])
+        return _each(read, zip(relations, forms))
 
     return _DrawAhead(draw, evaluate)
 
@@ -512,10 +536,8 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
     notes: list[str] = []
     det_tol = 1e-10
     flagged: set[str] = set()
-    draws = _relations_ahead(cfg, rng, det_forms=True)
 
-    def sample() -> dict[str, float]:
-        relations, forms = draws.attempt()
+    def read(relations, forms) -> dict[str, float]:
         rows = rows_of(relations)
         # Flagged before the determinant forms' error is raised: an attempt
         # redrawn at that error keeps its notes.
@@ -525,15 +547,9 @@ def _suite_relations(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
                 notes.append(f"relation over tolerance: {rel_name} ({res:.3e})")
         return {"defining relations": worst(rows.values()), "det forms": worst(rows_of(forms).values())}
 
-    return _drive(
-        "relations",
-        samples,
-        cfg.max_redraws,
-        {"defining relations": tol, "det forms": det_tol},
-        sample,
-        notes,
-        draws.pending,
-    )
+    draws = _relations_ahead(cfg, rng, read, det_forms=True)
+    classes = {"defining relations": tol, "det forms": det_tol}
+    return _drive("relations", samples, cfg.max_redraws, classes, draws, notes)
 
 
 def _corep_tower(
@@ -542,13 +558,13 @@ def _corep_tower(
     """Worst spread per (k, j) at one level between the word action,
     ``tau_product`` and the closed form, over m < ``TOWER_M``.  The word
     action and the closed form come bound at the draw as ``tower``, the
-    level's reader of ``corep.closed_tower`` or ``corep.closed_towers``,
-    compiled once for the level; ``tau_product`` is the one side evaluated
-    over numbers, by one reader for the draw and level
-    (``corep.product_tower``), which evaluates each prefactor, elliptic
-    binomial and letter coefficient once.  Each (k, j, m) reads, or raises,
-    its word action, then its ``tau_product``, then its closed form, so the
-    first error of a draw is the one a numeric tower raises first."""
+    level's reader of ``corep.closed_towers``, compiled once for the level;
+    ``tau_product`` is the one side evaluated over numbers, by one reader
+    for the draw and level (``corep.product_tower``), which evaluates each
+    prefactor, elliptic binomial and letter coefficient once.  Each
+    (k, j, m) reads, or raises, its word action, then its ``tau_product``,
+    then its closed form, so the first error of a draw is the one a numeric
+    tower raises first."""
     product = product_tower(n_level, rc.lam0, z, rc.omega, rc.ctx)
     out: dict[tuple[int, int], float] = {}
     for k in range(n_level + 1):
@@ -568,29 +584,40 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
     min_indep = float("inf")
     counit_failures: list[str] = []
 
-    def sample() -> dict[str, float]:
+    def draw(k: int) -> list:
+        # The towers' rep context and z, then the tensor checks' second
+        # lambda, two relation points and six independence points: every
+        # attempt draws them, whether it runs the tensor checks or not.
+        kinds = ("context", "box", "box", "annulus", "box", *("annulus",) * 8)
+        return [(RepContext(omega, lam, ctx), *more) for ctx, omega, lam, *more in zip(*cfg.draws(rng, k, kinds))]
+
+    def evaluate(drawn: list) -> list:
+        # Each level's tower and conjugate tower bound at the whole batch.
+        pairs = [(rc, z) for rc, z, *_ in drawn]
+        towers = zip(*(closed_towers(tau_plan, n_level, pairs) for n_level in range(1, 5)))
+        conjugates = zip(*(closed_towers(tau_tilde_plan, n_level, pairs) for n_level in range(1, 4)))
+        return _each(check, [(t, c, *d) for d, t, c in zip(drawn, towers, conjugates)])
+
+    def check(towers, conjugates, rc: RepContext, z: complex, lam2: complex, *points) -> dict[str, float]:
         nonlocal completed, min_indep
-        rc, z = _rep_draws(cfg, rng, 1)[0]
-        ctx, omega, lam0 = rc.ctx, rc.omega, rc.lam0
+        ctx = rc.ctx
         tower = worst(
             res
-            for n_level in range(1, 5)
-            for res in _corep_tower(rc, z, n_level, closed_tower(tau_plan, n_level, rc, z)).values()
+            for n_level, bound in enumerate(towers, 1)
+            for res in _corep_tower(rc, z, n_level, bound).values()
         )
-        star_res = []
-        for n_level in range(1, 4):
-            conjugate = closed_tower(tau_tilde_plan, n_level, rc, z)
-            star_res += [
-                spread([conjugate(k, j, m, "word"), conjugate(k, j, m)])
-                for k in range(n_level + 1)
-                for j in range(n_level + 1)
-                for m in range(TOWER_M)
-            ]
+        star_res = [
+            spread([conjugate(k, j, m, "word"), conjugate(k, j, m)])
+            for n_level, conjugate in enumerate(conjugates, 1)
+            for k in range(n_level + 1)
+            for j in range(n_level + 1)
+            for m in range(TOWER_M)
+        ]
         for n_level in range(1, 6):
             counit_failures.extend(check_counit_exact(n_level, z, ctx))
         out = {"matrix element tower": tower, "conjugate tower": worst(star_res)}
         if completed < heavy_draws:
-            rc2 = RepContext(draw_lambda(rng), lam0, ctx)
+            rc2 = RepContext(lam2, rc.lam0, ctx)
             out["tensor coproduct"] = worst(
                 check_coproduct(n_level, z, m, n, rc, rc2)
                 for n_level in range(1, 4)
@@ -599,16 +626,14 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
             )
             out["tensor relations"] = worst(
                 check_tensor_relation(lhs, rhs, m, n, rc, rc2)
-                for _, lhs, rhs in relation_inventory(draw_z(rng), draw_z(rng), ctx)
+                for _, lhs, rhs in relation_inventory(points[0], points[1], ctx)
                 for m in range(2)
                 for n in range(2)
             )
             # More points than columns, each at its own basis index.
-            points = [(draw_z(rng), m) for m in range(6)]
+            basis = [(x, m) for m, x in enumerate(points[2:])]
             for n_level in range(1, 4):
-                ratio = linear_independence_ratio(
-                    n_level, lam0, omega, ctx, points[: n_level + 3]
-                )
+                ratio = linear_independence_ratio(n_level, rc.lam0, rc.omega, ctx, basis[: n_level + 3])
                 # A NaN ratio certifies nothing: count it as 0.0, below the floor.
                 min_indep = min(min_indep, 0.0 if math.isnan(ratio) else ratio)
         completed += 1
@@ -620,7 +645,7 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
         "tensor coproduct": tol,
         "tensor relations": tensor_tol,
     }
-    values, rejected = _sample(samples, cfg.max_redraws, sample)
+    values, rejected = _sample(samples, cfg.max_redraws, _DrawAhead(draw, evaluate))
     if counit_failures:
         counit = f"counit structure failures: {sorted(set(counit_failures))[:4]}"
     else:
@@ -654,30 +679,26 @@ def _suite_unitarity(cfg: RunConfig, rng: np.random.Generator, samples: int, tol
             })
         return out
 
-    draws = _DrawAhead(draw, evaluate)
-    return _drive(
-        "unitarity",
-        samples,
-        cfg.max_redraws,
-        {"unitarity": tol, "inversion sums": inversion_tol},
-        draws.attempt,
-        [],
-        draws.pending,
-    )
+    classes = {"unitarity": tol, "inversion sums": inversion_tol}
+    return _drive("unitarity", samples, cfg.max_redraws, classes, _DrawAhead(draw, evaluate), [])
 
 
 def _biorth_ahead(
-    cfg: RunConfig, rng: np.random.Generator, n_level: int, m_shift: int, dual: bool
+    cfg: RunConfig, rng: np.random.Generator, n_level: int, m_shift: int, dual: bool, read: Callable
 ) -> _DrawAhead:
     """The draw-ahead sampler at one sweep shape (N, M), direct or dual: an
-    attempt gives the rows of its draw's (dual) sweep (``biorth.sweep_rows``),
-    which the suite and the table read."""
+    attempt gives ``read`` of the rows of its draw's (dual) sweep
+    (``biorth.sweep_rows``)."""
 
     def draw(k: int) -> list:
         drawn = cfg.draws(rng, k, ("context", "box", "box", "annulus"))
         return [BiorthParams(n_level, lam, m_shift, omega, z, ctx) for ctx, lam, omega, z in zip(*drawn)]
 
-    return _DrawAhead(draw, partial(sweep_rows, dual=dual))
+    def evaluate(drawn: list) -> list:
+        # Each draw's outcome alone, its rows read or its error kept.
+        return _each(lambda rows: read(rows_of(rows)), zip(sweep_rows(drawn, dual=dual)))
+
+    return _DrawAhead(draw, evaluate)
 
 
 def _suite_biorth(
@@ -690,17 +711,17 @@ def _suite_biorth(
         "termwise vs oracle": 1e-7,
         "representation oracle": 1e-7,
     }
+
+    def read(rows) -> dict[str, float]:
+        # The classes in the order of a row's fields, max term left out.
+        return dict(zip(classes, map(worst, zip(*rows))))
+
     values: list[dict[str, float]] = []
     rejected = 0
     for n_level in range(1, 6):
         for m_shift in (0, 1, 2):
-            draws = _biorth_ahead(cfg, rng, n_level, m_shift, dual)
-
-            def sample() -> dict[str, float]:
-                # The classes in the order of a row's fields, max term left out.
-                return dict(zip(classes, map(worst, zip(*draws.attempt()))))
-
-            got, lost = _sample(samples, cfg.max_redraws, sample, draws.pending)
+            draws = _biorth_ahead(cfg, rng, n_level, m_shift, dual, read)
+            got, lost = _sample(samples, cfg.max_redraws, draws)
             values += got
             rejected += lost
     name = "dual-biorth" if dual else "biorth"
@@ -847,17 +868,13 @@ def corep_table(cfg: RunConfig, n_level: int, samples: int) -> dict:
     def draw(k: int) -> list:
         return _rep_draws(cfg, rng, k)
 
-    def evaluate(drawn: list) -> list:
-        out: list = []
-        for (rc, z), tower in zip(drawn, closed_towers(tau_plan, n_level, drawn)):
-            try:
-                out.append(_corep_tower(rc, z, n_level, tower).items())
-            except ArithmeticError as exc:
-                out.append(exc)
-        return out
+    def check(tower, rc: RepContext, z: complex) -> Iterable:
+        return _corep_tower(rc, z, n_level, tower).items()
 
-    draws = _DrawAhead(draw, evaluate)
-    values, rejected = _sample(samples, cfg.max_redraws, draws.attempt, draws.pending)
+    def evaluate(drawn: list) -> list:
+        return _each(check, [(tower, *d) for d, tower in zip(drawn, closed_towers(tau_plan, n_level, drawn))])
+
+    values, rejected = _sample(samples, cfg.max_redraws, _DrawAhead(draw, evaluate))
     entries = _grid(values, n_level, "j", tol)
     return _table(cfg, "corep", samples, rejected, tol, entries, N=n_level)
 
@@ -868,15 +885,14 @@ def bailey_table(cfg: RunConfig, order: int | None, samples: int) -> dict:
     ``order`` pins the truncation index of both sides; None draws it from
     0..6 per sample.  Draws whose condition number exceeds the cancellation
     budget of double precision are rejected and redrawn, as in the suite
-    (``_bailey_draw``).  Each entry reports the two factors of that condition
+    (``_bailey_ahead``).  Each entry reports the two factors of that condition
     apart: ``condition``, the report's cancellation between terms, and
     ``theta_condition``, the largest theta condition over the terms' factors.
     """
     rng = np.random.default_rng([cfg.seed, 300 + (99 if order is None else order)])
     tol = _tol(cfg, "bailey")
 
-    def sample() -> dict:
-        n, report, theta_cond = _bailey_draw(cfg, rng, order)
+    def read(n: int, report, theta_cond: float) -> dict:
         return {
             "n": n,
             "residual": report.residual,
@@ -885,7 +901,7 @@ def bailey_table(cfg: RunConfig, order: int | None, samples: int) -> dict:
             "pass": report.residual <= tol,
         }
 
-    entries, rejected = _sample(samples, cfg.max_redraws, sample)
+    entries, rejected = _sample(samples, cfg.max_redraws, _bailey_ahead(cfg, rng, order, read))
     return _table(cfg, "bailey", samples, rejected, tol, entries, n=order)
 
 
@@ -894,15 +910,14 @@ def qdybe_table(cfg: RunConfig, samples: int) -> dict:
     rng = np.random.default_rng([cfg.seed, 600])
     tol = _tol(cfg, "qdybe")
 
-    def sample() -> dict:
-        res, det = _qdybe_draw(cfg, rng)
+    def read(res: float, det: float) -> dict:
         return {
             "residual": res,
             "det_residual": det,
             "pass": res <= tol and det <= QDYBE_DET_TOL,
         }
 
-    entries, rejected = _sample(samples, cfg.max_redraws, sample)
+    entries, rejected = _sample(samples, cfg.max_redraws, _qdybe_ahead(cfg, rng, read))
     return _table(cfg, "qdybe", samples, rejected, tol, entries, det_tol=QDYBE_DET_TOL)
 
 
@@ -916,13 +931,8 @@ def relations_table(
     """
     rng = np.random.default_rng([cfg.seed, 700])
     tol = _tol(cfg, "relations")
-    draws = _relations_ahead(cfg, rng, omega, lam)
-
-    def sample() -> list[tuple[str, float]]:
-        relations, _ = draws.attempt()
-        return list(rows_of(relations).items())
-
-    values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)
+    draws = _relations_ahead(cfg, rng, lambda relations, _: list(rows_of(relations).items()), omega, lam)
+    values, rejected = _sample(samples, cfg.max_redraws, draws)
     entries = [
         {"relation": name, "max_rel_residual": v, "pass": v <= tol}
         for name, v in sorted(_worst(values).items())
@@ -943,14 +953,13 @@ def biorth_table(
     )
     check = "dual-biorth" if dual else "biorth"
     tol = _tol(cfg, check)
-    draws = _biorth_ahead(cfg, rng, n_level, m_shift, dual)
 
-    def sample() -> list[tuple[tuple[int, int], float]]:
+    def read(rows) -> list[tuple[tuple[int, int], float]]:
         # Row r is (k, l) = divmod(r, N + 1); its residual is its report's,
         # the worse of the sum and the oracle.
-        rows = enumerate(draws.attempt())
-        return [(divmod(r, n_level + 1), worst((s, o))) for r, (s, _, o, _) in rows]
+        return [(divmod(r, n_level + 1), worst((s, o))) for r, (s, _, o, _) in enumerate(rows)]
 
-    values, rejected = _sample(samples, cfg.max_redraws, sample, draws.pending)
+    draws = _biorth_ahead(cfg, rng, n_level, m_shift, dual, read)
+    values, rejected = _sample(samples, cfg.max_redraws, draws)
     entries = _grid(values, n_level, "l", tol)
     return _table(cfg, check, samples, rejected, tol, entries, N=n_level, M=m_shift)

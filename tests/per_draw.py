@@ -1,14 +1,16 @@
 """The per-draw forms of the drawn-ahead batches, kept as references.
 
-The suites draw, check and fold each drawn-ahead batch on arrays:
-``sampling.draw_batch`` draws a batch's attempts in one call,
+Every suite and table draws ahead, and checks and folds each batch on
+arrays: ``sampling.draw_batch`` draws a batch's attempts in one call,
 ``suites._theta_batch`` computes the theta suite's residuals for all its
 draws at once, and ``rep.Compiled.fold`` folds every draw of a bind
 together.  These are the one-draw-at-a-time forms those replaced, over
 Python numbers, which the batches must equal bit for bit:
 
-- the draw of one attempt of each drawn-ahead sampler, one ``rng.uniform``
-  per slot (``theta_attempt`` ... ``biorth_attempt``);
+- the draws one at a time, one ``rng.uniform`` per slot (``draw_base``,
+  ``draw_context``, ``draw_lambda``, ``draw_z``, and ``context`` at a run's
+  pinned base), and from them the draw of one attempt of each sampler
+  (``theta_attempt`` ... ``corep_attempt``);
 - the theta suite's worst residual at one draw (``theta_outcome``, from
   ``theta_worst``, ``theta_identity_residual`` and the scalar
   ``theta_condition``);
@@ -28,16 +30,49 @@ from ellu2 import suites
 from ellu2.biorth import BiorthParams
 from ellu2.rep import RepContext, item_errors
 from ellu2.residuals import TINY, worst
-from ellu2.sampling import draw_lambda, draw_z
-from ellu2.theta import THETA_RANGE, PoleError, theta_vec
+from ellu2.sampling import BOX_IM, BOX_RE, P_RANGE, Q_RANGE, RADIUS_RANGE
+from ellu2.theta import THETA_RANGE, PoleError, ThetaContext, theta_vec
 
 
 # -- the draws ----------------------------------------------------------------
 
 
+def draw_base(rng, p=None, q=None):
+    """The elliptic nome and deformation base, honoring fixed overrides.
+
+    The RNG is always consumed for both values so that pinning one of them
+    does not shift the stream feeding subsequent draws.
+    """
+    pv = rng.uniform(*P_RANGE)
+    qv = rng.uniform(*Q_RANGE)
+    return (p if p is not None else pv), (q if q is not None else qv)
+
+
+def draw_context(rng, p=None, q=None, zero_guard=1e-12):
+    pv, qv = draw_base(rng, p, q)
+    return ThetaContext(pv, qv, zero_guard=zero_guard)
+
+
+def draw_lambda(rng):
+    """A dynamical variable (or shift weight) from the standard complex box."""
+    return complex(rng.uniform(*BOX_RE), rng.uniform(*BOX_IM))
+
+
+def draw_z(rng):
+    """A spectral point from the annulus 0.5 <= |z| <= 2."""
+    rho = rng.uniform(*RADIUS_RANGE)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(rho * np.cos(phi), rho * np.sin(phi))
+
+
+def context(cfg, rng, zero_guard=1e-12):
+    """A context drawn at the run's pinned p and q."""
+    return draw_context(rng, cfg.p, cfg.q, zero_guard)
+
+
 def rep_attempt(cfg, rng, omega=None, lam=None, zero_guard=1e-12):
     """The base, then the weight omega and evaluation point lambda, each drawn unless pinned."""
-    ctx = cfg.context(rng, zero_guard)
+    ctx = context(cfg, rng, zero_guard)
     omega = draw_lambda(rng) if omega is None else omega
     lam = draw_lambda(rng) if lam is None else lam
     return RepContext(omega, lam, ctx)
@@ -45,7 +80,7 @@ def rep_attempt(cfg, rng, omega=None, lam=None, zero_guard=1e-12):
 
 def theta_attempt(cfg, rng):
     # The context, then z, w, x and y, in that order.
-    return (cfg.context(rng), *(draw_z(rng) for _ in range(4)))
+    return (context(cfg, rng), *(draw_z(rng) for _ in range(4)))
 
 
 def relations_attempt(cfg, rng, omega=None, lam=None):
@@ -60,9 +95,40 @@ def unitarity_attempt(cfg, rng):
 
 
 def biorth_attempt(cfg, rng, n_level, m_shift):
-    ctx = cfg.context(rng)
+    ctx = context(cfg, rng)
     lam, omega, z = draw_lambda(rng), draw_lambda(rng), draw_z(rng)
     return BiorthParams(n_level, lam, m_shift, omega, z, ctx)
+
+
+def series_attempt(cfg, rng):
+    """The base, the order n, a1 and the five upper parameters, then the
+    order the permuted series takes the free parameters in."""
+    ctx = context(cfg, rng)
+    n = int(rng.integers(0, 9))
+    a1 = draw_z(rng)
+    uppers = [draw_z(rng) for _ in range(5)]
+    return (ctx, n, a1, *uppers, tuple(int(i) for i in rng.permutation(6)))
+
+
+def bailey_attempt(cfg, rng, order=None):
+    """The base, the order n (drawn unless pinned), then six points."""
+    ctx = context(cfg, rng)
+    n = int(rng.integers(0, 7)) if order is None else order
+    return (ctx, n, *(draw_z(rng) for _ in range(6)))
+
+
+def qdybe_attempt(cfg, rng):
+    ctx = context(cfg, rng)
+    lam = draw_lambda(rng)
+    return (ctx, lam, *(draw_z(rng) for _ in range(3)))
+
+
+def corep_attempt(cfg, rng):
+    """The towers' rep context and z, then the tensor checks' second
+    lambda, two relation points and six independence points."""
+    rc, z = unitarity_attempt(cfg, rng)
+    lam2 = draw_lambda(rng)
+    return (rc, z, lam2, *(draw_z(rng) for _ in range(8)))
 
 
 # -- the theta suite --------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from ellu2.corep import _unitarity_rows, tau_plan, tau_tilde_plan
-from ellu2.sampling import draw_z
 from ellu2.series import check_bailey
 from ellu2.suites import (
     RunConfig,
@@ -30,7 +29,7 @@ from ellu2.suites import (
 )
 from ellu2.theta import PoleError, ThetaContext, theta_vec
 import per_draw
-from per_draw import theta_identity_residual
+from per_draw import draw_z, theta_identity_residual
 
 CFG = RunConfig(seed=20240)
 suites_mod = importlib.import_module("ellu2.suites")
@@ -75,7 +74,7 @@ def test_theta_three_term_gate_rejects_a_wrong_identity():
     # three-term relation fails the suite's 1e-10 gate on every draw.
     rng = np.random.default_rng(5)
     for _ in range(100):
-        ctx = CFG.context(rng)
+        ctx = per_draw.context(CFG, rng)
         z, w, x, y = (draw_z(rng) for _ in range(4))
         right = [
             (1.0, (x * y, x / y, z * w, z / w)),
@@ -255,10 +254,10 @@ def _nan_at_index_3(original):
     return patched
 
 
-def _nan_tower(plan, nan_side="closed", many=False):
-    # One side of the tower of ``plan`` ("closed" or "word"), each bound
-    # value NaN; the items that fail still raise.  With ``many``, the
-    # binder of many samples (``closed_towers``), each of its readers so.
+def _nan_tower(plan, nan_side="closed"):
+    # One side of the tower of ``plan`` ("closed" or "word") bound by
+    # ``closed_towers``, each bound value NaN in each of its readers; the
+    # items that fail still raise.
     def patch(original):
         def nan(read):
             def nan_read(k, j, m, side="closed"):
@@ -271,7 +270,7 @@ def _nan_tower(plan, nan_side="closed", many=False):
             got = original(build, *args)
             if build is not plan:
                 return got
-            return [nan(read) for read in got] if many else nan(got)
+            return [nan(read) for read in got]
 
         return patched
 
@@ -290,10 +289,9 @@ def _relations_table(cfg):
 # the named function return NaN.  The first two cases break a residual the
 # suites fold across samples; the others break one folded inside a check, or
 # the ratio of the corep suite's independence gate.  The corep towers' word
-# and closed sides are bound per level, at a batch of draws in the corep
-# tables (``corep.closed_towers``) and at one draw in the corep suite
-# (``corep.closed_tower``); the conjugate tower is a class of the corep
-# suite beside its headline.
+# and closed sides are bound per level at a batch of draws, in the corep
+# tables and the corep suite alike (``corep.closed_towers``); the conjugate
+# tower is a class of the corep suite beside its headline.
 NAN_CASES = {
     "qdybe-residual": (
         "suites", "qdybe_residual", _nan,
@@ -305,16 +303,16 @@ NAN_CASES = {
     "theta-product": ("suites", "_theta_identity_residual", _nan, [_suite("theta")]),
     "unitarity": ("suites", "bind_rows", _nan_rows(_unitarity_rows), [_suite("unitarity")]),
     "closed-tau": (
-        "suites", "closed_towers", _nan_tower(tau_plan, many=True),
+        "suites", "closed_towers", _nan_tower(tau_plan),
         [lambda cfg: corep_table(cfg, 2, cfg.samples)],
     ),
     "word-tau": (
-        "suites", "closed_towers", _nan_tower(tau_plan, "word", many=True),
+        "suites", "closed_towers", _nan_tower(tau_plan, "word"),
         [lambda cfg: corep_table(cfg, 2, cfg.samples)],
     ),
-    "conjugate-tau": ("suites", "closed_tower", _nan_tower(tau_tilde_plan), [_suite("corep")]),
+    "conjugate-tau": ("suites", "closed_towers", _nan_tower(tau_tilde_plan), [_suite("corep")]),
     "conjugate-word": (
-        "suites", "closed_tower", _nan_tower(tau_tilde_plan, "word"), [_suite("corep")]
+        "suites", "closed_towers", _nan_tower(tau_tilde_plan, "word"), [_suite("corep")]
     ),
     "basis-index-3": (
         "suites", "bind_rows", _nan_at_index_3, [_suite("relations"), _relations_table]

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from ellu2.biorth import BiorthParams, _draw, _sweep, check_biorth
-from ellu2.corep import _Tower, closed_tower, tau_plan, tau_tilde_plan
+from ellu2.corep import _Tower, tau_plan, tau_tilde_plan
 from ellu2.rep import RELATIONS_SHAPE, RepContext, _relation_rows, _rows_at, compiled
 from ellu2.theta import CODE, THETA_RANGE, PoleError, ThetaContext
+from one_element import closed_tower
 
 theta_mod = importlib.import_module("ellu2.theta")
 

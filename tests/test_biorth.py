@@ -21,10 +21,10 @@ from ellu2.biorth import _draw, _item, _oracle_keys, _reports, _series_parts, _s
 from ellu2.biorth import _sweep, _sweep_keys, sweep_rows
 from ellu2.rep import rows_of
 from ellu2.residuals import scaled, worst
-from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.series import vwp_sum
 from ellu2.theta import A1_GUARD, CODE, DEN_GUARD, DEN_ZERO, PoleError, ThetaContext, error
 from ellu2.theta import pochhammer
+from per_draw import draw_context, draw_lambda, draw_z
 
 theta_mod = importlib.import_module("ellu2.theta")
 

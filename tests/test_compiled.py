@@ -24,18 +24,16 @@ from ellu2.corep import inversion_elements, unitarity_words
 from ellu2.rep import (
     RepContext,
     apply_word_scaled,
-    check_det_forms,
-    check_relations,
     compiled,
     det_form_elements,
     det_scalar,
     relation_pairs,
 )
-from ellu2.sampling import draw_z
 from ellu2.suites import RunConfig, run_suite
 from ellu2.theta import PoleError, ThetaContext
 import per_draw
-from per_draw import rep_attempt
+from one_element import check_det_forms, check_relations
+from per_draw import draw_z, rep_attempt
 
 rep_mod = importlib.import_module("ellu2.rep")
 theta_mod = importlib.import_module("ellu2.theta")

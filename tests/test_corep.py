@@ -12,7 +12,6 @@ from ellu2.corep import (
     check_inversion_words,
     check_tensor_relation,
     check_unitarity,
-    closed_tower,
     gamma_cf,
     gamma_factor,
     inv_gamma_factor,
@@ -22,17 +21,16 @@ from ellu2.corep import (
     tau_plan,
     tau_product,
     tau_series_parts,
-    tau_tilde_closed,
     tau_tilde_plan,
     tau_tilde_series_parts,
 )
 from ellu2.rep import RepContext, apply_word, apply_word_scaled, relation_inventory
-from ellu2.sampling import draw_z
 from ellu2.series import vwp_sum
 from ellu2.suites import RunConfig, _corep_tower, run_suite
 from ellu2.theta import PoleError, Rec, ThetaContext, ThetaProduct, qarg
 from ellu2.words import star
-from per_draw import rep_attempt
+from one_element import closed_tower, tau_tilde_closed
+from per_draw import draw_z, rep_attempt
 
 corep_mod = importlib.import_module("ellu2.corep")
 suites_mod = importlib.import_module("ellu2.suites")

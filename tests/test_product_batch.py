@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from ellu2.biorth import BiorthParams, _sweep
-from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.theta import (
     DEN_GUARD,
     PRODUCT_RANGE,
@@ -35,6 +34,7 @@ from ellu2.theta import (
     known,
     qarg,
 )
+from per_draw import draw_context, draw_lambda, draw_z
 
 
 def products(plan):

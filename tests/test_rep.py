@@ -8,8 +8,6 @@ from ellu2.rep import (
     antipode_inverse_identities,
     apply_word,
     apply_word_scaled,
-    check_det_forms,
-    check_relations,
     coef_a,
     coef_b,
     coef_c,
@@ -20,6 +18,7 @@ from ellu2.rep import (
 )
 from ellu2.theta import theta
 from ellu2.words import L_alpha, L_beta, L_delta, L_gamma, word
+from one_element import check_det_forms, check_relations
 
 
 def draw_rc(ctx, rng):

@@ -10,16 +10,8 @@ import numpy as np
 import pytest
 
 from ellu2 import suites
-from ellu2.biorth import BiorthCache, BiorthParams, BiorthReport, check_biorth, check_dual_biorth
-from ellu2.sampling import (
-    P_RANGE,
-    Q_RANGE,
-    draw_base,
-    draw_context,
-    draw_lambda,
-    draw_z,
-    run_with_redraws,
-)
+from ellu2.biorth import BiorthCache, BiorthReport, check_biorth, check_dual_biorth
+from ellu2.sampling import P_RANGE, Q_RANGE, draw_batch, run_with_redraws
 from ellu2.rep import RepContext
 from ellu2.theta import THETA_RANGE, PoleError
 import per_draw
@@ -28,28 +20,25 @@ biorth_mod = importlib.import_module("ellu2.biorth")
 
 
 def test_draw_ranges(rng):
-    for _ in range(50):
-        p, q = draw_base(rng)
-        assert P_RANGE[0] <= p <= P_RANGE[1]
-        assert Q_RANGE[0] <= q <= Q_RANGE[1]
-        lam = draw_lambda(rng)
+    for ctx, lam, z in zip(*draw_batch(rng, 50, ("context", "box", "annulus"))):
+        assert P_RANGE[0] <= ctx.p <= P_RANGE[1]
+        assert Q_RANGE[0] <= ctx.q <= Q_RANGE[1]
         assert -2 <= lam.real <= 2 and -1 <= lam.imag <= 1
-        z = draw_z(rng)
         assert 0.5 <= abs(z) <= 2.0
 
 
 def test_pinned_bases_do_not_shift_the_stream():
     a = np.random.default_rng(3)
     b = np.random.default_rng(3)
-    draw_base(a)
-    draw_base(b, p=0.1, q=0.8)
+    draw_batch(a, 1, ("context",))
+    draw_batch(b, 1, ("context",), p=0.1, q=0.8)
     assert a.uniform() == b.uniform()
-    assert draw_base(np.random.default_rng(0), p=0.1)[0] == 0.1
-    assert draw_base(np.random.default_rng(0), q=0.8)[1] == 0.8
+    assert draw_batch(np.random.default_rng(0), 1, ("context",), p=0.1)[0][0].p == 0.1
+    assert draw_batch(np.random.default_rng(0), 1, ("context",), q=0.8)[0][0].q == 0.8
 
 
 def test_draw_context_applies_policy(rng):
-    ctx = draw_context(rng, p=0.2, q=0.7, zero_guard=1e-6)
+    (ctx,), = draw_batch(rng, 1, ("context",), p=0.2, q=0.7, zero_guard=1e-6)
     assert ctx.p == 0.2 and ctx.q == 0.7
     assert ctx.zero_guard == 1e-6
 
@@ -94,6 +83,14 @@ def test_a_suite_redraws_a_check_that_overflows(monkeypatch):
     assert raised and rec["pass"] and rec["rejected"] == 0
 
 
+class OneAtATime:
+    """A sampler of the shape ``suites._sample`` takes whose ``attempt``
+    draws and evaluates one attempt alone, raising its error."""
+
+    def __init__(self, attempt):
+        self.attempt = attempt
+
+
 def sequential_biorth(cfg, rng, N, M, samples, dual, fail):
     """The reference sampler: each attempt drawn and evaluated alone, in
     turn; attempt t raises ``fail[t]`` once drawn."""
@@ -102,14 +99,13 @@ def sequential_biorth(cfg, rng, N, M, samples, dual, fail):
 
     def sample():
         t = next(attempts)
-        ctx = cfg.context(rng)
-        bp = BiorthParams(N, draw_lambda(rng), M, draw_lambda(rng), draw_z(rng), ctx)
+        bp = per_draw.biorth_attempt(cfg, rng, N, M)
         if t in fail:
             raise fail[t]
         cache = BiorthCache()
         return {(k, l): checker(bp, k, l, cache) for k in range(N + 1) for l in range(N + 1)}
 
-    return suites._sample(samples, cfg.max_redraws, sample)
+    return suites._sample(samples, cfg.max_redraws, OneAtATime(sample))
 
 
 def prefetched_biorth(monkeypatch, cfg, rng, N, M, samples, dual, fail):
@@ -125,14 +121,12 @@ def prefetched_biorth(monkeypatch, cfg, rng, N, M, samples, dual, fail):
             super().__init__(draw, failing)
 
     monkeypatch.setattr(suites, "_DrawAhead", Failing)
-    draws = suites._biorth_ahead(cfg, rng, N, M, dual)
 
-    def sample():
-        rows = draws.attempt()
+    def read(rows):
         kls = [(k, l) for k in range(N + 1) for l in range(N + 1)]
         return {kl: BiorthReport(*row) for kl, row in zip(kls, rows)}
 
-    return suites._sample(samples, cfg.max_redraws, sample, draws.pending)
+    return suites._sample(samples, cfg.max_redraws, suites._biorth_ahead(cfg, rng, N, M, dual, read))
 
 
 def watched(monkeypatch, run):
@@ -351,8 +345,8 @@ def assert_rows_or_error(got):
 
 
 PROTOCOL_RUNS = {
-    # The relations suite's outcome is a pair: the relation rows and the
-    # determinant-form rows.
+    # The relations suite's outcome is the worst of its relation rows and
+    # of its determinant-form rows, by class.
     "relations": lambda: suites.run_suite("relations", suites.RunConfig(seed=1, samples=3)),
     "unitarity": lambda: suites.run_suite("unitarity", suites.RunConfig(seed=1, samples=2)),
     "corep table": lambda: suites.corep_table(suites.RunConfig(seed=1), 2, 3),
@@ -367,8 +361,7 @@ def test_a_batch_gives_each_draw_its_rows_or_its_error(monkeypatch, case):
     for drawn, outcomes in batches:
         assert len(outcomes) == len(drawn)
         for got in outcomes:
-            for part in got if case == "relations" else (got,):
-                assert_rows_or_error(part)
+            assert_rows_or_error(got)
 
 
 def row_hexes(rows):
@@ -380,10 +373,19 @@ def row_hexes(rows):
     [(20240, 8, False, 2), (20240, 8, True, 0), (3164770343, 6, False, 1), (3164770343, 6, True, 0)],
 )
 def test_a_biorth_batch_gives_each_draw_its_own_sweep(monkeypatch, seed, N, dual, failing):
-    # The levels tables of the pinned overflow draws: each draw's outcome is
-    # bit for bit the rows of its sweep bound alone, or, where a row fails,
-    # the error that the first failing check in row order raises.
-    batches = evaluated(monkeypatch)
+    # The levels tables of the pinned overflow draws: each draw's outcome of
+    # its batch's sweep is bit for bit the rows of its sweep bound alone, or,
+    # where a row fails, the error that the first failing check in row
+    # order raises.
+    batches = []
+    sweep = suites.sweep_rows
+
+    def recording(drawn, dual):
+        got = sweep(drawn, dual)
+        batches.append((drawn, got))
+        return got
+
+    monkeypatch.setattr(suites, "sweep_rows", recording)
     suites.biorth_table(suites.RunConfig(seed=seed), N, 1, 2, dual)
     check = check_dual_biorth if dual else check_biorth
     failed = 0
@@ -462,6 +464,34 @@ DRAW_RUNS = {
         lambda cfg: suites.corep_table(cfg, 2, cfg.samples), 102,
         lambda cfg, rng, got: per_draw.unitarity_attempt(cfg, rng),
     ),
+    "series suite": (
+        lambda cfg: suites.run_suite("series", cfg), 1,
+        lambda cfg, rng, got: per_draw.series_attempt(cfg, rng),
+    ),
+    "bailey suite": (
+        lambda cfg: suites.run_suite("bailey", cfg), 2,
+        lambda cfg, rng, got: per_draw.bailey_attempt(cfg, rng),
+    ),
+    "qdybe suite": (
+        lambda cfg: suites.run_suite("qdybe", cfg), 3,
+        lambda cfg, rng, got: per_draw.qdybe_attempt(cfg, rng),
+    ),
+    "corep suite": (
+        lambda cfg: suites.run_suite("corep", cfg), 5,
+        lambda cfg, rng, got: per_draw.corep_attempt(cfg, rng),
+    ),
+    "bailey table": (
+        lambda cfg: suites.bailey_table(cfg, None, cfg.samples), 399,
+        lambda cfg, rng, got: per_draw.bailey_attempt(cfg, rng),
+    ),
+    "pinned bailey table": (
+        lambda cfg: suites.bailey_table(cfg, 4, cfg.samples), 304,
+        lambda cfg, rng, got: per_draw.bailey_attempt(cfg, rng, 4),
+    ),
+    "qdybe table": (
+        lambda cfg: suites.qdybe_table(cfg, cfg.samples), 600,
+        lambda cfg, rng, got: per_draw.qdybe_attempt(cfg, rng),
+    ),
 }
 
 
@@ -485,3 +515,36 @@ def test_batched_draws_equal_drawing_one_at_a_time(monkeypatch, case):
             want = [reference(cfg, rng, got) for got in drawn]
             assert len(batches) > 1 and len(drawn) >= 12
             assert attempt_bits(drawn) == attempt_bits(want), (seed, pinned)
+
+
+def test_a_failed_corep_attempt_leaves_every_later_attempt_unchanged(monkeypatch):
+    # The corep suite's first attempt fails, its tower patched to raise at
+    # N = 1.  Every attempt draws the tensor checks' points, whether it runs
+    # them or not, so attempt t draws the numbers it draws when none fails:
+    # the towers' draw, which the patch records, and every number the
+    # batches are handed.
+    tower = suites._corep_tower
+
+    def run(fail: bool):
+        towers, calls = [], itertools.count()
+
+        def recorded(rc, z, n_level, *bound):
+            if n_level == 1:
+                towers.append(attempt_bits((rc, z)))
+                if fail and next(calls) == 0:
+                    raise PoleError("first attempt")
+            return tower(rc, z, n_level, *bound)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "_corep_tower", recorded)
+            batches = evaluated(patch)
+            report = suites.run_suite("corep", suites.RunConfig(seed=20240, samples=4))
+        drawn = [attempt_bits(attempt) for attempts, _ in batches for attempt in attempts]
+        return report, towers, drawn
+
+    clean, failed = run(False), run(True)
+    assert clean[0]["pass"] and failed[0]["pass"]
+    assert (failed[0]["samples"], failed[0]["rejected"]) == (4, 0)
+    for want, got in zip(clean[1:], failed[1:]):
+        assert len(want) == 4 and len(got) > 4
+        assert got[:4] == want

@@ -15,7 +15,6 @@ import pytest
 
 from ellu2 import suites
 from ellu2.biorth import BiorthParams
-from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.series import (
     A1_GUARD,
     DEN_GUARD,
@@ -41,6 +40,7 @@ from ellu2.theta import (
     garg,
     qarg,
 )
+from per_draw import draw_context, draw_lambda, draw_z
 
 # -- the arithmetic twin --------------------------------------------------------
 

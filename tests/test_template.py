@@ -37,7 +37,6 @@ from ellu2.biorth import (
     weight_w1,
     weight_w2,
 )
-from ellu2.sampling import draw_context, draw_lambda, draw_z
 from ellu2.series import A1_GUARD, _Series, vwp_plan
 from ellu2.theta import (
     DEN_GUARD,
@@ -60,6 +59,7 @@ from ellu2.theta import (
     qarg,
     theta_vec,
 )
+from per_draw import draw_context, draw_lambda, draw_z
 
 biorth_mod = importlib.import_module("ellu2.biorth")
 theta_mod = importlib.import_module("ellu2.theta")

@@ -13,10 +13,9 @@ import pytest
 from ellu2.corep import check_coproduct, check_tensor_relation, t_word
 from ellu2.rep import RepContext, apply_word_states, relation_inventory
 from ellu2.residuals import residual_between, worst
-from ellu2.sampling import draw_lambda, draw_z
 from ellu2.suites import RunConfig
 from ellu2.words import coproduct, word
-from per_draw import rep_attempt
+from per_draw import draw_lambda, draw_z, rep_attempt
 
 # -- the frozen copies ----------------------------------------------------------
 

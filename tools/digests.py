@@ -49,10 +49,14 @@ all computed in one process:
 - the drawn attempts (``drawn_attempts``): ``float.hex`` of every number
   of every attempt each drawn-ahead sampler (``suites._DrawAhead``) hands
   its batch evaluation in its first two batches at seed 20240: the
-  battery's suites, and the relations (drawn and pinned weights), biorth
-  and corep tables.  The attempts are recorded by wrapping the evaluation
-  each sampler is made with, so the tool reads any tree whose samplers
-  take (draw, evaluate).
+  battery's suites but series, and the relations (drawn and pinned
+  weights), biorth and corep tables.  The attempts are recorded by
+  wrapping the evaluation each sampler is made with, so the tool reads any
+  tree whose samplers take (draw, evaluate);
+- the same of the series, bailey, qdybe and corep suites and the bailey
+  and qdybe tables (``drawn_attempts_rest``), kept on a line of its own
+  so that the line above compares with trees where these drew one
+  attempt at a time.
 
 Each ``ellu2`` command's digest is of what it writes to stdout.  Run it on
 two checkouts and compare the lines: equal lines mean equal report bytes.
@@ -84,10 +88,10 @@ from ellu2.rep import DET_FORMS_SHAPE, RELATIONS_SHAPE, RepContext, _det_form_ro
 from ellu2.rep import compiled, relation_inventory
 from ellu2.rmatrix import qdybe_residual, r_entries
 from ellu2.series import SeriesSpec, eval_omega
-from ellu2.sampling import draw_context, draw_lambda, draw_z
+from ellu2.sampling import draw_batch
 from ellu2 import suites
-from ellu2.suites import AHEAD, RunConfig, biorth_table, canonical_json, corep_table
-from ellu2.suites import relations_table, run_report
+from ellu2.suites import AHEAD, RunConfig, bailey_table, biorth_table, canonical_json, corep_table
+from ellu2.suites import qdybe_table, relations_table, run_report, run_suite
 from ellu2.theta import PoleError, ThetaContext, error, garg, qarg, theta, theta_vec
 
 BATTERY = ["theta", "series", "relations", "unitarity", "biorth", "dual-biorth"]
@@ -193,11 +197,12 @@ def tensor_residuals() -> str:
     lines = []
     for seed in TENSOR_SEEDS:
         rng = np.random.default_rng(seed)
-        # The base, omega and lambda, then z, as the corep suite draws them.
-        ctx = draw_context(rng)
-        rc = RepContext(draw_lambda(rng), draw_lambda(rng), ctx)
-        z = draw_z(rng)
-        rc2 = RepContext(draw_lambda(rng), rc.lam0, rc.ctx)
+        # The base, omega and lambda, then z, as the corep suite draws them,
+        # then the second leg's lambda and the two relation points.
+        kinds = ("context", "box", "box", "annulus", "box", "annulus", "annulus")
+        ctx, omega, lam, z, lam2, z1, z2 = (got for (got,) in draw_batch(rng, 1, kinds))
+        rc = RepContext(omega, lam, ctx)
+        rc2 = RepContext(lam2, rc.lam0, rc.ctx)
         coproducts = (
             check_coproduct(N, z, m, n, rc, rc2)
             for N in range(1, 4)
@@ -207,7 +212,7 @@ def tensor_residuals() -> str:
         lines.append(" ".join(map(float.hex, coproducts)))
         relations = (
             check_tensor_relation(lhs, rhs, m, n, rc, rc2)
-            for _, lhs, rhs in relation_inventory(draw_z(rng), draw_z(rng), rc.ctx)
+            for _, lhs, rhs in relation_inventory(z1, z2, rc.ctx)
             for m in range(2)
             for n in range(2)
         )
@@ -226,10 +231,8 @@ def failing_plans() -> str:
     for N in FAILURE_LEVELS:
         for dual in (False, True):
             rng = np.random.default_rng([cfg.seed, (500 if dual else 200) + 10 * N + M])
-            bps = []
-            for _ in range(2 * cfg.max_redraws):
-                ctx = draw_context(rng)
-                bps.append(BiorthParams(N, draw_lambda(rng), M, draw_lambda(rng), draw_z(rng), ctx))
+            drawn = draw_batch(rng, 2 * cfg.max_redraws, ("context", "box", "box", "annulus"))
+            bps = [BiorthParams(N, lam, M, omega, z, ctx) for ctx, lam, omega, z in zip(*drawn)]
             template = _sweep(bps[0]).template
             for start in range(0, len(bps), AHEAD):
                 draws = [(bp.ctx, bp.Lam, bp.omega, bp.z) for bp in bps[start : start + AHEAD]]
@@ -314,10 +317,8 @@ def bound_values() -> str:
     1e-12.  Each draw is a base, lambda, omega and the spectral points z,
     z1 and z2, from one generator seeded with ``BOUND_SEED``."""
     rng = np.random.default_rng(BOUND_SEED)
-    drawn = []
-    for _ in range(BOUND_DRAWS):
-        ctx = draw_context(rng)
-        drawn.append((ctx, draw_lambda(rng), draw_lambda(rng), *(draw_z(rng) for _ in range(3))))
+    kinds = ("context", "box", "box", "annulus", "annulus", "annulus")
+    drawn = list(zip(*draw_batch(rng, BOUND_DRAWS, kinds)))
 
     def line(name: str, template, guard: float) -> str:
         draws = [(ThetaContext(ctx.p, ctx.q, guard), *rest) for ctx, *rest in drawn]
@@ -351,13 +352,11 @@ def attempt_hex(x) -> str:
     return x.hex() if isinstance(x, float) else str(x)
 
 
-def drawn_attempts() -> str:
+def _first_batches(run) -> str:
     """One line per batch: ``attempt_hex`` of the attempts of each of the
-    first two batches of each drawn-ahead sampler, samplers in the order
-    they are made: those of ``run_report`` over the battery's suites, of
-    ``relations_table`` with the weights drawn and pinned (5 samples), of
-    the direct and dual ``biorth_table`` at N = 6, M = 1 and of
-    ``corep_table`` at N = 5 (2 samples each), all at ``DRAW_SEED``."""
+    first two batches of each drawn-ahead sampler that ``run()`` makes, in
+    the order they are made.  The attempts are recorded by wrapping the
+    evaluation each sampler is made with."""
     lines: list = []
     draw_ahead = suites._DrawAhead
 
@@ -374,18 +373,49 @@ def drawn_attempts() -> str:
 
             super().__init__(draw, recording)
 
-    cfg = RunConfig(seed=DRAW_SEED)
     suites._DrawAhead = Recording
     try:
-        run_report(cfg, BATTERY)
+        run()
+    finally:
+        suites._DrawAhead = draw_ahead
+    return "\n".join(lines)
+
+
+def drawn_attempts() -> str:
+    """``_first_batches`` of the samplers of ``run_report`` over the
+    battery's suites but series, of ``relations_table`` with the weights
+    drawn and pinned (5 samples), of the direct and dual ``biorth_table``
+    at N = 6, M = 1 and of ``corep_table`` at N = 5 (2 samples each), all
+    at ``DRAW_SEED``: the samplers that drew ahead when this line was
+    added.  The series suite's are on the next line."""
+    cfg = RunConfig(seed=DRAW_SEED)
+
+    def run():
+        run_report(cfg, [name for name in BATTERY if name != "series"])
         relations_table(cfg, None, None, 5)
         relations_table(cfg, 0.3 - 0.2j, -0.7 + 0.4j, 5)
         for dual in (False, True):
             biorth_table(cfg, 6, 1, 2, dual)
         corep_table(cfg, 5, 2)
-    finally:
-        suites._DrawAhead = draw_ahead
-    return "\n".join(lines)
+
+    return _first_batches(run)
+
+
+def drawn_attempts_rest() -> str:
+    """``_first_batches`` of the samplers of the series, bailey, qdybe and
+    corep suites at their registered counts, of ``bailey_table`` with the
+    order drawn and pinned at 4 and of ``qdybe_table`` (5 samples each),
+    all at ``DRAW_SEED``."""
+    cfg = RunConfig(seed=DRAW_SEED)
+
+    def run():
+        for name in ("series", "bailey", "qdybe", "corep"):
+            run_suite(name, cfg)
+        bailey_table(cfg, None, 5)
+        bailey_table(cfg, 4, 5)
+        qdybe_table(cfg, 5)
+
+    return _first_batches(run)
 
 
 def _round_seed(i: int) -> int:
@@ -426,6 +456,7 @@ def reports():
     yield "compiled programs", compiled_programs()
     yield "bound values", bound_values()
     yield "drawn attempts", drawn_attempts()
+    yield "drawn attempts (series, bailey, qdybe, corep)", drawn_attempts_rest()
 
 
 if __name__ == "__main__":

@@ -8,15 +8,19 @@ workload (``perfbench/workloads.py``, run in this process as
 the CLI commands of ``COMMANDS`` (``run --suite all``, each ``check``
 command and each ``eval`` command), their output discarded.  All of it runs
 under a ``sys.settrace`` line tracer that records the lines executed in
-``src/ellu2`` and nothing else.  It takes about 20 s on a 2-core x86-64
+``src/ellu2`` and nothing else.  It takes about 30 s on a 2-core x86-64
 machine, reports on stderr whether each round passed its checks and each
 command's exit code, and writes nothing.
 
 It prints the functions that no traffic calls, then the functions with at
 least ``MISSED`` statements that no traffic executes, each with its missed
-statement lines.  A listed function is a candidate for deletion, not a
-verdict: error handling, the independent oracles and reference paths, and
-seams that tests need stay, though no traffic reaches them.
+statement lines.  A function that no traffic calls is a candidate for
+deletion, unless ``OFF_TRAFFIC`` names it with the reason it stays: a name
+the benchmark's tracer binds (``perfbench/tracer.py``, pinned in
+``tests/test_bench_contract.py``) or a helper of one, an error or
+exact-zero path, or a seam that tests need.  The tool exits 1 if a
+function no traffic calls is not listed, or if a listed one is gone or
+called; else 0.
 """
 
 from __future__ import annotations
@@ -50,6 +54,35 @@ COMMANDS = [
 ]
 # Statements that run no code of their own, or whose line no event names.
 _SILENT = (ast.Global, ast.Nonlocal, ast.Try)
+_PINNED = "pinned by the benchmark's tracer"
+# The functions no traffic calls on purpose, by file and qualified name,
+# each with the reason it stays.
+OFF_TRAFFIC = {
+    "biorth.py norm_h": _PINNED,
+    "biorth.py weight_w1": _PINNED,
+    "biorth.py weight_w2": _PINNED,
+    "biorth.py c_det_product": _PINNED,
+    "biorth.py check_biorth": _PINNED,
+    "biorth.py check_dual_biorth": _PINNED,
+    "biorth.py _item": "the one item of a pinned one-item entry (norm_h, weight_w1, ...)",
+    "biorth.py _check": "the report of the pinned check_biorth and check_dual_biorth",
+    "biorth.py BiorthCache.__init__": "the cache of the pinned check_biorth; the tracer counts its hits",
+    "biorth.py BiorthCache.get": _PINNED,
+    "biorth.py BiorthReport.residual": "test seam: the worse of a report's sum and oracle residuals",
+    "biorth.py _is_zero": "error path: a zero divisor, tested only where a cheap mask finds one",
+    "corep.py check_unitarity": _PINNED,
+    "corep.py check_inversion_words": _PINNED,
+    "corep.py _element_residual": "the one element of the pinned check_unitarity and check_inversion_words",
+    "rep.py apply_word_scaled": _PINNED,
+    "rep.py _rows_at": "the one-sample bind of the pinned corep checks; a test seam",
+    "theta.py ThetaContext.conj": "test seam: tau_tilde_plan over numbers, the tests' tau_tilde_closed",
+    "theta.py Factor.__neg__": "test seam: the faults that negate a value over records",
+    "theta.py _same": "the finish of a known plan of many records, which the templates compile, not call",
+    "theta.py _zeroed": "exact-zero path: a product whose exact zero survives, finished to 0",
+    "words.py CoefficientFn.__repr__": "test seam: a coefficient's name in a failing assertion",
+    "words.py AlgebraElement.__len__": "test seam: the number of terms of an element",
+    "words.py bigrade": "test seam: the grading the word tests check",
+}
 
 
 class Function:
@@ -151,12 +184,16 @@ def main() -> int:
         traffic()
     finally:
         sys.settrace(None)
-    uncalled, partial = [], []
+    uncalled, partial, unlisted, stale = [], [], [], dict(OFF_TRAFFIC)
     for path in sorted(PACKAGE.glob("*.py")):
         for fn in functions(path):
             where = f"{path.relative_to(ROOT)}:{fn.first} {fn.qualname}"
+            key = f"{path.name} {fn.qualname}"
             if (str(path), fn.first) not in tracer.calls:
-                uncalled.append(f"{where} ({len(fn.lines)} statements)")
+                reason = stale.pop(key, None)
+                uncalled.append(f"{where} ({len(fn.lines)} statements): {reason or 'NOT LISTED'}")
+                if reason is None:
+                    unlisted.append(where)
                 continue
             missed = sorted(n for n in fn.lines if (str(path), n) not in tracer.lines)
             if len(missed) >= MISSED:
@@ -165,6 +202,10 @@ def main() -> int:
     print("\n".join(f"  {line}" for line in uncalled))
     print(f"{len(partial)} functions with at least {MISSED} statements no traffic executes:")
     print("\n".join(f"  {line}" for line in partial))
+    if unlisted or stale:
+        print(f"{len(unlisted)} uncalled functions not in OFF_TRAFFIC, {len(stale)} listed ones gone or called:")
+        print("\n".join(f"  {line}" for line in unlisted + list(stale)))
+        return 1
     return 0
 
 
