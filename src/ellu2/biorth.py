@@ -38,8 +38,9 @@ item positions (``_Program``): for every (k, l) row, every summand j and
 every factor of the summand and of its representation-side value.  The
 reports of all (N + 1)^2 rows of every sample are computed in one pass, the
 samples' rows end to end, over split real and imaginary arrays, with
-CPython's complex formulas (``theta._c_mul``, ``_c_div``, and ``hypot`` for
-``abs``), sums over j added left to right.  Each report has the bits the
+CPython's complex formulas (``theta._c_mul``, ``_c_div``) and the array
+forms of the residuals and their folds over j (``residuals.scaled_split``,
+``sum_along``, ``max_along``, ``worst_along``).  Each report has the bits the
 same arithmetic in Python complex numbers gives at its sample alone.  A
 check with k or l outside 0..N is refused with ``ValueError``.
 Each check returns its row, or raises what that arithmetic raises: the first
@@ -62,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .corep import gamma_plan, tau_plan, tau_series_parts, tau_tilde_plan, tau_tilde_series_parts
-from .residuals import worst
+from .residuals import max_along, scaled_split, sum_along, worst, worst_along
 from .series import vwp_plan
 from .theta import (
     ABS_RANGE,
@@ -246,11 +247,7 @@ def _weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     tp.poch(garg(qp(2 * (Lam - om + 2 * M + 2))), i1, inv=True)
     tp.poch(garg(z * qp(2 * (Lam - i2 + M) - om - 1)), i1)
     tp.poch(garg(qp(-2 * (N - 2 - M - i2) - om + 1) / z), i1, inv=True)
-    tp.poch(qarg(M + i2 + 1), i1)
-    if not merged:
-        tp.poch(qarg(-(N - i2)), i1)
-    tp.poch(garg(qp(-2 * (Lam - i2 + 1))), i1)
-    tp.poch(garg(qp(-2 * (om - M - i2))), i1)
+    _shared_blocks(tp, bp, i1, i2, merged)
     tp.poch(qarg(1), i1, inv=True)
     tp.poch(garg(qp(2 * (Lam - N + M + 2))), i1, inv=True)
     tp.poch(qarg(M + 1), i1, inv=True)
@@ -260,6 +257,18 @@ def _weight_w1(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     tp.poch(garg(qp(2 * (Lam - N - om + M + 1))), i1, inv=True)
     parts = [tp, _norm_gauge(bp, i1), _norm_first(bp, i2)]
     return combine(ctx, parts, _w1_value)
+
+
+def _shared_blocks(tp: ThetaProduct, bp: BiorthParams, i1: int, i2: int, merged: bool) -> None:
+    """Multiply ``tp`` by the Pochhammer factors both weights take, in their
+    order: the finite block (q^(-2(N-i2)); q^2)_i1 left out where ``merged``
+    takes its sign and power out."""
+    qp = bp.ctx.qpow
+    tp.poch(qarg(bp.M + i2 + 1), i1)
+    if not merged:
+        tp.poch(qarg(-(bp.N - i2)), i1)
+    tp.poch(garg(qp(-2 * (bp.Lam - i2 + 1))), i1)
+    tp.poch(garg(qp(-2 * (bp.omega - bp.M - i2))), i1)
 
 
 def _merged_sign_power(qp, N: int, i1: int, i2: int):
@@ -277,11 +286,7 @@ def _weight_w2(bp: BiorthParams, i1: int, i2: int, merged: bool) -> Plan:
     qp = ctx.qpow
     Lam, M, om, z, N = bp.Lam, bp.M, bp.omega, bp.z, bp.N
     tp = ThetaProduct(ctx, _merged_sign_power(qp, N, i1, i2) if merged else 1.0)
-    tp.poch(qarg(M + i2 + 1), i1)
-    if not merged:
-        tp.poch(qarg(-(N - i2)), i1)
-    tp.poch(garg(qp(-2 * (Lam - i2 + 1))), i1)
-    tp.poch(garg(qp(-2 * (om - M - i2))), i1)
+    _shared_blocks(tp, bp, i1, i2, merged)
     tp.poch(garg(qp(-2 * (Lam - 2 * i2 + 1))), i1, inv=True)
     tp.poch(garg(qp(-2 * (N - 3 - Lam + i2 - M) - om - 1) / z), i1)
     tp.poch(garg(z * qp(2 * (M + i2) - om - 1)), i1, inv=True)
@@ -557,12 +562,11 @@ def _residuals(p: _Program, re: np.ndarray, im: np.ndarray, faults: list) -> tup
     else:
         hk = re[p.head[1]], im[p.head[1]]
         target = np.where(p.diag, hk[0], 0.0), np.where(p.diag, hk[1], 0.0)
-        reference = _mul(hk, oracle)
+        reference = _c_mul(*hk, *oracle)
     max_term = _peak(terms, faults)
-    sum_res = _scaled(_total(terms), target, max_term, faults)
-    term_res = _worst(_scaled(terms, reference, max_term * 1e-16, faults))
-    total = _total(oracle)
-    oracle_res = _scaled(total, _delta(p), _peak(oracle, faults), faults)
+    sum_res = _scaled(sum_along(terms), target, max_term, faults)
+    term_res = worst_along(_scaled(terms, reference, max_term * 1e-16, faults))
+    oracle_res = _scaled(sum_along(oracle), _delta(p), _peak(oracle, faults), faults)
     return sum_res, term_res, oracle_res, max_term
 
 
@@ -573,9 +577,9 @@ def _terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: list) -> tuple:
     if p.dual:
         w1, w2, h, f1, f2 = factors
         faults.append((h[0] != 0, lambda: [(COMPLEX_BY_ZERO, _is_zero(h))]))
-        return _mul(_mul(_div(_mul(w1, w2), h), f1), f2)
+        return _c_mul(*_c_mul(*_c_div(*_c_mul(*w1, *w2), *h), *f1), *f2)
     w1, w2, f1, f2 = factors
-    return _mul(_mul(_mul(w1, w2), f1), f2)
+    return _c_mul(*_c_mul(*_c_mul(*w1, *w2), *f1), *f2)
 
 
 def _oracle_terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: list) -> tuple:
@@ -587,18 +591,10 @@ def _oracle_terms(p: _Program, re: np.ndarray, im: np.ndarray, faults: list) -> 
     if p.dual:
         g1, g2, tau, tilde = factors
         faults.append((g2[0] != 0, lambda: [(COMPLEX_BY_ZERO, _is_zero(g2))]))
-        return _mul(_mul(_mul(_div(g1, g2), tau), tilde), cd)
+        return _c_mul(*_c_mul(*_c_mul(*_c_div(*g1, *g2), *tau), *tilde), *cd)
     tilde, g1, g2, tau = factors
     faults.append((g2[0] != 0, lambda: [(COMPLEX_BY_ZERO, _is_zero(g2))]))
-    return _mul(_mul(_div(_mul(tilde, g1), g2), cd), tau)
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    return _c_mul(a[0], a[1], b[0], b[1])
-
-
-def _div(a: tuple, b: tuple) -> tuple:
-    return _c_div(a[0], a[1], b[0], b[1])
+    return _c_mul(*_c_mul(*_c_div(*_c_mul(*tilde, *g1), *g2), *cd), *tau)
 
 
 def _delta(p: _Program) -> tuple:
@@ -606,47 +602,28 @@ def _delta(p: _Program) -> tuple:
     return np.where(p.diag, 1.0, 0.0), np.zeros(len(p.diag))
 
 
-def _total(v: tuple) -> tuple:
-    """The sum over j, added left to right from 0.0, as ``sum`` adds."""
-    re = im = 0.0
-    for a, b in zip(*v):
-        re, im = re + a, im + b
-    return re, im
-
-
 def _peak(v: tuple, faults: list) -> np.ndarray:
-    """The largest modulus over j, as ``max`` of ``abs`` gives it: a later
-    value replaces the largest so far only if it is larger."""
-    mag = np.hypot(*v)
-    top = mag[0]
-    for m in mag[1:]:
-        top = np.where(m > top, m, top)
+    """The largest modulus over j, as ``max`` of ``abs`` gives it."""
+    mag, beyond = _c_abs(*v)
+    top = max_along(mag)
     # A modulus beyond range leaves the peak inf or NaN.
-    faults.append((np.isfinite(top), lambda: [(ABS_RANGE, _c_abs(*v)[1])]))
-    return top
-
-
-def _worst(res: np.ndarray) -> np.ndarray:
-    """``residuals.worst`` over j: the largest and 0.0, or +inf where any is
-    NaN (a maximum picks one of its values, so any order gives its bits)."""
-    top = np.maximum(res.max(axis=0), 0.0)
-    top[np.isnan(top)] = math.inf
+    faults.append((np.isfinite(top), lambda: [(ABS_RANGE, beyond)]))
     return top
 
 
 def _scaled(lhs: tuple, rhs: tuple, scale, faults: list) -> np.ndarray:
-    """``residuals.scaled`` on split arrays."""
-    diff = lhs[0] - rhs[0], lhs[1] - rhs[1]
-    num, a, b = np.hypot(*diff), np.hypot(*lhs), np.hypot(*rhs)
-    den = a + b + scale
-    res = num / den
+    """``residuals.scaled_split``, its faults listed."""
+    res = scaled_split(lhs, rhs, scale)
 
     def ops() -> list:
-        return [*((ABS_RANGE, _c_abs(*x)[1]) for x in (diff, lhs, rhs)), (FLOAT_BY_ZERO, den == 0)]
+        diff = lhs[0] - rhs[0], lhs[1] - rhs[1]
+        zero = _is_zero(lhs) & _is_zero(rhs) & (scale == 0)
+        return [*((ABS_RANGE, _c_abs(*x)[1]) for x in (diff, lhs, rhs)), (FLOAT_BY_ZERO, zero)]
 
-    # A modulus beyond range leaves den or res inf, and den = 0 leaves res
-    # inf or NaN: den * res is finite wherever neither happened.
-    faults.append((np.isfinite(den * res), ops))
+    # Where Python raises, the residual is 0, inf or NaN: a modulus beyond
+    # range leaves the numerator inf or the denominator inf, and a zero
+    # denominator (both sides and ``scale`` 0) gives 0 / 0.
+    faults.append(((res > 0) & (res < math.inf), ops))
     return res
 
 

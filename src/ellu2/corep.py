@@ -142,10 +142,13 @@ def _t_blocks(tp: ThetaProduct, N: int, k: int, j: int, l: int, x: complex) -> T
     return tp
 
 
-def _in_level(N: int, k: int, j: int) -> None:
-    """Raise ``ValueError`` unless (k, j) is a matrix element of level N."""
+def _in_level(N: int, k: int, j: int, m: int = 0) -> None:
+    """Raise ``ValueError`` unless (k, j) is a matrix element of level N
+    and m a basis index."""
     if not (0 <= k <= N and 0 <= j <= N):
         raise ValueError("need 0 <= k, j <= N")
+    if m < 0:
+        raise ValueError("basis index must be >= 0")
 
 
 def t_word(N: int, k: int, j: int, z: complex, ctx: ThetaContext) -> AlgebraElement:
@@ -233,9 +236,7 @@ def tau_plan(
     N: int, k: int, j: int, m: int, lam: complex, z: complex, omega: complex, ctx: ThetaContext
 ) -> Plan:
     """Plan of ``tau_closed``.  A head with an exact zero builds no series."""
-    _in_level(N, k, j)
-    if m < 0:
-        raise ValueError("basis index must be >= 0")
+    _in_level(N, k, j, m)
     if m + k - j < 0:
         return known(ctx, 0.0 + 0.0j)
     qp = ctx.qpow
@@ -308,9 +309,7 @@ def tau_tilde_plan(
 ) -> Plan:
     """Coefficient of e_(m+j-k) in the action of the conjugated (k, j)
     element.  A head with an exact zero builds no series."""
-    _in_level(N, k, j)
-    if m < 0:
-        raise ValueError("basis index must be >= 0")
+    _in_level(N, k, j, m)
     if m + j - k < 0:
         return known(ctx, 0.0 + 0.0j)
     qp = ctx.qpow
@@ -406,9 +405,7 @@ def product_tower(
         return got
 
     def read(k: int, j: int, m: int) -> complex:
-        _in_level(N, k, j)
-        if m < 0:
-            raise ValueError("basis index must be >= 0")
+        _in_level(N, k, j, m)
         if m + k - j < 0:
             return 0.0 + 0.0j
         total = 0.0 + 0.0j
@@ -593,7 +590,7 @@ def eval_tensor(
     n: int,
     rc1: RepContext,
     rc2: RepContext,
-    legs: tuple[dict, dict] | None = None,
+    legs: tuple[dict, dict],
 ) -> dict[tuple[int, int], complex]:
     """Evaluate two-leg word pairs on e_m (x) e_n.
 
@@ -602,11 +599,10 @@ def eval_tensor(
     evaluation point.  ``legs`` keeps the legs of each side (the first
     side's, the second's; ``_leg``) across the calls of one check, which
     passes the same pair of dicts to each: within a check a word recurs in
-    many pairs, on the same basis vector and context.  The sums are formed
-    term by term in the same order with or without it, so every value keeps
-    its bits.
+    many pairs, on the same basis vector and context.  Sharing them keeps
+    every value's bits: the sums are formed term by term in the same order.
     """
-    left, right = ({}, {}) if legs is None else legs
+    left, right = legs
     return _tensor(
         [(scalar, _leg(left, w1, m, rc1), _leg(right, w2, n, rc2)) for scalar, w1, w2 in pairs],
         rc1,
@@ -786,9 +782,7 @@ def _inversion_rows(ctx: TemplateContext, N: int, mmax: int) -> Iterable:
 
 def _element_residual(build, N: int, a: int, b: int, z: complex, m: int, rc: RepContext) -> float:
     """The residual of (a, b) on e_m from the compiled check ``build`` at level N."""
-    _in_level(N, a, b)
-    if m < 0:
-        raise ValueError("basis index must be >= 0")
+    _in_level(N, a, b, m)
     return _rows_at(rc, build, (N, max(m, UNITARITY_MMAX)), z=z)[(a, b, m)]
 
 

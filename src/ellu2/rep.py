@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .residuals import TINY, residual_between
+from .residuals import TINY, residual_between, worst_along
 from .rmatrix import r_entries
 from .theta import (
     _ONE,
@@ -57,6 +57,7 @@ from .theta import (
     TemplateContext,
     ThetaContext,
     ThetaProduct,
+    _c_abs,
     error,
     garg,
     kept_shape,
@@ -250,21 +251,26 @@ def _theta_fn(arg, ctx):
     return ctx.quotient(None, (arg,), ())
 
 
+def _generator(letter) -> Callable[[complex], AlgebraElement]:
+    """The one-letter word of a generator, by its spectral point."""
+    return lambda z: word(1.0, (letter(z),))
+
+
+# The generator words alpha, beta, gamma and delta.
+_GENERATORS = tuple(map(_generator, (L_alpha, L_beta, L_gamma, L_delta)))
+
+
 def relation_inventory(
-    z1: complex, z2: complex, ctx: ThetaContext, shift: complex = 0.37
+    z1: complex, z2: complex, ctx: ThetaContext
 ) -> list[tuple[str, AlgebraElement, AlgebraElement]]:
     """The defining exchange relations at generic spectral points z1, z2.
 
     Returns (name, lhs, rhs) triples.  Relations with dynamical coefficients
     carry them as fl letters (left variable) or fr letters (right variable)
-    standing to the left of the generator words.  ``shift`` seeds the sample
-    function used in the moment-map commutation family.
+    standing to the left of the generator words.
     """
     z12 = z1 / z2
-    A = lambda z: word(1.0, (L_alpha(z),))
-    B = lambda z: word(1.0, (L_beta(z),))
-    G = lambda z: word(1.0, (L_gamma(z),))
-    D = lambda z: word(1.0, (L_delta(z),))
+    A, B, G, D = _GENERATORS
     aL = word(1.0, (L_fl(_cf_entry(0, z12, ctx, "ra")),))
     bL = word(1.0, (L_fl(_cf_entry(1, z12, ctx, "rb")),))
     cL = word(1.0, (L_fl(_cf_entry(2, z12, ctx, "rc")),))
@@ -315,9 +321,8 @@ def relation_inventory(
         )
     )
 
-    f = cf_from(
-        lambda x: _theta_fn(ctx.qpow(2 * (x + shift)), ctx), f"th(2x{shift.real:+.3g})"
-    )
+    # The sample function of the moment-map commutation family.
+    f = cf_from(lambda x: _theta_fn(ctx.qpow(2 * (x + 0.37)), ctx), "th(2x+0.37)")
     fl = lambda g: word(1.0, (L_fl(g),))
     fr = lambda g: word(1.0, (L_fr(g),))
     for name, gen, dl, dr in (
@@ -338,10 +343,7 @@ def residual_inventory(
 ) -> list[tuple[str, AlgebraElement, AlgebraElement]]:
     """Degenerate exchange relations at spectral ratio q^2."""
     q2 = ctx.qpow(2)
-    A = lambda w: word(1.0, (L_alpha(w),))
-    B = lambda w: word(1.0, (L_beta(w),))
-    G = lambda w: word(1.0, (L_gamma(w),))
-    D = lambda w: word(1.0, (L_delta(w),))
+    A, B, G, D = _GENERATORS
     thm = word(1.0, (L_fr(cf_from(lambda x: _theta_fn(ctx.qpow(-2 * x), ctx), "th(-2mu)")),))
     thm2 = word(
         1.0,
@@ -470,10 +472,7 @@ def antipode_inverse_identities(
     z: complex, ctx: ThetaContext
 ) -> list[tuple[str, AlgebraElement, AlgebraElement]]:
     """The eight entries of S(L) L = 1 = L S(L) at a common spectral point."""
-    A = word(1.0, (L_alpha(z),))
-    B = word(1.0, (L_beta(z),))
-    G = word(1.0, (L_gamma(z),))
-    D = word(1.0, (L_delta(z),))
+    A, B, G, D = (gen(z) for gen in _GENERATORS)
     sA = antipode(A, ctx)
     sB = antipode(B, ctx)
     sG = antipode(G, ctx)
@@ -575,7 +574,8 @@ def item_errors(rows: np.ndarray, values: np.ndarray, codes: np.ndarray, zero_gu
     else at the first of its paths whose plan failed, where the numeric sum
     would carry an inf or a NaN.  Where no plan failed and no guard is low,
     every item passes at once."""
-    low = set(rows[_modulus(values[rows]) < zero_guard].tolist())
+    bound = values[rows]
+    low = set(rows[_c_abs(bound.real, bound.imag)[0] < zero_guard].tolist())
     code = codes.tolist() if low or codes.any() else None
 
     def item_error(guards: list, paths: Iterable) -> ArithmeticError | None:
@@ -693,7 +693,8 @@ class Compiled:
         draw with a failed plan or a guard below its zero guard looks for
         its error, row by row."""
         out: list = [dict(zip(self.keys, rows)) for rows in self.fold(values[:, : self.paths]).tolist()]
-        low = _modulus(values[:, self.guard_rows]) < np.array(zero_guards)[:, None]
+        guards = values[:, self.guard_rows]
+        low = _c_abs(guards.real, guards.imag)[0] < np.array(zero_guards)[:, None]
         for d in np.flatnonzero(low.any(axis=1) | codes.any(axis=1)).tolist():
             item_error = item_errors(self.guard_rows, values[d], codes[d], zero_guards[d])
             out[d] = next((e for e in (item_error(*item) for item in self.items) if e is not None), out[d])
@@ -715,14 +716,15 @@ class Compiled:
         si = _sums(self.path_cell, values.imag, cells)
         dr = _sums(self.cell_entry, sr * self.cell_sign, entries)
         di = _sums(self.cell_entry, si * self.cell_sign, entries)
+        peaks = values[:, self.peak_paths]
         # A failed draw's values may be inf or NaN; its rows are not read.
         with np.errstate(all="ignore"):
-            diff = _group_max(self.runs[0], np.hypot(dr, di), groups, 0.0)
-            scale = _group_max(self.runs[1], np.hypot(sr, si), groups, TINY)
-            scale = np.maximum(scale, _group_max(self.runs[2], _modulus(values[:, self.peak_paths]), groups, TINY))
+            diff = _group_max(self.runs[0], _c_abs(dr, di)[0], groups, 0.0)
+            scale = _group_max(self.runs[1], _c_abs(sr, si)[0], groups, TINY)
+            scale = np.maximum(scale, _group_max(self.runs[2], _c_abs(peaks.real, peaks.imag)[0], groups, TINY))
             out = _group_max(self.runs[3], diff / scale, len(self.keys), 0.0)
-        out[np.isnan(out)] = np.inf
-        return out
+        # Each row is its groups' largest and 0.0; ``worst`` makes a NaN +inf.
+        return worst_along([out])
 
 
 def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -745,13 +747,6 @@ def _group_max(runs: tuple, values: np.ndarray, size: int, start: float) -> np.n
     return out
 
 
-def _modulus(values: np.ndarray) -> np.ndarray:
-    """|v| of each element, rounded as Python's ``abs`` rounds it: the hypot
-    of the parts, as ``theta._c_abs`` takes it (``np.abs`` of a complex
-    array may take a SIMD path that differs in the last bit)."""
-    return np.hypot(values.real, values.imag)
-
-
 def _indices(values: list) -> np.ndarray:
     return np.array(values, dtype=np.intp)
 
@@ -765,23 +760,21 @@ def _product(ctx: TemplateContext, scalar, nums: tuple, dens: tuple) -> ThetaPro
     return tp
 
 
-def compiled(build, params: tuple, zero_guard: float) -> Compiled:
+def compiled(build, params: tuple) -> Compiled:
     """The check ``build(ctx, *params)`` builds over records, compiled once
-    per shape (``build``, ``params``, zero guard) and kept in ``_SHAPES``
-    (``theta.kept_shape``).  Nothing is compiled before a check asks for it."""
-    return kept_shape(
-        _SHAPES,
-        (build, *params, zero_guard),
-        lambda: Compiled(build(TemplateContext(zero_guard), *params)),
-    )
+    per shape (``build``, ``params``) and kept in ``_SHAPES``
+    (``theta.kept_shape``).  It is built on ``_PLAIN``: a draw's zero guard
+    enters only where its outcome is read (``Compiled.outcomes``).  Nothing
+    is compiled before a check asks for it."""
+    return kept_shape(_SHAPES, (build, *params), lambda: Compiled(build(_PLAIN, *params)))
 
 
 def bind_rows(build, params: tuple, drawn: Sequence[tuple[RepContext, dict]]) -> list[dict | ArithmeticError]:
     """The outcome (``Compiled.outcomes``: the rows, or the error, not raised)
-    of the check ``compiled(build, params, ...)`` at each (rc, symbols) of
-    ``drawn`` (the spectral points ``z`` and maybe ``z1``, ``z2``; one zero
-    guard), all bound in one ``Template.bind_all``."""
-    check = compiled(build, params, drawn[0][0].ctx.zero_guard)
+    of the check ``compiled(build, params)`` at each (rc, symbols) of
+    ``drawn`` (the spectral points ``z`` and maybe ``z1``, ``z2``), all
+    bound in one ``Template.bind_all``."""
+    check = compiled(build, params)
     points = [
         (rc.ctx, rc.lam0, rc.omega, symbols["z"], symbols.get("z1"), symbols.get("z2"))
         for rc, symbols in drawn

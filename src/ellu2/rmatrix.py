@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .residuals import TINY, residual_between
 from .theta import PoleError, ThetaContext, theta
 
 __all__ = [
@@ -87,7 +88,7 @@ def det_residual(lam: complex, z: complex, ctx: ThetaContext) -> float:
     a, b, c, d = r_entries(lam, z, ctx)
     ad, bc = a * d, b * c
     closed = middle_det_closed(z, ctx)
-    return abs(ad - bc - closed) / max(abs(ad), abs(bc), abs(closed), 1e-300)
+    return abs(ad - bc - closed) / max(abs(ad), abs(bc), abs(closed), TINY)
 
 
 def _embed_index(legs: tuple[int, int], spectator: int) -> np.ndarray:
@@ -161,7 +162,9 @@ def _leg_op(
 def qdybe_residual(
     lam: complex, z1: complex, z2: complex, z3: complex, ctx: ThetaContext
 ) -> float:
-    """Max-norm relative residual of the shifted Yang-Baxter equation.
+    """Max-norm relative residual of the shifted Yang-Baxter equation:
+    ``residual_between`` of its two sides' 64 entries, each side a map of
+    flat index to entry.
 
     Left side: R12 shifted by leg 3, then R13, then R23 shifted by leg 1.
     Right side: R23, then R13 shifted by leg 2, then R12.  Matrices compose
@@ -178,5 +181,4 @@ def qdybe_residual(
         @ _leg_op(lam, z13, (0, 2), 1, True, ctx)
         @ _leg_op(lam, z12, (0, 1), 2, False, ctx)
     )
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return residual_between(*(dict(enumerate(side.ravel().tolist())) for side in (lhs, rhs)))

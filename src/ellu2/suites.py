@@ -13,7 +13,7 @@ Suites and the focused tables of ``ellu2 check`` share one engine:
 - one loop, ``_sample``, draws each sample from a sampler through
   ``run_with_redraws``, redrawing at poles, and returns the completed
   values and the rejected count;
-- one fold, ``_worst``, keeps the worst residual per key, counting a NaN as
+- one fold, ``_per_key``, keeps the worst residual per key, counting a NaN as
   +inf (``residuals.worst``) so that a check which breaks fails its gate;
 - ``_suite_result`` returns a suite's record and ``_table`` a table's
   report; the two own the pass rules, and ``_grid`` folds the per-(k, j)
@@ -43,8 +43,9 @@ would add several MB to peak memory.
 
 A batch does its per-draw work on arrays, each draw with the bits it
 gets alone: the theta suite computes every draw's residuals at once on
-split arrays (``_theta_batch``), and a compiled check folds every draw of
-its bind at once (``rep.Compiled.fold``).  The one-draw-at-a-time forms
+split arrays, by the array forms of ``residuals`` (``_theta_batch``), and
+a compiled check folds every draw of its bind at once
+(``rep.Compiled.fold``).  The one-draw-at-a-time forms
 these replaced, the draws among them, are kept beside the tests as their
 references.
 
@@ -99,7 +100,8 @@ from .rep import (
     relation_inventory,
     rows_of,
 )
-from .residuals import TINY, rel_to_terms, spread, worst
+from .residuals import TINY, max_along, rel_to_terms, residual_between_split, spread
+from .residuals import sum_along, worst, worst_along
 from .rmatrix import det_residual, qdybe_residual
 from .sampling import draw_batch, run_with_redraws
 from .series import (
@@ -163,7 +165,8 @@ def _theta_identity_residual(terms: tuple, args: np.ndarray, p: np.ndarray, code
     ``theta_condition`` of its arguments: a theta factor near a zero turns the
     rounding of its argument into that much relative error.  Every step is
     Python's on complex numbers, term after term (``theta._c_mul``,
-    ``_c_abs``), so each residual has the bits a loop over one draw gives.
+    ``_c_abs``, ``residuals.max_along`` and ``sum_along``), so each residual
+    has the bits a loop over one draw gives.
     Where that loop would raise, the draw's ``code`` takes the error, if it
     has none yet: ``PoleError(THETA_RANGE)`` for a product beyond the double
     range, as for a value, and ``OverflowError`` for a modulus beyond it.
@@ -175,13 +178,8 @@ def _theta_identity_residual(terms: tuple, args: np.ndarray, p: np.ndarray, code
     t = _c_mul(cr, ci, *product)
     size, beyond = _c_abs(*t)
     cond, over = theta_condition(args, p)
-    scale = TINY
-    for big in size * cond.reshape(vr.shape).max(axis=1):
-        scale = np.where(big > scale, big, scale)
-    total = (0.0, 0.0)
-    for tr, ti in zip(*t):
-        total = (total[0] + tr, total[1] + ti)
-    top, top_beyond = _c_abs(*total)
+    scale = max_along((TINY, *(size * cond.reshape(vr.shape).max(axis=1))))
+    top, top_beyond = _c_abs(*sum_along(t))
     # The errors the loop meets, in its order: each term's product (one
     # beyond range leaves |term| unraised), then |term| and its
     # conditions; then |total|.
@@ -211,7 +209,7 @@ def _sample(samples: int, max_redraws: int, draws: _DrawAhead) -> tuple[list, in
     return values, samples - len(values)
 
 
-def _worst(values: Iterable[Iterable[tuple]], keys: Iterable = ()) -> dict:
+def _per_key(values: Iterable[Iterable[tuple]], keys: Iterable = ()) -> dict:
     """The worst residual per key over samples of (key, residual) pairs.
 
     Each of ``keys`` starts at 0.0, as does any other key at its first pair.
@@ -240,7 +238,7 @@ def _suite_result(
     get their own tolerance and surface through notes.  Each of ``gates`` is
     one more (passed, note) condition of the suite.
     """
-    top = _worst((value.items() for value in values), classes)
+    top = _per_key((value.items() for value in values), classes)
     keys = list(classes)
     passed = all(top[k] <= classes[k] for k in keys) and rejected < samples
     for k in keys[1:]:
@@ -373,22 +371,18 @@ def _theta_batch(drawn: list) -> list:
         code = np.where(np.isfinite(values).all(axis=0), 0, CODE[THETA_RANGE])
         sr, si = _c_div(-vr[0], -vi[0], re[0], im[0])
         nr, ni = _c_mul(-powers.real[:5], -powers.imag[:5], vr[8:13], vi[8:13])
-        # |lhs - rhs| / max(|lhs|, |rhs|, TINY) of theta(p z) and
-        # theta(1 / z) against -theta(z) / z, and of each theta(q^(-2s))
-        # against -q^(-2s) theta(q^(2s)).
+        # theta(p z) and theta(1 / z) against -theta(z) / z, and each
+        # theta(q^(-2s)) against -q^(-2s) theta(q^(2s)); where a modulus
+        # is beyond range, Python raises.
         lhs, rhs = (vr[1:8], vi[1:8]), (np.vstack([sr, sr, nr]), np.vstack([si, si, ni]))
         parts = [(lhs[0] - rhs[0], lhs[1] - rhs[1]), lhs, rhs]
-        (diff, d_over), (left, l_over), (right, r_over) = [_c_abs(*x) for x in parts]
-        over = (d_over | l_over | r_over).any(axis=0)
+        over = np.any([_c_abs(*x)[1] for x in parts], axis=(0, 1))
         np.copyto(code, CODE[ABS_RANGE], where=(code == 0) & over)
-        larger = np.where(right > left, right, left)
-        res = diff / np.where(TINY > larger, TINY, larger)
+        res = residual_between_split(lhs, rhs)
         # The terms' coefficients: 1, -1 and -z / y.
         coefficients = (np.vstack([np.ones(k), -np.ones(k), dr[7]]), np.vstack([np.zeros((2, k)), di[7]]))
         terms = (coefficients, (vr[13:].reshape(3, 4, k), vi[13:].reshape(3, 4, k)))
-        top = np.maximum(res.max(axis=0), _theta_identity_residual(terms, columns[13:], p, code))
-    # ``residuals.worst``: the largest and 0.0, or +inf where any is NaN.
-    top = np.where(np.isnan(top), math.inf, np.maximum(top, 0.0))
+        top = worst_along([*res, _theta_identity_residual(terms, columns[13:], p, code)])
     return [error(c) if c else {"theta identities": r} for r, c in zip(top.tolist(), code.tolist())]
 
 
@@ -632,10 +626,13 @@ def _suite_corep(cfg: RunConfig, rng: np.random.Generator, samples: int, tol: fl
             )
             # More points than columns, each at its own basis index.
             basis = [(x, m) for m, x in enumerate(points[2:])]
-            for n_level in range(1, 4):
-                ratio = linear_independence_ratio(n_level, rc.lam0, rc.omega, ctx, basis[: n_level + 3])
-                # A NaN ratio certifies nothing: count it as 0.0, below the floor.
-                min_indep = min(min_indep, 0.0 if math.isnan(ratio) else ratio)
+            # All three first: where one raises, the attempt is redrawn and
+            # leaves none of its ratios in the gate.
+            ratios = [
+                linear_independence_ratio(n, rc.lam0, rc.omega, ctx, basis[: n + 3]) for n in range(1, 4)
+            ]
+            # A NaN ratio certifies nothing: count it as 0.0, below the floor.
+            min_indep = min(min_indep, *(0.0 if math.isnan(r) else r for r in ratios))
         completed += 1
         return out
 
@@ -842,7 +839,7 @@ def _grid(values: list, n_level: int, second: str, tol: float) -> list[dict]:
     """Table entries of the worst residual per (k, ``second``) on the level's
     (N + 1) x (N + 1) grid, over samples of ((k, ``second``), residual) pairs.
     An entry no sample reached reads 0.0 and does not pass: nothing checked it."""
-    top = _worst(values)
+    top = _per_key(values)
     return [
         {
             "k": k,
@@ -935,7 +932,7 @@ def relations_table(
     values, rejected = _sample(samples, cfg.max_redraws, draws)
     entries = [
         {"relation": name, "max_rel_residual": v, "pass": v <= tol}
-        for name, v in sorted(_worst(values).items())
+        for name, v in sorted(_per_key(values).items())
     ]
     pinned = {
         "omega": None if omega is None else [omega.real, omega.imag],

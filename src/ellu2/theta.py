@@ -1186,9 +1186,14 @@ def _c_div(ar, ai, br, bi):
 
 def _c_abs(re, im):
     """|re + im i| on split arrays, as ``abs`` computes it, and where ``abs``
-    raises ``OverflowError``: finite parts whose modulus is beyond range."""
+    raises ``OverflowError``: finite parts whose modulus is beyond range.
+    The one modulus of split values; the parts are read again only where a
+    modulus is inf."""
     mag = np.hypot(re, im)
-    return mag, np.isinf(mag) & np.isfinite(re) & np.isfinite(im)
+    beyond = np.isinf(mag)
+    if beyond.any():
+        beyond &= np.isfinite(re) & np.isfinite(im)
+    return mag, beyond
 
 
 class _Split:

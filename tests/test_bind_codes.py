@@ -50,7 +50,7 @@ def templates():
         ("biorth sweep", _sweep(bps[0]).template, [_draw(bp) for bp in bps]),
         ("tau tower", _Tower(tau_plan, 2, 1e-12).template, towers),
         ("tau~ tower", _Tower(tau_tilde_plan, 2, 1e-12).template, towers),
-        ("relations", compiled(_relation_rows, RELATIONS_SHAPE, 1e-12).template, relations),
+        ("relations", compiled(_relation_rows, RELATIONS_SHAPE).template, relations),
     ]
 
 

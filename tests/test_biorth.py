@@ -394,6 +394,23 @@ ERROR_CASES = {
         },
         {"OverflowError"},
     ),
+    # Summands 0 and 1 of the direct row (1, 1) add up to h_1 exactly, with
+    # a modulus beyond range: abs of the sum overflows where the sum's
+    # residual reads 0, and the oracle summands are 0.  The rows (1, l) of
+    # l != 1 take w2 small, so that no other row's sum overflows.
+    "overflow-equal-sides": (
+        {
+            **_one([("w1", j, 1) for j in range(5)], 0j),
+            ("w1", 0, 1): 1e308 + 0j,
+            ("w1", 1, 1): complex(3e307, 1.3e308),
+            ("h", 1): complex(1e308 + 3e307, 1.3e308),
+            **_one([("w2", j, l) for j in range(5) for l in range(5)], 1e-300 + 0j),
+            **_one([("w2", j, 1) for j in range(5)], 1 + 0j),
+            **_one([("f", j, 1, s) for j in range(5) for s in (False, True)], 1 + 0j),
+            **_one([("tau", j, 1) for j in range(5)], 0j),
+        },
+        {"OverflowError"},
+    ),
 }
 
 

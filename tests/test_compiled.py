@@ -151,7 +151,7 @@ def side_values(name, values):
 @pytest.mark.parametrize("name", FAMILIES)
 def test_the_compiled_action_is_the_numeric_one(name):
     build, params, zero_guard, symbols, numeric_sides = FAMILIES[name]
-    check = compiled(build, params, zero_guard)
+    check = compiled(build, params)
     rng = np.random.default_rng(20240)
     for _ in range(2):
         rc = draw(rng, zero_guard)
@@ -230,7 +230,7 @@ def test_a_bind_folds_its_draws_as_each_alone(name):
     for _ in range(40):
         rc = rep_attempt(RunConfig(), rng, zero_guard=0.05)
         draws.append(point(rc, {key: draw_z(rng) for key in symbols}))
-    check = compiled(build, params, 0.05)
+    check = compiled(build, params)
     values, codes = check.template.bind_all(draws)
 
     def reference():
@@ -283,9 +283,9 @@ def test_products_bound_on_arrays_are_the_finished_plans(monkeypatch, name, scal
 def test_action_peaks_are_python_abs_bit_for_bit():
     # Log-uniform moduli, those at which numpy's abs of a complex array
     # rounds differently from Python's first: each side's largest path, by
-    # the modulus the fold and the guards take (``rep._modulus``), must be
+    # the modulus the fold and the guards take (``theta._c_abs``), must be
     # Python's abs of one of its paths, bit for bit.
-    check = compiled(*FAMILIES["unitarity N=2"][:3])
+    check = compiled(*FAMILIES["unitarity N=2"][:2])
     rng = np.random.default_rng(0)
     n = 20 * check.paths
     pool = np.exp(rng.uniform(-30, 30, n) + 2j * np.pi * rng.uniform(size=n))
@@ -294,7 +294,7 @@ def test_action_peaks_are_python_abs_bit_for_bit():
     for key, sides in side_values("unitarity N=2", values).items():
         for _, side in sides:
             want = max(map(abs, side.tolist()), default=0.0)
-            assert rep_mod._modulus(side).max(initial=0.0).hex() == want.hex(), key
+            assert theta_mod._c_abs(side.real, side.imag)[0].max(initial=0.0).hex() == want.hex(), key
 
 
 def test_samplers_bind_each_family_once_per_batch(monkeypatch):
@@ -386,15 +386,15 @@ def test_compiled_checks_stay_small(monkeypatch):
     # suite's sizes, unitarity at N = 1..3 and inversion at N = 1, 2.  They
     # held 0.52 MB when this cap was set.
     monkeypatch.setattr(rep_mod, "_SHAPES", {})
-    shapes = [(rep_mod._relation_rows, (6, 4), 1e-4), (rep_mod._det_form_rows, (4,), 1e-4)]
-    shapes += [(corep_mod._unitarity_rows, (N, 2), 1e-12) for N in (1, 2, 3)]
-    shapes += [(corep_mod._inversion_rows, (N, 2), 1e-12) for N in (1, 2)]
+    shapes = [(rep_mod._relation_rows, (6, 4)), (rep_mod._det_form_rows, (4,))]
+    shapes += [(corep_mod._unitarity_rows, (N, 2)) for N in (1, 2, 3)]
+    shapes += [(corep_mod._inversion_rows, (N, 2)) for N in (1, 2)]
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for build, params, zero_guard in shapes:
-            compiled(build, params, zero_guard)
+        for build, params in shapes:
+            compiled(build, params)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:

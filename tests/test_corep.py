@@ -540,6 +540,28 @@ def test_corep_suite_independence_gate(monkeypatch, seed):
         assert len(notes) == 1 and "<= 1e-08" in notes[0]
 
 
+def test_a_redrawn_attempt_leaves_no_independence_ratio_in_the_gate(monkeypatch):
+    # The first attempt's N = 1 ratio reads 1e-9, below the floor, and its
+    # N = 2 ratio raises, so that attempt is redrawn.  The gate reads the
+    # ratios of the completed attempt alone, each at least 0.14 here.
+    real = suites_mod.linear_independence_ratio
+    calls = []
+
+    def low_then_a_pole(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return 1e-9
+        if len(calls) == 2:
+            raise PoleError("independence point below zero guard")
+        return real(*args)
+
+    monkeypatch.setattr(suites_mod, "linear_independence_ratio", low_then_a_pole)
+    rec = run_suite("corep", RunConfig(seed=20240, samples=1))
+    assert len(calls) == 5
+    assert rec["pass"], rec["notes"]
+    assert "matrix element independence ratio min 1.455e-01" in rec["notes"]
+
+
 @pytest.mark.parametrize("k, j", [(2, 3), (3, 2), (-1, 0), (0, -1), (3, 3)])
 def test_an_element_outside_the_level_raises_as_t_word_does(k, j):
     # (k, j) must lie in 0 <= k, j <= N = 2: every side refuses it with

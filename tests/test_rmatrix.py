@@ -12,6 +12,7 @@ from ellu2.rmatrix import (
     r_entries,
     r_matrix,
 )
+from ellu2.residuals import residual_between
 from ellu2.suites import RunConfig, run_suite
 from ellu2.theta import PoleError, theta
 
@@ -103,3 +104,19 @@ def test_det_gate_rejects_a_wrong_closed_form(monkeypatch, ctx, rng):
     monkeypatch.setattr(rmatrix, "middle_det_closed", without_q2)
     assert min(det_residual(lam, z, ctx) for lam, z in points) > 1e-3
     assert not run_suite("qdybe", RunConfig(seed=3, samples=5))["pass"]
+
+
+def test_the_hexagon_residual_is_residual_between_of_its_entries(ctx, rng):
+    # Each side as a map of its 64 entries by flat index, every modulus
+    # Python's abs: numpy's abs of a complex array differs in the last bit
+    # for about a third of its elements.
+    rmatrix = importlib.import_module("ellu2.rmatrix")
+    leg = rmatrix._leg_op
+    for _ in range(10):
+        lam, _ = draw_point(rng)
+        z1, z2, z3 = (draw_point(rng)[1] for _ in range(3))
+        r12, r13, r23 = (z1 / z2, (0, 1), 2), (z1 / z3, (0, 2), 1), (z2 / z3, (1, 2), 0)
+        lhs = leg(lam, *r12, True, ctx) @ leg(lam, *r13, False, ctx) @ leg(lam, *r23, True, ctx)
+        rhs = leg(lam, *r23, False, ctx) @ leg(lam, *r13, True, ctx) @ leg(lam, *r12, False, ctx)
+        want = residual_between(*(dict(enumerate(side.ravel().tolist())) for side in (lhs, rhs)))
+        assert qdybe_residual(lam, z1, z2, z3, ctx).hex() == want.hex()

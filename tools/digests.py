@@ -334,7 +334,7 @@ def bound_values() -> str:
     checks += [(_unitarity_rows, (N, UNITARITY_MMAX), 1e-12) for N in (1, 2, 3)]
     checks += [(_inversion_rows, (N, UNITARITY_MMAX), 1e-12) for N in (1, 2)]
     for build, params, guard in checks:
-        lines.append(line(f"{build.__name__} {params}", compiled(build, params, guard).template, guard))
+        lines.append(line(f"{build.__name__} {params}", compiled(build, params).template, guard))
     return "\n".join(lines)
 
 

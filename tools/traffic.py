@@ -69,7 +69,6 @@ OFF_TRAFFIC = {
     "biorth.py BiorthCache.__init__": "the cache of the pinned check_biorth; the tracer counts its hits",
     "biorth.py BiorthCache.get": _PINNED,
     "biorth.py BiorthReport.residual": "test seam: the worse of a report's sum and oracle residuals",
-    "biorth.py _is_zero": "error path: a zero divisor, tested only where a cheap mask finds one",
     "corep.py check_unitarity": _PINNED,
     "corep.py check_inversion_words": _PINNED,
     "corep.py _element_residual": "the one element of the pinned check_unitarity and check_inversion_words",
